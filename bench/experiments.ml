@@ -1862,31 +1862,27 @@ let q16 ppf =
     f ();
     Sys.time () -. t0
   in
-  let min_of n f =
-    let best = ref infinity in
+  (* time two loops as interleaved pairs: one sample of each per round,
+     min of each. Two separate blocks would let GC or CPU drift between
+     them masquerade as a difference between the loops — the CRC engines'
+     ratio and the codec's CRC overhead (a few tens of ms against a
+     baseline that allocates the same hundreds of MB either way) alike. *)
+  let pairs n f g =
+    let t_f = ref infinity and t_g = ref infinity in
     for _ = 1 to n do
-      let t = timed f in
-      if t < !best then best := t
+      t_f := Float.min !t_f (timed f);
+      t_g := Float.min !t_g (timed g)
     done;
-    !best
+    (!t_f, !t_g)
   in
-  (* time the same loop with CRC checks on and off, as interleaved pairs:
-     one on-sample then one off-sample per round, min of each.  Two
-     separate blocks would let GC drift between them masquerade as CRC
-     cost — the overhead here is a few tens of ms against a baseline that
-     allocates the same hundreds of MB either way. *)
+  (* the same loop with CRC checks on and off *)
   let on_off n f =
     let module Crashpoint = Aries_util.Crashpoint in
-    let t_on = ref infinity and t_off = ref infinity in
-    for _ = 1 to n do
-      let t = timed f in
-      if t < !t_on then t_on := t;
-      Crashpoint.enable_fault Crashpoint.fault_crc_check_disabled;
-      let t = timed f in
-      Crashpoint.disable_fault Crashpoint.fault_crc_check_disabled;
-      if t < !t_off then t_off := t
-    done;
-    (!t_on, !t_off)
+    pairs n f (fun () ->
+        Crashpoint.enable_fault Crashpoint.fault_crc_check_disabled;
+        Fun.protect
+          ~finally:(fun () -> Crashpoint.disable_fault Crashpoint.fault_crc_check_disabled)
+          f)
   in
   (* -- raw CRC throughput: slice-by-16 vs the bytewise baseline -- *)
   let buf_len = 4 * 1024 * 1024 in
@@ -1909,12 +1905,11 @@ let q16 ppf =
     failwith "q16: CRC engines disagree";
   ignore (timed (crc_run Crc.update));
   ignore (timed (crc_run Crc.update_bytewise));
-  let t_fast = min_of 5 (crc_run Crc.update) in
-  let t_slow = min_of 5 (crc_run Crc.update_bytewise) in
+  let t_fast, t_slow = pairs 5 (crc_run Crc.update) (crc_run Crc.update_bytewise) in
   let speedup = t_slow /. t_fast in
   let mib = float_of_int (buf_len * passes) /. (1024.0 *. 1024.0) in
   kv ppf
-    (Printf.sprintf "crc throughput (%d MiB x%d passes, min of 5)" (buf_len / 1024 / 1024)
+    (Printf.sprintf "crc throughput (%d MiB x%d passes, min of 5 pairs)" (buf_len / 1024 / 1024)
        passes)
     "slice-by-16 %.0f MiB/s vs bytewise %.0f MiB/s (%.2fx)" (mib /. t_fast) (mib /. t_slow)
     speedup;

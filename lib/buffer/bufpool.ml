@@ -71,6 +71,8 @@ let create ?(capacity = 128) dsk logs =
     restart_dpt = Hashtbl.create 8;
   }
 
+let capacity t = t.capacity
+
 let disk t = t.dsk
 
 let id t = t.id
@@ -210,8 +212,11 @@ let install ?image t page =
 (* Read a page image from disk: transient errors are retried (bounded, with
    backoff); a CRC / decode failure quarantines the page and invokes the
    repairer hook (installed by [Db]: automatic media recovery from the log
-   archive), then re-reads the healed image. The [repairing] guard keeps the
-   repairer's own page traffic from recursing into another repair. *)
+   archive). The repair leaves the healed page resident, so [None] comes
+   back and [fix_opt] serves that frame: re-reading the stored image would
+   trip over a fault that struck the repair's own write. The [repairing]
+   guard keeps the repairer's own page traffic from recursing into another
+   repair. *)
 let read_page t pid =
   let read () = retrying ~pid ~target:"page-read" (fun () -> Disk.read_with_image t.dsk pid) in
   try read () with
@@ -225,8 +230,13 @@ let read_page t pid =
           let healed =
             Fun.protect ~finally:(fun () -> t.repairing <- false) (fun () -> repair pid)
           in
-          if healed then read () else raise e
+          if not healed then raise e else if Hashtbl.mem t.frames pid then None else read ()
       | Some _ | None -> raise e)
+
+let fix_frame t f =
+  f.fix_count <- f.fix_count + 1;
+  touch t f;
+  Some f.page
 
 let fix_opt t pid =
   (* Instant-restart interlock: while recovery is still draining, a page in
@@ -239,14 +249,13 @@ let fix_opt t pid =
   Stats.incr Stats.page_fixes;
   let r =
     match Hashtbl.find_opt t.frames pid with
-    | Some f ->
-        f.fix_count <- f.fix_count + 1;
-        touch t f;
-        Some f.page
+    | Some f -> fix_frame t f
     | None -> (
         match read_page t pid with
         | Some (page, image) -> Some (install ~image t page).page
-        | None -> None)
+        | None -> (
+            (* no stored image — or a repair healed the page into a frame *)
+            match Hashtbl.find_opt t.frames pid with Some f -> fix_frame t f | None -> None))
   in
   if r <> None && Trace.enabled () then Trace.emit (Trace.Page_fix { pool = t.id; pid });
   r

@@ -27,6 +27,9 @@ val create : ?capacity:int -> Aries_page.Disk.t -> Aries_wal.Logset.t -> t
     page write targets the page's routed stream only — all of a page's
     records live there. *)
 
+val capacity : t -> int
+(** The frame count the pool was created with. *)
+
 val disk : t -> Aries_page.Disk.t
 
 val id : t -> int

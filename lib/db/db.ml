@@ -85,12 +85,14 @@ let crash ?config t =
      their fate purely from the stable log. The archive and the surviving
      segments are stable state and carry over. The version store is volatile
      too — the new environment's store starts empty ([restart] rebuilds the
-     in-flight transactions' chains from the log). *)
-  build ?config ~commit_mode:t.commit_mode ?cleaner:t.cleaner ?checkpoint:t.checkpoint_cfg
-    ?vgc:t.vgc_cfg ~archive:t.archive t.disk t.logs
+     in-flight transactions' chains from the log). The pool keeps its
+     frame count: a restart runs in the memory the system had. *)
+  build ~pool_capacity:(Bufpool.capacity t.pool) ?config ~commit_mode:t.commit_mode
+    ?cleaner:t.cleaner ?checkpoint:t.checkpoint_cfg ?vgc:t.vgc_cfg ~archive:t.archive t.disk t.logs
 
-(* Classic restart runs all three passes before returning. With
-   [~instant:true] only Analysis (plus lock reacquisition) runs up front:
+(* Classic restart drains the restart engine to completion before
+   returning ([Restart.run]). With [~instant:true] only Analysis (plus lock
+   reacquisition and the undo no lock fences) runs up front:
    the Db is open for new transactions when [restart] returns, redo
    happens per page on demand, and a "restartd" daemon drains the
    remaining work in the background (synchronously when no scheduler is
@@ -100,7 +102,7 @@ let crash ?config t =
 let restart ?(instant = false) ?(drain = Restart.default_drain) t =
   if not instant then begin
     let report = Restart.run t.mgr t.pool in
-    (* MVCC: the three passes are done, so only in-doubt prepared
+    (* MVCC: redo and undo are done, so only in-doubt prepared
        transactions survive in the table — rebuild their pending version
        chains (losers were rolled back; committed history needs no chains). *)
     Btree.rebuild_versions t.benv;

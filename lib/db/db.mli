@@ -5,8 +5,8 @@
     A {e system crash} ([crash]) produces a fresh environment over the same
     stable state (disk images, stable log prefix, master record): every
     volatile structure — buffer pool, lock table, transaction table, open
-    trees — is gone, exactly like a power failure. [restart] then runs the
-    three ARIES passes. *)
+    trees — is gone, exactly like a power failure. [restart] then runs
+    ARIES recovery: Analysis, per-page redo and the loser undo sweep. *)
 
 module Txnmgr = Aries_txn.Txnmgr
 
@@ -82,14 +82,18 @@ val restart :
     Analysis merges every stream by [(epoch, gsn)]; redo and undo are
     per-stream / per-page exactly as in the single-log case.
 
-    [~instant:false] (the default) runs the classic three passes to
-    completion before returning.
+    Both modes run the one restart engine ({!Aries_recovery.Restart.start});
+    [~instant] decides whether loser undo may be deferred past the return.
+    [~instant:false] (the default) drains it to completion before
+    returning: every pending page is redone, every loser goes through one
+    reverse-gsn undo sweep, and the post-recovery checkpoint is taken.
 
-    [~instant:true] returns as soon as Analysis and lock reacquisition are
-    done: the Db is open — new transactions run immediately, any fix of a
-    page in the needs-redo set triggers single-page redo on demand, and a
-    lock request conflicting with a restored loser preempts exactly that
-    loser's undo. A ["restartd"] daemon (configured by [drain],
+    [~instant:true] returns as soon as Analysis, lock reacquisition and the
+    undo of any loser no reacquired lock fences are done: the Db is open —
+    new transactions run immediately, any fix of a page in the needs-redo
+    set triggers single-page redo on demand, and a lock request
+    conflicting with a restored loser preempts exactly that loser's
+    undo. A ["restartd"] daemon (configured by [drain],
     {!Aries_recovery.Restart.default_drain} by default) drains the
     remaining redo/undo work in the background and takes the
     post-recovery checkpoint; outside a scheduler run the drain happens

@@ -144,14 +144,18 @@ let create_heap mgr pool txn ~owner =
   ignore (add_page h txn);
   h
 
+(* Every page that may exist: stored images, resident frames, and the
+   dirty-page table — which, during an instant-restart drain, also lists
+   the pages still pending redo (a never-flushed page is neither stored
+   nor resident until its history is repeated; fixing it does that). *)
+let known_pids pool =
+  List.sort_uniq compare
+    (Disk.pids (Bufpool.disk pool)
+    @ Bufpool.resident_pids pool
+    @ List.map fst (Bufpool.dirty_page_table pool))
+
 let open_heaps mgr pool =
-  let disk = Bufpool.disk pool in
   let by_owner : (int, Ids.page_id list ref) Hashtbl.t = Hashtbl.create 8 in
-  (* both disk images and pool-resident pages: redo may have rebuilt a
-     never-flushed data page only in the pool *)
-  let candidates =
-    List.sort_uniq compare (Disk.pids disk @ Bufpool.resident_pids pool)
-  in
   List.iter
     (fun pid ->
       match Bufpool.fix_opt pool pid with
@@ -170,7 +174,7 @@ let open_heaps mgr pool =
           | Page.Leaf _ | Page.Nonleaf _ | Page.Anchor _ -> ());
           Bufpool.unfix pool page
       | None -> ())
-    candidates;
+    (known_pids pool);
   Hashtbl.fold
     (fun owner pids acc ->
       (owner, { h_owner = owner; h_mgr = mgr; h_pool = pool; h_pages = List.sort compare !pids })

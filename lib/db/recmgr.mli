@@ -20,8 +20,14 @@ val create_heap : Txnmgr.t -> Aries_buffer.Bufpool.t -> Txnmgr.txn -> owner:int 
 (** A new heap (one logged, empty data page) created within the given
     transaction. *)
 
+val known_pids : Aries_buffer.Bufpool.t -> Ids.page_id list
+(** Every page that may exist, sorted: stored images, resident frames and
+    the dirty-page table (which includes pages an instant restart has yet
+    to redo). The candidates a post-restart rediscovery scan must fix. *)
+
 val open_heaps : Txnmgr.t -> Aries_buffer.Bufpool.t -> (int * heap) list
-(** Rediscover every heap on disk by owner id (post-restart). *)
+(** Rediscover every heap by owner id (post-restart), scanning
+    {!known_pids}. *)
 
 val owner : heap -> int
 

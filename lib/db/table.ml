@@ -4,7 +4,6 @@ module Txnmgr = Aries_txn.Txnmgr
 module Btree = Aries_btree.Btree
 module Protocol = Aries_btree.Protocol
 module Page = Aries_page.Page
-module Disk = Aries_page.Disk
 module Bufpool = Aries_buffer.Bufpool
 module Key = Aries_page.Key
 
@@ -64,12 +63,8 @@ let open_existing (db : Db.t) ~id specs =
     | Some h -> h
     | None -> invalid_arg (Printf.sprintf "Table.open_existing: no heap with owner %d" id)
   in
-  (* find index anchors by name; check the pool too, since redo may have
-     rebuilt a never-flushed anchor only in the buffer *)
-  let disk = db.Db.disk in
-  let candidates =
-    List.sort_uniq compare (Disk.pids disk @ Bufpool.resident_pids db.Db.pool)
-  in
+  (* find index anchors by name, over the same candidates as the heaps: a
+     never-flushed anchor may exist only in the pool or the redo backlog *)
   let anchors =
     List.filter_map
       (fun pid ->
@@ -83,7 +78,7 @@ let open_existing (db : Db.t) ~id specs =
             Bufpool.unfix db.Db.pool page;
             r
         | None -> None)
-      candidates
+      (Recmgr.known_pids db.Db.pool)
   in
   let tb_indexes =
     List.map

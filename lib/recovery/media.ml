@@ -176,12 +176,58 @@ let retrying ~pid ~target f =
   in
   go 0
 
+(* does this record carry a change that redo must repeat? *)
+let redoable (r : Logrec.t) =
+  match r.Logrec.kind with
+  | Logrec.Update -> r.Logrec.redoable
+  | Logrec.Clr -> r.Logrec.rm_id <> 0  (* dummy CLRs carry no change *)
+  | Logrec.Commit | Logrec.Prepare | Logrec.Rollback | Logrec.End_txn | Logrec.Begin_ckpt
+  | Logrec.End_ckpt | Logrec.Coord_commit | Logrec.Coord_abort | Logrec.Coord_end ->
+      false
+
+let page_history ?archive wal ~from pid =
+  let acc = ref [] in
+  let note (r : Logrec.t) = if r.Logrec.page = pid && redoable r then acc := r :: !acc in
+  (match archive with
+  | Some a -> Archive.iter_history a wal ~from note
+  | None -> Logmgr.iter_from wal from note);
+  List.rev !acc
+
+(* The one redo of restart and media recovery. Strictly page-oriented: the
+   record names its page, the page is fixed and its page_LSN decides — no
+   index is traversed (experiment Q3 counts this). Within a stream LSN
+   order equals (epoch, gsn) order, which rule R8(b) checks through the
+   Redo_apply events. *)
+let replay mgr pool pid records =
+  let log = Logmgr.id (Logset.page_stream (Txnmgr.logs mgr) pid) in
+  List.fold_left
+    (fun (applied, skipped) (r : Logrec.t) ->
+      Stats.incr Stats.redo_pages_examined;
+      let apply () =
+        if Trace.enabled () then
+          Trace.emit (Trace.Redo_apply { log; pid; lsn = r.Logrec.lsn; gsn = r.Logrec.gsn });
+        Txnmgr.rm_redo mgr r;
+        Stats.incr Stats.redos_applied;
+        (applied + 1, skipped)
+      in
+      match Bufpool.fix_opt pool pid with
+      | Some p ->
+          let counts =
+            if Lsn.( < ) p.Page.page_lsn r.Logrec.lsn then apply () else (applied, skipped + 1)
+          in
+          Bufpool.unfix pool p;
+          counts
+      | None ->
+          (* page never reached disk: the record must recreate it
+             (format-type opcodes do; the RM asserts) *)
+          apply ())
+    (0, 0) records
+
 let recover_page ?archive mgr pool dump pid =
   let logs = Txnmgr.logs mgr in
   (* all of the page's records live on its routed stream: the roll-forward
      reads that stream's history only, from that stream's dump redo point *)
   let s = Logset.route_page logs pid in
-  let wal = Logset.stream logs s in
   let from = if Array.length dump.dmp_redo = 0 then Lsn.nil else dump.dmp_redo.(s) in
   let disk = Bufpool.disk pool in
   (* The repair window is delimited by the recovery itself (not only by the
@@ -200,52 +246,19 @@ let recover_page ?archive mgr pool dump pid =
   (match retrying ~pid ~target:"page-read" (fun () -> Disk.read_with_image dump.dmp_disk pid) with
   | Some (_, image) -> retrying ~pid ~target:"page-write" (fun () -> Disk.write_image disk pid image)
   | None -> Disk.free disk pid);
-  let applied = ref 0 in
   (* Roll forward from the dump's redo point across the stream's full
      history: if segments below the live log's start were reclaimed since
      the dump was taken, the archive supplies them (the archive sink
      received every dropped segment before it vanished). *)
-  let iter_history f =
-    match archive with
-    | Some arc -> Archive.iter_history arc wal ~from f
-    | None -> Logmgr.iter_from wal from f
+  let applied, _ =
+    replay mgr pool pid (page_history ?archive (Logset.stream logs s) ~from pid)
   in
-  iter_history (fun r ->
-      if r.Logrec.page = pid then begin
-        let redoable =
-          match r.Logrec.kind with
-          | Logrec.Update -> r.Logrec.redoable
-          | Logrec.Clr -> r.Logrec.rm_id <> 0
-          | Logrec.Commit | Logrec.Prepare | Logrec.Rollback | Logrec.End_txn
-          | Logrec.Begin_ckpt | Logrec.End_ckpt | Logrec.Coord_commit | Logrec.Coord_abort
-          | Logrec.Coord_end ->
-              false
-        in
-        if redoable then begin
-          let stale =
-            match Bufpool.fix_opt pool pid with
-            | Some p ->
-                let st = Lsn.( < ) p.Page.page_lsn r.Logrec.lsn in
-                Bufpool.unfix pool p;
-                st
-            | None -> true  (* page does not exist yet: format record recreates *)
-          in
-          if stale then begin
-            if Trace.enabled () then
-              Trace.emit
-                (Trace.Redo_apply
-                   { log = Logmgr.id wal; pid; lsn = r.Logrec.lsn; gsn = r.Logrec.gsn });
-            Txnmgr.rm_redo mgr r;
-            incr applied
-          end
-        end
-      end);
   (* the roll-forward dirtied the page in the pool; force it out so the
      repaired image is durable *)
   Bufpool.flush_page pool pid;
   Stats.incr "media.page_recoveries";
-  if Trace.enabled () then Trace.emit (Trace.Page_repaired { pid; records = !applied });
-  !applied
+  if Trace.enabled () then Trace.emit (Trace.Page_repaired { pid; records = applied });
+  applied
 
 (* Automatic media repair (PR 5): rebuild a page that failed its CRC on
    read, with no dump at all — the archive sink received every reclaimed

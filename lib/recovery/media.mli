@@ -63,6 +63,22 @@ val take_dump : Aries_txn.Txnmgr.t -> Aries_buffer.Bufpool.t -> dump
 val dump_redo_lsn : ?stream:int -> dump -> Lsn.t
 (** The dump's redo point on the given stream (default 0). *)
 
+val redoable : Aries_wal.Logrec.t -> bool
+(** Does the record carry a change redo must repeat? Redoable updates and
+    CLRs other than dummy CLRs. *)
+
+val page_history :
+  ?archive:Archive.t -> Aries_wal.Logmgr.t -> from:Lsn.t -> Ids.page_id -> Aries_wal.Logrec.t list
+(** The page's redoable records on its stream with LSN >= [from], oldest
+    first, read from [archive] (when given) and then the live log. *)
+
+val replay :
+  Aries_txn.Txnmgr.t -> Aries_buffer.Bufpool.t -> Ids.page_id -> Aries_wal.Logrec.t list -> int * int
+(** The one redo primitive, for restart and media recovery alike: repeat
+    the page's history ([records], its own, oldest first) under the
+    page_LSN test. Strictly page-oriented — no index traversal. Returns
+    [(applied, skipped)]. *)
+
 val recover_page :
   ?archive:Archive.t -> Aries_txn.Txnmgr.t -> Aries_buffer.Bufpool.t -> dump -> Ids.page_id -> int
 (** Restore one lost page from the dump and roll it forward. Returns the

@@ -54,7 +54,6 @@ type analysis = {
   an_start : Lsn.t array;
       (** per stream, where the merged scan began (the anchoring
           checkpoint's ck_scan; all-nil when there is no checkpoint) *)
-  an_redo : Lsn.t array;  (** per stream, where redo starts *)
   an_redo_lsn : Lsn.t;  (** control-stream redo start (for the report) *)
   an_dpt : (Ids.page_id, Lsn.t) Hashtbl.t;
   an_txns : (Ids.txn_id, txn_track) Hashtbl.t;
@@ -63,21 +62,12 @@ type analysis = {
       (** checkpointed txn-id high-water mark: covers transactions that
           ended before the scan window and so appear nowhere in [an_txns] *)
   an_chains : (Ids.page_id, Lsn.t list) Hashtbl.t;
-      (** checkpointed per-page log chains (latest checkpoint wins): the
-          record LSNs a dirty page accumulated before the scan window *)
+      (** the anchoring checkpoint's per-page log chains: the record LSNs
+          a dirty page accumulated before the scan window *)
 }
 
-(* does this record carry a change that redo must repeat? *)
-let redoable_record (r : Logrec.t) =
-  match r.Logrec.kind with
-  | Logrec.Update -> r.Logrec.redoable
-  | Logrec.Clr -> r.Logrec.rm_id <> 0  (* dummy CLRs carry no change *)
-  | Logrec.Commit | Logrec.Prepare | Logrec.Rollback | Logrec.End_txn | Logrec.Begin_ckpt
-  | Logrec.End_ckpt | Logrec.Coord_commit | Logrec.Coord_abort | Logrec.Coord_end ->
-      false
-
 let index_record ix (r : Logrec.t) =
-  if redoable_record r && r.Logrec.page <> Ids.nil_page then
+  if Media.redoable r && r.Logrec.page <> Ids.nil_page then
     match Hashtbl.find_opt ix r.Logrec.page with
     | Some l -> l := r.Logrec.lsn :: !l
     | None -> Hashtbl.replace ix r.Logrec.page (ref [ r.Logrec.lsn ])
@@ -93,7 +83,7 @@ let index_record ix (r : Logrec.t) =
    those records therefore carries its fence-target vector, and analysis
    believes it only if every named record actually survived
    ({!Logset.targets_valid}); otherwise the transaction stays a loser. *)
-let analysis ?locks_of ?index logs =
+let analysis ?locks_of ~index logs =
   let nn = Logset.n logs in
   let vec v = if Array.length v = nn then Array.copy v else Array.make nn Lsn.nil in
   let anchor = Checkpoint.last_complete (Logset.control logs) in
@@ -269,132 +259,33 @@ let analysis ?locks_of ?index logs =
               | Some seen -> Hashtbl.replace dpt pid (Lsn.min seen rec_lsn)
               | None -> Hashtbl.replace dpt pid rec_lsn)
             body.Checkpoint.ck_dpt;
-          (* the latest checkpoint's chains are the most complete: a chain
-             covers every record since its page became dirty, so a newer
-             snapshot subsumes an older one *)
-          List.iter
-            (fun (pid, chain) -> Hashtbl.replace chains pid chain)
-            body.Checkpoint.ck_chains
+          (* chains only from the anchoring checkpoint, for the reason its
+             Committing entries alone count: a later End_ckpt that survived
+             without its master can name records the crash lost *)
+          if Lsn.compare lsn anchor_end = 0 then
+            List.iter
+              (fun (pid, chain) -> Hashtbl.replace chains pid chain)
+              body.Checkpoint.ck_chains
       | Logrec.Update | Logrec.Clr ->
           if r.Logrec.page <> Ids.nil_page && not (Hashtbl.mem dpt r.Logrec.page) then
             Hashtbl.replace dpt r.Logrec.page lsn;
-          (* instant restart: index the scan's redoable records by page, so
-             per-page redo replays exactly its own history instead of
-             rescanning the whole log once per pending page *)
-          (match index with Some ix -> index_record ix r | None -> ())
+          (* index the scan's redoable records by page, so per-page redo
+             replays exactly its own history instead of rescanning the
+             whole log once per pending page *)
+          index_record index r
       | Logrec.Commit | Logrec.Prepare | Logrec.Rollback | Logrec.End_txn | Logrec.Begin_ckpt
       | Logrec.Coord_commit | Logrec.Coord_abort | Logrec.Coord_end ->
           ()));
-  (* per-stream redo starts: a page's recLSN is an offset on its own
-     stream, so only per-stream minima are meaningful *)
-  let an_redo = Array.init nn (fun i -> Logmgr.end_offset (Logset.stream logs i)) in
-  Hashtbl.iter
-    (fun pid rec_lsn ->
-      let s = Logset.route_page logs pid in
-      an_redo.(s) <- Lsn.min an_redo.(s) rec_lsn)
-    dpt;
-  { an_start = starts; an_redo; an_redo_lsn = an_redo.(0); an_dpt = dpt; an_txns = txns;
-    an_records = !records; an_next_txn = !next_txn; an_chains = chains }
-
-(* ---------- Redo pass: repeat history, page-oriented ---------- *)
-
-(* Each stream is replayed sequentially from its own redo start. No
-   cross-stream merge is needed: redo is per page, all of a page's records
-   live on one stream, and within a stream LSN order equals (epoch, gsn)
-   order — which is exactly what rule R8(b) checks via the Redo_apply
-   events emitted here. *)
-let redo mgr pool an =
-  let logs = Txnmgr.logs mgr in
-  let scanned = ref 0 and applied = ref 0 and skipped = ref 0 in
-  Logset.iteri logs (fun s wal ->
-      Logmgr.iter_from wal an.an_redo.(s) (fun r ->
-          incr scanned;
-          let page = r.Logrec.page in
-          if redoable_record r && page <> Ids.nil_page then begin
-            Disk.note_pid (Bufpool.disk pool) page;
-            match Hashtbl.find_opt an.an_dpt page with
-            | Some rec_lsn when Lsn.( >= ) r.Logrec.lsn rec_lsn -> begin
-                Stats.incr Stats.redo_pages_examined;
-                let apply () =
-                  if Trace.enabled () then
-                    Trace.emit
-                      (Trace.Redo_apply
-                         { log = Logmgr.id wal; pid = page; lsn = r.Logrec.lsn; gsn = r.Logrec.gsn });
-                  Txnmgr.rm_redo mgr r;
-                  Stats.incr Stats.redos_applied;
-                  incr applied
-                in
-                match Bufpool.fix_opt pool page with
-                | Some p ->
-                    if Lsn.( < ) p.Aries_page.Page.page_lsn r.Logrec.lsn then apply ()
-                    else incr skipped;
-                    Bufpool.unfix pool p
-                | None ->
-                    (* page never reached disk: the record must recreate it
-                       (format-type opcodes do; the RM asserts) *)
-                    apply ()
-              end
-            | Some _ | None -> incr skipped
-          end));
-  (!scanned, !applied, !skipped)
-
-(* ---------- Undo pass: single reverse sweep over all losers ---------- *)
-
-(* The sweep is globally reverse-gsn: at each step, compensate the owed
-   record with the highest gsn across every loser and every stream
-   ({!Txnmgr.undo_candidate} merges each loser's per-stream cursors; the
-   outer fold merges across losers). gsn is the original append order, so
-   this reproduces the classic single-log reverse-LSN sweep exactly —
-   including its physical-SMO soundness argument. *)
-let undo mgr an =
-  let processed = ref 0 in
-  (* restore losers into the live transaction table *)
-  let losers = ref [] in
-  Hashtbl.iter
-    (fun id tk ->
-      if (not tk.tk_ended) && tk.tk_state <> Txnmgr.Prepared then begin
-        let txn =
-          Txnmgr.restore_txn mgr ~firsts:tk.tk_firsts ~id ~state:Txnmgr.Rolling_back
-            ~lasts:tk.tk_lasts ~undo_nxts:tk.tk_undo_nxts ()
-        in
-        Lockmgr.set_no_victim (Txnmgr.locks mgr) id;
-        losers := txn :: !losers
-      end)
-    an.an_txns;
-  let losers_sorted = List.sort (fun a b -> compare a.Txnmgr.txn_id b.Txnmgr.txn_id) !losers in
-  (* losers with nothing to undo still need an End record *)
-  let live = ref [] in
-  List.iter
-    (fun t ->
-      match Txnmgr.undo_candidate mgr t with
-      | None -> Txnmgr.finish mgr t
-      | Some _ -> live := t :: !live)
-    losers_sorted;
-  let rec loop () =
-    let best = ref None in
-    List.iter
-      (fun t ->
-        match Txnmgr.undo_candidate mgr t with
-        | Some ((_, r) as c) -> (
-            match !best with
-            | Some (_, (_, (rb : Logrec.t))) when rb.Logrec.gsn >= r.Logrec.gsn -> ()
-            | Some _ | None -> best := Some (t, c))
-        | None -> ())
-      !live;
-    match !best with
-    | None -> ()
-    | Some (victim, c) ->
-        incr processed;
-        Txnmgr.undo_one mgr victim c;
-        (match Txnmgr.undo_candidate mgr victim with
-        | None ->
-            Txnmgr.finish mgr victim;
-            live := List.filter (fun t -> t != victim) !live
-        | Some _ -> ());
-        loop ()
+  (* the control stream's redo start: a page's recLSN is an offset on its
+     own stream, so only per-stream minima are meaningful *)
+  let an_redo_lsn =
+    Hashtbl.fold
+      (fun pid rec_lsn acc -> if Logset.route_page logs pid = 0 then Lsn.min acc rec_lsn else acc)
+      dpt
+      (Logmgr.end_offset (Logset.control logs))
   in
-  loop ();
-  (!processed, List.map (fun t -> t.Txnmgr.txn_id) losers_sorted)
+  { an_start = starts; an_redo_lsn; an_dpt = dpt; an_txns = txns; an_records = !records;
+    an_next_txn = !next_txn; an_chains = chains }
 
 (* ---------- In-doubt transactions: reacquire locks ---------- *)
 
@@ -451,18 +342,20 @@ let reacquire_indoubt mgr an =
 let trace_phase phase =
   if Trace.enabled () then Trace.emit (Trace.Restart_phase { phase })
 
-(* ---------- Instant restart: resumable, incremental engine ----------
+(* ---------- The restart engine: resumable and incremental ----------
 
-   After Analysis the Db opens for new transactions immediately. The
-   analysis DPT becomes a "needs redo" set: a fix of a pending page
-   triggers single-page redo on demand (through the Bufpool hook), a
-   background daemon drains the rest, and loser undo is lock-driven — a
-   new transaction that requests a name held by a restored loser preempts
-   exactly that loser's undo instead of waiting behind a bulk undo pass.
-   Repeating history per page is sound because a pending page, by
-   construction, has no post-crash log records: any post-crash touch goes
-   through [fix], and the hook de-pends the page (replaying its history)
-   before the toucher can log against it. *)
+   The analysis DPT becomes a "needs redo" set, and redo is per page: a
+   fix of a pending page triggers single-page redo on demand (through the
+   Bufpool hook), and a drain repeats the rest. Undo is one reverse-gsn
+   sweep over a set of losers. Classic restart runs both to completion
+   before returning. Instant restart opens the Db right after Analysis: a
+   background daemon drains the pending pages, and loser undo is
+   lock-driven — a new transaction that requests a name held by a
+   restored loser preempts exactly that loser's undo instead of waiting
+   behind a bulk undo pass. Repeating history per page is sound because a
+   pending page, by construction, has no post-crash log records: any
+   post-crash touch goes through [fix], and the hook de-pends the page
+   (replaying its history) before the toucher can log against it. *)
 
 module Sched = Aries_sched.Sched
 
@@ -528,42 +421,7 @@ let page_history en ~from pid =
          stream's reclamation safety point (which floors at the last
          checkpoint's redo point), so the live log still holds it *)
       List.map (Logmgr.read wal) lsns
-  | None ->
-      let acc = ref [] in
-      let note (r : Logrec.t) = if r.Logrec.page = pid && redoable_record r then acc := r :: !acc in
-      (match en.en_archive with
-      | Some a -> Media.Archive.iter_history a wal ~from note
-      | None -> Logmgr.iter_from wal from note);
-      List.rev !acc
-
-let redo_record en (r : Logrec.t) =
-  en.en_redo_scanned <- en.en_redo_scanned + 1;
-  let page = r.Logrec.page in
-  Disk.note_pid (Bufpool.disk en.en_pool) page;
-  Stats.incr Stats.redo_pages_examined;
-  let apply () =
-    if Trace.enabled () then
-      Trace.emit
-        (Trace.Redo_apply
-           {
-             log = Logmgr.id (Logset.page_stream (Txnmgr.logs en.en_mgr) page);
-             pid = page;
-             lsn = r.Logrec.lsn;
-             gsn = r.Logrec.gsn;
-           });
-    Txnmgr.rm_redo en.en_mgr r;
-    Stats.incr Stats.redos_applied;
-    en.en_redos_applied <- en.en_redos_applied + 1
-  in
-  match Bufpool.fix_opt en.en_pool page with
-  | Some p ->
-      if Lsn.( < ) p.Aries_page.Page.page_lsn r.Logrec.lsn then apply ()
-      else en.en_redos_skipped <- en.en_redos_skipped + 1;
-      Bufpool.unfix en.en_pool p
-  | None ->
-      (* page never reached disk: the record must recreate it
-         (format-type opcodes do; the RM asserts) *)
-      apply ()
+  | None -> Media.page_history ?archive:en.en_archive wal ~from pid
 
 let redo_page ?(on_demand = false) en pid =
   match Hashtbl.find_opt en.en_pending pid with
@@ -589,8 +447,11 @@ let redo_page ?(on_demand = false) en pid =
               Trace.emit
                 (Trace.Restart_redo_page { pool = Bufpool.id en.en_pool; pid; on_demand });
             let tr0 = Stats.get (Stats.current ()) Stats.tree_traversals in
-            let applied0 = en.en_redos_applied in
-            List.iter (fun r -> redo_record en r) (page_history en ~from:rec_lsn pid);
+            let history = page_history en ~from:rec_lsn pid in
+            let applied, skipped = Media.replay en.en_mgr en.en_pool pid history in
+            en.en_redo_scanned <- en.en_redo_scanned + List.length history;
+            en.en_redos_applied <- en.en_redos_applied + applied;
+            en.en_redos_skipped <- en.en_redos_skipped + skipped;
             Hashtbl.remove en.en_history pid;
             en.en_redo_traversals <-
               en.en_redo_traversals + (Stats.get (Stats.current ()) Stats.tree_traversals - tr0);
@@ -600,8 +461,7 @@ let redo_page ?(on_demand = false) en pid =
             Bufpool.clear_restart_page en.en_pool pid;
             if Trace.enabled () then
               Trace.emit
-                (Trace.Restart_page_done
-                   { pool = Bufpool.id en.en_pool; pid; applied = en.en_redos_applied - applied0 }))
+                (Trace.Restart_page_done { pool = Bufpool.id en.en_pool; pid; applied }))
       end
 
 (* The Bufpool fix hook: pending page -> redo it now, on demand; page being
@@ -616,22 +476,69 @@ let on_fix en pid =
         done
     | Some _ | None -> ()
 
-(* one sweep step for a single loser: compensate its max-gsn owed record
-   (the per-stream cursors are merged inside Txnmgr.undo_candidate) *)
-let undo_step en (txn : Txnmgr.txn) =
-  match Txnmgr.undo_candidate en.en_mgr txn with
-  | None -> false
-  | Some c ->
-      en.en_undo_records <- en.en_undo_records + 1;
-      Txnmgr.undo_one en.en_mgr txn c;
-      true
-
 let finish_loser en (txn : Txnmgr.txn) =
   (* emitted before the locks are released: a waiter woken by the release
      must find the name already disowned in the checker's tables *)
   if Trace.enabled () then Trace.emit (Trace.Restart_loser_done { txn = txn.Txnmgr.txn_id });
   Hashtbl.remove en.en_losers txn.Txnmgr.txn_id;
   Txnmgr.finish en.en_mgr txn
+
+(* The one undo: a single interleaved backward sweep over the given
+   losers — always compensate the globally highest owed record next (by
+   gsn, the original append order; {!Txnmgr.undo_candidate} merges each
+   loser's per-stream cursors), so it reproduces the single-log
+   reverse-LSN sweep exactly. A loser is finished (its End written, its
+   locks dropped) as soon as it owes nothing more. Per-transaction order
+   is not enough: a loser cut inside an SMO is rolled back
+   {e physically}, and a sweep that fully undoes some other loser first
+   can logically remove a key from the page the SMO moved it to, only for
+   the later physical rollback of the half-open split to restore the
+   pre-move source page — key included — resurrecting the undone insert.
+   Reverse-gsn order undoes the structure change before any record that
+   predates it. Deferred (lock-fenced, purely logical) undo — a sweep over
+   one loser — is immune: it runs after the eager sweep has restored
+   structural consistency, and logical undos under locks commute. *)
+let undo_sweep ?(preempted = false) en txns =
+  List.iter
+    (fun (txn : Txnmgr.txn) ->
+      Hashtbl.replace en.en_undoing txn.Txnmgr.txn_id (current_fiber ());
+      if Trace.enabled () then
+        Trace.emit (Trace.Restart_undo_txn { txn = txn.Txnmgr.txn_id; preempted }))
+    txns;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (txn : Txnmgr.txn) -> Hashtbl.remove en.en_undoing txn.Txnmgr.txn_id)
+        txns)
+    (fun () ->
+      let owes txn = Txnmgr.undo_candidate en.en_mgr txn <> None in
+      let idle, owing = List.partition (fun txn -> not (owes txn)) txns in
+      List.iter (finish_loser en) idle;
+      let live = ref owing in
+      let rec loop () =
+        let next =
+          List.fold_left
+            (fun best (txn : Txnmgr.txn) ->
+              match Txnmgr.undo_candidate en.en_mgr txn with
+              | None -> best
+              | Some ((_, r) as c) -> (
+                  match best with
+                  | Some (_, (_, (rb : Logrec.t))) when rb.Logrec.gsn >= r.Logrec.gsn -> best
+                  | Some _ | None -> Some (txn, c)))
+            None !live
+        in
+        match next with
+        | Some (txn, c) ->
+            en.en_undo_records <- en.en_undo_records + 1;
+            Txnmgr.undo_one en.en_mgr txn c;
+            if not (owes txn) then begin
+              finish_loser en txn;
+              live := List.filter (fun t -> t != txn) !live
+            end;
+            loop ()
+        | None -> ()
+      in
+      loop ())
 
 let undo_loser ?(preempted = false) en id =
   (* wait out a fiber already driving this loser's undo *)
@@ -644,63 +551,8 @@ let undo_loser ?(preempted = false) en id =
   match Hashtbl.find_opt en.en_losers id with
   | None -> ()
   | Some txn ->
-      Hashtbl.replace en.en_undoing id (current_fiber ());
-      Fun.protect
-        ~finally:(fun () -> Hashtbl.remove en.en_undoing id)
-        (fun () ->
-          if preempted then Stats.incr Stats.instant_preemptions;
-          if Trace.enabled () then Trace.emit (Trace.Restart_undo_txn { txn = id; preempted });
-          while undo_step en txn do
-            ()
-          done;
-          finish_loser en txn)
-
-(* Eager undo is one interleaved backward sweep over every unfenced
-   loser — always compensate the globally highest owed record next (by
-   gsn, the original append order), exactly like the classic undo pass.
-   Per-transaction order is not enough: a loser cut inside an SMO is
-   rolled back {e physically}, and a sweep that fully undoes some other
-   loser first can logically remove a key from the page the SMO moved it
-   to, only for the later physical rollback of the half-open split to
-   restore the pre-move source page — key included — resurrecting the
-   undone insert. Reverse-gsn order undoes the structure change before any
-   record that predates it. Deferred (lock-fenced, purely logical) undo is
-   immune: it runs after this sweep has restored structural consistency,
-   and logical undos under locks commute. *)
-let undo_eager en txns =
-  List.iter
-    (fun (txn : Txnmgr.txn) ->
-      Hashtbl.replace en.en_undoing txn.Txnmgr.txn_id (current_fiber ());
-      if Trace.enabled () then
-        Trace.emit (Trace.Restart_undo_txn { txn = txn.Txnmgr.txn_id; preempted = false }))
-    txns;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun (txn : Txnmgr.txn) -> Hashtbl.remove en.en_undoing txn.Txnmgr.txn_id)
-        txns)
-    (fun () ->
-      let next () =
-        List.fold_left
-          (fun best (txn : Txnmgr.txn) ->
-            match Txnmgr.undo_candidate en.en_mgr txn with
-            | None -> best
-            | Some ((_, r) as c) -> (
-                match best with
-                | Some (_, (_, (rb : Logrec.t))) when rb.Logrec.gsn >= r.Logrec.gsn -> best
-                | Some _ | None -> Some (txn, c)))
-          None txns
-      in
-      let rec loop () =
-        match next () with
-        | Some (txn, c) ->
-            en.en_undo_records <- en.en_undo_records + 1;
-            Txnmgr.undo_one en.en_mgr txn c;
-            loop ()
-        | None -> ()
-      in
-      loop ();
-      List.iter (fun txn -> finish_loser en txn) txns)
+      if preempted then Stats.incr Stats.instant_preemptions;
+      undo_sweep ~preempted en [ txn ]
 
 (* The Txnmgr lock hook: before a new transaction waits on a name, any
    restored loser holding it is rolled back — the requester's own fiber
@@ -824,11 +676,17 @@ let report en =
     rp_locks_reacquired = en.en_locks_reacquired;
   }
 
-let start ?archive mgr pool =
+(* [~instant] decides whether loser undo may be deferred past the return.
+   Without it nothing is: every page is redone, then every loser goes
+   through one sweep, and the engine is finished on return. *)
+let open_engine ~instant ?archive mgr pool =
   let logs = Txnmgr.logs mgr in
   trace_phase "analysis";
   let index : (Ids.page_id, Lsn.t list ref) Hashtbl.t = Hashtbl.create 64 in
-  let an = analysis ~locks_of:(fun r -> Txnmgr.rm_locks mgr r) ~index logs in
+  (* only a deferred undo needs the losers' locks back: it runs while new
+     transactions do *)
+  let locks_of = if instant then Some (Txnmgr.rm_locks mgr) else None in
+  let an = analysis ?locks_of ~index logs in
   (* Each pending page's history: the checkpoint-carried chain (records
      that predate the analysis window) merged with the window's own
      per-page index. The two can overlap — the chain runs to its
@@ -907,8 +765,8 @@ let start ?archive mgr pool =
   let locks_reacquired, indoubt = reacquire_indoubt mgr an in
   en.en_locks_reacquired <- locks_reacquired;
   en.en_indoubt <- indoubt;
-  (* restore losers: Rolling_back, deadlock-immune, and holding their
-     locks again so new transactions conflict with their uncommitted
+  (* restore losers: Rolling_back, deadlock-immune, and (instant) holding
+     their locks again so new transactions conflict with their uncommitted
      state instead of reading it *)
   let locks = Txnmgr.locks mgr in
   let loser_ids = ref [] in
@@ -949,31 +807,37 @@ let start ?archive mgr pool =
                 Stats.incr Stats.instant_locks_skipped
           end
         in
-        List.iter reacquire tk.tk_locks;
-        match tk.tk_ck_locks with
-        | Some b -> List.iter reacquire (Lockcodec.decode_list b)
-        | None -> ()
+        if instant then begin
+          List.iter reacquire tk.tk_locks;
+          match tk.tk_ck_locks with
+          | Some b -> List.iter reacquire (Lockcodec.decode_list b)
+          | None -> ()
+        end
       end)
     an.an_txns;
   en.en_losers_all <- List.sort compare !loser_ids;
-  (* triage the losers while still single-threaded: nothing owed -> End it
-     now; every owed record fenced by a reacquired lock -> leave it for
-     lazy, lock-driven undo; anything unfenced -> collect it for the
-     eager sweep, which (like the classic undo pass) interleaves all
-     such losers in global reverse-gsn order before the Db opens *)
-  let eager = ref [] in
-  List.iter
-    (fun id ->
-      match Hashtbl.find_opt en.en_losers id with
-      | None -> ()
-      | Some txn ->
-          if Array.for_all Lsn.is_nil txn.Txnmgr.undo_nxts then finish_loser en txn
-          else if not (undo_deferrable en txn) then eager := txn :: !eager)
-    en.en_losers_all;
-  if !eager <> [] then undo_eager en (List.rev !eager);
+  let losers = List.map (Hashtbl.find en.en_losers) en.en_losers_all in
+  if instant then
+    (* triage the losers while still single-threaded: nothing owed -> End
+       it now; every owed record fenced by a reacquired lock -> leave it
+       for lazy, lock-driven undo; anything unfenced -> the eager sweep,
+       which interleaves all such losers in global reverse-gsn order
+       before the Db opens *)
+    undo_sweep en
+      (List.filter
+         (fun txn -> Array.for_all Lsn.is_nil txn.Txnmgr.undo_nxts || not (undo_deferrable en txn))
+         losers)
+  else begin
+    trace_phase "redo";
+    List.iter (redo_page en) (pending_redo en);
+    trace_phase "undo";
+    undo_sweep en losers
+  end;
   Txnmgr.set_preempt_hook mgr (Some (fun name -> on_lock en name));
   if complete en then finish en else trace_phase "open";
   en
+
+let start ?archive mgr pool = open_engine ~instant:true ?archive mgr pool
 
 let drain_step ?(cfg = default_drain) en =
   if not en.en_finished then begin
@@ -1033,40 +897,7 @@ let run_daemon ?(cfg = default_drain) en ~stop =
     end
   done
 
-let run mgr pool =
-  let logs = Txnmgr.logs mgr in
-  trace_phase "analysis";
-  let an = analysis logs in
-  (* keep txn ids monotonic across the crash — including ids of
-     transactions that ended before the scan window, known only through
-     the checkpointed high-water mark *)
-  Hashtbl.iter (fun id _ -> Txnmgr.note_txn_id mgr id) an.an_txns;
-  if an.an_next_txn > 0 then Txnmgr.note_txn_id mgr (an.an_next_txn - 1);
-  trace_phase "reacquire-locks";
-  let locks_reacquired, indoubt = reacquire_indoubt mgr an in
-  let traversals_before = Stats.get (Stats.current ()) Stats.tree_traversals in
-  trace_phase "redo";
-  let scanned, applied, skipped = redo mgr pool an in
-  let redo_traversals =
-    Stats.get (Stats.current ()) Stats.tree_traversals - traversals_before
-  in
-  trace_phase "undo";
-  let undo_records, losers = undo mgr an in
-  trace_phase "checkpoint";
-  ignore (Checkpoint.take mgr pool);
-  trace_phase "done";
-  {
-    rp_redo_lsn = an.an_redo_lsn;
-    rp_records_analyzed = an.an_records;
-    rp_records_redo_scanned = scanned;
-    rp_redos_applied = applied;
-    rp_redos_skipped = skipped;
-    rp_redo_traversals = redo_traversals;
-    rp_undo_records = undo_records;
-    rp_losers = losers;
-    rp_indoubt = indoubt;
-    rp_locks_reacquired = locks_reacquired;
-  }
+let run mgr pool = report (open_engine ~instant:false mgr pool)
 
 let pp_report ppf r =
   Format.fprintf ppf

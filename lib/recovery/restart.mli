@@ -1,37 +1,42 @@
-(** Restart recovery: the three ARIES passes.
+(** Restart recovery: one engine, run to completion (classic) or
+    resumed in the background (instant).
 
     {b Analysis} scans from the last complete checkpoint to the end of the
-    (stable) log, rebuilding the transaction table and dirty-page table and
-    computing the redo point.
+    (stable) log, rebuilding the transaction table and dirty-page table,
+    and indexes every redoable record by page.
 
-    {b Redo} repeats history: every redoable update (including CLRs and the
-    updates of loser transactions) whose page might be stale is reapplied,
-    strictly page-oriented — the page named in the record is fixed and the
-    LSN test decides; no index is ever traversed (experiment Q3 counts
-    this).
+    {b Redo} repeats history one page at a time: each dirty page's own
+    records — the anchoring checkpoint's per-page chain merged with the
+    scan's index — are replayed by {!Media.replay}, the single redo
+    primitive media recovery also uses. It is strictly page-oriented: the
+    page named in the record is fixed and its page_LSN decides; no index
+    is ever traversed (experiment Q3 counts this).
 
-    {b Undo} rolls back all loser transactions in a single reverse sweep of
-    the log, taking the record with the highest undo-next LSN across losers
-    at each step. Resource-manager undo may be page-oriented or logical —
-    that policy lives in the resource manager (the heart of ARIES/IM, §3);
-    the pass itself only drives the sweep. Prepared (in-doubt) transactions
-    are not rolled back: their locks are reacquired from the Prepare record
-    body and they remain in the table awaiting the commit coordinator.
+    {b Undo} rolls losers back in one reverse sweep, taking the owed record
+    with the highest gsn across the swept losers at each step and
+    finishing each loser as soon as it owes nothing. Resource-manager undo
+    may be page-oriented or logical — that policy lives in the resource
+    manager (the heart of ARIES/IM, §3); the sweep only drives it.
+    Prepared (in-doubt) transactions are not rolled back: their locks are
+    reacquired from the Prepare record body and they remain in the table
+    awaiting the commit coordinator.
 
-    Repeating history makes the whole procedure idempotent: a crash during
-    any pass simply causes the next restart to do the remaining work. *)
+    Repeating history makes the whole procedure idempotent: a crash at any
+    point simply causes the next restart to do the remaining work. *)
 
 open Aries_util
 module Lsn = Aries_wal.Lsn
 
 type report = {
-  rp_redo_lsn : Lsn.t;  (** where the redo scan started *)
+  rp_redo_lsn : Lsn.t;  (** the control stream's redo point (lowest recLSN) *)
   rp_records_analyzed : int;
   rp_records_redo_scanned : int;
+      (** log records the per-page replays read: each redone page's own
+          redoable history from its recLSN *)
   rp_redos_applied : int;
   rp_redos_skipped : int;  (** LSN test said the page was already current *)
   rp_redo_traversals : int;
-      (** index traversals performed during the redo pass — always 0: redo is
+      (** index traversals performed during redo — always 0: redo is
           strictly page-oriented (experiment Q3 reports this) *)
   rp_undo_records : int;  (** loser records processed by the undo sweep *)
   rp_losers : Ids.txn_id list;
@@ -40,20 +45,22 @@ type report = {
 }
 
 val run : Aries_txn.Txnmgr.t -> Aries_buffer.Bufpool.t -> report
-(** Run all three passes. The transaction manager must be freshly cleared
-    (post-crash); resource managers must already be registered. Finishes
-    with a checkpoint so the next restart is cheap. *)
+(** Classic restart: the engine of {!start} with nothing deferred. After
+    Analysis every pending page is redone, then every loser goes through
+    one undo sweep, and the post-recovery checkpoint is taken — all before
+    returning. The transaction manager must be freshly cleared
+    (post-crash); resource managers must already be registered. *)
 
 val pp_report : Format.formatter -> report -> unit
 
 (** {1 Instant restart}
 
-    The resumable, incremental engine: after Analysis the Db opens for new
-    transactions immediately. The analysis DPT becomes a {e needs-redo}
-    set — fixing a pending page triggers single-page redo on demand, a
-    background daemon drains the rest, and loser undo is lock-driven: a
-    new transaction requesting a name held by a restored loser preempts
-    exactly that loser's undo. Crashing while the drain is still running
+    The same engine, resumed in the background: after Analysis the Db
+    opens for new transactions immediately. The analysis DPT becomes a
+    {e needs-redo} set — fixing a pending page triggers single-page redo
+    on demand, a background daemon drains the rest, and loser undo is
+    lock-driven: a new transaction requesting a name held by a restored
+    loser preempts exactly that loser's undo. Crashing while the drain is still running
     is just another crash — the next restart (instant or classic) repeats
     the remaining work. *)
 
@@ -72,8 +79,9 @@ val start :
 (** Analysis, lock reacquisition (in-doubt txns from their Prepare bodies;
     losers from the checkpointed lock lists unioned with locks re-derived
     from the scanned records), restoration of losers as deadlock-immune
-    [Rolling_back] txns, and eager compensation of each loser's lock-free
-    chain suffix (half-open nested top actions). Installs the Bufpool
+    [Rolling_back] txns, and one eager undo sweep over every loser whose
+    owed records are not all fenced by a reacquired lock (half-open nested
+    top actions, for instance). Installs the Bufpool
     on-demand-redo hook and the Txnmgr preemption hook, then returns: the
     Db is open. Redo and undo happen afterwards — on demand, or through
     {!drain_step}/{!run_daemon}. Pass [archive] so per-page redo can reach

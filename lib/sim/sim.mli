@@ -13,7 +13,8 @@
       writes — see {!Aries_util.Crashpoint}); then, for each sampled index
       [k <= N], the same seed is re-run with the hook armed so the [k]-th
       event raises a simulated power failure, after which [Db.crash] +
-      [Restart.run] must recover {e exactly} the oracle's committed state.
+      classic [Db.restart] (the restart engine drained to completion) must
+      recover {e exactly} the oracle's committed state.
 
     Every failure carries a reproducer — the (seed, crash index) pair plus
     the op trace — and {!replay} re-runs it deterministically. *)

@@ -132,6 +132,36 @@ let test_table_crash_recovery () =
           Alcotest.(check bool) "uncommitted row gone" true
             (Table.fetch tbl' txn ~index:"pk" "user55" = None)))
 
+(* Reopening a table while instant restart still drains must find every
+   heap page — including pages that never reached disk and are still
+   pending redo, which neither the disk nor the pool's frames list. *)
+let test_open_during_instant_drain () =
+  let db, tbl = setup () in
+  Aries_buffer.Bufpool.flush_all db.Db.pool;
+  Db.run_exn db (fun () ->
+      Db.with_txn db (fun txn ->
+          for i = 0 to 99 do
+            ignore (Table.insert tbl txn (row (Printf.sprintf "user%03d" i) "sf" "0"))
+          done));
+  let pages = List.length (Recmgr.page_ids (Table.heap tbl)) in
+  Alcotest.(check bool) "rows span new heap pages" true (pages > 2);
+  let db' = Db.crash db in
+  Db.run_exn db' (fun () ->
+      ignore (Db.restart ~instant:true db');
+      let en = Option.get (Db.restart_engine db') in
+      Alcotest.(check bool) "drain still pending" false (Aries_recovery.Restart.finished en);
+      let tbl' = Table.open_existing db' ~id:1 specs in
+      Alcotest.(check int) "every heap page found" pages
+        (List.length (Recmgr.page_ids (Table.heap tbl')));
+      Table.check_consistency tbl');
+  Alcotest.(check (list string)) "no leaks" [] (Db.leak_report db')
+
+(* A crash keeps the pool's frame count. *)
+let test_crash_keeps_pool_capacity () =
+  let db = Db.create ~pool_capacity:16 () in
+  let db' = Db.crash db in
+  Alcotest.(check int) "frames after crash" 16 (Aries_buffer.Bufpool.capacity db'.Db.pool)
+
 let test_data_only_locking_counts () =
   (* data-only: fetch through the index takes NO extra record lock *)
   let db, tbl = setup () in
@@ -408,6 +438,8 @@ let () =
           Alcotest.test_case "pk uniqueness" `Quick test_pk_uniqueness;
           Alcotest.test_case "rollback whole row" `Quick test_rollback_whole_row;
           Alcotest.test_case "crash recovery" `Quick test_table_crash_recovery;
+          Alcotest.test_case "reopen during instant drain" `Quick test_open_during_instant_drain;
+          Alcotest.test_case "crash keeps pool capacity" `Quick test_crash_keeps_pool_capacity;
           Alcotest.test_case "read direct" `Quick test_read_direct;
           Alcotest.test_case "records span pages" `Quick test_large_records_span_pages;
         ] );

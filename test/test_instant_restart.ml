@@ -201,7 +201,7 @@ let test_mid_drain_checkpoint_sound () =
   Alcotest.(check int) "classic restart from mid-drain checkpoint" 150
     (List.length (Btree.to_list tree'))
 
-(* ---------- equivalence with the classic three passes ---------- *)
+(* ---------- equivalence with classic restart ---------- *)
 
 let test_instant_equiv_classic () =
   let db, tree = fresh () in

@@ -617,6 +617,99 @@ let test_media_recovery_whole_tree () =
   Btree.check_invariants tree';
   Alcotest.(check int) "all keys back" 200 (List.length (Btree.to_list tree'))
 
+(* ---------- byte-identity fingerprint ---------- *)
+
+(* Classic restart must leave exactly the same stable state — log and disk,
+   byte for byte — whatever engine drives it. A seeded workload over two
+   log streams: committed inserts and deletes, a pool flush and a
+   checkpoint, then three losers whose inserts (with their splits) and
+   deletes interleave op by op — the third starts late, so undo finishes
+   it while the others still owe records — a second checkpoint among
+   them, the log forced and a few of their pages stolen. The pool is
+   large enough to evict nothing before or after the crash, so every page
+   write is the explicit flush here. The constants pin the post-restart
+   images; any change to redo, undo, CLR contents, the End records' order
+   or the closing checkpoint shows up as a different digest. They are MD5
+   digests, not CRC32s: both images end every log segment and every page
+   in the CRC32 of its own bytes, and a CRC32 over such an image cancels
+   out any same-length change to those bytes. *)
+let fingerprint_log = "297b7880f289295acff23c0815f0a1e7"
+let fingerprint_disk = "d4ab3aaadd6d50482a3d44bc99b34a08"
+
+let test_fingerprint () =
+  let db = Db.create ~page_size:384 ~pool_capacity:4096 ~streams:2 () in
+  let tree =
+    Db.run_exn db (fun () ->
+        Db.with_txn db (fun txn -> Btree.create db.Db.benv txn ~name:"fp" ~unique:true))
+  in
+  let rng = Rng.create 4242 in
+  (* lo, lo + step, ... below hi, in seeded random order *)
+  let shuffled lo hi step =
+    let a = Array.init ((hi - lo + step - 1) / step) (fun j -> lo + (j * step)) in
+    Rng.shuffle rng a;
+    Array.to_list a
+  in
+  Db.run_exn db (fun () ->
+      (* committed: every even key of [0, 800), in three batches *)
+      let evens = shuffled 0 800 2 in
+      List.iter
+        (fun batch ->
+          Db.with_txn db (fun txn ->
+              List.iter (fun i -> Btree.insert tree txn ~value:(v i) ~rid:(rid i)) batch))
+        [ List.filteri (fun j _ -> j mod 3 = 0) evens;
+          List.filteri (fun j _ -> j mod 3 = 1) evens;
+          List.filteri (fun j _ -> j mod 3 = 2) evens ];
+      Db.with_txn db (fun txn ->
+          List.iter
+            (fun i -> Btree.delete tree txn ~value:(v i) ~rid:(rid i))
+            (List.filteri (fun j _ -> j < 60) (shuffled 0 300 2))));
+  Bufpool.flush_all db.Db.pool;
+  Db.checkpoint db;
+  Db.run_exn db (fun () ->
+      Db.with_txn db (fun txn ->
+          List.iter
+            (fun i -> Btree.insert tree txn ~value:(v i) ~rid:(rid i))
+            (List.filteri (fun j _ -> j < 40) (shuffled 1 300 2))));
+  (* three losers in disjoint key ranges fenced by untouched committed
+     keys (no lock conflict, so one fiber can interleave them) *)
+  Db.run_exn db (fun () ->
+      let ops lo hi =
+        List.map (fun i -> (true, i)) (shuffled (lo + 1) hi 2)
+        @ List.map (fun i -> (false, i)) (List.filteri (fun j _ -> j < 20) (shuffled lo hi 4))
+      in
+      (* (txn, first step, ops) *)
+      let losers =
+        List.map
+          (fun (start, lo, hi) -> (Txnmgr.begin_txn db.Db.mgr, start, Array.of_list (ops lo hi)))
+          [ (0, 310, 450); (0, 470, 610); (50, 630, 670) ]
+      in
+      let apply t (ins, i) =
+        if ins then Btree.insert tree t ~value:(v i) ~rid:(rid i)
+        else Btree.delete tree t ~value:(v i) ~rid:(rid i)
+      in
+      for k = 0 to 100 do
+        List.iter
+          (fun (t, start, ops) ->
+            if k >= start && k - start < Array.length ops then apply t ops.(k - start))
+          losers;
+        if k = 40 then Db.checkpoint db
+      done;
+      Aries_wal.Logset.flush_all db.Db.logs;
+      List.iter
+        (fun value -> Bufpool.flush_page db.Db.pool (Btree.locate_leaf tree value))
+        [ v 330; v 500; v 600 ]);
+  Alcotest.(check bool) "crash-time pages fit the restarted pool" true (Btree.page_count tree < 100);
+  let db', report = crash_restart db in
+  Alcotest.(check int) "three losers" 3 (List.length report.Restart.rp_losers);
+  Bufpool.flush_all db'.Db.pool;
+  Aries_wal.Logset.flush_all db'.Db.logs;
+  let digest img = Digest.to_hex (Digest.bytes img) in
+  Alcotest.(check string) "log image" fingerprint_log
+    (digest (Aries_wal.Logset.serialize db'.Db.logs));
+  Alcotest.(check string) "disk image" fingerprint_disk (digest (Disk.serialize db'.Db.disk));
+  let tree' = reopen db' (Btree.index_id tree) in
+  Btree.check_invariants tree'
+
 let () =
   Alcotest.run "recovery"
     [
@@ -635,6 +728,7 @@ let () =
             test_partial_rollback_across_crash;
           Alcotest.test_case "2PC: commit after restart" `Quick test_prepared_commit_after_restart;
           Alcotest.test_case "2PC: abort after restart" `Quick test_prepared_abort_after_restart;
+          Alcotest.test_case "classic restart fingerprint" `Quick test_fingerprint;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest qcheck_crash ]);
       ( "checkpoint",

@@ -319,6 +319,34 @@ let test_instant_determinism () =
   let rep = Sim.replay cfg rp in
   Alcotest.(check bool) "replay matches" true (rep = a)
 
+(* Pinned reproducers: runs that once failed, replayed to a clean pass. *)
+let replay_clean cfg ~seed ?crash_at ?instant_cut () =
+  let rp =
+    {
+      Sim.rp_seed = seed;
+      rp_crash_at = crash_at;
+      rp_instant_cut = instant_cut;
+      rp_failures = [];
+      rp_trace = [];
+      rp_event_dump = [];
+    }
+  in
+  let rep = Sim.replay cfg rp in
+  Alcotest.(check (list string)) "no failures" [] rep.Sim.rr_failures
+
+(* Four streams with the crash-time flush shuffle: a checkpoint that
+   survived without its master named records the shuffle lost. Instant
+   restart must take per-page chains from the anchoring checkpoint only,
+   or per-page redo reads past a stream's end and loses pages. *)
+let test_replay_nonanchor_chains () =
+  replay_clean Workload.multistream_group_cfg ~seed:1003 ~instant_cut:85 ()
+
+(* Bit-rot on the repair's own page write: the repairer healed the page in
+   the pool, and the fix must serve that frame instead of re-reading the
+   rotted image and failing with a checksum error. *)
+let test_replay_repair_serves_healed_page () =
+  replay_clean Workload.fault_group_cfg ~seed:1002 ~crash_at:144 ()
+
 (* A harder cfg: more fibers and txns, tighter pool, hotter yields — the
    shape the bench entry scales up. One seed keeps CI fast. *)
 let test_stress_cfg () =
@@ -362,6 +390,8 @@ let () =
           Alcotest.test_case "recovery-during-recovery sweep, group commit (>=30 points)"
             `Quick test_instant_sweep_group;
           Alcotest.test_case "instant determinism + replay" `Quick test_instant_determinism;
+          Alcotest.test_case "replay: chains from the anchoring checkpoint only" `Quick
+            test_replay_nonanchor_chains;
         ] );
       ( "faults",
         [
@@ -371,6 +401,8 @@ let () =
             test_fault_crash_sweep_group;
           Alcotest.test_case "transient-EIO storm passes outright" `Quick test_fault_eio_storm;
           Alcotest.test_case "fault determinism" `Quick test_fault_determinism;
+          Alcotest.test_case "replay: media repair serves the healed page" `Quick
+            test_replay_repair_serves_healed_page;
           Alcotest.test_case "crc.check-disabled meta-fault is caught by the oracle" `Quick
             test_crc_disabled_meta_fault;
         ] );
