@@ -943,8 +943,8 @@ let q10 ppf =
       let evs = ref 0 in
       List.iter
         (fun seed ->
-          let r = Sim.run_one cfg ~seed in
-          if r.Sim.rr_failures <> [] then
+          let r = Sim.run cfg ~seed Aries_sim.Sweep.Run in
+          if r.Aries_sim.Sweep.rr_failures <> [] then
             failwith
               (Printf.sprintf "q10: seed %d failed with the tracer %s" seed (mode_label m));
           evs := !evs + Trace.event_count ())
@@ -1145,6 +1145,7 @@ let q11 ppf =
    BENCH_PR5.json. *)
 let q12 ppf =
   let module Sim = Aries_sim.Sim in
+  let module Sweep = Aries_sim.Sweep in
   let module Swl = Aries_sim.Workload in
   let module Faultdisk = Aries_util.Faultdisk in
   let module Crashpoint = Aries_util.Crashpoint in
@@ -1295,15 +1296,15 @@ let q12 ppf =
   let sweep_seeds = 12 and sweep_crash_seeds = 2 and sweep_budget = 20 in
   let digest, dstats =
     measured (fun () ->
-        Sim.sweep Swl.fault_cfg
+        Sweep.sweep ~workload:"faults" (Sim.run Swl.fault_cfg)
           ~seeds:(List.init sweep_seeds (fun i -> i + 1))
           ~crash_seeds:(List.init sweep_crash_seeds (fun i -> 1001 + i))
           ~crash_budget:sweep_budget)
   in
-  let fatal = Sim.fatal_failures digest in
-  let tolerated = List.length digest.Sim.sm_failures - List.length fatal in
-  kv ppf "fault sweep" "%d seed runs, %d crash points, %d fault(s) injected" digest.Sim.sm_seed_runs
-    digest.Sim.sm_crash_points
+  let fatal = Sweep.fatal_failures digest in
+  let tolerated = List.length digest.Sweep.sm_failures - List.length fatal in
+  kv ppf "fault sweep" "%d seed runs, %d crash points, %d fault(s) injected" (digest.Sweep.sm_runs - digest.Sweep.sm_armed)
+    digest.Sweep.sm_armed
     (Stats.get dstats Stats.disk_eio_injected
     + Stats.get dstats Stats.disk_bit_flips
     + Stats.get dstats Stats.disk_torn_writes);
@@ -1312,7 +1313,7 @@ let q12 ppf =
     (Stats.get dstats Stats.disk_quarantines)
     (Stats.get dstats Stats.disk_repairs);
   kv ppf "fault sweep: fatal / tolerated-typed failures" "%d / %d" (List.length fatal) tolerated;
-  List.iter (fun rp -> kv ppf "FATAL" "%s" (Sim.reproducer_line rp)) fatal;
+  List.iter (fun rp -> kv ppf "FATAL" "%s" (Sweep.reproducer_line rp)) fatal;
   kv ppf "acceptance: zero fatal failures" "%s" (if fatal = [] then "PASS" else "FAIL");
   if fatal <> [] then failwith "q12: fault sweep found fatal failures";
   let json =
@@ -1347,7 +1348,7 @@ let q12 ppf =
       (Stats.get rstats Stats.disk_repairs)
       repair_records !steps !t_repair reclaimed tail_runs !tail_cuts !tail_bytes
       (float_of_int !tail_bytes /. float_of_int tail_runs)
-      digest.Sim.sm_seed_runs digest.Sim.sm_crash_points
+      (digest.Sweep.sm_runs - digest.Sweep.sm_armed) digest.Sweep.sm_armed
       (Stats.get dstats Stats.disk_eio_injected)
       (Stats.get dstats Stats.disk_bit_flips)
       (Stats.get dstats Stats.disk_torn_writes)
@@ -2058,6 +2059,7 @@ let q17 ppf =
   let module Sharddb = Aries_shard.Sharddb in
   let module Twopc = Aries_shard.Twopc in
   let module Shardsim = Aries_sim.Shardsim in
+  let module Sweep = Aries_sim.Sweep in
   let module Sched = Aries_sched.Sched in
   let run_ok t f =
     let r = Sharddb.run t ~policy:Sched.Fifo f in
@@ -2205,17 +2207,17 @@ let q17 ppf =
   Sharddb.close t2;
   (* -- zero-fatal sharded fault sweep (the sim smoke rig, small budget) -- *)
   let sweep =
-    Shardsim.sweep Shardsim.default_cfg ~seeds:[ 1; 2 ] ~crash_seeds:[ 1001 ] ~crash_budget:9
+    Shardsim.sweep ~workload:"shards" Shardsim.default_cfg ~seeds:[ 1; 2 ] ~crash_seeds:[ 1001 ] ~crash_budget:9
   in
   kv ppf "sharded fault sweep (2 seeds, 1 crash seed x <=9 points)"
-    "%d runs, %d acked, %d in-doubt resolved, %d failure(s)" sweep.Shardsim.ss_runs
-    sweep.Shardsim.ss_acked sweep.Shardsim.ss_resolved
-    (List.length sweep.Shardsim.ss_failures);
+    "%d runs, %d acked, %d in-doubt resolved, %d failure(s)" sweep.Sweep.sm_runs
+    sweep.Sweep.sm_acked sweep.Sweep.sm_resolved
+    (List.length sweep.Sweep.sm_failures);
   List.iter
-    (fun rp -> kv ppf "  FAILURE" "%s" (Shardsim.reproducer_line rp))
-    sweep.Shardsim.ss_failures;
-  if sweep.Shardsim.ss_failures <> [] then failwith "q17: sharded fault sweep not clean";
-  if sweep.Shardsim.ss_acked = 0 then failwith "q17: sweep acknowledged no commits";
+    (fun rp -> kv ppf "  FAILURE" "%s" (Sweep.reproducer_line rp))
+    sweep.Sweep.sm_failures;
+  if sweep.Sweep.sm_failures <> [] then failwith "q17: sharded fault sweep not clean";
+  if sweep.Sweep.sm_acked = 0 then failwith "q17: sweep acknowledged no commits";
   let json =
     Printf.sprintf
       "{\n\
@@ -2241,8 +2243,8 @@ let q17 ppf =
       (Stats.get stats1 Stats.txn_indoubt_restored)
       !restart_resolved !restart_ms !down_resolved !revive_ms
       (Stats.get stats2 Stats.txn_indoubt_resolved)
-      sweep.Shardsim.ss_runs sweep.Shardsim.ss_acked sweep.Shardsim.ss_resolved
-      (List.length sweep.Shardsim.ss_failures)
+      sweep.Sweep.sm_runs sweep.Sweep.sm_acked sweep.Sweep.sm_resolved
+      (List.length sweep.Sweep.sm_failures)
   in
   let oc = open_out "BENCH_PR10.json" in
   output_string oc json;

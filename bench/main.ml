@@ -12,16 +12,11 @@
 
      dune exec bench/main.exe -- sim                      # default big sweep
      dune exec bench/main.exe -- sim 512 48 400           # seeds, crash seeds, budget
-     dune exec bench/main.exe -- sim smoke                # bounded CI sweep (see ci.sh)
-     dune exec bench/main.exe -- sim smoke --faults       # fault-armed CI sweep (storage faults)
-     dune exec bench/main.exe -- sim smoke --instant      # recovery-during-recovery CI sweep
-     dune exec bench/main.exe -- sim smoke --streams      # multi-stream WAL crash-order sweep
-     dune exec bench/main.exe -- sim smoke --mvcc         # MVCC snapshot-read crash sweep
-     dune exec bench/main.exe -- sim smoke --shards       # sharded 2PC crash/kill/degrade sweep
-     dune exec bench/main.exe -- sim smoke --shards --instant  # sharded instant-restart sweep
-     dune exec bench/main.exe -- sim replay --shards <seed> <mode>  # re-run a SHARD-REPRO line
-     dune exec bench/main.exe -- sim replay <seed> <k|->  # re-run one reproducer
-     dune exec bench/main.exe -- sim replay <seed> <k|-> <cut>  # instant-restart reproducer
+     dune exec bench/main.exe -- sim smoke all            # the whole CI matrix (see ci.sh)
+     dune exec bench/main.exe -- sim smoke [flags]        # one row: no flags (fault-free),
+                                          # --faults, --instant, --streams, --streams --instant,
+                                          # --mvcc, --shards, --shards --instant
+     dune exec bench/main.exe -- sim replay <workload> <seed> <mode>  # re-run a SIM-REPRO line
      ARIES_SIM_FAULT=wal.skip-flush dune exec bench/main.exe -- sim
                                           # demo: injected bug -> SIM-REPRO lines
 
@@ -30,248 +25,210 @@
 
 let ppf = Format.std_formatter
 
+module Sweep = Aries_sim.Sweep
+module Sim = Aries_sim.Sim
+module Shardsim = Aries_sim.Shardsim
+module Wl = Aries_sim.Workload
+
+type harness = Db of Wl.cfg | Shards of Shardsim.cfg
+
+(* One row of the `sim smoke` matrix. A row whose flags include
+   "--instant" runs an instant sweep per seed; any other row runs plain
+   runs over [seeds] and crash sweeps over [crash_seeds]. Every workload
+   label is also the name [sim replay] looks up. *)
+type row = {
+  flags : string list;
+  cfgs : (string * harness) list;
+  seeds : int list;
+  crash_seeds : int list;
+  budget : int;
+}
+
+let from base n = List.init n (fun i -> base + i)
+
+let crash_row flags cfgs =
+  { flags; cfgs; seeds = from 1 16; crash_seeds = from 1001 4; budget = 40 }
+
+let instant_row flags cfgs = { flags; cfgs; seeds = from 2001 2; crash_seeds = []; budget = 24 }
+
+let stock = [ ("default", Db Wl.default_cfg); ("group+cleaner", Db Wl.group_cfg) ]
+
+let multistream =
+  [ ("multistream", Db Wl.multistream_cfg); ("multistream+group", Db Wl.multistream_group_cfg) ]
+
+let shards = [ ("shards", Shards Shardsim.default_cfg) ]
+
+let smoke_rows =
+  [
+    (* A bounded slice of the full sweep over both commit modes (per-commit;
+       group commit + cleaner), checkpoint daemon on in both. *)
+    crash_row [] stock;
+    (* The same slice over an adversarial disk (torn writes, bit-rot,
+       transient EIO): every run must recover to the oracle or fail loudly
+       with a typed Storage_error, which is tolerated. *)
+    crash_row [ "--faults" ]
+      [
+        ("faults", Db Wl.fault_cfg);
+        ("faults+group+cleaner", Db Wl.fault_group_cfg);
+        ("eio-only+group", Db Wl.fault_eio_cfg);
+      ];
+    (* Recovery during recovery: cut each run mid-flight, restart with
+       ~instant:true, and crash again inside the drain; every second crash
+       must classic-restart to the oracle. *)
+    instant_row [ "--instant" ] stock;
+    (* The multi-stream WAL crash-order sweep: four log streams with the
+       crash-time per-stream flush shuffle armed, under classic and then
+       instant restart; recovery must converge to the fence-validated
+       oracle with zero R1-R8 violations. *)
+    crash_row [ "--streams" ] multistream;
+    instant_row [ "--streams"; "--instant" ] multistream;
+    (* Snapshot reads: hot writers, full-tree snapshot scans checked against
+       the per-snapshot oracle, and the version-GC daemon racing both;
+       every read obeys R9 and every crash restarts (version store rebuilt
+       from the log) to the oracle. *)
+    crash_row [ "--mvcc" ] [ ("mvcc", Db Wl.mvcc_cfg); ("mvcc+group", Db Wl.mvcc_group_cfg) ];
+    (* Presumed-abort 2PC across a Sharddb cluster with the flush shuffle
+       armed: whole-cluster crashes, single-shard fail-stops (coordinators
+       and participants alike) and whole workloads with a shard down must
+       match the cross-shard oracle (commit everywhere or abort everywhere)
+       with zero R1-R10 violations and zero leaked in-doubt locks. *)
+    {
+      flags = [ "--shards" ];
+      cfgs = shards;
+      seeds = from 1 6;
+      crash_seeds = from 1001 2;
+      budget = 18;
+    };
+    (* Every shard restarts mid-recovery and serves a second workload phase
+       while in-doubts resolve. *)
+    {
+      flags = [ "--shards"; "--instant" ];
+      cfgs = shards;
+      seeds = from 2001 2;
+      crash_seeds = [];
+      budget = 12;
+    };
+  ]
+
+(* Prints every reproducer, then the first one's trace and event window. *)
+let print_failures = function
+  | [] -> ()
+  | first :: _ as rps ->
+      List.iter (fun rp -> Format.fprintf ppf "%s@." (Sweep.reproducer_line rp)) rps;
+      List.iter
+        (fun l -> Format.fprintf ppf "    %s@." l)
+        (first.Sweep.rp_trace @ first.Sweep.rp_event_dump)
+
+(* Prints one summary line and its fatal reproducers; true iff none. Typed
+   storage failures are tolerated only where the cfg arms storage faults. *)
+let report_summary ~tolerate scope (s : Sweep.summary) =
+  let fatal = if tolerate then Sweep.fatal_failures s else s.Sweep.sm_failures in
+  let tolerated = List.length s.Sweep.sm_failures - List.length fatal in
+  Format.fprintf ppf
+    "  %s%d runs (%d unarmed, %d armed), %d acked, %d in-doubt resolved, %d fatal failure(s)%s@."
+    scope s.Sweep.sm_runs
+    (s.Sweep.sm_runs - s.Sweep.sm_armed)
+    s.Sweep.sm_armed s.Sweep.sm_acked s.Sweep.sm_resolved (List.length fatal)
+    (if tolerated > 0 then Printf.sprintf " (+%d tolerated typed)" tolerated else "");
+  print_failures fatal;
+  fatal = []
+
+let run_row row =
+  let module Stats = Aries_util.Stats in
+  let instant = List.mem "--instant" row.flags in
+  let name = String.concat " " ("smoke" :: row.flags) in
+  let stats = Stats.create () in
+  let clean =
+    Stats.with_sink stats @@ fun () ->
+    List.fold_left
+      (fun clean (workload, h) ->
+        if instant then
+          Format.fprintf ppf "%s [%s]: %d seeds x <=%d armed runs@." name workload
+            (List.length row.seeds) row.budget
+        else
+          Format.fprintf ppf "%s [%s]: %d seeds, %d crash seeds x budget %d@." name workload
+            (List.length row.seeds) (List.length row.crash_seeds) row.budget;
+        let budget = row.budget in
+        let summaries =
+          match (h, instant) with
+          | Db cfg, true ->
+              List.map
+                (fun seed -> (seed, Sweep.instant_sweep ~workload (Sim.run cfg) ~seed ~budget))
+                row.seeds
+          | Shards cfg, true ->
+              List.map
+                (fun seed -> (seed, Shardsim.instant_sweep ~workload cfg ~seed ~budget))
+                row.seeds
+          | Db cfg, false ->
+              [ (0, Sweep.sweep ~workload (Sim.run cfg) ~seeds:row.seeds
+                   ~crash_seeds:row.crash_seeds ~crash_budget:budget) ]
+          | Shards cfg, false ->
+              [ (0, Shardsim.sweep ~workload cfg ~seeds:row.seeds ~crash_seeds:row.crash_seeds
+                   ~crash_budget:budget) ]
+        in
+        let tolerate = match h with Db cfg -> cfg.Wl.faults <> None | Shards _ -> false in
+        List.fold_left
+          (fun clean (seed, s) ->
+            let scope = if instant then Printf.sprintf "seed %d: " seed else "" in
+            report_summary ~tolerate scope s && clean)
+          clean summaries)
+      true row.cfgs
+  in
+  if List.exists (function _, Shards _ -> true | _, Db _ -> false) row.cfgs then
+    Format.fprintf ppf "  2pc counters: %s@."
+      (String.concat " "
+         (List.map
+            (fun c -> Printf.sprintf "%s=%d" c (Stats.get stats c))
+            Stats.
+              [
+                txn_prepares;
+                txn_indoubt_restored;
+                txn_indoubt_resolved;
+                shard_retries;
+                shard_timeouts;
+                deadlock_global_victims;
+              ]));
+  clean
+
 let run_sim args =
-  let module Sim = Aries_sim.Sim in
-  let cfg = Aries_sim.Workload.default_cfg in
   (match Sys.getenv_opt "ARIES_SIM_FAULT" with
   | Some name when name <> "" ->
       Aries_util.Crashpoint.enable_fault name;
       Format.fprintf ppf "fault %S injected — the sweep should now fail loudly@." name
   | _ -> ());
   match args with
-  | "smoke" :: rest ->
-      (* the CI smoke sweep (see ci.sh): a bounded slice of the full sweep
-         over both stock workloads — per-commit and group-commit + cleaner —
-         with the checkpoint daemon enabled in both (Workload stock cfgs).
-         With [--faults], the sweep instead runs the fault-armed workloads
-         (torn writes, bit-rot, transient EIO): the gate there is
-         {!Sim.fatal_failures} — a run must recover to the oracle or fail
-         loudly with a typed [Storage_error]; tolerated typed failures are
-         reported but don't fail the smoke. Small enough for every push,
-         loud on any failure. *)
-      let faults = List.mem "--faults" rest in
-      let instant = List.mem "--instant" rest in
-      let streams = List.mem "--streams" rest in
-      let mvcc = List.mem "--mvcc" rest in
-      let shards = List.mem "--shards" rest in
-      let rest =
-        List.filter
-          (fun a ->
-            a <> "--faults" && a <> "--instant" && a <> "--streams" && a <> "--mvcc"
-            && a <> "--shards")
-          rest
-      in
-      let geti i default =
-        match List.nth_opt rest i with Some s -> int_of_string s | None -> default
-      in
-      let workloads =
-        if mvcc then
-          (* the MVCC snapshot-read sweep (PR 8): hot writers + full-tree
-             snapshot scans + the version-GC daemon, per-commit and batched.
-             Every scan validates its slice against the per-snapshot oracle,
-             rule R9 is enforced online on every read, and each sampled
-             crash point must restart (rebuilding the version store from
-             the log) back to the committed-state oracle. *)
-          [
-            ("mvcc", Aries_sim.Workload.mvcc_cfg);
-            ("mvcc+group", Aries_sim.Workload.mvcc_group_cfg);
-          ]
-        else if streams then
-          (* the cross-stream crash-order sweep (PR 7): four WAL streams,
-             crash-time per-stream flush shuffle armed, both commit modes.
-             Every sampled crash point replays under a shuffled notion of
-             which streams' tails survived; recovery must still converge to
-             the fence-validated committed-state oracle. *)
-          [
-            ("multistream", Aries_sim.Workload.multistream_cfg);
-            ("multistream+group", Aries_sim.Workload.multistream_group_cfg);
-          ]
-        else if faults then
-          [
-            ("faults", Aries_sim.Workload.fault_cfg);
-            ("faults+group+cleaner", Aries_sim.Workload.fault_group_cfg);
-            ("eio-only+group", Aries_sim.Workload.fault_eio_cfg);
-          ]
-        else [ ("default", cfg); ("group+cleaner", Aries_sim.Workload.group_cfg) ]
-      in
-      let failed = ref false in
-      if shards then begin
-        (* the sharded 2PC smoke (PR 10): a Sharddb cluster under the hash
-           router — presumed-abort two-phase commit across shards, checked
-           against the cross-shard committed-state oracle (fence-validated
-           local commits for single-branch txns, durable coordinator
-           decisions for multi-branch ones). The classic sweep covers seed
-           runs, whole-cluster crash points, per-shard fail-stops with
-           mid-run revival, and whole-run downed-shard degrade runs; with
-           [--instant] every cut instant-restarts all shards and serves a
-           second workload phase while in-doubt branches resolve. *)
-        let module Shardsim = Aries_sim.Shardsim in
-        let module Stats = Aries_util.Stats in
-        let scfg = Shardsim.default_cfg in
-        let print_counters () =
-          let st = Stats.current () in
-          Format.fprintf ppf
-            "  2pc counters: %s=%d %s=%d %s=%d %s=%d %s=%d %s=%d@."
-            Stats.txn_prepares (Stats.get st Stats.txn_prepares)
-            Stats.txn_indoubt_restored (Stats.get st Stats.txn_indoubt_restored)
-            Stats.txn_indoubt_resolved (Stats.get st Stats.txn_indoubt_resolved)
-            Stats.shard_retries (Stats.get st Stats.shard_retries)
-            Stats.shard_timeouts (Stats.get st Stats.shard_timeouts)
-            Stats.deadlock_global_victims (Stats.get st Stats.deadlock_global_victims)
-        in
-        let dump_failures (s : Shardsim.summary) =
-          failed := true;
+  | [ "smoke"; "all" ] ->
+      let clean = List.fold_left (fun clean row -> run_row row && clean) true smoke_rows in
+      if not clean then exit 1;
+      Format.fprintf ppf "smoke matrix clean@."
+  | "smoke" :: flags -> (
+      let same r = List.sort compare r.flags = List.sort compare flags in
+      match List.find_opt same smoke_rows with
+      | Some row ->
+          if not (run_row row) then exit 1;
+          Format.fprintf ppf "smoke sweep clean@."
+      | None ->
+          Format.fprintf ppf "no smoke row for %S; rows:@." (String.concat " " flags);
           List.iter
-            (fun rp -> Format.fprintf ppf "%s@." (Shardsim.reproducer_line rp))
-            s.Shardsim.ss_failures;
-          (match s.Shardsim.ss_failures with
-          | rp :: _ ->
-              List.iter (fun l -> Format.fprintf ppf "  %s@." l) rp.Shardsim.sp_trace;
-              List.iter (fun l -> Format.fprintf ppf "  %s@." l) rp.Shardsim.sp_event_dump
-          | [] -> ());
-          print_counters ()
-        in
-        if instant then begin
-          let nseeds = geti 0 2 and budget = geti 1 12 in
-          Format.fprintf ppf
-            "smoke shards instant: %d seeds x <=%d armed recovery cuts, %d shards@." nseeds
-            budget scfg.Shardsim.shards;
-          List.iter
-            (fun seed ->
-              let s = Shardsim.instant_sweep scfg ~seed ~budget in
-              Format.fprintf ppf
-                "  seed %d: %d runs, %d acked, %d in-doubt resolved, %d failure(s)@." seed
-                s.Shardsim.ss_runs s.Shardsim.ss_acked s.Shardsim.ss_resolved
-                (List.length s.Shardsim.ss_failures);
-              if s.Shardsim.ss_failures <> [] then dump_failures s)
-            (List.init nseeds (fun i -> 2001 + i));
-          if !failed then exit 1;
-          print_counters ();
-          Format.fprintf ppf "sharded instant smoke sweep clean@."
-        end
-        else begin
-          let nseeds = geti 0 6 and ncrash = geti 1 2 and budget = geti 2 18 in
-          Format.fprintf ppf
-            "smoke shards: %d seeds, %d crash seeds x <=%d points, %d shards@." nseeds ncrash
-            budget scfg.Shardsim.shards;
-          let s =
-            Shardsim.sweep scfg
-              ~seeds:(List.init nseeds (fun i -> i + 1))
-              ~crash_seeds:(List.init ncrash (fun i -> 1001 + i))
-              ~crash_budget:budget
-          in
-          Format.fprintf ppf
-            "  %d runs, %d acked commits, %d in-doubt resolved, %d failure(s)@."
-            s.Shardsim.ss_runs s.Shardsim.ss_acked s.Shardsim.ss_resolved
-            (List.length s.Shardsim.ss_failures);
-          if s.Shardsim.ss_failures <> [] then dump_failures s;
-          if !failed then exit 1;
-          print_counters ();
-          Format.fprintf ppf "sharded smoke sweep clean@."
-        end
-      end
-      else if instant then begin
-        (* the recovery-during-recovery smoke (see ci.sh): cut the run at
-           sampled durability events, serve a second workload while
-           instant restart drains, and crash {e again} inside the drain —
-           every second crash must classic-restart back to the two-phase
-           oracle with zero discipline violations. *)
-        let nseeds = geti 0 2 and budget = geti 1 24 in
-        List.iter
-          (fun (label, cfg) ->
-            Format.fprintf ppf "smoke instant [%s]: %d seeds x <=%d armed recovery runs@."
-              label nseeds budget;
-            List.iter
-              (fun seed ->
-                let s = Sim.instant_sweep cfg ~seed ~budget in
-                Format.fprintf ppf "  seed %d: %d armed runs, %d failure(s)@." seed
-                  s.Sim.sm_crash_points
-                  (List.length s.Sim.sm_failures);
-                if s.Sim.sm_failures <> [] then begin
-                  failed := true;
-                  List.iter
-                    (fun rp -> Format.fprintf ppf "%s@." (Sim.reproducer_line rp))
-                    s.Sim.sm_failures
-                end)
-              (List.init nseeds (fun i -> 2001 + i)))
-          workloads;
-        if !failed then exit 1;
-        Format.fprintf ppf "instant smoke sweep clean@."
-      end
-      else begin
-        let nseeds = geti 0 16 and ncrash = geti 1 4 and budget = geti 2 40 in
-        List.iter
-          (fun (label, cfg) ->
-            Format.fprintf ppf "smoke [%s]: %d seeds, %d crash seeds x <=%d points@." label
-              nseeds ncrash budget;
-            let s =
-              Sim.sweep cfg
-                ~seeds:(List.init nseeds (fun i -> i + 1))
-                ~crash_seeds:(List.init ncrash (fun i -> 1001 + i))
-                ~crash_budget:budget
-            in
-            let fatal = if faults then Sim.fatal_failures s else s.Sim.sm_failures in
-            let tolerated = List.length s.Sim.sm_failures - List.length fatal in
-            Format.fprintf ppf "  %d seed runs, %d crash points, %d fatal failure(s)%s@."
-              s.Sim.sm_seed_runs s.Sim.sm_crash_points (List.length fatal)
-              (if tolerated > 0 then Printf.sprintf " (+%d tolerated typed)" tolerated
-               else "");
-            if fatal <> [] then begin
-              failed := true;
-              List.iter (fun rp -> Format.fprintf ppf "%s@." (Sim.reproducer_line rp)) fatal
-            end)
-          workloads;
-        if !failed then exit 1;
-        Format.fprintf ppf "smoke sweep clean@."
-      end
-  | "replay" :: "--shards" :: seed :: m :: _ ->
-      (* [sim replay --shards <seed> <mode>] re-runs one sharded reproducer;
-         <mode> is the mode= token from a SHARD-REPRO line (run, crash=<k>,
-         instant=<k>, kill=<v>@<k>, down=<k>). *)
-      let module Shardsim = Aries_sim.Shardsim in
-      let rp =
-        {
-          Shardsim.sp_seed = int_of_string seed;
-          sp_mode = Shardsim.mode_of_string m;
-          sp_failures = [];
-          sp_trace = [];
-          sp_event_dump = [];
-        }
+            (fun r -> Format.fprintf ppf "  sim smoke %s@." (String.concat " " r.flags))
+            smoke_rows;
+          exit 2)
+  | [ "replay"; workload; seed; mode ] ->
+      let h =
+        match List.find_map (fun r -> List.assoc_opt workload r.cfgs) smoke_rows with
+        | Some h -> h
+        | None ->
+            Format.fprintf ppf "unknown workload %S@." workload;
+            exit 2
       in
-      let r = Shardsim.replay Shardsim.default_cfg rp in
-      Format.fprintf ppf "shard replay seed=%s mode=%s: %d events, %d gtxns, %d acked@." seed
-        m r.Shardsim.sr_events r.Shardsim.sr_txns r.Shardsim.sr_acked;
-      List.iter (fun l -> Format.fprintf ppf "  %s@." l) r.Shardsim.sr_trace;
-      List.iter (fun l -> Format.fprintf ppf "  %s@." l) r.Shardsim.sr_event_dump;
-      if r.Shardsim.sr_failures = [] then Format.fprintf ppf "run passed all checks@."
+      let run = match h with Db cfg -> Sim.run cfg | Shards cfg -> Shardsim.run cfg in
+      let r = run ~seed:(int_of_string seed) (Sweep.mode_of_string mode) in
+      Format.fprintf ppf "replay workload=%s seed=%s mode=%s: %d events, %d txns, %d acked@."
+        workload seed mode r.Sweep.rr_events r.Sweep.rr_txns r.Sweep.rr_acked;
+      List.iter (fun l -> Format.fprintf ppf "  %s@." l) (r.Sweep.rr_trace @ r.Sweep.rr_event_dump);
+      if r.Sweep.rr_failures = [] then Format.fprintf ppf "run passed all checks@."
       else begin
-        List.iter (fun f -> Format.fprintf ppf "FAILURE: %s@." f) r.Shardsim.sr_failures;
-        exit 1
-      end
-  | "replay" :: seed :: k :: rest ->
-      (* [sim replay <seed> <k|->] re-runs a classic reproducer;
-         [sim replay <seed> <k|-> <cut>] an instant-restart one (phase 1
-         cut at event <cut>, second crash at recovery-phase event <k>). *)
-      let rp =
-        {
-          Sim.rp_seed = int_of_string seed;
-          rp_crash_at = (if k = "-" then None else Some (int_of_string k));
-          rp_instant_cut = (match rest with cut :: _ -> Some (int_of_string cut) | [] -> None);
-          rp_failures = [];
-          rp_trace = [];
-          rp_event_dump = [];
-        }
-      in
-      let r = Sim.replay cfg rp in
-      Format.fprintf ppf "replay seed=%s crash_at=%s%s: %d events, %d txns@." seed k
-        (match rp.Sim.rp_instant_cut with
-        | Some c -> Printf.sprintf " instant_cut=%d" c
-        | None -> "")
-        r.Sim.rr_events r.Sim.rr_txns;
-      List.iter (fun l -> Format.fprintf ppf "  %s@." l) r.Sim.rr_trace;
-      if r.Sim.rr_failures = [] then Format.fprintf ppf "run passed all checks@."
-      else begin
-        List.iter (fun f -> Format.fprintf ppf "FAILURE: %s@." f) r.Sim.rr_failures;
+        List.iter (fun f -> Format.fprintf ppf "FAILURE: %s@." f) r.Sweep.rr_failures;
         exit 1
       end
   | rest ->
@@ -282,31 +239,16 @@ let run_sim args =
       Format.fprintf ppf
         "sim sweep: %d schedule seeds, %d crash seeds x <=%d crash points each@." nseeds
         ncrash budget;
-      let progress line = Format.fprintf ppf "  %s@." line in
       let t0 = Sys.time () in
       let s =
-        Sim.sweep ~progress cfg
-          ~seeds:(List.init nseeds (fun i -> i + 1))
-          ~crash_seeds:(List.init ncrash (fun i -> 1001 + i))
-          ~crash_budget:budget
+        Sweep.sweep
+          ~progress:(fun line -> Format.fprintf ppf "  %s@." line)
+          ~workload:"default" (Sim.run Wl.default_cfg) ~seeds:(from 1 nseeds)
+          ~crash_seeds:(from 1001 ncrash) ~crash_budget:budget
       in
-      Format.fprintf ppf
-        "sim: %d seed runs, %d crash points, %d durability events enumerated, %d \
-         failure(s) (%.2fs)@."
-        s.Sim.sm_seed_runs s.Sim.sm_crash_points s.Sim.sm_events
-        (List.length s.Sim.sm_failures)
+      Format.fprintf ppf "sim: %d durability events enumerated (%.2fs)@." s.Sweep.sm_events
         (Sys.time () -. t0);
-      if s.Sim.sm_failures <> [] then begin
-        List.iter (fun rp -> Format.fprintf ppf "%s@." (Sim.reproducer_line rp)) s.Sim.sm_failures;
-        (* the first reproducer's protocol event window: how the
-           interleaving went wrong, not just that it did *)
-        (match s.Sim.sm_failures with
-        | rp :: _ when rp.Sim.rp_event_dump <> [] ->
-            Format.fprintf ppf "event window of the first failure:@.";
-            List.iter (fun l -> Format.fprintf ppf "    %s@." l) rp.Sim.rp_event_dump
-        | _ -> ());
-        exit 1
-      end
+      if not (report_summary ~tolerate:false "" s) then exit 1
 
 (* Machine-readable commit-path numbers (the tentpole PR's acceptance
    metrics): commits/step, log forces, batch-size histogram, restart redo

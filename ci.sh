@@ -4,35 +4,14 @@
 #   ./ci.sh            # build + full test suite + bounded sim smoke sweep
 #   ./ci.sh fast       # build + tests only (skip the smoke sweep)
 #
-# The smoke sweep is a bounded slice of the full simulation sweep
-# (16 schedule seeds and 4 crash seeds x <=40 crash points, in both
-# commit modes, checkpoint daemon enabled) — small enough for every
-# push; the full-budget sweep is `dune exec bench/main.exe -- sim`.
-# The fault smoke runs the same slice with the storage fault engine
-# armed (torn writes, bit-rot, transient EIO): every run must recover
-# to the oracle or fail loudly with a typed Storage_error.
-# The instant smoke is the recovery-during-recovery sweep: cut each
-# run mid-flight, restart with `~instant:true`, and crash again inside
-# the drain — every second crash must classic-restart to the oracle.
-# The stream smoke is the multi-stream WAL crash-order sweep: four log
-# streams with the crash-time per-stream flush shuffle armed, under
-# both classic and instant restart — recovery must converge to the
-# fence-validated committed-state oracle with zero R1-R8 violations.
-# The mvcc smoke is the snapshot-read crash sweep: hot writers, full-tree
-# snapshot scans checked against the per-snapshot oracle, and the
-# version-GC daemon racing both — every read must obey rule R9 and every
-# crash must restart (version store rebuilt from the log) to the oracle.
+# The smoke sweep is the `sim smoke` matrix declared in bench/main.ml:
+# one row per sweep (fault-free, storage faults, instant restart,
+# multi-stream WAL, MVCC snapshot reads, sharded 2PC), each with the
+# reason it is in the gate. `sim smoke all` runs every row and fails if
+# any row failed; the full-budget sweep is `dune exec bench/main.exe -- sim`.
 # The q16 gate holds the hot-path speed pass: slice-by-16 CRC >= 4x the
 # bytewise baseline, page-codec CRC overhead <= 25.5%, arena reuse on
 # every steady-state log append, and an all-hit image-cache probe storm.
-# The shards smoke is the sharded 2PC sweep: presumed-abort two-phase
-# commit across a Sharddb cluster with the flush shuffle armed, crashing
-# the whole cluster, fail-stopping single shards mid-run (coordinators
-# and participants alike), and running whole workloads with a shard down
-# — every run must match the cross-shard committed-state oracle (commit
-# everywhere or abort everywhere) with zero R1-R10 violations and zero
-# leaked in-doubt locks; the --instant variant restarts every shard
-# mid-recovery and serves a second workload phase while in-doubts resolve.
 set -eu
 
 cd "$(dirname "$0")"
@@ -47,29 +26,8 @@ if [ "${1:-}" != "fast" ]; then
   echo "== hot-path speed gates (bench q16) =="
   dune exec bench/main.exe -- q16
 
-  echo "== sim smoke sweep =="
-  dune exec bench/main.exe -- sim smoke
-
-  echo "== sim fault smoke sweep =="
-  dune exec bench/main.exe -- sim smoke --faults
-
-  echo "== sim instant-restart smoke sweep =="
-  dune exec bench/main.exe -- sim smoke --instant
-
-  echo "== sim multi-stream smoke sweep (classic restart) =="
-  dune exec bench/main.exe -- sim smoke --streams
-
-  echo "== sim multi-stream smoke sweep (instant restart) =="
-  dune exec bench/main.exe -- sim smoke --streams --instant
-
-  echo "== sim mvcc snapshot-read smoke sweep =="
-  dune exec bench/main.exe -- sim smoke --mvcc
-
-  echo "== sim sharded 2PC smoke sweep =="
-  dune exec bench/main.exe -- sim smoke --shards
-
-  echo "== sim sharded 2PC smoke sweep (instant restart) =="
-  dune exec bench/main.exe -- sim smoke --shards --instant
+  echo "== sim smoke matrix =="
+  dune exec bench/main.exe -- sim smoke all
 fi
 
 echo "ci.sh: all green"

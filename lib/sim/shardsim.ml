@@ -5,30 +5,28 @@
    {e stable} state — per-shard committed transactions from the logs plus
    the coordinator decision tables — never the workload's bookkeeping.
 
-   Four run modes:
+   How each {!Sweep.mode} plays out on a cluster:
 
-   - [Cluster_crash None]: the sharded workload runs to completion and is
-     checked directly (seed sweep).
-   - [Cluster_crash (Some k)]: a whole-cluster power failure at the k-th
-     durability event — coordinator and participants cut {e at the same
-     instant}, with the per-stream flush shuffle deciding which log tails
-     survive on each shard independently. Classic restart + in-doubt
-     resolution must recover every shard to the cross-shard oracle.
-   - [Kill {victim; at}]: a {e targeted} fail-stop of one shard at the
+   - [Run]: the sharded workload runs to completion and is checked
+     directly.
+   - [Crash k]: a whole-cluster power failure at the k-th durability event
+     — coordinator and participants cut {e at the same instant}, with the
+     per-stream flush shuffle deciding which log tails survive on each
+     shard independently. Classic restart + in-doubt resolution must
+     recover every shard to the cross-shard oracle.
+   - [Instant (cut, None)]: the same cut, then [restart ~instant:true] and
+     a {e second} workload phase (disjoint fiber ids / key slices)
+     admitted while the per-shard drain daemons are still redoing —
+     in-doubt branches are restored and resolved mid-recovery.
+   - [Kill (victim, at)]: a {e targeted} fail-stop of one shard at the
      [at]-th durability event while every other shard keeps running — the
      degrade-gracefully mode. The victim is revived mid-run, in-doubts
      resolve, parked deliveries drain, and the final state must match the
-     oracle. [at = None] is the recording run (the killer never fires) that
-     learns the event count for the sweep.
-   - [Degrade k]: shard [k] is failed ({!Aries_util.Crashpoint.shard_down_fault})
+     oracle. [at = None] is the recording run (the killer never fires).
+   - [Down k]: shard [k] is failed ({!Aries_util.Crashpoint.shard_down_fault})
      for the whole workload: transactions confined to healthy shards must
      still commit (progress is asserted), transactions touching the downed
-     shard abort by presumption, and nothing hangs.
-
-   The [instant] runner is [Cluster_crash (Some cut)] with
-   [restart ~instant:true] and a {e second} workload phase (disjoint fiber
-   ids / key slices) admitted while the per-shard drain daemons are still
-   redoing — in-doubt branches are restored and resolved mid-recovery. *)
+     shard abort by presumption, and nothing hangs. *)
 
 open Aries_util
 module Btree = Aries_btree.Btree
@@ -36,8 +34,6 @@ module Bufpool = Aries_buffer.Bufpool
 module Sched = Aries_sched.Sched
 module Db = Aries_db.Db
 module Txnmgr = Aries_txn.Txnmgr
-module Trace = Aries_trace.Trace
-module Discipline = Aries_trace.Discipline
 module Sharddb = Aries_shard.Sharddb
 module Twopc = Aries_shard.Twopc
 
@@ -79,34 +75,6 @@ let default_cfg =
     streams = 2;
     shuffle = true;
   }
-
-type mode =
-  | Cluster_crash of int option
-  | Instant of int  (** cut event for crash + instant restart + second phase *)
-  | Kill of { victim : int; at : int option }
-  | Degrade of int  (** this shard is down for the whole workload *)
-
-let mode_to_string = function
-  | Cluster_crash None -> "run"
-  | Cluster_crash (Some k) -> Printf.sprintf "crash=%d" k
-  | Instant cut -> Printf.sprintf "instant=%d" cut
-  | Kill { victim; at = None } -> Printf.sprintf "kill=%d@-" victim
-  | Kill { victim; at = Some k } -> Printf.sprintf "kill=%d@%d" victim k
-  | Degrade k -> Printf.sprintf "down=%d" k
-
-let mode_of_string s =
-  let fail () = invalid_arg (Printf.sprintf "Shardsim.mode_of_string: %S" s) in
-  match String.split_on_char '=' s with
-  | [ "run" ] -> Cluster_crash None
-  | [ "crash"; k ] -> Cluster_crash (Some (int_of_string k))
-  | [ "instant"; k ] -> Instant (int_of_string k)
-  | [ "kill"; vk ] -> (
-      match String.split_on_char '@' vk with
-      | [ v; "-" ] -> Kill { victim = int_of_string v; at = None }
-      | [ v; k ] -> Kill { victim = int_of_string v; at = Some (int_of_string k) }
-      | _ -> fail ())
-  | [ "down"; k ] -> Degrade (int_of_string k)
-  | _ -> fail ()
 
 (* ------------------------------------------------------------------ *)
 (* The sharded workload *)
@@ -259,7 +227,7 @@ let committed_gtxn committed decisions (gt : gtxn_trace) =
       | Some d -> d.Twopc.dc_commit
       | None -> false)
 
-let check_state t cfg (trace : trace) ~phase failures =
+let check_state t (trace : trace) ~phase failures =
   let fail fmt =
     Printf.ksprintf (fun s -> failures := (phase ^ ": " ^ s) :: !failures) fmt
   in
@@ -308,49 +276,23 @@ let check_state t cfg (trace : trace) ~phase failures =
       (fun m -> fail "shard %d state mismatch: %s" k m)
       (Oracle.diff_lines expected.(k) actual)
   done;
-  ignore cfg;
   List.iter (fun m -> fail "leak: %s" m) (Sharddb.leak_report t)
 
 (* ------------------------------------------------------------------ *)
-(* Reports / reproducers *)
-
-type report = {
-  sr_events : int;  (** durability events during the workload phase *)
-  sr_txns : int;  (** global transactions traced *)
-  sr_acked : int;  (** gtxns acknowledged committed *)
-  sr_resolved : int;  (** in-doubt branches resolved after restart/revive *)
-  sr_failures : string list;
-  sr_trace : string list;
-  sr_event_dump : string list;
-}
-
-let dump_window = 120
-
-let dump_if_failed failures = if !failures = [] then [] else Trace.dump_last dump_window
+(* The runner *)
 
 let acked_count (trace : trace) =
   Vec.fold (fun acc gt -> if gt.gt_acked then acc + 1 else acc) 0 trace
-
-(* ------------------------------------------------------------------ *)
-(* The runner *)
 
 let mk_cluster cfg =
   Sharddb.create ~shards:cfg.shards ~page_size:cfg.page_size ~pool_capacity:cfg.pool_capacity
     ~segment_size:cfg.segment_size ~streams:cfg.streams ()
 
-(* Run [f] as a cluster phase and funnel scheduler problems into the
-   failure list: used for setup, restart and check phases, which must
-   complete cleanly (no stall, no exception). *)
-let run_phase t ?policy ?yield_probability ~what failures f =
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let r = Sharddb.run t ?policy ?yield_probability f in
-  (match r.Sched.outcome with
-  | Sched.Completed -> ()
-  | Sched.Stalled ids -> fail "%s stalled with %d suspended fiber(s)" what (List.length ids)
-  | Sched.Interrupted live -> fail "%s step budget exhausted with %d live fiber(s)" what live);
-  List.iter
-    (fun (_, name, e) -> fail "%s fiber %s raised %s" what name (Printexc.to_string e))
-    r.Sched.exns
+
+(* An unarmed cluster phase: setup, restart, oracle checks. *)
+let checked t failures ~what ?policy ?yield_probability f =
+  Sweep.phase failures ~what (fun max_steps ->
+      Sharddb.run t ?policy ?yield_probability ~max_steps f)
 
 let set_steal_hooks t cfg ~seed =
   for k = 0 to Sharddb.n t - 1 do
@@ -364,37 +306,39 @@ let clear_steal_hooks t =
     if Sharddb.is_up t k then Bufpool.clear_steal_hook (Sharddb.db t k).Db.pool
   done
 
-let run cfg ~seed ~(mode : mode) : report =
-  Crashpoint.disarm ();
-  Faultdisk.disarm ();
-  Crashpoint.reset ();
-  Trace.reset ();
-  Discipline.reset ();
+let run cfg ~seed (mode : Sweep.mode) : Sweep.report =
+  let crash_at =
+    match mode with
+    | Sweep.Crash k | Sweep.Instant (k, None) -> Some k
+    | Sweep.Run | Sweep.Kill _ | Sweep.Down _ -> None
+    | Sweep.Instant (_, Some _) ->
+        invalid_arg
+          ("Shardsim.run: no second crash inside cluster recovery: " ^ Sweep.mode_to_string mode)
+  in
+  Sweep.fresh_machine ();
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let t = mk_cluster cfg in
   let trace : trace = Vec.create () in
-  let resolved_total = ref 0 in
-  let events_seen = ref 0 in
+  let resolved = ref 0 in
+  let events = ref 0 in
   (* setup with the hook quiet: crash indices enumerate only workload-phase
      durability events, and every shard's tree anchor is recoverable *)
-  run_phase t ~what:"setup" failures (fun () -> Sharddb.setup t);
+  checked t failures ~what:"setup" (fun () -> Sharddb.setup t);
   if !failures = [] then begin
     set_steal_hooks t cfg ~seed;
     if cfg.shuffle then Faultdisk.arm ~seed:(seed lxor 0xFA17) Faultdisk.shuffle_cfg;
-    let down_fault = match mode with Degrade k -> Some (Crashpoint.shard_down_fault k) | _ -> None in
-    (match down_fault with Some f -> Crashpoint.enable_fault f | None -> ());
+    let down_fault =
+      match mode with Sweep.Down k -> Some (Crashpoint.shard_down_fault k) | _ -> None
+    in
+    Option.iter Crashpoint.enable_fault down_fault;
     Fun.protect
       ~finally:(fun () ->
-        (match down_fault with Some f -> Crashpoint.disable_fault f | None -> ());
+        Option.iter Crashpoint.disable_fault down_fault;
         Faultdisk.disarm ())
     @@ fun () ->
     Crashpoint.reset ();
-    (match mode with
-    | Cluster_crash (Some k) | Instant k -> Crashpoint.arm ~at:k
-    | Cluster_crash None | Kill _ | Degrade _ -> ());
-    let crash_armed = match mode with Cluster_crash (Some _) | Instant _ -> true | _ -> false in
-    let killed = ref false in
+    Option.iter (fun k -> Crashpoint.arm ~at:k) crash_at;
     let revive_seq = ref 0 in
     let revive_now victim =
       incr revive_seq;
@@ -417,7 +361,6 @@ let run cfg ~seed ~(mode : mode) : report =
              done;
              if (not (Sched.shutting_down ())) && Crashpoint.count () >= at then begin
                Sharddb.kill t victim;
-               killed := true;
                (* let the healthy shards make progress against the hole,
                   then bring the victim back: restart + in-doubt resolution
                   + parked-delivery drain, all while the workload runs *)
@@ -427,50 +370,22 @@ let run cfg ~seed ~(mode : mode) : report =
                if not (Sched.shutting_down ()) then revive_now victim
              end))
     in
-    let result =
-      (* a crash-armed run gets a step budget: after the power failure
-         trips, fibers suspended on locks held by crash-killed fibers can
-         never resume while the service daemons keep yielding — the
-         machine is dead but the scheduler is not, and without a bound the
-         run spins forever. The stable state is fixed at the trip, so
-         winding the schedule down by budget loses nothing; a budget
-         exhausted {e before} the trip is still reported as a failure
-         below. *)
-      Sharddb.run t ~policy:(Sched.Random seed) ~yield_probability:cfg.yield_probability
-        ?max_steps:(if crash_armed then Some 2_000_000 else None)
-        (fun () ->
-          (match mode with
-          | Kill { victim; at } -> spawn_killer victim (match at with Some k -> k | None -> max_int)
-          | _ -> ());
-          spawn_fibers t cfg ~seed ~trace)
-    in
-    let tripped = Crashpoint.tripped () in
-    let events = Crashpoint.count () in
-    events_seen := events;
+    Sweep.phase failures ~what:"workload" ?armed_at:crash_at (fun max_steps ->
+        Sharddb.run t ~policy:(Sched.Random seed) ~yield_probability:cfg.yield_probability
+          ~max_steps (fun () ->
+            (match mode with
+            | Sweep.Kill (victim, at) -> spawn_killer victim (Option.value at ~default:max_int)
+            | _ -> ());
+            spawn_fibers t cfg ~seed ~trace));
+    events := Crashpoint.count ();
     Crashpoint.disarm ();
     clear_steal_hooks t;
-    (match result.Sched.outcome with
-    | Sched.Completed -> ()
-    | Sched.Stalled ids ->
-        if not crash_armed then
-          fail "scheduler stalled with %d suspended fiber(s)" (List.length ids)
-    | Sched.Interrupted live ->
-        if not (crash_armed && tripped) then
-          fail "step budget exhausted with %d live fiber(s)" live);
-    List.iter
-      (fun (_, name, e) ->
-        match e with
-        | Crashpoint.Crash _ when crash_armed -> ()
-        | e ->
-            fail "fiber %s raised %s%s" name (Printexc.to_string e)
-              (if crash_armed then " (not the simulated crash)" else ""))
-      result.Sched.exns;
-    (match mode with
-    | Cluster_crash None ->
+    match mode with
+    | Sweep.Run ->
         if !failures = [] then
-          run_phase t ~what:"post-run check" failures (fun () ->
-              check_state t cfg trace ~phase:"post-run" failures)
-    | Degrade k ->
+          checked t failures ~what:"post-run" (fun () ->
+              check_state t trace ~phase:"post-run" failures)
+    | Sweep.Down k ->
         (* graceful degradation: healthy-shard transactions must commit,
            and nothing acked may have touched the downed shard *)
         if acked_count trace = 0 then
@@ -481,46 +396,38 @@ let run cfg ~seed ~(mode : mode) : report =
               fail "G%d was acked committed despite holding a branch on downed shard %d"
                 gt.gt_gid k)
           trace;
-        (match down_fault with Some f -> Crashpoint.disable_fault f | None -> ());
+        Option.iter Crashpoint.disable_fault down_fault;
         if !failures = [] then
-          run_phase t ~what:"post-degrade check" failures (fun () ->
-              check_state t cfg trace ~phase:"post-degrade" failures)
-    | Kill { at; victim } ->
+          checked t failures ~what:"post-degrade" (fun () ->
+              check_state t trace ~phase:"post-degrade" failures)
+    | Sweep.Kill (victim, _) ->
         (* an armed killer can lose the race when no workload fiber yields
            between the kill point and shutdown (only possible near the tail
            of the schedule); the run then degenerates to a plain checked
            run — not a failure *)
-        ignore at;
         if !failures = [] then
-          run_phase t ~what:"post-kill check" failures (fun () ->
-              (* the killer revives mid-run unless shutdown won the race *)
+          checked t failures ~what:"post-kill" (fun () ->
               if not (Sharddb.is_up t victim) then revive_now victim;
-              resolved_total := !resolved_total + Sharddb.resolve_indoubts t;
-              check_state t cfg trace ~phase:"post-kill" failures)
-    | Cluster_crash (Some k) ->
-        if not tripped then fail "crash index %d never reached (run produced %d events)" k events
-        else if !failures = [] then begin
+              resolved := !resolved + Sharddb.resolve_indoubts t;
+              check_state t trace ~phase:"post-kill" failures)
+    | Sweep.Crash _ ->
+        if !failures = [] then begin
           Sharddb.crash t;
-          run_phase t ~what:"restart" failures (fun () ->
-              let _, resolved = Sharddb.restart t in
-              resolved_total := !resolved_total + resolved;
-              check_state t cfg trace ~phase:"post-restart" failures)
+          checked t failures ~what:"post-restart" (fun () ->
+              resolved := !resolved + snd (Sharddb.restart t);
+              check_state t trace ~phase:"post-restart" failures)
         end
-    | Instant cut ->
-        if not tripped then
-          fail "crash index %d never reached (run produced %d events)" cut events
-        else if !failures = [] then begin
+    | Sweep.Instant _ ->
+        if !failures = [] then begin
           Sharddb.crash t;
           set_steal_hooks t cfg ~seed:(seed + 0x1000);
           (* restart every shard [~instant]: each opens right after Analysis
              with its in-doubt branches restored (locks held), resolution
              runs against the drain, and a second workload phase (disjoint
              fiber ids, hence key slices) is admitted mid-recovery *)
-          run_phase t ~policy:(Sched.Random (seed lxor 0x1257a2))
-            ~yield_probability:cfg.yield_probability ~what:"instant recovery" failures
-            (fun () ->
-              let _, resolved = Sharddb.restart ~instant:true t in
-              resolved_total := !resolved_total + resolved;
+          checked t failures ~what:"instant recovery" ~policy:(Sched.Random (seed lxor 0x1257a2))
+            ~yield_probability:cfg.yield_probability (fun () ->
+              resolved := !resolved + snd (Sharddb.restart ~instant:true t);
               for k = 0 to Sharddb.n t - 1 do
                 (* phase-1 txn ids that never logged can be reissued; the
                    oracle keys the trace by (shard, txn id), so phase 2
@@ -530,193 +437,40 @@ let run cfg ~seed ~(mode : mode) : report =
               spawn_fibers ~fiber_base:cfg.fibers t cfg ~seed ~trace);
           clear_steal_hooks t;
           if !failures = [] then
-            run_phase t ~what:"post-instant check" failures (fun () ->
-                check_state t cfg trace ~phase:"post-instant" failures)
-        end)
+            checked t failures ~what:"post-instant" (fun () ->
+                check_state t trace ~phase:"post-instant" failures)
+        end
   end;
   {
-    sr_events = !events_seen;
-    sr_txns = Vec.length trace;
-    sr_acked = acked_count trace;
-    sr_resolved = !resolved_total;
-    sr_failures = List.rev !failures;
-    sr_trace = trace_to_string trace;
-    sr_event_dump = dump_if_failed failures;
+    Sweep.rr_events = !events;
+    rr_txns = Vec.length trace;
+    rr_acked = acked_count trace;
+    rr_resolved = !resolved;
+    rr_failures = List.rev !failures;
+    rr_trace = trace_to_string trace;
+    rr_event_dump = Sweep.dump_if_failed failures;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Sweeps *)
-
-type reproducer = {
-  sp_seed : int;
-  sp_mode : mode;
-  sp_failures : string list;
-  sp_trace : string list;
-  sp_event_dump : string list;
-}
-
-let reproducer_line r =
-  Printf.sprintf "SHARD-REPRO seed=%d mode=%s :: %s" r.sp_seed (mode_to_string r.sp_mode)
-    (match r.sp_failures with [] -> "(no failure recorded)" | f :: _ -> f)
-
-let replay cfg r = run cfg ~seed:r.sp_seed ~mode:r.sp_mode
-
-let confirms r (rep : report) =
-  rep.sr_failures <> [] && List.equal String.equal r.sp_failures rep.sr_failures
-
-type summary = {
-  ss_runs : int;
-  ss_events : int;  (** durability events enumerated across recording runs *)
-  ss_acked : int;  (** gtxns acked committed across all runs *)
-  ss_resolved : int;  (** in-doubt branches resolved across all runs *)
-  ss_failures : reproducer list;
-}
-
-let empty_summary = { ss_runs = 0; ss_events = 0; ss_acked = 0; ss_resolved = 0; ss_failures = [] }
-
-let note_result ?(progress = fun _ -> ()) acc ~seed ~mode (r : report) =
-  let acc =
-    {
-      acc with
-      ss_runs = acc.ss_runs + 1;
-      ss_acked = acc.ss_acked + r.sr_acked;
-      ss_resolved = acc.ss_resolved + r.sr_resolved;
-    }
+(* The full sharded rig behind `sim smoke --shards`: plain runs and
+   whole-cluster crash sweeps, per-shard kill sweeps on the crash seeds,
+   and one seed with each shard down in turn. *)
+let sweep ?progress ~workload cfg ~seeds ~crash_seeds ~crash_budget =
+  let run = run cfg in
+  let s = Sweep.sweep ?progress ~workload run ~seeds ~crash_seeds ~crash_budget in
+  let s =
+    List.fold_left
+      (fun acc seed ->
+        Sweep.merge acc
+          (Sweep.kill_sweep ?progress ~workload run ~victims:cfg.shards ~seed ~budget:crash_budget))
+      s crash_seeds
   in
-  if r.sr_failures = [] then acc
-  else begin
-    let rp =
-      {
-        sp_seed = seed;
-        sp_mode = mode;
-        sp_failures = r.sr_failures;
-        sp_trace = r.sr_trace;
-        sp_event_dump = r.sr_event_dump;
-      }
-    in
-    progress (reproducer_line rp);
-    { acc with ss_failures = acc.ss_failures @ [ rp ] }
-  end
+  let down_seed = match seeds with s :: _ -> s | [] -> 1 in
+  Sweep.merge s
+    (Sweep.runs ?progress ~workload run (List.init cfg.shards (fun k -> (down_seed, Sweep.Down k))))
 
-let add_run ?progress cfg acc ~seed ~mode = note_result ?progress acc ~seed ~mode (run cfg ~seed ~mode)
-
-(* Evenly spaced sample of [budget] indices over [1..total], both endpoints
-   included; every index when the budget covers them all. *)
-let sample_indices ~total ~budget =
-  if total <= 0 || budget <= 0 then []
-  else if budget >= total then List.init total (fun i -> i + 1)
-  else if budget = 1 then [ total ]
-  else
-    List.init budget (fun i -> 1 + (i * (total - 1) / (budget - 1)))
-    |> List.sort_uniq compare
-
-(* Whole-cluster crash sweep: one recording run learns the durability-event
-   count, then the same seed re-runs with the power failure armed at up to
-   [budget] sampled indices — with the per-stream flush shuffle armed, each
-   crash leaves every shard a different survivor prefix. *)
-let crash_sweep ?(progress = fun _ -> ()) cfg ~seed ~budget =
-  let recording = run cfg ~seed ~mode:(Cluster_crash None) in
-  if recording.sr_failures <> [] then
-    note_result ~progress
-      { empty_summary with ss_events = recording.sr_events }
-      ~seed ~mode:(Cluster_crash None) recording
-  else begin
-    let ks = sample_indices ~total:recording.sr_events ~budget in
-    progress
-      (Printf.sprintf "seed %d: %d durability events, arming %d cluster crashes" seed
-         recording.sr_events (List.length ks));
-    List.fold_left
-      (fun acc k -> add_run ~progress cfg acc ~seed ~mode:(Cluster_crash (Some k)))
-      { empty_summary with ss_runs = 1; ss_events = recording.sr_events;
-        ss_acked = recording.sr_acked }
-      ks
-  end
-
-(* Targeted fail-stop sweep: for each shard in turn — coordinators and
-   participants alike — a recording run (killer armed at infinity) learns
-   the event count, then the victim is killed at sampled events while the
-   rest of the cluster keeps serving, revived mid-run, and the final state
-   must match the oracle with zero leaked in-doubts. *)
-let kill_sweep ?(progress = fun _ -> ()) cfg ~seed ~budget =
-  List.fold_left
-    (fun acc victim ->
-      let mode_rec = Kill { victim; at = None } in
-      let recording = run cfg ~seed ~mode:mode_rec in
-      if recording.sr_failures <> [] then note_result ~progress acc ~seed ~mode:mode_rec recording
-      else begin
-        let per_victim = max 1 (budget / cfg.shards) in
-        (* strictly interior points: a kill armed at the final durability
-           event races the killer daemon against scheduler shutdown (and is
-           equivalent to a post-run check anyway) *)
-        let ks = sample_indices ~total:(max 0 (recording.sr_events - 1)) ~budget:per_victim in
-        progress
-          (Printf.sprintf "seed %d: killing shard %d at %d of %d events" seed victim
-             (List.length ks) recording.sr_events);
-        List.fold_left
-          (fun acc k -> add_run ~progress cfg acc ~seed ~mode:(Kill { victim; at = Some k }))
-          { acc with ss_runs = acc.ss_runs + 1; ss_events = acc.ss_events + recording.sr_events;
-            ss_acked = acc.ss_acked + recording.sr_acked }
-          ks
-      end)
-    empty_summary
-    (List.init cfg.shards (fun k -> k))
-
-(* Instant-restart sweep: sample [budget] phase-1 cut points; at each, the
-   cluster crashes, restarts [~instant] and serves a second workload phase
-   while the drains run and in-doubts resolve mid-recovery. *)
-let instant_sweep ?(progress = fun _ -> ()) cfg ~seed ~budget =
-  let recording = run cfg ~seed ~mode:(Cluster_crash None) in
-  if recording.sr_failures <> [] then
-    note_result ~progress
-      { empty_summary with ss_events = recording.sr_events }
-      ~seed ~mode:(Cluster_crash None) recording
-  else begin
-    let cuts = sample_indices ~total:recording.sr_events ~budget in
-    progress
-      (Printf.sprintf "seed %d: %d phase-1 events, %d instant-restart cuts" seed
-         recording.sr_events (List.length cuts));
-    List.fold_left
-      (fun acc cut -> add_run ~progress cfg acc ~seed ~mode:(Instant cut))
-      { empty_summary with ss_runs = 1; ss_events = recording.sr_events;
-        ss_acked = recording.sr_acked }
-      cuts
-  end
-
-(* Degrade sweep: each shard in turn spends a whole workload down. *)
-let degrade_sweep ?(progress = fun _ -> ()) cfg ~seeds =
-  List.fold_left
-    (fun acc seed ->
-      List.fold_left
-        (fun acc k -> add_run ~progress cfg acc ~seed ~mode:(Degrade k))
-        acc
-        (List.init cfg.shards (fun k -> k)))
-    empty_summary seeds
-
-let merge a b =
-  {
-    ss_runs = a.ss_runs + b.ss_runs;
-    ss_events = a.ss_events + b.ss_events;
-    ss_acked = a.ss_acked + b.ss_acked;
-    ss_resolved = a.ss_resolved + b.ss_resolved;
-    ss_failures = a.ss_failures @ b.ss_failures;
-  }
-
-(* The full sharded rig: seed sweep, whole-cluster crash sweep, per-shard
-   kill sweep, and the degrade sweep — the `sim smoke --shards` gate. *)
-let sweep ?progress cfg ~seeds ~crash_seeds ~crash_budget =
-  let s1 =
-    List.fold_left
-      (fun acc seed -> add_run ?progress cfg acc ~seed ~mode:(Cluster_crash None))
-      empty_summary seeds
-  in
-  let s2 =
-    List.fold_left
-      (fun acc seed -> merge acc (crash_sweep ?progress cfg ~seed ~budget:crash_budget))
-      s1 crash_seeds
-  in
-  let s3 =
-    List.fold_left
-      (fun acc seed -> merge acc (kill_sweep ?progress cfg ~seed ~budget:crash_budget))
-      s2 crash_seeds
-  in
-  merge s3 (degrade_sweep ?progress cfg ~seeds:(match seeds with s :: _ -> [ s ] | [] -> [ 1 ]))
+(* Crash at sampled cut points; each cut instant-restarts the whole
+   cluster and serves a second workload phase while the drains run and
+   in-doubts resolve mid-recovery. *)
+let instant_sweep ?progress ~workload cfg ~seed ~budget =
+  Sweep.sample ?progress ~workload (run cfg) ~seed ~record:Sweep.Run ~budget (fun cut ->
+      Sweep.Instant (cut, None))

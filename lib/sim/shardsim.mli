@@ -1,5 +1,6 @@
 (** The sharded simulation harness: {!Sim}'s deterministic rig over an
-    {!Aries_shard.Sharddb} cluster with presumed-abort 2PC.
+    {!Aries_shard.Sharddb} cluster with presumed-abort 2PC. Sweeps,
+    reproducers and summaries come from {!Sweep}.
 
     Every run is a pure function of (seed, cfg, mode). The workload drives
     global transactions whose keys hash across shards — single-branch
@@ -11,16 +12,15 @@
     what makes the second test sound, and the online discipline checker
     enforces it during every run.
 
-    Four modes: seed runs, whole-cluster crash sweeps (every shard cut at
-    the same durability event, per-stream flush shuffle deciding each
-    shard's surviving log tails independently), targeted per-shard
-    fail-stops with mid-run revival (the degrade-gracefully path), and
-    whole-run downed-shard degrade runs (healthy-shard progress is
-    asserted). The instant variant restarts every shard [~instant] and
-    serves a second workload phase while in-doubt branches are restored
-    and resolved mid-recovery. *)
-
-open Aries_util
+    Modes: [Run]; [Crash k], a whole-cluster crash (every shard cut at the
+    same durability event, per-stream flush shuffle deciding each shard's
+    surviving log tails independently); [Instant (cut, None)], which
+    restarts every shard [~instant] and serves a second workload phase
+    while in-doubt branches are restored and resolved mid-recovery;
+    [Kill (victim, at)], a targeted per-shard fail-stop with mid-run
+    revival; and [Down k], a whole workload with shard [k] down
+    (healthy-shard progress is asserted). [Instant (_, Some _)] raises
+    [Invalid_argument]. *)
 
 type cfg = {
   shards : int;
@@ -44,96 +44,21 @@ val default_cfg : cfg
     transactions cross shards, 2 WAL streams per shard with the flush
     shuffle armed, small pages/pools for SMOs and steals. *)
 
-type mode =
-  | Cluster_crash of int option
-      (** [None]: run to completion and check; [Some k]: whole-cluster
-          power failure at durability event [k], classic restart +
-          in-doubt resolution, check against the cross-shard oracle *)
-  | Instant of int
-      (** cut at event [k], restart every shard [~instant:true], serve a
-          second workload phase mid-recovery, quiesce, check *)
-  | Kill of { victim : int; at : int option }
-      (** targeted fail-stop of [victim] at event [at] while the rest of
-          the cluster keeps serving; revived mid-run. [at = None] is the
-          recording run (never fires) *)
-  | Degrade of int  (** this shard is down for the whole workload *)
-
-val mode_to_string : mode -> string
-
-val mode_of_string : string -> mode
-(** Inverse of {!mode_to_string} (for [sim replay --shards]). *)
-
-type gtxn_trace = {
-  gt_fiber : int;
-  gt_gid : int;
-  mutable gt_branches : (int * Ids.txn_id) list;
-      (** (shard, local txn) pairs, first-touch order; head = coordinator *)
-  mutable gt_ops : Oracle.op list;  (** most recent first *)
-  mutable gt_acked : bool;
-  mutable gt_aborted : bool;
-}
-
-type trace = gtxn_trace Vec.t
-
-type report = {
-  sr_events : int;  (** durability events during the workload phase *)
-  sr_txns : int;  (** global transactions traced *)
-  sr_acked : int;  (** gtxns acknowledged committed *)
-  sr_resolved : int;  (** in-doubt branches resolved after restart/revive *)
-  sr_failures : string list;  (** empty = run passed all checks *)
-  sr_trace : string list;
-  sr_event_dump : string list;
-}
-
-val run : cfg -> seed:int -> mode:mode -> report
-
-type reproducer = {
-  sp_seed : int;
-  sp_mode : mode;
-  sp_failures : string list;
-  sp_trace : string list;
-  sp_event_dump : string list;
-}
-
-val reproducer_line : reproducer -> string
-(** ["SHARD-REPRO seed=<s> mode=<m> :: <first failure>"]; feed seed and
-    mode back to [bench/main.exe -- sim replay --shards <s> <m>]. *)
-
-val replay : cfg -> reproducer -> report
-
-val confirms : reproducer -> report -> bool
-
-type summary = {
-  ss_runs : int;
-  ss_events : int;
-  ss_acked : int;
-  ss_resolved : int;
-  ss_failures : reproducer list;
-}
-
-val crash_sweep : ?progress:(string -> unit) -> cfg -> seed:int -> budget:int -> summary
-(** Record once, then whole-cluster crashes at up to [budget] sampled
-    durability events. *)
-
-val kill_sweep : ?progress:(string -> unit) -> cfg -> seed:int -> budget:int -> summary
-(** For each shard in turn — coordinators and participants alike — record,
-    then fail-stop the victim at up to [budget/shards] sampled events
-    while the rest of the cluster keeps serving; revive mid-run and check. *)
-
-val instant_sweep : ?progress:(string -> unit) -> cfg -> seed:int -> budget:int -> summary
-(** Crash at up to [budget] sampled cut points; each cut instant-restarts
-    the whole cluster and serves a second workload phase mid-recovery. *)
-
-val degrade_sweep : ?progress:(string -> unit) -> cfg -> seeds:int list -> summary
-(** Each shard in turn spends a whole workload down; healthy-shard
-    progress is asserted in every run. *)
+val run : cfg -> Sweep.run
 
 val sweep :
   ?progress:(string -> unit) ->
+  workload:string ->
   cfg ->
   seeds:int list ->
   crash_seeds:int list ->
   crash_budget:int ->
-  summary
-(** The full sharded rig behind [sim smoke --shards]: seed sweep,
-    whole-cluster crash sweep, per-shard kill sweep, degrade sweep. *)
+  Sweep.summary
+(** The full sharded rig behind [sim smoke --shards]: {!Sweep.sweep}, then
+    a {!Sweep.kill_sweep} per crash seed, then the first seed with each
+    shard down in turn. *)
+
+val instant_sweep :
+  ?progress:(string -> unit) -> workload:string -> cfg -> seed:int -> budget:int -> Sweep.summary
+(** Instant-restart the whole cluster at up to [budget] sampled cut
+    points. *)

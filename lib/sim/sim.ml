@@ -3,29 +3,6 @@ module Btree = Aries_btree.Btree
 module Bufpool = Aries_buffer.Bufpool
 module Sched = Aries_sched.Sched
 module Db = Aries_db.Db
-module Trace = Aries_trace.Trace
-module Discipline = Aries_trace.Discipline
-
-type run_report = {
-  rr_events : int;
-  rr_txns : int;
-  rr_crash_at : int option;
-  rr_instant_cut : int option;
-      (* instant-restart runs only: the phase-1 durability event the first
-         crash was armed at; [rr_crash_at] then indexes the recovery phase *)
-  rr_failures : string list;
-  rr_trace : string list;
-  rr_event_dump : string list;
-}
-
-(* How much of the protocol event window a failing run carries in its
-   reproducer. The ring retains more; this is what lands in the artifact. *)
-let dump_window = 120
-
-(* The event dump is part of the SIM-REPRO artifact: on failure, snapshot
-   the tail of the protocol event ring so the reproducer shows {e how} the
-   interleaving went wrong, not just that it did. *)
-let dump_if_failed failures = if !failures = [] then [] else Trace.dump_last dump_window
 
 (* Invariants + oracle + leak audit, in one pass. Called inside the
    scheduler (tree reads latch pages). [phase] prefixes every finding so a
@@ -50,473 +27,117 @@ let check_state db tree (trace : Workload.trace) ~phase failures =
 let btree_config (cfg : Workload.cfg) =
   { Btree.default_config with locking = cfg.Workload.locking }
 
-let run_one ?crash_at (cfg : Workload.cfg) ~seed =
-  (* Setup (environment + empty tree) happens with the hook quiet so crash
-     indices enumerate only workload-phase durability events and the tree's
-     anchor is always recoverable. *)
-  Crashpoint.disarm ();
-  Faultdisk.disarm ();
+(* An unarmed single-computation phase: setup, restart, oracle checks. *)
+let checked db failures ~what f =
+  Sweep.phase failures ~what (fun max_steps -> Db.run db ~max_steps f)
+
+(* A workload phase under the run's seeded random schedule, with the
+   randomized steal hook on and the crash hook armed at [armed_at].
+   Returns the phase's durability events. *)
+let workload_phase (cfg : Workload.cfg) db failures ~what ~steal_seed ~policy ?armed_at main =
+  Bufpool.set_steal_hook db.Db.pool ~seed:steal_seed ~probability:cfg.Workload.steal_probability;
   Crashpoint.reset ();
-  (* Fresh protocol tracer + discipline checker per simulated machine: every
-     seed runs with the online checker armed (in the default [Check] mode),
-     and a failing run dumps its event window into the reproducer. *)
-  Trace.reset ();
-  Discipline.reset ();
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let db =
-    Db.create ~page_size:cfg.Workload.page_size ~pool_capacity:cfg.Workload.pool_capacity
-      ~config:(btree_config cfg) ~commit_mode:cfg.Workload.commit_mode
-      ?cleaner:cfg.Workload.cleaner ?checkpoint:cfg.Workload.checkpoint ?vgc:cfg.Workload.vgc
-      ~segment_size:cfg.Workload.segment_size ~streams:cfg.Workload.streams ()
-  in
-  (* The setup phase runs with the checker live too: a protocol violation
-     (e.g. under an injected fault) raises out of [Db.run_exn] here and
-     must surface as a failure report, not tear down the harness. *)
-  match
-    match
-      Db.run_exn db (fun () ->
-          Db.with_txn db (fun txn -> Btree.create db.Db.benv txn ~name:"sim" ~unique:false))
-    with
-    | tree -> Some tree
-    | exception e ->
-        fail "setup raised %s" (Printexc.to_string e);
-        None
-  with
-  | None ->
-      {
-        rr_events = Crashpoint.count ();
-        rr_txns = 0;
-        rr_crash_at = crash_at;
-        rr_instant_cut = None;
-        rr_failures = List.rev !failures;
-        rr_trace = [];
-        rr_event_dump = dump_if_failed failures;
-      }
-  | Some tree ->
-  Bufpool.set_steal_hook db.Db.pool ~seed:(seed + 0x51ea1)
-    ~probability:cfg.Workload.steal_probability;
-  (* Storage faults arm after setup (the empty tree's anchor is never
-     fault-damaged, mirroring the quiet-setup rule for crash points) and
-     stay armed through crash + restart, so recovery itself runs over the
-     adversarial disk. The fault stream is seeded from the run seed, so a
-     fault run is as replayable as a fault-free one. *)
-  (match cfg.Workload.faults with
-  | Some fcfg -> Faultdisk.arm ~seed:(seed lxor 0xFA17) fcfg
-  | None -> ());
-  Fun.protect ~finally:(fun () -> Faultdisk.disarm ()) @@ fun () ->
-  Crashpoint.reset ();
-  (match crash_at with Some k -> Crashpoint.arm ~at:k | None -> ());
-  let trace : Workload.trace = Vec.create () in
-  let result =
-    Db.run db ~policy:(Sched.Random seed) ~yield_probability:cfg.Workload.yield_probability
-      (fun () -> Workload.spawn_fibers db tree cfg ~seed ~trace)
-  in
-  (* Read the trip flag before disarming: disarm clears it. *)
-  let tripped = Crashpoint.tripped () in
+  Option.iter (fun k -> Crashpoint.arm ~at:k) armed_at;
+  Sweep.phase failures ~what ?armed_at (fun max_steps ->
+      Db.run db ~policy ~max_steps ~yield_probability:cfg.Workload.yield_probability main);
   let events = Crashpoint.count () in
   Crashpoint.disarm ();
   Bufpool.clear_steal_hook db.Db.pool;
-  (match crash_at with
-  | None -> (
-      (match result.Sched.outcome with
-      | Sched.Completed -> ()
-      | Sched.Stalled ids ->
-          fail "scheduler stalled with %d suspended fiber(s)" (List.length ids)
-      | Sched.Interrupted live -> fail "step budget exhausted with %d live fiber(s)" live);
-      List.iter
-        (fun (_, name, e) -> fail "fiber %s raised %s" name (Printexc.to_string e))
-        result.Sched.exns;
-      if !failures = [] then
-        match Db.run_exn db (fun () -> check_state db tree trace ~phase:"post-run" failures) with
-        | () -> ()
-        | exception e -> fail "post-run check raised %s" (Printexc.to_string e))
-  | Some k ->
-      (* The k-th durability event raised a simulated power failure inside
-         some fiber; once tripped, every further durability event raises
-         too, so the stable state is frozen at event k. Fibers may end
-         Stalled (waiting on a dead fiber's locks) — that is fine, the
-         machine is about to lose power anyway. *)
-      (match result.Sched.outcome with
-      | Sched.Completed | Sched.Stalled _ -> ()
-      | Sched.Interrupted live ->
-          fail "step budget exhausted with %d live fiber(s)" live);
-      List.iter
-        (fun (_, name, e) ->
-          match e with
-          | Crashpoint.Crash _ -> ()
-          | e -> fail "fiber %s raised %s (not the simulated crash)" name (Printexc.to_string e))
-        result.Sched.exns;
-      if not tripped then
-        fail "crash index %d never reached (run produced %d events)" k events
-      else if !failures = [] then begin
-        let db' = Db.crash ~config:(btree_config cfg) db in
-        match
-          Db.run_exn db' (fun () ->
-              ignore (Db.restart db');
-              let tree' = Btree.open_existing db'.Db.benv (Btree.index_id tree) in
-              check_state db' tree' trace ~phase:"post-restart" failures)
-        with
-        | () -> ()
-        | exception e -> fail "restart raised %s" (Printexc.to_string e)
-      end);
-  {
-    rr_events = events;
-    rr_txns = Vec.length trace;
-    rr_crash_at = crash_at;
-    rr_instant_cut = None;
-    rr_failures = List.rev !failures;
-    rr_trace = Workload.trace_to_string trace;
-    rr_event_dump = dump_if_failed failures;
-  }
+  events
 
-(* Recovery-during-recovery: cut the workload at durability event
-   [crash_at], crash, then restart with [~instant:true] — the Db opens
-   right after Analysis and a {e second} workload phase (on key slices
-   disjoint from the first, via [fiber_base]) runs concurrently with the
-   drain daemon's background redo/undo, on-demand single-page redos, and
-   lock-conflict-driven loser preemption. With [crash_at2] the machine
-   dies {e again}, at that durability event of the recovery phase —
-   possibly mid-drain or mid-replay — and a classic restart must still
-   converge to the two-phase oracle: instant restart's partial work
-   (CLRs, redone pages, its restart checkpoint) is just more history.
-   [rr_events] counts the recovery phase's durability events, so a sweep
-   can sample [crash_at2] the same way {!crash_sweep} samples
-   [crash_at]. *)
-let run_one_instant ?crash_at2 (cfg : Workload.cfg) ~seed ~crash_at =
-  Crashpoint.disarm ();
-  Faultdisk.disarm ();
-  Crashpoint.reset ();
-  Trace.reset ();
-  Discipline.reset ();
+(* Power failure: the stable state is frozen at the trip, so [Db.crash] +
+   classic restart must recover exactly the oracle's committed state. *)
+let restart_and_check cfg db index trace failures ~what =
+  let db' = Db.crash ~config:(btree_config cfg) db in
+  checked db' failures ~what (fun () ->
+      ignore (Db.restart db');
+      check_state db' (Btree.open_existing db'.Db.benv index) trace ~phase:what failures)
+
+let run (cfg : Workload.cfg) ~seed (mode : Sweep.mode) : Sweep.report =
+  let crash_at, instant =
+    match mode with
+    | Sweep.Run -> (None, None)
+    | Sweep.Crash k -> (Some k, None)
+    | Sweep.Instant (cut, k2) -> (Some cut, Some k2)
+    | Sweep.Kill _ | Sweep.Down _ ->
+        invalid_arg ("Sim.run: a single Db has no shard to " ^ Sweep.mode_to_string mode)
+  in
+  (* Setup (environment + empty tree) happens with the hook quiet so crash
+     indices enumerate only workload-phase durability events and the tree's
+     anchor is always recoverable. Every simulated machine gets a fresh
+     protocol tracer + discipline checker; a failing run dumps its event
+     window into the reproducer. *)
+  Sweep.fresh_machine ();
   let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let db =
     Db.create ~page_size:cfg.Workload.page_size ~pool_capacity:cfg.Workload.pool_capacity
       ~config:(btree_config cfg) ~commit_mode:cfg.Workload.commit_mode
       ?cleaner:cfg.Workload.cleaner ?checkpoint:cfg.Workload.checkpoint ?vgc:cfg.Workload.vgc
       ~segment_size:cfg.Workload.segment_size ~streams:cfg.Workload.streams ()
   in
-  match
-    match
-      Db.run_exn db (fun () ->
-          Db.with_txn db (fun txn -> Btree.create db.Db.benv txn ~name:"sim" ~unique:false))
-    with
-    | tree -> Some tree
-    | exception e ->
-        fail "setup raised %s" (Printexc.to_string e);
-        None
-  with
-  | None ->
-      {
-        rr_events = 0;
-        rr_txns = 0;
-        rr_crash_at = crash_at2;
-        rr_instant_cut = Some crash_at;
-        rr_failures = List.rev !failures;
-        rr_trace = [];
-        rr_event_dump = dump_if_failed failures;
-      }
-  | Some tree ->
-  Bufpool.set_steal_hook db.Db.pool ~seed:(seed + 0x51ea1)
-    ~probability:cfg.Workload.steal_probability;
-  (match cfg.Workload.faults with
-  | Some fcfg -> Faultdisk.arm ~seed:(seed lxor 0xFA17) fcfg
-  | None -> ());
-  Fun.protect ~finally:(fun () -> Faultdisk.disarm ()) @@ fun () ->
-  (* ----- phase 1: the pre-crash workload, cut at [crash_at] ----- *)
-  Crashpoint.reset ();
-  Crashpoint.arm ~at:crash_at;
+  let tree = ref None in
+  checked db failures ~what:"setup" (fun () ->
+      tree :=
+        Some (Db.with_txn db (fun txn -> Btree.create db.Db.benv txn ~name:"sim" ~unique:false)));
   let trace : Workload.trace = Vec.create () in
-  let result =
-    Db.run db ~policy:(Sched.Random seed) ~yield_probability:cfg.Workload.yield_probability
-      (fun () -> Workload.spawn_fibers db tree cfg ~seed ~trace)
-  in
-  let tripped = Crashpoint.tripped () in
-  let events1 = Crashpoint.count () in
-  Crashpoint.disarm ();
-  Bufpool.clear_steal_hook db.Db.pool;
-  (match result.Sched.outcome with
-  | Sched.Completed | Sched.Stalled _ -> ()
-  | Sched.Interrupted live -> fail "step budget exhausted with %d live fiber(s)" live);
-  List.iter
-    (fun (_, name, e) ->
-      match e with
-      | Crashpoint.Crash _ -> ()
-      | e -> fail "fiber %s raised %s (not the simulated crash)" name (Printexc.to_string e))
-    result.Sched.exns;
-  if not tripped then
-    fail "crash index %d never reached (run produced %d events)" crash_at events1;
-  (* ----- phase 2: instant restart serving a live workload ----- *)
-  let events2 = ref 0 in
-  (if !failures = [] then begin
-     let db' = Db.crash ~config:(btree_config cfg) db in
-     Bufpool.set_steal_hook db'.Db.pool ~seed:(seed + 0x51ea2)
-       ~probability:cfg.Workload.steal_probability;
-     Crashpoint.reset ();
-     (match crash_at2 with Some k -> Crashpoint.arm ~at:k | None -> ());
-     let result2 =
-       Db.run db' ~policy:(Sched.Random (seed lxor 0x1257a2))
-         ~yield_probability:cfg.Workload.yield_probability (fun () ->
-           ignore (Db.restart ~instant:true db');
-           (* restart keeps logged txn ids monotonic, but a phase-1
-              transaction that crashed before logging anything durable is
-              invisible to analysis and its id {e can} be reissued. The
-              engine never cares (such a txn has no recoverable state);
-              the two-phase oracle keys the shared trace by txn id, so
-              the harness moves phase 2 into a disjoint id range. *)
-           Aries_txn.Txnmgr.note_txn_id db'.Db.mgr 100_000;
-           (* the Db is open mid-recovery: admit the second workload phase
-              now, while the restartd daemon is still draining. Opening the
-              tree may itself trigger on-demand redo of the anchor page. *)
-           let tree' = Btree.open_existing db'.Db.benv (Btree.index_id tree) in
-           Workload.spawn_fibers ~fiber_base:cfg.Workload.fibers db' tree' cfg ~seed ~trace)
-     in
-     let tripped2 = Crashpoint.tripped () in
-     events2 := Crashpoint.count ();
-     Crashpoint.disarm ();
-     Bufpool.clear_steal_hook db'.Db.pool;
-     match crash_at2 with
-     | None -> (
-         (match result2.Sched.outcome with
-         | Sched.Completed -> ()
-         | Sched.Stalled ids ->
-             fail "recovery phase stalled with %d suspended fiber(s)" (List.length ids)
-         | Sched.Interrupted live ->
-             fail "recovery phase step budget exhausted with %d live fiber(s)" live);
-         List.iter
-           (fun (_, name, e) ->
-             fail "recovery-phase fiber %s raised %s" name (Printexc.to_string e))
-           result2.Sched.exns;
-         if !failures = [] then
-           match
-             Db.run_exn db' (fun () ->
-                 let tree' = Btree.open_existing db'.Db.benv (Btree.index_id tree) in
-                 check_state db' tree' trace ~phase:"post-instant" failures)
-           with
-           | () -> ()
-           | exception e -> fail "post-instant check raised %s" (Printexc.to_string e))
-     | Some k2 ->
-         (* the second power failure may cut instant restart itself —
-            mid-drain, mid-on-demand-redo, mid-preempted-undo. The stable
-            state is frozen at event k2; a {e classic} restart must treat
-            it like any other crash and converge. *)
-         (match result2.Sched.outcome with
-         | Sched.Completed | Sched.Stalled _ -> ()
-         | Sched.Interrupted live ->
-             fail "recovery phase step budget exhausted with %d live fiber(s)" live);
-         List.iter
-           (fun (_, name, e) ->
-             match e with
-             | Crashpoint.Crash _ -> ()
-             | e ->
-                 fail "recovery-phase fiber %s raised %s (not the simulated crash)" name
-                   (Printexc.to_string e))
-           result2.Sched.exns;
-         if not tripped2 then
-           fail "recovery-phase crash index %d never reached (phase produced %d events)" k2
-             !events2
-         else if !failures = [] then begin
-           let db'' = Db.crash ~config:(btree_config cfg) db' in
-           match
-             Db.run_exn db'' (fun () ->
-                 ignore (Db.restart db'');
-                 let tree'' = Btree.open_existing db''.Db.benv (Btree.index_id tree) in
-                 check_state db'' tree'' trace ~phase:"post-restart2" failures)
-           with
-           | () -> ()
-           | exception e -> fail "second restart raised %s" (Printexc.to_string e)
-         end
-   end);
+  let events = ref 0 in
+  (match !tree with
+  | None -> ()
+  | Some tree ->
+      (* Storage faults arm after setup (the empty tree's anchor is never
+         fault-damaged, mirroring the quiet-setup rule for crash points)
+         and stay armed through crash + restart, so recovery itself runs
+         over the adversarial disk. The fault stream is seeded from the run
+         seed, so a fault run is as replayable as a fault-free one. *)
+      Option.iter (fun f -> Faultdisk.arm ~seed:(seed lxor 0xFA17) f) cfg.Workload.faults;
+      Fun.protect ~finally:Faultdisk.disarm @@ fun () ->
+      let index = Btree.index_id tree in
+      events :=
+        workload_phase cfg db failures ~what:"workload" ~steal_seed:(seed + 0x51ea1)
+          ~policy:(Sched.Random seed) ?armed_at:crash_at (fun () ->
+            Workload.spawn_fibers db tree cfg ~seed ~trace);
+      if !failures = [] then
+        match (crash_at, instant) with
+        | None, _ ->
+            checked db failures ~what:"post-run" (fun () ->
+                check_state db tree trace ~phase:"post-run" failures)
+        | Some _, None -> restart_and_check cfg db index trace failures ~what:"post-restart"
+        | Some _, Some crash_at2 ->
+            (* Recovery during recovery: the Db opens right after Analysis
+               and a second workload phase (key slices disjoint from the
+               first, via [fiber_base]) runs against the drain daemon's
+               background redo/undo, on-demand page redo and lock-driven
+               loser preemption. [rr_events] then counts this phase, so
+               [crash_at2] is swept like [crash_at]. *)
+            let db' = Db.crash ~config:(btree_config cfg) db in
+            events :=
+              workload_phase cfg db' failures ~what:"recovery phase" ~steal_seed:(seed + 0x51ea2)
+                ~policy:(Sched.Random (seed lxor 0x1257a2)) ?armed_at:crash_at2 (fun () ->
+                  ignore (Db.restart ~instant:true db');
+                  (* a phase-1 transaction that crashed before logging
+                     anything durable is invisible to analysis and its id
+                     can be reissued; the oracle keys the shared trace by
+                     txn id, so phase 2 lives in a disjoint id range *)
+                  Aries_txn.Txnmgr.note_txn_id db'.Db.mgr 100_000;
+                  let tree' = Btree.open_existing db'.Db.benv index in
+                  Workload.spawn_fibers ~fiber_base:cfg.Workload.fibers db' tree' cfg ~seed ~trace);
+            if !failures = [] then
+              if crash_at2 = None then
+                checked db' failures ~what:"post-instant" (fun () ->
+                    check_state db'
+                      (Btree.open_existing db'.Db.benv index)
+                      trace ~phase:"post-instant" failures)
+              else
+                (* the second power failure may cut instant restart itself;
+                   its partial work (CLRs, redone pages, its restart
+                   checkpoint) is just more history for a classic restart *)
+                restart_and_check cfg db' index trace failures ~what:"post-restart2");
   {
-    rr_events = !events2;
+    Sweep.rr_events = !events;
     rr_txns = Vec.length trace;
-    rr_crash_at = crash_at2;
-    rr_instant_cut = Some crash_at;
+    rr_acked = Vec.fold (fun n t -> if t.Workload.tt_acked then n + 1 else n) 0 trace;
+    rr_resolved = 0;
     rr_failures = List.rev !failures;
     rr_trace = Workload.trace_to_string trace;
-    rr_event_dump = dump_if_failed failures;
+    rr_event_dump = Sweep.dump_if_failed failures;
   }
-
-type reproducer = {
-  rp_seed : int;
-  rp_crash_at : int option;
-  rp_instant_cut : int option;
-  rp_failures : string list;
-  rp_trace : string list;
-  rp_event_dump : string list;
-}
-
-let reproducer_of_report ~seed (r : run_report) =
-  {
-    rp_seed = seed;
-    rp_crash_at = r.rr_crash_at;
-    rp_instant_cut = r.rr_instant_cut;
-    rp_failures = r.rr_failures;
-    rp_trace = r.rr_trace;
-    rp_event_dump = r.rr_event_dump;
-  }
-
-let reproducer_line r =
-  Printf.sprintf "SIM-REPRO seed=%d%s crash_at=%s :: %s" r.rp_seed
-    (match r.rp_instant_cut with
-    | Some k -> Printf.sprintf " instant_cut=%d" k
-    | None -> "")
-    (match r.rp_crash_at with Some k -> string_of_int k | None -> "-")
-    (match r.rp_failures with [] -> "(no failure recorded)" | f :: _ -> f)
-
-let replay cfg r =
-  match r.rp_instant_cut with
-  | Some cut -> run_one_instant ?crash_at2:r.rp_crash_at cfg ~seed:r.rp_seed ~crash_at:cut
-  | None -> run_one ?crash_at:r.rp_crash_at cfg ~seed:r.rp_seed
-
-let confirms r (rep : run_report) =
-  rep.rr_failures <> [] && List.equal String.equal r.rp_failures rep.rr_failures
-
-(* Failure triage for fault sweeps. Under an armed storage-fault cfg a run
-   may legitimately end in a {e typed} storage failure (e.g. transient-EIO
-   retry exhaustion): the acceptance bar is "recover to the oracle, or fail
-   loudly with a typed [Storage_error] and a reproducer". Anything else —
-   an oracle mismatch, a leak, a discipline violation, a bare parser
-   exception — is a real bug even under faults. *)
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  m = 0
-  ||
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
-let typed_storage_failure (r : reproducer) =
-  r.rp_failures <> [] && List.for_all (contains ~sub:"Storage_error(") r.rp_failures
-
-type summary = {
-  sm_seed_runs : int;
-  sm_crash_points : int;
-  sm_events : int;
-  sm_failures : reproducer list;
-}
-
-let empty_summary = { sm_seed_runs = 0; sm_crash_points = 0; sm_events = 0; sm_failures = [] }
-
-let fatal_failures (s : summary) =
-  List.filter (fun r -> not (typed_storage_failure r)) s.sm_failures
-
-let merge a b =
-  {
-    sm_seed_runs = a.sm_seed_runs + b.sm_seed_runs;
-    sm_crash_points = a.sm_crash_points + b.sm_crash_points;
-    sm_events = a.sm_events + b.sm_events;
-    sm_failures = a.sm_failures @ b.sm_failures;
-  }
-
-let seed_sweep ?(progress = fun _ -> ()) cfg ~seeds =
-  List.fold_left
-    (fun acc seed ->
-      let r = run_one cfg ~seed in
-      let acc =
-        { acc with sm_seed_runs = acc.sm_seed_runs + 1; sm_events = acc.sm_events + r.rr_events }
-      in
-      if r.rr_failures = [] then acc
-      else begin
-        let rp = reproducer_of_report ~seed r in
-        progress (reproducer_line rp);
-        { acc with sm_failures = acc.sm_failures @ [ rp ] }
-      end)
-    empty_summary seeds
-
-(* Evenly spaced sample of [budget] indices over [1..total], always
-   including both endpoints; every index when the budget covers them all. *)
-let sample_indices ~total ~budget =
-  if total <= 0 || budget <= 0 then []
-  else if budget >= total then List.init total (fun i -> i + 1)
-  else if budget = 1 then [ total ]
-  else
-    List.init budget (fun i -> 1 + (i * (total - 1) / (budget - 1)))
-    |> List.sort_uniq compare
-
-let crash_sweep ?(progress = fun _ -> ()) cfg ~seed ~budget =
-  let recording = run_one cfg ~seed in
-  if recording.rr_failures <> [] then begin
-    let rp = reproducer_of_report ~seed recording in
-    progress (reproducer_line rp);
-    { sm_seed_runs = 1; sm_crash_points = 0; sm_events = recording.rr_events;
-      sm_failures = [ rp ] }
-  end
-  else begin
-    let ks = sample_indices ~total:recording.rr_events ~budget in
-    progress
-      (Printf.sprintf "seed %d: %d durability events, arming %d crash points" seed
-         recording.rr_events (List.length ks));
-    List.fold_left
-      (fun acc k ->
-        let r = run_one ~crash_at:k cfg ~seed in
-        let acc = { acc with sm_crash_points = acc.sm_crash_points + 1 } in
-        if r.rr_failures = [] then acc
-        else begin
-          let rp = reproducer_of_report ~seed r in
-          progress (reproducer_line rp);
-          { acc with sm_failures = acc.sm_failures @ [ rp ] }
-        end)
-      { sm_seed_runs = 1; sm_crash_points = 0; sm_events = recording.rr_events; sm_failures = [] }
-      ks
-  end
-
-(* The recovery-during-recovery sweep. One fault-free recording run learns
-   the phase-1 durability events; [budget/4] cut points are sampled across
-   them. Each cut gets a recovery-phase {e recording} run (crash + instant
-   restart + live second workload, checked against the two-phase oracle),
-   which learns that phase's own durability events; the remaining budget
-   is then spent arming second crashes inside the recovery phase — the
-   points that land mid-drain, mid-on-demand-redo and mid-preemption. *)
-let instant_sweep ?(progress = fun _ -> ()) cfg ~seed ~budget =
-  let recording = run_one cfg ~seed in
-  if recording.rr_failures <> [] then begin
-    let rp = reproducer_of_report ~seed recording in
-    progress (reproducer_line rp);
-    { sm_seed_runs = 1; sm_crash_points = 0; sm_events = recording.rr_events;
-      sm_failures = [ rp ] }
-  end
-  else begin
-    let cuts = sample_indices ~total:recording.rr_events ~budget:(max 1 (budget / 4)) in
-    let per_cut = max 1 (budget / max 1 (List.length cuts)) in
-    progress
-      (Printf.sprintf
-         "seed %d: %d phase-1 events, cutting at %d points (%d second crashes each)" seed
-         recording.rr_events (List.length cuts) per_cut);
-    List.fold_left
-      (fun acc cut ->
-        let rec2 = run_one_instant cfg ~seed ~crash_at:cut in
-        let acc =
-          {
-            acc with
-            sm_crash_points = acc.sm_crash_points + 1;
-            sm_events = acc.sm_events + rec2.rr_events;
-          }
-        in
-        if rec2.rr_failures <> [] then begin
-          let rp = reproducer_of_report ~seed rec2 in
-          progress (reproducer_line rp);
-          { acc with sm_failures = acc.sm_failures @ [ rp ] }
-        end
-        else
-          List.fold_left
-            (fun acc k2 ->
-              let r = run_one_instant ~crash_at2:k2 cfg ~seed ~crash_at:cut in
-              let acc = { acc with sm_crash_points = acc.sm_crash_points + 1 } in
-              if r.rr_failures = [] then acc
-              else begin
-                let rp = reproducer_of_report ~seed r in
-                progress (reproducer_line rp);
-                { acc with sm_failures = acc.sm_failures @ [ rp ] }
-              end)
-            acc
-            (sample_indices ~total:rec2.rr_events ~budget:per_cut))
-      { sm_seed_runs = 1; sm_crash_points = 0; sm_events = recording.rr_events; sm_failures = [] }
-      cuts
-  end
-
-let sweep ?progress cfg ~seeds ~crash_seeds ~crash_budget =
-  let s1 = seed_sweep ?progress cfg ~seeds in
-  List.fold_left
-    (fun acc seed -> merge acc (crash_sweep ?progress cfg ~seed ~budget:crash_budget))
-    s1 crash_seeds

@@ -44,7 +44,7 @@ type cfg = {
   segment_size : int;  (** WAL segment size — small, so truncation happens mid-run *)
   streams : int;  (** number of parallel WAL streams (1 = the classic single log) *)
   faults : Aries_util.Faultdisk.cfg option;
-      (** storage-fault injection (PR 5): armed by [Sim.run_one] for the
+      (** storage-fault injection: armed by {!Sim.run} for the
           workload + crash/restart phases, seeded from the run seed *)
 }
 

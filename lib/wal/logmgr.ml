@@ -65,6 +65,8 @@ type t = {
 
 let next_id = ref 0
 
+let reset_ids () = next_id := 0
+
 let fresh_segment base =
   { seg_base = base; seg_data = Bytebuf.W.create ~size:1024 (); seg_sealed = false; seg_records = 0 }
 

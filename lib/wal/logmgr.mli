@@ -42,9 +42,14 @@ val create : ?segment_size:int -> unit -> t
 val default_segment_size : int
 
 val id : t -> int
-(** Process-unique id of this log instance, used by the protocol tracer to
-    key durability events ([Log_open]/[Log_force]/[Commit_ack]/[Page_write])
-    to the right log. *)
+(** Id of this log instance, unique since the last {!reset_ids}, used by
+    the protocol tracer to key durability events
+    ([Log_open]/[Log_force]/[Commit_ack]/[Page_write]) to the right log. *)
+
+val reset_ids : unit -> unit
+(** Number the next log 1 again. Only for a fresh simulated machine, when
+    no earlier log is used any more: its ids (and so its violation
+    messages and event dumps) then do not depend on what ran before. *)
 
 val segment_size : t -> int
 

@@ -7,24 +7,35 @@
 
 open Aries_util
 module Sim = Aries_sim.Sim
+module Sweep = Aries_sim.Sweep
 module Workload = Aries_sim.Workload
+
+module Shardsim = Aries_sim.Shardsim
 
 let cfg = Workload.default_cfg
 
+let seed_runs ~workload cfg seeds =
+  Sweep.runs ~workload (Sim.run cfg) (List.map (fun seed -> (seed, Sweep.Run)) seeds)
+
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let fail_with reproducers =
-  List.iter (fun rp -> print_endline (Sim.reproducer_line rp)) reproducers;
+  List.iter (fun rp -> print_endline (Sweep.reproducer_line rp)) reproducers;
   Alcotest.failf "%d failing run(s); first: %s" (List.length reproducers)
-    (Sim.reproducer_line (List.hd reproducers))
+    (Sweep.reproducer_line (List.hd reproducers))
 
 (* 64 seeds, every run to completion: no stall, no exn, invariants clean,
    oracle match, no leaked latch/fix/lock/txn. *)
 let test_seed_sweep () =
   let seeds = List.init 64 (fun i -> i + 1) in
-  let s = Sim.seed_sweep cfg ~seeds in
-  Alcotest.(check int) "runs" 64 s.Sim.sm_seed_runs;
-  if s.Sim.sm_failures <> [] then fail_with s.Sim.sm_failures;
+  let s = seed_runs ~workload:"default" cfg seeds in
+  Alcotest.(check int) "runs" 64 s.Sweep.sm_runs;
+  if s.Sweep.sm_failures <> [] then fail_with s.Sweep.sm_failures;
   (* the sweep must actually exercise durability machinery *)
-  Alcotest.(check bool) "events seen" true (s.Sim.sm_events > 64)
+  Alcotest.(check bool) "events seen" true (s.Sweep.sm_events > 64)
 
 (* Crash sweeps over five seeds with a per-seed budget of 60 indices:
    >= 200 distinct (seed, crash index) points, each followed by
@@ -35,9 +46,9 @@ let test_crash_sweep () =
   let failures = ref [] in
   List.iter
     (fun seed ->
-      let s = Sim.crash_sweep cfg ~seed ~budget:60 in
-      points := !points + s.Sim.sm_crash_points;
-      failures := !failures @ s.Sim.sm_failures)
+      let s = Sweep.crash_sweep ~workload:"default" (Sim.run cfg) ~seed ~budget:60 in
+      points := !points + s.Sweep.sm_armed;
+      failures := !failures @ s.Sweep.sm_failures)
     seeds;
   if !failures <> [] then fail_with !failures;
   Alcotest.(check bool)
@@ -53,9 +64,9 @@ let gcfg = Workload.group_cfg
 
 let test_seed_sweep_group () =
   let seeds = List.init 48 (fun i -> i + 1) in
-  let s = Sim.seed_sweep gcfg ~seeds in
-  Alcotest.(check int) "runs" 48 s.Sim.sm_seed_runs;
-  if s.Sim.sm_failures <> [] then fail_with s.Sim.sm_failures
+  let s = seed_runs ~workload:"group+cleaner" gcfg seeds in
+  Alcotest.(check int) "runs" 48 s.Sweep.sm_runs;
+  if s.Sweep.sm_failures <> [] then fail_with s.Sweep.sm_failures
 
 let test_crash_sweep_group () =
   let seeds = [ 606; 707; 808; 909 ] in
@@ -63,9 +74,9 @@ let test_crash_sweep_group () =
   let failures = ref [] in
   List.iter
     (fun seed ->
-      let s = Sim.crash_sweep gcfg ~seed ~budget:60 in
-      points := !points + s.Sim.sm_crash_points;
-      failures := !failures @ s.Sim.sm_failures)
+      let s = Sweep.crash_sweep ~workload:"group+cleaner" (Sim.run gcfg) ~seed ~budget:60 in
+      points := !points + s.Sweep.sm_armed;
+      failures := !failures @ s.Sweep.sm_failures)
     seeds;
   if !failures <> [] then fail_with !failures;
   Alcotest.(check bool)
@@ -76,34 +87,27 @@ let test_crash_sweep_group () =
    reports on re-execution, for both completed and crash-cut runs, in both
    commit modes (the daemons derive every choice from the scheduler). *)
 let test_determinism () =
-  let a = Sim.run_one cfg ~seed:7 in
-  let b = Sim.run_one cfg ~seed:7 in
+  let a = Sim.run cfg ~seed:7 Sweep.Run in
+  let b = Sim.run cfg ~seed:7 Sweep.Run in
   Alcotest.(check bool) "completed runs identical" true (a = b);
-  let a = Sim.run_one ~crash_at:41 cfg ~seed:7 in
-  let b = Sim.run_one ~crash_at:41 cfg ~seed:7 in
+  let a = Sim.run cfg ~seed:7 (Sweep.Crash 41) in
+  let b = Sim.run cfg ~seed:7 (Sweep.Crash 41) in
   Alcotest.(check bool) "crash-cut runs identical" true (a = b);
-  Alcotest.(check (option int)) "crash index recorded" (Some 41) a.Sim.rr_crash_at;
-  let a = Sim.run_one gcfg ~seed:7 in
-  let b = Sim.run_one gcfg ~seed:7 in
+  let a = Sim.run gcfg ~seed:7 Sweep.Run in
+  let b = Sim.run gcfg ~seed:7 Sweep.Run in
   Alcotest.(check bool) "group-mode completed runs identical" true (a = b);
-  let a = Sim.run_one ~crash_at:41 gcfg ~seed:7 in
-  let b = Sim.run_one ~crash_at:41 gcfg ~seed:7 in
+  let a = Sim.run gcfg ~seed:7 (Sweep.Crash 41) in
+  let b = Sim.run gcfg ~seed:7 (Sweep.Crash 41) in
   Alcotest.(check bool) "group-mode crash-cut runs identical" true (a = b)
 
 (* Arming a crash index past the end of the run is reported, not silently
    ignored — replaying a stale reproducer against a changed tree stays loud. *)
 let test_unreachable_crash_index () =
-  let r = Sim.run_one ~crash_at:1_000_000 cfg ~seed:3 in
-  match r.Sim.rr_failures with
+  let r = Sim.run cfg ~seed:3 (Sweep.Crash 1_000_000) in
+  match r.Sweep.rr_failures with
   | [] -> Alcotest.fail "unreachable crash index not reported"
   | msg :: _ ->
-      let mentions_never_reached =
-        let sub = "never reached" in
-        let n = String.length sub and m = String.length msg in
-        let rec go i = i + n <= m && (String.sub msg i n = sub || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool) "mentions never reached" true mentions_never_reached
+      Alcotest.(check bool) "mentions never reached" true (contains ~sub:"never reached" msg)
 
 (* The meta-test: with the WAL skip-flush fault enabled (commits are acked
    without their log force reaching stable storage), the harness MUST find
@@ -112,17 +116,20 @@ let test_unreachable_crash_index () =
 let test_injected_fault_is_caught () =
   Fun.protect ~finally:Crashpoint.clear_faults (fun () ->
       Crashpoint.enable_fault Crashpoint.fault_wal_skip_flush;
-      let s = Sim.sweep cfg ~seeds:[ 11; 12 ] ~crash_seeds:[ 11; 12 ] ~crash_budget:25 in
-      match s.Sim.sm_failures with
+      let s =
+        Sweep.sweep ~workload:"default" (Sim.run cfg) ~seeds:[ 11; 12 ] ~crash_seeds:[ 11; 12 ]
+          ~crash_budget:25
+      in
+      match s.Sweep.sm_failures with
       | [] -> Alcotest.fail "skip-flush fault escaped the harness"
       | rp :: _ ->
-          let line = Sim.reproducer_line rp in
+          let line = Sweep.reproducer_line rp in
           Alcotest.(check string) "reproducer line prefix" "SIM-REPRO" (String.sub line 0 9);
-          let rep = Sim.replay cfg rp in
-          Alcotest.(check bool) "replay reproduces the failure" true (Sim.confirms rp rep));
+          let rep = Sim.run cfg ~seed:rp.Sweep.rp_seed rp.Sweep.rp_mode in
+          Alcotest.(check bool) "replay reproduces the failure" true (Sweep.confirms rp rep));
   (* and with the fault cleared, the very same seed passes again *)
-  let r = Sim.run_one cfg ~seed:11 in
-  Alcotest.(check (list string)) "clean after fault removed" [] r.Sim.rr_failures
+  let r = Sim.run cfg ~seed:11 Sweep.Run in
+  Alcotest.(check (list string)) "clean after fault removed" [] r.Sweep.rr_failures
 
 (* The same meta-test under group commit: the daemon's batched force goes
    through the identical instrumented choke point, so the skip-flush fault
@@ -132,14 +139,17 @@ let test_injected_fault_is_caught () =
 let test_injected_fault_is_caught_group () =
   Fun.protect ~finally:Crashpoint.clear_faults (fun () ->
       Crashpoint.enable_fault Crashpoint.fault_wal_skip_flush;
-      let s = Sim.sweep gcfg ~seeds:[ 11; 12 ] ~crash_seeds:[ 11; 12 ] ~crash_budget:25 in
-      match s.Sim.sm_failures with
+      let s =
+        Sweep.sweep ~workload:"group+cleaner" (Sim.run gcfg) ~seeds:[ 11; 12 ]
+          ~crash_seeds:[ 11; 12 ] ~crash_budget:25
+      in
+      match s.Sweep.sm_failures with
       | [] -> Alcotest.fail "skip-flush fault escaped the group-commit harness"
       | rp :: _ ->
-          let rep = Sim.replay gcfg rp in
-          Alcotest.(check bool) "replay reproduces the failure" true (Sim.confirms rp rep));
-  let r = Sim.run_one gcfg ~seed:11 in
-  Alcotest.(check (list string)) "clean after fault removed" [] r.Sim.rr_failures
+          let rep = Sim.run gcfg ~seed:rp.Sweep.rp_seed rp.Sweep.rp_mode in
+          Alcotest.(check bool) "replay reproduces the failure" true (Sweep.confirms rp rep));
+  let r = Sim.run gcfg ~seed:11 Sweep.Run in
+  Alcotest.(check (list string)) "clean after fault removed" [] r.Sweep.rr_failures
 
 (* ------------------------------------------------------------------ *)
 (* Storage-fault sweeps (PR 5): the same workloads over an adversarial
@@ -152,9 +162,9 @@ let test_fault_seed_sweep () =
   let sink = Stats.create () in
   let s =
     Stats.with_sink sink (fun () ->
-        Sim.seed_sweep Workload.fault_cfg ~seeds:(List.init 32 (fun i -> i + 1)))
+        seed_runs ~workload:"faults" Workload.fault_cfg (List.init 32 (fun i -> i + 1)))
   in
-  (match Sim.fatal_failures s with [] -> () | fs -> fail_with fs);
+  (match Sweep.fatal_failures s with [] -> () | fs -> fail_with fs);
   (* the adversarial disk must actually have misbehaved, and bounded
      retries must have absorbed the transient errors (a completed run under
      faults implies every EIO was retried away) *)
@@ -170,9 +180,11 @@ let test_fault_crash_sweep () =
   Stats.with_sink sink (fun () ->
       List.iter
         (fun seed ->
-          let s = Sim.crash_sweep Workload.fault_cfg ~seed ~budget:30 in
-          points := !points + s.Sim.sm_crash_points;
-          fatal := !fatal @ Sim.fatal_failures s)
+          let s =
+            Sweep.crash_sweep ~workload:"faults" (Sim.run Workload.fault_cfg) ~seed ~budget:30
+          in
+          points := !points + s.Sweep.sm_armed;
+          fatal := !fatal @ Sweep.fatal_failures s)
         [ 1101; 2202; 3303 ]);
   if !fatal <> [] then fail_with !fatal;
   Alcotest.(check bool)
@@ -198,9 +210,12 @@ let test_fault_crash_sweep_group () =
   let fatal = ref [] in
   List.iter
     (fun seed ->
-      let s = Sim.crash_sweep Workload.fault_group_cfg ~seed ~budget:30 in
-      points := !points + s.Sim.sm_crash_points;
-      fatal := !fatal @ Sim.fatal_failures s)
+      let s =
+        Sweep.crash_sweep ~workload:"faults+group+cleaner" (Sim.run Workload.fault_group_cfg)
+          ~seed ~budget:30
+      in
+      points := !points + s.Sweep.sm_armed;
+      fatal := !fatal @ Sweep.fatal_failures s)
     [ 4404; 5505 ];
   if !fatal <> [] then fail_with !fatal;
   Alcotest.(check bool)
@@ -215,11 +230,11 @@ let test_fault_eio_storm () =
   let sink = Stats.create () in
   let s =
     Stats.with_sink sink (fun () ->
-        Sim.sweep Workload.fault_eio_cfg
+        Sweep.sweep ~workload:"eio-only+group" (Sim.run Workload.fault_eio_cfg)
           ~seeds:(List.init 16 (fun i -> i + 21))
           ~crash_seeds:[ 21; 22 ] ~crash_budget:20)
   in
-  if s.Sim.sm_failures <> [] then fail_with s.Sim.sm_failures;
+  if s.Sweep.sm_failures <> [] then fail_with s.Sweep.sm_failures;
   Alcotest.(check bool) "the storm actually hit" true
     (Stats.get sink Stats.disk_eio_injected > 0);
   Alcotest.(check bool) "retries absorbed it" true (Stats.get sink Stats.disk_retries > 0)
@@ -227,11 +242,11 @@ let test_fault_eio_storm () =
 (* Fault runs are as replayable as fault-free ones: the fault stream is a
    pure function of (run seed, cfg). *)
 let test_fault_determinism () =
-  let a = Sim.run_one Workload.fault_cfg ~seed:9 in
-  let b = Sim.run_one Workload.fault_cfg ~seed:9 in
+  let a = Sim.run Workload.fault_cfg ~seed:9 Sweep.Run in
+  let b = Sim.run Workload.fault_cfg ~seed:9 Sweep.Run in
   Alcotest.(check bool) "fault runs identical" true (a = b);
-  let a = Sim.run_one ~crash_at:23 Workload.fault_cfg ~seed:9 in
-  let b = Sim.run_one ~crash_at:23 Workload.fault_cfg ~seed:9 in
+  let a = Sim.run Workload.fault_cfg ~seed:9 (Sweep.Crash 23) in
+  let b = Sim.run Workload.fault_cfg ~seed:9 (Sweep.Crash 23) in
   Alcotest.(check bool) "fault crash-cut runs identical" true (a = b)
 
 (* The meta-fault: with CRC verification switched off, bit-rot flows
@@ -250,14 +265,14 @@ let test_crc_disabled_meta_fault () =
       let failures = ref [] in
       List.iter
         (fun seed ->
-          let s = Sim.crash_sweep cfg ~seed ~budget:25 in
-          failures := !failures @ s.Sim.sm_failures)
+          let s = Sweep.crash_sweep ~workload:"bitrot" (Sim.run cfg) ~seed ~budget:25 in
+          failures := !failures @ s.Sweep.sm_failures)
         [ 31; 32; 33 ];
       match !failures with
       | [] -> Alcotest.fail "bit-rot with CRC checks disabled escaped the oracle"
       | rp :: _ ->
-          let rep = Sim.replay cfg rp in
-          Alcotest.(check bool) "replay reproduces the failure" true (Sim.confirms rp rep))
+          let rep = Sim.run cfg ~seed:rp.Sweep.rp_seed rp.Sweep.rp_mode in
+          Alcotest.(check bool) "replay reproduces the failure" true (Sweep.confirms rp rep))
 
 (* ------------------------------------------------------------------ *)
 (* Instant restart (PR 6): recovery during recovery. Phase 1 crashes the
@@ -272,9 +287,9 @@ let test_instant_sweep () =
   let points = ref 0 and failures = ref [] in
   List.iter
     (fun seed ->
-      let s = Sim.instant_sweep cfg ~seed ~budget:40 in
-      points := !points + s.Sim.sm_crash_points;
-      failures := !failures @ s.Sim.sm_failures)
+      let s = Sweep.instant_sweep ~workload:"default" (Sim.run cfg) ~seed ~budget:40 in
+      points := !points + s.Sweep.sm_armed;
+      failures := !failures @ s.Sweep.sm_failures)
     [ 61; 62; 63 ];
   if !failures <> [] then fail_with !failures;
   Alcotest.(check bool)
@@ -285,9 +300,9 @@ let test_instant_sweep_group () =
   let points = ref 0 and failures = ref [] in
   List.iter
     (fun seed ->
-      let s = Sim.instant_sweep gcfg ~seed ~budget:30 in
-      points := !points + s.Sim.sm_crash_points;
-      failures := !failures @ s.Sim.sm_failures)
+      let s = Sweep.instant_sweep ~workload:"group+cleaner" (Sim.run gcfg) ~seed ~budget:30 in
+      points := !points + s.Sweep.sm_armed;
+      failures := !failures @ s.Sweep.sm_failures)
     [ 71; 72 ];
   if !failures <> [] then fail_with !failures;
   Alcotest.(check bool)
@@ -295,57 +310,36 @@ let test_instant_sweep_group () =
     true (!points >= 30)
 
 (* Two-phase instant runs are as deterministic as plain ones, and the
-   reproducer round-trips through replay. *)
+   mode round-trips through its reproducer string. *)
 let test_instant_determinism () =
-  let a = Sim.run_one_instant cfg ~seed:7 ~crash_at:5 in
-  let b = Sim.run_one_instant cfg ~seed:7 ~crash_at:5 in
+  let a = Sim.run cfg ~seed:7 (Sweep.Instant (5, None)) in
+  let b = Sim.run cfg ~seed:7 (Sweep.Instant (5, None)) in
   Alcotest.(check bool) "instant runs identical" true (a = b);
-  Alcotest.(check (option int)) "cut recorded" (Some 5) a.Sim.rr_instant_cut;
-  let a = Sim.run_one_instant ~crash_at2:3 cfg ~seed:7 ~crash_at:5 in
-  let b = Sim.run_one_instant ~crash_at2:3 cfg ~seed:7 ~crash_at:5 in
+  let mode = Sweep.Instant (5, Some 3) in
+  let a = Sim.run cfg ~seed:7 mode in
+  let b = Sim.run cfg ~seed:7 mode in
   Alcotest.(check bool) "recovery-crash runs identical" true (a = b);
-  Alcotest.(check (option int)) "second crash recorded" (Some 3) a.Sim.rr_crash_at;
-  (* a reproducer carrying both indices replays to the same report *)
-  let rp =
-    {
-      Sim.rp_seed = 7;
-      rp_crash_at = Some 3;
-      rp_instant_cut = Some 5;
-      rp_failures = a.Sim.rr_failures;
-      rp_trace = [];
-      rp_event_dump = [];
-    }
-  in
-  let rep = Sim.replay cfg rp in
+  Alcotest.(check string) "mode string" "instant=5/3" (Sweep.mode_to_string mode);
+  let rep = Sim.run cfg ~seed:7 (Sweep.mode_of_string (Sweep.mode_to_string mode)) in
   Alcotest.(check bool) "replay matches" true (rep = a)
 
 (* Pinned reproducers: runs that once failed, replayed to a clean pass. *)
-let replay_clean cfg ~seed ?crash_at ?instant_cut () =
-  let rp =
-    {
-      Sim.rp_seed = seed;
-      rp_crash_at = crash_at;
-      rp_instant_cut = instant_cut;
-      rp_failures = [];
-      rp_trace = [];
-      rp_event_dump = [];
-    }
-  in
-  let rep = Sim.replay cfg rp in
-  Alcotest.(check (list string)) "no failures" [] rep.Sim.rr_failures
+let replay_clean cfg ~seed mode =
+  let rep = Sim.run cfg ~seed (Sweep.mode_of_string mode) in
+  Alcotest.(check (list string)) "no failures" [] rep.Sweep.rr_failures
 
 (* Four streams with the crash-time flush shuffle: a checkpoint that
    survived without its master named records the shuffle lost. Instant
    restart must take per-page chains from the anchoring checkpoint only,
    or per-page redo reads past a stream's end and loses pages. *)
 let test_replay_nonanchor_chains () =
-  replay_clean Workload.multistream_group_cfg ~seed:1003 ~instant_cut:85 ()
+  replay_clean Workload.multistream_group_cfg ~seed:1003 "instant=85"
 
 (* Bit-rot on the repair's own page write: the repairer healed the page in
    the pool, and the fix must serve that frame instead of re-reading the
    rotted image and failing with a checksum error. *)
 let test_replay_repair_serves_healed_page () =
-  replay_clean Workload.fault_group_cfg ~seed:1002 ~crash_at:144 ()
+  replay_clean Workload.fault_group_cfg ~seed:1002 "crash=144"
 
 (* A harder cfg: more fibers and txns, tighter pool, hotter yields — the
    shape the bench entry scales up. One seed keeps CI fast. *)
@@ -361,8 +355,76 @@ let test_stress_cfg () =
       steal_probability = 0.25;
     }
   in
-  let s = Sim.sweep cfg ~seeds:[ 900 ] ~crash_seeds:[ 901 ] ~crash_budget:40 in
-  if s.Sim.sm_failures <> [] then fail_with s.Sim.sm_failures
+  let s =
+    Sweep.sweep ~workload:"stress" (Sim.run cfg) ~seeds:[ 900 ] ~crash_seeds:[ 901 ]
+      ~crash_budget:40
+  in
+  if s.Sweep.sm_failures <> [] then fail_with s.Sweep.sm_failures
+
+(* A violation that kills one fiber can leave its peers suspended on the
+   dead fiber's locks while the service daemons keep yielding: the run
+   must end at the step budget with the violation and the budget both
+   reported, not spin. *)
+let check_ends_at_budget ~rule (r : Sweep.report) =
+  match List.rev r.Sweep.rr_failures with
+  | last :: rest ->
+      Alcotest.(check bool) "ends with the exhausted budget" true
+        (contains ~sub:"step budget exhausted" last);
+      Alcotest.(check bool) ("reports the " ^ rule ^ " violation") true
+        (List.exists (contains ~sub:(rule ^ ":")) rest)
+  | [] -> Alcotest.fail "meta-fault run passed"
+
+let test_mvcc_reader_lock_ends_at_budget () =
+  Fun.protect ~finally:Crashpoint.clear_faults (fun () ->
+      Crashpoint.enable_fault Crashpoint.fault_mvcc_reader_key_lock;
+      check_ends_at_budget ~rule:"R9" (Sim.run Workload.mvcc_cfg ~seed:16 Sweep.Run))
+
+(* ------------------------------------------------------------------ *)
+(* The sharded harness under the same engine: a small sweep over every
+   mode, determinism, and the presumed-abort meta-fault (a coordinator
+   that acknowledges its commit decision before forcing it, rule R10). *)
+
+let scfg = Shardsim.default_cfg
+
+let test_shard_sweep () =
+  let s =
+    Shardsim.sweep ~workload:"shards" scfg ~seeds:[ 1; 2 ] ~crash_seeds:[ 1001 ] ~crash_budget:6
+  in
+  if s.Sweep.sm_failures <> [] then fail_with s.Sweep.sm_failures;
+  (* 2 seed runs, 1 crash recording, one kill recording per shard, one
+     downed-shard run per shard *)
+  Alcotest.(check int) "unarmed runs" (3 + (2 * scfg.Shardsim.shards))
+    (s.Sweep.sm_runs - s.Sweep.sm_armed);
+  Alcotest.(check bool) "crash and kill points armed" true (s.Sweep.sm_armed >= 6);
+  Alcotest.(check bool) "commits acknowledged" true (s.Sweep.sm_acked > 0)
+
+let test_shard_determinism () =
+  List.iter
+    (fun mode ->
+      let a = Shardsim.run scfg ~seed:3 mode in
+      let b = Shardsim.run scfg ~seed:3 mode in
+      Alcotest.(check bool) (Sweep.mode_to_string mode ^ " runs identical") true (a = b))
+    Sweep.[ Run; Crash 40; Instant (30, None); Kill (1, Some 30); Down 2 ]
+
+let test_shard_early_decide_replays () =
+  Fun.protect ~finally:Crashpoint.clear_faults (fun () ->
+      Crashpoint.enable_fault Crashpoint.fault_twopc_early_decide;
+      let s =
+        Shardsim.sweep ~workload:"shards" scfg ~seeds:[ 1; 2 ] ~crash_seeds:[ 1001 ] ~crash_budget:6
+      in
+      match s.Sweep.sm_failures with
+      | [] -> Alcotest.fail "2pc.early-decide escaped the sharded harness"
+      | rp :: _ ->
+          let rep =
+            Shardsim.run scfg ~seed:rp.Sweep.rp_seed
+              (Sweep.mode_of_string (Sweep.mode_to_string rp.Sweep.rp_mode))
+          in
+          Alcotest.(check bool) "replay reproduces the failure" true (Sweep.confirms rp rep))
+
+let test_shard_early_decide_ends_at_budget () =
+  Fun.protect ~finally:Crashpoint.clear_faults (fun () ->
+      Crashpoint.enable_fault Crashpoint.fault_twopc_early_decide;
+      check_ends_at_budget ~rule:"R10" (Shardsim.run scfg ~seed:1 Sweep.Run))
 
 let () =
   Alcotest.run "sim"
@@ -382,6 +444,17 @@ let () =
           Alcotest.test_case "injected skip-flush fault is caught (group commit)" `Quick
             test_injected_fault_is_caught_group;
           Alcotest.test_case "stress cfg" `Quick test_stress_cfg;
+          Alcotest.test_case "mvcc.reader-key-lock run ends at the step budget" `Quick
+            test_mvcc_reader_lock_ends_at_budget;
+        ] );
+      ( "shards",
+        [
+          Alcotest.test_case "seed, crash, kill and degrade sweep" `Quick test_shard_sweep;
+          Alcotest.test_case "determinism" `Quick test_shard_determinism;
+          Alcotest.test_case "2pc.early-decide reproducer replays" `Quick
+            test_shard_early_decide_replays;
+          Alcotest.test_case "2pc.early-decide run ends at the step budget" `Quick
+            test_shard_early_decide_ends_at_budget;
         ] );
       ( "instant",
         [
