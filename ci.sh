@@ -12,6 +12,11 @@
 # The q16 gate holds the hot-path speed pass: slice-by-16 CRC >= 4x the
 # bytewise baseline, page-codec CRC overhead <= 25.5%, arena reuse on
 # every steady-state log append, and an all-hit image-cache probe storm.
+# The benchmark smoke runs each end-to-end workload for one second: its
+# numbers are not gated here, but its own checks are (determinism across
+# rounds, consistency and leak audits after the crash/restart, and
+# per-workload counter checks such as read-spill's buffer misses), so a
+# counter that stops being bumped fails the gate.
 set -eu
 
 cd "$(dirname "$0")"
@@ -28,6 +33,11 @@ if [ "${1:-}" != "fast" ]; then
 
   echo "== sim smoke matrix =="
   dune exec bench/main.exe -- sim smoke all
+
+  echo "== benchmark smoke (perfbench, correctness checks only) =="
+  for w in read-spill write-hot shard-2pc; do
+    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0
+  done
 fi
 
 echo "ci.sh: all green"

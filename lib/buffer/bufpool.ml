@@ -7,6 +7,18 @@ module Disk = Aries_page.Disk
 module Trace = Aries_trace.Trace
 module Sched = Aries_sched.Sched
 
+let c_disk_retries = Stats.counter Stats.disk_retries
+let c_bufpool_image_hits = Stats.counter Stats.bufpool_image_hits
+let c_bufpool_image_misses = Stats.counter Stats.bufpool_image_misses
+let c_bufpool_image_invalidations = Stats.counter Stats.bufpool_image_invalidations
+let c_disk_quarantines = Stats.counter Stats.disk_quarantines
+let c_page_fixes = Stats.counter Stats.page_fixes
+let c_bufpool_overflow = Stats.counter "bufpool.overflow"
+let c_bufpool_evict_dirty = Stats.counter "bufpool.evict_dirty"
+let c_bufpool_evict_clean = Stats.counter "bufpool.evict_clean"
+let c_bufpool_stolen = Stats.counter "bufpool.stolen"
+let cp_bufpool_write = Crashpoint.point "bufpool.write"
+
 exception Page_vanished of Ids.page_id
 
 type frame = {
@@ -97,7 +109,7 @@ let retrying ~pid ~target f =
         if attempt >= max_io_retries then
           Storage_error.raise_err ~pid Storage_error.Retry_exhausted
             "%s on page %d still failing after %d retries" target pid attempt;
-        Stats.incr Stats.disk_retries;
+        Stats.incr c_disk_retries;
         if Trace.enabled () then
           Trace.emit (Trace.Io_retry { target; pid; attempt = attempt + 1 });
         if Sched.in_fiber () then Sched.yield ();
@@ -112,10 +124,10 @@ let retrying ~pid ~target f =
 let frame_image t f =
   match f.image with
   | Some img when Lsn.compare f.image_lsn f.page.Page.page_lsn = 0 ->
-      Stats.incr Stats.bufpool_image_hits;
+      Stats.incr c_bufpool_image_hits;
       img
   | Some _ | None ->
-      Stats.incr Stats.bufpool_image_misses;
+      Stats.incr c_bufpool_image_misses;
       let img = Page.encode_into t.enc f.page in
       f.image <- Some img;
       f.image_lsn <- f.page.Page.page_lsn;
@@ -127,14 +139,14 @@ let invalidate_image f =
   | Some _ ->
       f.image <- None;
       f.image_lsn <- Lsn.nil;
-      Stats.incr Stats.bufpool_image_invalidations
+      Stats.incr c_bufpool_image_invalidations
 
 let write_frame t f =
   let pid = f.page.Page.pid in
   retrying ~pid ~target:"page-write" (fun () ->
       (* A crash point of its own: the instant between the eviction decision
          and the WAL force (Logmgr/Disk add finer points inside). *)
-      Crashpoint.hit "bufpool.write";
+      Crashpoint.hit cp_bufpool_write;
       (* WAL rule, per stream: all of a page's records live on its routed
          stream, so forcing *that* stream to the page's [page_lsn] covers
          every record the image reflects — no other stream needs forcing.
@@ -178,13 +190,13 @@ let evict_one t =
       t.frames None
   in
   match victim with
-  | None -> Stats.incr "bufpool.overflow"  (* all frames fixed: let the pool grow *)
+  | None -> Stats.incr c_bufpool_overflow  (* all frames fixed: let the pool grow *)
   | Some f ->
       if f.dirty then begin
-        Stats.incr "bufpool.evict_dirty";
+        Stats.incr c_bufpool_evict_dirty;
         write_frame t f
       end
-      else Stats.incr "bufpool.evict_clean";
+      else Stats.incr c_bufpool_evict_clean;
       Hashtbl.remove t.frames f.page.Page.pid
 
 let make_room t = if Hashtbl.length t.frames >= t.capacity then evict_one t
@@ -224,7 +236,7 @@ let read_page t pid =
       { cause = Storage_error.Checksum | Storage_error.Decode; detail; _ } as e -> (
       match t.repairer with
       | Some repair when not t.repairing ->
-          Stats.incr Stats.disk_quarantines;
+          Stats.incr c_disk_quarantines;
           if Trace.enabled () then Trace.emit (Trace.Page_quarantined { pid; cause = detail });
           t.repairing <- true;
           let healed =
@@ -246,7 +258,7 @@ let fix_opt t pid =
      including the redo roll-forward's own fix of the same page, which the
      engine de-pends before replaying. *)
   (match t.redo_hook with None -> () | Some h -> h pid);
-  Stats.incr Stats.page_fixes;
+  Stats.incr c_page_fixes;
   let r =
     match Hashtbl.find_opt t.frames pid with
     | Some f -> fix_frame t f
@@ -263,7 +275,7 @@ let fix_opt t pid =
 let fix t pid = match fix_opt t pid with Some p -> p | None -> raise (Page_vanished pid)
 
 let fix_new t pid content =
-  Stats.incr Stats.page_fixes;
+  Stats.incr c_page_fixes;
   assert (not (Hashtbl.mem t.frames pid));
   let page = Page.create ~psize:(page_size t) ~pid content in
   if Trace.enabled () then Trace.emit (Trace.Page_fix { pool = t.id; pid });
@@ -298,7 +310,7 @@ let steal_some t =
         | [] -> ()
         | fs ->
             let f = List.nth fs (Rng.int rng (List.length fs)) in
-            Stats.incr "bufpool.stolen";
+            Stats.incr c_bufpool_stolen;
             write_frame t f
       end
 

@@ -1,6 +1,9 @@
 open Aries_util
 module Sched = Aries_sched.Sched
 
+let c_cleaner_rounds = Stats.counter Stats.cleaner_rounds
+let c_cleaner_pages_written = Stats.counter Stats.cleaner_pages_written
+
 type cfg = { interval_steps : int; batch_pages : int }
 
 let default_cfg = { interval_steps = 16; batch_pages = 2 }
@@ -24,8 +27,8 @@ let run_daemon pool cfg ~stop =
       done;
       if not (stopping ()) then begin
         let n = Bufpool.clean_some pool ~max_pages:cfg.batch_pages in
-        Stats.incr Stats.cleaner_rounds;
-        if n > 0 then Stats.add Stats.cleaner_pages_written n;
+        Stats.incr c_cleaner_rounds;
+        if n > 0 then Stats.add c_cleaner_pages_written n;
         loop ()
       end
     end

@@ -12,6 +12,13 @@ module Logrec = Aries_wal.Logrec
 module Logset = Aries_wal.Logset
 module Trace = Aries_trace.Trace
 
+let c_tree_traversals = Stats.counter Stats.tree_traversals
+let c_smo_splits = Stats.counter Stats.smo_splits
+let c_smo_page_deletes = Stats.counter Stats.smo_page_deletes
+let c_mvcc_snapshot_reads = Stats.counter Stats.mvcc_snapshot_reads
+let c_page_oriented_undos = Stats.counter Stats.page_oriented_undos
+let c_logical_undos = Stats.counter Stats.logical_undos
+
 exception Unique_violation of string
 
 exception Key_not_found of string
@@ -388,7 +395,7 @@ let read_anchor t ctx =
    descends while HOLDING the tree sync in S — no SMO can be in flight, so
    the stale bit is provably stale and the rightmost route is trustworthy. *)
 let traverse t ctx txn ~write ~ignore_sm ~probe =
-  Stats.incr Stats.tree_traversals;
+  Stats.incr c_tree_traversals;
   (* If the transaction already holds the tree lock (it is inside its own
      SMO), the S hold is a temporary conversion: remember the prior mode and
      downgrade back instead of releasing. *)
@@ -776,7 +783,7 @@ let split_smo_held t txn ~probe ~needed ~exclusive =
         (* someone made room (or the page is too empty to split) *)
         ()
       else begin
-        Stats.incr Stats.smo_splits;
+        Stats.incr c_smo_splits;
         let touched = ref [] in
         let smo_done = ref false in
         touch t touched leaf.Page.pid;
@@ -889,7 +896,7 @@ let split_smo t txn ~probe ~needed =
 (* SMO: page delete (Figures 8 and 10). [leaf_pid] is already empty and
    unlatched; the caller holds the X tree latch. Runs as its own NTA. *)
 let page_delete_smo_inner t txn ~leaf_pid ~path =
-  Stats.incr Stats.smo_page_deletes;
+  Stats.incr c_smo_page_deletes;
   let ctx = new_ctx () in
   Fun.protect
     ~finally:(fun () -> drop_all t ctx)
@@ -1347,7 +1354,7 @@ let cs_release t txn (reqs : Protocol.lock_req list) =
    bounded number of steps. *)
 
 let mv_descend t ctx ~probe =
-  Stats.incr Stats.tree_traversals;
+  Stats.incr c_tree_traversals;
   let rec attempt n =
     if n > max_restarts then raise (Structural_fault (t.bt_name ^ ": mvcc reader livelock"));
     let root, _height = read_anchor t ctx in
@@ -1440,7 +1447,7 @@ let mvcc_locate t txn ~probe ~from_value ~after_rid ~skip_value =
   let store = t.bt_env.e_mvstore in
   let txid = txn.Txnmgr.txn_id in
   let snap = mvcc_snap t txn in
-  Stats.incr Stats.mvcc_snapshot_reads;
+  Stats.incr c_mvcc_snapshot_reads;
   if Trace.enabled () then Trace.emit (Trace.Mvcc_read_begin { txn = txid });
   Fun.protect
     ~finally:(fun () ->
@@ -1740,14 +1747,14 @@ let undo_insert t txn (r : Logrec.t) ~key =
            | Error _ -> false
       in
       if page_oriented_ok then begin
-        Stats.incr Stats.page_oriented_undos;
+        Stats.incr c_page_oriented_undos;
         trace t (Ev_undo (`Page_oriented, "insert"));
         log_clr_apply t txn page clr_body ~undo_stream:r.Logrec.stream ~undo_nxt:r.Logrec.prev_lsn
       end
       else begin
         (* logical undo: re-traverse under the X tree latch (§4) *)
         drop t ctx page;
-        Stats.incr Stats.logical_undos;
+        Stats.incr c_logical_undos;
         trace t (Ev_undo (`Logical, "insert"));
         smo_acquire t txn ~exclusive:true;
         Fun.protect
@@ -1797,13 +1804,13 @@ let undo_delete t txn (r : Logrec.t) ~key =
         | Error pos -> pos > 0 && pos < Vec.length l.Page.lf_keys
       in
       if page_oriented_ok then begin
-        Stats.incr Stats.page_oriented_undos;
+        Stats.incr c_page_oriented_undos;
         trace t (Ev_undo (`Page_oriented, "delete"));
         log_clr_apply t txn page clr_body ~undo_stream:r.Logrec.stream ~undo_nxt:r.Logrec.prev_lsn
       end
       else begin
         drop t ctx page;
-        Stats.incr Stats.logical_undos;
+        Stats.incr c_logical_undos;
         trace t (Ev_undo (`Logical, "delete"));
         smo_acquire t txn ~exclusive:true;
         Fun.protect

@@ -31,6 +31,9 @@ type chain = {
 
 module Smap = Map.Make (String)
 
+let c_mvcc_versions_reclaimed = Stats.counter Stats.mvcc_versions_reclaimed
+let c_mvcc_versions_created = Stats.counter Stats.mvcc_versions_created
+
 type t = {
   tables : (Ids.index_id, chain Smap.t ref) Hashtbl.t;
   pending : (Ids.txn_id, (Ids.index_id * string * version) list ref) Hashtbl.t;
@@ -67,7 +70,7 @@ let clear t =
   in
   if dropped > 0 then begin
     t.reclaimed <- t.reclaimed + dropped;
-    Stats.add Stats.mvcc_versions_reclaimed dropped
+    Stats.add c_mvcc_versions_reclaimed dropped
   end;
   Hashtbl.reset t.tables;
   Hashtbl.reset t.pending;
@@ -130,7 +133,7 @@ let record t ~ix ~value ~rid ~txn ~present =
   ignore chain;
   register_pending t ~txn (ix, c, v);
   t.created <- t.created + 1;
-  Stats.incr Stats.mvcc_versions_created
+  Stats.incr c_mvcc_versions_created
 
 (* Remove one pending version (rollback undo / abort). Tolerant: a version
    already removed (or a chain already dropped) is a no-op. *)
@@ -143,7 +146,7 @@ let drop_version t ~ix ~canon v =
         ch.ch_versions <- List.filter (fun x -> x != v) ch.ch_versions;
         if ch.ch_versions = [] then m := Smap.remove canon !m;
         t.reclaimed <- t.reclaimed + 1;
-        Stats.incr Stats.mvcc_versions_reclaimed;
+        Stats.incr c_mvcc_versions_reclaimed;
         true
       end
       else false
@@ -276,7 +279,7 @@ let gc t ~horizon =
       List.iter (fun canon -> m := Smap.remove canon !m) !dropped_chains)
     t.tables;
   t.reclaimed <- t.reclaimed + !reclaimed;
-  Stats.add Stats.mvcc_versions_reclaimed !reclaimed;
+  Stats.add c_mvcc_versions_reclaimed !reclaimed;
   !reclaimed
 
 (* ------------------------------------------------------------------ *)

@@ -2,6 +2,10 @@ open Aries_util
 module Sched = Aries_sched.Sched
 module Trace = Aries_trace.Trace
 
+let c_lock_deadlocks = Stats.counter Stats.lock_deadlocks
+let c_lock_requests = Stats.counter Stats.lock_requests
+let c_lock_waits = Stats.counter Stats.lock_waits
+
 type mode = IS | IX | S | SIX | X
 
 type duration = Instant | Manual | Commit
@@ -55,6 +59,22 @@ let name_to_string = function
 let pp_name ppf n = Format.pp_print_string ppf (name_to_string n)
 
 let duration_rank = function Instant -> 0 | Manual -> 1 | Commit -> 2
+
+(* The per-(mode, duration) request counters, registered once: indexed by
+   mode, then by [duration_rank]. *)
+let mode_duration_counters =
+  Array.map
+    (fun mode ->
+      Array.map
+        (fun duration ->
+          Stats.counter
+            (Stats.lock_label ~mode:(mode_to_string mode) ~duration:(duration_to_string duration)))
+        [| Instant; Manual; Commit |])
+    [| IS; IX; S; SIX; X |]
+
+let mode_duration_counter mode duration =
+  let m = match mode with IS -> 0 | IX -> 1 | S -> 2 | SIX -> 3 | X -> 4 in
+  mode_duration_counters.(m).(duration_rank duration)
 
 let stronger_duration a b = if duration_rank a >= duration_rank b then a else b
 
@@ -114,7 +134,18 @@ let head_of t name =
       Hashtbl.replace t.table name h;
       h
 
+(* A head lives only while some transaction holds or waits for its name,
+   so the table, and every scan of it, is as small as the live lock set. *)
+let drop_if_idle t name head =
+  if head.hd_holders = [] && Vec.is_empty head.hd_waiters then Hashtbl.remove t.table name
+
 let holder_of head txn = List.find_opt (fun h -> h.h_txn = txn) head.hd_holders
+
+(* [txn]'s holder entry on [name], with the name's head. *)
+let holding t name txn =
+  match Hashtbl.find_opt t.table name with
+  | None -> None
+  | Some head -> Option.map (fun h -> (head, h)) (holder_of head txn)
 
 let compatible_with_others head txn mode =
   List.for_all (fun h -> h.h_txn = txn || compatible h.h_mode mode) head.hd_holders
@@ -156,6 +187,12 @@ let grant_loop t name head =
     end
   in
   loop ()
+
+(* Re-run the grant loop after a release or a cancelled wait, then drop the
+   head if that left it idle. *)
+let settle t name head =
+  grant_loop t name head;
+  drop_if_idle t name head
 
 (* Waits-for edges of a waiting transaction: the holders its target mode
    conflicts with, plus every waiter queued ahead of it (strict FIFO means
@@ -226,7 +263,7 @@ let abort_victim t victim =
           | Some waker -> Sched.abort waker (Deadlock_abort victim)
           | None -> assert false)
       | None -> ti.ti_waiting_on <- None);
-      grant_loop t name head
+      settle t name head
 
 (* Run detection from [txn] until no cycle through it remains. Returns
    [true] if [txn] itself was selected as the victim (the caller then
@@ -249,7 +286,7 @@ let resolve_deadlocks t txn =
             (fun best m -> if (info t m).ti_birth > (info t best).ti_birth then m else best)
             (List.hd candidates) (List.tl candidates)
         in
-        Stats.incr Stats.lock_deadlocks;
+        Stats.incr c_lock_deadlocks;
         if victim = txn then true
         else begin
           abort_victim t victim;
@@ -281,9 +318,8 @@ let abort_waiter t ~txn =
 
 let lock t ~txn ?(cond = false) name mode duration =
   let ti = info t txn in
-  Stats.incr Stats.lock_requests;
-  Stats.incr
-    (Stats.lock_label ~mode:(mode_to_string mode) ~duration:(duration_to_string duration));
+  Stats.incr c_lock_requests;
+  Stats.incr (mode_duration_counter mode duration);
   let tr_name = lazy (name_to_string name) in
   let tr_mode = mode_to_string mode in
   let tr_duration = duration_to_string duration in
@@ -315,6 +351,7 @@ let lock t ~txn ?(cond = false) name mode duration =
         else false
   in
   if grant_immediately () then begin
+    drop_if_idle t name head;
     if Trace.enabled () then
       Trace.emit
         (Trace.Lock_grant
@@ -327,7 +364,7 @@ let lock t ~txn ?(cond = false) name mode duration =
     Denied
   end
   else begin
-    Stats.incr Stats.lock_waits;
+    Stats.incr c_lock_waits;
     (* R1 hazard point: emitted (and checked) {e before} we suspend, so a
        wait entered while holding a latch raises at the request site. *)
     if Trace.enabled () then
@@ -371,7 +408,7 @@ let lock t ~txn ?(cond = false) name mode duration =
             remove_waiter head txn;
             ti.ti_waiting_on <- None;
             Sched.abort w (Deadlock_abort txn);
-            grant_loop t name head
+            settle t name head
           end);
       (* woken by the grant loop, which already installed holder state *)
       if Trace.enabled () then
@@ -389,10 +426,9 @@ let lock t ~txn ?(cond = false) name mode duration =
 
 let release t ~txn name =
   let ti = info t txn in
-  let head = head_of t name in
-  match holder_of head txn with
+  match holding t name txn with
   | None -> invalid_arg (Printf.sprintf "Lockmgr.release: %s does not hold %s" (string_of_int txn) (name_to_string name))
-  | Some h ->
+  | Some (head, h) ->
       if h.h_duration = Commit then
         invalid_arg
           (Printf.sprintf "Lockmgr.release: %s on %s is commit-duration" (string_of_int txn)
@@ -401,28 +437,26 @@ let release t ~txn name =
       ti.ti_held <- List.filter (fun n -> n <> name) ti.ti_held;
       if Trace.enabled () then
         Trace.emit (Trace.Lock_release { txn; name = name_to_string name });
-      grant_loop t name head
+      settle t name head
 
 let release_manual t ~txn name =
-  let head = head_of t name in
-  match holder_of head txn with
-  | Some h when h.h_duration = Manual ->
+  match holding t name txn with
+  | Some (head, h) when h.h_duration = Manual ->
       head.hd_holders <- List.filter (fun x -> x.h_txn <> txn) head.hd_holders;
       let ti = info t txn in
       ti.ti_held <- List.filter (fun n -> n <> name) ti.ti_held;
       if Trace.enabled () then
         Trace.emit (Trace.Lock_release { txn; name = name_to_string name });
-      grant_loop t name head;
+      settle t name head;
       true
   | Some _ | None -> false
 
 let downgrade t ~txn name mode =
-  let head = head_of t name in
-  match holder_of head txn with
+  match holding t name txn with
   | None ->
       invalid_arg
         (Printf.sprintf "Lockmgr.downgrade: %d does not hold %s" txn (name_to_string name))
-  | Some h ->
+  | Some (head, h) ->
       h.h_mode <- mode;
       grant_loop t name head
 
@@ -434,16 +468,13 @@ let release_all t ~txn =
       if Trace.enabled () then Trace.emit (Trace.Lock_release_all { txn });
       List.iter
         (fun name ->
-          let head = head_of t name in
+          let head = Hashtbl.find t.table name in
           head.hd_holders <- List.filter (fun h -> h.h_txn <> txn) head.hd_holders;
-          grant_loop t name head)
+          settle t name head)
         ti.ti_held;
       Hashtbl.remove t.txns txn
 
-let holds t ~txn name =
-  match Hashtbl.find_opt t.table name with
-  | None -> None
-  | Some head -> ( match holder_of head txn with Some h -> Some h.h_mode | None -> None)
+let holds t ~txn name = Option.map (fun (_, h) -> h.h_mode) (holding t name txn)
 
 let holders t name =
   match Hashtbl.find_opt t.table name with
@@ -466,13 +497,15 @@ let total_held t =
     (fun _ head acc -> acc + List.length head.hd_holders + Vec.length head.hd_waiters)
     t.table 0
 
+let table_size t = Hashtbl.length t.table
+
 let held_locks t ~txn =
   match Hashtbl.find_opt t.txns txn with
   | None -> []
   | Some ti ->
       List.filter_map
         (fun name ->
-          match holder_of (head_of t name) txn with
-          | Some h -> Some (name, h.h_mode)
+          match holding t name txn with
+          | Some (_, h) -> Some (name, h.h_mode)
           | None -> None)
         ti.ti_held

@@ -93,6 +93,11 @@ val total_held : t -> int
     quiescent — no transaction holds or awaits any lock. The simulation
     harness asserts this after every workload and after every restart. *)
 
+val table_size : t -> int
+(** Names in the lock table. A name leaves the table as soon as it has no
+    holder and no waiter, so this is the live lock set, not every name
+    ever locked. *)
+
 val held_locks : t -> txn:Ids.txn_id -> (name * mode) list
 (** The retained locks of a transaction (unspecified order); used to build
     Prepare record bodies so restart can reacquire in-doubt locks. *)

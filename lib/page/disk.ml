@@ -1,5 +1,12 @@
 open Aries_util
 
+let c_disk_eio_injected = Stats.counter Stats.disk_eio_injected
+let c_page_reads = Stats.counter Stats.page_reads
+let c_disk_torn_writes = Stats.counter Stats.disk_torn_writes
+let c_page_writes = Stats.counter Stats.page_writes
+let c_disk_bit_flips = Stats.counter Stats.disk_bit_flips
+let cp_disk_write = Crashpoint.point "disk.write"
+
 type t = {
   psize : int;
   store : (Ids.page_id, bytes) Hashtbl.t;
@@ -27,10 +34,10 @@ let read_with_image t pid =
   | None -> None
   | Some image -> (
       if Faultdisk.fail_read () then begin
-        Stats.incr Stats.disk_eio_injected;
+        Stats.incr c_disk_eio_injected;
         Storage_error.raise_err ~pid Storage_error.Io_transient "injected read EIO"
       end;
-      Stats.incr Stats.page_reads;
+      Stats.incr c_page_reads;
       try Some (Page.decode ~psize:t.psize image, image) with
       | Bytebuf.Corrupt msg ->
           (* a structurally unparseable stored image (e.g. a torn v1 write,
@@ -45,7 +52,7 @@ let read t pid = Option.map fst (read_with_image t pid)
 
 let store_image t pid image =
   let already = Crashpoint.tripped () in
-  (try Crashpoint.hit "disk.write"
+  (try Crashpoint.hit cp_disk_write
    with Crashpoint.Crash _ as e ->
      (* The crash landed exactly on this write.  Under the torn-write fault
         the medium keeps a half-old/half-new image instead of atomically
@@ -55,14 +62,14 @@ let store_image t pid image =
        let old_image = Option.map Bytes.to_string (Hashtbl.find_opt t.store pid) in
        let torn = Faultdisk.tear ~old_image ~new_image:(Bytes.to_string image) in
        Hashtbl.replace t.store pid (Bytes.of_string torn);
-       Stats.incr Stats.disk_torn_writes
+       Stats.incr c_disk_torn_writes
      end;
      raise e);
-  Stats.incr Stats.page_writes;
+  Stats.incr c_page_writes;
   let image =
     if Faultdisk.flip_now () then begin
       (* silent bit-rot: the write "succeeds" but one stored bit flips *)
-      Stats.incr Stats.disk_bit_flips;
+      Stats.incr c_disk_bit_flips;
       Bytes.of_string (Faultdisk.flip_one_bit (Bytes.to_string image))
     end
     else image
@@ -71,7 +78,7 @@ let store_image t pid image =
 
 let fail_write_maybe pid =
   if Faultdisk.fail_write () then begin
-    Stats.incr Stats.disk_eio_injected;
+    Stats.incr c_disk_eio_injected;
     Storage_error.raise_err ~pid Storage_error.Io_transient "injected write EIO"
   end
 

@@ -9,6 +9,9 @@ module Lockmgr = Aries_lock.Lockmgr
 module Bufpool = Aries_buffer.Bufpool
 module Trace = Aries_trace.Trace
 
+let c_ckpt_taken = Stats.counter Stats.ckpt_taken
+let cp_ckpt_master = Crashpoint.point "ckpt.master"
+
 type ck_txn = {
   ct_id : Ids.txn_id;
   ct_state : Txnmgr.state;
@@ -178,9 +181,9 @@ let take mgr pool =
      master update lets the test suite prove a crash in the window is
      survivable (the old master stays valid). *)
   Logset.flush_all logs;
-  Crashpoint.hit "ckpt.master";
+  Crashpoint.hit cp_ckpt_master;
   Logmgr.set_master wal begin_lsn;
-  Stats.incr Stats.ckpt_taken;
+  Stats.incr c_ckpt_taken;
   if Trace.enabled () then
     Trace.emit
       (Trace.Ckpt_take

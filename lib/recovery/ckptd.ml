@@ -7,6 +7,9 @@ module Bufpool = Aries_buffer.Bufpool
 module Sched = Aries_sched.Sched
 module Trace = Aries_trace.Trace
 
+let c_ckptd_nudges = Stats.counter Stats.ckptd_nudges
+let c_ckptd_rounds = Stats.counter Stats.ckptd_rounds
+
 type cfg = {
   every_steps : int;
   nudge_pages : int;
@@ -115,11 +118,11 @@ let round mgr pool cfg =
             (Lazy.force dpt)
         then pinned := true);
   if !pinned then begin
-    Stats.incr Stats.ckptd_nudges;
+    Stats.incr c_ckptd_nudges;
     ignore (Bufpool.clean_some pool ~max_pages:cfg.nudge_pages)
   end;
   ignore (Checkpoint.take mgr pool);
-  Stats.incr Stats.ckptd_rounds;
+  Stats.incr c_ckptd_rounds;
   if cfg.truncate then ignore (reclaim mgr pool)
 
 let run_daemon mgr pool cfg ~stop =

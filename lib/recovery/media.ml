@@ -9,12 +9,19 @@ module Disk = Aries_page.Disk
 module Page = Aries_page.Page
 module Trace = Aries_trace.Trace
 
+let c_disk_retries = Stats.counter Stats.disk_retries
+let c_redo_pages_examined = Stats.counter Stats.redo_pages_examined
+let c_redos_applied = Stats.counter Stats.redos_applied
+let c_disk_repairs = Stats.counter Stats.disk_repairs
+let c_media_page_recoveries = Stats.counter "media.page_recoveries"
+
 (* The log archive: reclaimed WAL segments, retained verbatim so media
    recovery can roll a fuzzy dump forward across a truncation. In a real
    system this is the tape/object-store the archiving daemon ships sealed
    segments to; here it is an in-memory table: per log stream (keyed by
    [Logmgr.id]), a list of segments ordered oldest first. *)
 module Archive = struct
+
   type t = { tbl : (int, Logmgr.archived list) Hashtbl.t (* log id -> oldest first *) }
 
   let create () = { tbl = Hashtbl.create 4 }
@@ -169,7 +176,7 @@ let retrying ~pid ~target f =
     try f () with
     | Storage_error.Error { cause = Storage_error.Io_transient; _ }
       when attempt < max_media_retries ->
-        Stats.incr Stats.disk_retries;
+        Stats.incr c_disk_retries;
         if Trace.enabled () then
           Trace.emit (Trace.Io_retry { target; pid; attempt = attempt + 1 });
         go (attempt + 1)
@@ -202,12 +209,12 @@ let replay mgr pool pid records =
   let log = Logmgr.id (Logset.page_stream (Txnmgr.logs mgr) pid) in
   List.fold_left
     (fun (applied, skipped) (r : Logrec.t) ->
-      Stats.incr Stats.redo_pages_examined;
+      Stats.incr c_redo_pages_examined;
       let apply () =
         if Trace.enabled () then
           Trace.emit (Trace.Redo_apply { log; pid; lsn = r.Logrec.lsn; gsn = r.Logrec.gsn });
         Txnmgr.rm_redo mgr r;
-        Stats.incr Stats.redos_applied;
+        Stats.incr c_redos_applied;
         (applied + 1, skipped)
       in
       match Bufpool.fix_opt pool pid with
@@ -256,7 +263,7 @@ let recover_page ?archive mgr pool dump pid =
   (* the roll-forward dirtied the page in the pool; force it out so the
      repaired image is durable *)
   Bufpool.flush_page pool pid;
-  Stats.incr "media.page_recoveries";
+  Stats.incr c_media_page_recoveries;
   if Trace.enabled () then Trace.emit (Trace.Page_repaired { pid; records = applied });
   applied
 
@@ -268,5 +275,5 @@ let recover_page ?archive mgr pool dump pid =
 let auto_repair ?archive mgr pool pid =
   let empty_dump = { dmp_disk = Disk.create (); dmp_redo = [||] } in
   let applied = recover_page ?archive mgr pool empty_dump pid in
-  Stats.incr Stats.disk_repairs;
+  Stats.incr c_disk_repairs;
   applied

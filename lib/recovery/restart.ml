@@ -10,6 +10,13 @@ module Bufpool = Aries_buffer.Bufpool
 module Disk = Aries_page.Disk
 module Trace = Aries_trace.Trace
 
+let c_txn_indoubt_restored = Stats.counter Stats.txn_indoubt_restored
+let c_instant_ondemand_redos = Stats.counter Stats.instant_ondemand_redos
+let c_instant_preemptions = Stats.counter Stats.instant_preemptions
+let c_instant_locks_reacquired = Stats.counter Stats.instant_locks_reacquired
+let c_instant_locks_skipped = Stats.counter Stats.instant_locks_skipped
+let c_instant_drain_rounds = Stats.counter Stats.instant_drain_rounds
+
 type report = {
   rp_redo_lsn : Lsn.t;
   rp_records_analyzed : int;
@@ -300,7 +307,7 @@ let reacquire_indoubt mgr an =
           (Txnmgr.restore_txn mgr ~firsts:tk.tk_firsts ~id ~state:Txnmgr.Prepared
              ~lasts:tk.tk_lasts ~undo_nxts:tk.tk_undo_nxts ());
         indoubt := id :: !indoubt;
-        Stats.incr Stats.txn_indoubt_restored;
+        Stats.incr c_txn_indoubt_restored;
         (* if the txn prepared before the analysis window, fetch the
            Prepare record through the prev-LSN chain of its control stream
            (pageless records route by txn id, so the Prepare is there) *)
@@ -442,7 +449,7 @@ let redo_page ?(on_demand = false) en pid =
         Fun.protect
           ~finally:(fun () -> Hashtbl.remove en.en_redoing pid)
           (fun () ->
-            if on_demand then Stats.incr Stats.instant_ondemand_redos;
+            if on_demand then Stats.incr c_instant_ondemand_redos;
             if Trace.enabled () then
               Trace.emit
                 (Trace.Restart_redo_page { pool = Bufpool.id en.en_pool; pid; on_demand });
@@ -551,7 +558,7 @@ let undo_loser ?(preempted = false) en id =
   match Hashtbl.find_opt en.en_losers id with
   | None -> ()
   | Some txn ->
-      if preempted then Stats.incr Stats.instant_preemptions;
+      if preempted then Stats.incr c_instant_preemptions;
       undo_sweep ~preempted en [ txn ]
 
 (* The Txnmgr lock hook: before a new transaction waits on a name, any
@@ -789,7 +796,7 @@ let open_engine ~instant ?archive mgr pool =
             Hashtbl.replace seen name ();
             match Lockmgr.lock locks ~txn:id ~cond:true name mode Lockmgr.Commit with
             | Lockmgr.Granted ->
-                Stats.incr Stats.instant_locks_reacquired;
+                Stats.incr c_instant_locks_reacquired;
                 en.en_locks_reacquired <- en.en_locks_reacquired + 1;
                 (* R7 bookkeeping is X-only and post-grant: two losers may
                    legitimately share an S name (duplicate-check locks) *)
@@ -804,7 +811,7 @@ let open_engine ~instant ?archive mgr pool =
             | Lockmgr.Denied | Lockmgr.Deadlock ->
                 (* [start] is single-threaded: a denial only means another
                    restored txn already covers the name *)
-                Stats.incr Stats.instant_locks_skipped
+                Stats.incr c_instant_locks_skipped
           end
         in
         if instant then begin
@@ -841,7 +848,7 @@ let start ?archive mgr pool = open_engine ~instant:true ?archive mgr pool
 
 let drain_step ?(cfg = default_drain) en =
   if not en.en_finished then begin
-    Stats.incr Stats.instant_drain_rounds;
+    Stats.incr c_instant_drain_rounds;
     (let redone = ref 0 in
      let more = ref true in
      while !more && !redone < cfg.dr_redo_pages do

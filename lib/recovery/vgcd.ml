@@ -1,6 +1,8 @@
 open Aries_util
 module Sched = Aries_sched.Sched
 
+let c_vgcd_rounds = Stats.counter Stats.vgcd_rounds
+
 type cfg = { every_steps : int }
 
 let default_cfg = { every_steps = 96 }
@@ -13,7 +15,7 @@ let validate cfg = if cfg.every_steps < 1 then invalid_arg "Vgcd: every_steps mu
    the index layer). *)
 let round ~gc =
   let reclaimed = gc () in
-  Stats.incr Stats.vgcd_rounds;
+  Stats.incr c_vgcd_rounds;
   reclaimed
 
 let run_daemon cfg ~gc ~stop =

@@ -2,6 +2,11 @@ module Vec = Aries_util.Vec
 module Stats = Aries_util.Stats
 module Trace = Aries_trace.Trace
 
+let c_latch_acquires = Stats.counter Stats.latch_acquires
+let c_tree_latch_acquires = Stats.counter Stats.tree_latch_acquires
+let c_latch_waits = Stats.counter Stats.latch_waits
+let c_tree_latch_waits = Stats.counter Stats.tree_latch_waits
+
 type mode = S | X
 
 type kind = Page | Tree
@@ -44,12 +49,12 @@ let trace_acquire t mode ~cond ~waited =
 
 let count_acquire t waited =
   (match t.l_kind with
-  | Page -> Stats.incr Stats.latch_acquires
-  | Tree -> Stats.incr Stats.tree_latch_acquires);
+  | Page -> Stats.incr c_latch_acquires
+  | Tree -> Stats.incr c_tree_latch_acquires);
   if waited then
     match t.l_kind with
-    | Page -> Stats.incr Stats.latch_waits
-    | Tree -> Stats.incr Stats.tree_latch_waits
+    | Page -> Stats.incr c_latch_waits
+    | Tree -> Stats.incr c_tree_latch_waits
 
 let check_not_held t =
   let me = Sched.current () in

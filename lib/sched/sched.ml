@@ -5,6 +5,10 @@ module Rng = Aries_util.Rng
 module Stats = Aries_util.Stats
 module Trace = Aries_trace.Trace
 
+let c_fiber_spawns = Stats.counter Stats.fiber_spawns
+let c_daemon_spawns = Stats.counter Stats.daemon_spawns
+let c_fiber_yields = Stats.counter Stats.fiber_yields
+
 type fiber_id = int
 
 exception Killed of string
@@ -135,7 +139,7 @@ let spawn ?name body =
   s.next_id <- id + 1;
   let name = match name with Some n -> n | None -> Printf.sprintf "fiber-%d" id in
   s.live <- s.live + 1;
-  Stats.incr Stats.fiber_spawns;
+  Stats.incr c_fiber_spawns;
   enqueue s { e_fiber = id; e_name = name; e_task = fiber_task s id name body };
   id
 
@@ -144,7 +148,7 @@ let spawn_daemon ?name ?on_shutdown body =
   let id = spawn ?name body in
   Hashtbl.replace s.daemon_ids id ();
   s.live_daemons <- s.live_daemons + 1;
-  Stats.incr Stats.daemon_spawns;
+  Stats.incr c_daemon_spawns;
   (if Trace.enabled () then
      let name = match name with Some n -> n | None -> Printf.sprintf "fiber-%d" id in
      Trace.emit (Trace.Daemon_spawn { name }));
@@ -158,7 +162,7 @@ let daemons_now () = (the_sched ()).live_daemons
 let suspend register = perform (Suspend register)
 
 let yield () =
-  Stats.incr Stats.fiber_yields;
+  Stats.incr c_fiber_yields;
   suspend wake
 
 let maybe_yield () =

@@ -44,6 +44,11 @@ module Trace = Aries_trace.Trace
 module Discipline = Aries_trace.Discipline
 module Restart = Aries_recovery.Restart
 
+let c_shard_retries = Stats.counter Stats.shard_retries
+let c_shard_timeouts = Stats.counter Stats.shard_timeouts
+let c_txn_indoubt_resolved = Stats.counter Stats.txn_indoubt_resolved
+let c_deadlock_global_victims = Stats.counter Stats.deadlock_global_victims
+
 exception Shard_down of int
 (** The operation routed to a shard that is down (fail-stop switch or
     {!kill}). Never blocks: degrade-gracefully means fail fast. *)
@@ -333,7 +338,7 @@ let deliver_one t ~commit k txn_id =
     end
     else if attempt >= t.retry_limit then false
     else begin
-      Stats.incr Stats.shard_retries;
+      Stats.incr c_shard_retries;
       backoff t.retry_backoff;
       go (attempt + 1)
     end
@@ -387,7 +392,7 @@ let commit t g =
           coord_end t ~gid:g.gid ~coord;
           forget t g
       | _ ->
-          Stats.incr Stats.shard_timeouts;
+          Stats.incr c_shard_timeouts;
           Hashtbl.replace t.parked g.gid
             {
               pk_pending = List.map (fun (k, tx) -> (k, tx.Txnmgr.txn_id)) undelivered;
@@ -498,7 +503,7 @@ let resolve_indoubts t =
                     if committed then Txnmgr.commit_prepared mgr tx
                     else Txnmgr.rollback mgr ~reason:"presumed abort" tx;
                     incr resolved;
-                    Stats.incr Stats.txn_indoubt_resolved;
+                    Stats.incr c_txn_indoubt_resolved;
                     if Trace.enabled () then
                       Trace.emit
                         (Trace.Twopc_resolve
@@ -642,7 +647,7 @@ let detect_once t =
       match Hashtbl.find_opt waiters v with
       | Some (k, txn) ->
           if Lockmgr.abort_waiter t.shards.(k).sx_db.Db.locks ~txn then begin
-            Stats.incr Stats.deadlock_global_victims;
+            Stats.incr c_deadlock_global_victims;
             if Trace.enabled () then
               Trace.emit
                 (Trace.Note (Printf.sprintf "global deadlock victim G%d (shard %d txn %d)" v k txn))
@@ -661,7 +666,7 @@ let timeout_scan t =
             (fun (txn, since, _) ->
               if now - since > t.lock_timeout then
                 if Lockmgr.abort_waiter s.sx_db.Db.locks ~txn then begin
-                  Stats.incr Stats.shard_timeouts;
+                  Stats.incr c_shard_timeouts;
                   if Trace.enabled () then
                     Trace.emit
                       (Trace.Note

@@ -1,5 +1,7 @@
 open Aries_util
 
+let c_trace_violations = Stats.counter Stats.trace_violations
+
 type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10
 
 let rule_to_string = function
@@ -181,7 +183,7 @@ let violate rule fmt =
   Printf.ksprintf
     (fun msg ->
       incr violations_count;
-      Stats.incr Stats.trace_violations;
+      Stats.incr c_trace_violations;
       raise (Violation (rule, Printf.sprintf "%s (%s)" msg (rule_summary rule))))
     fmt
 

@@ -1,5 +1,8 @@
 open Aries_util
 
+let c_trace_events = Stats.counter Stats.trace_events
+let c_trace_dumps = Stats.counter Stats.trace_dumps
+
 type latch_kind = Page_latch | Tree_latch
 
 type latch_mode = S | X
@@ -214,7 +217,7 @@ let emit payload =
       { ev_step = !step_provider (); ev_fiber = !fiber_provider (); ev_payload = payload }
     in
     push ev;
-    Stats.incr Stats.trace_events;
+    Stats.incr c_trace_events;
     if !the_mode = Check then !checker ev
   end
 
@@ -331,5 +334,5 @@ let event_to_string ev =
   Printf.sprintf "step=%-6d fiber=%-3d %s" ev.ev_step ev.ev_fiber (payload_to_string ev.ev_payload)
 
 let dump_last n =
-  Stats.incr Stats.trace_dumps;
+  Stats.incr c_trace_dumps;
   List.map event_to_string (last_events n)

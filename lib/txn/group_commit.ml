@@ -4,6 +4,23 @@ module Logmgr = Aries_wal.Logmgr
 module Logset = Aries_wal.Logset
 module Sched = Aries_sched.Sched
 
+let c_commit_batches = Stats.counter Stats.commit_batches
+let c_commit_batch_size = Stats.counter Stats.commit_batch_size
+let c_commit_group_waits = Stats.counter Stats.commit_group_waits
+
+(* Batch-size histogram counters, registered up front for sizes up to 64
+   and extended on the first larger batch, so each name is built once. *)
+let bucket_counter n = Stats.counter (Stats.commit_batch_bucket n)
+
+let batch_buckets = ref (Array.init 65 bucket_counter)
+
+let batch_bucket n =
+  let have = Array.length !batch_buckets in
+  if n >= have then
+    batch_buckets :=
+      Array.append !batch_buckets (Array.init (n + 1 - have) (fun j -> bucket_counter (have + j)));
+  !batch_buckets.(n)
+
 type policy = { max_batch : int; max_delay_steps : int }
 
 let default_policy = { max_batch = 8; max_delay_steps = 8 }
@@ -143,9 +160,9 @@ let force_batch t =
        List.iter (fun w -> Vec.push t.waiters w) ws;
        raise e);
     ignore (Logset.advance_epoch t.logs);
-    Stats.incr Stats.commit_batches;
-    Stats.add Stats.commit_batch_size n;
-    Stats.incr (Stats.commit_batch_bucket n);
+    Stats.incr c_commit_batches;
+    Stats.add c_commit_batch_size n;
+    Stats.incr (batch_bucket n);
     List.iter (fun w -> Sched.wake w.gw_waker) ws
   end
 
@@ -154,7 +171,7 @@ let wait_durable t ~commit_stream ~targets =
     List.for_all (fun (s, l) -> Logmgr.is_stable (Logset.stream t.logs s) l) targets
   in
   if not stable then begin
-    Stats.incr Stats.commit_group_waits;
+    Stats.incr c_commit_group_waits;
     Sched.suspend (fun w ->
         Vec.push t.waiters { gw_commit_stream = commit_stream; gw_targets = targets; gw_waker = w };
         (* wake the daemon; it batches until the policy window closes *)

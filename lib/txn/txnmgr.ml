@@ -7,6 +7,8 @@ module Lockmgr = Aries_lock.Lockmgr
 module Sched = Aries_sched.Sched
 module Trace = Aries_trace.Trace
 
+let c_txn_prepares = Stats.counter Stats.txn_prepares
+
 type state = Active | Committing | Prepared | Rolling_back
 
 (* All per-transaction log state is a per-stream vector: a record's
@@ -124,9 +126,7 @@ let current t =
   if Sched.in_fiber () then Hashtbl.find_opt t.fibers (Sched.current ()) else None
 
 let unbind_fiber t txn =
-  Hashtbl.iter
-    (fun fid tx -> if tx == txn then Hashtbl.remove t.fibers fid)
-    (Hashtbl.copy t.fibers)
+  Hashtbl.filter_map_inplace (fun _ tx -> if tx == txn then None else Some tx) t.fibers
 
 let begin_txn t =
   let id = t.next_id in
@@ -403,7 +403,7 @@ let prepare ?meta t txn =
   in
   let lsn = write_simple t txn ~body Logrec.Prepare in
   let epoch = Logset.current_epoch t.logs in
-  Stats.incr Stats.txn_prepares;
+  Stats.incr c_txn_prepares;
   (* the Prepare force is a commit-path force too: it must fence every
      touched stream (an in-doubt txn's updates must all be stable before
      the prepare is acknowledged), and it batches when the daemon is live *)

@@ -28,9 +28,13 @@ let disarm () =
   st.trip_label <- None;
   st.is_tripped <- false
 
-let hit label =
+type point = { label : string; hits : Stats.counter }
+
+let point label = { label; hits = Stats.counter ("crashpoint." ^ label) }
+
+let hit { label; hits } =
   st.counter <- st.counter + 1;
-  Stats.incr ("crashpoint." ^ label);
+  Stats.incr hits;
   if st.is_tripped then raise (Crash st.counter)
   else begin
     (match st.trip_label with

@@ -41,10 +41,17 @@ val disarm : unit -> unit
 (** Stop raising; the counter keeps counting. Call before running restart
     recovery, which performs durability events of its own. *)
 
-val hit : string -> unit
+type point
+(** A labelled durability event site. *)
+
+val point : string -> point
+(** [point label] registers the site's {!Stats} counter
+    ["crashpoint.<label>"]. Call once, at module initialisation. *)
+
+val hit : point -> unit
 (** Called by Logmgr/Disk/Bufpool at each durability event. Increments the
-    counter and raises {!Crash} per the armed/tripped state. The label is
-    recorded per-label in the current {!Stats} sink under
+    counter and raises {!Crash} per the armed/tripped state. Each hit is
+    also counted per label in the current {!Stats} sink under
     ["crashpoint.<label>"] so sweeps can report event composition. *)
 
 val count : unit -> int

@@ -1,27 +1,45 @@
-type t = (string, int ref) Hashtbl.t
+type counter = int
 
-let create () : t = Hashtbl.create 64
+(* The registry: counter id -> name, and name -> id. Ids are dense and
+   never reused, so a sink is just an int array indexed by id. *)
+let names : string Vec.t = Vec.create ()
 
-let reset t = Hashtbl.reset t
+let ids : (string, counter) Hashtbl.t = Hashtbl.create 128
 
-let copy t =
-  let c = create () in
-  Hashtbl.iter (fun k v -> Hashtbl.replace c k (ref !v)) t;
-  c
+type t = {
+  mutable vals : int array;
+  mutable zero_added : counter list;
+      (* counters bumped only by [add c 0]: they hold 0 but, like any
+         bumped counter, still appear in [to_alist] *)
+}
 
-let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
+let create () = { vals = Array.make (max 64 (Vec.length names)) 0; zero_added = [] }
+
+(* Make room for every registered counter. The current sink grows at
+   registration; any other sink grows when [with_sink] installs it, so the
+   bump path never needs a bounds fix-up. *)
+let ensure t =
+  let n = Vec.length names in
+  let len = Array.length t.vals in
+  if len < n then begin
+    let a = Array.make (max n (2 * len)) 0 in
+    Array.blit t.vals 0 a 0 len;
+    t.vals <- a
+  end
+
+let reset t =
+  Array.fill t.vals 0 (Array.length t.vals) 0;
+  t.zero_added <- []
+
+let copy t = { vals = Array.copy t.vals; zero_added = t.zero_added }
+
+let value t c = if c < Array.length t.vals then t.vals.(c) else 0
+
+let get t name = match Hashtbl.find_opt ids name with Some c -> value t c | None -> 0
 
 let diff later earlier =
-  let d = create () in
-  let keys = Hashtbl.create 64 in
-  Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) later;
-  Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) earlier;
-  Hashtbl.iter
-    (fun k () ->
-      let v = get later k - get earlier k in
-      if v <> 0 then Hashtbl.replace d k (ref v))
-    keys;
-  d
+  let n = max (Array.length later.vals) (Array.length earlier.vals) in
+  { vals = Array.init n (fun c -> value later c - value earlier c); zero_added = [] }
 
 let sink = ref (create ())
 
@@ -29,20 +47,37 @@ let current () = !sink
 
 let with_sink t f =
   let prev = !sink in
+  ensure t;
   sink := t;
   Fun.protect ~finally:(fun () -> sink := prev) f
 
-let add name n =
-  let t = !sink in
-  match Hashtbl.find_opt t name with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.replace t name (ref n)
+let counter name =
+  match Hashtbl.find_opt ids name with
+  | Some c -> c
+  | None ->
+      let c = Vec.length names in
+      Vec.push names name;
+      Hashtbl.replace ids name c;
+      ensure !sink;
+      c
 
-let incr name = add name 1
+let incr c =
+  let a = (!sink).vals in
+  a.(c) <- a.(c) + 1
+
+let add c n =
+  let t = !sink in
+  t.vals.(c) <- t.vals.(c) + n;
+  if n = 0 && not (List.mem c t.zero_added) then t.zero_added <- c :: t.zero_added
 
 let to_alist t =
-  Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  let acc = ref [] in
+  Vec.iteri
+    (fun c name ->
+      let v = value t c in
+      if v <> 0 || List.mem c t.zero_added then acc := (name, v) :: !acc)
+    names;
+  List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

@@ -5,9 +5,24 @@
     I/Os — so every subsystem reports into a [Stats.t]. A single mutable
     "current" sink is active at any time (the system is single-threaded and
     cooperatively scheduled); benchmarks swap in a fresh sink around the
-    region they measure. *)
+    region they measure.
+
+    Counters are typed: a producer registers each name once, at module
+    initialisation, with {!counter}, and bumps the returned {!counter} on
+    its hot path — an increment of one slot of the sink's [int array], with
+    no string hashed or built per bump. Readers still look counters up by
+    name ({!get}, {!to_alist}); the well-known names below are those read
+    keys. *)
 
 type t
+
+type counter
+(** A registered counter: a dense index into every sink. *)
+
+val counter : string -> counter
+(** [counter name] registers [name] and returns its counter. Idempotent:
+    registering a name again returns the same counter. Sinks created
+    before a registration read the new counter as 0. *)
 
 val create : unit -> t
 
@@ -24,18 +39,18 @@ val with_sink : t -> (unit -> 'a) -> 'a
 (** Runs the thunk with the given sink installed, restoring the previous sink
     afterwards (also on exception). *)
 
-(** {2 Named integer counters} *)
+(** {2 Bumping and reading} *)
 
-val incr : string -> unit
-(** Increment a named counter in the current sink by 1. *)
+val incr : counter -> unit
+(** Increment a counter in the current sink by 1. *)
 
-val add : string -> int -> unit
+val add : counter -> int -> unit
 
 val get : t -> string -> int
-(** 0 if never incremented. *)
+(** 0 if never incremented or never registered. *)
 
 val to_alist : t -> (string * int) list
-(** Sorted by name. *)
+(** Every counter bumped in this sink, sorted by name. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -1,6 +1,21 @@
 open Aries_util
 module Trace = Aries_trace.Trace
 
+let c_wal_encode_arena_reuses = Stats.counter Stats.wal_encode_arena_reuses
+let c_log_records = Stats.counter Stats.log_records
+let c_log_bytes = Stats.counter Stats.log_bytes
+let c_log_seals = Stats.counter Stats.log_seals
+let c_disk_eio_injected = Stats.counter Stats.disk_eio_injected
+let c_disk_retries = Stats.counter Stats.disk_retries
+let c_log_forces = Stats.counter Stats.log_forces
+let c_log_tail_truncations = Stats.counter Stats.log_tail_truncations
+let c_log_tail_truncated_bytes = Stats.counter Stats.log_tail_truncated_bytes
+let c_log_truncations = Stats.counter Stats.log_truncations
+let c_log_segments_reclaimed = Stats.counter Stats.log_segments_reclaimed
+let c_log_bytes_reclaimed = Stats.counter Stats.log_bytes_reclaimed
+let cp_wal_append = Crashpoint.point "wal.append"
+let cp_wal_flush = Crashpoint.point "wal.flush"
+
 (* Log address space: offset [first_offset] is the first record ever
    written; each record is framed as [u32 length][payload][u32 crc] (see
    Logrec.frame). The LSN of a record is the offset of its frame header,
@@ -133,7 +148,7 @@ let find_segment t off =
   go t.sealed
 
 let append t rec_ =
-  Crashpoint.hit "wal.append";
+  Crashpoint.hit cp_wal_append;
   let lsn = end_offset t in
   (* Encode into the per-log arena (reused across appends; reuse without
      regrowth is counted), then frame straight into the segment arena:
@@ -143,7 +158,7 @@ let append t rec_ =
      unchanged: [u32 len][payload][u32 crc32(payload)]. *)
   let cap0 = Bytebuf.W.capacity t.enc in
   Logrec.encode_into t.enc { rec_ with lsn };
-  if Bytebuf.W.capacity t.enc = cap0 then Stats.incr Stats.wal_encode_arena_reuses;
+  if Bytebuf.W.capacity t.enc = cap0 then Stats.incr c_wal_encode_arena_reuses;
   let n = Bytebuf.W.length t.enc in
   let seg = t.active.seg_data in
   Bytebuf.W.u32 seg n;
@@ -152,8 +167,8 @@ let append t rec_ =
   t.active.seg_records <- t.active.seg_records + 1;
   t.last <- lsn;
   t.count <- t.count + 1;
-  Stats.incr Stats.log_records;
-  Stats.add Stats.log_bytes (Logrec.frame_overhead + n);
+  Stats.incr c_log_records;
+  Stats.add c_log_bytes (Logrec.frame_overhead + n);
   if Trace.enabled () then
     Trace.emit
       (Trace.Log_append
@@ -171,7 +186,7 @@ let append t rec_ =
     s.seg_sealed <- true;
     t.sealed <- t.sealed @ [ s ];
     t.active <- fresh_segment (seg_end s);
-    Stats.incr Stats.log_seals;
+    Stats.incr c_log_seals;
     if Trace.enabled () then
       Trace.emit (Trace.Log_seal { log = t.id; base = s.seg_base; len = seg_len s })
   end;
@@ -198,18 +213,18 @@ let force t ~upto ~stable_lsn =
     let attempt = ref 0 in
     while Faultdisk.fail_force () do
       incr attempt;
-      Stats.incr Stats.disk_eio_injected;
+      Stats.incr c_disk_eio_injected;
       if !attempt > max_force_retries then
         Storage_error.raise_err ~lsn:stable_lsn Storage_error.Retry_exhausted
           "log force to offset %d failed after %d transient I/O errors" upto !attempt;
-      Stats.incr Stats.disk_retries;
+      Stats.incr c_disk_retries;
       if Trace.enabled () then
         Trace.emit (Trace.Io_retry { target = "log-force"; pid = 0; attempt = !attempt })
     done;
-    Crashpoint.hit "wal.flush";
+    Crashpoint.hit cp_wal_flush;
     t.flushed <- upto;
     t.last_stable <- stable_lsn;
-    Stats.incr Stats.log_forces;
+    Stats.incr c_log_forces;
     if Trace.enabled () then Trace.emit (Trace.Log_force { log = t.id; upto; stable_lsn })
   end
 
@@ -311,8 +326,8 @@ let tail_scan t =
   if valid_end < seg_end s then begin
     let cut = seg_end s - valid_end in
     Bytebuf.W.truncate s.seg_data (valid_end - s.seg_base);
-    Stats.incr Stats.log_tail_truncations;
-    Stats.add Stats.log_tail_truncated_bytes cut;
+    Stats.incr c_log_tail_truncations;
+    Stats.add c_log_tail_truncated_bytes cut;
     if Trace.enabled () then
       Trace.emit (Trace.Log_tail_truncated { log = t.id; at = valid_end; bytes = cut })
   end
@@ -491,9 +506,9 @@ let truncate_prefix t ~upto =
   in
   t.sealed <- go t.sealed;
   if !dropped_segs > 0 then begin
-    Stats.incr Stats.log_truncations;
-    Stats.add Stats.log_segments_reclaimed !dropped_segs;
-    Stats.add Stats.log_bytes_reclaimed !dropped_bytes;
+    Stats.incr c_log_truncations;
+    Stats.add c_log_segments_reclaimed !dropped_segs;
+    Stats.add c_log_bytes_reclaimed !dropped_bytes;
     if Trace.enabled () then
       Trace.emit
         (Trace.Log_truncate

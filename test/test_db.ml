@@ -426,6 +426,25 @@ let test_trim_returns_zero_for_restored_txn () =
   Db.checkpoint db';
   Alcotest.(check bool) "trim frees bytes once resolved" true (Db.trim_log db' > 0)
 
+(* The lock table holds only live names: after many committed transactions
+   over distinct keys (key-value, rid and next-key instant locks on both
+   indexes), and one rolled back, no name is left behind. *)
+let test_lock_table_drains () =
+  let db, tbl = setup () in
+  Db.run_exn db (fun () ->
+      for i = 0 to 199 do
+        Db.with_txn db (fun txn ->
+            let key = Printf.sprintf "k%04d" i in
+            let rid = Table.insert tbl txn (row key (Printf.sprintf "c%02d" (i mod 17)) "1") in
+            ignore (Table.fetch tbl txn ~index:"pk" key);
+            if i mod 3 = 0 then Table.delete tbl txn rid)
+      done;
+      let txn = Txnmgr.begin_txn db.Db.mgr in
+      ignore (Table.insert tbl txn (row "loser" "c00" "1"));
+      Txnmgr.rollback db.Db.mgr txn);
+  Alcotest.(check int) "nothing held" 0 (Lockmgr.total_held db.Db.locks);
+  Alcotest.(check int) "no name left in the table" 0 (Lockmgr.table_size db.Db.locks)
+
 let () =
   Alcotest.run "db"
     [
@@ -442,6 +461,7 @@ let () =
           Alcotest.test_case "crash keeps pool capacity" `Quick test_crash_keeps_pool_capacity;
           Alcotest.test_case "read direct" `Quick test_read_direct;
           Alcotest.test_case "records span pages" `Quick test_large_records_span_pages;
+          Alcotest.test_case "lock table drains" `Quick test_lock_table_drains;
         ] );
       ( "locking",
         [

@@ -278,6 +278,34 @@ let test_held_locks_snapshot () =
       Alcotest.(check bool) "modes recorded" true
         (List.mem (rid 1, L.X) held && List.mem (name_a, L.IX) held))
 
+(* Every way a name stops being held or awaited drops its head: release,
+   manual release, release_all, an instant grant, a cancelled deadlock
+   victim, and an instant wait granted on release. *)
+let test_table_forgets_released_names () =
+  let t = L.create () in
+  ignore
+    (Sched.run (fun () ->
+         ignore (L.lock t ~txn:1 (rid 1) L.X L.Manual);
+         L.release t ~txn:1 (rid 1);
+         ignore (L.lock t ~txn:1 (rid 2) L.X L.Manual);
+         Alcotest.(check bool) "manual release" true (L.release_manual t ~txn:1 (rid 2));
+         ignore (L.lock t ~txn:1 (rid 3) L.X L.Instant);
+         ignore (L.lock t ~txn:1 name_a L.X L.Commit);
+         ignore
+           (Sched.spawn (fun () ->
+                ignore (L.lock t ~txn:2 name_b L.X L.Commit);
+                Sched.yield ();
+                (match L.lock t ~txn:2 name_a L.X L.Commit with
+                | L.Deadlock -> ()
+                | L.Granted | L.Denied -> Alcotest.fail "txn 2 should be the victim");
+                L.release_all t ~txn:2));
+         ignore (Sched.spawn (fun () -> ignore (L.lock t ~txn:3 name_a L.S L.Instant)));
+         Sched.yield ();
+         ignore (L.lock t ~txn:1 name_b L.X L.Commit);
+         L.release_all t ~txn:1));
+  Alcotest.(check int) "nothing held" 0 (L.total_held t);
+  Alcotest.(check int) "no name left in the table" 0 (L.table_size t)
+
 let () =
   Alcotest.run "lock"
     [
@@ -298,6 +326,8 @@ let () =
           Alcotest.test_case "manual release" `Quick test_manual_release;
           Alcotest.test_case "release_all wakes" `Quick test_release_all_wakes;
           Alcotest.test_case "held locks snapshot" `Quick test_held_locks_snapshot;
+          Alcotest.test_case "table forgets released names" `Quick
+            test_table_forgets_released_names;
         ] );
       ( "deadlock",
         [

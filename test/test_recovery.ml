@@ -710,6 +710,25 @@ let test_fingerprint () =
   let tree' = reopen db' (Btree.index_id tree) in
   Btree.check_invariants tree'
 
+(* Counter fidelity: the fingerprint workload above, run in a fresh sink,
+   must bump exactly the same counters by exactly the same amounts. The
+   constant is the MD5 of the rendered [Stats.to_alist]; a counter that is
+   lost, renamed or double-counted by a producer changes it. The trace
+   checker is pinned on, since [trace.events] counts its events. *)
+let counter_digest = "6261d617dd2bca0e3a52844c29bce9e6"
+
+let test_counter_fidelity () =
+  let s = Stats.create () in
+  let mode = Aries_trace.Trace.mode () in
+  Aries_trace.Trace.set_mode Aries_trace.Trace.Check;
+  Fun.protect
+    ~finally:(fun () -> Aries_trace.Trace.set_mode mode)
+    (fun () -> Stats.with_sink s test_fingerprint);
+  let rendered =
+    String.concat "\n" (List.map (fun (k, n) -> Printf.sprintf "%s %d" k n) (Stats.to_alist s))
+  in
+  Alcotest.(check string) "counter digest" counter_digest (Digest.to_hex (Digest.string rendered))
+
 let () =
   Alcotest.run "recovery"
     [
@@ -729,6 +748,7 @@ let () =
           Alcotest.test_case "2PC: commit after restart" `Quick test_prepared_commit_after_restart;
           Alcotest.test_case "2PC: abort after restart" `Quick test_prepared_abort_after_restart;
           Alcotest.test_case "classic restart fingerprint" `Quick test_fingerprint;
+          Alcotest.test_case "restart counter fidelity" `Quick test_counter_fidelity;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest qcheck_crash ]);
       ( "checkpoint",

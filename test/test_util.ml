@@ -273,15 +273,19 @@ let test_crc_bytes_slice () =
 
 (* ---------- Stats ---------- *)
 
+let c_a = Stats.counter "test.a"
+let c_b = Stats.counter "test.b"
+let c_x = Stats.counter "test.x"
+
 let test_stats_counting () =
   let s = Stats.create () in
   Stats.with_sink s (fun () ->
-      Stats.incr "a";
-      Stats.incr "a";
-      Stats.add "b" 5);
-  Alcotest.(check int) "a" 2 (Stats.get s "a");
-  Alcotest.(check int) "b" 5 (Stats.get s "b");
-  Alcotest.(check int) "absent" 0 (Stats.get s "c")
+      Stats.incr c_a;
+      Stats.incr c_a;
+      Stats.add c_b 5);
+  Alcotest.(check int) "a" 2 (Stats.get s "test.a");
+  Alcotest.(check int) "b" 5 (Stats.get s "test.b");
+  Alcotest.(check int) "absent" 0 (Stats.get s "test.c")
 
 let test_stats_sink_restored () =
   let outer = Stats.current () in
@@ -291,11 +295,50 @@ let test_stats_sink_restored () =
 
 let test_stats_diff () =
   let s = Stats.create () in
-  Stats.with_sink s (fun () -> Stats.add "x" 10);
+  Stats.with_sink s (fun () -> Stats.add c_x 10);
   let snap = Stats.copy s in
-  Stats.with_sink s (fun () -> Stats.add "x" 3);
+  Stats.with_sink s (fun () -> Stats.add c_x 3);
   let d = Stats.diff s snap in
-  Alcotest.(check int) "diff" 3 (Stats.get d "x")
+  Alcotest.(check int) "diff" 3 (Stats.get d "test.x")
+
+let test_stats_registry_idempotent () =
+  let c = Stats.counter "test.idem" in
+  let s = Stats.create () in
+  Stats.with_sink s (fun () ->
+      Stats.incr c;
+      Stats.incr (Stats.counter "test.idem"));
+  Alcotest.(check int) "one counter behind both registrations" 2 (Stats.get s "test.idem");
+  Alcotest.(check (list (pair string int))) "listed once" [ ("test.idem", 2) ] (Stats.to_alist s)
+
+let test_stats_unknown_name () =
+  let s = Stats.create () in
+  Alcotest.(check int) "never registered" 0 (Stats.get s "test.never.registered");
+  Stats.with_sink s (fun () -> ignore (Stats.counter "test.registered.unbumped"));
+  Alcotest.(check int) "registered, never bumped" 0 (Stats.get s "test.registered.unbumped");
+  Alcotest.(check (list (pair string int))) "nothing listed" [] (Stats.to_alist s)
+
+(* A sink created before a registration must take bumps of the new
+   counter once installed, and copy/diff must span sinks of both ages. *)
+let test_stats_late_registration () =
+  let early = Stats.create () in
+  Stats.with_sink early (fun () -> Stats.add c_x 1);
+  for i = 0 to 199 do
+    ignore (Stats.counter (Printf.sprintf "test.late.%03d" i))
+  done;
+  let late_last = Stats.counter "test.late.199" in
+  let late = Stats.create () in
+  Stats.with_sink late (fun () -> Stats.add late_last 4);
+  Stats.with_sink early (fun () -> Stats.add late_last 7);
+  Alcotest.(check int) "early sink grew" 7 (Stats.get early "test.late.199");
+  let snap = Stats.copy early in
+  Stats.with_sink early (fun () -> Stats.incr late_last);
+  Alcotest.(check int) "copy is independent" 7 (Stats.get snap "test.late.199");
+  let d = Stats.diff early late in
+  Alcotest.(check int) "diff across ages, late counter" 4 (Stats.get d "test.late.199");
+  Alcotest.(check int) "diff across ages, early counter" 1 (Stats.get d "test.x");
+  let d' = Stats.diff late (Stats.create ()) in
+  Alcotest.(check (list (pair string int))) "diff lists bumped counters only"
+    [ ("test.late.199", 4) ] (Stats.to_alist d')
 
 let () =
   Alcotest.run "util"
@@ -340,5 +383,8 @@ let () =
           Alcotest.test_case "counting" `Quick test_stats_counting;
           Alcotest.test_case "sink restored" `Quick test_stats_sink_restored;
           Alcotest.test_case "diff" `Quick test_stats_diff;
+          Alcotest.test_case "registration is idempotent" `Quick test_stats_registry_idempotent;
+          Alcotest.test_case "unknown name reads 0" `Quick test_stats_unknown_name;
+          Alcotest.test_case "late registration" `Quick test_stats_late_registration;
         ] );
     ]
