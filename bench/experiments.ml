@@ -748,15 +748,14 @@ let q6 ppf =
 (* ------------------------------------------------------------------ *)
 (* Q9: the commit path — batched group-commit forces vs per-commit
    forcing, and the background page cleaner's effect on restart redo.
-   The measurement functions are shared with [bench/main.exe -- json],
-   which emits the same numbers as BENCH_PR2.json. *)
+   Acceptance: group commit issues >= 4x fewer log forces (deterministic;
+   test_commit_pipeline enforces the same floor). *)
 
 module Group_commit = Aries_txn.Group_commit
 module Cleaner = Aries_buffer.Cleaner
 
 type commit_path = {
   cp_label : string;
-  cp_committers : int;
   cp_txns : int;  (* committed transactions *)
   cp_steps : int;  (* scheduler slices the run took *)
   cp_forces : int;  (* synchronous log forces, all causes *)
@@ -821,7 +820,6 @@ let measure_commit_path ~commit_mode ~label =
       steps := r.Sched.steps);
   {
     cp_label = label;
-    cp_committers = committers;
     cp_txns = !committed;
     cp_steps = !steps;
     cp_forces = Stats.get s Stats.log_forces;
@@ -831,19 +829,10 @@ let measure_commit_path ~commit_mode ~label =
     cp_hist = batch_hist s;
   }
 
-type cleaner_trial = {
-  cl_label : string;
-  cl_dirty_at_crash : int;  (* dirty-page table size when the run ended *)
-  cl_pages_cleaned : int;  (* pages the cleaner trickled out *)
-  cl_redo_scanned : int;  (* restart: log records the redo pass scanned *)
-  cl_redo_pages : int;  (* restart: pages the redo pass examined *)
-  cl_redos_applied : int;
-}
-
 (* The same sequential committed workload with the cleaner on or off, then
    checkpoint + crash + restart: the cleaner advances the recLSN horizon,
    so the redo scan shortens. *)
-let measure_cleaner ~cleaner ~label =
+let measure_cleaner ~cleaner ~label : (string * Record.json) list =
   let db = Db.create ~page_size:384 ?cleaner () in
   let tree =
     Db.run_exn db (fun () ->
@@ -862,71 +851,69 @@ let measure_cleaner ~cleaner ~label =
   Db.checkpoint db;
   let db' = Db.crash db in
   let report, s' = measured (fun () -> Db.run_exn db' (fun () -> Db.restart db')) in
-  {
-    cl_label = label;
-    cl_dirty_at_crash = dirty;
-    cl_pages_cleaned = Stats.get s Stats.cleaner_pages_written;
-    cl_redo_scanned = report.Restart.rp_records_redo_scanned;
-    cl_redo_pages = Stats.get s' Stats.redo_pages_examined;
-    cl_redos_applied = report.Restart.rp_redos_applied;
-  }
+  [
+    ("cleaner", Str label);
+    ("dirty_at_crash", Int dirty);
+    ("pages_cleaned", Int (Stats.get s Stats.cleaner_pages_written));
+    ("redo_scanned", Int report.Restart.rp_records_redo_scanned);
+    ("redo_pages", Int (Stats.get s' Stats.redo_pages_examined));
+    ("redos_applied", Int report.Restart.rp_redos_applied);
+  ]
+
+let commit_path_row c : (string * Record.json) list =
+  [
+    ("mode", Str c.cp_label);
+    ("committed_txns", Int c.cp_txns);
+    ("steps", Int c.cp_steps);
+    ("log_forces", Int c.cp_forces);
+    ("forces_per_commit", Float (float_of_int c.cp_forces /. float_of_int (max 1 c.cp_txns)));
+    ("commit_batches", Int c.cp_batches);
+    ("committers_covered", Int c.cp_covered);
+    ("group_waits", Int c.cp_waits);
+    ("mean_batch_size", Float (float_of_int c.cp_covered /. float_of_int (max 1 c.cp_batches)));
+  ]
 
 let q9 ppf =
-  section ppf "Q9: commit path — batched group commit vs per-commit forcing";
+  let r = Record.start ppf "q9" "Q9: commit path — batched group commit vs per-commit forcing" in
   let pc = measure_commit_path ~commit_mode:Db.Per_commit ~label:"per-commit" in
   let gc =
     measure_commit_path ~commit_mode:(Db.Group Group_commit.default_policy)
       ~label:"group-commit"
   in
-  let per r = float_of_int r.cp_forces /. float_of_int (max 1 r.cp_txns) in
-  kv ppf "committed txns (16 committers x 12)" "%d / %d (per-commit / group)" pc.cp_txns
-    gc.cp_txns;
-  kv ppf "[per-commit] log forces / forces per commit" "%d / %.2f" pc.cp_forces (per pc);
-  kv ppf "[group     ] log forces / forces per commit" "%d / %.2f" gc.cp_forces (per gc);
-  kv ppf "force reduction" "%.1fx (acceptance floor: 4x)"
-    (float_of_int pc.cp_forces /. float_of_int (max 1 gc.cp_forces));
-  kv ppf "batches / committers covered / waits" "%d / %d / %d" gc.cp_batches gc.cp_covered
-    gc.cp_waits;
-  kv ppf "mean batch size" "%.2f"
-    (float_of_int gc.cp_covered /. float_of_int (max 1 gc.cp_batches));
-  Format.fprintf ppf "  batch-size histogram (size x batches):@.";
-  List.iter
-    (fun (size, n) -> Format.fprintf ppf "    %2d x %d@." size n)
-    gc.cp_hist;
+  Record.table r "modes" (List.map commit_path_row [ pc; gc ]);
+  let reduction = float_of_int pc.cp_forces /. float_of_int (max 1 gc.cp_forces) in
+  Record.line r "force reduction (x)" [ ("force_reduction", Float reduction) ];
+  Record.gate r ">= 4x fewer log forces under group commit" ~ok:(reduction >= 4.0);
+  Record.line r "[group] batch size: batches"
+    [
+      ( "batch_histogram",
+        Obj (List.map (fun (size, n) -> (string_of_int size, Record.Int n)) gc.cp_hist) );
+    ];
   let off = measure_cleaner ~cleaner:None ~label:"off" in
   let on =
     measure_cleaner
       ~cleaner:(Some { Cleaner.interval_steps = 4; batch_pages = 4 })
       ~label:"on"
   in
-  let line ppf t =
-    kv ppf
-      (Printf.sprintf "[cleaner %-3s] dirty at crash / redo scanned / pages / applied"
-         t.cl_label)
-      "%d / %d / %d / %d" t.cl_dirty_at_crash t.cl_redo_scanned t.cl_redo_pages
-      t.cl_redos_applied
-  in
-  line ppf off;
-  line ppf on;
-  kv ppf "pages trickled by the cleaner" "%d" on.cl_pages_cleaned;
+  Record.table r "cleaner" [ off; on ];
   Format.fprintf ppf
     "  Group commit batches N concurrent commit forces into ~1 (no-force, §1);@.";
   Format.fprintf ppf
     "  the cleaner advances the dirty-page recLSN horizon so restart redo@.";
-  Format.fprintf ppf "  scans and examines less — without ever violating the WAL rule.@."
+  Format.fprintf ppf "  scans and examines less — without ever violating the WAL rule.@.";
+  Record.finish r
 
 (* ------------------------------------------------------------------ *)
 
 (* Q10: what does the protocol tracer cost? The same full simulation run
    (workload + invariants + oracle) under the three tracer modes: off (one
    flag test per emit site), record (ring buffer only), and check (ring +
-   the online R1-R5 discipline checker — the dune-runtest default). The
-   acceptance bound (checker-on <= 2x off) is enforced by
-   test/test_trace.ml; this entry measures it and writes BENCH_PR3.json. *)
+   the online R1-R5 discipline checker — the dune-runtest default).
+   Acceptance: checker-on <= 2x off (test/test_trace.ml enforces it too). *)
 let q10 ppf =
   let module Trace = Aries_trace.Trace in
   let module Sim = Aries_sim.Sim in
-  section ppf "Q10: protocol tracer overhead — off / ring-on / checker-on";
+  let r = Record.start ppf "q10" "Q10: protocol tracer overhead — off / ring-on / checker-on" in
   let cfg = Aries_sim.Workload.default_cfg in
   let seeds = List.init 8 (fun i -> 40 + i) in
   let n = List.length seeds in
@@ -935,71 +922,46 @@ let q10 ppf =
     | Trace.Record -> "record"
     | Trace.Check -> "check"
   in
+  (* best of 3 passes over every seed; each pass emits the same events *)
   let time_mode m =
     Trace.set_mode m;
-    let best = ref infinity and events = ref 0 in
-    for _ = 1 to 3 do
-      let t0 = Sys.time () in
-      let evs = ref 0 in
-      List.iter
-        (fun seed ->
-          let r = Sim.run cfg ~seed Aries_sim.Sweep.Run in
-          if r.Aries_sim.Sweep.rr_failures <> [] then
-            failwith
-              (Printf.sprintf "q10: seed %d failed with the tracer %s" seed (mode_label m));
-          evs := !evs + Trace.event_count ())
-        seeds;
-      let dt = Sys.time () -. t0 in
-      if dt < !best then begin
-        best := dt;
-        events := !evs
-      end
-    done;
-    (!best, !events)
+    let events = ref 0 in
+    let t =
+      Record.best_of 3 (fun () ->
+          events := 0;
+          List.iter
+            (fun seed ->
+              let rr = Sim.run cfg ~seed Aries_sim.Sweep.Run in
+              if rr.Aries_sim.Sweep.rr_failures <> [] then
+                failwith
+                  (Printf.sprintf "q10: seed %d failed with the tracer %s" seed (mode_label m));
+              events := !events + Trace.event_count ())
+            seeds)
+    in
+    (t, !events)
   in
   let saved = Trace.mode () in
-  Fun.protect
-    ~finally:(fun () -> Trace.set_mode saved)
-    (fun () ->
-      let t_off, _ = time_mode Trace.Off in
-      let t_rec, ev_rec = time_mode Trace.Record in
-      let t_chk, ev_chk = time_mode Trace.Check in
-      let per t = t /. float_of_int n *. 1e3 in
-      let ratio t = t /. Float.max t_off 1e-9 in
-      kv ppf "sim runs per mode (x3, best total)" "%d" n;
-      kv ppf "[off   ] total / per run" "%.4fs / %.3fms" t_off (per t_off);
-      kv ppf "[record] total / per run / events per run" "%.4fs / %.3fms / %d (%.2fx off)"
-        t_rec (per t_rec) (ev_rec / n) (ratio t_rec);
-      kv ppf "[check ] total / per run / events per run" "%.4fs / %.3fms / %d (%.2fx off)"
-        t_chk (per t_chk) (ev_chk / n) (ratio t_chk);
-      kv ppf "acceptance (enforced by test/test_trace.ml)" "checker-on <= 2x off: %s"
-        (if t_chk <= (2.0 *. t_off) +. 0.01 then "PASS" else "FAIL");
-      let mode_json label t evs =
-        Printf.sprintf
-          "    { \"mode\": \"%s\", \"total_s\": %.6f, \"per_run_ms\": %.4f,\n\
-          \      \"events_per_run\": %d, \"overhead_vs_off\": %.3f }"
-          label t (per t) (evs / n) (ratio t)
-      in
-      let json =
-        Printf.sprintf
-          "{\n\
-          \  \"bench\": \"tracer-overhead\",\n\
-          \  \"generated_by\": \"dune exec bench/main.exe -- q10\",\n\
-          \  \"runs_per_mode\": %d,\n\
-          \  \"record_over_off\": %.3f,\n\
-          \  \"check_over_off\": %.3f,\n\
-          \  \"acceptance\": \"check_over_off <= 2.0 (test/test_trace.ml enforces)\",\n\
-          \  \"modes\": [\n%s,\n%s,\n%s\n  ]\n\
-           }\n"
-          n (ratio t_rec) (ratio t_chk)
-          (mode_json "off" t_off 0)
-          (mode_json "record" t_rec ev_rec)
-          (mode_json "check" t_chk ev_chk)
-      in
-      let oc = open_out "BENCH_PR3.json" in
-      output_string oc json;
-      close_out oc;
-      kv ppf "wrote" "BENCH_PR3.json")
+  let modes =
+    Fun.protect
+      ~finally:(fun () -> Trace.set_mode saved)
+      (fun () ->
+        List.map (fun m -> (mode_label m, time_mode m)) [ Trace.Off; Trace.Record; Trace.Check ])
+  in
+  let t_off = fst (List.assoc "off" modes) and t_chk = fst (List.assoc "check" modes) in
+  Record.line r "sim runs per mode (best of 3 passes)" [ ("runs_per_mode", Int n) ];
+  Record.table r "modes"
+    (List.map
+       (fun (label, (t, evs)) ->
+         [
+           ("mode", Record.Str label);
+           ("total_s", Float t);
+           ("per_run_ms", Float (t /. float_of_int n *. 1e3));
+           ("events_per_run", Int (evs / n));
+           ("overhead_vs_off", Float (t /. Float.max t_off 1e-9));
+         ])
+       modes);
+  Record.gate r "checker-on <= 2x off" ~ok:(t_chk <= (2.0 *. t_off) +. 0.01);
+  Record.finish r
 
 (* ------------------------------------------------------------------ *)
 
@@ -1008,12 +970,13 @@ let q10 ppf =
    live log grows without bound; with the daemon (checkpoint + whole-segment
    truncation, stale dirty pages nudged to the cleaner) the live footprint
    plateaus at a few segments, and post-crash restart analysis is bounded by
-   the records written since the last complete checkpoint. Writes
-   BENCH_PR4.json. *)
+   the records written since the last complete checkpoint. *)
 let q11 ppf =
   let module Ckptd = Aries_recovery.Ckptd in
   let module Archive = Aries_recovery.Media.Archive in
-  section ppf "Q11: log lifecycle — live-log plateau under the checkpoint daemon";
+  let r =
+    Record.start ppf "q11" "Q11: log lifecycle — live-log plateau under the checkpoint daemon"
+  in
   let seg = 2048 in
   let batches = 24 and txns_per_batch = 4 and inserts_per_txn = 4 in
   let run_workload ~checkpoint =
@@ -1045,28 +1008,51 @@ let q11 ppf =
   let ck_cfg = Some { Ckptd.every_steps = 8; nudge_pages = 4; truncate = true } in
   let db_off, tree_off, samples_off, _ = run_workload ~checkpoint:None in
   let db_on, tree_on, samples_on, stats_on = run_workload ~checkpoint:ck_cfg in
-  let live db = Logmgr.size_bytes db.Db.wal in
+  (* taken before the crash: restart appends to the same logs *)
+  let live_off = Logmgr.size_bytes db_off.Db.wal and live_on = Logmgr.size_bytes db_on.Db.wal in
   let committed = batches * txns_per_batch * inserts_per_txn in
-  kv ppf "workload" "%d batches x %d txns x %d inserts (= %d keys), segment %dB" batches
-    txns_per_batch inserts_per_txn committed seg;
-  kv ppf "[no daemon] final live log / segments" "%dB / %d" (live db_off)
-    (Logmgr.segment_count db_off.Db.wal);
-  kv ppf "[daemon   ] final live log / segments / archived" "%dB / %d / %d" (live db_on)
-    (Logmgr.segment_count db_on.Db.wal)
-    (Archive.segment_count db_on.Db.archive);
-  kv ppf "[daemon   ] rounds / checkpoints / nudges" "%d / %d / %d"
-    (Stats.get stats_on Stats.ckptd_rounds)
-    (Stats.get stats_on Stats.ckpt_taken)
-    (Stats.get stats_on Stats.ckptd_nudges);
-  kv ppf "[daemon   ] truncations / segments reclaimed" "%d / %d"
-    (Stats.get stats_on Stats.log_truncations)
-    (Stats.get stats_on Stats.log_segments_reclaimed);
+  Record.line r "workload: batches / txns each / inserts each / segment B"
+    [
+      ("batches", Int batches);
+      ("txns_per_batch", Int txns_per_batch);
+      ("inserts_per_txn", Int inserts_per_txn);
+      ("segment_bytes", Int seg);
+    ];
+  Record.line r "[no daemon] final live log B / segments"
+    [
+      ("no_daemon_live_bytes", Int live_off);
+      ("no_daemon_segments", Int (Logmgr.segment_count db_off.Db.wal));
+    ];
+  Record.line r "[daemon   ] final live log B / segments / archived"
+    [
+      ("daemon_live_bytes", Int live_on);
+      ("daemon_segments", Int (Logmgr.segment_count db_on.Db.wal));
+      ("daemon_archived_segments", Int (Archive.segment_count db_on.Db.archive));
+    ];
+  Record.line r "[daemon   ] rounds / checkpoints / nudges"
+    [
+      ("daemon_rounds", Int (Stats.get stats_on Stats.ckptd_rounds));
+      ("daemon_checkpoints", Int (Stats.get stats_on Stats.ckpt_taken));
+      ("daemon_nudges", Int (Stats.get stats_on Stats.ckptd_nudges));
+    ];
+  Record.line r "[daemon   ] truncations / segments reclaimed"
+    [
+      ("daemon_truncations", Int (Stats.get stats_on Stats.log_truncations));
+      ("daemon_segments_reclaimed", Int (Stats.get stats_on Stats.log_segments_reclaimed));
+    ];
   let peak l = List.fold_left max 0 l in
-  kv ppf "live-log peak over the run (no daemon vs daemon)" "%dB vs %dB" (peak samples_off)
-    (peak samples_on);
-  let plateau_ok = 2 * live db_on < live db_off in
-  kv ppf "acceptance: daemon footprint under half of unbounded" "%s"
-    (if plateau_ok then "PASS" else "FAIL");
+  Record.line r "live-log peak B over the run (no daemon / daemon)"
+    [
+      ("no_daemon_peak_bytes", Int (peak samples_off));
+      ("daemon_peak_bytes", Int (peak samples_on));
+    ];
+  let ints l = Record.List (List.map (fun n -> Record.Int n) l) in
+  Record.add r
+    [
+      ("no_daemon_live_bytes_per_batch", ints samples_off);
+      ("daemon_live_bytes_per_batch", ints samples_on);
+    ];
+  Record.gate r "daemon footprint under half of unbounded" ~ok:(2 * live_on < live_off);
   (* post-crash analysis bound: records since the last complete checkpoint *)
   let since_ckpt = ref 0 in
   Logmgr.iter_from db_on.Db.wal (Logmgr.master db_on.Db.wal) (fun _ -> incr since_ckpt);
@@ -1076,137 +1062,39 @@ let q11 ppf =
   in
   let db_off', rep_off = crash_report db_off in
   let db_on', rep_on = crash_report db_on in
-  kv ppf "[no daemon] restart records analyzed" "%d" rep_off.Restart.rp_records_analyzed;
-  kv ppf "[daemon   ] restart records analyzed / since last ckpt" "%d / %d"
-    rep_on.Restart.rp_records_analyzed !since_ckpt;
-  let bound_ok = rep_on.Restart.rp_records_analyzed <= !since_ckpt in
-  kv ppf "acceptance: analysis <= records since last checkpoint" "%s"
-    (if bound_ok then "PASS" else "FAIL");
+  Record.line r "[no daemon] restart records analyzed"
+    [ ("no_daemon_records_analyzed", Int rep_off.Restart.rp_records_analyzed) ];
+  Record.line r "[daemon   ] restart records analyzed / since last ckpt"
+    [
+      ("daemon_records_analyzed", Int rep_on.Restart.rp_records_analyzed);
+      ("daemon_records_since_ckpt", Int !since_ckpt);
+    ];
+  Record.gate r "analysis <= records since last checkpoint"
+    ~ok:(rep_on.Restart.rp_records_analyzed <= !since_ckpt);
   (* both databases recover the full committed state — truncation lost nothing *)
   let count db tree =
     List.length (Btree.to_list (Btree.open_existing db.Db.benv (Btree.index_id tree)))
   in
   let n_off = count db_off' tree_off and n_on = count db_on' tree_on in
-  kv ppf "recovered keys (no daemon / daemon)" "%d / %d (expected %d)" n_off n_on committed;
+  Record.line r
+    (Printf.sprintf "recovered keys, no daemon / daemon (of %d)" committed)
+    [ ("no_daemon_recovered_keys", Int n_off); ("daemon_recovered_keys", Int n_on) ];
   if n_off <> committed || n_on <> committed then
     failwith "q11: truncation or recovery lost committed work";
-  let ints l = String.concat ", " (List.map string_of_int l) in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"bench\": \"log-lifecycle\",\n\
-      \  \"generated_by\": \"dune exec bench/main.exe -- q11\",\n\
-      \  \"segment_bytes\": %d,\n\
-      \  \"committed_inserts\": %d,\n\
-      \  \"no_daemon\": {\n\
-      \    \"final_live_bytes\": %d, \"segments\": %d,\n\
-      \    \"restart_records_analyzed\": %d,\n\
-      \    \"live_bytes_per_batch\": [%s]\n\
-      \  },\n\
-      \  \"daemon\": {\n\
-      \    \"cfg\": { \"every_steps\": 8, \"nudge_pages\": 4, \"truncate\": true },\n\
-      \    \"final_live_bytes\": %d, \"segments\": %d, \"archived_segments\": %d,\n\
-      \    \"rounds\": %d, \"checkpoints\": %d, \"cleaner_nudges\": %d,\n\
-      \    \"truncations\": %d, \"segments_reclaimed\": %d,\n\
-      \    \"restart_records_analyzed\": %d, \"records_since_last_ckpt\": %d,\n\
-      \    \"live_bytes_per_batch\": [%s]\n\
-      \  },\n\
-      \  \"acceptance\": {\n\
-      \    \"plateau_under_half\": %b,\n\
-      \    \"analysis_bounded_by_ckpt\": %b,\n\
-      \    \"all_committed_recovered\": %b\n\
-      \  }\n\
-       }\n"
-      seg committed (live db_off)
-      (Logmgr.segment_count db_off.Db.wal)
-      rep_off.Restart.rp_records_analyzed (ints samples_off) (live db_on)
-      (Logmgr.segment_count db_on.Db.wal)
-      (Archive.segment_count db_on.Db.archive)
-      (Stats.get stats_on Stats.ckptd_rounds)
-      (Stats.get stats_on Stats.ckpt_taken)
-      (Stats.get stats_on Stats.ckptd_nudges)
-      (Stats.get stats_on Stats.log_truncations)
-      (Stats.get stats_on Stats.log_segments_reclaimed)
-      rep_on.Restart.rp_records_analyzed !since_ckpt (ints samples_on) plateau_ok bound_ok
-      (n_off = committed && n_on = committed)
-  in
-  let oc = open_out "BENCH_PR4.json" in
-  output_string oc json;
-  close_out oc;
-  kv ppf "wrote" "BENCH_PR4.json"
+  Record.finish r
 
-(* Q12: the storage fault layer's cost and coverage — CRC hot-path
-   overhead (page codec and log-image load with verification on vs the
-   crc.check-disabled meta-fault), automatic media repair latency (records
-   rolled forward, scheduler steps, healed transparently through the
-   pool's repairer hook), crash-time tail-scan truncation volume under
-   torn appends, and a bounded fault sweep digest (the acceptance gate:
-   every seed recovers to the oracle or fails typed). Writes
-   BENCH_PR5.json. *)
+(* Q12: the storage fault layer's coverage — automatic media repair
+   latency (records rolled forward, scheduler steps, healed transparently
+   through the pool's repairer hook), crash-time tail-scan truncation
+   volume under torn appends, and a bounded fault sweep digest (the
+   acceptance gate: every seed recovers to the oracle or fails typed).
+   The CRC hot-path overhead is Q16's measurement. *)
 let q12 ppf =
   let module Sim = Aries_sim.Sim in
   let module Sweep = Aries_sim.Sweep in
   let module Swl = Aries_sim.Workload in
   let module Faultdisk = Aries_util.Faultdisk in
-  let module Crashpoint = Aries_util.Crashpoint in
-  section ppf "Q12: storage faults — CRC overhead, repair latency, tail scan, sweep digest";
-  (* -- CRC hot path: a full realistic leaf, encode+decode in a loop -- *)
-  let db, tree = fresh ~page_size:4096 () in
-  Db.run_exn db (fun () ->
-      Db.with_txn db (fun txn ->
-          for i = 1 to 120 do
-            Btree.insert tree txn ~value:(v i) ~rid:(rid i)
-          done));
-  Bufpool.flush_all db.Db.pool;
-  let image =
-    match Disk.read db.Db.disk (Btree.root_pid tree) with
-    | Some p -> Page.encode p
-    | None -> failwith "q12: root image missing"
-  in
-  let iters = 20_000 in
-  let timed f =
-    let t0 = Sys.time () in
-    f ();
-    Sys.time () -. t0
-  in
-  let codec_loop () =
-    for _ = 1 to iters do
-      ignore (Page.decode ~psize:4096 (Page.encode (Page.decode ~psize:4096 image)))
-    done
-  in
-  let t_on = timed codec_loop in
-  Crashpoint.enable_fault Crashpoint.fault_crc_check_disabled;
-  let t_off = timed codec_loop in
-  Crashpoint.disable_fault Crashpoint.fault_crc_check_disabled;
-  let codec_overhead = (t_on -. t_off) /. t_off *. 100.0 in
-  kv ppf
-    (Printf.sprintf "page codec (%d enc+2dec, %dB image)" iters (Bytes.length image))
-    "%.3fs crc-on vs %.3fs crc-off (+%.1f%%)" t_on t_off codec_overhead;
-  (* -- CRC on the log-load path: deserialize a sealed-segment image -- *)
-  let log = Logmgr.create ~segment_size:4096 () in
-  for i = 1 to 2_000 do
-    ignore
-      (Logmgr.append log
-         (Logrec.make ~page:(i mod 64) ~rm_id:1 ~op:1 ~body:(Bytes.make 48 'q') ~txn:i
-            ~prev_lsn:Lsn.nil Logrec.Update))
-  done;
-  Logmgr.flush log;
-  let log_img = Logmgr.serialize log in
-  let load_iters = 200 in
-  let load_loop () =
-    for _ = 1 to load_iters do
-      ignore (Logmgr.deserialize log_img)
-    done
-  in
-  let l_on = timed load_loop in
-  Crashpoint.enable_fault Crashpoint.fault_crc_check_disabled;
-  let l_off = timed load_loop in
-  Crashpoint.disable_fault Crashpoint.fault_crc_check_disabled;
-  let load_overhead = (l_on -. l_off) /. l_off *. 100.0 in
-  kv ppf
-    (Printf.sprintf "log image load (%dx, %dB, 2000 records)" load_iters
-       (Bytes.length log_img))
-    "%.3fs crc-on vs %.3fs crc-off (+%.1f%%)" l_on l_off load_overhead;
+  let r = Record.start ppf "q12" "Q12: storage faults — repair latency, tail scan, sweep digest" in
   (* -- automatic repair latency: rot the root, heal through the pool -- *)
   let rdb = Db.create ~page_size:384 ~segment_size:1024 () in
   let rtree =
@@ -1242,13 +1130,19 @@ let q12 ppf =
     Bufpool.drop rdb.Db.pool victim;
     Db.run_exn rdb (fun () -> Media.auto_repair ~archive:rdb.Db.archive rdb.Db.mgr rdb.Db.pool victim)
   in
-  kv ppf "repair: rows read through the heal" "%d (expected 200)" rows;
-  kv ppf "repair: quarantines / repairs" "%d / %d"
-    (Stats.get rstats Stats.disk_quarantines)
-    (Stats.get rstats Stats.disk_repairs);
-  kv ppf "repair: records rolled forward (archive + live log)" "%d (log bytes reclaimed %d)"
-    repair_records reclaimed;
-  kv ppf "repair: latency" "%d scheduler steps, %.4fs wall" !steps !t_repair;
+  Record.line r "repair: rows read through the heal (of 200)" [ ("repair_rows", Int rows) ];
+  Record.line r "repair: quarantines / repairs"
+    [
+      ("repair_quarantines", Int (Stats.get rstats Stats.disk_quarantines));
+      ("repair_repairs", Int (Stats.get rstats Stats.disk_repairs));
+    ];
+  Record.line r "repair: records rolled forward / log B reclaimed before"
+    [
+      ("repair_records_rolled_forward", Int repair_records);
+      ("repair_log_bytes_reclaimed", Int reclaimed);
+    ];
+  Record.line r "repair: latency steps / wall ms"
+    [ ("repair_latency_steps", Int !steps); ("repair_latency_ms", Float (1000.0 *. !t_repair)) ];
   if rows <> 200 then failwith "q12: repair lost rows";
   (* -- tail-scan truncation volume under torn appends -- *)
   let torn_cfg =
@@ -1288,10 +1182,12 @@ let q12 ppf =
     tail_bytes := !tail_bytes + Stats.get tstats Stats.log_tail_truncated_bytes;
     tail_cuts := !tail_cuts + Stats.get tstats Stats.log_tail_truncations
   done;
-  kv ppf
-    (Printf.sprintf "tail scan (%d torn crashes)" tail_runs)
-    "%d truncations, %d bytes dropped (%.1fB/crash)" !tail_cuts !tail_bytes
-    (float_of_int !tail_bytes /. float_of_int tail_runs);
+  Record.line r "tail scan: torn crashes / truncations / B dropped"
+    [
+      ("tail_torn_crashes", Int tail_runs);
+      ("tail_truncations", Int !tail_cuts);
+      ("tail_bytes_dropped", Int !tail_bytes);
+    ];
   (* -- bounded fault sweep digest: the acceptance gate in miniature -- *)
   let sweep_seeds = 12 and sweep_crash_seeds = 2 and sweep_budget = 20 in
   let digest, dstats =
@@ -1302,66 +1198,33 @@ let q12 ppf =
           ~crash_budget:sweep_budget)
   in
   let fatal = Sweep.fatal_failures digest in
-  let tolerated = List.length digest.Sweep.sm_failures - List.length fatal in
-  kv ppf "fault sweep" "%d seed runs, %d crash points, %d fault(s) injected" (digest.Sweep.sm_runs - digest.Sweep.sm_armed)
-    digest.Sweep.sm_armed
-    (Stats.get dstats Stats.disk_eio_injected
-    + Stats.get dstats Stats.disk_bit_flips
-    + Stats.get dstats Stats.disk_torn_writes);
-  kv ppf "fault sweep: retries / quarantines / repairs" "%d / %d / %d"
-    (Stats.get dstats Stats.disk_retries)
-    (Stats.get dstats Stats.disk_quarantines)
-    (Stats.get dstats Stats.disk_repairs);
-  kv ppf "fault sweep: fatal / tolerated-typed failures" "%d / %d" (List.length fatal) tolerated;
+  let count c = Record.Int (Stats.get dstats c) in
+  Record.line r "fault sweep: seed runs / crash points"
+    [
+      ("sweep_seed_runs", Int (digest.Sweep.sm_runs - digest.Sweep.sm_armed));
+      ("sweep_crash_points", Int digest.Sweep.sm_armed);
+    ];
+  Record.line r "fault sweep: EIO / bit flips / torn writes injected"
+    [
+      ("sweep_eio_injected", count Stats.disk_eio_injected);
+      ("sweep_bit_flips", count Stats.disk_bit_flips);
+      ("sweep_torn_writes", count Stats.disk_torn_writes);
+    ];
+  Record.line r "fault sweep: retries / quarantines / repairs / tail cuts"
+    [
+      ("sweep_retries", count Stats.disk_retries);
+      ("sweep_quarantines", count Stats.disk_quarantines);
+      ("sweep_repairs", count Stats.disk_repairs);
+      ("sweep_tail_truncations", count Stats.log_tail_truncations);
+    ];
+  Record.line r "fault sweep: fatal / tolerated-typed failures"
+    [
+      ("sweep_fatal_failures", Int (List.length fatal));
+      ("sweep_tolerated_failures", Int (List.length digest.Sweep.sm_failures - List.length fatal));
+    ];
   List.iter (fun rp -> kv ppf "FATAL" "%s" (Sweep.reproducer_line rp)) fatal;
-  kv ppf "acceptance: zero fatal failures" "%s" (if fatal = [] then "PASS" else "FAIL");
-  if fatal <> [] then failwith "q12: fault sweep found fatal failures";
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"bench\": \"storage-faults\",\n\
-      \  \"generated_by\": \"dune exec bench/main.exe -- q12\",\n\
-      \  \"crc_hot_path\": {\n\
-      \    \"page_codec\": { \"iters\": %d, \"image_bytes\": %d,\n\
-      \      \"crc_on_s\": %.4f, \"crc_off_s\": %.4f, \"overhead_pct\": %.2f },\n\
-      \    \"log_image_load\": { \"iters\": %d, \"image_bytes\": %d,\n\
-      \      \"crc_on_s\": %.4f, \"crc_off_s\": %.4f, \"overhead_pct\": %.2f }\n\
-      \  },\n\
-      \  \"auto_repair\": {\n\
-      \    \"rows_through_heal\": %d, \"quarantines\": %d, \"repairs\": %d,\n\
-      \    \"records_rolled_forward\": %d, \"latency_steps\": %d, \"latency_s\": %.5f,\n\
-      \    \"log_bytes_reclaimed_before\": %d\n\
-      \  },\n\
-      \  \"tail_scan\": { \"torn_crashes\": %d, \"truncations\": %d,\n\
-      \    \"bytes_dropped\": %d, \"bytes_per_crash\": %.1f },\n\
-      \  \"fault_sweep\": {\n\
-      \    \"seed_runs\": %d, \"crash_points\": %d,\n\
-      \    \"eio_injected\": %d, \"bit_flips\": %d, \"torn_writes\": %d,\n\
-      \    \"retries\": %d, \"quarantines\": %d, \"repairs\": %d,\n\
-      \    \"tail_truncations\": %d,\n\
-      \    \"fatal_failures\": %d, \"tolerated_typed_failures\": %d\n\
-      \  }\n\
-       }\n"
-      iters (Bytes.length image) t_on t_off codec_overhead load_iters (Bytes.length log_img)
-      l_on l_off load_overhead rows
-      (Stats.get rstats Stats.disk_quarantines)
-      (Stats.get rstats Stats.disk_repairs)
-      repair_records !steps !t_repair reclaimed tail_runs !tail_cuts !tail_bytes
-      (float_of_int !tail_bytes /. float_of_int tail_runs)
-      (digest.Sweep.sm_runs - digest.Sweep.sm_armed) digest.Sweep.sm_armed
-      (Stats.get dstats Stats.disk_eio_injected)
-      (Stats.get dstats Stats.disk_bit_flips)
-      (Stats.get dstats Stats.disk_torn_writes)
-      (Stats.get dstats Stats.disk_retries)
-      (Stats.get dstats Stats.disk_quarantines)
-      (Stats.get dstats Stats.disk_repairs)
-      (Stats.get dstats Stats.log_tail_truncations)
-      (List.length fatal) tolerated
-  in
-  let oc = open_out "BENCH_PR5.json" in
-  output_string oc json;
-  close_out oc;
-  kv ppf "wrote" "BENCH_PR5.json"
+  Record.gate r "zero fatal failures" ~ok:(fatal = []);
+  Record.finish r
 
 (* Q13: instant restart — time to the first committed new transaction
    after a crash. The same crashed image (save/load) restarts twice:
@@ -1374,12 +1237,12 @@ let q12 ppf =
    chains are persisted, but pages are never cleaned: the redo backlog
    spans the whole run and dwarfs the restart buffer pool) where the
    paper's downtime argument predicts the win; the acceptance gate
-   requires >= 5x there. Writes BENCH_PR6.json. *)
+   requires >= 5x there. *)
 let q13 ppf =
   let module Ckptd = Aries_recovery.Ckptd in
-  section ppf "Q13: instant restart — time to first committed transaction";
+  let r = Record.start ppf "q13" "Q13: instant restart — time to first committed transaction" in
   let committed = 5_000 and per_txn = 10 in
-  let loser_keys = 20 in
+  let loser_keys = 20 and restart_pool = 24 in
   let build ~long =
     (* long shape: checkpoints keep running (short analysis window, the
        dirty pages' log chains ride in each End_ckpt) but nudge almost
@@ -1420,7 +1283,7 @@ let q13 ppf =
   (* time from restart start to the first committed new transaction, then
      (instant only) on to the fully drained engine *)
   let time_restart ~instant img ix =
-    let db' = Db.load ~pool_capacity:24 img in
+    let db' = Db.load ~pool_capacity:restart_pool img in
     let t_first = ref 0.0 and t_drained = ref 0.0 and pending0 = ref 0 in
     let (rep : Restart.report), stats =
       measured (fun () ->
@@ -1459,16 +1322,28 @@ let q13 ppf =
       time_restart ~instant:true img ix
     in
     Sys.remove img;
-    kv ppf (Printf.sprintf "[%s] classic: redos / undos / first-commit" name) "%d / %d / %.2fms"
-      c_rep.Restart.rp_redos_applied c_rep.Restart.rp_undo_records (ms c_first);
-    kv ppf
-      (Printf.sprintf "[%s] instant: pending@open / first-commit / drained" name)
-      "%d / %.2fms / %.2fms" i_pending (ms i_first) (ms i_drained);
-    kv ppf
-      (Printf.sprintf "[%s] instant: on-demand redos / locks reacquired" name)
-      "%d / %d"
-      (Stats.get i_stats Stats.instant_ondemand_redos)
-      (Stats.get i_stats Stats.instant_locks_reacquired);
+    let line what fields =
+      Record.line r (Printf.sprintf "[%s] %s" name what)
+        (List.map (fun (k, v) -> (name ^ "_" ^ k, v)) fields)
+    in
+    line "classic: redos / undos / first-commit ms"
+      [
+        ("classic_redos", Int c_rep.Restart.rp_redos_applied);
+        ("classic_undos", Int c_rep.Restart.rp_undo_records);
+        ("classic_first_commit_ms", Float (ms c_first));
+      ];
+    line "instant: pending@open / first-commit ms / drained ms"
+      [
+        ("instant_pending_at_open", Int i_pending);
+        ("instant_first_commit_ms", Float (ms i_first));
+        ("instant_drained_ms", Float (ms i_drained));
+      ];
+    line "instant: on-demand redos / drain rounds / locks reacquired"
+      [
+        ("instant_ondemand_redos", Int (Stats.get i_stats Stats.instant_ondemand_redos));
+        ("instant_drain_rounds", Int (Stats.get i_stats Stats.instant_drain_rounds));
+        ("instant_locks_reacquired", Int (Stats.get i_stats Stats.instant_locks_reacquired));
+      ];
     if c_rows <> committed + 1 || i_rows <> committed + 1 then
       failwith (Printf.sprintf "q13: %s-log recovery lost rows (%d / %d)" name c_rows i_rows);
     if i_rep.Restart.rp_redos_applied <> c_rep.Restart.rp_redos_applied then
@@ -1476,57 +1351,20 @@ let q13 ppf =
         (Printf.sprintf "q13: instant and classic redo different record counts (%d vs %d)"
            i_rep.Restart.rp_redos_applied c_rep.Restart.rp_redos_applied);
     let speedup = c_first /. Float.max i_first 1e-6 in
-    kv ppf (Printf.sprintf "[%s] time-to-first-commit speedup" name) "%.1fx" speedup;
-    (c_rep, c_first, i_rep, i_stats, i_first, i_drained, i_pending, speedup)
+    line "time-to-first-commit speedup (x)" [ ("speedup", Float speedup) ];
+    speedup
   in
-  kv ppf "workload" "%d committed inserts (txns of %d), %d-key loser, pool 24 pages" committed
-    per_txn loser_keys;
-  let _, s_c_first, _, s_i_stats, s_i_first, s_i_drained, s_pending, s_speed =
-    shape "short" ~long:false
-  in
-  let l_c_rep, l_c_first, l_i_rep, l_i_stats, l_i_first, l_i_drained, l_pending, l_speed =
-    shape "long" ~long:true
-  in
-  let pass = l_speed >= 5.0 in
-  kv ppf "acceptance: >= 5x on the long-log workload" "%s" (if pass then "PASS" else "FAIL");
-  if not pass then failwith "q13: instant restart under 5x on the long-log workload";
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"bench\": \"instant-restart\",\n\
-      \  \"generated_by\": \"dune exec bench/main.exe -- q13\",\n\
-      \  \"workload\": { \"committed_inserts\": %d, \"inserts_per_txn\": %d,\n\
-      \    \"loser_keys\": %d, \"restart_pool_pages\": 24 },\n\
-      \  \"short_log\": {\n\
-      \    \"classic_first_commit_ms\": %.3f,\n\
-      \    \"instant_first_commit_ms\": %.3f, \"instant_drained_ms\": %.3f,\n\
-      \    \"pending_pages_at_open\": %d, \"ondemand_redos\": %d,\n\
-      \    \"locks_reacquired\": %d, \"speedup\": %.2f\n\
-      \  },\n\
-      \  \"long_log\": {\n\
-      \    \"classic_first_commit_ms\": %.3f, \"classic_redos_applied\": %d,\n\
-      \    \"classic_undo_records\": %d,\n\
-      \    \"instant_first_commit_ms\": %.3f, \"instant_drained_ms\": %.3f,\n\
-      \    \"pending_pages_at_open\": %d, \"ondemand_redos\": %d,\n\
-      \    \"drain_rounds\": %d, \"locks_reacquired\": %d,\n\
-      \    \"redos_applied\": %d, \"speedup\": %.2f\n\
-      \  },\n\
-      \  \"acceptance\": { \"long_log_speedup_at_least_5x\": %b }\n\
-       }\n"
-      committed per_txn loser_keys (ms s_c_first) (ms s_i_first) (ms s_i_drained) s_pending
-      (Stats.get s_i_stats Stats.instant_ondemand_redos)
-      (Stats.get s_i_stats Stats.instant_locks_reacquired)
-      s_speed (ms l_c_first) l_c_rep.Restart.rp_redos_applied l_c_rep.Restart.rp_undo_records
-      (ms l_i_first) (ms l_i_drained) l_pending
-      (Stats.get l_i_stats Stats.instant_ondemand_redos)
-      (Stats.get l_i_stats Stats.instant_drain_rounds)
-      (Stats.get l_i_stats Stats.instant_locks_reacquired)
-      l_i_rep.Restart.rp_redos_applied l_speed pass
-  in
-  let oc = open_out "BENCH_PR6.json" in
-  output_string oc json;
-  close_out oc;
-  kv ppf "wrote" "BENCH_PR6.json"
+  Record.line r "workload: committed inserts / per txn / loser keys / restart pool pages"
+    [
+      ("committed_inserts", Int committed);
+      ("inserts_per_txn", Int per_txn);
+      ("loser_keys", Int loser_keys);
+      ("restart_pool_pages", Int restart_pool);
+    ];
+  ignore (shape "short" ~long:false);
+  let long_speedup = shape "long" ~long:true in
+  Record.gate r ">= 5x on the long-log workload" ~ok:(long_speedup >= 5.0);
+  Record.finish r
 
 (* ------------------------------------------------------------------ *)
 (* Q14 (PR 7): multi-stream parallel WAL — commit throughput scaling.
@@ -1543,8 +1381,9 @@ let q13 ppf =
    single log tail as the commit bottleneck; the fence (rule R8) is the
    only cross-stream synchronization left on the commit path.
 
-   Acceptance: >= 2x commits/step at N = 4 vs N = 1 with 16 committers.
-   Writes BENCH_PR7.json. *)
+   Acceptance: >= 2x modelled commits/step at N = 4 vs N = 1 with 16
+   committers. Every throughput here is the step I/O model's, not a
+   wall-clock measurement. *)
 
 let q14_cost bytes = 8 + (bytes / 24)
 
@@ -1557,7 +1396,7 @@ type q14_cell = {
   ms_forces : int;
 }
 
-let q14_throughput c = 1000.0 *. float_of_int c.ms_txns /. float_of_int (max 1 c.ms_steps)
+let q14_model_throughput c = 1000.0 *. float_of_int c.ms_txns /. float_of_int (max 1 c.ms_steps)
 
 let q14_run ~streams ~fibers =
   let db =
@@ -1616,52 +1455,39 @@ let q14_run ~streams ~fibers =
   }
 
 let q14 ppf =
-  section ppf "Q14: parallel WAL — commit throughput vs fibers at N streams";
+  let r =
+    Record.start ppf "q14"
+      "Q14: parallel WAL — commit throughput vs fibers at N streams (step I/O model)"
+  in
   let stream_counts = [ 1; 2; 4; 8 ] and fiber_counts = [ 2; 4; 8; 16 ] in
   let cells =
     List.concat_map
       (fun streams -> List.map (fun fibers -> q14_run ~streams ~fibers) fiber_counts)
       stream_counts
   in
-  List.iter
-    (fun c ->
-      kv ppf
-        (Printf.sprintf "N=%d, %2d committers" c.ms_streams c.ms_fibers)
-        "%3d commits in %6d steps = %6.2f commits/kstep (%d batches, %d forces)" c.ms_txns
-        c.ms_steps (q14_throughput c) c.ms_batches c.ms_forces)
-    cells;
+  Record.add r
+    [ ("io_model", Str "steps = 8 + bytes/24 per stream force, concurrent across streams") ];
+  Record.table r "cells"
+    (List.map
+       (fun c ->
+         [
+           ("streams", Record.Int c.ms_streams);
+           ("committers", Int c.ms_fibers);
+           ("committed_txns", Int c.ms_txns);
+           ("steps", Int c.ms_steps);
+           ("model_commits_per_kstep", Float (q14_model_throughput c));
+           ("commit_batches", Int c.ms_batches);
+           ("log_forces", Int c.ms_forces);
+         ])
+       cells);
   let cell streams fibers =
     List.find (fun c -> c.ms_streams = streams && c.ms_fibers = fibers) cells
   in
-  let speedup =
-    q14_throughput (cell 4 16) /. q14_throughput (cell 1 16)
-  in
-  let pass = speedup >= 2.0 in
-  kv ppf "N=4 vs N=1 speedup at 16 committers" "%.2fx (acceptance: >= 2x: %b)" speedup pass;
-  if not pass then failwith "q14: N=4 commit throughput did not reach 2x of N=1";
-  let cell_json c =
-    Printf.sprintf
-      "    { \"streams\": %d, \"committers\": %d, \"committed_txns\": %d, \"steps\": %d,\n\
-      \      \"commits_per_kstep\": %.3f, \"commit_batches\": %d, \"log_forces\": %d }"
-      c.ms_streams c.ms_fibers c.ms_txns c.ms_steps (q14_throughput c) c.ms_batches c.ms_forces
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"bench\": \"parallel-wal\",\n\
-      \  \"generated_by\": \"dune exec bench/main.exe -- q14\",\n\
-      \  \"io_model\": \"steps = 8 + bytes/24 per stream force, concurrent across streams\",\n\
-      \  \"cells\": [\n%s\n  ],\n\
-      \  \"acceptance\": { \"n4_vs_n1_speedup_at_16_committers\": %.3f, \
-       \"at_least_2x\": %b }\n\
-       }\n"
-      (String.concat ",\n" (List.map cell_json cells))
-      speedup pass
-  in
-  let oc = open_out "BENCH_PR7.json" in
-  output_string oc json;
-  close_out oc;
-  kv ppf "wrote" "BENCH_PR7.json"
+  let speedup = q14_model_throughput (cell 4 16) /. q14_model_throughput (cell 1 16) in
+  Record.line r "N=4 vs N=1 model speedup at 16 committers (x)"
+    [ ("model_speedup_n4_vs_n1", Float speedup) ];
+  Record.gate r ">= 2x for N=4 vs N=1 at 16 committers" ~ok:(speedup >= 2.0);
+  Record.finish r
 
 (* Q15: MVCC snapshot reads — reader lock traffic on a scan-vs-writer mix.
 
@@ -1684,7 +1510,7 @@ let q14 ppf =
    one request per scan.
 
    Acceptance: Mvcc < 0.01 reader lock requests/op and 0 reader waits;
-   data-only >= 1/op; KVL and System R >= 2/op. Writes BENCH_PR8.json. *)
+   data-only >= 1/op; KVL and System R >= 2/op. *)
 
 type q15_cell = {
   sr_locking : Protocol.locking;
@@ -1786,65 +1612,45 @@ let q15_run locking =
       })
 
 let q15 ppf =
-  section ppf "Q15: snapshot reads — reader lock traffic on a scan-vs-writer mix";
+  let r =
+    Record.start ppf "q15" "Q15: snapshot reads — reader lock traffic on a scan-vs-writer mix"
+  in
   let cells =
     List.map q15_run [ Protocol.Data_only; Protocol.Kvl; Protocol.System_r; Protocol.Mvcc ]
   in
-  Format.fprintf ppf "  %-16s %6s %6s %9s %7s %8s %10s@." "protocol" "scans" "ops" "requests"
-    "waits" "req/op" "w-commits";
-  List.iter
-    (fun c ->
-      Format.fprintf ppf "  %-16s %6d %6d %9d %7d %8.3f %10d@."
-        (Protocol.locking_to_string c.sr_locking)
-        c.sr_scans c.sr_ops c.sr_requests c.sr_waits (q15_per_op c) c.sr_writer_commits)
-    cells;
-  let find l = List.find (fun c -> c.sr_locking = l) cells in
-  let mvcc = find Protocol.Mvcc in
-  let gate what ok = if not ok then failwith ("q15: " ^ what) in
-  gate "Mvcc reader issued lock requests (rule R9)" (q15_per_op mvcc < 0.01);
-  gate "Mvcc reader waited on a lock (rule R9)" (mvcc.sr_waits = 0);
-  gate "data-only reader should pay >= 1 lock request/op"
-    (q15_per_op (find Protocol.Data_only) >= 1.0);
-  gate "KVL reader should pay >= 2 lock requests/op" (q15_per_op (find Protocol.Kvl) >= 2.0);
-  gate "System R reader should pay >= 2 lock requests/op"
-    (q15_per_op (find Protocol.System_r) >= 2.0);
-  kv ppf "acceptance" "mvcc %.3f req/op + %d waits; others pay the lock bill: ok"
-    (q15_per_op mvcc) mvcc.sr_waits;
-  let cell_json c =
-    Printf.sprintf
-      "    { \"protocol\": %S, \"scans\": %d, \"reader_ops\": %d,\n\
-      \      \"reader_lock_requests\": %d, \"reader_lock_waits\": %d,\n\
-      \      \"requests_per_op\": %.4f, \"writer_commits\": %d }"
-      (Protocol.locking_to_string c.sr_locking)
-      c.sr_scans c.sr_ops c.sr_requests c.sr_waits (q15_per_op c) c.sr_writer_commits
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"bench\": \"mvcc-snapshot-reads\",\n\
-      \  \"generated_by\": \"dune exec bench/main.exe -- q15\",\n\
-      \  \"workload\": \"1 reader fiber x 6 full scans vs 2 writer fibers x 18 \
-       delete+reinsert txns over 200 keys\",\n\
-      \  \"cells\": [\n%s\n  ],\n\
-      \  \"acceptance\": { \"mvcc_requests_per_op\": %.4f, \"mvcc_waits\": %d, \
-       \"mvcc_wait_free\": %b }\n\
-       }\n"
-      (String.concat ",\n" (List.map cell_json cells))
-      (q15_per_op mvcc) mvcc.sr_waits
-      (q15_per_op mvcc < 0.01 && mvcc.sr_waits = 0)
-  in
-  let oc = open_out "BENCH_PR8.json" in
-  output_string oc json;
-  close_out oc;
-  kv ppf "wrote" "BENCH_PR8.json"
+  Record.add r
+    [ ("workload", Str "1 reader x 6 scans vs 2 writers x 18 delete+reinsert txns, 164 keys") ];
+  Record.table r "cells"
+    (List.map
+       (fun c ->
+         [
+           ("protocol", Record.Str (Protocol.locking_to_string c.sr_locking));
+           ("scans", Int c.sr_scans);
+           ("reader_ops", Int c.sr_ops);
+           ("reader_lock_requests", Int c.sr_requests);
+           ("reader_lock_waits", Int c.sr_waits);
+           ("requests_per_op", Float (q15_per_op c));
+           ("writer_commits", Int c.sr_writer_commits);
+         ])
+       cells);
+  let per_op l = q15_per_op (List.find (fun c -> c.sr_locking = l) cells) in
+  let mvcc = List.find (fun c -> c.sr_locking = Protocol.Mvcc) cells in
+  Record.gate r "Mvcc reader < 0.01 lock requests/op (rule R9)"
+    ~ok:(per_op Protocol.Mvcc < 0.01);
+  Record.gate r "Mvcc reader never waits on a lock (rule R9)" ~ok:(mvcc.sr_waits = 0);
+  Record.gate r "data-only reader pays >= 1 lock request/op"
+    ~ok:(per_op Protocol.Data_only >= 1.0);
+  Record.gate r "KVL reader pays >= 2 lock requests/op" ~ok:(per_op Protocol.Kvl >= 2.0);
+  Record.gate r "System R reader pays >= 2 lock requests/op"
+    ~ok:(per_op Protocol.System_r >= 2.0);
+  Record.finish r
 
 (* Q16: the hot-path speed pass, measured end to end.
 
    Four claims, four gates:
    - raw CRC throughput: the slice-by-16 [Crc.update] must beat the
      one-table bytewise baseline ([Crc.update_bytewise], the pre-pass
-     implementation) by >= 4x.  Min-of-5 timing per engine — micro
-     noise only ever adds time, so the minimum is the honest estimate.
+     implementation) by >= 4x, min of 5 interleaved pairs.
    - page codec CRC overhead: BENCH_PR5.json recorded +51% for
      checks-on vs checks-off before the pass; the fast CRC must cut
      that to <= 25.5% (half) on the same encode+2xdecode loop.
@@ -1855,35 +1661,11 @@ let q15 ppf =
      all hits — zero re-encodes, zero stale entries.
    The log-image load overhead (tail-scan CRC path) is re-measured and
    reported for the EXPERIMENTS.md before/after table but not gated:
-   its baseline varies too much run to run.  Writes BENCH_PR9.json. *)
+   its baseline varies too much run to run. *)
 let q16 ppf =
-  section ppf "Q16: hot-path speed pass — fast CRC, cached images, allocation-free encode";
-  let timed f =
-    let t0 = Sys.time () in
-    f ();
-    Sys.time () -. t0
-  in
-  (* time two loops as interleaved pairs: one sample of each per round,
-     min of each. Two separate blocks would let GC or CPU drift between
-     them masquerade as a difference between the loops — the CRC engines'
-     ratio and the codec's CRC overhead (a few tens of ms against a
-     baseline that allocates the same hundreds of MB either way) alike. *)
-  let pairs n f g =
-    let t_f = ref infinity and t_g = ref infinity in
-    for _ = 1 to n do
-      t_f := Float.min !t_f (timed f);
-      t_g := Float.min !t_g (timed g)
-    done;
-    (!t_f, !t_g)
-  in
-  (* the same loop with CRC checks on and off *)
-  let on_off n f =
-    let module Crashpoint = Aries_util.Crashpoint in
-    pairs n f (fun () ->
-        Crashpoint.enable_fault Crashpoint.fault_crc_check_disabled;
-        Fun.protect
-          ~finally:(fun () -> Crashpoint.disable_fault Crashpoint.fault_crc_check_disabled)
-          f)
+  let r =
+    Record.start ppf "q16"
+      "Q16: hot-path speed pass — fast CRC, cached images, allocation-free encode"
   in
   (* -- raw CRC throughput: slice-by-16 vs the bytewise baseline -- *)
   let buf_len = 4 * 1024 * 1024 in
@@ -1904,18 +1686,34 @@ let q16 ppf =
   in
   if Crc.update 0 s 0 buf_len <> Crc.update_bytewise 0 s 0 buf_len then
     failwith "q16: CRC engines disagree";
-  ignore (timed (crc_run Crc.update));
-  ignore (timed (crc_run Crc.update_bytewise));
-  let t_fast, t_slow = pairs 5 (crc_run Crc.update) (crc_run Crc.update_bytewise) in
+  ignore (Record.timed (crc_run Crc.update));
+  ignore (Record.timed (crc_run Crc.update_bytewise));
+  let t_fast, t_slow = Record.pairs 5 (crc_run Crc.update) (crc_run Crc.update_bytewise) in
   let speedup = t_slow /. t_fast in
   let mib = float_of_int (buf_len * passes) /. (1024.0 *. 1024.0) in
-  kv ppf
-    (Printf.sprintf "crc throughput (%d MiB x%d passes, min of 5 pairs)" (buf_len / 1024 / 1024)
-       passes)
-    "slice-by-16 %.0f MiB/s vs bytewise %.0f MiB/s (%.2fx)" (mib /. t_fast) (mib /. t_slow)
-    speedup;
-  if speedup < 4.0 then failwith "q16: CRC speedup below the 4x gate";
-  (* -- page codec overhead after the pass (same loop as Q12) -- *)
+  Record.line r
+    (Printf.sprintf "crc (%d MiB x%d, min of 5 pairs): slice-by-16 / bytewise MiB/s / x"
+       (buf_len / 1024 / 1024) passes)
+    [
+      ("crc_slice_by_16_mib_s", Float (mib /. t_fast));
+      ("crc_bytewise_mib_s", Float (mib /. t_slow));
+      ("crc_speedup", Float speedup);
+    ];
+  Record.gate r "slice-by-16 CRC >= 4x bytewise" ~ok:(speedup >= 4.0);
+  (* warm up, then min of 3 interleaved on/off pairs; the overhead in % *)
+  let crc_overhead key label loop =
+    ignore (Record.timed loop);
+    let t_on, t_off = Record.on_off 3 loop in
+    let pct = (t_on -. t_off) /. t_off *. 100.0 in
+    Record.line r (label ^ ": crc-on s / crc-off s / overhead %")
+      [
+        (key ^ "_crc_on_s", Float t_on);
+        (key ^ "_crc_off_s", Float t_off);
+        (key ^ "_overhead_pct", Float pct);
+      ];
+    pct
+  in
+  (* -- page codec CRC overhead -- *)
   let db, tree = fresh ~page_size:4096 () in
   Db.run_exn db (fun () ->
       Db.with_txn db (fun txn ->
@@ -1934,13 +1732,13 @@ let q16 ppf =
       ignore (Page.decode ~psize:4096 (Page.encode (Page.decode ~psize:4096 image)))
     done
   in
-  ignore (timed codec_loop);
-  let t_on, t_off = on_off 3 codec_loop in
-  let codec_overhead = (t_on -. t_off) /. t_off *. 100.0 in
-  kv ppf
-    (Printf.sprintf "page codec (%d enc+2dec, %dB image, min of 3)" iters (Bytes.length image))
-    "%.3fs crc-on vs %.3fs crc-off (+%.1f%%, was +51%% in BENCH_PR5)" t_on t_off codec_overhead;
-  if codec_overhead > 25.5 then failwith "q16: page codec CRC overhead above the 25.5% gate";
+  let codec_overhead =
+    crc_overhead "page_codec"
+      (Printf.sprintf "page codec (%d enc+2dec, %dB image)" iters (Bytes.length image))
+      codec_loop
+  in
+  Record.gate r "page-codec CRC overhead <= 25.5% (51% before the pass)"
+    ~ok:(codec_overhead <= 25.5);
   (* -- log image load (tail-scan CRC path), reported not gated -- *)
   let llog = Logmgr.create ~segment_size:4096 () in
   for i = 1 to 2_000 do
@@ -1957,13 +1755,10 @@ let q16 ppf =
       ignore (Logmgr.deserialize log_img)
     done
   in
-  ignore (timed load_loop);
-  let l_on, l_off = on_off 3 load_loop in
-  let load_overhead = (l_on -. l_off) /. l_off *. 100.0 in
-  kv ppf
-    (Printf.sprintf "log image load (%dx, %dB, 2000 records, min of 3)" load_iters
-       (Bytes.length log_img))
-    "%.3fs crc-on vs %.3fs crc-off (+%.1f%%)" l_on l_off load_overhead;
+  ignore
+    (crc_overhead "log_load"
+       (Printf.sprintf "log image load (%dx, %dB, 2000 records)" load_iters (Bytes.length log_img))
+       load_loop);
   (* -- log append: arena reuse on every steady-state append -- *)
   let alog = Logmgr.create ~segment_size:65536 () in
   let body = Bytes.make 48 'q' in
@@ -1983,10 +1778,10 @@ let q16 ppf =
   let minor1 = Gc.minor_words () in
   let words_per_append = (minor1 -. minor0) /. float_of_int appends in
   let reuses = Stats.get astats Stats.wal_encode_arena_reuses in
-  kv ppf
-    (Printf.sprintf "log append (%d appends after warm-up)" appends)
-    "%d arena reuses, %.1f minor words/append" reuses words_per_append;
-  if reuses < appends then failwith "q16: encode arena not reused on steady-state appends";
+  Record.line r
+    (Printf.sprintf "log append (%d after warm-up): arena reuses / minor words each" appends)
+    [ ("append_arena_reuses", Int reuses); ("append_minor_words", Float words_per_append) ];
+  Record.gate r "encode arena reused on every steady-state append" ~ok:(reuses >= appends);
   (* -- image cache: probe storm over clean resident pages -- *)
   let pids = Bufpool.resident_pids db.Db.pool in
   List.iter (fun pid -> ignore (Bufpool.page_image db.Db.pool pid)) pids;
@@ -1999,40 +1794,13 @@ let q16 ppf =
   let hits = Stats.get cstats Stats.bufpool_image_hits in
   let misses = Stats.get cstats Stats.bufpool_image_misses in
   let stale = Bufpool.image_cache_stale db.Db.pool in
-  kv ppf
-    (Printf.sprintf "image cache (%d pages x%d probes)" (List.length pids) probes)
-    "%d hits, %d misses, %d stale" hits misses stale;
-  if misses > 0 then failwith "q16: clean-page probe storm re-encoded a page";
-  if stale > 0 then failwith "q16: stale cached images after the storm";
-  if hits <> List.length pids * probes then failwith "q16: probe storm hit count off";
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"bench\": \"hot-path-speed-pass\",\n\
-      \  \"generated_by\": \"dune exec bench/main.exe -- q16\",\n\
-      \  \"crc_throughput\": {\n\
-      \    \"buffer_mib\": %d, \"passes\": %d,\n\
-      \    \"slice_by_16_mib_s\": %.1f, \"bytewise_mib_s\": %.1f,\n\
-      \    \"speedup\": %.2f, \"gate_min_speedup\": 4.0 },\n\
-      \  \"page_codec\": { \"iters\": %d, \"image_bytes\": %d,\n\
-      \    \"crc_on_s\": %.4f, \"crc_off_s\": %.4f, \"overhead_pct\": %.2f,\n\
-      \    \"gate_max_pct\": 25.5, \"pr5_overhead_pct\": 51.0 },\n\
-      \  \"log_image_load\": { \"iters\": %d, \"image_bytes\": %d,\n\
-      \    \"crc_on_s\": %.4f, \"crc_off_s\": %.4f, \"overhead_pct\": %.2f },\n\
-      \  \"log_append\": { \"appends\": %d, \"arena_reuses\": %d,\n\
-      \    \"minor_words_per_append\": %.1f },\n\
-      \  \"image_cache\": { \"pages\": %d, \"probes\": %d,\n\
-      \    \"hits\": %d, \"misses\": %d, \"stale\": %d }\n\
-       }\n"
-      (buf_len / 1024 / 1024) passes (mib /. t_fast) (mib /. t_slow) speedup iters
-      (Bytes.length image) t_on t_off codec_overhead load_iters (Bytes.length log_img) l_on
-      l_off load_overhead appends reuses words_per_append (List.length pids) probes hits misses
-      stale
-  in
-  let oc = open_out "BENCH_PR9.json" in
-  output_string oc json;
-  close_out oc;
-  kv ppf "wrote" "BENCH_PR9.json"
+  Record.line r
+    (Printf.sprintf "image cache (%d pages x%d probes): hits / misses / stale" (List.length pids)
+       probes)
+    [ ("image_hits", Int hits); ("image_misses", Int misses); ("image_stale", Int stale) ];
+  Record.gate r "clean-page probe storm is all hits, none stale"
+    ~ok:(misses = 0 && stale = 0 && hits = List.length pids * probes);
+  Record.finish r
 
 (* ------------------------------------------------------------------ *)
 (* Q17 (PR 10): sharded Db + presumed-abort 2PC.
@@ -2052,10 +1820,9 @@ let q16 ppf =
      is revived. Gated on every in-doubt resolved and a clean cluster
      leak report. Latency is reported in scheduler steps.
    - robustness: a bounded sharded crash/kill/degrade sweep (the same
-     rig as [sim smoke --shards]) must be failure-free.
-   Writes BENCH_PR10.json. *)
+     rig as [sim smoke --shards]) must be failure-free. *)
 let q17 ppf =
-  section ppf "Q17: sharded 2PC — commit cost, in-doubt latency, fault sweep";
+  let r = Record.start ppf "q17" "Q17: sharded 2PC — commit cost, in-doubt latency, fault sweep" in
   let module Sharddb = Aries_shard.Sharddb in
   let module Twopc = Aries_shard.Twopc in
   let module Shardsim = Aries_sim.Shardsim in
@@ -2093,19 +1860,21 @@ let q17 ppf =
   in
   let commit_batch pairs =
     let stats = Stats.create () in
-    let t0 = Sys.time () in
-    Stats.with_sink stats (fun () ->
-        run_ok t (fun () ->
-            ignore
-              (Sched.spawn ~name:"commits" (fun () ->
-                   List.iter
-                     (fun (a, b) ->
-                       let g = Sharddb.begin_gtxn t in
-                       Sharddb.insert t g ~value:a ~rid:(srid ());
-                       Sharddb.insert t g ~value:b ~rid:(srid ());
-                       Sharddb.commit t g)
-                     pairs))));
-    (Sys.time () -. t0, Stats.get stats Stats.log_forces, Stats.get stats Stats.txn_prepares)
+    let time =
+      Record.timed (fun () ->
+          Stats.with_sink stats (fun () ->
+              run_ok t (fun () ->
+                  ignore
+                    (Sched.spawn ~name:"commits" (fun () ->
+                         List.iter
+                           (fun (a, b) ->
+                             let g = Sharddb.begin_gtxn t in
+                             Sharddb.insert t g ~value:a ~rid:(srid ());
+                             Sharddb.insert t g ~value:b ~rid:(srid ());
+                             Sharddb.commit t g)
+                           pairs)))))
+    in
+    (time, Stats.get stats Stats.log_forces, Stats.get stats Stats.txn_prepares)
   in
   let on0 = vals_on 0 (2 * ntxns) in
   let single_pairs =
@@ -2114,22 +1883,25 @@ let q17 ppf =
   let cross_pairs = List.combine (vals_on 1 ntxns) (vals_on 2 ntxns) in
   let s_time, s_forces, s_prepares = commit_batch single_pairs in
   let x_time, x_forces, x_prepares = commit_batch cross_pairs in
-  let per n v = float_of_int v /. float_of_int n in
-  let tput time = float_of_int ntxns /. (if time <= 0.0 then epsilon_float else time) in
-  kv ppf
-    (Printf.sprintf "single-shard commit (%d txns, 2 keys each)" ntxns)
-    "%.0f txns/s, %.2f forces/commit" (tput s_time) (per ntxns s_forces);
-  kv ppf
-    (Printf.sprintf "cross-shard commit (%d txns, 2 shards each)" ntxns)
-    "%.0f txns/s, %.2f forces/commit (%d prepares)" (tput x_time) (per ntxns x_forces)
-    x_prepares;
-  if s_prepares <> 0 then failwith "q17: single-shard commits should never prepare";
-  if x_prepares <> 2 * ntxns then failwith "q17: cross-shard commits must prepare every branch";
+  let row shape time forces prepares : (string * Record.json) list =
+    [
+      ("shape", Str shape);
+      ("txns", Int ntxns);
+      ("txns_per_s", Float (float_of_int ntxns /. Float.max time epsilon_float));
+      ("forces_per_commit", Float (float_of_int forces /. float_of_int ntxns));
+      ("prepares", Int prepares);
+    ]
+  in
+  Record.table r "commit_cost"
+    [
+      row "single-shard" s_time s_forces s_prepares; row "cross-shard" x_time x_forces x_prepares;
+    ];
   (* presumed-abort force budget: 1 per single-shard commit; 2P+1 (= 5
      here) per cross-shard commit — prepare + commit force per
      participant, decision force on the coordinator *)
-  if s_forces <> ntxns then failwith "q17: single-shard commit force budget off";
-  if x_forces <> 5 * ntxns then failwith "q17: cross-shard commit force budget off";
+  Record.gate r "single-shard commit: no prepare, 1 force" ~ok:(s_prepares = 0 && s_forces = ntxns);
+  Record.gate r "cross-shard commit: 2 prepares, 2P+1 = 5 forces"
+    ~ok:(x_prepares = 2 * ntxns && x_forces = 5 * ntxns);
   Sharddb.close t;
   (* -- in-doubt resolution latency -- *)
   (* prepare a cross-shard transaction by hand (phase 1 only), then lose
@@ -2170,17 +1942,17 @@ let q17 ppf =
       run_ok t1 (fun () ->
           ignore
             (Sched.spawn ~name:"restart" (fun () ->
-                 let t0 = Sys.time () in
-                 let _, resolved = Sharddb.restart t1 in
-                 restart_ms := (Sys.time () -. t0) *. 1000.0;
-                 restart_resolved := resolved;
+                 restart_ms :=
+                   1000.0 *. Record.timed (fun () -> restart_resolved := snd (Sharddb.restart t1));
                  if Sharddb.leak_report t1 <> [] then failwith "q17: post-restart leak"))));
-  kv ppf "cluster crash with 2 in-doubt branches"
-    "restored %d, resolved %d inline in %.2fms (presumed abort)"
-    (Stats.get stats1 Stats.txn_indoubt_restored)
-    !restart_resolved !restart_ms;
-  if !restart_resolved <> 2 || Stats.get stats1 Stats.txn_indoubt_restored <> 2 then
-    failwith "q17: cluster restart must restore and resolve both in-doubt branches";
+  Record.line r "cluster crash, 2 in-doubt branches: restored / resolved / ms"
+    [
+      ("crash_indoubt_restored", Int (Stats.get stats1 Stats.txn_indoubt_restored));
+      ("crash_indoubt_resolved", Int !restart_resolved);
+      ("crash_restart_ms", Float !restart_ms);
+    ];
+  Record.gate r "cluster restart restores and resolves both in-doubt branches"
+    ~ok:(!restart_resolved = 2 && Stats.get stats1 Stats.txn_indoubt_restored = 2);
   Sharddb.close t1;
   let t2, coord = prep () in
   let stats2 = Stats.create () in
@@ -2193,63 +1965,35 @@ let q17 ppf =
                  (* the participant's branch stays parked: its coordinator
                     is down, aborting by presumption now would be wrong *)
                  down_resolved := Sharddb.resolve_indoubts t2;
-                 let t0 = Sys.time () in
-                 ignore (Sharddb.revive t2 coord);
-                 revive_ms := (Sys.time () -. t0) *. 1000.0;
+                 revive_ms := 1000.0 *. Record.timed (fun () -> ignore (Sharddb.revive t2 coord));
                  parked_resolved := Sharddb.resolve_indoubts t2;
                  if Sharddb.leak_report t2 <> [] then failwith "q17: post-revive leak"))));
-  kv ppf "coordinator fail-stop, then revive"
-    "parked while down (resolved %d), revive resolved all in %.2fms" !down_resolved !revive_ms;
-  if !down_resolved <> 0 then
-    failwith "q17: in-doubt branch resolved while its coordinator was down";
-  if Stats.get stats2 Stats.txn_indoubt_resolved < 2 then
-    failwith "q17: revive must resolve both in-doubt branches";
+  Record.line r "coordinator fail-stop: resolved while down / revive ms / resolved"
+    [
+      ("failstop_resolved_while_down", Int !down_resolved);
+      ("failstop_revive_ms", Float !revive_ms);
+      ("failstop_resolved", Int (Stats.get stats2 Stats.txn_indoubt_resolved));
+    ];
+  Record.gate r "nothing resolved while the coordinator is down; revive resolves both"
+    ~ok:(!down_resolved = 0 && Stats.get stats2 Stats.txn_indoubt_resolved >= 2);
   Sharddb.close t2;
   (* -- zero-fatal sharded fault sweep (the sim smoke rig, small budget) -- *)
   let sweep =
     Shardsim.sweep ~workload:"shards" Shardsim.default_cfg ~seeds:[ 1; 2 ] ~crash_seeds:[ 1001 ] ~crash_budget:9
   in
-  kv ppf "sharded fault sweep (2 seeds, 1 crash seed x <=9 points)"
-    "%d runs, %d acked, %d in-doubt resolved, %d failure(s)" sweep.Sweep.sm_runs
-    sweep.Sweep.sm_acked sweep.Sweep.sm_resolved
-    (List.length sweep.Sweep.sm_failures);
+  Record.line r "sharded fault sweep: runs / acked / in-doubt resolved / failures"
+    [
+      ("sweep_runs", Int sweep.Sweep.sm_runs);
+      ("sweep_acked", Int sweep.Sweep.sm_acked);
+      ("sweep_resolved", Int sweep.Sweep.sm_resolved);
+      ("sweep_failures", Int (List.length sweep.Sweep.sm_failures));
+    ];
   List.iter
     (fun rp -> kv ppf "  FAILURE" "%s" (Sweep.reproducer_line rp))
     sweep.Sweep.sm_failures;
-  if sweep.Sweep.sm_failures <> [] then failwith "q17: sharded fault sweep not clean";
-  if sweep.Sweep.sm_acked = 0 then failwith "q17: sweep acknowledged no commits";
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"bench\": \"sharded-2pc\",\n\
-      \  \"generated_by\": \"dune exec bench/main.exe -- q17\",\n\
-      \  \"commit_cost\": {\n\
-      \    \"txns_per_shape\": %d,\n\
-      \    \"single_shard\": { \"txns_per_s\": %.0f, \"forces_per_commit\": %.2f },\n\
-      \    \"cross_shard\": { \"txns_per_s\": %.0f, \"forces_per_commit\": %.2f,\n\
-      \      \"prepares\": %d },\n\
-      \    \"cross_cost_ratio\": %.2f,\n\
-      \    \"gate\": \"forces = 1 single, 2P+1 cross\" },\n\
-      \  \"indoubt_resolution\": {\n\
-      \    \"cluster_crash\": { \"restored\": %d, \"resolved\": %d, \"ms\": %.3f },\n\
-      \    \"coordinator_failstop\": { \"resolved_while_down\": %d,\n\
-      \      \"revive_ms\": %.3f, \"resolved_after_revive\": %d },\n\
-      \    \"gate\": \"all in-doubts resolved, zero leaks\" },\n\
-      \  \"fault_sweep\": { \"runs\": %d, \"acked\": %d, \"resolved\": %d,\n\
-      \    \"failures\": %d, \"gate_max_failures\": 0 }\n\
-       }\n"
-      ntxns (tput s_time) (per ntxns s_forces) (tput x_time) (per ntxns x_forces) x_prepares
-      (per ntxns x_forces /. per ntxns s_forces)
-      (Stats.get stats1 Stats.txn_indoubt_restored)
-      !restart_resolved !restart_ms !down_resolved !revive_ms
-      (Stats.get stats2 Stats.txn_indoubt_resolved)
-      sweep.Sweep.sm_runs sweep.Sweep.sm_acked sweep.Sweep.sm_resolved
-      (List.length sweep.Sweep.sm_failures)
-  in
-  let oc = open_out "BENCH_PR10.json" in
-  output_string oc json;
-  close_out oc;
-  kv ppf "wrote" "BENCH_PR10.json"
+  Record.gate r "sharded fault sweep clean, commits acked"
+    ~ok:(sweep.Sweep.sm_failures = [] && sweep.Sweep.sm_acked > 0);
+  Record.finish r
 
 let all : (string * (Format.formatter -> unit)) list =
   [

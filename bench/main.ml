@@ -5,7 +5,11 @@
      dune exec bench/main.exe -- e11 q1  # selected experiments
      dune exec bench/main.exe -- quick   # everything except timing
      dune exec bench/main.exe -- timing  # only the Bechamel suites
-     dune exec bench/main.exe -- json    # commit-path metrics -> BENCH_PR2.json
+
+   An unknown experiment id fails the run before anything runs. Each
+   Q-series entry from q9 on records its numbers and acceptance gates in
+   _bench/<id>.json (bench/record.ml) and exits 1 after writing it if a
+   gate failed.
 
    Plus the full-budget simulation sweep (the CI-budget version runs in
    dune runtest; see EXPERIMENTS.md "Simulation harness"):
@@ -250,78 +254,14 @@ let run_sim args =
         (Sys.time () -. t0);
       if not (report_summary ~tolerate:false "" s) then exit 1
 
-(* Machine-readable commit-path numbers (the tentpole PR's acceptance
-   metrics): commits/step, log forces, batch-size histogram, restart redo
-   pages with the cleaner on/off. Written to BENCH_PR2.json. *)
-let run_json args =
-  let out = match args with path :: _ -> path | [] -> "BENCH_PR2.json" in
-  let open Experiments in
-  Format.fprintf ppf "measuring commit path (16 committers, both modes)...@.";
-  let pc = measure_commit_path ~commit_mode:Aries_db.Db.Per_commit ~label:"per_commit" in
-  let gc =
-    measure_commit_path
-      ~commit_mode:(Aries_db.Db.Group Aries_txn.Group_commit.default_policy)
-      ~label:"group_commit"
-  in
-  Format.fprintf ppf "measuring cleaner redo impact (on/off)...@.";
-  let cl_off = measure_cleaner ~cleaner:None ~label:"off" in
-  let cl_on =
-    measure_cleaner
-      ~cleaner:(Some { Aries_buffer.Cleaner.interval_steps = 4; batch_pages = 4 })
-      ~label:"on"
-  in
-  let mode_json r =
-    let hist =
-      List.map (fun (size, n) -> Printf.sprintf "\"%d\": %d" size n) r.cp_hist
-      |> String.concat ", "
-    in
-    Printf.sprintf
-      "    { \"mode\": \"%s\", \"committers\": %d, \"committed_txns\": %d, \"steps\": %d,\n\
-      \      \"commits_per_step\": %.4f, \"log_forces\": %d, \"forces_per_commit\": %.3f,\n\
-      \      \"commit_batches\": %d, \"committers_covered\": %d, \"group_waits\": %d,\n\
-      \      \"mean_batch_size\": %.2f, \"batch_histogram\": { %s } }"
-      r.cp_label r.cp_committers r.cp_txns r.cp_steps
-      (float_of_int r.cp_txns /. float_of_int (max 1 r.cp_steps))
-      r.cp_forces
-      (float_of_int r.cp_forces /. float_of_int (max 1 r.cp_txns))
-      r.cp_batches r.cp_covered r.cp_waits
-      (float_of_int r.cp_covered /. float_of_int (max 1 r.cp_batches))
-      hist
-  in
-  let cleaner_json t =
-    Printf.sprintf
-      "    { \"cleaner\": \"%s\", \"dirty_pages_at_crash\": %d, \"cleaner_pages_written\": \
-       %d,\n\
-      \      \"redo_records_scanned\": %d, \"redo_pages_examined\": %d, \"redos_applied\": \
-       %d }"
-      t.cl_label t.cl_dirty_at_crash t.cl_pages_cleaned t.cl_redo_scanned t.cl_redo_pages
-      t.cl_redos_applied
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"bench\": \"commit-path\",\n\
-      \  \"generated_by\": \"dune exec bench/main.exe -- json\",\n\
-      \  \"force_reduction\": %.2f,\n\
-      \  \"modes\": [\n%s,\n%s\n  ],\n\
-      \  \"cleaner\": [\n%s,\n%s\n  ]\n\
-       }\n"
-      (float_of_int pc.cp_forces /. float_of_int (max 1 gc.cp_forces))
-      (mode_json pc) (mode_json gc) (cleaner_json cl_off) (cleaner_json cl_on)
-  in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Format.fprintf ppf "%s" json;
-  Format.fprintf ppf "wrote %s@." out
-
 let run_experiments ids =
-  List.iter
-    (fun id ->
-      match List.assoc_opt id Experiments.all with
-      | Some f -> f ppf
-      | None -> Format.fprintf ppf "unknown experiment %S@." id)
-    ids
+  match List.filter (fun id -> not (List.mem_assoc id Experiments.all)) ids with
+  | [] -> List.iter (fun id -> List.assoc id Experiments.all ppf) ids
+  | unknown ->
+      List.iter (fun id -> Format.fprintf ppf "unknown experiment %S@." id) unknown;
+      Format.fprintf ppf "known experiments: %s@."
+        (String.concat " " (List.map fst Experiments.all));
+      exit 1
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -333,6 +273,5 @@ let () =
   | [ "quick" ] -> run_experiments (List.map fst Experiments.all)
   | [ "timing" ] -> Timing.run_all ppf
   | "sim" :: rest -> run_sim rest
-  | "json" :: rest -> run_json rest
   | ids -> run_experiments ids);
   Format.fprintf ppf "@.done.@."

@@ -9,14 +9,18 @@
 # multi-stream WAL, MVCC snapshot reads, sharded 2PC), each with the
 # reason it is in the gate. `sim smoke all` runs every row and fails if
 # any row failed; the full-budget sweep is `dune exec bench/main.exe -- sim`.
-# The q16 gate holds the hot-path speed pass: slice-by-16 CRC >= 4x the
-# bytewise baseline, page-codec CRC overhead <= 25.5%, arena reuse on
-# every steady-state log append, and an all-hit image-cache probe storm.
 # The benchmark smoke runs each end-to-end workload for one second: its
 # numbers are not gated here, but its own checks are (determinism across
 # rounds, consistency and leak audits after the crash/restart, and
 # per-workload counter checks such as read-spill's buffer misses), so a
 # counter that stops being bumped fails the gate.
+# The q16 gate holds the hot-path speed pass: slice-by-16 CRC >= 4x the
+# bytewise baseline, page-codec CRC overhead <= 25.5%, arena reuse on
+# every steady-state log append, and an all-hit image-cache probe storm.
+# Its wall-clock bounds can fail on a loaded host, so it runs after every
+# deterministic gate has had its say; a q16 failure still fails ci.sh.
+# Every _bench/*.json result file (bench/record.ml writes one per Q-series
+# entry run from this directory, q16's among them) must parse.
 set -eu
 
 cd "$(dirname "$0")"
@@ -28,9 +32,6 @@ echo "== tier-1 tests (dune runtest) =="
 dune runtest
 
 if [ "${1:-}" != "fast" ]; then
-  echo "== hot-path speed gates (bench q16) =="
-  dune exec bench/main.exe -- q16
-
   echo "== sim smoke matrix =="
   dune exec bench/main.exe -- sim smoke all
 
@@ -38,6 +39,22 @@ if [ "${1:-}" != "fast" ]; then
   for w in read-spill write-hot shard-2pc; do
     python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0
   done
+
+  echo "== hot-path speed gates (bench q16) =="
+  q16=0
+  dune exec bench/main.exe -- q16 || q16=$?
+
+  echo "== bench result files parse =="
+  for f in _bench/*.json; do
+    [ -e "$f" ] || continue
+    python3 -m json.tool "$f" > /dev/null
+    echo "$f: ok"
+  done
+
+  if [ "$q16" -ne 0 ]; then
+    echo "ci.sh: q16 speed gates failed (exit $q16)"
+    exit 1
+  fi
 fi
 
 echo "ci.sh: all green"

@@ -14,23 +14,7 @@ let validate cfg =
 
 let run_daemon pool cfg ~stop =
   validate cfg;
-  (* die-on-crash: once a simulated power failure has tripped, the machine
-     is dead — exit instead of busy-yielding against permanently-suspended
-     fibers (which would keep the run queue nonempty forever). *)
-  let stopping () = stop () || Sched.shutting_down () || Crashpoint.tripped () in
-  let rec loop () =
-    if not (stopping ()) then begin
-      (* sleep [interval_steps] scheduler steps (cut short by shutdown) *)
-      let t0 = Sched.steps_now () in
-      while (not (stopping ())) && Sched.steps_now () - t0 < cfg.interval_steps do
-        Sched.yield ()
-      done;
-      if not (stopping ()) then begin
-        let n = Bufpool.clean_some pool ~max_pages:cfg.batch_pages in
-        Stats.incr c_cleaner_rounds;
-        if n > 0 then Stats.add c_cleaner_pages_written n;
-        loop ()
-      end
-    end
-  in
-  loop ()
+  Sched.periodic ~every:cfg.interval_steps ~stop (fun () ->
+      let n = Bufpool.clean_some pool ~max_pages:cfg.batch_pages in
+      Stats.incr c_cleaner_rounds;
+      if n > 0 then Stats.add c_cleaner_pages_written n)

@@ -127,20 +127,4 @@ let round mgr pool cfg =
 
 let run_daemon mgr pool cfg ~stop =
   validate cfg;
-  (* die-on-crash: once a simulated power failure has tripped, the machine
-     is dead — exit instead of busy-yielding forever. *)
-  let stopping () = stop () || Sched.shutting_down () || Crashpoint.tripped () in
-  let rec loop () =
-    if not (stopping ()) then begin
-      (* sleep [every_steps] scheduler steps (cut short by shutdown) *)
-      let t0 = Sched.steps_now () in
-      while (not (stopping ())) && Sched.steps_now () - t0 < cfg.every_steps do
-        Sched.yield ()
-      done;
-      if not (stopping ()) then begin
-        round mgr pool cfg;
-        loop ()
-      end
-    end
-  in
-  loop ()
+  Sched.periodic ~every:cfg.every_steps ~stop (fun () -> round mgr pool cfg)

@@ -20,20 +20,4 @@ let round ~gc =
 
 let run_daemon cfg ~gc ~stop =
   validate cfg;
-  (* die-on-crash: once a simulated power failure has tripped, the machine
-     is dead — exit instead of busy-yielding forever. *)
-  let stopping () = stop () || Sched.shutting_down () || Crashpoint.tripped () in
-  let rec loop () =
-    if not (stopping ()) then begin
-      (* sleep [every_steps] scheduler steps (cut short by shutdown) *)
-      let t0 = Sched.steps_now () in
-      while (not (stopping ())) && Sched.steps_now () - t0 < cfg.every_steps do
-        Sched.yield ()
-      done;
-      if not (stopping ()) then begin
-        ignore (round ~gc);
-        loop ()
-      end
-    end
-  in
-  loop ()
+  Sched.periodic ~every:cfg.every_steps ~stop (fun () -> ignore (round ~gc))

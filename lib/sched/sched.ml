@@ -165,6 +165,26 @@ let yield () =
   Stats.incr c_fiber_yields;
   suspend wake
 
+let periodic ~every ~stop round =
+  (* die-on-crash: once a simulated power failure has tripped, the machine
+     is dead — exit instead of busy-yielding against permanently-suspended
+     fibers (which would keep the run queue nonempty forever). *)
+  let stopping () = stop () || shutting_down () || Aries_util.Crashpoint.tripped () in
+  let rec loop () =
+    if not (stopping ()) then begin
+      (* sleep [every] scheduler steps (cut short by shutdown) *)
+      let t0 = steps_now () in
+      while (not (stopping ())) && steps_now () - t0 < every do
+        yield ()
+      done;
+      if not (stopping ()) then begin
+        round ();
+        loop ()
+      end
+    end
+  in
+  loop ()
+
 let maybe_yield () =
   match !active with
   | None -> ()

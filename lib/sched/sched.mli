@@ -76,6 +76,13 @@ val run_id : unit -> int
 val yield : unit -> unit
 (** Suspend and reschedule at the back of the run queue. *)
 
+val periodic : every:int -> stop:(unit -> bool) -> (unit -> unit) -> unit
+(** [periodic ~every ~stop round] is the body of a trickle daemon: yield
+    until [every] scheduler steps have passed, run [round ()], and
+    repeat. Returns as soon as [stop ()] is true, the scheduler is
+    {!shutting_down}, or a simulated crash has tripped — checked before
+    every yield and before each round. *)
+
 val suspend : (waker -> unit) -> unit
 (** [suspend register] captures the current fiber's continuation as a waker,
     hands it to [register] (which typically enqueues it on some wait queue),
