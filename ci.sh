@@ -13,7 +13,8 @@
 # numbers are not gated here, but its own checks are (determinism across
 # rounds, consistency and leak audits after the crash/restart, and
 # per-workload counter checks such as read-spill's buffer misses), so a
-# counter that stops being bumped fails the gate.
+# counter that stops being bumped fails the gate. One more read-spill run
+# is traced, so the discipline checker also sees a real workload.
 # The q16 gate holds the hot-path speed pass: slice-by-16 CRC >= 4x the
 # bytewise baseline, page-codec CRC overhead <= 25.5%, arena reuse on
 # every steady-state log append, and an all-hit image-cache probe storm.
@@ -39,6 +40,10 @@ if [ "${1:-}" != "fast" ]; then
   for w in read-spill write-hot shard-2pc; do
     python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0
   done
+  # one traced run: its trace-checker rounds run the R1-R10 discipline
+  # checker over a real workload, here through read-spill's buffer misses
+  # and the on-demand page decode
+  python3 perfbench/run.py --workload read-spill --seed 1 --seconds 1 --trace 1
 
   echo "== hot-path speed gates (bench q16) =="
   q16=0

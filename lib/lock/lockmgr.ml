@@ -95,8 +95,13 @@ type waiter = {
 
 type head = {
   mutable hd_holders : holder list;
-  hd_waiters : waiter Vec.t;
+  mutable hd_waiters : waiter Vec.t;
+      (* [no_waiters] until a request first waits here *)
 }
+
+(* Shared by every head no request has waited on, so a head costs no
+   vector of its own while it only has holders; never written. *)
+let no_waiters : waiter Vec.t = Vec.create ()
 
 type txn_info = {
   ti_birth : int;
@@ -130,7 +135,7 @@ let head_of t name =
   match Hashtbl.find_opt t.table name with
   | Some h -> h
   | None ->
-      let h = { hd_holders = []; hd_waiters = Vec.create () } in
+      let h = { hd_holders = []; hd_waiters = no_waiters } in
       Hashtbl.replace t.table name h;
       h
 
@@ -380,11 +385,12 @@ let lock t ~txn ?(cond = false) name mode duration =
         wt_mode = target;
         wt_duration = duration;
         wt_conversion = conversion;
-        wt_since = (try Sched.steps_now () with _ -> 0);
+        wt_since = (if Sched.in_fiber () then Sched.steps_now () else 0);
         wt_waker = None;
       }
     in
     let enqueue () =
+      if head.hd_waiters == no_waiters then head.hd_waiters <- Vec.create ();
       if conversion then begin
         (* conversions queue ahead of fresh requests, behind other conversions *)
         let pos = ref 0 in

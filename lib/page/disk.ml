@@ -28,7 +28,9 @@ let note_pid t pid = if pid >= t.next_pid then t.next_pid <- pid + 1
    (rewrite, [corrupt_flip], the torn-write fault) replaces the binding
    with a fresh object. That is what lets [read_with_image] hand the
    stored bytes out zero-copy for the buffer pool's per-frame image
-   cache, and [write_image] store a cached image without copying. *)
+   cache, [write_image] store a cached image without copying, and the
+   decoded page build its entries from the stored bytes on demand
+   (see [Page.decode]). *)
 let read_with_image t pid =
   match Hashtbl.find_opt t.store pid with
   | None -> None

@@ -38,7 +38,9 @@ val read : t -> Ids.page_id -> Page.t option
 
 val read_with_image : t -> Ids.page_id -> (Page.t * bytes) option
 (** [read] plus the raw stored image the page was decoded from, zero-copy
-    (stored images are immutable: every mutation replaces the binding).
+    (stored images are immutable: every mutation replaces the binding;
+    the page itself builds its entries from these bytes on demand, see
+    {!Page.decode}). The caller must not mutate the image.
     The buffer pool uses it to seed its per-frame image cache from a
     single read, so a clean page can later be written back without
     re-encoding. Same error behavior as [read]. *)

@@ -27,6 +27,16 @@ let decode r =
   let rid_slot = Bytebuf.R.u32 r in
   { value; rid = { Ids.rid_page; rid_slot } }
 
+let skip r =
+  Bytebuf.R.skip r (Bytebuf.R.u32 r);
+  Bytebuf.R.skip r 12
+
+let min_encoded_bytes = 16
+
+let decode_at r off =
+  Bytebuf.R.seek r off;
+  decode r
+
 (* value bytes + 6B rid + 2B length + 2B slot-directory entry *)
 let on_page_cost k = String.length k.value + 10
 

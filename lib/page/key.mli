@@ -26,6 +26,18 @@ val encode : Bytebuf.W.t -> t -> unit
 
 val decode : Bytebuf.R.t -> t
 
+val skip : Bytebuf.R.t -> unit
+(** Step over one encoded key, making every bounds check {!decode} makes
+    (raises [Bytebuf.Corrupt] where {!decode} would) without building it. *)
+
+val min_encoded_bytes : int
+(** The smallest encoding: an empty value plus the length and RID fields. *)
+
+val decode_at : Bytebuf.R.t -> int -> t
+(** [decode_at r off] decodes the key at absolute offset [off] of [r]'s
+    source (a position {!skip} was called from), leaving [r] just past
+    it. *)
+
 val on_page_cost : t -> int
 (** Bytes this key consumes in a page, including slot overhead. *)
 

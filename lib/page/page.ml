@@ -49,7 +49,7 @@ let create ~psize ~pid content =
     psize;
     page_lsn = Lsn.nil;
     content;
-    latch = Latch.create (Printf.sprintf "page-%d" pid);
+    latch = Latch.create ("page-" ^ string_of_int pid);
   }
 
 let empty_leaf () =
@@ -190,6 +190,47 @@ let encode_into w t =
 
 let encode t = encode_into (Bytebuf.W.create ~size:(t.psize + 16) ()) t
 
+(* On-demand decode of an entry area of [n] entries: one pass runs [skip]
+   over each entry, making every bounds check that building it would make,
+   and records where it starts. A damaged image therefore fails here,
+   inside [Disk.read_with_image] where quarantine and media repair catch
+   it, and building an entry later cannot fail. Each area's vector then
+   builds entry [i] on first read from its offset through the shared
+   reader, which keeps the image alive until every entry is built.
+   [min_bytes] is the smallest encoded entry, so a garbage count is
+   refused before anything is sized by it. *)
+let offsets r n ~min_bytes skip =
+  if n > Bytebuf.R.remaining r / min_bytes then
+    raise
+      (Bytebuf.Corrupt
+         (Printf.sprintf "truncated input: %d entries at offset %d, have %d bytes" n
+            (Bytebuf.R.pos r) (Bytebuf.R.remaining r)));
+  let offs = Array.make n 0 in
+  for i = 0 to n - 1 do
+    offs.(i) <- Bytebuf.R.pos r;
+    skip r
+  done;
+  offs
+
+let keys r =
+  let offs = offsets r (Bytebuf.R.u32 r) ~min_bytes:Key.min_encoded_bytes Key.skip in
+  Vec.of_fn (Array.length offs) (fun i -> Key.decode_at r offs.(i))
+
+let children r =
+  let offs = offsets r (Bytebuf.R.u32 r) ~min_bytes:8 (fun r -> Bytebuf.R.skip r 8) in
+  Vec.of_fn (Array.length offs) (fun i ->
+      Bytebuf.R.seek r offs.(i);
+      Bytebuf.R.i64 r)
+
+let slots r =
+  let offs =
+    offsets r (Bytebuf.R.u32 r) ~min_bytes:1 (fun r ->
+        if Bytebuf.R.bool r then Bytebuf.R.skip r (Bytebuf.R.u32 r))
+  in
+  Vec.of_fn (Array.length offs) (fun i ->
+      Bytebuf.R.seek r offs.(i);
+      if Bytebuf.R.bool r then Some (Bytebuf.R.bytes r) else None)
+
 let decode_body ~psize r =
   let tag = Bytebuf.R.u8 r in
   let pid = Bytebuf.R.i64 r in
@@ -201,34 +242,17 @@ let decode_body ~psize r =
         let lf_delete_bit = Bytebuf.R.bool r in
         let lf_prev = Bytebuf.R.i64 r in
         let lf_next = Bytebuf.R.i64 r in
-        let n = Bytebuf.R.u32 r in
-        let lf_keys = Vec.create () in
-        for _ = 1 to n do
-          Vec.push lf_keys (Key.decode r)
-        done;
+        let lf_keys = keys r in
         Leaf { lf_sm_bit; lf_delete_bit; lf_prev; lf_next; lf_keys }
     | 1 ->
         let nl_sm_bit = Bytebuf.R.bool r in
         let nl_level = Bytebuf.R.u16 r in
-        let nc = Bytebuf.R.u32 r in
-        let nl_children = Vec.create () in
-        for _ = 1 to nc do
-          Vec.push nl_children (Bytebuf.R.i64 r)
-        done;
-        let nk = Bytebuf.R.u32 r in
-        let nl_high_keys = Vec.create () in
-        for _ = 1 to nk do
-          Vec.push nl_high_keys (Key.decode r)
-        done;
+        let nl_children = children r in
+        let nl_high_keys = keys r in
         Nonleaf { nl_sm_bit; nl_level; nl_children; nl_high_keys }
     | 2 ->
         let dt_owner = Bytebuf.R.i64 r in
-        let n = Bytebuf.R.u32 r in
-        let dt_slots = Vec.create () in
-        for _ = 1 to n do
-          let present = Bytebuf.R.bool r in
-          Vec.push dt_slots (if present then Some (Bytebuf.R.bytes r) else None)
-        done;
+        let dt_slots = slots r in
         Data { dt_owner; dt_slots }
     | 3 ->
         let an_root = Bytebuf.R.i64 r in

@@ -115,9 +115,20 @@ val encode_into : Bytebuf.W.t -> t -> bytes
     [bytes] — the image outlives the arena. *)
 
 val decode : psize:int -> bytes -> t
-(** Verifies the CRC (see [Faultdisk.crc_checks_enabled]), then parses the
-    body zero-copy out of the image slice. Legacy v1 images (kind-tag
-    first byte) still decode. *)
+(** Verifies the CRC (see [Faultdisk.crc_checks_enabled]), then checks the
+    body's structure zero-copy out of the image slice: every length field,
+    every slot presence byte and the body's end, exactly the checks a full
+    parse makes, so a damaged image raises here ([Bytebuf.Corrupt] or
+    [Storage_error.Error]). Leaf keys, nonleaf children and high keys, and
+    data slots are then built on demand ({!Vec.of_fn}): an entry is built
+    from the image when first read, and all of a vector's pending entries
+    when it is first mutated or iterated. Building cannot fail.
+
+    The page therefore keeps a reference to the image until every entry
+    is built: callers must not mutate the bytes after [decode]. Stored
+    disk images are immutable, which is what {!Disk.read} relies on.
+    Legacy v1 images (kind-tag first byte) still decode, under the same
+    contract. *)
 
 val equal : t -> t -> bool
 (** Structural equality of pid, LSN and content (latch excluded); used by

@@ -178,12 +178,15 @@ let analysis ?locks_of ~index logs =
              (* believe the prepare only if its fence vector survived: an
                 in-doubt txn with updates lost on another stream must be
                 rolled back, not parked awaiting a coordinator that would
-                commit a hole *)
+                commit a hole. A damaged body or a fence naming a reused
+                offset raises one of the three exceptions caught here;
+                anything else (a crash point, a discipline violation)
+                propagates. *)
              let valid =
                try
                  let targets, _, _ = Txnmgr.decode_prepare_body r.Logrec.body in
                  Logset.targets_valid logs r targets
-               with _ -> false
+               with Bytebuf.Corrupt _ | Storage_error.Error _ | Invalid_argument _ -> false
              in
              if valid then begin
                tk.tk_state <- Txnmgr.Prepared;
@@ -199,7 +202,7 @@ let analysis ?locks_of ~index logs =
                 that reached disk has its own stream's records stable) *)
              let valid =
                try Logset.targets_valid logs r (Logset.decode_commit_targets r.Logrec.body)
-               with _ -> false
+               with Bytebuf.Corrupt _ | Storage_error.Error _ | Invalid_argument _ -> false
              in
              if valid then tk.tk_ended <- true
          | Logrec.Begin_ckpt | Logrec.End_ckpt | Logrec.Coord_commit | Logrec.Coord_abort

@@ -176,6 +176,14 @@ module R = struct
 
   let bytes t = Bytes.unsafe_of_string (string t)
 
+  let skip t n =
+    need t n;
+    t.pos <- t.pos + n
+
+  let seek t pos =
+    if pos < 0 || pos > t.lim then invalid_arg "Bytebuf.R.seek: position out of range";
+    t.pos <- pos
+
   let list t f =
     let n = u32 t in
     List.init n (fun _ -> f t)

@@ -117,6 +117,15 @@ module R : sig
 
   val bytes : t -> bytes
 
+  val skip : t -> int -> unit
+  (** [skip t n] steps over [n] bytes with the same bounds check a read of
+      [n] bytes makes (raises {!Corrupt} on truncation). *)
+
+  val seek : t -> int -> unit
+  (** Move to an absolute offset (as reported by {!pos}) — the on-demand
+      page decoder returns to an entry whose bounds it checked earlier.
+      Raises [Invalid_argument] past the slice end. *)
+
   val list : t -> (t -> 'a) -> 'a list
   (** Inverse of {!W.list}: u32 count, then that many elements decoded in
       order. Raises {!Corrupt} (via the element decoder / [need]) on

@@ -1,8 +1,21 @@
-(** Growable array used for page entry arrays, run queues and log buffers. *)
+(** Growable array used for page entry arrays, run queues and log buffers.
+
+    A vector made by {!of_fn} builds its elements on demand: the page
+    codec uses it so that a page read from disk builds only the keys and
+    rows a caller reads. *)
 
 type 'a t
 
 val create : unit -> 'a t
+
+val of_fn : int -> (int -> 'a) -> 'a t
+(** [of_fn n f] has length [n]; element [i] is [f i], computed on its
+    first {!get} (or {!binary_search} probe) and then cached, so [f] runs
+    at most once per index. Any other operation — mutation, iteration,
+    {!copy}, {!to_list}, {!to_array} — first computes every pending
+    element, after which the vector is an ordinary one. [f] must not
+    fail and must not touch the vector; it may be called in any index
+    order. Raises [Invalid_argument] if [n < 0]. *)
 
 val length : 'a t -> int
 

@@ -170,7 +170,7 @@ let target_survived t c (s, l) =
      &&
      match Logmgr.read m l with
      | r -> r.Logrec.gsn < c.Logrec.gsn
-     | exception _ -> false
+     | exception (Bytebuf.Corrupt _ | Storage_error.Error _ | Invalid_argument _) -> false
 
 let targets_valid t (c : Logrec.t) targets = List.for_all (target_survived t c) targets
 

@@ -115,10 +115,46 @@ let gen_page : Page.t QCheck.Gen.t =
   page.Page.page_lsn <- int 0 1_000_000_000;
   page
 
+(* Read one entry of each of the page's vectors, then edit each. Applied
+   to a decoded page (entries built on demand) and to the generated one
+   (built eagerly by [Vec.push]), the results must be equal. *)
+let probe_then_edit page =
+  let pick v = page.Page.pid mod (Vec.length v + 1) in
+  let probe v = if Vec.length v > 0 then ignore (Vec.get v (pick v mod Vec.length v)) in
+  let edit v x = Vec.insert v (pick v) x in
+  match page.Page.content with
+  | Page.Leaf l ->
+      probe l.Page.lf_keys;
+      edit l.Page.lf_keys (k "edited" 1 2)
+  | Page.Nonleaf n ->
+      probe n.Page.nl_high_keys;
+      probe n.Page.nl_children;
+      edit n.Page.nl_children 4242;
+      edit n.Page.nl_high_keys (k "edited" 3 4)
+  | Page.Data d ->
+      probe d.Page.dt_slots;
+      if Vec.length d.Page.dt_slots > 0 then ignore (Vec.remove d.Page.dt_slots 0);
+      Vec.push d.Page.dt_slots (Some (Bytes.of_string "edited"))
+  | Page.Anchor a -> a.Page.an_height <- a.Page.an_height + 1
+
+(* Three cases per random page: the decoded page equals the original; a
+   decoded page encoded untouched gives back its input byte for byte; and
+   a decoded page edited after a partial read equals the eagerly built
+   page given the same edits. *)
+let page_codec_prop page =
+  let b = Page.encode page in
+  let decode () = Page.decode ~psize:page.Page.psize b in
+  let equal = Page.equal page (decode ()) in
+  let untouched = Bytes.equal b (Page.encode (decode ())) in
+  let edited = decode () in
+  probe_then_edit edited;
+  probe_then_edit page;
+  equal && untouched && Page.equal page edited
+
 let qcheck_page =
   QCheck.Test.make ~name:"page codec roundtrip (random pages, all kinds)" ~count:1000
     (QCheck.make ~print:(Format.asprintf "%a" Page.pp) gen_page)
-    (fun page -> Page.equal page (Page.decode ~psize:page.Page.psize (Page.encode page)))
+    page_codec_prop
 
 let test_page_codec_property () =
   QCheck.Test.check_exn ~rand:(Random.State.make [| 0xA51E5 |]) qcheck_page
@@ -195,6 +231,58 @@ let test_image_copy_independent () =
   Alcotest.(check bool) "original lost" true (Disk.read d pid = None);
   Alcotest.(check bool) "copy intact" true (Disk.read dump pid <> None)
 
+(* A damaged image must fail inside [Disk.read] with a typed decode error,
+   even with a valid CRC over the damage, never later when an entry is
+   built. [damage] edits the image's body; the CRC trailer is then
+   recomputed so only the structural checks can catch it. *)
+let expect_decode_error name page damage =
+  let b = Page.encode page in
+  damage b;
+  let n = Bytes.length b in
+  Bytes.set_int32_le b (n - 4) (Int32.of_int (Crc.bytes ~len:(n - 4) b));
+  let d = Disk.create ~page_size:page.Page.psize () in
+  Disk.write_image d page.Page.pid b;
+  match Disk.read d page.Page.pid with
+  | _ -> Alcotest.failf "%s: damaged image read without error" name
+  | exception Storage_error.Error { cause = Storage_error.Decode; pid; _ } ->
+      Alcotest.(check (option int)) (name ^ ": typed decode error names the page") (Some page.Page.pid) pid
+
+(* body offsets in a v2 image: [0xA2][tag][pid i64][lsn i64]... *)
+let leaf_first_key = 1 + 1 + 8 + 8 + 1 + 1 + 8 + 8 + 4
+
+let data_first_slot = 1 + 1 + 8 + 8 + 8 + 4
+
+let test_damaged_images_fail_on_read () =
+  let leaf = Page.create ~psize:4096 ~pid:21 (Page.empty_leaf ()) in
+  List.iter (Vec.push (Page.as_leaf leaf).Page.lf_keys) [ k "alpha" 1 0; k "beta" 1 1 ];
+  let data = Page.create ~psize:4096 ~pid:22 (Page.empty_data ~owner:5) in
+  List.iter (Vec.push (Page.as_data data).Page.dt_slots)
+    [ Some (Bytes.of_string "row one"); None; Some (Bytes.of_string "row three") ];
+  let second_key = leaf_first_key + 4 + 5 + 12 in
+  expect_decode_error "leaf: first key length overruns" leaf (fun b ->
+      Bytes.set_int32_le b leaf_first_key 5000l);
+  expect_decode_error "leaf: last key length overruns" leaf (fun b ->
+      Bytes.set_int32_le b second_key 20l);
+  expect_decode_error "leaf: key count overruns" leaf (fun b ->
+      Bytes.set_int32_le b (leaf_first_key - 4) 3l);
+  expect_decode_error "data: slot length overruns" data (fun b ->
+      Bytes.set_int32_le b (data_first_slot + 1) 4000l);
+  (* the third slot's presence byte (after "row one" and a tombstone):
+     2 would otherwise parse as present with a valid row behind it *)
+  expect_decode_error "data: slot presence byte not 0/1" data (fun b ->
+      Bytes.set b (data_first_slot + 1 + 4 + 7 + 1) '\002');
+  expect_decode_error "data: slot count overruns" data (fun b ->
+      Bytes.set_int32_le b (data_first_slot - 4) 0x7fffffffl);
+  (* the undamaged images read back, and every entry builds *)
+  let d = Disk.create () in
+  List.iter
+    (fun page ->
+      Disk.write d page;
+      match Disk.read d page.Page.pid with
+      | Some p -> Alcotest.(check bool) "undamaged image reads back" true (Page.equal p page)
+      | None -> Alcotest.fail "page lost")
+    [ leaf; data ]
+
 let () =
   Alcotest.run "page"
     [
@@ -206,6 +294,7 @@ let () =
           Alcotest.test_case "anchor" `Quick test_anchor_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_key;
           Alcotest.test_case "random pages x1000 (seeded)" `Quick test_page_codec_property;
+          Alcotest.test_case "damaged images fail on read" `Quick test_damaged_images_fail_on_read;
         ] );
       ( "model",
         [

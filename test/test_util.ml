@@ -72,6 +72,70 @@ let qcheck_vec =
     QCheck.(list (pair small_int small_int))
     vec_model_prop
 
+(* ---------- Vec.of_fn: elements built on demand ---------- *)
+
+(* [of_fn n (fun i -> 10 * i)] that counts how often each index is built *)
+let counted n =
+  let calls = Array.make n 0 in
+  let v =
+    Vec.of_fn n (fun i ->
+        calls.(i) <- calls.(i) + 1;
+        10 * i)
+  in
+  (v, calls)
+
+let test_of_fn_builds_once () =
+  let v, calls = counted 50 in
+  Alcotest.(check int) "nothing built by of_fn" 0 (Array.fold_left ( + ) 0 calls);
+  List.iter (fun i -> Alcotest.(check int) "get" (10 * i) (Vec.get v i)) [ 7; 7; 3; 49; 0; 3 ];
+  Alcotest.(check int) "only read elements built" 4 (Array.fold_left ( + ) 0 calls);
+  Alcotest.(check (list int)) "to_list builds the rest" (List.init 50 (fun i -> 10 * i))
+    (Vec.to_list v);
+  Alcotest.(check bool) "each element built exactly once" true (Array.for_all (( = ) 1) calls);
+  ignore (Vec.get v 12);
+  Vec.iter ignore v;
+  Alcotest.(check bool) "no rebuild after" true (Array.for_all (( = ) 1) calls);
+  Alcotest.(check int) "of_fn 0 is empty" 0 (Vec.length (Vec.of_fn 0 (fun _ -> assert false)))
+
+let test_of_fn_binary_search_probes () =
+  (* elements 0, 10, ..., 10230; search every multiple of 5 from -5 to
+     10235, so every hit and every insertion point is probed *)
+  for k = -1 to 2047 do
+    let v, calls = counted 1024 in
+    let expect = if k >= 0 && k mod 2 = 0 then Ok (k / 2) else Error ((k + 1) / 2) in
+    Alcotest.(check bool) "binary search result" true (Vec.binary_search ~compare v (5 * k) = expect);
+    Alcotest.(check bool) "at most 11 elements built" true (Array.fold_left ( + ) 0 calls <= 11)
+  done
+
+let vec_ops : (string * (int Vec.t -> unit)) list =
+  [
+    ("set", fun v -> Vec.set v 4 (-1));
+    ("push", fun v -> Vec.push v (-1));
+    ("pop", fun v -> ignore (Vec.pop v));
+    ("insert", fun v -> Vec.insert v 2 (-1));
+    ("remove", fun v -> ignore (Vec.remove v 5));
+    ("swap_remove", fun v -> ignore (Vec.swap_remove v 1));
+    ("clear", Vec.clear);
+  ]
+
+let test_of_fn_mutation_after_partial_access () =
+  List.iter
+    (fun (name, op) ->
+      let lazy_v, _ = counted 10 in
+      ignore (Vec.get lazy_v 3);
+      ignore (Vec.get lazy_v 8);
+      let eager = Vec.create () in
+      for i = 0 to 9 do
+        Vec.push eager (10 * i)
+      done;
+      op lazy_v;
+      op eager;
+      Alcotest.(check (list int)) name (Vec.to_list eager) (Vec.to_list lazy_v);
+      Vec.push lazy_v 99;
+      Vec.push eager 99;
+      Alcotest.(check (list int)) (name ^ " then push") (Vec.to_list eager) (Vec.to_list lazy_v))
+    vec_ops
+
 (* ---------- Rng ---------- *)
 
 let test_rng_deterministic () =
@@ -350,6 +414,11 @@ let () =
           Alcotest.test_case "bounds" `Quick test_vec_bounds;
           Alcotest.test_case "binary search" `Quick test_vec_binary_search;
           QCheck_alcotest.to_alcotest qcheck_vec;
+          Alcotest.test_case "of_fn builds each element once" `Quick test_of_fn_builds_once;
+          Alcotest.test_case "of_fn binary search builds <= 11 of 1024" `Quick
+            test_of_fn_binary_search_probes;
+          Alcotest.test_case "of_fn mutation after partial access" `Quick
+            test_of_fn_mutation_after_partial_access;
         ] );
       ( "rng",
         [
