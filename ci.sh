@@ -17,9 +17,10 @@
 # is traced, so the discipline checker also sees a real workload.
 # The q16 gate holds the hot-path speed pass: slice-by-16 CRC >= 4x the
 # bytewise baseline, page-codec CRC overhead <= 25.5%, arena reuse on
-# every steady-state log append, and an all-hit image-cache probe storm.
-# Its wall-clock bounds can fail on a loaded host, so it runs after every
-# deterministic gate has had its say; a q16 failure still fails ci.sh.
+# every steady-state log append, and the exact minor words per page
+# encode and decode. Its wall-clock bounds can fail on a loaded host, so
+# it runs after every other gate has had its say; a q16 failure still
+# fails ci.sh.
 # Every _bench/*.json result file (bench/record.ml writes one per Q-series
 # entry run from this directory, q16's among them) must parse.
 set -eu

@@ -8,9 +8,6 @@ module Trace = Aries_trace.Trace
 module Sched = Aries_sched.Sched
 
 let c_disk_retries = Stats.counter Stats.disk_retries
-let c_bufpool_image_hits = Stats.counter Stats.bufpool_image_hits
-let c_bufpool_image_misses = Stats.counter Stats.bufpool_image_misses
-let c_bufpool_image_invalidations = Stats.counter Stats.bufpool_image_invalidations
 let c_disk_quarantines = Stats.counter Stats.disk_quarantines
 let c_page_fixes = Stats.counter Stats.page_fixes
 let c_bufpool_overflow = Stats.counter "bufpool.overflow"
@@ -33,13 +30,10 @@ type frame = {
          of scanning the log once per pending page. Cleared on write-out:
          records at or below a flushed image's page_lsn are never redone. *)
   mutable last_use : int;  (* LRU clock *)
-  mutable image : bytes option;
-      (* cached encoded image of the page, tagged with [image_lsn] — the
-         page_lsn at encode time. Valid iff the tag still matches (belt)
-         and no edit invalidated it ([mark_dirty] clears it, suspenders).
-         Lets a write-back or image probe of an unedited page skip the
-         codec and its CRC entirely. *)
-  mutable image_lsn : Lsn.t;
+  mutable clean_lsn : Lsn.t;
+      (* the page_lsn when the frame was installed or last written back:
+         a clean frame whose page has moved past it was changed without
+         [mark_dirty] (see [unlogged_mutations]) *)
 }
 
 type t = {
@@ -117,30 +111,6 @@ let retrying ~pid ~target f =
   in
   go 0
 
-(* The per-frame image cache choke point: a frame whose page has not been
-   edited since its last encode reuses the cached image. Misses encode
-   through the pool's shared arena (no per-write buffer) and refresh the
-   cache, so e.g. the transient-EIO retry loop re-encodes at most once. *)
-let frame_image t f =
-  match f.image with
-  | Some img when Lsn.compare f.image_lsn f.page.Page.page_lsn = 0 ->
-      Stats.incr c_bufpool_image_hits;
-      img
-  | Some _ | None ->
-      Stats.incr c_bufpool_image_misses;
-      let img = Page.encode_into t.enc f.page in
-      f.image <- Some img;
-      f.image_lsn <- f.page.Page.page_lsn;
-      img
-
-let invalidate_image f =
-  match f.image with
-  | None -> ()
-  | Some _ ->
-      f.image <- None;
-      f.image_lsn <- Lsn.nil;
-      Stats.incr c_bufpool_image_invalidations
-
 let write_frame t f =
   let pid = f.page.Page.pid in
   retrying ~pid ~target:"page-write" (fun () ->
@@ -172,7 +142,9 @@ let write_frame t f =
                    never falls inside a reclaimed log segment *)
                 rec_lsn = f.rec_lsn;
               }));
-      Disk.write_image t.dsk pid (frame_image t f));
+      (* encoded through the pool's shared arena: no per-write buffer *)
+      Disk.write_image t.dsk pid (Page.encode_into t.enc f.page));
+  f.clean_lsn <- f.page.Page.page_lsn;
   f.dirty <- false;
   f.rec_lsn <- Lsn.nil;
   f.chain <- []
@@ -201,7 +173,7 @@ let evict_one t =
 
 let make_room t = if Hashtbl.length t.frames >= t.capacity then evict_one t
 
-let install ?image t page =
+let install t page =
   make_room t;
   let f =
     {
@@ -211,10 +183,7 @@ let install ?image t page =
       rec_lsn = Lsn.nil;
       chain = [];
       last_use = 0;
-      (* seed the cache from the raw disk image when the read path has
-         one: a page read in and written back unedited never re-encodes *)
-      image;
-      image_lsn = (match image with Some _ -> page.Page.page_lsn | None -> Lsn.nil);
+      clean_lsn = page.Page.page_lsn;
     }
   in
   touch t f;
@@ -230,7 +199,7 @@ let install ?image t page =
    guard keeps the repairer's own page traffic from recursing into another
    repair. *)
 let read_page t pid =
-  let read () = retrying ~pid ~target:"page-read" (fun () -> Disk.read_with_image t.dsk pid) in
+  let read () = retrying ~pid ~target:"page-read" (fun () -> Disk.read t.dsk pid) in
   try read () with
   | Storage_error.Error
       { cause = Storage_error.Checksum | Storage_error.Decode; detail; _ } as e -> (
@@ -264,7 +233,7 @@ let fix_opt t pid =
     | Some f -> fix_frame t f
     | None -> (
         match read_page t pid with
-        | Some (page, image) -> Some (install ~image t page).page
+        | Some page -> Some (install t page).page
         | None -> (
             (* no stored image — or a repair healed the page into a frame *)
             match Hashtbl.find_opt t.frames pid with Some f -> fix_frame t f | None -> None))
@@ -316,7 +285,6 @@ let steal_some t =
 
 let mark_dirty t page lsn =
   let f = frame_of t page in
-  invalidate_image f;
   if not f.dirty then begin
     f.dirty <- true;
     f.rec_lsn <- lsn;
@@ -435,19 +403,12 @@ let dirty_page_chains t =
 
 let clear_restart_page t pid = Hashtbl.remove t.restart_dpt pid
 
-let page_image t pid =
-  match Hashtbl.find_opt t.frames pid with
-  | None -> None
-  | Some f -> Some (frame_image t f)
-
-(* Cache-coherence audit for [Db.leak_report]: a cached image whose tag no
-   longer matches its page's [page_lsn] means the page advanced without
-   [mark_dirty] dropping the cache — an unlogged-mutation bug. Always 0 in
-   a quiesced, healthy system. *)
-let image_cache_stale t =
+(* Unlogged-mutation audit for [Db.leak_report]: a clean frame whose
+   page has moved past the page_lsn it was installed or written back with
+   changed without [mark_dirty] — its change would never reach the disk.
+   Always 0 in a quiesced, healthy system. *)
+let unlogged_mutations t =
   Hashtbl.fold
     (fun _ f acc ->
-      match f.image with
-      | Some _ when Lsn.compare f.image_lsn f.page.Page.page_lsn <> 0 -> acc + 1
-      | Some _ | None -> acc)
+      if (not f.dirty) && Lsn.compare f.clean_lsn f.page.Page.page_lsn <> 0 then acc + 1 else acc)
     t.frames 0

@@ -154,23 +154,8 @@ val set_restart_dpt : t -> (Ids.page_id * Aries_wal.Lsn.t * Aries_wal.Lsn.t list
 val clear_restart_page : t -> Ids.page_id -> unit
 (** The page's history has been fully repeated: stop overlaying it. *)
 
-(** {2 Per-frame image cache (PR 9)}
-
-    Every frame can hold the page's encoded on-disk image, tagged with the
-    [page_lsn] at encode time. {!mark_dirty} drops it (counted in
-    [Stats.bufpool_image_invalidations]); write-backs and {!page_image}
-    probes reuse a valid cached image ([Stats.bufpool_image_hits]) instead
-    of re-running the codec + CRC ([Stats.bufpool_image_misses]). The read
-    path seeds the cache with the raw disk image, so a page read in and
-    probed or written back unedited never encodes at all. *)
-
-val page_image : t -> Ids.page_id -> bytes option
-(** The current encoded image of a resident page, through the cache
-    ([None] if the page is not buffered). The returned bytes are shared
-    with the cache — callers must not mutate them. *)
-
-val image_cache_stale : t -> int
-(** Coherence audit ([Db.leak_report]): frames whose cached image tag no
-    longer matches the page's [page_lsn] — the page advanced without
-    [mark_dirty] invalidating, i.e. an unlogged mutation. Always 0 in a
-    healthy quiesced system. *)
+val unlogged_mutations : t -> int
+(** Audit for [Db.leak_report]: clean frames whose page's [page_lsn] has
+    moved since the frame was installed ({!fix}, {!fix_new}) or last
+    written back — the page changed without {!mark_dirty}, so the change
+    would never be written. Always 0 in a healthy quiesced system. *)

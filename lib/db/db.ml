@@ -239,11 +239,10 @@ let leak_report t =
         (String.concat "," (List.map (fun (x : Txnmgr.txn) -> string_of_int x.Txnmgr.txn_id) txns)));
   let violations = Aries_trace.Discipline.violations () in
   if violations > 0 then add "%d latch/lock discipline violation(s) detected" violations;
-  (* Image-cache coherence: a cached frame image whose tag no longer
-     matches its page's page_lsn means the page advanced without
-     [Bufpool.mark_dirty] — an unlogged mutation. *)
-  let stale_images = Bufpool.image_cache_stale t.pool in
-  if stale_images > 0 then add "%d stale cached page image(s) (unlogged mutation?)" stale_images;
+  (* a clean frame whose page_lsn moved changed without
+     [Bufpool.mark_dirty]: an unlogged mutation *)
+  let unlogged = Bufpool.unlogged_mutations t.pool in
+  if unlogged > 0 then add "%d clean frame(s) changed without mark_dirty (unlogged mutation?)" unlogged;
   (* MVCC version-store audits. A pending (unstamped) version whose writer
      is no longer in the transaction table can never be stamped or dropped;
      a snapshot pin with no transaction behind it blocks the GC horizon

@@ -27,30 +27,35 @@ let note_pid t pid = if pid >= t.next_pid then t.next_pid <- pid + 1
 (* Stored images are treated as immutable bytes: every mutation path
    (rewrite, [corrupt_flip], the torn-write fault) replaces the binding
    with a fresh object. That is what lets [read_with_image] hand the
-   stored bytes out zero-copy for the buffer pool's per-frame image
-   cache, [write_image] store a cached image without copying, and the
-   decoded page build its entries from the stored bytes on demand
-   (see [Page.decode]). *)
+   stored bytes out zero-copy, [write_image] store an image without
+   copying, and the decoded page build its entries from the stored bytes
+   on demand (see [Page.decode]). *)
+let decode_stored t pid image =
+  if Faultdisk.fail_read () then begin
+    Stats.incr c_disk_eio_injected;
+    Storage_error.raise_err ~pid Storage_error.Io_transient "injected read EIO"
+  end;
+  Stats.incr c_page_reads;
+  try Page.decode ~psize:t.psize image with
+  | Bytebuf.Corrupt msg ->
+      (* a structurally unparseable stored image (rot with CRC checks
+         disabled, say) — typed, with the true pid *)
+      raise (Storage_error.of_corrupt ~pid msg)
+  | Storage_error.Error i ->
+      (* a CRC mismatch or a bad envelope from the codec: its pid was
+         sniffed from possibly rotten bytes; substitute the authoritative
+         one *)
+      raise (Storage_error.Error { i with pid = Some pid })
+
+let read t pid =
+  match Hashtbl.find_opt t.store pid with
+  | None -> None
+  | Some image -> Some (decode_stored t pid image)
+
 let read_with_image t pid =
   match Hashtbl.find_opt t.store pid with
   | None -> None
-  | Some image -> (
-      if Faultdisk.fail_read () then begin
-        Stats.incr c_disk_eio_injected;
-        Storage_error.raise_err ~pid Storage_error.Io_transient "injected read EIO"
-      end;
-      Stats.incr c_page_reads;
-      try Some (Page.decode ~psize:t.psize image, image) with
-      | Bytebuf.Corrupt msg ->
-          (* a structurally unparseable stored image (e.g. a torn v1 write,
-             or rot with CRC checks disabled) — typed, with the true pid *)
-          raise (Storage_error.of_corrupt ~pid msg)
-      | Storage_error.Error i ->
-          (* CRC mismatch from the codec: its pid was sniffed from possibly
-             rotten bytes; substitute the authoritative one *)
-          raise (Storage_error.Error { i with pid = Some pid }))
-
-let read t pid = Option.map fst (read_with_image t pid)
+  | Some image -> Some (decode_stored t pid image, image)
 
 let store_image t pid image =
   let already = Crashpoint.tripped () in
@@ -88,10 +93,10 @@ let write t page =
   fail_write_maybe page.Page.pid;
   store_image t page.Page.pid (Page.encode page)
 
-(* Write a pre-encoded image — the buffer pool's cached-image flush path
-   and media recovery's dump copy, neither of which should pay a fresh
-   encode + CRC for bytes that already exist. Same fault machinery as
-   [write]. *)
+(* Write a pre-encoded image: the buffer pool's write-back (encoded
+   through its shared arena) and media recovery's dump copy, which should
+   not pay a fresh encode + CRC for bytes that already exist. Same fault
+   machinery as [write]. *)
 let write_image t pid image =
   fail_write_maybe pid;
   store_image t pid image

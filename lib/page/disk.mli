@@ -41,9 +41,8 @@ val read_with_image : t -> Ids.page_id -> (Page.t * bytes) option
     (stored images are immutable: every mutation replaces the binding;
     the page itself builds its entries from these bytes on demand, see
     {!Page.decode}). The caller must not mutate the image.
-    The buffer pool uses it to seed its per-frame image cache from a
-    single read, so a clean page can later be written back without
-    re-encoding. Same error behavior as [read]. *)
+    Media repair uses it to copy an archived image verbatim. Same error
+    behavior as [read]. *)
 
 val write : t -> Page.t -> unit
 (** Serializes and stores the page image (counted as a page write). The
@@ -55,8 +54,8 @@ val write : t -> Page.t -> unit
 
 val write_image : t -> Ids.page_id -> bytes -> unit
 (** Store a pre-encoded page image without re-encoding — the buffer
-    pool's cached-image flush path and media recovery's archive-copy
-    path. The image must be a valid encoding of page [pid] (callers only
+    pool's write-back (encoded through its shared arena) and media
+    recovery's archive-copy path. The image must be a valid encoding of page [pid] (callers only
     pass images previously produced by {!Page.encode} for that page).
     Fault behavior identical to [write]. The stored image aliases the
     argument; callers must not mutate it afterwards. *)

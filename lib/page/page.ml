@@ -131,9 +131,8 @@ let free_space t = t.psize - header_bytes - used_bytes t
 
 let kind_tag = function Leaf _ -> 0 | Nonleaf _ -> 1 | Data _ -> 2 | Anchor _ -> 3
 
-(* On-disk image format v2 (PR 5): a version byte [0xA2] (disjoint from the
-   v1 kind tags 0..3, so legacy images are still recognized), the v1 body,
-   and a CRC32 trailer over everything before it.  The CRC is what lets a
+(* The on-disk image format: a version byte [0xA2], the body, and a CRC32
+   trailer over everything before it.  The CRC is what lets a
    torn write or a flipped bit be *detected* on read instead of surfacing
    as a garbage decode — detection is the trigger for media repair. *)
 let version_tag = 0xA2
@@ -179,7 +178,7 @@ let encode_body_into w t =
    copied it into a fresh frame, then CRC'd the copy. Here the version
    byte and body are written once and the CRC is computed in place over
    the arena before the trailer lands; the only copy is the final
-   [contents]. The byte layout is unchanged: [0xA2][v1 body][u32 crc]. *)
+   [contents]. The byte layout is unchanged: [0xA2][body][u32 crc]. *)
 let encode_into w t =
   Bytebuf.W.reset w;
   Bytebuf.W.u8 w version_tag;
@@ -267,32 +266,28 @@ let decode_body ~psize r =
   page.page_lsn <- page_lsn;
   page
 
+(* [0xA2][body][u32 crc]. Verify before parsing — a torn or bit-rotted
+   image must surface as a typed checksum error (which the buffer manager
+   turns into quarantine + repair), never as a garbage structural decode.
+   An image without the version byte is not a page image. *)
 let decode ~psize b =
   let n = Bytes.length b in
-  if n > 0 && Char.code (Bytes.get b 0) = version_tag then begin
-    (* v2: [0xA2][v1 body][u32 crc].  Verify before parsing — a torn or
-       bit-rotted image must surface as a typed checksum error (which the
-       buffer manager turns into quarantine + repair), never as a garbage
-       structural decode. *)
-    if n < 1 + 17 + 4 then
-      Storage_error.raise_err Storage_error.Decode "v2 page image too short (%dB)" n;
-    let stored = Int32.to_int (Bytes.get_int32_le b (n - 4)) land 0xFFFFFFFF in
-    if Faultdisk.crc_checks_enabled () then begin
-      let crc = Crc.bytes ~len:(n - 4) b in
-      if crc <> stored then begin
-        (* sniff the claimed pid (offset 2: after version byte + kind tag)
-           purely for diagnostics — it may itself be rotten *)
-        let pid = Int64.to_int (Bytes.get_int64_le b 2) in
-        Storage_error.raise_err ~pid Storage_error.Checksum
-          "page image CRC mismatch (stored %08x, computed %08x, %dB)" stored crc n
-      end
-    end;
-    (* zero-copy: parse the body straight out of the image slice *)
-    decode_body ~psize (Bytebuf.R.of_substring (Bytes.unsafe_to_string b) ~off:1 ~len:(n - 5))
-  end
-  else
-    (* legacy v1 image: first byte is a kind tag in 0..3 *)
-    decode_body ~psize (Bytebuf.R.of_bytes b)
+  if n < 1 + 17 + 4 || Char.code (Bytes.get b 0) <> version_tag then
+    Storage_error.raise_err Storage_error.Decode
+      "not a page image (%dB, want a %02x version byte and >= 22B)" n version_tag;
+  let stored = Int32.to_int (Bytes.get_int32_le b (n - 4)) land 0xFFFFFFFF in
+  if Faultdisk.crc_checks_enabled () then begin
+    let crc = Crc.bytes ~len:(n - 4) b in
+    if crc <> stored then begin
+      (* sniff the claimed pid (offset 2: after version byte + kind tag)
+         purely for diagnostics — it may itself be rotten *)
+      let pid = Int64.to_int (Bytes.get_int64_le b 2) in
+      Storage_error.raise_err ~pid Storage_error.Checksum
+        "page image CRC mismatch (stored %08x, computed %08x, %dB)" stored crc n
+    end
+  end;
+  (* zero-copy: parse the body straight out of the image slice *)
+  decode_body ~psize (Bytebuf.R.of_substring (Bytes.unsafe_to_string b) ~off:1 ~len:(n - 5))
 
 let equal a b = a.pid = b.pid && a.page_lsn = b.page_lsn && Bytes.equal (encode a) (encode b)
 

@@ -127,8 +127,9 @@ val decode : psize:int -> bytes -> t
     The page therefore keeps a reference to the image until every entry
     is built: callers must not mutate the bytes after [decode]. Stored
     disk images are immutable, which is what {!Disk.read} relies on.
-    Legacy v1 images (kind-tag first byte) still decode, under the same
-    contract. *)
+    There is one format: bytes that do not start with the [0xA2] version
+    byte, or are too short to hold a header and CRC, raise
+    [Storage_error.Error] with cause [Decode]. *)
 
 val equal : t -> t -> bool
 (** Structural equality of pid, LSN and content (latch excluded); used by

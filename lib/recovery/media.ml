@@ -249,7 +249,7 @@ let recover_page ?archive mgr pool dump pid =
   Bufpool.drop pool pid;
   (* copy the archived image verbatim (after its decode validated the CRC)
      instead of re-encoding the decoded page — same bytes, half the codec
-     work, and a v1-era archive image stays byte-identical *)
+     work *)
   (match retrying ~pid ~target:"page-read" (fun () -> Disk.read_with_image dump.dmp_disk pid) with
   | Some (_, image) -> retrying ~pid ~target:"page-write" (fun () -> Disk.write_image disk pid image)
   | None -> Disk.free disk pid);

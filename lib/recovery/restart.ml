@@ -149,15 +149,14 @@ let analysis ?locks_of ~index logs =
                   stream; otherwise leave the cursors where the scan put
                   them — on the bracket's own records — so the surviving
                   half of the SMO is physically rolled back *)
-               (match Txnmgr.decode_nta_body r.Logrec.body with
-               | jumps, fences ->
-                   if Logset.targets_valid logs r fences then
-                     (* clamped, like the live driver: never rewind a
-                        cursor that already advanced past the target *)
-                     List.iter
-                       (fun (js, jl) -> tk.tk_undo_nxts.(js) <- clamp tk.tk_undo_nxts.(js) jl)
-                       jumps
-               | exception _ -> ());
+               (match Txnmgr.nta_jumps logs r with
+               | Some jumps ->
+                   (* clamped, like live rollback ([Txnmgr.undo_one]): never rewind a
+                      cursor that already advanced past the target *)
+                   List.iter
+                     (fun (js, jl) -> tk.tk_undo_nxts.(js) <- clamp tk.tk_undo_nxts.(js) jl)
+                     jumps
+               | None -> ());
                (* keep the anchor on the undo path (mirrors the live
                   cursor state after nta_end): a later record's undo may
                   re-expose a bracket record, and only the anchor's own
@@ -629,12 +628,9 @@ let undo_deferrable en (txn : Txnmgr.txn) =
                records as unfenced and force eagerness — conservative but
                safe: eager undo still honors the anchor's fence when it
                reaches it in reverse-gsn order. *)
-            match
-              let jumps, fences = Txnmgr.decode_nta_body r.Logrec.body in
-              if Logset.targets_valid logs r fences then List.assoc_opt s jumps else None
-            with
+            match Option.bind (Txnmgr.nta_jumps logs r) (List.assoc_opt s) with
             | Some jump -> check jump
-            | None | (exception _) -> check r.Logrec.prev_lsn
+            | None -> check r.Logrec.prev_lsn
           else if r.Logrec.undo_nxt_stream = s then check r.Logrec.undo_nxt_lsn
           else
             (* a cross-stream logical CLR's jump belongs to the compensated

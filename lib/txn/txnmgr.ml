@@ -237,6 +237,13 @@ let decode_nta_body b =
 let nta_anchor (r : Logrec.t) =
   r.Logrec.kind = Logrec.Clr && r.Logrec.rm_id = 0 && Bytes.length r.Logrec.body > 0
 
+(* A body that does not decode fences nothing, like a torn bracket: the
+   bracket's surviving records then roll back physically. *)
+let nta_jumps logs (r : Logrec.t) =
+  match decode_nta_body r.Logrec.body with
+  | jumps, fences -> if Logset.targets_valid logs r fences then Some jumps else None
+  | exception Bytebuf.Corrupt _ -> None
+
 let nta_end t txn mark =
   let moved = ref [] in
   Array.iteri
@@ -459,15 +466,16 @@ let undo_one t txn ((s, r) : int * Logrec.t) =
            already compensated, so the jump targets never rewind a cursor
            forward. *)
         txn.undo_nxts.(s) <- r.Logrec.prev_lsn;
-        let jumps, fences = decode_nta_body r.Logrec.body in
-        if Logset.targets_valid t.logs r fences then
-          (* clamped: a crash can interrupt a rollback *after* the
-             anchor's turn, and restart re-encounters the anchor with
-             some cursors already advanced past (or through) the jump
-             targets — re-applying a jump must never rewind a cursor
-             upward, or already-compensated records would be undone
-             twice *)
-          List.iter (fun (js, jl) -> txn.undo_nxts.(js) <- Lsn.min txn.undo_nxts.(js) jl) jumps
+        match nta_jumps t.logs r with
+        | Some jumps ->
+            (* clamped: a crash can interrupt a rollback *after* the
+               anchor's turn, and restart re-encounters the anchor with
+               some cursors already advanced past (or through) the jump
+               targets — re-applying a jump must never rewind a cursor
+               upward, or already-compensated records would be undone
+               twice *)
+            List.iter (fun (js, jl) -> txn.undo_nxts.(js) <- Lsn.min txn.undo_nxts.(js) jl) jumps
+        | None -> ()
       end
       else begin
         (* the jump applies to the compensated record's stream; when the

@@ -255,6 +255,12 @@ val decode_nta_body : bytes -> (int * Lsn.t) list * (int * Lsn.t) list
     (the anchor's validity condition, checked with
     {!Logset.targets_valid}). *)
 
+val nta_jumps : Logset.t -> Logrec.t -> (int * Lsn.t) list option
+(** An anchor's jump vector if its whole bracket survived on every moved
+    stream ({!Logset.targets_valid} over its fences), [None] otherwise —
+    also when the body does not decode: such an anchor fences nothing,
+    and the bracket's surviving records roll back physically. *)
+
 (** {1 Undo driving} (shared with restart recovery) *)
 
 val undo_candidate : t -> ?stop_at:Lsn.t array -> txn -> (int * Logrec.t) option

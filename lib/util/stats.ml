@@ -130,7 +130,6 @@ let disk_bit_flips = "disk.bit_flips"
 let disk_quarantines = "disk.quarantines"
 let bufpool_image_hits = "bufpool.image_hits"
 let bufpool_image_misses = "bufpool.image_misses"
-let bufpool_image_invalidations = "bufpool.image_invalidations"
 let wal_encode_arena_reuses = "wal.encode_arena_reuses"
 let log_tail_truncated_bytes = "log.tail_truncated_bytes"
 let log_tail_truncations = "log.tail_truncations"

@@ -145,16 +145,12 @@ val disk_quarantines : string
     quarantined pending repair. *)
 
 val bufpool_image_hits : string
-(** Page write-backs served from a frame's cached encoded image (no
-    re-encode, no re-CRC). *)
+(** No producer: the buffer pool's per-frame image cache it counted is
+    gone, so it always reads 0. The name stays because the end-to-end
+    benchmark still reads it. *)
 
 val bufpool_image_misses : string
-(** Page write-backs that had to (re-)encode because no valid cached
-    image existed for the frame's current [page_lsn]. *)
-
-val bufpool_image_invalidations : string
-(** Cached frame images dropped because the page was edited
-    ([Bufpool.mark_dirty]). *)
+(** No producer, like {!bufpool_image_hits}. *)
 
 val wal_encode_arena_reuses : string
 (** Log-record appends whose encode arena was reused without regrowth —

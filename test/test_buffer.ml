@@ -138,74 +138,53 @@ let test_unfix_discipline () =
   Alcotest.(check bool) "double unfix raises" true
     (match Bufpool.unfix pool p with () -> false | exception Invalid_argument _ -> true)
 
-(* ---------- Per-frame image cache (PR 9) ---------- *)
+(* ---------- Unlogged-mutation audit ---------- *)
 
-(* A storm of image probes over clean resident pages must be ~all cache
-   hits: one miss per page to populate (pages installed via [fix_new]
-   have no disk image to seed from), then hits only. *)
-let test_image_cache_flush_storm () =
-  let _disk, log, pool = setup ~capacity:64 () in
-  let pids =
-    List.init 16 (fun _ ->
-        let pid, p = new_page pool in
-        Bufpool.mark_dirty pool p (log_touch log p);
-        Bufpool.unfix pool p;
-        Bufpool.flush_page pool pid;  (* populates the cache (one miss, uncounted) *)
-        pid)
-  in
-  let s = Stats.create () in
-  Stats.with_sink s (fun () ->
-      for _ = 1 to 10 do
-        List.iter (fun pid -> ignore (Bufpool.page_image pool pid)) pids
-      done);
-  Alcotest.(check int) "no misses: every probe hits the cache" 0
-    (Stats.get s Stats.bufpool_image_misses);
-  Alcotest.(check int) "all probes hit" 160 (Stats.get s Stats.bufpool_image_hits);
-  Alcotest.(check int) "no stale cache entries" 0 (Bufpool.image_cache_stale pool)
-
-(* Editing a page invalidates its cached image (counted), and the next
-   write-back re-encodes exactly once. *)
-let test_image_cache_invalidation () =
+(* A clean frame whose page_lsn moves without [mark_dirty] holds a change
+   the pool would never write back. The audit counts it whether the frame
+   was read in ([fix]) or created in the pool ([fix_new]); logging the
+   change ([mark_dirty]) and writing it back clear it. *)
+let test_unlogged_mutation_audit () =
   let _disk, log, pool = setup () in
-  let pid, p = new_page pool in
+  let read_pid, p = new_page pool in
   Bufpool.mark_dirty pool p (log_touch log p);
   Bufpool.unfix pool p;
-  Bufpool.flush_page pool pid;  (* miss: first encode, cache populated *)
-  let s = Stats.create () in
-  Stats.with_sink s (fun () ->
-      ignore (Bufpool.page_image pool pid);  (* hit *)
-      let p = Bufpool.fix pool pid in
-      let lsn = log_touch log p in
-      Bufpool.mark_dirty pool p lsn;  (* invalidate *)
+  Bufpool.flush_page pool read_pid;
+  Bufpool.drop pool read_pid;
+  let read_in = Bufpool.fix pool read_pid in
+  let _, created = new_page pool in
+  Alcotest.(check int) "fresh frames pass" 0 (Bufpool.unlogged_mutations pool);
+  ignore (log_touch log read_in);
+  Alcotest.(check int) "read-in frame moved without mark_dirty" 1
+    (Bufpool.unlogged_mutations pool);
+  ignore (log_touch log created);
+  Alcotest.(check int) "fix_new frame moved without mark_dirty" 2
+    (Bufpool.unlogged_mutations pool);
+  Bufpool.mark_dirty pool read_in read_in.Page.page_lsn;
+  Alcotest.(check int) "a dirty frame is not counted" 1 (Bufpool.unlogged_mutations pool);
+  Bufpool.mark_dirty pool created created.Page.page_lsn;
+  List.iter
+    (fun p ->
       Bufpool.unfix pool p;
-      Bufpool.flush_page pool pid;  (* miss: re-encode after edit *)
-      ignore (Bufpool.page_image pool pid) (* hit again *));
-  Alcotest.(check int) "invalidated once" 1 (Stats.get s Stats.bufpool_image_invalidations);
-  Alcotest.(check int) "re-encoded once" 1 (Stats.get s Stats.bufpool_image_misses);
-  Alcotest.(check int) "two hits" 2 (Stats.get s Stats.bufpool_image_hits)
+      Bufpool.flush_page pool p.Page.pid)
+    [ read_in; created ];
+  Alcotest.(check int) "written back: clean and consistent" 0 (Bufpool.unlogged_mutations pool)
 
-(* The read path seeds the cache from the raw disk image: a page read in
-   and probed unedited never encodes. *)
-let test_image_cache_read_seed () =
-  let _disk, log, pool = setup () in
-  let pid, p = new_page pool in
-  Bufpool.mark_dirty pool p (log_touch log p);
-  Bufpool.unfix pool p;
-  Bufpool.flush_page pool pid;
-  Bufpool.drop pool pid;
-  let s = Stats.create () in
-  Stats.with_sink s (fun () ->
-      let p = Bufpool.fix pool pid in
-      Bufpool.unfix pool p;
-      ignore (Bufpool.page_image pool pid));
-  Alcotest.(check int) "no encode after read-seed" 0 (Stats.get s Stats.bufpool_image_misses);
-  Alcotest.(check int) "probe hits the seeded image" 1 (Stats.get s Stats.bufpool_image_hits);
-  (* and the seeded image is exactly what the codec would produce *)
-  let p = Bufpool.fix pool pid in
-  (match Bufpool.page_image pool pid with
-  | Some img -> Alcotest.(check bytes) "seeded image = encode" (Page.encode p) img
-  | None -> Alcotest.fail "no image for resident page");
-  Bufpool.unfix pool p
+(* The same detector through [Db.leak_report]: an otherwise quiesced Db
+   names the unlogged change. *)
+let test_leak_report_names_unlogged_mutation () =
+  let module Db = Aries_db.Db in
+  let db = Db.create ~page_size:512 () in
+  let pid = Disk.alloc_pid db.Db.disk in
+  let p = Bufpool.fix_new db.Db.pool pid (Page.empty_leaf ()) in
+  Bufpool.unfix db.Db.pool p;
+  Alcotest.(check (list string)) "quiesced Db: no leaks" [] (Db.leak_report db);
+  p.Page.page_lsn <- p.Page.page_lsn + 1;
+  match Db.leak_report db with
+  | [ leak ] ->
+      Alcotest.(check bool) "the report names the unlogged mutation" true
+        (String.length leak > 0 && leak.[0] = '1')
+  | leaks -> Alcotest.failf "expected one leak, got [%s]" (String.concat "; " leaks)
 
 let () =
   Alcotest.run "buffer"
@@ -222,12 +201,10 @@ let () =
           Alcotest.test_case "steal hook" `Quick test_steal_hook;
           Alcotest.test_case "unfix discipline" `Quick test_unfix_discipline;
         ] );
-      ( "image-cache",
+      ( "audit",
         [
-          Alcotest.test_case "clean-page probe storm is all hits" `Quick
-            test_image_cache_flush_storm;
-          Alcotest.test_case "edit invalidates, one re-encode" `Quick
-            test_image_cache_invalidation;
-          Alcotest.test_case "read path seeds the cache" `Quick test_image_cache_read_seed;
+          Alcotest.test_case "unlogged mutation is counted" `Quick test_unlogged_mutation_audit;
+          Alcotest.test_case "leak report names it" `Quick
+            test_leak_report_names_unlogged_mutation;
         ] );
     ]

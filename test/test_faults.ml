@@ -79,16 +79,26 @@ let test_page_crc_detects_flip () =
   | exception Storage_error.Error { cause = Storage_error.Checksum; pid; _ } ->
       Alcotest.(check (option int)) "pid sniffed for diagnostics" (Some 5) pid
 
-let test_page_legacy_v1_decodes () =
+(* One image format: bytes without the [0xA2] envelope (the pre-CRC v1
+   body layout, or nothing at all) are a typed [Decode] error naming the
+   page, never a page parsed without a CRC check. *)
+let test_page_v1_image_rejected () =
   let page = Page.create ~psize:4096 ~pid:8 (Page.empty_data ~owner:3) in
   let d = Page.as_data page in
   Vec.push d.Page.dt_slots (Some (Bytes.of_string "legacy record"));
   page.Page.page_lsn <- 77;
   let b = Page.encode page in
-  (* strip the v2 envelope: [0xA2][v1 body][u32 crc] -> [v1 body] *)
+  (* strip the envelope: [0xA2][body][u32 crc] -> [body] *)
   let v1 = Bytes.sub b 1 (Bytes.length b - 5) in
-  let page' = Page.decode ~psize:4096 v1 in
-  Alcotest.(check bool) "legacy image decodes to the same page" true (Page.equal page page')
+  List.iter
+    (fun (label, image) ->
+      let disk = Disk.create ~page_size:4096 () in
+      Disk.write_image disk 8 image;
+      match Disk.read disk 8 with
+      | _ -> Alcotest.failf "%s decoded" label
+      | exception Storage_error.Error { cause = Storage_error.Decode; pid; _ } ->
+          Alcotest.(check (option int)) (label ^ ": typed Decode naming the page") (Some 8) pid)
+    [ ("v1 body", v1); ("empty image", Bytes.empty) ]
 
 (* The meta-fault: with CRC verification off, a rotten image is never
    reported as a checksum failure — it flows through as either garbage
@@ -387,7 +397,7 @@ let () =
         [
           Alcotest.test_case "bit-rot detected, typed, pid attached" `Quick
             test_page_crc_detects_flip;
-          Alcotest.test_case "legacy v1 image still decodes" `Quick test_page_legacy_v1_decodes;
+          Alcotest.test_case "v1 image is a Decode error" `Quick test_page_v1_image_rejected;
           Alcotest.test_case "crc.check-disabled meta-fault" `Quick test_crc_disabled_meta_fault;
           Alcotest.test_case "corrupt_flip / corrupt_drop" `Quick test_corrupt_variants;
         ] );
