@@ -1,12 +1,13 @@
 (* The per-figure experiments (E1-E11) and the quantitative claims
-   (Q1-Q6). Each prints the evidence the paper's figure or claim predicts;
-   EXPERIMENTS.md records expected-vs-measured. The assertions here mirror
-   test/test_scenarios.ml — the harness narrates, the tests enforce. *)
+   (Q series). The figures are the schedules of test/figures/figures.ml,
+   which test_scenarios also asserts: each eN entry prints every check of
+   its figure as CONFIRMED or VIOLATED and, through bench/record.ml, writes
+   _bench/eN.json and exits 1 if one is violated. EXPERIMENTS.md records
+   expected-vs-measured. *)
 
 open Aries_util
 open Workload
-module Ixlog = Aries_btree.Ixlog
-module Key = Aries_page.Key
+open Aries_figures.Figures
 module Lockmgr = Aries_lock.Lockmgr
 module Bufpool = Aries_buffer.Bufpool
 module Restart = Aries_recovery.Restart
@@ -14,379 +15,12 @@ module Media = Aries_recovery.Media
 module Disk = Aries_page.Disk
 module Page = Aries_page.Page
 
-let records_after db from =
-  List.filter
-    (fun r -> Lsn.( < ) from r.Logrec.lsn)
-    (Logmgr.records_between db.Db.wal Lsn.nil Lsn.nil)
-
-(* ------------------------------------------------------------------ *)
-
-let e1 ppf =
-  section ppf "E1 (Figure 1): logical undo after an intervening page split";
-  let db, tree = fresh () in
-  seed_keys db tree 0 9;
-  let k8 = "key99999" in
-  Db.run_exn db (fun () ->
-      let t1 = Txnmgr.begin_txn db.Db.mgr in
-      Btree.insert tree t1 ~value:k8 ~rid:(rid 999);
-      let p1 = Btree.locate_leaf tree k8 in
-      Db.with_txn db (fun t2 ->
-          let i = ref 10 in
-          while Btree.locate_leaf tree k8 = p1 do
-            Btree.insert tree t2 ~value:(v !i) ~rid:(rid !i);
-            incr i
-          done);
-      let p2 = Btree.locate_leaf tree k8 in
-      kv ppf "T1 inserted K8 into page" "P%d" p1;
-      kv ppf "T2's committed split moved K8 to page" "P%d" p2;
-      let mark = Logmgr.last_lsn db.Db.wal in
-      let (), s = measured (fun () -> Txnmgr.rollback db.Db.mgr t1) in
-      let clr =
-        List.find
-          (fun r -> r.Logrec.kind = Logrec.Clr && r.Logrec.rm_id = Ixlog.rm_id)
-          (records_after db mark)
-      in
-      kv ppf "T1's rollback compensated on page" "P%d (logical undos: %d)" clr.Logrec.page
-        (Stats.get s Stats.logical_undos);
-      kv ppf "paper predicts: CLR page <> original page" "%s"
-        (if clr.Logrec.page = p2 && p1 <> p2 then "CONFIRMED" else "VIOLATED"));
-  Btree.check_invariants tree
-
-let e2 ppf =
-  section ppf "E2 (Figure 2): the locking summary table, measured";
-  Format.fprintf ppf "  %-16s %-28s %-28s@." "operation" "next key" "current key";
-  let run_op locking name f expect_events =
-    let cfg = config_of locking in
-    let db, tree = fresh ~config:cfg () in
-    seed_keys db tree 0 19;
-    let events = ref [] in
-    Btree.set_trace db.Db.benv
-      (Some
-         (function
-           | Btree.Ev_lock (n, m, d, (`Cond_ok | `Uncond)) -> events := (n, m, d) :: !events
-           | _ -> ()));
-    Db.run_exn db (fun () -> Db.with_txn db (fun txn -> f tree txn));
-    Btree.set_trace db.Db.benv None;
-    ignore expect_events;
-    let show =
-      List.rev_map (fun (_, m, d) -> Printf.sprintf "%s %s" m d) !events |> String.concat " + "
-    in
-    Format.fprintf ppf "  [%s] %-12s locks: %s@." (Protocol.locking_to_string locking) name show
-  in
-  List.iter
-    (fun locking ->
-      run_op locking "fetch" (fun tree txn -> ignore (Btree.fetch tree txn (v 5))) [];
-      run_op locking "insert"
-        (fun tree txn -> Btree.insert tree txn ~value:"key00005a" ~rid:(rid 500))
-        [];
-      run_op locking "delete" (fun tree txn -> Btree.delete tree txn ~value:(v 10) ~rid:(rid 10)) [])
-    [ Protocol.Data_only; Protocol.Index_specific ];
-  Format.fprintf ppf
-    "  Figure 2 predicts: insert = next-key X instant (+ current X commit if@.";
-  Format.fprintf ppf
-    "  index-specific); delete = next-key X commit (+ current X instant); fetch =@.";
-  Format.fprintf ppf "  current-key S commit.@."
-
-let e3 ppf =
-  section ppf "E3 (Figure 3): insert vs in-progress SMO";
-  let db, tree = fresh () in
-  seed_keys db tree 0 19;
-  let cv = Sched.Condvar.create "pause" in
-  let paused = ref false in
-  Btree.set_smo_pause db.Db.benv
-    (Some
-       (fun () ->
-         if not !paused then begin
-           paused := true;
-           Sched.Condvar.wait cv
-         end));
-  let t2_started = ref false and t2_done = ref false and blocked = ref false in
-  let r =
-    Db.run db (fun () ->
-        ignore
-          (Sched.spawn (fun () ->
-               Db.with_txn db (fun txn ->
-                   let i = ref 100 in
-                   while not !paused do
-                     Btree.insert tree txn ~value:(v !i) ~rid:(rid !i);
-                     incr i
-                   done)));
-        ignore
-          (Sched.spawn (fun () ->
-               while not !paused do
-                 Sched.yield ()
-               done;
-               t2_started := true;
-               Db.with_txn db (fun txn -> Btree.insert tree txn ~value:"key99998" ~rid:(rid 77));
-               t2_done := true));
-        ignore
-          (Sched.spawn (fun () ->
-               while not !t2_started do
-                 Sched.yield ()
-               done;
-               for _ = 1 to 10 do
-                 Sched.yield ()
-               done;
-               blocked := not !t2_done;
-               Sched.Condvar.signal cv)))
-  in
-  Btree.set_smo_pause db.Db.benv None;
-  kv ppf "T2's insert blocked while T1's SMO was incomplete" "%b" !blocked;
-  kv ppf "T2's insert completed after the SMO finished" "%b" !t2_done;
-  kv ppf "schedule ran to completion" "%b" (r.Sched.outcome = Sched.Completed);
-  Btree.check_invariants tree;
-  kv ppf "tree invariants" "%s" "hold"
-
-let e4 ppf =
-  section ppf "E4 (Figure 4): traversal latch coupling";
-  let db, tree = fresh () in
-  seed_keys db tree 0 199;
-  let held = ref 0 and max_held = ref 0 and acquires = ref 0 in
-  Btree.set_trace db.Db.benv
-    (Some
-       (function
-         | Btree.Ev_latch (_, _, `Acquire) ->
-             incr held;
-             incr acquires;
-             if !held > !max_held then max_held := !held
-         | Btree.Ev_latch (_, _, `Release) -> decr held
-         | _ -> ()));
-  Db.run_exn db (fun () -> Db.with_txn db (fun txn -> ignore (Btree.fetch tree txn (v 150))));
-  Btree.set_trace db.Db.benv None;
-  kv ppf "tree height" "%d" (Btree.height tree);
-  kv ppf "page latches acquired by one fetch" "%d" !acquires;
-  kv ppf "max latches held simultaneously" "%d (paper: <= 2)" !max_held;
-  kv ppf "latches leaked" "%d" !held
-
-let e5 ppf =
-  section ppf "E5 (Figure 5): fetch's conditional-lock / unlatch / wait dance";
-  let db, tree = fresh () in
-  seed_keys db tree 0 9;
-  let cond_fail = ref 0 and uncond = ref 0 in
-  Btree.set_trace db.Db.benv
-    (Some
-       (function
-         | Btree.Ev_lock (_, _, _, `Cond_fail) -> incr cond_fail
-         | Btree.Ev_lock (_, _, _, `Uncond) -> incr uncond
-         | _ -> ()));
-  let fetched = ref None in
-  ignore
-    (Db.run db (fun () ->
-         ignore
-           (Sched.spawn (fun () ->
-                let t1 = Txnmgr.begin_txn db.Db.mgr in
-                Btree.delete tree t1 ~value:(v 5) ~rid:(rid 5);
-                for _ = 1 to 12 do
-                  Sched.yield ()
-                done;
-                Txnmgr.rollback db.Db.mgr t1));
-         ignore
-           (Sched.spawn (fun () ->
-                Sched.yield ();
-                Db.with_txn db (fun t2 -> fetched := Btree.fetch tree t2 (v 5))))));
-  Btree.set_trace db.Db.benv None;
-  kv ppf "conditional lock denials observed" "%d" !cond_fail;
-  kv ppf "unconditional (latches released) waits" "%d" !uncond;
-  kv ppf "fetch saw the rolled-back deleter's key (RR)" "%b"
-    (match !fetched with Some k -> String.equal k.Key.value (v 5) | None -> false)
-
-let e7 ppf =
-  section ppf "E7 (Figure 7): Delete_Bit and the boundary-key POSC rule";
-  let db, tree = fresh () in
-  seed_keys db tree 0 199;
-  let leaves = Btree.leaf_pids tree in
-  let second = List.nth leaves 1 in
-  let on_leaf =
-    List.filter (fun (value, _) -> Btree.locate_leaf tree value = second) (Btree.to_list tree)
-  in
-  let mid_value, mid_rid = List.nth on_leaf (List.length on_leaf / 2) in
-  let bound_value, bound_rid = List.hd on_leaf in
-  let delete_marks value r =
-    let mark = Logmgr.last_lsn db.Db.wal in
-    let tree_latched = ref false in
-    Btree.set_trace db.Db.benv
-      (Some
-         (function Btree.Ev_tree_latch (`S, `Acquire) -> tree_latched := true | _ -> ()));
-    Db.run_exn db (fun () -> Db.with_txn db (fun txn -> Btree.delete tree txn ~value ~rid:r));
-    Btree.set_trace db.Db.benv None;
-    let marked =
-      List.exists
-        (fun rc ->
-          rc.Logrec.kind = Logrec.Update && rc.Logrec.rm_id = Ixlog.rm_id
-          &&
-          match Ixlog.decode ~op:rc.Logrec.op rc.Logrec.body with
-          | Ixlog.Delete_key { mark_delete_bit; _ } -> mark_delete_bit
-          | _ -> false)
-        (records_after db mark)
-    in
-    (marked, !tree_latched)
-  in
-  let marked, latched = delete_marks mid_value mid_rid in
-  kv ppf "non-boundary delete: Delete_Bit set / tree latch" "%b / %b" marked latched;
-  let marked, latched = delete_marks bound_value bound_rid in
-  kv ppf "boundary delete:     Delete_Bit set / tree latch" "%b / %b" marked latched;
-  kv ppf "paper predicts" "%s" "true/false then false/true"
-
-let e9 ppf =
-  section ppf "E9 (Figures 8-9): page-split log record sequence";
-  let db, tree = fresh () in
-  seed_keys db tree 0 9;
-  Db.run_exn db (fun () ->
-      Db.with_txn db (fun txn ->
-          let i = ref 10 in
-          while List.length (Btree.leaf_pids tree) = 1 do
-            Btree.insert tree txn ~value:(v !i) ~rid:(rid !i);
-            incr i
-          done));
-  let all = Logmgr.records_between db.Db.wal Lsn.nil Lsn.nil in
-  let names =
-    List.filter_map
-      (fun r ->
-        if r.Logrec.rm_id = Ixlog.rm_id && r.Logrec.kind = Logrec.Update then
-          Some (Ixlog.op_name r.Logrec.op)
-        else if r.Logrec.kind = Logrec.Clr && r.Logrec.rm_id = 0 then Some "dummy-CLR"
-        else None)
-      all
-  in
-  (* print the window around the split: from the adjacent
-     (format_leaf, leaf_truncate) pair through the pending insert *)
-  let rec around = function
-    | "format_leaf" :: ("leaf_truncate" :: _ as rest) -> "format_leaf" :: around_tail rest
-    | _ :: rest -> around rest
-    | [] -> []
-  and around_tail = function
-    | "insert_key" :: _ -> [ "insert_key            <- the pending insert, after the SMO" ]
-    | x :: rest -> x :: around_tail rest
-    | [] -> []
-  in
-  Format.fprintf ppf "  log sequence around the split:@.";
-  List.iter (fun n -> Format.fprintf ppf "    %s@." n) (around names);
-  Format.fprintf ppf
-    "  Figure 9 predicts: split records, then the dummy CLR closing the nested@.";
-  Format.fprintf ppf "  top action, and only then the insert that caused the split.@."
-
-let e10 ppf =
-  section ppf "E10 (Figure 10): page-delete log record sequence";
-  let db, tree = fresh () in
-  seed_keys db tree 0 199;
-  let second = List.nth (Btree.leaf_pids tree) 1 in
-  let on_leaf =
-    List.filter (fun (value, _) -> Btree.locate_leaf tree value = second) (Btree.to_list tree)
-  in
-  let mark = Logmgr.last_lsn db.Db.wal in
-  Db.run_exn db (fun () ->
-      Db.with_txn db (fun txn ->
-          List.iter (fun (value, r) -> Btree.delete tree txn ~value ~rid:r) on_leaf));
-  let recs = records_after db mark in
-  let key_delete =
-    List.filter
-      (fun r ->
-        r.Logrec.kind = Logrec.Update && r.Logrec.rm_id = Ixlog.rm_id && r.Logrec.page = second
-        && match Ixlog.decode ~op:r.Logrec.op r.Logrec.body with
-           | Ixlog.Delete_key _ -> true
-           | _ -> false)
-      recs
-    |> List.rev |> List.hd
-  in
-  let dummy =
-    List.find
-      (fun r ->
-        r.Logrec.kind = Logrec.Clr && r.Logrec.rm_id = 0
-        && Lsn.( < ) key_delete.Logrec.lsn r.Logrec.lsn)
-      recs
-  in
-  kv ppf "key-delete record LSN" "%d" key_delete.Logrec.lsn;
-  kv ppf "page-delete NTA dummy CLR UndoNxtLSN" "%d" dummy.Logrec.undo_nxt_lsn;
-  kv ppf "dummy CLR points exactly at the key delete (Fig 10)" "%s"
-    (if dummy.Logrec.undo_nxt_lsn = key_delete.Logrec.lsn then "CONFIRMED" else "VIOLATED");
-  kv ppf "victim page removed from the leaf chain" "%b"
-    (not (List.mem second (Btree.leaf_pids tree)))
-
-let e11 ppf =
-  section ppf "E11 (Figure 11): the Delete_Bit protects the region of structural inconsistency";
-  let run ~delete_bit =
-    let cfg = { Btree.default_config with Btree.delete_bit_enabled = delete_bit } in
-    let db, tree = fresh ~config:cfg () in
-    seed_keys db tree 0 199;
-    let free_of pid = Bufpool.with_fix db.Db.pool pid (fun p -> Page.free_space p) in
-    let base = "key00042" in
-    let entry_len = String.length base + 3 in
-    let cost = entry_len + 10 in
-    let j = ref 0 in
-    while free_of (Btree.locate_leaf tree base) >= cost do
-      Db.run_exn db (fun () ->
-          Db.with_txn db (fun txn ->
-              Btree.insert tree txn
-                ~value:(Printf.sprintf "%sf%02d" base !j)
-                ~rid:(rid (300 + !j))));
-      incr j
-    done;
-    let target_leaf = Btree.locate_leaf tree base in
-    let on_leaf =
-      List.filter
-        (fun (value, _) ->
-          Btree.locate_leaf tree value = target_leaf && String.length value = entry_len)
-        (Btree.to_list tree)
-    in
-    let del_value, del_rid = List.nth on_leaf (List.length on_leaf / 2) in
-    let consumer = String.sub del_value 0 (entry_len - 1) ^ "z" in
-    let cv = Sched.Condvar.create "e11" in
-    let paused = ref false and t2_done = ref false and blocked = ref false in
-    Btree.set_smo_pause db.Db.benv
-      (Some
-         (fun () ->
-           if not !paused then begin
-             paused := true;
-             Logmgr.flush db.Db.wal;
-             Sched.Condvar.wait cv
-           end));
-    ignore
-      (Db.run db (fun () ->
-           ignore
-             (Sched.spawn (fun () ->
-                  Db.with_txn db (fun txn ->
-                      let i = ref 5000 in
-                      while not !paused do
-                        Btree.insert tree txn ~value:(v !i) ~rid:(rid !i);
-                        incr i
-                      done)));
-           ignore
-             (Sched.spawn (fun () ->
-                  while not !paused do
-                    Sched.yield ()
-                  done;
-                  let t1 = Txnmgr.begin_txn db.Db.mgr in
-                  Btree.delete tree t1 ~value:del_value ~rid:del_rid;
-                  Logmgr.flush db.Db.wal;
-                  ignore
-                    (Sched.spawn (fun () ->
-                         let t2 = Txnmgr.begin_txn db.Db.mgr in
-                         Btree.insert tree t2 ~value:consumer ~rid:(rid 77);
-                         Txnmgr.commit db.Db.mgr t2;
-                         t2_done := true));
-                  ignore
-                    (Sched.spawn (fun () ->
-                         for _ = 1 to 20 do
-                           Sched.yield ()
-                         done;
-                         blocked := not !t2_done))))));
-    Btree.set_smo_pause db.Db.benv None;
-    let db' = Db.crash db in
-    let report, s = measured (fun () -> Db.run_exn db' (fun () -> Db.restart db')) in
-    ignore report;
-    (!blocked, !t2_done, Stats.get s Stats.logical_undos, Stats.get s Stats.page_oriented_undos)
-  in
-  let blocked, consumed, logical, pageor = run ~delete_bit:true in
-  kv ppf "[bit ON ] consumer blocked / consumed in ROSI" "%b / %b" blocked consumed;
-  kv ppf "[bit ON ] restart undo: logical / page-oriented" "%d / %d" logical pageor;
-  let blocked, consumed, logical, pageor = run ~delete_bit:false in
-  kv ppf "[bit OFF] consumer blocked / consumed in ROSI" "%b / %b" blocked consumed;
-  kv ppf "[bit OFF] restart undo: logical / page-oriented" "%d / %d" logical pageor;
-  Format.fprintf ppf
-    "  With the bit, the space consumer waits for the POSC and the uncommitted@.";
-  Format.fprintf ppf
-    "  delete's restart undo stays page-oriented; the ablation admits the Fig-11@.";
-  Format.fprintf ppf "  hazard (logical undo inside a region of structural inconsistency).@."
+let figure (id, title, run) =
+  ( id,
+    fun ppf ->
+      let r = Record.start ppf id title in
+      List.iter (fun c -> Record.check r c.name ~ok:c.ok) (run ());
+      Record.finish r )
 
 (* ------------------------------------------------------------------ *)
 (* Q1: locks acquired per operation, by protocol (through the Table layer,
@@ -2024,16 +1658,8 @@ let q17 ppf =
   Record.finish r
 
 let all : (string * (Format.formatter -> unit)) list =
-  [
-    ("e1", e1);
-    ("e2", e2);
-    ("e3", e3);
-    ("e4", e4);
-    ("e5", e5);
-    ("e7", e7);
-    ("e9", e9);
-    ("e10", e10);
-    ("e11", e11);
+  List.map figure Aries_figures.Figures.all
+  @ [
     ("q1", q1);
     ("q2", q2);
     ("q3", q3);

@@ -9,7 +9,8 @@
    An unknown experiment id fails the run before anything runs. Each
    Q-series entry from q9 on records its numbers and acceptance gates in
    _bench/<id>.json (bench/record.ml) and exits 1 after writing it if a
-   gate failed.
+   gate failed; each E-series entry does the same with its figure's
+   checks (test/figures/figures.ml).
 
    Plus the full-budget simulation sweep (the CI-budget version runs in
    dune runtest; see EXPERIMENTS.md "Simulation harness"):

@@ -119,6 +119,11 @@ let gate t name ~ok =
   Workload.kv t.ppf ("acceptance: " ^ name) "%s" (if ok then "PASS" else "FAIL");
   t.gates <- (name, ok) :: t.gates
 
+(* A paper-figure check: a gate printed as the figure's verdict. *)
+let check t name ~ok =
+  Workload.kv t.ppf name "%s" (if ok then "CONFIRMED" else "VIOLATED");
+  t.gates <- (name, ok) :: t.gates
+
 let dir = "_bench"
 
 let finish t =

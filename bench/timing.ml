@@ -6,6 +6,7 @@
 
 open Bechamel
 open Workload
+open Aries_figures.Figures
 module Bufpool = Aries_buffer.Bufpool
 
 (* one operation per run, on a pre-built tree; keys rotate so inserts do

@@ -11,25 +11,6 @@ module Sched = Aries_sched.Sched
 module Db = Aries_db.Db
 module Table = Aries_db.Table
 
-let rid i = { Ids.rid_page = 900 + (i / 100); rid_slot = i mod 100 }
-
-let v i = Printf.sprintf "key%05d" i
-
-let fresh ?(page_size = 384) ?(unique = true) ?config () =
-  let db = Db.create ~page_size ?config () in
-  let tree =
-    Db.run_exn db (fun () ->
-        Db.with_txn db (fun txn -> Btree.create ?config db.Db.benv txn ~name:"bench" ~unique))
-  in
-  (db, tree)
-
-let seed_keys db tree lo hi =
-  Db.run_exn db (fun () ->
-      Db.with_txn db (fun txn ->
-          for i = lo to hi do
-            Btree.insert tree txn ~value:(v i) ~rid:(rid i)
-          done))
-
 let protocols =
   [ Protocol.Data_only; Protocol.Index_specific; Protocol.Kvl; Protocol.System_r; Protocol.Mvcc ]
 

@@ -42,46 +42,6 @@ let default_config =
     concurrent_smos = false;
   }
 
-type event =
-  | Ev_latch of Ids.page_id * [ `S | `X ] * [ `Acquire | `Release ]
-  | Ev_tree_latch of [ `S | `X ] * [ `Acquire | `Release | `Instant | `Try_fail ]
-  | Ev_lock of string * string * string * [ `Cond_ok | `Cond_fail | `Uncond ]
-  | Ev_log of string
-  | Ev_restart of string
-  | Ev_smo of [ `Split_start | `Split_end | `Pagedel_start | `Pagedel_end ]
-  | Ev_undo of [ `Page_oriented | `Logical ] * string
-
-let event_to_string = function
-  | Ev_latch (pid, m, a) ->
-      Printf.sprintf "latch %s page=%d %s"
-        (match m with `S -> "S" | `X -> "X")
-        pid
-        (match a with `Acquire -> "acquire" | `Release -> "release")
-  | Ev_tree_latch (m, a) ->
-      Printf.sprintf "tree-latch %s %s"
-        (match m with `S -> "S" | `X -> "X")
-        (match a with
-        | `Acquire -> "acquire"
-        | `Release -> "release"
-        | `Instant -> "instant"
-        | `Try_fail -> "try-fail")
-  | Ev_lock (name, mode, dur, how) ->
-      Printf.sprintf "lock %s %s %s %s" mode dur name
-        (match how with `Cond_ok -> "cond-ok" | `Cond_fail -> "cond-fail" | `Uncond -> "uncond")
-  | Ev_log op -> Printf.sprintf "log %s" op
-  | Ev_restart why -> Printf.sprintf "restart: %s" why
-  | Ev_smo s ->
-      Printf.sprintf "smo %s"
-        (match s with
-        | `Split_start -> "split-start"
-        | `Split_end -> "split-end"
-        | `Pagedel_start -> "pagedel-start"
-        | `Pagedel_end -> "pagedel-end")
-  | Ev_undo (kind, what) ->
-      Printf.sprintf "undo %s %s"
-        (match kind with `Page_oriented -> "page-oriented" | `Logical -> "logical")
-        what
-
 type env = {
   e_mgr : Txnmgr.t;
   e_pool : Bufpool.t;
@@ -95,7 +55,6 @@ type env = {
   e_mvstore : Mvstore.t;
       (** MVCC version chains for trees opened under {!Protocol.Mvcc};
           volatile, rebuilt through recovery by {!rebuild_versions} *)
-  mutable e_trace : (event -> unit) option;
   mutable e_pause : (unit -> unit) option;
 }
 
@@ -112,6 +71,8 @@ let env_pool e = e.e_pool
 
 let env_mgr e = e.e_mgr
 
+let env_config e = e.e_default_cfg
+
 let env_mvstore e = e.e_mvstore
 
 let index_id t = t.bt_ix
@@ -122,11 +83,7 @@ let unique t = t.bt_unique
 
 let config t = t.bt_cfg
 
-let set_trace e f = e.e_trace <- f
-
 let set_smo_pause e f = e.e_pause <- f
-
-let trace t ev = match t.bt_env.e_trace with Some f -> f ev | None -> ()
 
 let max_restarts = 10_000
 
@@ -143,63 +100,32 @@ exception Op_done
 (* Held-page context: every latched page is also fixed and tracked, so
    restarts and exceptions release everything exactly once. *)
 
-type ctx = { mutable held : (Page.t * Latch.mode) list }
+type ctx = { mutable held : Page.t list }
 
 let new_ctx () = { held = [] }
 
-let latch_mode_tag = function Latch.S -> `S | Latch.X -> `X
-
-let hold_fixed t ctx page mode =
+let hold_fixed ctx page mode =
   Latch.acquire page.Page.latch mode;
-  trace t (Ev_latch (page.Page.pid, latch_mode_tag mode, `Acquire));
-  ctx.held <- (page, mode) :: ctx.held
+  ctx.held <- page :: ctx.held
 
 let hold t ctx pid mode =
   let page = Bufpool.fix t.bt_env.e_pool pid in
-  hold_fixed t ctx page mode;
+  hold_fixed ctx page mode;
   page
 
 let hold_new t ctx pid content mode =
   let page = Bufpool.fix_new t.bt_env.e_pool pid content in
-  hold_fixed t ctx page mode;
+  hold_fixed ctx page mode;
   page
 
 let drop t ctx page =
-  match List.find_opt (fun (p, _) -> p == page) ctx.held with
-  | None -> ()
-  | Some (_, mode) ->
-      ctx.held <- List.filter (fun (p, _) -> p != page) ctx.held;
-      Latch.release page.Page.latch;
-      trace t (Ev_latch (page.Page.pid, latch_mode_tag mode, `Release));
-      Bufpool.unfix t.bt_env.e_pool page
-
-let drop_all t ctx = List.iter (fun (p, _) -> drop t ctx p) ctx.held
-
-(* ------------------------------------------------------------------ *)
-(* Tree latch helpers *)
-
-let tl_acquire t mode =
-  Latch.acquire t.bt_latch mode;
-  trace t (Ev_tree_latch (latch_mode_tag mode, `Acquire))
-
-let tl_release t =
-  Latch.release t.bt_latch;
-  trace t (Ev_tree_latch (`S, `Release))
-
-let tl_try t mode =
-  if Latch.try_acquire t.bt_latch mode then begin
-    trace t (Ev_tree_latch (latch_mode_tag mode, `Acquire));
-    true
-  end
-  else begin
-    trace t (Ev_tree_latch (latch_mode_tag mode, `Try_fail));
-    false
+  if List.memq page ctx.held then begin
+    ctx.held <- List.filter (fun p -> p != page) ctx.held;
+    Latch.release page.Page.latch;
+    Bufpool.unfix t.bt_env.e_pool page
   end
 
-let tl_instant t mode =
-  Latch.acquire t.bt_latch mode;
-  Latch.release t.bt_latch;
-  trace t (Ev_tree_latch (latch_mode_tag mode, `Instant))
+let drop_all t ctx = List.iter (drop t ctx) ctx.held
 
 (* ------------------------------------------------------------------ *)
 (* Tree synchronization. By default, SMOs serialize on the per-index X tree
@@ -215,37 +141,30 @@ let tree_lock_name t = Lockmgr.Tree_lock t.bt_ix
 
 (* wait until no SMO is in progress; caller holds no latches *)
 let sync_wait_smos t txn =
-  if t.bt_cfg.concurrent_smos then begin
-    trace t (Ev_tree_latch (`S, `Instant));
+  if t.bt_cfg.concurrent_smos then
     Txnmgr.lock t.bt_env.e_mgr txn (tree_lock_name t) Lockmgr.S Lockmgr.Instant
-  end
-  else tl_instant t Latch.S
+  else Latch.instant t.bt_latch Latch.S
 
 (* true iff no SMO is in progress right now; never blocks *)
 let sync_try_no_smo t txn =
   if t.bt_cfg.concurrent_smos then
     Txnmgr.try_lock t.bt_env.e_mgr txn (tree_lock_name t) Lockmgr.S Lockmgr.Instant
-  else if tl_try t Latch.S then begin
-    tl_release t;
+  else if Latch.try_acquire t.bt_latch Latch.S then begin
+    Latch.release t.bt_latch;
     true
   end
   else false
 
 (* POSC for boundary-key deletes: S held through the delete (Figure 7) *)
 let sync_posc_try_hold t txn =
-  if t.bt_cfg.concurrent_smos then begin
-    let ok = Txnmgr.try_lock t.bt_env.e_mgr txn (tree_lock_name t) Lockmgr.S Lockmgr.Manual in
-    if ok then trace t (Ev_tree_latch (`S, `Acquire));
-    ok
-  end
-  else tl_try t Latch.S
+  if t.bt_cfg.concurrent_smos then
+    Txnmgr.try_lock t.bt_env.e_mgr txn (tree_lock_name t) Lockmgr.S Lockmgr.Manual
+  else Latch.try_acquire t.bt_latch Latch.S
 
 let sync_posc_release t txn =
-  if t.bt_cfg.concurrent_smos then begin
-    Lockmgr.release (Txnmgr.locks t.bt_env.e_mgr) ~txn:txn.Txnmgr.txn_id (tree_lock_name t);
-    trace t (Ev_tree_latch (`S, `Release))
-  end
-  else tl_release t
+  if t.bt_cfg.concurrent_smos then
+    Lockmgr.release (Txnmgr.locks t.bt_env.e_mgr) ~txn:txn.Txnmgr.txn_id (tree_lock_name t)
+  else Latch.release t.bt_latch
 
 (* SMO bracket. [exclusive] requests X up front (page deletes, root splits,
    probable nonleaf splits); otherwise IX. Rolling-back transactions always
@@ -269,12 +188,11 @@ let smo_acquire t txn ~exclusive =
        | Lockmgr.Denied | Lockmgr.Deadlock ->
            raise (Structural_fault (t.bt_name ^ ": rolling-back txn deadlocked on tree lock"))
      else Txnmgr.lock t.bt_env.e_mgr txn (tree_lock_name t) mode Lockmgr.Manual);
-    trace t (Ev_tree_latch ((if exclusive then `X else `S), `Acquire));
     (* rolling-back transactions hold X outright: their SMO is exclusive *)
     trace_smo_begin t txn ~exclusive:(exclusive || rolling)
   end
   else begin
-    tl_acquire t Latch.X;
+    Latch.acquire t.bt_latch Latch.X;
     (* serial-SMO mode: the tree latch X makes every SMO exclusive *)
     trace_smo_begin t txn ~exclusive:true
   end
@@ -286,7 +204,6 @@ let smo_upgrade_x t txn =
   if txn.Txnmgr.state = Txnmgr.Rolling_back then () (* rollers hold X already *)
   else begin
     Txnmgr.lock t.bt_env.e_mgr txn (tree_lock_name t) Lockmgr.X Lockmgr.Manual;
-    trace t (Ev_tree_latch (`X, `Acquire));
     (* grant point of the IX->X conversion: R3 requires we are now alone *)
     if Trace.enabled () then
       Trace.emit (Trace.Smo_upgrade { tree = t.bt_ix; txn = txn.Txnmgr.txn_id })
@@ -297,18 +214,15 @@ let smo_release t txn =
      never be interleaved ahead of this end in the event stream *)
   if Trace.enabled () then
     Trace.emit (Trace.Smo_end { tree = t.bt_ix; txn = txn.Txnmgr.txn_id });
-  if t.bt_cfg.concurrent_smos then begin
-    Lockmgr.release (Txnmgr.locks t.bt_env.e_mgr) ~txn:txn.Txnmgr.txn_id (tree_lock_name t);
-    trace t (Ev_tree_latch (`X, `Release))
-  end
-  else tl_release t
+  if t.bt_cfg.concurrent_smos then
+    Lockmgr.release (Txnmgr.locks t.bt_env.e_mgr) ~txn:txn.Txnmgr.txn_id (tree_lock_name t)
+  else Latch.release t.bt_latch
 
 (* ------------------------------------------------------------------ *)
 (* Logging + applying *)
 
 let log_apply t txn page body ~undoable =
   let op = Ixlog.op_of_body body in
-  trace t (Ev_log (Ixlog.op_name op));
   let lsn =
     Txnmgr.log_update t.bt_env.e_mgr txn ~page:page.Page.pid ~undoable ~rm_id:Ixlog.rm_id ~op
       ~body:(Ixlog.encode body) ()
@@ -320,7 +234,6 @@ let log_apply t txn page body ~undoable =
 
 let log_clr_apply t txn page body ~undo_stream ~undo_nxt =
   let op = Ixlog.op_of_body body in
-  trace t (Ev_log ("clr:" ^ Ixlog.op_name op));
   let lsn =
     Txnmgr.log_clr t.bt_env.e_mgr txn ~page:page.Page.pid ~undo_stream ~rm_id:Ixlog.rm_id ~op
       ~body:(Ixlog.encode body) ~undo_nxt ()
@@ -406,8 +319,7 @@ let traverse t ctx txn ~write ~ignore_sm ~probe =
         Lockmgr.holds (Txnmgr.locks t.bt_env.e_mgr) ~txn:txn.Txnmgr.txn_id (tree_lock_name t);
       Txnmgr.lock t.bt_env.e_mgr txn (tree_lock_name t) Lockmgr.S Lockmgr.Manual
     end
-    else Latch.acquire t.bt_latch Latch.S;
-    trace t (Ev_tree_latch (`S, `Acquire))
+    else Latch.acquire t.bt_latch Latch.S
   in
   let release_s () =
     (if t.bt_cfg.concurrent_smos then
@@ -415,8 +327,7 @@ let traverse t ctx txn ~write ~ignore_sm ~probe =
        match !prior_mode with
        | Some m -> Lockmgr.downgrade locks ~txn:txn.Txnmgr.txn_id (tree_lock_name t) m
        | None -> Lockmgr.release locks ~txn:txn.Txnmgr.txn_id (tree_lock_name t)
-     else Latch.release t.bt_latch);
-    trace t (Ev_tree_latch (`S, `Release))
+     else Latch.release t.bt_latch)
   in
   let rec attempt n ~trusted =
     if n > max_restarts then raise (Structural_fault (t.bt_name ^ ": traversal livelock"));
@@ -425,7 +336,7 @@ let traverse t ctx txn ~write ~ignore_sm ~probe =
       let page = Bufpool.fix t.bt_env.e_pool pid in
       let was_leaf = Page.is_leaf page in
       let mode = if was_leaf && write then Latch.X else Latch.S in
-      hold_fixed t ctx page mode;
+      hold_fixed ctx page mode;
       if Page.is_leaf page <> was_leaf then begin
         (* the page changed identity before we got the latch *)
         drop t ctx page;
@@ -471,7 +382,6 @@ let traverse t ctx txn ~write ~ignore_sm ~probe =
     match go None [] root with
     | result -> result
     | exception Traverse_restart ->
-        trace t (Ev_restart "traversal: SM_Bit ambiguity");
         (* Figure 4: wait for the unfinished SMO, then search again — the
            retry holds S so a stale bit cannot re-trigger the ambiguity *)
         hold_s ();
@@ -527,20 +437,9 @@ let acquire_locks t ctx txn (reqs : Protocol.lock_req list) =
   let rec go = function
     | [] -> `Ok
     | (r : Protocol.lock_req) :: rest ->
-        let ev how =
-          Ev_lock
-            ( Lockmgr.name_to_string r.Protocol.lk_name,
-              Lockmgr.mode_to_string r.Protocol.lk_mode,
-              Lockmgr.duration_to_string r.Protocol.lk_duration,
-              how )
-        in
         if Txnmgr.try_lock mgr txn r.Protocol.lk_name r.Protocol.lk_mode r.Protocol.lk_duration
-        then begin
-          trace t (ev `Cond_ok);
-          go rest
-        end
+        then go rest
         else begin
-          trace t (ev `Cond_fail);
           (* The unlatch before the unconditional request is the essence of
              the §2.2 dance. The [fault_lock_uncond_under_latch] switch
              deliberately skips it, waiting for the lock with the page
@@ -549,7 +448,6 @@ let acquire_locks t ctx txn (reqs : Protocol.lock_req list) =
           if not (Crashpoint.fault_active Crashpoint.fault_lock_uncond_under_latch) then
             drop_all t ctx;
           Txnmgr.lock mgr txn r.Protocol.lk_name r.Protocol.lk_mode r.Protocol.lk_duration;
-          trace t (ev `Uncond);
           `Retry
         end
   in
@@ -883,13 +781,10 @@ let split_probably_nonleaf t ~probe =
 
 (* split entry point for forward processing: caller holds nothing *)
 let split_smo t txn ~probe ~needed =
-  trace t (Ev_smo `Split_start);
   let exclusive = (not t.bt_cfg.concurrent_smos) || split_probably_nonleaf t ~probe in
   smo_acquire t txn ~exclusive;
   Fun.protect
-    ~finally:(fun () ->
-      smo_release t txn;
-      trace t (Ev_smo `Split_end))
+    ~finally:(fun () -> smo_release t txn)
     (fun () -> split_smo_held t txn ~probe ~needed ~exclusive)
 
 (* ------------------------------------------------------------------ *)
@@ -1051,13 +946,11 @@ let with_retries t what f =
     let ctx = new_ctx () in
     match Fun.protect ~finally:(fun () -> drop_all t ctx) (fun () -> f ctx) with
     | v -> v
-    | exception Op_restart why ->
-        trace t (Ev_restart why);
-        go (n + 1)
+    | exception Op_restart _ -> go (n + 1)
   in
   go 0
 
-let serialize_point t = if t.bt_cfg.serialize_smo_ops then tl_instant t Latch.X
+let serialize_point t = if t.bt_cfg.serialize_smo_ops then Latch.instant t.bt_latch Latch.X
 
 (* --- Insert (Figure 6) --- *)
 
@@ -1148,15 +1041,13 @@ let insert t txn ~value ~rid =
    latch is held (§4), so the caller waits after this function's finalizer
    has released the latch, then restarts. *)
 let delete_via_page_delete t txn ~probe =
-  trace t (Ev_smo `Pagedel_start);
   (* page deletes restructure parents by definition: always exclusive *)
   smo_acquire t txn ~exclusive:true;
   let ctx = new_ctx () in
   Fun.protect
     ~finally:(fun () ->
       drop_all t ctx;
-      smo_release t txn;
-      trace t (Ev_smo `Pagedel_end))
+      smo_release t txn)
     (fun () ->
       let leaf, path = traverse t ctx txn ~write:true ~ignore_sm:true ~probe in
       let l = Page.as_leaf leaf in
@@ -1178,17 +1069,9 @@ let delete_via_page_delete t txn ~probe =
       let denied =
         List.filter
           (fun (r : Protocol.lock_req) ->
-            let ok =
-              Txnmgr.try_lock t.bt_env.e_mgr txn r.Protocol.lk_name r.Protocol.lk_mode
-                r.Protocol.lk_duration
-            in
-            trace t
-              (Ev_lock
-                 ( Lockmgr.name_to_string r.Protocol.lk_name,
-                   Lockmgr.mode_to_string r.Protocol.lk_mode,
-                   Lockmgr.duration_to_string r.Protocol.lk_duration,
-                   if ok then `Cond_ok else `Cond_fail ));
-            not ok)
+            not
+              (Txnmgr.try_lock t.bt_env.e_mgr txn r.Protocol.lk_name r.Protocol.lk_mode
+                 r.Protocol.lk_duration))
           reqs
       in
       if denied <> [] then `Lock_wait denied
@@ -1256,13 +1139,7 @@ let delete t txn ~value ~rid =
               List.iter
                 (fun (r : Protocol.lock_req) ->
                   Txnmgr.lock t.bt_env.e_mgr txn r.Protocol.lk_name r.Protocol.lk_mode
-                    r.Protocol.lk_duration;
-                  trace t
-                    (Ev_lock
-                       ( Lockmgr.name_to_string r.Protocol.lk_name,
-                         Lockmgr.mode_to_string r.Protocol.lk_mode,
-                         Lockmgr.duration_to_string r.Protocol.lk_duration,
-                         `Uncond )))
+                    r.Protocol.lk_duration)
                 reqs;
               raise (Op_restart "page-delete lock wait")
         end;
@@ -1361,7 +1238,7 @@ let mv_descend t ctx ~probe =
     let rec go parent pid =
       let page = Bufpool.fix t.bt_env.e_pool pid in
       let was_leaf = Page.is_leaf page in
-      hold_fixed t ctx page Latch.S;
+      hold_fixed ctx page Latch.S;
       if Page.is_leaf page <> was_leaf then begin
         drop t ctx page;
         (match parent with Some p -> drop t ctx p | None -> ());
@@ -1398,7 +1275,6 @@ let mv_descend t ctx ~probe =
     match go None root with
     | leaf -> leaf
     | exception Traverse_restart ->
-        trace t (Ev_restart "mvcc traversal: mid-SMO retry");
         drop_all t ctx;
         Sched.yield ();
         attempt (n + 1)
@@ -1748,14 +1624,12 @@ let undo_insert t txn (r : Logrec.t) ~key =
       in
       if page_oriented_ok then begin
         Stats.incr c_page_oriented_undos;
-        trace t (Ev_undo (`Page_oriented, "insert"));
         log_clr_apply t txn page clr_body ~undo_stream:r.Logrec.stream ~undo_nxt:r.Logrec.prev_lsn
       end
       else begin
         (* logical undo: re-traverse under the X tree latch (§4) *)
         drop t ctx page;
         Stats.incr c_logical_undos;
-        trace t (Ev_undo (`Logical, "insert"));
         smo_acquire t txn ~exclusive:true;
         Fun.protect
           ~finally:(fun () -> smo_release t txn)
@@ -1805,13 +1679,11 @@ let undo_delete t txn (r : Logrec.t) ~key =
       in
       if page_oriented_ok then begin
         Stats.incr c_page_oriented_undos;
-        trace t (Ev_undo (`Page_oriented, "delete"));
         log_clr_apply t txn page clr_body ~undo_stream:r.Logrec.stream ~undo_nxt:r.Logrec.prev_lsn
       end
       else begin
         drop t ctx page;
         Stats.incr c_logical_undos;
-        trace t (Ev_undo (`Logical, "delete"));
         smo_acquire t txn ~exclusive:true;
         Fun.protect
           ~finally:(fun () -> smo_release t txn)
@@ -1899,7 +1771,6 @@ let env ?config mgr pool =
       e_default_cfg = (match config with Some c -> c | None -> default_config);
       e_smo_owners = Hashtbl.create 32;
       e_mvstore = Mvstore.create ();
-      e_trace = None;
       e_pause = None;
     }
   in

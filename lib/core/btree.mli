@@ -74,6 +74,9 @@ val env_pool : env -> Aries_buffer.Bufpool.t
 
 val env_mgr : env -> Txnmgr.t
 
+val env_config : env -> config
+(** The [config] the environment was made with ({!default_config} if none). *)
+
 val env_mvstore : env -> Mvstore.t
 (** The MVCC version store backing trees opened under {!Protocol.Mvcc}:
     writers append pending versions before logging their page changes,
@@ -149,22 +152,6 @@ val fetch_next :
 (** Next key in the range, [None] past the stop condition or at EOF.
     Repositions via a fresh traversal when the remembered leaf changed
     (§2.3). *)
-
-(** {1 Tracing} (experiments E4-E8) *)
-
-type event =
-  | Ev_latch of Ids.page_id * [ `S | `X ] * [ `Acquire | `Release ]
-  | Ev_tree_latch of [ `S | `X ] * [ `Acquire | `Release | `Instant | `Try_fail ]
-  | Ev_lock of string * string * string * [ `Cond_ok | `Cond_fail | `Uncond ]
-      (** (name, mode, duration, how) *)
-  | Ev_log of string  (** index opcode name *)
-  | Ev_restart of string  (** traversal/operation restarted: why *)
-  | Ev_smo of [ `Split_start | `Split_end | `Pagedel_start | `Pagedel_end ]
-  | Ev_undo of [ `Page_oriented | `Logical ] * string
-
-val set_trace : env -> (event -> unit) option -> unit
-
-val event_to_string : event -> string
 
 (** {1 Inspection and checking} (test/bench support; no locking) *)
 

@@ -75,7 +75,7 @@ let create ?(page_size = 4096) ?pool_capacity ?config ?commit_mode ?cleaner ?che
   build ?pool_capacity ?config ?commit_mode ?cleaner ?checkpoint ?vgc
     ~archive:(Media.Archive.create ()) disk logs
 
-let crash ?config t =
+let crash t =
   Logset.crash t.logs;
   Bufpool.crash t.pool;
   Txnmgr.clear t.mgr;
@@ -86,9 +86,10 @@ let crash ?config t =
      segments are stable state and carry over. The version store is volatile
      too — the new environment's store starts empty ([restart] rebuilds the
      in-flight transactions' chains from the log). The pool keeps its
-     frame count: a restart runs in the memory the system had. *)
-  build ~pool_capacity:(Bufpool.capacity t.pool) ?config ~commit_mode:t.commit_mode
-    ?cleaner:t.cleaner ?checkpoint:t.checkpoint_cfg ?vgc:t.vgc_cfg ~archive:t.archive t.disk t.logs
+     frame count and the index environment its config: a restart runs in
+     the memory and under the locking protocol the system had. *)
+  build ~pool_capacity:(Bufpool.capacity t.pool) ~config:(Btree.env_config t.benv)
+    ~commit_mode:t.commit_mode ?cleaner:t.cleaner ?checkpoint:t.checkpoint_cfg ?vgc:t.vgc_cfg ~archive:t.archive t.disk t.logs
 
 (* Classic restart drains the restart engine to completion before
    returning ([Restart.run]). With [~instant:true] only Analysis (plus lock

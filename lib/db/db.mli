@@ -70,11 +70,12 @@ val create :
     fiber finishes (drain-on-close), and loses them — along with any
     unacknowledged queued commits — on {!crash} (die-on-crash). *)
 
-val crash : ?config:Aries_btree.Btree.config -> t -> t
+val crash : t -> t
 (** Simulate a system failure: discard the unflushed log tail and every
     buffered page, and build fresh volatile managers over the surviving
-    stable state. The old handle must not be used again. The btree [config]
-    carries over. *)
+    stable state. The old handle must not be used again. The pool size,
+    commit mode, daemons and the index environment's btree config carry
+    over. *)
 
 val restart :
   ?instant:bool -> ?drain:Aries_recovery.Restart.drain_cfg -> t -> Aries_recovery.Restart.report

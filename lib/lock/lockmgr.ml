@@ -325,13 +325,16 @@ let lock t ~txn ?(cond = false) name mode duration =
   let ti = info t txn in
   Stats.incr c_lock_requests;
   Stats.incr (mode_duration_counter mode duration);
-  let tr_name = lazy (name_to_string name) in
+  (* the name is rendered only for a listening tracer, so with it off a
+     request allocates nothing for the trace; events emitted before the
+     request can suspend share one rendering *)
+  let tr_name = if Trace.enabled () then name_to_string name else "" in
   let tr_mode = mode_to_string mode in
   let tr_duration = duration_to_string duration in
   if Trace.enabled () then
     Trace.emit
       (Trace.Lock_request
-         { txn; name = Lazy.force tr_name; mode = tr_mode; duration = tr_duration; cond });
+         { txn; name = tr_name; mode = tr_mode; duration = tr_duration; cond });
   let head = head_of t name in
   let grant_immediately () =
     match holder_of head txn with
@@ -360,12 +363,12 @@ let lock t ~txn ?(cond = false) name mode duration =
     if Trace.enabled () then
       Trace.emit
         (Trace.Lock_grant
-           { txn; name = Lazy.force tr_name; mode = tr_mode; duration = tr_duration; waited = false });
+           { txn; name = tr_name; mode = tr_mode; duration = tr_duration; waited = false });
     Granted
   end
   else if cond then begin
     if Trace.enabled () then
-      Trace.emit (Trace.Lock_deny { txn; name = Lazy.force tr_name; mode = tr_mode });
+      Trace.emit (Trace.Lock_deny { txn; name = tr_name; mode = tr_mode });
     Denied
   end
   else begin
@@ -373,7 +376,7 @@ let lock t ~txn ?(cond = false) name mode duration =
     (* R1 hazard point: emitted (and checked) {e before} we suspend, so a
        wait entered while holding a latch raises at the request site. *)
     if Trace.enabled () then
-      Trace.emit (Trace.Lock_wait { txn; name = Lazy.force tr_name; mode = tr_mode });
+      Trace.emit (Trace.Lock_wait { txn; name = tr_name; mode = tr_mode });
     let conversion, target =
       match holder_of head txn with
       | Some h -> (true, supremum h.h_mode mode)
@@ -416,11 +419,18 @@ let lock t ~txn ?(cond = false) name mode duration =
             Sched.abort w (Deadlock_abort txn);
             settle t name head
           end);
-      (* woken by the grant loop, which already installed holder state *)
+      (* woken by the grant loop, which already installed holder state;
+         the tracer may have been switched on during the wait *)
       if Trace.enabled () then
         Trace.emit
           (Trace.Lock_grant
-             { txn; name = Lazy.force tr_name; mode = tr_mode; duration = tr_duration; waited = true });
+             {
+               txn;
+               name = name_to_string name;
+               mode = tr_mode;
+               duration = tr_duration;
+               waited = true;
+             });
       Granted
     with Deadlock_abort v ->
       if v = txn then begin

@@ -527,7 +527,7 @@ let resolve_indoubts t =
 let crash t =
   Array.iter
     (fun s ->
-      s.sx_db <- Db.crash ?config:t.config s.sx_db;
+      s.sx_db <- Db.crash s.sx_db;
       s.sx_tree <- None;
       s.sx_epoch <- s.sx_epoch + 1;
       s.sx_down <- false)
@@ -573,7 +573,7 @@ let kill t k =
       if Sched.in_fiber () then Sched.yield ()
     done;
     assert (s.sx_inflight = 0);
-    s.sx_db <- Db.crash ?config:t.config s.sx_db;
+    s.sx_db <- Db.crash s.sx_db;
     s.sx_tree <- None;
     s.sx_epoch <- s.sx_epoch + 1;
     t.incarnation <- t.incarnation + 1

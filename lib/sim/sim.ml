@@ -47,8 +47,8 @@ let workload_phase (cfg : Workload.cfg) db failures ~what ~steal_seed ~policy ?a
 
 (* Power failure: the stable state is frozen at the trip, so [Db.crash] +
    classic restart must recover exactly the oracle's committed state. *)
-let restart_and_check cfg db index trace failures ~what =
-  let db' = Db.crash ~config:(btree_config cfg) db in
+let restart_and_check db index trace failures ~what =
+  let db' = Db.crash db in
   checked db' failures ~what (fun () ->
       ignore (Db.restart db');
       check_state db' (Btree.open_existing db'.Db.benv index) trace ~phase:what failures)
@@ -101,7 +101,7 @@ let run (cfg : Workload.cfg) ~seed (mode : Sweep.mode) : Sweep.report =
         | None, _ ->
             checked db failures ~what:"post-run" (fun () ->
                 check_state db tree trace ~phase:"post-run" failures)
-        | Some _, None -> restart_and_check cfg db index trace failures ~what:"post-restart"
+        | Some _, None -> restart_and_check db index trace failures ~what:"post-restart"
         | Some _, Some crash_at2 ->
             (* Recovery during recovery: the Db opens right after Analysis
                and a second workload phase (key slices disjoint from the
@@ -109,7 +109,7 @@ let run (cfg : Workload.cfg) ~seed (mode : Sweep.mode) : Sweep.report =
                background redo/undo, on-demand page redo and lock-driven
                loser preemption. [rr_events] then counts this phase, so
                [crash_at2] is swept like [crash_at]. *)
-            let db' = Db.crash ~config:(btree_config cfg) db in
+            let db' = Db.crash db in
             events :=
               workload_phase cfg db' failures ~what:"recovery phase" ~steal_seed:(seed + 0x51ea2)
                 ~policy:(Sched.Random (seed lxor 0x1257a2)) ?armed_at:crash_at2 (fun () ->
@@ -131,7 +131,7 @@ let run (cfg : Workload.cfg) ~seed (mode : Sweep.mode) : Sweep.report =
                 (* the second power failure may cut instant restart itself;
                    its partial work (CLRs, redone pages, its restart
                    checkpoint) is just more history for a classic restart *)
-                restart_and_check cfg db' index trace failures ~what:"post-restart2");
+                restart_and_check db' index trace failures ~what:"post-restart2");
   {
     Sweep.rr_events = !events;
     rr_txns = Vec.length trace;

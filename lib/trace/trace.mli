@@ -8,6 +8,10 @@
     Each event is stamped with the emitting fiber id and the scheduler step
     counter ([Sched.steps_now]) — [-1] when no scheduler is running.
 
+    It is the system's only protocol trace: the discipline checker, the
+    paper-figure experiments (E1-E11) and the sim's reproducer dumps all
+    read this ring, and no layer keeps a private event hook beside it.
+
     Emit sites are behind {!enabled}; with the tracer {!Off} they compile to
     a single flag test, with {!Record} events land in the ring, and with
     {!Check} (the default — [dune runtest] runs the whole suite this way)

@@ -743,7 +743,7 @@ let test_concurrent_smos_crash_recovery () =
                     Sched.yield ()
                   done))
          done));
-  let db' = Db.crash ~config:smos_cfg db in
+  let db' = Db.crash db in
   ignore (Db.run_exn db' (fun () -> Db.restart db'));
   let tree' = Btree.open_existing ~config:smos_cfg db'.Db.benv (Btree.index_id tree) in
   Btree.check_invariants tree';

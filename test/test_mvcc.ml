@@ -179,6 +179,10 @@ let test_crash_mid_gc_converges () =
   let db' = Db.crash db in
   let _report = Db.run_exn db' (fun () -> Db.restart db') in
   let tree' = Btree.open_existing db'.Db.benv (Btree.index_id tree) in
+  (* the crash keeps the environment's config: restart and the reads below
+     run under Mvcc, not the default protocol *)
+  Alcotest.(check bool) "the reopened tree is under Mvcc" true
+    ((Btree.config tree').Btree.locking = Protocol.Mvcc);
   Btree.check_invariants tree';
   Db.run_exn db' (fun () ->
       Db.with_txn db' (fun r ->

@@ -27,8 +27,8 @@ let fresh ?(page_size = 384) () =
 
 let reopen db = Btree.open_existing db.Db.benv
 
-let crash_restart ?config db =
-  let db' = Db.crash ?config db in
+let crash_restart db =
+  let db' = Db.crash db in
   let report = Db.run_exn db' (fun () -> Db.restart db') in
   (db', report)
 

@@ -1,783 +1,82 @@
 (* The paper's figures as executable scenarios (experiments E1-E11; see
-   DESIGN.md §3). Each test reproduces one figure's schedule and asserts
-   the protocol behaviour the paper describes. The benchmark harness
-   (bench/main.exe) runs the same scenarios with narrative output. *)
+   DESIGN.md §3). The schedules live in test/figures/figures.ml, which the
+   benchmark harness (bench/main.exe eN) runs too; here every check each
+   figure returns is asserted. *)
 
-open Aries_util
-module Lsn = Aries_wal.Lsn
-module Logrec = Aries_wal.Logrec
-module Logmgr = Aries_wal.Logmgr
-module Key = Aries_page.Key
-module Ixlog = Aries_btree.Ixlog
-module Btree = Aries_btree.Btree
-module Protocol = Aries_btree.Protocol
-module Txnmgr = Aries_txn.Txnmgr
-module Sched = Aries_sched.Sched
-module Db = Aries_db.Db
-
-let rid i = { Ids.rid_page = 900 + (i / 100); rid_slot = i mod 100 }
-
-let v i = Printf.sprintf "key%05d" i
-
-let fresh ?(page_size = 384) ?(unique = true) ?config () =
-  let db = Db.create ~page_size ?config () in
-  let tree =
-    Db.run_exn db (fun () ->
-        Db.with_txn db (fun txn -> Btree.create ?config db.Db.benv txn ~name:"t" ~unique))
-  in
-  (db, tree)
-
-let seed_keys db tree lo hi =
-  Db.run_exn db (fun () ->
-      Db.with_txn db (fun txn ->
-          for i = lo to hi do
-            Btree.insert tree txn ~value:(v i) ~rid:(rid i)
-          done))
-
-(* log records strictly after [from] *)
-let records_after db from =
-  List.filter
-    (fun r -> Lsn.( < ) from r.Logrec.lsn)
-    (Logmgr.records_between db.Db.wal Lsn.nil Lsn.nil)
-
-let with_trace db f =
-  let events = ref [] in
-  Btree.set_trace db.Db.benv (Some (fun e -> events := e :: !events));
-  let x = f () in
-  Btree.set_trace db.Db.benv None;
-  (x, List.rev !events)
-
-(* ------------------------------------------------------------------ *)
-(* E1 — Figure 1: logical undo after an intervening split. *)
-
-let test_e1_logical_undo () =
-  let db, tree = fresh () in
-  seed_keys db tree 0 9;
-  let k8 = "key99999" (* sorts last: a split moves it right *) in
-  Db.run_exn db (fun () ->
-      let t1 = Txnmgr.begin_txn db.Db.mgr in
-      Btree.insert tree t1 ~value:k8 ~rid:(rid 999);
-      let p1 = Btree.locate_leaf tree k8 in
-      (* T2 fills the same leaf until it splits, and commits *)
-      Db.with_txn db (fun t2 ->
-          let i = ref 10 in
-          while Btree.locate_leaf tree k8 = p1 do
-            Btree.insert tree t2 ~value:(v !i) ~rid:(rid !i);
-            incr i
-          done);
-      let p2 = Btree.locate_leaf tree k8 in
-      Alcotest.(check bool) "the split moved K8" true (p1 <> p2);
-      (* T1 rolls back: Figure 1's logical undo *)
-      let mark = Logmgr.last_lsn db.Db.wal in
-      Txnmgr.rollback db.Db.mgr t1;
-      let clrs =
-        List.filter
-          (fun r -> r.Logrec.kind = Logrec.Clr && r.Logrec.rm_id = Ixlog.rm_id)
-          (records_after db mark)
-      in
-      match clrs with
-      | [ clr ] ->
-          Alcotest.(check int) "CLR targets the NEW page (P2), not P1" p2 clr.Logrec.page;
-          Alcotest.(check bool) "CLR page differs from original" true (clr.Logrec.page <> p1)
-      | l -> Alcotest.failf "expected exactly one index CLR, got %d" (List.length l));
-  Btree.check_invariants tree;
-  Alcotest.(check bool) "K8 gone after rollback" true
-    (not (List.exists (fun (value, _) -> String.equal value "key99999") (Btree.to_list tree)))
-
-(* ------------------------------------------------------------------ *)
-(* E2 — Figure 2: the locking summary table, measured. *)
-
-let lock_events events =
-  List.filter_map
-    (function
-      | Btree.Ev_lock (name, mode, dur, (`Cond_ok | `Uncond)) -> Some (name, mode, dur)
-      | _ -> None)
-    events
-
-let test_e2_locking_table () =
-  (* data-only locking *)
-  let db, tree = fresh () in
-  seed_keys db tree 0 19;
-  (* FETCH: current key S commit *)
-  let (), ev =
-    with_trace db (fun () ->
-        Db.run_exn db (fun () -> Db.with_txn db (fun txn -> ignore (Btree.fetch tree txn (v 5)))))
-  in
-  (match lock_events ev with
-  | [ (name, "S", "commit") ] ->
-      Alcotest.(check bool) "fetch locks the found key's record" true
-        (String.length name > 4 && String.sub name 0 4 = "rid:")
-  | l -> Alcotest.failf "fetch: unexpected locks (%d)" (List.length l));
-  (* INSERT: next key X instant, nothing else (data-only) *)
-  let (), ev =
-    with_trace db (fun () ->
-        Db.run_exn db (fun () ->
-            Db.with_txn db (fun txn -> Btree.insert tree txn ~value:"key00005a" ~rid:(rid 500))))
-  in
-  (match lock_events ev with
-  | [ (name, "X", "instant") ] ->
-      Alcotest.(check string) "insert next-key lock = next record" "rid:900.6" name
-  | l -> Alcotest.failf "insert: unexpected locks (%d)" (List.length l));
-  (* DELETE: next key X commit, nothing else (data-only) *)
-  let (), ev =
-    with_trace db (fun () ->
-        Db.run_exn db (fun () ->
-            Db.with_txn db (fun txn -> Btree.delete tree txn ~value:(v 10) ~rid:(rid 10))))
-  in
-  (match lock_events ev with
-  | [ (name, "X", "commit") ] ->
-      Alcotest.(check string) "delete next-key lock = next record" "rid:900.11" name
-  | l -> Alcotest.failf "delete: unexpected locks (%d)" (List.length l));
-  (* index-specific locking adds the current-key locks of Figure 2 *)
-  let cfg = { Btree.default_config with Btree.locking = Protocol.Index_specific } in
-  let db2, tree2 = fresh ~config:cfg () in
-  seed_keys db2 tree2 0 19;
-  let (), ev =
-    with_trace db2 (fun () ->
-        Db.run_exn db2 (fun () ->
-            Db.with_txn db2 (fun txn -> Btree.insert tree2 txn ~value:"key00005a" ~rid:(rid 500))))
-  in
-  (match lock_events ev with
-  | [ (_, "X", "instant"); (_, "X", "commit") ] -> ()
-  | l ->
-      Alcotest.failf "index-specific insert: expected X instant + X commit, got %d"
-        (List.length l));
-  let (), ev =
-    with_trace db2 (fun () ->
-        Db.run_exn db2 (fun () ->
-            Db.with_txn db2 (fun txn -> Btree.delete tree2 txn ~value:(v 10) ~rid:(rid 10))))
-  in
-  match lock_events ev with
-  | [ (_, "X", "commit"); (_, "X", "instant") ] -> ()
-  | l ->
-      Alcotest.failf "index-specific delete: expected X commit + X instant, got %d" (List.length l)
-
-(* ------------------------------------------------------------------ *)
-(* E3 — Figure 3: an insert racing an in-progress SMO must wait for the
-   SMO (SM_Bit -> tree latch) instead of updating the wrong page. *)
-
-let test_e3_smo_insert_interaction () =
-  let db, tree = fresh () in
-  seed_keys db tree 0 19;
-  let cv = Sched.Condvar.create "smo-pause" in
-  let paused = ref false in
-  Btree.set_smo_pause db.Db.benv
-    (Some
-       (fun () ->
-         if not !paused then begin
-           paused := true;
-           Sched.Condvar.wait cv
-         end));
-  let t2_inserted = ref false and t2_started = ref false in
-  let blocked_while_smo = ref false in
-  let r =
-    Db.run db (fun () ->
-        (* T1: trigger a split and pause mid-SMO *)
-        ignore
-          (Sched.spawn ~name:"T1-splitter" (fun () ->
-               Db.with_txn db (fun txn ->
-                   let i = ref 100 in
-                   while not !paused do
-                     Btree.insert tree txn ~value:(v !i) ~rid:(rid !i);
-                     incr i
-                   done)));
-        (* T2: insert into the splitting region while the SMO is paused *)
-        ignore
-          (Sched.spawn ~name:"T2-insert" (fun () ->
-               while not !paused do
-                 Sched.yield ()
-               done;
-               t2_started := true;
-               (* key99998 routes to the rightmost leaf: the one splitting *)
-               Db.with_txn db (fun txn -> Btree.insert tree txn ~value:"key99998" ~rid:(rid 77));
-               t2_inserted := true));
-        (* main: let T2 get stuck, then release the SMO *)
-        ignore
-          (Sched.spawn ~name:"resumer" (fun () ->
-               while not !t2_started do
-                 Sched.yield ()
-               done;
-               for _ = 1 to 10 do
-                 Sched.yield ()
-               done;
-               blocked_while_smo := not !t2_inserted;
-               Sched.Condvar.signal cv)))
-  in
-  Btree.set_smo_pause db.Db.benv None;
-  Alcotest.(check bool) "no stall" true (r.Sched.outcome = Sched.Completed);
-  Alcotest.(check bool) "T2 could not complete while the SMO was in flight" true
-    !blocked_while_smo;
-  Alcotest.(check (list string)) "no fiber exceptions" []
-    (List.map (fun (_, n, _) -> n) r.Sched.exns);
-  Alcotest.(check bool) "T2 completed after the SMO" true !t2_inserted;
-  Btree.check_invariants tree;
-  Alcotest.(check bool) "T2's key present exactly once" true
-    (List.length (List.filter (fun (value, _) -> value = "key99998") (Btree.to_list tree)) = 1)
-
-(* ------------------------------------------------------------------ *)
-(* E4 — Figure 4: traversal holds at most two page latches (coupling). *)
-
-let test_e4_latch_coupling () =
-  let db, tree = fresh () in
-  seed_keys db tree 0 199;
-  Alcotest.(check bool) "tree is tall enough" true (Btree.height tree >= 1);
-  let (), ev =
-    with_trace db (fun () ->
-        Db.run_exn db (fun () ->
-            Db.with_txn db (fun txn -> ignore (Btree.fetch tree txn (v 150)))))
-  in
-  let held = ref 0 and max_held = ref 0 in
-  List.iter
-    (function
-      | Btree.Ev_latch (_, _, `Acquire) ->
-          incr held;
-          if !held > !max_held then max_held := !held
-      | Btree.Ev_latch (_, _, `Release) -> decr held
-      | _ -> ())
-    ev;
-  Alcotest.(check bool) "at most two page latches simultaneously" true (!max_held <= 2);
-  Alcotest.(check int) "all latches released" 0 !held;
-  let acquires =
-    List.filter_map (function Btree.Ev_latch (p, _, `Acquire) -> Some p | _ -> None) ev
-  in
-  Alcotest.(check bool) "descends through anchor, root, leaf" true (List.length acquires >= 3)
-
-(* ------------------------------------------------------------------ *)
-(* E5 — Figure 5: fetch's conditional lock denied by a conflicting
-   holder; fetch releases latches, waits unconditionally, revalidates. *)
-
-let test_e5_fetch_lock_dance () =
-  let db, tree = fresh () in
-  seed_keys db tree 0 9;
-  let fetched = ref None in
-  let events = ref [] in
-  Btree.set_trace db.Db.benv (Some (fun e -> events := e :: !events));
-  let r =
-    Db.run db (fun () ->
-        ignore
-          (Sched.spawn ~name:"T1-deleter" (fun () ->
-               let t1 = Txnmgr.begin_txn db.Db.mgr in
-               (* uncommitted delete of key 5 leaves an X lock on the next
-                  key (key 6) for others to trip on (§2.6) *)
-               Btree.delete tree t1 ~value:(v 5) ~rid:(rid 5);
-               for _ = 1 to 12 do
-                 Sched.yield ()
-               done;
-               Txnmgr.rollback db.Db.mgr t1));
-        ignore
-          (Sched.spawn ~name:"T2-fetch" (fun () ->
-               Sched.yield ();
-               Db.with_txn db (fun t2 -> fetched := Btree.fetch tree t2 (v 5)))))
-  in
-  Btree.set_trace db.Db.benv None;
-  Alcotest.(check bool) "completed" true (r.Sched.outcome = Sched.Completed);
-  let dance =
-    List.exists
-      (function Btree.Ev_lock (_, "S", "commit", `Cond_fail) -> true | _ -> false)
-      !events
-    && List.exists
-         (function Btree.Ev_lock (_, "S", "commit", `Uncond) -> true | _ -> false)
-         !events
-  in
-  Alcotest.(check bool) "conditional fail then unconditional wait" true dance;
-  (* T1 rolled back, so key 5 exists again: RR requires T2 to see it *)
-  Alcotest.(check bool) "fetch found the key after T1's rollback" true
-    (match !fetched with Some k -> String.equal k.Key.value (v 5) | None -> false)
-
-(* ------------------------------------------------------------------ *)
-(* E6 — Figure 6: an insert whose next key lives on the next leaf
-   latches both leaves while requesting the instant X lock. *)
-
-let test_e6_insert_next_page () =
-  let db, tree = fresh () in
-  seed_keys db tree 0 199;
-  let leaves = Btree.leaf_pids tree in
-  Alcotest.(check bool) "several leaves" true (List.length leaves >= 2);
-  let first_leaf = List.hd leaves in
-  let second_leaf = List.nth leaves 1 in
-  let keys = Btree.to_list tree in
-  let last_of_first =
-    List.filter (fun (value, _) -> Btree.locate_leaf tree value = first_leaf) keys
-    |> List.rev |> List.hd |> fst
-  in
-  let next_key =
-    List.find (fun (value, _) -> Btree.locate_leaf tree value = second_leaf) keys
-  in
-  let target = last_of_first ^ "zz" (* sorts after every key in leaf 1 *) in
-  let (), ev =
-    with_trace db (fun () ->
-        Db.run_exn db (fun () ->
-            Db.with_txn db (fun txn -> Btree.insert tree txn ~value:target ~rid:(rid 88))))
-  in
-  let latched =
-    List.filter_map (function Btree.Ev_latch (p, _, `Acquire) -> Some p | _ -> None) ev
-  in
-  Alcotest.(check bool) "next leaf latched during next-key search" true
-    (List.mem second_leaf latched);
-  let expect_name = Aries_lock.Lockmgr.name_to_string (Aries_lock.Lockmgr.Rid (snd next_key)) in
-  Alcotest.(check bool) "instant X on next leaf's first key" true
-    (List.exists
-       (function
-         | Btree.Ev_lock (name, "X", "instant", _) -> String.equal name expect_name
-         | _ -> false)
-       ev)
-
-(* ------------------------------------------------------------------ *)
-(* E7 — Figure 7: Delete_Bit marking and the boundary-key POSC rule. *)
-
-let body_of_record (r : Logrec.t) = Ixlog.decode ~op:r.Logrec.op r.Logrec.body
-
-let delete_bodies db mark =
-  List.filter_map
-    (fun r ->
-      if r.Logrec.kind = Logrec.Update && r.Logrec.rm_id = Ixlog.rm_id then
-        match body_of_record r with
-        | Ixlog.Delete_key { mark_delete_bit; _ } -> Some mark_delete_bit
-        | _ -> None
-      else None)
-    (records_after db mark)
-
-let test_e7_delete_bits_and_boundary () =
-  let db, tree = fresh () in
-  seed_keys db tree 0 199;
-  let leaves = Btree.leaf_pids tree in
-  let second_leaf = List.nth leaves 1 in
-  let on_leaf =
-    List.filter (fun (value, _) -> Btree.locate_leaf tree value = second_leaf) (Btree.to_list tree)
-  in
-  Alcotest.(check bool) "leaf has >= 4 keys" true (List.length on_leaf >= 4);
-  let mid_value, mid_rid = List.nth on_leaf (List.length on_leaf / 2) in
-  let bound_value, bound_rid = List.hd on_leaf in
-  (* non-boundary delete: Delete_Bit set, no tree latch *)
-  let mark = Logmgr.last_lsn db.Db.wal in
-  let (), ev =
-    with_trace db (fun () ->
-        Db.run_exn db (fun () ->
-            Db.with_txn db (fun txn -> Btree.delete tree txn ~value:mid_value ~rid:mid_rid)))
-  in
-  (match delete_bodies db mark with
-  | [ marked ] -> Alcotest.(check bool) "non-boundary delete marks the Delete_Bit" true marked
-  | _ -> Alcotest.fail "expected one delete record");
-  Alcotest.(check bool) "no tree latch for a non-boundary delete" true
-    (not
-       (List.exists
-          (function Btree.Ev_tree_latch (`S, (`Acquire | `Instant)) -> true | _ -> false)
-          ev));
-  (* boundary (smallest on page): POSC = S tree latch held, bit NOT set *)
-  let mark = Logmgr.last_lsn db.Db.wal in
-  let (), ev =
-    with_trace db (fun () ->
-        Db.run_exn db (fun () ->
-            Db.with_txn db (fun txn -> Btree.delete tree txn ~value:bound_value ~rid:bound_rid)))
-  in
-  (match delete_bodies db mark with
-  | [ marked ] ->
-      Alcotest.(check bool) "boundary delete under POSC leaves the bit clear" false marked
-  | _ -> Alcotest.fail "expected one delete record");
-  Alcotest.(check bool) "boundary delete takes the S tree latch" true
-    (List.exists (function Btree.Ev_tree_latch (`S, `Acquire) -> true | _ -> false) ev)
-
-(* ------------------------------------------------------------------ *)
-(* E8/E9 — Figures 8 and 9: the page-split log sequence. *)
-
-let test_e9_split_log_sequence () =
-  let db, tree = fresh () in
-  seed_keys db tree 0 9;
-  Db.run_exn db (fun () ->
-      Db.with_txn db (fun txn ->
-          let i = ref 10 in
-          while List.length (Btree.leaf_pids tree) = 1 do
-            Btree.insert tree txn ~value:(v !i) ~rid:(rid !i);
-            incr i
-          done));
-  let all = Logmgr.records_between db.Db.wal Lsn.nil Lsn.nil in
-  let ix_ops =
-    List.filter_map
-      (fun r ->
-        if r.Logrec.rm_id = Ixlog.rm_id && r.Logrec.kind = Logrec.Update then
-          Some (r, Ixlog.op_name r.Logrec.op)
-        else if r.Logrec.kind = Logrec.Clr && r.Logrec.rm_id = 0 then Some (r, "dummy_clr")
-        else None)
-      all
-  in
-  let names = List.map snd ix_ops in
-  let rec find_split = function
-    | "format_leaf" :: "leaf_truncate" :: rest -> Some rest
-    | _ :: rest -> find_split rest
-    | [] -> None
-  in
-  (match find_split names with
-  | Some rest -> (
-      let rec upto_dummy acc = function
-        | "dummy_clr" :: tail -> Some (List.rev acc, tail)
-        | x :: tail -> upto_dummy (x :: acc) tail
-        | [] -> None
-      in
-      match upto_dummy [] rest with
-      | Some (propagation, after) ->
-          Alcotest.(check bool) "propagation posts to the parent level" true
-            (List.exists (fun n -> n = "format_nonleaf" || n = "nl_insert_child") propagation);
-          Alcotest.(check bool) "the causing insert comes after the dummy CLR" true
-            (List.exists (fun n -> n = "insert_key") after)
-      | None -> Alcotest.fail "no dummy CLR after the split records")
-  | None -> Alcotest.fail "no split found in the log");
-  let split_first =
-    let rec find = function
-      | (r, "format_leaf") :: (_, "leaf_truncate") :: _ -> r
-      | _ :: rest -> find rest
-      | [] -> Alcotest.fail "no split pair"
-    in
-    find ix_ops
-  in
-  let dummy =
-    List.find (fun (r, n) -> n = "dummy_clr" && Lsn.( < ) split_first.Logrec.lsn r.Logrec.lsn) ix_ops
-    |> fst
-  in
-  Alcotest.(check bool) "dummy CLR jumps over the whole SMO" true
-    (Lsn.( < ) dummy.Logrec.undo_nxt_lsn split_first.Logrec.lsn)
-
-(* ------------------------------------------------------------------ *)
-(* E10 — Figure 10: page-delete log sequence: key delete FIRST, then the
-   SMO as an NTA whose dummy CLR points at the key-delete record. *)
-
-let test_e10_page_delete_log_sequence () =
-  let db, tree = fresh () in
-  seed_keys db tree 0 199;
-  let leaves = Btree.leaf_pids tree in
-  let victim_leaf = List.nth leaves 1 in
-  let on_leaf =
-    List.filter (fun (value, _) -> Btree.locate_leaf tree value = victim_leaf) (Btree.to_list tree)
-  in
-  let mark = Logmgr.last_lsn db.Db.wal in
-  Db.run_exn db (fun () ->
-      Db.with_txn db (fun txn ->
-          List.iter (fun (value, r) -> Btree.delete tree txn ~value ~rid:r) on_leaf));
-  Btree.check_invariants tree;
-  let recs = records_after db mark in
-  let key_delete =
-    List.filter
-      (fun r ->
-        r.Logrec.kind = Logrec.Update && r.Logrec.rm_id = Ixlog.rm_id
-        && r.Logrec.page = victim_leaf
-        && match body_of_record r with Ixlog.Delete_key _ -> true | _ -> false)
-      recs
-    |> List.rev |> List.hd
-    (* the delete that emptied the page *)
-  in
-  let after_delete = List.filter (fun r -> Lsn.( < ) key_delete.Logrec.lsn r.Logrec.lsn) recs in
-  Alcotest.(check bool) "SMO (unlink) follows the key delete" true
-    (List.exists
-       (fun r ->
-         r.Logrec.rm_id = Ixlog.rm_id && r.Logrec.kind = Logrec.Update
-         && match body_of_record r with Ixlog.Leaf_unlink _ -> true | _ -> false)
-       after_delete);
-  (match
-     List.find_opt (fun r -> r.Logrec.kind = Logrec.Clr && r.Logrec.rm_id = 0) after_delete
-   with
-  | Some d ->
-      Alcotest.(check int) "dummy CLR points exactly at the key-delete record"
-        key_delete.Logrec.lsn d.Logrec.undo_nxt_lsn
-  | None -> Alcotest.fail "no dummy CLR after page delete");
-  Alcotest.(check bool) "victim leaf left the chain" true
-    (not (List.mem victim_leaf (Btree.leaf_pids tree)))
-
-(* ------------------------------------------------------------------ *)
-(* E11 — Figure 11: the Delete_Bit forces a space-consuming insert to
-   establish a POSC. With the bit, the consumer blocks while an SMO is
-   incomplete; the earlier delete's restart undo stays page-oriented.
-   With the ablation, the consumer slips into the region of structural
-   inconsistency and the restart undo is forced to be logical. *)
-
-let e11_scenario ?(locking = Protocol.Data_only) ?(extra = fun _ _ _ _ -> ()) ~delete_bit () =
-  let cfg = { Btree.default_config with Btree.delete_bit_enabled = delete_bit; locking } in
-  let db, tree = fresh ~config:cfg () in
-  seed_keys db tree 0 199;
-  let free_of pid =
-    Aries_buffer.Bufpool.with_fix db.Db.pool pid (fun p -> Aries_page.Page.free_space p)
-  in
-  (* fill the leaf holding [base] until one more key of that size does not
-     fit: T1's delete then frees exactly the room T2's insert consumes *)
-  let base = "key00042" in
-  let entry_len = String.length base + 3 in
-  let cost = entry_len + 10 in
-  let j = ref 0 in
-  while free_of (Btree.locate_leaf tree base) >= cost do
-    Db.run_exn db (fun () ->
-        Db.with_txn db (fun txn ->
-            Btree.insert tree txn ~value:(Printf.sprintf "%sf%02d" base !j) ~rid:(rid (300 + !j))));
-    incr j
-  done;
-  let target_leaf = Btree.locate_leaf tree base in
-  let on_leaf =
-    List.filter
-      (fun (value, _) ->
-        Btree.locate_leaf tree value = target_leaf && String.length value = entry_len)
-      (Btree.to_list tree)
-  in
-  let del_value, del_rid = List.nth on_leaf (List.length on_leaf / 2) in
-  (* same length, unused, sorts into the same region *)
-  let consumer_value = String.sub del_value 0 (entry_len - 1) ^ "z" in
-  (* T3's SMO pauses forever: the run ends with T3 (and, if the bit works,
-     T2) suspended — exactly the state a crash catches. *)
-  let cv = Sched.Condvar.create "e11" in
-  let paused = ref false in
-  let t2_done = ref false in
-  let observed_block = ref false in
-  Btree.set_smo_pause db.Db.benv
-    (Some
-       (fun () ->
-         if not !paused then begin
-           paused := true;
-           Logmgr.flush db.Db.wal;
-           Sched.Condvar.wait cv (* never signalled: crash point *)
-         end));
-  ignore
-    (Db.run db (fun () ->
-         (* T3: start an SMO elsewhere in the tree and pause inside it *)
-         ignore
-           (Sched.spawn ~name:"T3-smo" (fun () ->
-                Db.with_txn db (fun txn ->
-                    let i = ref 5000 in
-                    while not !paused do
-                      Btree.insert tree txn ~value:(v !i) ~rid:(rid !i);
-                      incr i
-                    done)));
-         (* T1: delete during the ROSI; stays uncommitted at the crash *)
-         ignore
-           (Sched.spawn ~name:"T1-delete" (fun () ->
-                while not !paused do
-                  Sched.yield ()
-                done;
-                let t1 = Txnmgr.begin_txn db.Db.mgr in
-                Btree.delete tree t1 ~value:del_value ~rid:del_rid;
-                Logmgr.flush db.Db.wal;
-                (* T2 fills the freed space; T1 never commits *)
-                ignore
-                  (Sched.spawn ~name:"T2-consume" (fun () ->
-                       let t2 = Txnmgr.begin_txn db.Db.mgr in
-                       Btree.insert tree t2 ~value:consumer_value ~rid:(rid 77);
-                       Txnmgr.commit db.Db.mgr t2;
-                       t2_done := true));
-                ignore
-                  (Sched.spawn ~name:"observer" (fun () ->
-                       for _ = 1 to 20 do
-                         Sched.yield ()
-                       done;
-                       observed_block := not !t2_done))));
-         extra db tree (del_value, del_rid) consumer_value));
-  Btree.set_smo_pause db.Db.benv None;
-  (db, tree, !observed_block, !t2_done)
-
-let test_e11_delete_bit_protects () =
-  let db, tree, blocked, t2_done = e11_scenario ~delete_bit:true () in
-  Alcotest.(check bool) "consumer blocked while the SMO was incomplete" true blocked;
-  Alcotest.(check bool) "consumer never committed inside the ROSI" false t2_done;
-  let db' = Db.crash db in
-  let s = Stats.create () in
-  let _report = Stats.with_sink s (fun () -> Db.run_exn db' (fun () -> Db.restart db')) in
-  Alcotest.(check int) "T1's restart undo stayed page-oriented" 0 (Stats.get s Stats.logical_undos);
-  let tree' = Btree.open_existing db'.Db.benv (Btree.index_id tree) in
-  Btree.check_invariants tree'
-
-let test_e11_ablation_consumes_in_rosi () =
-  let db, tree, blocked, t2_done = e11_scenario ~delete_bit:false () in
-  Alcotest.(check bool) "ablation: consumer did NOT block" false blocked;
-  Alcotest.(check bool) "ablation: consumer committed inside the ROSI" true t2_done;
-  let db' = Db.crash db in
-  let s = Stats.create () in
-  let _report = Stats.with_sink s (fun () -> Db.run_exn db' (fun () -> Db.restart db')) in
-  Alcotest.(check bool) "restart undo was forced logical (the Fig-11 hazard)" true
-    (Stats.get s Stats.logical_undos > 0);
-  (* our SMO compensation bodies are position-independent, so recovery still
-     terminates consistently where a byte-image implementation would corrupt
-     (see EXPERIMENTS.md); the key must be restored *)
-  let tree' = Btree.open_existing db'.Db.benv (Btree.index_id tree) in
-  Btree.check_invariants tree'
-
-(* ------------------------------------------------------------------ *)
-(* The paper's adversarial schedules replayed under protocol #5 (Mvcc):
-   the writers keep the full Figure-3 / Figure-11 discipline among
-   themselves, but a concurrent snapshot reader sails through both
-   windows — no key locks, no lock waits, no parking on the SMO (rule
-   R9) — asserted from the trace ring. *)
-
+module Figures = Aries_figures.Figures
 module Trace = Aries_trace.Trace
+module Discipline = Aries_trace.Discipline
+module Crashpoint = Aries_util.Crashpoint
 
-let mvcc_cfg = { Btree.default_config with Btree.locking = Protocol.Mvcc }
+let assert_all checks =
+  List.iter (fun (c : Figures.check) -> Alcotest.(check bool) c.Figures.name true c.Figures.ok) checks
 
-(* Lock_request / Lock_wait events attributed to any txn in [readers] *)
-let reader_lock_events readers =
-  List.filter
-    (fun (e : Trace.event) ->
-      match e.Trace.ev_payload with
-      | Trace.Lock_request { txn; _ } | Trace.Lock_wait { txn; _ } -> Hashtbl.mem readers txn
-      | _ -> false)
-    (Trace.events ())
+let figure f () = assert_all (f ())
 
-let with_recording f =
+(* ------------------------------------------------------------------ *)
+(* The observation window reads the process trace ring whatever its
+   mode, and leaves the mode as it found it. *)
+
+let with_mode mode f =
   let saved = Trace.mode () in
-  Trace.reset ();
-  Trace.set_mode Trace.Record;
-  Fun.protect f ~finally:(fun () ->
-      Trace.set_mode saved;
-      Trace.reset ())
+  Trace.set_mode mode;
+  Fun.protect f ~finally:(fun () -> Trace.set_mode saved)
 
-let test_e3_mvcc_wait_free_reader () =
-  with_recording (fun () ->
-      let db, tree = fresh ~config:mvcc_cfg () in
-      seed_keys db tree 0 19;
-      let cv = Sched.Condvar.create "smo-pause" in
-      let paused = ref false in
-      Btree.set_smo_pause db.Db.benv
-        (Some
-           (fun () ->
-             if not !paused then begin
-               paused := true;
-               Sched.Condvar.wait cv
-             end));
-      let readers = Hashtbl.create 4 in
-      let reader_saw = ref [] in
-      let reader_done = ref false in
-      let t2_started = ref false and t2_inserted = ref false in
-      let blocked_while_smo = ref false in
-      let r =
-        Db.run db (fun () ->
-            (* T1: trigger a split and pause mid-SMO (the Figure-3 window) *)
-            ignore
-              (Sched.spawn ~name:"T1-splitter" (fun () ->
-                   Db.with_txn db (fun txn ->
-                       let i = ref 100 in
-                       while not !paused do
-                         Btree.insert tree txn ~value:(v !i) ~rid:(rid !i);
-                         incr i
-                       done)));
-            (* T2: a locking writer aimed at the splitting region — must
-               block on the SMO, exactly as in the plain E3 schedule *)
-            ignore
-              (Sched.spawn ~name:"T2-insert" (fun () ->
-                   while not !paused do
-                     Sched.yield ()
-                   done;
-                   t2_started := true;
-                   Db.with_txn db (fun txn ->
-                       Btree.insert tree txn ~value:"key99998" ~rid:(rid 77));
-                   t2_inserted := true));
-            (* R: a snapshot reader fetches and scans straight through the
-               half-done split, while T2 is stuck *)
-            ignore
-              (Sched.spawn ~name:"R-snapshot" (fun () ->
-                   while not !paused do
-                     Sched.yield ()
-                   done;
-                   let txn = Txnmgr.begin_txn db.Db.mgr in
-                   Hashtbl.replace readers txn.Txnmgr.txn_id ();
-                   (match Btree.fetch tree txn (v 5) with
-                   | Some _ -> ()
-                   | None -> Alcotest.fail "snapshot fetch lost a committed key mid-SMO");
-                   let c = Btree.open_scan tree txn "" in
-                   let rec go acc =
-                     match Btree.fetch_next tree txn c () with
-                     | Some k -> go (k.Key.value :: acc)
-                     | None -> List.rev acc
-                   in
-                   reader_saw := go [];
-                   Txnmgr.commit db.Db.mgr txn;
-                   reader_done := true));
-            (* main: once the reader is done and T2 is stuck, check T2 is
-               still stuck, then release the SMO *)
-            ignore
-              (Sched.spawn ~name:"resumer" (fun () ->
-                   while not (!t2_started && !reader_done) do
-                     Sched.yield ()
-                   done;
-                   for _ = 1 to 10 do
-                     Sched.yield ()
-                   done;
-                   blocked_while_smo := not !t2_inserted;
-                   Sched.Condvar.signal cv)))
-      in
-      Btree.set_smo_pause db.Db.benv None;
-      Alcotest.(check bool) "no stall" true (r.Sched.outcome = Sched.Completed);
-      Alcotest.(check (list string)) "no fiber exceptions" []
-        (List.map (fun (_, n, _) -> n) r.Sched.exns);
-      Alcotest.(check bool) "locking writer was blocked by the SMO" true !blocked_while_smo;
-      Alcotest.(check bool) "snapshot reader finished while the SMO was in flight" true
-        !reader_done;
-      Alcotest.(check bool) "locking writer completed after the SMO" true !t2_inserted;
-      Alcotest.(check (list string)) "the scan saw exactly the committed keys"
-        (List.init 20 v) !reader_saw;
-      Alcotest.(check bool) "the run was traced" true (Trace.event_count () > 0);
-      Alcotest.(check int) "zero reader key-lock requests and waits (R9)" 0
-        (List.length (reader_lock_events readers));
-      Btree.check_invariants tree)
+(* With the tracer off, the window still sees E2's lock grants and E4's
+   page latches, and the tracer is off again afterwards. *)
+let test_window_tracer_off () =
+  with_mode Trace.Off (fun () ->
+      assert_all (Figures.e2 ());
+      assert_all (Figures.e4 ());
+      Alcotest.(check bool) "the tracer is off again" true (Trace.mode () = Trace.Off))
 
-let test_e11_mvcc_snapshot_reader () =
-  with_recording (fun () ->
-      let readers = Hashtbl.create 4 in
-      let saw_deleted = ref false and saw_consumer = ref true in
-      let reader_done = ref false in
-      let db, tree, blocked, t2_done =
-        e11_scenario ~locking:Protocol.Mvcc
-          ~extra:(fun db tree (del_value, _del_rid) consumer_value ->
-            ignore
-              (Sched.spawn ~name:"R-snapshot" (fun () ->
-                   (* wait until T1's (uncommitted) delete has physically
-                      removed the key *)
-                   while
-                     List.exists
-                       (fun (value, _) -> String.equal value del_value)
-                       (Btree.to_list tree)
-                   do
-                     Sched.yield ()
-                   done;
-                   let txn = Txnmgr.begin_txn db.Db.mgr in
-                   Hashtbl.replace readers txn.Txnmgr.txn_id ();
-                   saw_deleted := Btree.fetch tree txn del_value <> None;
-                   saw_consumer := Btree.fetch tree txn consumer_value <> None;
-                   Txnmgr.commit db.Db.mgr txn;
-                   reader_done := true)))
-          ~delete_bit:true ()
+(* Under Check the window keeps the discipline checker armed: with the
+   unlatch step of the lock dance skipped, E5's fetch waits for its lock
+   under the leaf latch, and the checker must see it (R1). *)
+let test_window_keeps_checker () =
+  with_mode Trace.Check (fun () ->
+      Discipline.reset ();
+      Crashpoint.enable_fault Crashpoint.fault_lock_uncond_under_latch;
+      let checks =
+        Fun.protect Figures.e5 ~finally:(fun () ->
+            Crashpoint.disable_fault Crashpoint.fault_lock_uncond_under_latch)
       in
-      ignore db;
-      Alcotest.(check bool) "consumer blocked while the SMO was incomplete" true blocked;
-      Alcotest.(check bool) "consumer never committed inside the ROSI" false t2_done;
-      Alcotest.(check bool) "snapshot reader finished while both writers were stuck" true
-        !reader_done;
-      Alcotest.(check bool) "the uncommitted delete is invisible: key still readable" true
-        !saw_deleted;
-      Alcotest.(check bool) "the blocked consumer's key is invisible" false !saw_consumer;
-      Alcotest.(check bool) "the run was traced" true (Trace.event_count () > 0);
-      Alcotest.(check int) "zero reader key-lock requests and waits (R9)" 0
-        (List.length (reader_lock_events readers));
-      (* the run deliberately ends mid-SMO (T3 is parked inside the split),
-         so the physical tree is NOT consistent here — the plain E11 tests
-         cover crashing out of this state and recovering *)
-      ignore tree)
+      Alcotest.(check bool) "the checker caught the wait under latch" true
+        (Discipline.violations () > 0);
+      Alcotest.(check bool) "the figure saw it fail" true
+        (List.exists (fun (c : Figures.check) -> not c.Figures.ok) checks);
+      Alcotest.(check bool) "the tracer is still checking" true (Trace.mode () = Trace.Check);
+      Discipline.reset ())
 
 let () =
   Alcotest.run "scenarios"
     [
       ( "figures",
         [
-          Alcotest.test_case "E1 logical undo (Fig 1)" `Quick test_e1_logical_undo;
-          Alcotest.test_case "E2 locking table (Fig 2)" `Quick test_e2_locking_table;
-          Alcotest.test_case "E3 SMO vs insert (Fig 3)" `Quick test_e3_smo_insert_interaction;
-          Alcotest.test_case "E4 latch coupling (Fig 4)" `Quick test_e4_latch_coupling;
-          Alcotest.test_case "E5 fetch lock dance (Fig 5)" `Quick test_e5_fetch_lock_dance;
-          Alcotest.test_case "E6 insert next page (Fig 6)" `Quick test_e6_insert_next_page;
-          Alcotest.test_case "E7 delete bits / POSC (Fig 7)" `Quick test_e7_delete_bits_and_boundary;
-          Alcotest.test_case "E9 split log sequence (Fig 8/9)" `Quick test_e9_split_log_sequence;
-          Alcotest.test_case "E10 page-delete log sequence (Fig 10)" `Quick
-            test_e10_page_delete_log_sequence;
-          Alcotest.test_case "E11 Delete_Bit protects (Fig 11)" `Quick test_e11_delete_bit_protects;
+          Alcotest.test_case "E1 logical undo (Fig 1)" `Quick (figure Figures.e1);
+          Alcotest.test_case "E2 locking table (Fig 2)" `Quick (figure Figures.e2);
+          Alcotest.test_case "E3 SMO vs insert (Fig 3)" `Quick (figure Figures.e3);
+          Alcotest.test_case "E4 latch coupling (Fig 4)" `Quick (figure Figures.e4);
+          Alcotest.test_case "E5 fetch lock dance (Fig 5)" `Quick (figure Figures.e5);
+          Alcotest.test_case "E6 insert next page (Fig 6)" `Quick (figure Figures.e6);
+          Alcotest.test_case "E7 delete bits / POSC (Fig 7)" `Quick (figure Figures.e7);
+          Alcotest.test_case "E9 split log sequence (Fig 8/9)" `Quick (figure Figures.e9);
+          Alcotest.test_case "E10 page-delete log sequence (Fig 10)" `Quick (figure Figures.e10);
+          Alcotest.test_case "E11 Delete_Bit protects (Fig 11)" `Quick (figure Figures.e11);
           Alcotest.test_case "E11 ablation (Fig 11 counterfactual)" `Quick
-            test_e11_ablation_consumes_in_rosi;
+            (figure Figures.e11_ablation);
         ] );
       ( "figures-mvcc",
         [
           Alcotest.test_case "E3-MVCC wait-free reader vs SMO (Fig 3)" `Quick
-            test_e3_mvcc_wait_free_reader;
+            (figure Figures.e3_mvcc);
           Alcotest.test_case "E11-MVCC snapshot reader vs Delete_Bit (Fig 11)" `Quick
-            test_e11_mvcc_snapshot_reader;
+            (figure Figures.e11_mvcc);
+        ] );
+      ( "window",
+        [
+          Alcotest.test_case "tracer off: events still seen, mode restored" `Quick
+            test_window_tracer_off;
+          Alcotest.test_case "Check mode keeps the checker armed" `Quick test_window_keeps_checker;
         ] );
     ]
