@@ -14,7 +14,8 @@
 # rounds, consistency and leak audits after the crash/restart, and
 # per-workload counter checks such as read-spill's buffer misses), so a
 # counter that stops being bumped fails the gate. One more read-spill run
-# is traced, so the discipline checker also sees a real workload.
+# and one more shard-2pc run are traced, so the discipline checker also
+# sees real single-Db and sharded workloads.
 # The q16 gate holds the hot-path speed pass: slice-by-16 CRC >= 4x the
 # bytewise baseline, page-codec CRC overhead <= 25.5%, arena reuse on
 # every steady-state log append, and the exact minor words per page
@@ -41,10 +42,12 @@ if [ "${1:-}" != "fast" ]; then
   for w in read-spill write-hot shard-2pc; do
     python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0
   done
-  # one traced run: its trace-checker rounds run the R1-R10 discipline
-  # checker over a real workload, here through read-spill's buffer misses
-  # and the on-demand page decode
+  # two traced runs: their trace-checker rounds run the R1-R10 discipline
+  # checker over real workloads, here through read-spill's buffer misses
+  # and the on-demand page decode, then through shard-2pc's presumed-abort
+  # 2PC, where R10 and the typed 2PC and shard events see a sharded workload
   python3 perfbench/run.py --workload read-spill --seed 1 --seconds 1 --trace 1
+  python3 perfbench/run.py --workload shard-2pc --seed 1 --seconds 1 --trace 1
 
   echo "== hot-path speed gates (bench q16) =="
   q16=0

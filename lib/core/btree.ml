@@ -465,7 +465,7 @@ let make_tree ?config env ~ix ~name ~unique =
       bt_name = name;
       bt_unique = unique;
       bt_cfg = cfg;
-      bt_latch = Latch.create ~kind:Latch.Tree (Printf.sprintf "tree-%d" ix);
+      bt_latch = Latch.create ~kind:Latch.Tree_latch (Printf.sprintf "tree-%d" ix);
     }
   in
   Hashtbl.replace env.e_trees ix t;

@@ -14,7 +14,7 @@ let locking_to_string = function
 
 type target = At of Key.t | Eof
 
-type lock_req = {
+type lock_req = Lockspec.req = {
   lk_name : Lockmgr.name;
   lk_mode : Lockmgr.mode;
   lk_duration : Lockmgr.duration;
@@ -36,19 +36,11 @@ let target_name locking ix = function At k -> key_name locking ix k | Eof -> Loc
 let req locking ix target mode duration =
   { lk_name = target_name locking ix target; lk_mode = mode; lk_duration = duration }
 
-let req_to_string r =
-  Printf.sprintf "%s %s %s"
-    (Lockmgr.mode_to_string r.lk_mode)
-    (Lockmgr.duration_to_string r.lk_duration)
-    (Lockmgr.name_to_string r.lk_name)
-
 (* Trace hook: record which lock requests the protocol computed for an
    operation, so a discipline-violation dump shows the intended request
    set next to the actual lock-manager traffic. *)
 let traced op reqs =
-  if Trace.enabled () then
-    Trace.emit
-      (Trace.Protocol_locks { op; reqs = String.concat "; " (List.map req_to_string reqs) });
+  if Trace.enabled () then Trace.emit (Trace.Protocol_locks { op; reqs });
   reqs
 
 let fetch_locks locking ix ~current =
@@ -133,9 +125,3 @@ let delete_locks locking ix ~unique ~key ~next ~value_remains =
 let fetch_locks_record_too = function
   | Data_only | Mvcc -> false
   | Index_specific | Kvl | System_r -> true
-
-let pp_req ppf r =
-  Format.fprintf ppf "%s %s %s"
-    (Lockmgr.mode_to_string r.lk_mode)
-    (Lockmgr.duration_to_string r.lk_duration)
-    (Lockmgr.name_to_string r.lk_name)

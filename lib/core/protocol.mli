@@ -28,11 +28,13 @@ type target =
   | At of Key.t
   | Eof  (** past the last key: the per-index EOF lock name (§2.2) *)
 
-type lock_req = {
+type lock_req = Lockspec.req = {
   lk_name : Lockmgr.name;
   lk_mode : Lockmgr.mode;
   lk_duration : Lockmgr.duration;
 }
+(** The shared request type, so [Trace.Protocol_locks] carries the list
+    this module computes as is. *)
 
 val key_name : locking -> Ids.index_id -> Key.t -> Lockmgr.name
 (** The lock name of a key: under data-only locking, the record's RID; under
@@ -71,5 +73,3 @@ val fetch_locks_record_too : locking -> bool
     the record found via the index. Data-only locking already locked the
     record (the key lock {e is} the record lock); the index-specific family
     did not (§2.1). *)
-
-val pp_req : Format.formatter -> lock_req -> unit

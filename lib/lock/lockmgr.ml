@@ -6,11 +6,11 @@ let c_lock_deadlocks = Stats.counter Stats.lock_deadlocks
 let c_lock_requests = Stats.counter Stats.lock_requests
 let c_lock_waits = Stats.counter Stats.lock_waits
 
-type mode = IS | IX | S | SIX | X
+type mode = Lockspec.mode = IS | IX | S | SIX | X
 
-type duration = Instant | Manual | Commit
+type duration = Lockspec.duration = Instant | Manual | Commit
 
-type name =
+type name = Lockspec.name =
   | Rid of Ids.rid
   | Key_value of Ids.index_id * string
   | Eof of Ids.index_id
@@ -44,20 +44,6 @@ let supremum a b =
     | S, S -> S
     | IX, IX -> IX
 
-let mode_to_string = function IS -> "IS" | IX -> "IX" | S -> "S" | SIX -> "SIX" | X -> "X"
-
-let duration_to_string = function Instant -> "instant" | Manual -> "manual" | Commit -> "commit"
-
-let name_to_string = function
-  | Rid r -> Printf.sprintf "rid:%s" (Ids.rid_to_string r)
-  | Key_value (ix, v) -> Printf.sprintf "kv:%d:%S" ix v
-  | Eof ix -> Printf.sprintf "eof:%d" ix
-  | Table tbl -> Printf.sprintf "table:%d" tbl
-  | Page_lock p -> Printf.sprintf "page:%d" p
-  | Tree_lock ix -> Printf.sprintf "tree:%d" ix
-
-let pp_name ppf n = Format.pp_print_string ppf (name_to_string n)
-
 let duration_rank = function Instant -> 0 | Manual -> 1 | Commit -> 2
 
 (* The per-(mode, duration) request counters, registered once: indexed by
@@ -68,7 +54,8 @@ let mode_duration_counters =
       Array.map
         (fun duration ->
           Stats.counter
-            (Stats.lock_label ~mode:(mode_to_string mode) ~duration:(duration_to_string duration)))
+            (Stats.lock_label ~mode:(Lockspec.mode_to_string mode)
+               ~duration:(Lockspec.duration_to_string duration)))
         [| Instant; Manual; Commit |])
     [| IS; IX; S; SIX; X |]
 
@@ -89,7 +76,6 @@ type waiter = {
   wt_mode : mode;  (* for conversions: the target (supremum) mode *)
   wt_duration : duration;
   wt_conversion : bool;
-  wt_since : int;  (* Sched.steps_now at enqueue — the timeout fallback's clock *)
   mutable wt_waker : Sched.waker option;
 }
 
@@ -300,8 +286,8 @@ let resolve_deadlocks t txn =
   in
   loop ()
 
-(* Every waiting transaction with its wait-start step and waits-for edges —
-   the per-shard slice the cross-shard detector unions into a global graph
+(* Every waiting transaction with its waits-for edges — the per-shard
+   slice the cross-shard detector unions into a global graph
    (local cycles are caught at request time by [resolve_deadlocks]; cycles
    spanning shards are invisible to any single table). *)
 let waiting t =
@@ -309,7 +295,7 @@ let waiting t =
   Hashtbl.iter
     (fun _ head ->
       Vec.iter
-        (fun w -> out := (w.wt_txn, w.wt_since, edges_of t w.wt_txn) :: !out)
+        (fun w -> out := (w.wt_txn, edges_of t w.wt_txn) :: !out)
         head.hd_waiters)
     t.table;
   List.sort compare !out
@@ -325,16 +311,7 @@ let lock t ~txn ?(cond = false) name mode duration =
   let ti = info t txn in
   Stats.incr c_lock_requests;
   Stats.incr (mode_duration_counter mode duration);
-  (* the name is rendered only for a listening tracer, so with it off a
-     request allocates nothing for the trace; events emitted before the
-     request can suspend share one rendering *)
-  let tr_name = if Trace.enabled () then name_to_string name else "" in
-  let tr_mode = mode_to_string mode in
-  let tr_duration = duration_to_string duration in
-  if Trace.enabled () then
-    Trace.emit
-      (Trace.Lock_request
-         { txn; name = tr_name; mode = tr_mode; duration = tr_duration; cond });
+  if Trace.enabled () then Trace.emit (Trace.Lock_request { txn; name; mode; duration; cond });
   let head = head_of t name in
   let grant_immediately () =
     match holder_of head txn with
@@ -361,22 +338,18 @@ let lock t ~txn ?(cond = false) name mode duration =
   if grant_immediately () then begin
     drop_if_idle t name head;
     if Trace.enabled () then
-      Trace.emit
-        (Trace.Lock_grant
-           { txn; name = tr_name; mode = tr_mode; duration = tr_duration; waited = false });
+      Trace.emit (Trace.Lock_grant { txn; name; mode; duration; waited = false });
     Granted
   end
   else if cond then begin
-    if Trace.enabled () then
-      Trace.emit (Trace.Lock_deny { txn; name = tr_name; mode = tr_mode });
+    if Trace.enabled () then Trace.emit (Trace.Lock_deny { txn; name; mode });
     Denied
   end
   else begin
     Stats.incr c_lock_waits;
     (* R1 hazard point: emitted (and checked) {e before} we suspend, so a
        wait entered while holding a latch raises at the request site. *)
-    if Trace.enabled () then
-      Trace.emit (Trace.Lock_wait { txn; name = tr_name; mode = tr_mode });
+    if Trace.enabled () then Trace.emit (Trace.Lock_wait { txn; name; mode });
     let conversion, target =
       match holder_of head txn with
       | Some h -> (true, supremum h.h_mode mode)
@@ -388,7 +361,6 @@ let lock t ~txn ?(cond = false) name mode duration =
         wt_mode = target;
         wt_duration = duration;
         wt_conversion = conversion;
-        wt_since = (if Sched.in_fiber () then Sched.steps_now () else 0);
         wt_waker = None;
       }
     in
@@ -422,15 +394,7 @@ let lock t ~txn ?(cond = false) name mode duration =
       (* woken by the grant loop, which already installed holder state;
          the tracer may have been switched on during the wait *)
       if Trace.enabled () then
-        Trace.emit
-          (Trace.Lock_grant
-             {
-               txn;
-               name = name_to_string name;
-               mode = tr_mode;
-               duration = tr_duration;
-               waited = true;
-             });
+        Trace.emit (Trace.Lock_grant { txn; name; mode; duration; waited = true });
       Granted
     with Deadlock_abort v ->
       if v = txn then begin
@@ -443,16 +407,17 @@ let lock t ~txn ?(cond = false) name mode duration =
 let release t ~txn name =
   let ti = info t txn in
   match holding t name txn with
-  | None -> invalid_arg (Printf.sprintf "Lockmgr.release: %s does not hold %s" (string_of_int txn) (name_to_string name))
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Lockmgr.release: %d does not hold %s" txn (Lockspec.name_to_string name))
   | Some (head, h) ->
       if h.h_duration = Commit then
         invalid_arg
           (Printf.sprintf "Lockmgr.release: %s on %s is commit-duration" (string_of_int txn)
-             (name_to_string name));
+             (Lockspec.name_to_string name));
       head.hd_holders <- List.filter (fun x -> x.h_txn <> txn) head.hd_holders;
       ti.ti_held <- List.filter (fun n -> n <> name) ti.ti_held;
-      if Trace.enabled () then
-        Trace.emit (Trace.Lock_release { txn; name = name_to_string name });
+      if Trace.enabled () then Trace.emit (Trace.Lock_release { txn; name });
       settle t name head
 
 let release_manual t ~txn name =
@@ -461,8 +426,7 @@ let release_manual t ~txn name =
       head.hd_holders <- List.filter (fun x -> x.h_txn <> txn) head.hd_holders;
       let ti = info t txn in
       ti.ti_held <- List.filter (fun n -> n <> name) ti.ti_held;
-      if Trace.enabled () then
-        Trace.emit (Trace.Lock_release { txn; name = name_to_string name });
+      if Trace.enabled () then Trace.emit (Trace.Lock_release { txn; name });
       settle t name head;
       true
   | Some _ | None -> false
@@ -471,7 +435,7 @@ let downgrade t ~txn name mode =
   match holding t name txn with
   | None ->
       invalid_arg
-        (Printf.sprintf "Lockmgr.downgrade: %d does not hold %s" txn (name_to_string name))
+        (Printf.sprintf "Lockmgr.downgrade: %d does not hold %s" txn (Lockspec.name_to_string name))
   | Some (head, h) ->
       h.h_mode <- mode;
       grant_loop t name head

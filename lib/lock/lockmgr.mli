@@ -14,14 +14,17 @@
 
 open Aries_util
 
-type mode = IS | IX | S | SIX | X
+(** The lock vocabulary is {!Aries_util.Lockspec}'s, re-exported with
+    type equations: the trace carries these same values. *)
 
-type duration =
+type mode = Lockspec.mode = IS | IX | S | SIX | X
+
+type duration = Lockspec.duration =
   | Instant  (** granted then immediately released: a serialization touch-point *)
   | Manual  (** held until explicitly released (e.g. cursor stability) *)
   | Commit  (** held until end of transaction *)
 
-type name =
+type name = Lockspec.name =
   | Rid of Ids.rid  (** a record — the key lock under data-only locking *)
   | Key_value of Ids.index_id * string  (** index-specific / KVL / System R *)
   | Eof of Ids.index_id  (** the "next key" past the last leaf (§2.2) *)
@@ -102,16 +105,15 @@ val held_locks : t -> txn:Ids.txn_id -> (name * mode) list
 (** The retained locks of a transaction (unspecified order); used to build
     Prepare record bodies so restart can reacquire in-doubt locks. *)
 
-val waiting : t -> (Ids.txn_id * int * Ids.txn_id list) list
-(** Every waiting transaction as [(txn, wait-start step, blockers)] —
-    blockers are its waits-for edges within this table (conflicting
-    holders plus waiters queued ahead). Local cycles are broken at request
-    time; a cross-shard detector unions these per-shard slices into a
-    global graph, using the wait-start step for its timeout fallback. *)
+val waiting : t -> (Ids.txn_id * Ids.txn_id list) list
+(** Every waiting transaction as [(txn, blockers)] — blockers are its
+    waits-for edges within this table (conflicting holders plus waiters
+    queued ahead). Local cycles are broken at request time; a cross-shard
+    detector unions these per-shard slices into a global graph. *)
 
 val abort_waiter : t -> txn:Ids.txn_id -> bool
 (** Abort a {e waiting} transaction from outside (cross-shard deadlock
-    victim, lock-wait timeout, shard fail-stop): dequeue it and deliver
+    victim, shard fail-stop): dequeue it and deliver
     {!Deadlock_abort} at its suspension point, exactly like a local
     deadlock victim. Returns [false] (and does nothing) if the transaction
     is not currently waiting — e.g. it raced with a grant. *)
@@ -119,11 +121,3 @@ val abort_waiter : t -> txn:Ids.txn_id -> bool
 val compatible : mode -> mode -> bool
 
 val supremum : mode -> mode -> mode
-
-val mode_to_string : mode -> string
-
-val duration_to_string : duration -> string
-
-val name_to_string : name -> string
-
-val pp_name : Format.formatter -> name -> unit

@@ -663,9 +663,9 @@ let finish en =
     en.en_finished <- true;
     Txnmgr.set_preempt_hook en.en_mgr None;
     Bufpool.clear_redo_hook en.en_pool;
-    trace_phase "checkpoint";
+    trace_phase Trace.Checkpoint;
     ignore (Checkpoint.take en.en_mgr en.en_pool);
-    trace_phase "done"
+    trace_phase Trace.Done
   end
 
 let report en =
@@ -687,7 +687,7 @@ let report en =
    through one sweep, and the engine is finished on return. *)
 let open_engine ~instant ?archive mgr pool =
   let logs = Txnmgr.logs mgr in
-  trace_phase "analysis";
+  trace_phase Trace.Analysis;
   let index : (Ids.page_id, Lsn.t list ref) Hashtbl.t = Hashtbl.create 64 in
   (* only a deferred undo needs the losers' locks back: it runs while new
      transactions do *)
@@ -767,7 +767,7 @@ let open_engine ~instant ?archive mgr pool =
     dpt_entries;
   Bufpool.set_restart_dpt pool dpt_entries;
   Bufpool.set_redo_hook pool (fun pid -> on_fix en pid);
-  trace_phase "reacquire-locks";
+  trace_phase Trace.Reacquire_locks;
   let locks_reacquired, indoubt = reacquire_indoubt mgr an in
   en.en_locks_reacquired <- locks_reacquired;
   en.en_indoubt <- indoubt;
@@ -800,13 +800,7 @@ let open_engine ~instant ?archive mgr pool =
                 (* R7 bookkeeping is X-only and post-grant: two losers may
                    legitimately share an S name (duplicate-check locks) *)
                 if mode = Lockmgr.X && Trace.enabled () then
-                  Trace.emit
-                    (Trace.Restart_lock
-                       {
-                         txn = id;
-                         name = Lockmgr.name_to_string name;
-                         mode = Lockmgr.mode_to_string mode;
-                       })
+                  Trace.emit (Trace.Restart_lock { txn = id; name; mode })
             | Lockmgr.Denied | Lockmgr.Deadlock ->
                 (* [start] is single-threaded: a denial only means another
                    restored txn already covers the name *)
@@ -834,13 +828,13 @@ let open_engine ~instant ?archive mgr pool =
          (fun txn -> Array.for_all Lsn.is_nil txn.Txnmgr.undo_nxts || not (undo_deferrable en txn))
          losers)
   else begin
-    trace_phase "redo";
+    trace_phase Trace.Redo;
     List.iter (redo_page en) (pending_redo en);
-    trace_phase "undo";
+    trace_phase Trace.Undo;
     undo_sweep en losers
   end;
   Txnmgr.set_preempt_hook mgr (Some (fun name -> on_lock en name));
-  if complete en then finish en else trace_phase "open";
+  if complete en then finish en else trace_phase Trace.Open;
   en
 
 let start ?archive mgr pool = open_engine ~instant:true ?archive mgr pool

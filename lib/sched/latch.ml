@@ -7,9 +7,9 @@ let c_tree_latch_acquires = Stats.counter Stats.tree_latch_acquires
 let c_latch_waits = Stats.counter Stats.latch_waits
 let c_tree_latch_waits = Stats.counter Stats.tree_latch_waits
 
-type mode = S | X
+type mode = Trace.latch_mode = S | X
 
-type kind = Page | Tree
+type kind = Trace.latch_kind = Page_latch | Tree_latch
 
 type waiter = {
   wt_mode : mode;
@@ -23,13 +23,10 @@ type t = {
   waiters : waiter Vec.t;
 }
 
-let create ?(kind = Page) name = { l_name = name; l_kind = kind; holders = []; waiters = Vec.create () }
+let create ?(kind = Page_latch) name =
+  { l_name = name; l_kind = kind; holders = []; waiters = Vec.create () }
 
 let name t = t.l_name
-
-let pp_mode ppf = function
-  | S -> Format.pp_print_string ppf "S"
-  | X -> Format.pp_print_string ppf "X"
 
 let compatible_with_holders t mode =
   match (mode, t.holders) with
@@ -37,24 +34,18 @@ let compatible_with_holders t mode =
   | S, hs -> List.for_all (fun (_, m) -> m = S) hs
   | X, _ -> false
 
-let trace_kind t = match t.l_kind with Page -> Trace.Page_latch | Tree -> Trace.Tree_latch
-
-let trace_mode = function S -> Trace.S | X -> Trace.X
-
 let trace_acquire t mode ~cond ~waited =
   if Trace.enabled () then
-    Trace.emit
-      (Trace.Latch_acquire
-         { kind = trace_kind t; name = t.l_name; mode = trace_mode mode; cond; waited })
+    Trace.emit (Trace.Latch_acquire { kind = t.l_kind; name = t.l_name; mode; cond; waited })
 
 let count_acquire t waited =
   (match t.l_kind with
-  | Page -> Stats.incr c_latch_acquires
-  | Tree -> Stats.incr c_tree_latch_acquires);
+  | Page_latch -> Stats.incr c_latch_acquires
+  | Tree_latch -> Stats.incr c_tree_latch_acquires);
   if waited then
     match t.l_kind with
-    | Page -> Stats.incr c_latch_waits
-    | Tree -> Stats.incr c_tree_latch_waits
+    | Page_latch -> Stats.incr c_latch_waits
+    | Tree_latch -> Stats.incr c_tree_latch_waits
 
 let check_not_held t =
   let me = Sched.current () in
@@ -112,8 +103,7 @@ let try_acquire t mode =
   end
   else begin
     if Trace.enabled () then
-      Trace.emit
-        (Trace.Latch_try_fail { kind = trace_kind t; name = t.l_name; mode = trace_mode mode });
+      Trace.emit (Trace.Latch_try_fail { kind = t.l_kind; name = t.l_name; mode });
     false
   end
 
@@ -123,7 +113,7 @@ let release t =
     invalid_arg (Printf.sprintf "Latch %s: release by non-holder fiber %d" t.l_name me);
   t.holders <- List.filter (fun (f, _) -> f <> me) t.holders;
   if Trace.enabled () then
-    Trace.emit (Trace.Latch_release { kind = trace_kind t; name = t.l_name });
+    Trace.emit (Trace.Latch_release { kind = t.l_kind; name = t.l_name });
   wake_eligible t
 
 let instant t mode =

@@ -12,10 +12,11 @@
 
 type t
 
-type mode = S | X
+type mode = Aries_trace.Trace.latch_mode = S | X
 
-type kind = Page | Tree
-(** Only affects which instrumentation counters are bumped. *)
+type kind = Aries_trace.Trace.latch_kind = Page_latch | Tree_latch
+(** Selects the instrumentation counters bumped; the trace carries it
+    as is. *)
 
 val create : ?kind:kind -> string -> t
 
@@ -44,5 +45,3 @@ val holds_mode : t -> mode -> bool
 val holder_count : t -> int
 
 val waiter_count : t -> int
-
-val pp_mode : Format.formatter -> mode -> unit

@@ -27,8 +27,7 @@
    coordinator is down (they stay in-doubt, locks held — exactly the
    paper's recovery contract). Cross-shard deadlocks, invisible to any
    single lock manager, are broken by a detector that unions the
-   per-shard waits-for slices ([Lockmgr.waiting]) into a global graph,
-   with a wait-timeout fallback. *)
+   per-shard waits-for slices ([Lockmgr.waiting]) into a global graph. *)
 
 open Aries_util
 module Db = Aries_db.Db
@@ -57,7 +56,17 @@ exception Global_abort of int * string
 (** The global transaction was aborted (by presumption) during commit —
     every reachable branch has been rolled back when this is raised. *)
 
-type router = Hash | Range of string list
+type router = Hash
+
+(* Phase-2 delivery to a down shard: attempts before parking, and the
+   scheduler steps yielded between attempts. *)
+let retry_limit = 3
+
+let retry_backoff = 8
+
+(* Scheduler steps between two rounds of the service daemon (global
+   deadlock detection, then parked-delivery draining). *)
+let detect_every = 16
 
 type shard = {
   sx_id : int;
@@ -84,12 +93,6 @@ type parked = {
 
 type t = {
   shards : shard array;
-  router : router;
-  config : Btree.config option;
-  retry_limit : int;
-  retry_backoff : int;
-  lock_timeout : int;
-  detect_every : int;
   mutable incarnation : int;  (* gid namespace: bumped on every crash/kill *)
   mutable next_seq : int;
   gtxns : (int, gtxn) Hashtbl.t;
@@ -97,19 +100,13 @@ type t = {
   parked : (int, parked) Hashtbl.t;
 }
 
-let create ?(shards = 2) ?(router = Hash) ?config ?(retry_limit = 3) ?(retry_backoff = 8)
-    ?(lock_timeout = 0) ?(detect_every = 16) ?page_size ?pool_capacity ?commit_mode
+let create ?(shards = 2) ?router:(_ : router option) ?page_size ?pool_capacity ?commit_mode
     ?segment_size ?streams () =
   if shards < 1 then invalid_arg "Sharddb.create: need at least one shard";
-  (match router with
-  | Hash -> ()
-  | Range bounds ->
-      if List.length bounds <> shards - 1 then
-        invalid_arg "Sharddb.create: a Range router needs exactly shards-1 split points");
   let mk k =
     {
       sx_id = k;
-      sx_db = Db.create ?page_size ?pool_capacity ?config ?commit_mode ?segment_size ?streams ();
+      sx_db = Db.create ?page_size ?pool_capacity ?commit_mode ?segment_size ?streams ();
       sx_tree = None;
       sx_index = 0;
       sx_down = false;
@@ -119,12 +116,6 @@ let create ?(shards = 2) ?(router = Hash) ?config ?(retry_limit = 3) ?(retry_bac
   in
   {
     shards = Array.init shards mk;
-    router;
-    config;
-    retry_limit;
-    retry_backoff;
-    lock_timeout;
-    detect_every;
     incarnation = 0;
     next_seq = 0;
     gtxns = Hashtbl.create 64;
@@ -169,7 +160,7 @@ let setup t =
       let mgr = s.sx_db.Db.mgr in
       let tx = Txnmgr.begin_txn mgr in
       let tr =
-        Btree.create ?config:t.config s.sx_db.Db.benv tx
+        Btree.create s.sx_db.Db.benv tx
           ~name:(Printf.sprintf "shard%d" s.sx_id)
           ~unique:true
       in
@@ -178,15 +169,7 @@ let setup t =
       s.sx_index <- Btree.index_id tr)
     t.shards
 
-let shard_of t value =
-  match t.router with
-  | Hash -> Hashtbl.hash value mod Array.length t.shards
-  | Range bounds ->
-      let rec go i = function
-        | [] -> i
-        | b :: rest -> if value < b then i else go (i + 1) rest
-      in
-      go 0 bounds
+let shard_of t value = Hashtbl.hash value mod Array.length t.shards
 
 (* ------------------------------------------------------------------ *)
 (* Global transactions *)
@@ -336,10 +319,10 @@ let deliver_one t ~commit k txn_id =
       | Some _ | None -> ());
       true
     end
-    else if attempt >= t.retry_limit then false
+    else if attempt >= retry_limit then false
     else begin
       Stats.incr c_shard_retries;
-      backoff t.retry_backoff;
+      backoff retry_backoff;
       go (attempt + 1)
     end
   in
@@ -402,8 +385,7 @@ let commit t g =
           if Trace.enabled () then
             List.iter
               (fun (k, _) ->
-                Trace.emit
-                  (Trace.Shard_event { shard = k; what = Printf.sprintf "parked G%d" g.gid }))
+                Trace.emit (Trace.Shard_event { shard = k; what = Trace.Parked { gid = g.gid } }))
               undelivered;
           forget t g)
 
@@ -512,10 +494,7 @@ let resolve_indoubts t =
                   else if Trace.enabled () then
                     Trace.emit
                       (Trace.Shard_event
-                         {
-                           shard = s.sx_id;
-                           what = Printf.sprintf "indoubt G%d waits on coordinator %d" gid coord;
-                         }))
+                         { shard = s.sx_id; what = Trace.Indoubt_waiting { gid; coord } }))
           (Txnmgr.active_txns mgr))
     t.shards;
   drain_parked t;
@@ -538,15 +517,15 @@ let crash t =
   Hashtbl.reset t.owners;
   Hashtbl.reset t.parked
 
-let reopen_tree t s =
-  s.sx_tree <- Some (Btree.open_existing ?config:t.config s.sx_db.Db.benv s.sx_index)
+let reopen_tree s =
+  s.sx_tree <- Some (Btree.open_existing s.sx_db.Db.benv s.sx_index)
 
 let restart ?instant t =
   let reports =
     Array.map
       (fun s ->
         let rep = Db.restart ?instant s.sx_db in
-        reopen_tree t s;
+        reopen_tree s;
         rep)
       t.shards
   in
@@ -563,12 +542,12 @@ let kill t k =
   let s = t.shards.(k) in
   if not s.sx_down then begin
     s.sx_down <- true;
-    if Trace.enabled () then Trace.emit (Trace.Shard_event { shard = k; what = "killed" });
+    if Trace.enabled () then Trace.emit (Trace.Shard_event { shard = k; what = Trace.Killed });
     let guard = ref 0 in
     while s.sx_inflight > 0 && !guard < 100_000 do
       incr guard;
       List.iter
-        (fun (txn, _, _) -> ignore (Lockmgr.abort_waiter s.sx_db.Db.locks ~txn))
+        (fun (txn, _) -> ignore (Lockmgr.abort_waiter s.sx_db.Db.locks ~txn))
         (Lockmgr.waiting s.sx_db.Db.locks);
       if Sched.in_fiber () then Sched.yield ()
     done;
@@ -584,9 +563,9 @@ let revive ?instant t k =
   if not s.sx_down then None
   else begin
     let rep = Db.restart ?instant s.sx_db in
-    reopen_tree t s;
+    reopen_tree s;
     s.sx_down <- false;
-    if Trace.enabled () then Trace.emit (Trace.Shard_event { shard = k; what = "revived" });
+    if Trace.enabled () then Trace.emit (Trace.Shard_event { shard = k; what = Trace.Revived });
     (* this shard's in-doubts read their coordinators; other shards'
        in-doubts parked on THIS coordinator resolve now too *)
     ignore (resolve_indoubts t);
@@ -594,7 +573,7 @@ let revive ?instant t k =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Global deadlock detection + lock-wait timeout *)
+(* Global deadlock detection *)
 
 (* Node key: gids are positive; a local (non-2PC) waiter gets a negative
    per-shard synthetic id so it can still appear in (and break) a cycle. *)
@@ -603,6 +582,8 @@ let node t k txn =
   | Some g -> g
   | None -> -(((k + 1) * 1_000_000) + txn)
 
+(* One detection pass over the union of the up shards' waits-for slices:
+   abort the youngest waiter of every cycle found. *)
 let detect_once t =
   let edges = Hashtbl.create 16 in
   let waiters = Hashtbl.create 16 in
@@ -610,7 +591,7 @@ let detect_once t =
     (fun s ->
       if up s then
         List.iter
-          (fun (txn, _since, blockers) ->
+          (fun (txn, blockers) ->
             let v = node t s.sx_id txn in
             Hashtbl.replace waiters v (s.sx_id, txn);
             let cur = match Hashtbl.find_opt edges v with Some l -> l | None -> [] in
@@ -648,51 +629,25 @@ let detect_once t =
       | Some (k, txn) ->
           if Lockmgr.abort_waiter t.shards.(k).sx_db.Db.locks ~txn then begin
             Stats.incr c_deadlock_global_victims;
-            if Trace.enabled () then
-              Trace.emit
-                (Trace.Note (Printf.sprintf "global deadlock victim G%d (shard %d txn %d)" v k txn))
+            if Trace.enabled () then Trace.emit (Trace.Global_victim { gid = v; shard = k; txn })
           end
       | None -> ())
-    !victims;
-  List.length !victims
-
-let timeout_scan t =
-  if t.lock_timeout > 0 && Sched.in_fiber () then begin
-    let now = Sched.steps_now () in
-    Array.iter
-      (fun s ->
-        if up s then
-          List.iter
-            (fun (txn, since, _) ->
-              if now - since > t.lock_timeout then
-                if Lockmgr.abort_waiter s.sx_db.Db.locks ~txn then begin
-                  Stats.incr c_shard_timeouts;
-                  if Trace.enabled () then
-                    Trace.emit
-                      (Trace.Note
-                         (Printf.sprintf "lock-wait timeout: shard %d txn %d" s.sx_id txn))
-                end)
-            (Lockmgr.waiting s.sx_db.Db.locks))
-      t.shards
-  end
+    !victims
 
 let service t () =
-  let period = max 1 t.detect_every in
   while not (Sched.shutting_down ()) do
-    for _ = 1 to period do
+    for _ = 1 to detect_every do
       if not (Sched.shutting_down ()) then Sched.yield ()
     done;
     if not (Sched.shutting_down ()) then begin
-      timeout_scan t;
-      ignore (detect_once t);
+      detect_once t;
       drain_parked t
     end
   done
 
 let start_services t =
   Array.iter (fun s -> if up s then Db.start_daemons s.sx_db) t.shards;
-  if t.detect_every > 0 || t.lock_timeout > 0 then
-    ignore (Sched.spawn_daemon ~name:"shard-globald" (service t))
+  ignore (Sched.spawn_daemon ~name:"shard-globald" (service t))
 
 let run ?policy ?max_steps ?yield_probability t main =
   Sched.run ?policy ?max_steps ?yield_probability (fun () ->

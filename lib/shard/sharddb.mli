@@ -23,18 +23,21 @@
     and held until {!resolve_indoubts} re-reads (or re-decides by
     presumption) the coordinator's outcome. A downed shard never blocks a
     healthy one — operations routed to it fail fast with {!Shard_down},
-    phase-2 deliveries park after [retry_limit] attempts and are drained
-    on {!revive}, and in-doubt branches whose coordinator is down stay
-    parked with locks held (the only sound choice).
+    phase-2 deliveries park after 3 attempts 8 scheduler steps apart and
+    are drained on {!revive}, and in-doubt branches whose coordinator is
+    down stay parked with locks held (the only sound choice).
 
     {2 Deadlocks}
 
-    Cross-shard deadlocks are invisible to every per-shard lock manager;
-    the [detect_every]-periodic service daemon unions the per-shard
-    waits-for slices ({!Aries_lock.Lockmgr.waiting}) into a global graph
-    over gids and aborts the youngest waiter in any cycle
-    ({!Aries_lock.Lockmgr.abort_waiter}), with a [lock_timeout] fallback
-    for anything the graph cannot see. *)
+    Cross-shard deadlocks are invisible to every per-shard lock manager.
+    Every 16 scheduler steps the service daemon started by {!run} unions
+    the per-shard waits-for slices ({!Aries_lock.Lockmgr.waiting}) into a
+    global graph over gids and aborts the youngest (largest-gid) waiter
+    in each cycle ({!Aries_lock.Lockmgr.abort_waiter}); the victim's
+    operation raises [Txnmgr.Aborted], and a [Trace.Global_victim] event
+    and the [deadlock.global_victims] counter record it. There is no
+    lock-wait timeout: a wait the graph cannot see (one on a shard that
+    is down) is broken by {!kill}, which aborts every waiter there. *)
 
 open Aries_util
 module Db = Aries_db.Db
@@ -52,8 +55,10 @@ exception Global_abort of int * string
     branch has been rolled back when this is raised. *)
 
 type router =
-  | Hash  (** [hash value mod K] *)
-  | Range of string list  (** K-1 ascending split points; value < point i → shard i *)
+  | Hash  (** [hash value mod K], the only router *)
+(** Kept, with [create]'s [?router], only because the end-to-end
+    benchmark ([perfbench/shardwl.ml]) passes [~router:Hash]; both can go
+    when the benchmark next changes. *)
 
 type t
 
@@ -62,11 +67,6 @@ type gtxn
 val create :
   ?shards:int ->
   ?router:router ->
-  ?config:Btree.config ->
-  ?retry_limit:int ->
-  ?retry_backoff:int ->
-  ?lock_timeout:int ->
-  ?detect_every:int ->
   ?page_size:int ->
   ?pool_capacity:int ->
   ?commit_mode:Db.commit_mode ->
@@ -75,12 +75,9 @@ val create :
   unit ->
   t
 (** [shards] (default 2) environments, each built like {!Db.create} with
-    the shared knobs. [retry_limit]/[retry_backoff] (3 / 8 scheduler
-    steps) bound phase-2 delivery against a down shard before parking.
-    [lock_timeout] (0 = off) aborts any lock wait older than that many
-    steps; [detect_every] (16; 0 = off) is the global deadlock / parked
-    retry service period. {!kill} requires daemon-less shards (default
-    [Per_commit], no cleaner/checkpointer). *)
+    the shared knobs and {!Db}'s default B-tree configuration. {!kill}
+    requires daemon-less shards (default [Per_commit], no
+    cleaner/checkpointer). *)
 
 val setup : t -> unit
 (** Create each shard's tree (one committed local transaction per shard).
@@ -189,12 +186,6 @@ val resolve_indoubts : t -> int
     deliveries. Returns the number of branches resolved. *)
 
 (** {1 Maintenance} *)
-
-val detect_once : t -> int
-(** One global deadlock detection pass (what the service daemon runs
-    every [detect_every] steps). Returns the number of victims aborted. *)
-
-val drain_parked : t -> unit
 
 val leak_report : t -> string list
 (** Aggregate quiescence audit: every up shard's {!Db.leak_report} line

@@ -98,7 +98,7 @@ let needs_redo : (int * int, unit) Hashtbl.t = Hashtbl.create 8
 
 let redoing : (int * int, unit) Hashtbl.t = Hashtbl.create 4
 
-let loser_locks : (string, int) Hashtbl.t = Hashtbl.create 8
+let loser_locks : (Lockspec.name, int) Hashtbl.t = Hashtbl.create 8
 
 let live_losers : (int, unit) Hashtbl.t = Hashtbl.create 4
 
@@ -231,15 +231,17 @@ let check (ev : Trace.event) =
       let d = latch_depth ~fiber in
       if d > 0 then
         violate R1 "txn %d (fiber %d) waits for lock %s %s while holding %d latch(es)" txn fiber
-          mode name d;
+          (Lockspec.mode_to_string mode) (Lockspec.name_to_string name) d;
       (* R9(a): a snapshot reader that blocks at all has lost wait-freedom *)
       if Hashtbl.mem reading txn then
-        violate R9 "txn %d waits for lock %s %s inside an Mvcc snapshot read" txn mode name
+        violate R9 "txn %d waits for lock %s %s inside an Mvcc snapshot read" txn
+          (Lockspec.mode_to_string mode) (Lockspec.name_to_string name)
   | Trace.Lock_request { txn; name; mode; duration = _; cond = _ } ->
       (* R9(a): inside the wait-free window even a conditional request is
          illegal — the version chain replaces the lock manager entirely *)
       if Hashtbl.mem reading txn then
-        violate R9 "txn %d requested lock %s %s inside an Mvcc snapshot read" txn mode name
+        violate R9 "txn %d requested lock %s %s inside an Mvcc snapshot read" txn
+          (Lockspec.mode_to_string mode) (Lockspec.name_to_string name)
   | Trace.Mvcc_pin { txn; epoch; gsn } ->
       if not (Hashtbl.mem pins txn) then Hashtbl.replace pins txn (epoch, gsn)
   | Trace.Mvcc_read_begin { txn } -> Hashtbl.replace reading txn ()
@@ -414,14 +416,14 @@ let check (ev : Trace.event) =
          completes leaks that state. *)
       match Hashtbl.find_opt loser_locks name with
       | Some loser when loser <> txn && Hashtbl.mem live_losers loser ->
-          violate R7 "lock %s granted to txn %d while loser txn %d still holds it" name txn
-            loser
+          violate R7 "lock %s granted to txn %d while loser txn %d still holds it"
+            (Lockspec.name_to_string name) txn loser
       | _ -> ())
   | Trace.Restart_phase { phase } ->
       (* a fresh restart replays history anew: per-page redo positions from
          the previous incarnation (background drains, media repairs) no
          longer bound this recovery's applications *)
-      if String.equal phase "analysis" then Hashtbl.reset redo_gsn
+      if phase = Trace.Analysis then Hashtbl.reset redo_gsn
   | Trace.Twopc_prepared { gid; shard = _; txn = _; targets } ->
       let cur =
         match Hashtbl.find_opt prepare_targets gid with Some l -> l | None -> []
@@ -471,7 +473,7 @@ let check (ev : Trace.event) =
   | Trace.Page_unfix _ | Trace.Commit_enqueue _
   | Trace.Daemon_spawn _ | Trace.Daemon_exit _
   | Trace.Protocol_locks _ | Trace.Io_retry _ | Trace.Vgc_round _ | Trace.Shard_event _
-  | Trace.Note _ ->
+  | Trace.Global_victim _ | Trace.Note _ ->
       ()
 
 let installed = ref false

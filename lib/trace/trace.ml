@@ -7,6 +7,14 @@ type latch_kind = Page_latch | Tree_latch
 
 type latch_mode = S | X
 
+type restart_phase = Analysis | Reacquire_locks | Redo | Undo | Open | Checkpoint | Done
+
+type shard_event =
+  | Killed
+  | Revived
+  | Parked of { gid : int }
+  | Indoubt_waiting of { gid : int; coord : int }
+
 type payload =
   | Run_begin of { run : int }
   | Latch_acquire of {
@@ -18,13 +26,25 @@ type payload =
     }
   | Latch_try_fail of { kind : latch_kind; name : string; mode : latch_mode }
   | Latch_release of { kind : latch_kind; name : string }
-  | Lock_request of { txn : int; name : string; mode : string; duration : string; cond : bool }
-  | Lock_grant of { txn : int; name : string; mode : string; duration : string; waited : bool }
-  | Lock_deny of { txn : int; name : string; mode : string }
-  | Lock_wait of { txn : int; name : string; mode : string }
+  | Lock_request of {
+      txn : int;
+      name : Lockspec.name;
+      mode : Lockspec.mode;
+      duration : Lockspec.duration;
+      cond : bool;
+    }
+  | Lock_grant of {
+      txn : int;
+      name : Lockspec.name;
+      mode : Lockspec.mode;
+      duration : Lockspec.duration;
+      waited : bool;
+    }
+  | Lock_deny of { txn : int; name : Lockspec.name; mode : Lockspec.mode }
+  | Lock_wait of { txn : int; name : Lockspec.name; mode : Lockspec.mode }
       (** emitted at the instant an unconditional request is about to
           suspend — the event rule R1 fires on *)
-  | Lock_release of { txn : int; name : string }
+  | Lock_release of { txn : int; name : Lockspec.name }
   | Lock_release_all of { txn : int }
   | Deadlock_victim of { txn : int }
   | Log_open of { log : int; flushed : int }
@@ -57,8 +77,8 @@ type payload =
           rule R8(b) requires per-page gsn-monotone application *)
   | Daemon_spawn of { name : string }
   | Daemon_exit of { name : string }
-  | Restart_phase of { phase : string }
-  | Protocol_locks of { op : string; reqs : string }
+  | Restart_phase of { phase : restart_phase }
+  | Protocol_locks of { op : string; reqs : Lockspec.req list }
   | Io_retry of { target : string; pid : int; attempt : int }
       (** a transient I/O error was retried ([target] is "page-read",
           "page-write" or "log-force"; [pid] is 0 for log forces) *)
@@ -82,7 +102,7 @@ type payload =
   | Restart_loser of { txn : int }
       (** instant restart: Analysis identified this txn as a loser whose
           undo is deferred to the background / lock-conflict preemption *)
-  | Restart_lock of { txn : int; name : string; mode : string }
+  | Restart_lock of { txn : int; name : Lockspec.name; mode : Lockspec.mode }
       (** a loser lock was re-acquired on the loser's behalf during
           Analysis — rule R7(b) forbids granting this name to any other
           txn before the loser's undo completes *)
@@ -123,8 +143,10 @@ type payload =
       (** restart resolved an in-doubt participant branch; a committed
           resolution requires a durable decision ([committed = false] is
           always legal: presumed abort) *)
-  | Shard_event of { shard : int; what : string }
-      (** shard lifecycle: "down" / "up" / "killed" / "revived" / "parked" *)
+  | Shard_event of { shard : int; what : shard_event }
+  | Global_victim of { gid : int; shard : int; txn : int }
+      (** the cross-shard detector aborted waiter [txn] on [shard] to break
+          a global waits-for cycle; [gid] is its graph node *)
   | Note of string
 
 type event = { ev_step : int; ev_fiber : int; ev_payload : payload }
@@ -230,6 +252,21 @@ let latch_kind_to_string = function Page_latch -> "page" | Tree_latch -> "tree"
 
 let latch_mode_to_string = function S -> "S" | X -> "X"
 
+let restart_phase_to_string = function
+  | Analysis -> "analysis"
+  | Reacquire_locks -> "reacquire-locks"
+  | Redo -> "redo"
+  | Undo -> "undo"
+  | Open -> "open"
+  | Checkpoint -> "checkpoint"
+  | Done -> "done"
+
+let shard_event_to_string = function
+  | Killed -> "killed"
+  | Revived -> "revived"
+  | Parked { gid } -> Printf.sprintf "parked G%d" gid
+  | Indoubt_waiting { gid; coord } -> Printf.sprintf "indoubt G%d waits on coordinator %d" gid coord
+
 let payload_to_string = function
   | Run_begin { run } -> Printf.sprintf "run-begin #%d" run
   | Latch_acquire { kind; name; mode; cond; waited } ->
@@ -243,14 +280,21 @@ let payload_to_string = function
   | Latch_release { kind; name } ->
       Printf.sprintf "latch-release %s %s" (latch_kind_to_string kind) name
   | Lock_request { txn; name; mode; duration; cond } ->
-      Printf.sprintf "lock-request T%d %s %s %s%s" txn mode duration name
+      Printf.sprintf "lock-request T%d %s %s %s%s" txn (Lockspec.mode_to_string mode)
+        (Lockspec.duration_to_string duration) (Lockspec.name_to_string name)
         (if cond then " cond" else "")
   | Lock_grant { txn; name; mode; duration; waited } ->
-      Printf.sprintf "lock-grant T%d %s %s %s%s" txn mode duration name
+      Printf.sprintf "lock-grant T%d %s %s %s%s" txn (Lockspec.mode_to_string mode)
+        (Lockspec.duration_to_string duration) (Lockspec.name_to_string name)
         (if waited then " waited" else "")
-  | Lock_deny { txn; name; mode } -> Printf.sprintf "lock-deny T%d %s %s" txn mode name
-  | Lock_wait { txn; name; mode } -> Printf.sprintf "lock-wait T%d %s %s" txn mode name
-  | Lock_release { txn; name } -> Printf.sprintf "lock-release T%d %s" txn name
+  | Lock_deny { txn; name; mode } ->
+      Printf.sprintf "lock-deny T%d %s %s" txn (Lockspec.mode_to_string mode)
+        (Lockspec.name_to_string name)
+  | Lock_wait { txn; name; mode } ->
+      Printf.sprintf "lock-wait T%d %s %s" txn (Lockspec.mode_to_string mode)
+        (Lockspec.name_to_string name)
+  | Lock_release { txn; name } ->
+      Printf.sprintf "lock-release T%d %s" txn (Lockspec.name_to_string name)
   | Lock_release_all { txn } -> Printf.sprintf "lock-release-all T%d" txn
   | Deadlock_victim { txn } -> Printf.sprintf "deadlock-victim T%d" txn
   | Log_open { log; flushed } -> Printf.sprintf "log-open L%d flushed=%d" log flushed
@@ -288,8 +332,10 @@ let payload_to_string = function
       Printf.sprintf "redo-apply L%d pid=%d lsn=%d gsn=%d" log pid lsn gsn
   | Daemon_spawn { name } -> Printf.sprintf "daemon-spawn %s" name
   | Daemon_exit { name } -> Printf.sprintf "daemon-exit %s" name
-  | Restart_phase { phase } -> Printf.sprintf "restart-phase %s" phase
-  | Protocol_locks { op; reqs } -> Printf.sprintf "protocol-locks %s [%s]" op reqs
+  | Restart_phase { phase } -> Printf.sprintf "restart-phase %s" (restart_phase_to_string phase)
+  | Protocol_locks { op; reqs } ->
+      Printf.sprintf "protocol-locks %s [%s]" op
+        (String.concat "; " (List.map Lockspec.req_to_string reqs))
   | Io_retry { target; pid; attempt } ->
       Printf.sprintf "io-retry %s pid=%d attempt=%d" target pid attempt
   | Page_quarantined { pid; cause } -> Printf.sprintf "page-quarantined %d (%s)" pid cause
@@ -301,7 +347,9 @@ let payload_to_string = function
   | Restart_page_done { pool; pid; applied } ->
       Printf.sprintf "restart-page-done B%d/%d applied=%d" pool pid applied
   | Restart_loser { txn } -> Printf.sprintf "restart-loser T%d" txn
-  | Restart_lock { txn; name; mode } -> Printf.sprintf "restart-lock T%d %s %s" txn mode name
+  | Restart_lock { txn; name; mode } ->
+      Printf.sprintf "restart-lock T%d %s %s" txn (Lockspec.mode_to_string mode)
+        (Lockspec.name_to_string name)
   | Restart_undo_txn { txn; preempted } ->
       Printf.sprintf "restart-undo-txn T%d%s" txn (if preempted then " preempted" else "")
   | Restart_loser_done { txn } -> Printf.sprintf "restart-loser-done T%d" txn
@@ -327,7 +375,10 @@ let payload_to_string = function
   | Twopc_resolve { gid; shard; txn; committed } ->
       Printf.sprintf "2pc-resolve G%d shard=%d T%d %s" gid shard txn
         (if committed then "committed" else "aborted")
-  | Shard_event { shard; what } -> Printf.sprintf "shard %d %s" shard what
+  | Shard_event { shard; what } -> Printf.sprintf "shard %d %s" shard (shard_event_to_string what)
+  (* the line keeps the note format that reproducer dumps already use *)
+  | Global_victim { gid; shard; txn } ->
+      Printf.sprintf "note global deadlock victim G%d (shard %d txn %d)" gid shard txn
   | Note s -> Printf.sprintf "note %s" s
 
 let event_to_string ev =

@@ -12,6 +12,17 @@
     paper-figure experiments (E1-E11) and the sim's reproducer dumps all
     read this ring, and no layer keeps a private event hook beside it.
 
+    Payloads are typed. A lock event carries the engine's own
+    {!Aries_util.Lockspec} name, mode and duration; a latch event the
+    latch kind and mode that {!Aries_sched.Latch} itself uses (its types
+    are equations of {!latch_kind} and {!latch_mode}); restart phases and
+    shard lifecycle events are constructors. No emit site renders a
+    string: the checker and the figure checks match on values, and text
+    is made only when a dump is printed ({!payload_to_string}, the one
+    renderer). The free-text fields left are literals that cost nothing
+    to emit: latch and daemon names, the protocol operation, the
+    [Log_append] record kind, the I/O retry target and a quarantine cause.
+
     Emit sites are behind {!enabled}; with the tracer {!Off} they compile to
     a single flag test, with {!Record} events land in the ring, and with
     {!Check} (the default — [dune runtest] runs the whole suite this way)
@@ -23,9 +34,30 @@
     machine at a time. Override the default mode with the [ARIES_TRACE]
     environment variable ([off] / [record] / [check]). *)
 
+open Aries_util
+
 type latch_kind = Page_latch | Tree_latch
 
 type latch_mode = S | X
+
+type restart_phase =
+  | Analysis
+  | Reacquire_locks  (** in-doubt and loser locks are taken again *)
+  | Redo
+  | Undo
+  | Open  (** instant restart opened the Db; redo and undo run on demand *)
+  | Checkpoint  (** the end-of-restart checkpoint *)
+  | Done
+
+type shard_event =
+  | Killed  (** fail-stopped by [Sharddb.kill] *)
+  | Revived  (** restarted by [Sharddb.revive] *)
+  | Parked of { gid : int }
+      (** a phase-2 delivery of [gid] ran out of retries against this
+          down shard and waits for its revival *)
+  | Indoubt_waiting of { gid : int; coord : int }
+      (** this shard's in-doubt branch of [gid] stays unresolved, locks
+          held, because coordinator shard [coord] is down *)
 
 type payload =
   | Run_begin of { run : int }
@@ -40,15 +72,34 @@ type payload =
     }
   | Latch_try_fail of { kind : latch_kind; name : string; mode : latch_mode }
   | Latch_release of { kind : latch_kind; name : string }
-  | Lock_request of { txn : int; name : string; mode : string; duration : string; cond : bool }
-  | Lock_grant of { txn : int; name : string; mode : string; duration : string; waited : bool }
-  | Lock_deny of { txn : int; name : string; mode : string }
-  | Lock_wait of { txn : int; name : string; mode : string }
-  | Lock_release of { txn : int; name : string }
+  | Lock_request of {
+      txn : int;
+      name : Lockspec.name;
+      mode : Lockspec.mode;
+      duration : Lockspec.duration;
+      cond : bool;
+    }
+      (** a lock request as the lock manager received it — the lock name,
+          mode and duration are the {!Aries_util.Lockspec} values, never
+          renderings *)
+  | Lock_grant of {
+      txn : int;
+      name : Lockspec.name;
+      mode : Lockspec.mode;
+      duration : Lockspec.duration;
+      waited : bool;
+    }
+  | Lock_deny of { txn : int; name : Lockspec.name; mode : Lockspec.mode }
+  | Lock_wait of { txn : int; name : Lockspec.name; mode : Lockspec.mode }
+      (** an unconditional request is about to suspend — the event rule R1
+          fires on *)
+  | Lock_release of { txn : int; name : Lockspec.name }
   | Lock_release_all of { txn : int }
   | Deadlock_victim of { txn : int }
   | Log_open of { log : int; flushed : int }
   | Log_append of { log : int; lsn : int; next : int; kind : string; txn : int }
+      (** [kind] is the record kind's name, a literal from
+          [Logrec.kind_to_string] ([Logrec] sits above this library) *)
   | Log_force of { log : int; upto : int; stable_lsn : int }
   | Log_seal of { log : int; base : int; len : int }
       (** a WAL segment reached its size budget and was sealed; subsequent
@@ -90,8 +141,12 @@ type payload =
           rule R8(b) requires per-page gsn-monotone application *)
   | Daemon_spawn of { name : string }
   | Daemon_exit of { name : string }
-  | Restart_phase of { phase : string }
-  | Protocol_locks of { op : string; reqs : string }
+  | Restart_phase of { phase : restart_phase }
+  | Protocol_locks of { op : string; reqs : Lockspec.req list }
+      (** the lock requests the locking protocol computed for an index
+          operation ([op] is "fetch", "insert" or "delete"), so a dump
+          shows the intended request set next to the lock manager's
+          traffic *)
   | Io_retry of { target : string; pid : int; attempt : int }
       (** a transient I/O error is being retried with bounded backoff;
           [target] is ["page-read"], ["page-write"] or ["log-force"]
@@ -115,7 +170,7 @@ type payload =
   | Restart_loser of { txn : int }
       (** instant restart: Analysis identified this loser; its undo is
           deferred to the drain daemon / lock-conflict preemption *)
-  | Restart_lock of { txn : int; name : string; mode : string }
+  | Restart_lock of { txn : int; name : Lockspec.name; mode : Lockspec.mode }
       (** a loser lock was re-acquired on the loser's behalf during
           Analysis — rule R7(b) forbids granting this name to another txn
           before the loser's undo completes *)
@@ -162,9 +217,15 @@ type payload =
       (** restart resolved an in-doubt participant branch of [gid]; rule
           R10(b) requires a durable commit decision for [committed = true]
           ([false] is always legal: absence of a decision presumes abort) *)
-  | Shard_event of { shard : int; what : string }
-      (** shard lifecycle: "down" / "up" / "killed" / "revived" / "parked" *)
+  | Shard_event of { shard : int; what : shard_event }
+  | Global_victim of { gid : int; shard : int; txn : int }
+      (** the cross-shard deadlock detector aborted waiter [txn] on [shard]
+          to break a waits-for cycle no single lock table can see; [gid] is
+          the waiter's node in the global graph (negative for a local,
+          non-2PC transaction) *)
   | Note of string
+      (** free text, for tests and ad-hoc instrumentation; no engine site
+          emits one *)
 
 type event = { ev_step : int; ev_fiber : int; ev_payload : payload }
 
@@ -215,6 +276,7 @@ val last_events : int -> event list
 val event_to_string : event -> string
 
 val payload_to_string : payload -> string
+(** The one renderer: every string a dump shows is made here. *)
 
 val dump_last : int -> string list
 (** The last [n] retained events, rendered — the SIM-REPRO artifact dumped

@@ -141,16 +141,16 @@ let e2 () =
   [
     check "fetch locks the found key's record, S commit"
       (match fetched with
-      | [ (name, "S", "commit") ] -> String.starts_with ~prefix:"rid:" name
+      | [ (Lockmgr.Rid _, Lockmgr.S, Lockmgr.Commit) ] -> true
       | _ -> false);
     check "insert next-key lock = next record, X instant"
-      (inserted = [ ("rid:900.6", "X", "instant") ]);
+      (inserted = [ (Lockmgr.Rid (rid 6), Lockmgr.X, Lockmgr.Instant) ]);
     check "delete next-key lock = next record, X commit"
-      (deleted = [ ("rid:900.11", "X", "commit") ]);
+      (deleted = [ (Lockmgr.Rid (rid 11), Lockmgr.X, Lockmgr.Commit) ]);
     check "index-specific insert: X instant + X commit"
-      (modes is_inserted = [ ("X", "instant"); ("X", "commit") ]);
+      (modes is_inserted = [ (Lockmgr.X, Lockmgr.Instant); (Lockmgr.X, Lockmgr.Commit) ]);
     check "index-specific delete: X commit + X instant"
-      (modes is_deleted = [ ("X", "commit"); ("X", "instant") ]);
+      (modes is_deleted = [ (Lockmgr.X, Lockmgr.Commit); (Lockmgr.X, Lockmgr.Instant) ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -299,10 +299,12 @@ let e5 () =
   in
   (* the S commit request is first denied, then made unconditionally *)
   let rec dance = function
-    | Trace.Lock_deny { mode = "S"; _ } :: rest ->
+    | Trace.Lock_deny { mode = Lockmgr.S; _ } :: rest ->
         List.exists
           (function
-            | Trace.Lock_request { mode = "S"; duration = "commit"; cond = false; _ } -> true
+            | Trace.Lock_request
+                { mode = Lockmgr.S; duration = Lockmgr.Commit; cond = false; _ } ->
+                true
             | _ -> false)
           rest
     | _ :: rest -> dance rest
@@ -339,7 +341,6 @@ let e6 () =
         Db.run_exn db (fun () ->
             Db.with_txn db (fun txn -> Btree.insert tree txn ~value:target ~rid:(rid 88))))
   in
-  let expect_name = Lockmgr.name_to_string (Lockmgr.Rid next_rid) in
   [
     check "several leaves" several;
     check "next leaf latched during next-key search"
@@ -352,8 +353,8 @@ let e6 () =
     check "instant X on next leaf's first key"
       (List.exists
          (function
-           | Trace.Lock_request { name; mode = "X"; duration = "instant"; _ } ->
-               String.equal name expect_name
+           | Trace.Lock_request { name; mode = Lockmgr.X; duration = Lockmgr.Instant; _ } ->
+               name = Lockmgr.Rid next_rid
            | _ -> false)
          evs);
   ]

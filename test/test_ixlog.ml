@@ -155,45 +155,55 @@ let qcheck_codec =
 
 (* ---------- the Figure-2 protocol tables as pure functions ---------- *)
 
-let req_sig (r : Protocol.lock_req) =
-  (Lockmgr.mode_to_string r.Protocol.lk_mode, Lockmgr.duration_to_string r.Protocol.lk_duration)
+let req_sig (r : Protocol.lock_req) = (r.Protocol.lk_mode, r.Protocol.lk_duration)
+
+let sigs =
+  Alcotest.(
+    list
+      (testable
+         (fun ppf (m, d) ->
+           Fmt.pf ppf "%s %s" (Lockspec.mode_to_string m) (Lockspec.duration_to_string d))
+         ( = )))
 
 let test_figure2_tables () =
+  let open Lockmgr in
   let key = k "v" 1 1 in
   let next = Protocol.At (k "w" 1 2) in
   (* data-only *)
-  Alcotest.(check (list (pair string string))) "DO insert" [ ("X", "instant") ]
+  Alcotest.check sigs "DO insert" [ (X, Instant) ]
     (List.map req_sig (Protocol.insert_locks Protocol.Data_only 1 ~unique:true ~key ~next ~value_exists:false));
-  Alcotest.(check (list (pair string string))) "DO delete" [ ("X", "commit") ]
+  Alcotest.check sigs "DO delete" [ (X, Commit) ]
     (List.map req_sig (Protocol.delete_locks Protocol.Data_only 1 ~unique:true ~key ~next ~value_remains:false));
-  Alcotest.(check (list (pair string string))) "DO fetch" [ ("S", "commit") ]
+  Alcotest.check sigs "DO fetch" [ (S, Commit) ]
     (List.map req_sig (Protocol.fetch_locks Protocol.Data_only 1 ~current:(Protocol.At key)));
   (* index-specific: adds the current-key column of Figure 2 *)
-  Alcotest.(check (list (pair string string))) "IS insert" [ ("X", "instant"); ("X", "commit") ]
+  Alcotest.check sigs "IS insert" [ (X, Instant); (X, Commit) ]
     (List.map req_sig
        (Protocol.insert_locks Protocol.Index_specific 1 ~unique:true ~key ~next ~value_exists:false));
-  Alcotest.(check (list (pair string string))) "IS delete" [ ("X", "commit"); ("X", "instant") ]
+  Alcotest.check sigs "IS delete" [ (X, Commit); (X, Instant) ]
     (List.map req_sig
        (Protocol.delete_locks Protocol.Index_specific 1 ~unique:true ~key ~next ~value_remains:false));
   (* KVL nonunique duplicate insert degenerates to IX on the value *)
-  Alcotest.(check (list (pair string string))) "KVL dup insert" [ ("IX", "commit") ]
+  Alcotest.check sigs "KVL dup insert" [ (IX, Commit) ]
     (List.map req_sig
        (Protocol.insert_locks Protocol.Kvl 1 ~unique:false ~key ~next ~value_exists:true));
   (* System R: commit duration everywhere *)
-  Alcotest.(check (list (pair string string))) "SysR insert" [ ("X", "commit"); ("X", "commit") ]
+  Alcotest.check sigs "SysR insert" [ (X, Commit); (X, Commit) ]
     (List.map req_sig
        (Protocol.insert_locks Protocol.System_r 1 ~unique:true ~key ~next ~value_exists:false))
 
 let test_lock_names_by_protocol () =
   let key = k "val" 3 7 in
-  Alcotest.(check string) "data-only name = RID" "rid:3.7"
-    (Lockmgr.name_to_string (Protocol.key_name Protocol.Data_only 5 key));
+  Alcotest.(check bool) "data-only name = RID" true
+    (Protocol.key_name Protocol.Data_only 5 key = Lockmgr.Rid { Ids.rid_page = 3; rid_slot = 7 });
   Alcotest.(check bool) "index-specific name carries value AND rid" true
-    (let n = Lockmgr.name_to_string (Protocol.key_name Protocol.Index_specific 5 key) in
-     String.length n > 8);
-  Alcotest.(check string) "KVL name = value only" "kv:5:\"val\""
-    (Lockmgr.name_to_string (Protocol.key_name Protocol.Kvl 5 key));
-  Alcotest.(check string) "EOF name" "eof:5" (Lockmgr.name_to_string (Protocol.target_name Protocol.Kvl 5 Protocol.Eof))
+    (match Protocol.key_name Protocol.Index_specific 5 key with
+    | Lockmgr.Key_value (5, s) -> String.equal s "val\x003.7"
+    | _ -> false);
+  Alcotest.(check bool) "KVL name = value only" true
+    (Protocol.key_name Protocol.Kvl 5 key = Lockmgr.Key_value (5, "val"));
+  Alcotest.(check bool) "EOF name" true
+    (Protocol.target_name Protocol.Kvl 5 Protocol.Eof = Lockmgr.Eof 5)
 
 let () =
   Alcotest.run "ixlog"

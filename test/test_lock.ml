@@ -27,7 +27,7 @@ let test_compat_matrix () =
       List.iter
         (fun b ->
           Alcotest.(check bool)
-            (Printf.sprintf "compat %s %s" (L.mode_to_string a) (L.mode_to_string b))
+            (Printf.sprintf "compat %s %s" (Lockspec.mode_to_string a) (Lockspec.mode_to_string b))
             (expected a b) (L.compatible a b))
         modes)
     modes
@@ -306,6 +306,52 @@ let test_table_forgets_released_names () =
   Alcotest.(check int) "nothing held" 0 (L.total_held t);
   Alcotest.(check int) "no name left in the table" 0 (L.table_size t)
 
+(* What the tracer costs a lock request: the minor-heap words one traced
+   request adds (a key-value name, uncontended: request, grant and manual
+   release), [Record] mode minus [Off] mode. [Gc.minor_words ()] counts
+   every allocated word, so the figure is exact and the same on a loaded
+   host; it is gated at the value measured when the gate was set (OCaml
+   5.1.1). The trace payloads carry the lock name, mode and duration as
+   values, so the only words are the three payloads and their event
+   records; rendering a name into the event would cost far more. *)
+let traced_request_words = 27.0
+
+let test_traced_request_allocation () =
+  let module Trace = Aries_trace.Trace in
+  let name = L.Key_value (3, "key00042") in
+  let words_per_request mode =
+    Trace.set_mode mode;
+    let t = L.create () in
+    let request () =
+      ignore (L.lock t ~txn:1 name L.X L.Manual);
+      L.release t ~txn:1 name
+    in
+    for _ = 1 to 10 do
+      request ()
+    done;
+    let rounds = 1000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to rounds do
+      request ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int rounds
+  in
+  let saved = Trace.mode () in
+  let off, record =
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.set_mode saved;
+        Trace.reset ())
+      (fun () ->
+        let off = words_per_request Trace.Off in
+        (off, words_per_request Trace.Record))
+  in
+  let traced = record -. off in
+  Alcotest.(check bool)
+    (Printf.sprintf "a traced request allocates %.2f words <= %.2f" traced traced_request_words)
+    true
+    (traced <= traced_request_words)
+
 let () =
   Alcotest.run "lock"
     [
@@ -335,5 +381,9 @@ let () =
           Alcotest.test_case "waiting victim aborted" `Quick test_deadlock_victim_aborted_while_waiting;
           Alcotest.test_case "3-cycle" `Quick test_three_cycle;
           Alcotest.test_case "no-victim exempt" `Quick test_no_victim_exempt;
+        ] );
+      ( "trace",
+        [
+          Alcotest.test_case "traced request allocation" `Quick test_traced_request_allocation;
         ] );
     ]

@@ -1,8 +1,9 @@
 (* Sharded Db + presumed-abort 2PC: the Twopc wire codecs (round-trip and
    truncation rejection, 1000 seeded cases each), rule R10 end-to-end via
    the 2pc.early-decide meta-fault, presumed-abort in-doubt resolution
-   after a crash, the coordinator decision scan, and the cluster-wide
-   in-doubt leak audit. *)
+   after a crash, the coordinator decision scan, the cluster-wide
+   in-doubt leak audit, and the global deadlock detector breaking a
+   cycle that spans two shards. *)
 
 open Aries_util
 module Twopc = Aries_shard.Twopc
@@ -11,6 +12,7 @@ module Sched = Aries_sched.Sched
 module Trace = Aries_trace.Trace
 module Discipline = Aries_trace.Discipline
 module Txnmgr = Aries_txn.Txnmgr
+module Lockmgr = Aries_lock.Lockmgr
 
 (* ------------------------------------------------------------------ *)
 (* Codec round-trips *)
@@ -214,6 +216,84 @@ let test_early_decide_caught () =
       Alcotest.(check bool) "violation counted" true (Discipline.violations () >= 1);
       Sharddb.close t)
 
+(* The global deadlock detector, end to end. G1 locks a key on shard 0,
+   then G2 locks a key on shard 1, then each requests the other's key.
+   Each lock table holds one waiter and no cycle, so only the service
+   daemon's union of the per-shard waits-for slices sees the deadlock. It
+   must abort exactly one waiter, the youngest (G2, the larger gid); G1
+   is then granted and commits. *)
+let test_global_deadlock_victim () =
+  let t = mk () in
+  run_ok t (fun () -> Sharddb.setup t);
+  let on k =
+    let rec hunt i =
+      let value = Printf.sprintf "dl-%03d" i in
+      if Sharddb.shard_of t value = k then value else hunt (i + 1)
+    in
+    hunt 0
+  in
+  let lock g (shard, value) =
+    Txnmgr.lock (Sharddb.db t shard).Aries_db.Db.mgr (Sharddb.local t g shard)
+      (Lockmgr.Key_value (0, value)) Lockmgr.X Lockmgr.Commit
+  in
+  let outcomes = ref [] in
+  let gids = ref (0, 0) in
+  let stats = Stats.create () in
+  let saved = Trace.mode () in
+  Trace.set_mode Trace.Check;
+  Trace.reset ();
+  Discipline.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_mode saved;
+      Trace.reset ();
+      Discipline.reset ())
+    (fun () ->
+      Stats.with_sink stats (fun () ->
+          run_ok t (fun () ->
+              let g1 = Sharddb.begin_gtxn t in
+              let g2 = Sharddb.begin_gtxn t in
+              gids := (Sharddb.gid g1, Sharddb.gid g2);
+              let first_locks = ref 0 in
+              let cross g ~mine ~theirs =
+                lock g mine;
+                incr first_locks;
+                while !first_locks < 2 do
+                  Sched.yield ()
+                done;
+                let outcome =
+                  match lock g theirs with
+                  | () ->
+                      Sharddb.commit t g;
+                      "committed"
+                  | exception Txnmgr.Aborted _ ->
+                      Sharddb.abort t g;
+                      "aborted"
+                in
+                outcomes := (Sharddb.gid g, outcome) :: !outcomes
+              in
+              let on0 = (0, on 0) and on1 = (1, on 1) in
+              ignore (Sched.spawn ~name:"G1" (fun () -> cross g1 ~mine:on0 ~theirs:on1));
+              ignore (Sched.spawn ~name:"G2" (fun () -> cross g2 ~mine:on1 ~theirs:on0))));
+      let gid1, gid2 = !gids in
+      Alcotest.(check bool) "G1 is the older gid" true (gid1 < gid2);
+      Alcotest.(check (list (pair int string)))
+        "the larger gid is the one victim; the other commits"
+        [ (gid1, "committed"); (gid2, "aborted") ]
+        (List.sort compare !outcomes);
+      Alcotest.(check int) "one global victim" 1 (Stats.get stats Stats.deadlock_global_victims);
+      Alcotest.(check int) "no local lock table saw a cycle" 0
+        (Stats.get stats Stats.lock_deadlocks);
+      Alcotest.(check (list int)) "the trace names the victim" [ gid2 ]
+        (List.filter_map
+           (fun e ->
+             match e.Trace.ev_payload with
+             | Trace.Global_victim { gid; _ } -> Some gid
+             | _ -> None)
+           (Trace.events ()));
+      Alcotest.(check (list string)) "no leaks" [] (Sharddb.leak_report t);
+      Sharddb.close t)
+
 let () =
   Alcotest.run "shard"
     [
@@ -234,5 +314,10 @@ let () =
           Alcotest.test_case "cross-shard commit + decision scan" `Quick test_cross_shard_commit;
           Alcotest.test_case "presumed abort after crash" `Quick test_presumed_abort_after_crash;
           Alcotest.test_case "early-decide fault caught by R10" `Quick test_early_decide_caught;
+        ] );
+      ( "deadlock",
+        [
+          Alcotest.test_case "two-shard cycle broken by the global detector" `Quick
+            test_global_deadlock_victim;
         ] );
     ]

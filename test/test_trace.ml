@@ -117,6 +117,192 @@ let test_record_does_not_check () =
       Alcotest.(check int) "violation counted" 1 (Discipline.violations ()))
 
 (* ------------------------------------------------------------------ *)
+(* The dump format: one event of every payload constructor (and every
+   lock name kind, mode and duration, restart phase and shard event),
+   rendered through [event_to_string]. The sim reproducer dumps and the
+   README examples use these lines, so the rendering is pinned byte for
+   byte. *)
+
+let golden_events =
+  [
+    (Trace.Run_begin { run = 2 }, "run-begin #2");
+    ( Trace.Latch_acquire
+        { kind = Trace.Page_latch; name = "p17"; mode = Trace.S; cond = true; waited = false },
+      "latch-acquire page p17 S cond" );
+    ( Trace.Latch_acquire
+        { kind = Trace.Tree_latch; name = "tree3"; mode = Trace.X; cond = false; waited = true },
+      "latch-acquire tree tree3 X waited" );
+    ( Trace.Latch_try_fail { kind = Trace.Page_latch; name = "p4"; mode = Trace.X },
+      "latch-try-fail page p4 X" );
+    (Trace.Latch_release { kind = Trace.Tree_latch; name = "tree3" }, "latch-release tree tree3");
+    ( Trace.Lock_request
+        {
+          txn = 3;
+          name = Lockmgr.Key_value (7, "a\"b");
+          mode = Lockmgr.S;
+          duration = Lockmgr.Commit;
+          cond = true;
+        },
+      "lock-request T3 S commit kv:7:\"a\\\"b\" cond" );
+    ( Trace.Lock_request
+        {
+          txn = 4;
+          name = Lockmgr.Rid { Ids.rid_page = 12; rid_slot = 5 };
+          mode = Lockmgr.IX;
+          duration = Lockmgr.Manual;
+          cond = false;
+        },
+      "lock-request T4 IX manual rid:12.5" );
+    ( Trace.Lock_grant
+        {
+          txn = 3;
+          name = Lockmgr.Eof 7;
+          mode = Lockmgr.X;
+          duration = Lockmgr.Instant;
+          waited = true;
+        },
+      "lock-grant T3 X instant eof:7 waited" );
+    ( Trace.Lock_grant
+        {
+          txn = 5;
+          name = Lockmgr.Table 2;
+          mode = Lockmgr.SIX;
+          duration = Lockmgr.Commit;
+          waited = false;
+        },
+      "lock-grant T5 SIX commit table:2" );
+    ( Trace.Lock_deny { txn = 6; name = Lockmgr.Page_lock 40; mode = Lockmgr.IS },
+      "lock-deny T6 IS page:40" );
+    ( Trace.Lock_wait { txn = 7; name = Lockmgr.Tree_lock 9; mode = Lockmgr.X },
+      "lock-wait T7 X tree:9" );
+    ( Trace.Lock_release { txn = 8; name = Lockmgr.Rid { Ids.rid_page = 1; rid_slot = 2 } },
+      "lock-release T8 rid:1.2" );
+    (Trace.Lock_release_all { txn = 8 }, "lock-release-all T8");
+    (Trace.Deadlock_victim { txn = 9 }, "deadlock-victim T9");
+    (Trace.Log_open { log = 1; flushed = 64 }, "log-open L1 flushed=64");
+    ( Trace.Log_append { log = 1; lsn = 64; next = 96; kind = "update"; txn = 3 },
+      "log-append L1 lsn=64 next=96 update T3" );
+    (Trace.Log_force { log = 1; upto = 96; stable_lsn = 64 }, "log-force L1 upto=96 stable=64");
+    (Trace.Log_seal { log = 1; base = 0; len = 4096 }, "log-seal L1 base=0 len=4096");
+    (Trace.Log_safety { log = 1; safety = 2048 }, "log-safety L1 safety=2048");
+    ( Trace.Log_truncate { log = 1; new_start = 4096; bytes = 4000; segments = 1 },
+      "log-truncate L1 start=4096 bytes=4000 segments=1" );
+    ( Trace.Log_tail_truncated { log = 1; at = 500; bytes = 12 },
+      "log-tail-truncated L1 at=500 bytes=12" );
+    ( Trace.Log_archive { log = 1; base = 0; len = 4096; records = 30 },
+      "log-archive L1 base=0 len=4096 records=30" );
+    ( Trace.Ckpt_take { log = 1; begin_lsn = 10; end_lsn = 50; redo = 5 },
+      "ckpt-take L1 begin=10 end=50 redo=5" );
+    (Trace.Page_fix { pool = 2; pid = 17 }, "page-fix B2/17");
+    (Trace.Page_unfix { pid = 17 }, "page-unfix 17");
+    ( Trace.Page_write { log = 1; pid = 17; page_lsn = 64; lsn_end = 96; rec_lsn = 32 },
+      "page-write L1 pid=17 pageLSN=64 end=96 recLSN=32" );
+    (Trace.Smo_begin { tree = 3; txn = 4; exclusive = false }, "smo-begin tree=3 T4 IX");
+    (Trace.Smo_begin { tree = 3; txn = 4; exclusive = true }, "smo-begin tree=3 T4 X");
+    (Trace.Smo_upgrade { tree = 3; txn = 4 }, "smo-upgrade tree=3 T4");
+    (Trace.Smo_end { tree = 3; txn = 4 }, "smo-end tree=3 T4");
+    (Trace.Commit_enqueue { txn = 4; lsn = 128 }, "commit-enqueue T4 lsn=128");
+    ( Trace.Commit_ack { log = 1; txn = 4; lsn = 128; lsn_end = 160 },
+      "commit-ack L1 T4 lsn=128 end=160" );
+    ( Trace.Commit_fence { txn = 4; epoch = 2; targets = [ (1, 160); (2, 80) ] },
+      "commit-fence T4 epoch=2 [L1<=160; L2<=80]" );
+    ( Trace.Redo_apply { log = 1; pid = 17; lsn = 64; gsn = 9 },
+      "redo-apply L1 pid=17 lsn=64 gsn=9" );
+    (Trace.Daemon_spawn { name = "cleaner" }, "daemon-spawn cleaner");
+    (Trace.Daemon_exit { name = "cleaner" }, "daemon-exit cleaner");
+    (Trace.Restart_phase { phase = Trace.Analysis }, "restart-phase analysis");
+    (Trace.Restart_phase { phase = Trace.Reacquire_locks }, "restart-phase reacquire-locks");
+    (Trace.Restart_phase { phase = Trace.Redo }, "restart-phase redo");
+    (Trace.Restart_phase { phase = Trace.Undo }, "restart-phase undo");
+    (Trace.Restart_phase { phase = Trace.Open }, "restart-phase open");
+    (Trace.Restart_phase { phase = Trace.Checkpoint }, "restart-phase checkpoint");
+    (Trace.Restart_phase { phase = Trace.Done }, "restart-phase done");
+    ( Trace.Protocol_locks
+        {
+          op = "insert";
+          reqs =
+            [
+              {
+                Protocol.lk_name = Lockmgr.Rid { Ids.rid_page = 1; rid_slot = 2 };
+                lk_mode = Lockmgr.X;
+                lk_duration = Lockmgr.Instant;
+              };
+              {
+                Protocol.lk_name = Lockmgr.Key_value (7, "v");
+                lk_mode = Lockmgr.X;
+                lk_duration = Lockmgr.Commit;
+              };
+            ];
+        },
+      "protocol-locks insert [X instant rid:1.2; X commit kv:7:\"v\"]" );
+    (Trace.Protocol_locks { op = "fetch"; reqs = [] }, "protocol-locks fetch []");
+    ( Trace.Io_retry { target = "page-read"; pid = 17; attempt = 2 },
+      "io-retry page-read pid=17 attempt=2" );
+    ( Trace.Page_quarantined { pid = 17; cause = "crc mismatch" },
+      "page-quarantined 17 (crc mismatch)" );
+    (Trace.Page_repaired { pid = 17; records = 4 }, "page-repaired 17 records=4");
+    (Trace.Restart_dpt { pool = 2; pid = 17; rec_lsn = 32 }, "restart-dpt B2/17 recLSN=32");
+    ( Trace.Restart_redo_page { pool = 2; pid = 17; on_demand = true },
+      "restart-redo-page B2/17 on-demand" );
+    ( Trace.Restart_redo_page { pool = 2; pid = 18; on_demand = false },
+      "restart-redo-page B2/18" );
+    ( Trace.Restart_page_done { pool = 2; pid = 17; applied = 3 },
+      "restart-page-done B2/17 applied=3" );
+    (Trace.Restart_loser { txn = 11 }, "restart-loser T11");
+    ( Trace.Restart_lock
+        { txn = 11; name = Lockmgr.Rid { Ids.rid_page = 3; rid_slot = 4 }; mode = Lockmgr.X },
+      "restart-lock T11 X rid:3.4" );
+    (Trace.Restart_undo_txn { txn = 11; preempted = true }, "restart-undo-txn T11 preempted");
+    (Trace.Restart_undo_txn { txn = 11; preempted = false }, "restart-undo-txn T11");
+    (Trace.Restart_loser_done { txn = 11 }, "restart-loser-done T11");
+    (Trace.Mvcc_pin { txn = 12; epoch = 1; gsn = 40 }, "mvcc-pin T12 csn=1.40");
+    (Trace.Mvcc_read_begin { txn = 12 }, "mvcc-read-begin T12");
+    ( Trace.Mvcc_read { txn = 12; epoch = 1; gsn = 38; visible = true },
+      "mvcc-read T12 csn=1.38 visible" );
+    ( Trace.Mvcc_read { txn = 12; epoch = 1; gsn = 41; visible = false },
+      "mvcc-read T12 csn=1.41 invisible" );
+    (Trace.Mvcc_read_end { txn = 12 }, "mvcc-read-end T12");
+    (Trace.Mvcc_unpin { txn = 12 }, "mvcc-unpin T12");
+    ( Trace.Vgc_round { reclaimed = 5; epoch = 1; gsn = 30 },
+      "vgc-round reclaimed=5 horizon=1.30" );
+    ( Trace.Twopc_prepared { gid = 1000001; shard = 1; txn = 3; targets = [ (4, 200); (5, 64) ] },
+      "2pc-prepared G1000001 shard=1 T3 targets=[4:200;5:64]" );
+    ( Trace.Twopc_decide { gid = 1000001; commit = true; log = 4; lsn_end = 240 },
+      "2pc-decide G1000001 commit log=4 end=240" );
+    ( Trace.Twopc_decide { gid = 1000002; commit = false; log = 4; lsn_end = 0 },
+      "2pc-decide G1000002 abort log=4 end=0" );
+    (Trace.Twopc_ack { gid = 1000001; committed = true }, "2pc-ack G1000001 committed");
+    (Trace.Twopc_ack { gid = 1000002; committed = false }, "2pc-ack G1000002 aborted");
+    ( Trace.Twopc_resolve { gid = 1000001; shard = 0; txn = 3; committed = true },
+      "2pc-resolve G1000001 shard=0 T3 committed" );
+    ( Trace.Twopc_resolve { gid = 1000002; shard = 1; txn = 6; committed = false },
+      "2pc-resolve G1000002 shard=1 T6 aborted" );
+    (Trace.Shard_event { shard = 1; what = Trace.Killed }, "shard 1 killed");
+    (Trace.Shard_event { shard = 1; what = Trace.Revived }, "shard 1 revived");
+    ( Trace.Shard_event { shard = 0; what = Trace.Parked { gid = 1000001 } },
+      "shard 0 parked G1000001" );
+    ( Trace.Shard_event { shard = 1; what = Trace.Indoubt_waiting { gid = 1000001; coord = 0 } },
+      "shard 1 indoubt G1000001 waits on coordinator 0" );
+    ( Trace.Global_victim { gid = 2000003; shard = 1; txn = 7 },
+      "note global deadlock victim G2000003 (shard 1 txn 7)" );
+    (Trace.Note "free text", "note free text");
+  ]
+
+let test_golden_rendering () =
+  List.iteri
+    (fun i (payload, want) ->
+      let ev = { Trace.ev_step = 1000 + i; ev_fiber = i mod 12; ev_payload = payload } in
+      Alcotest.(check string)
+        (Printf.sprintf "event %d" i)
+        (Printf.sprintf "step=%-6d fiber=%-3d %s" (1000 + i) (i mod 12) want)
+        (Trace.event_to_string ev))
+    golden_events;
+  Alcotest.(check string) "a negative stamp (no scheduler running)"
+    "step=-1     fiber=-1  lock-release-all T8"
+    (Trace.event_to_string
+       { Trace.ev_step = -1; ev_fiber = -1; ev_payload = Trace.Lock_release_all { txn = 8 } })
+
+(* ------------------------------------------------------------------ *)
 (* The checker, rule by rule, against hand-built event sequences *)
 
 let ev ?(fiber = 1) p = { Trace.ev_step = 0; ev_fiber = fiber; ev_payload = p }
@@ -135,16 +321,17 @@ let page_latch name =
   Trace.Latch_acquire { kind = Trace.Page_latch; name; mode = Trace.X; cond = false; waited = false }
 
 let test_rule_r1 () =
+  let k1 = Lockmgr.Key_value (1, "k1") in
   clean (fun () ->
       Discipline.check (ev (page_latch "p7"));
       Alcotest.(check int) "depth tracked" 1 (Discipline.latch_depth ~fiber:1);
       expect Discipline.R1 (fun () ->
-          Discipline.check (ev (Trace.Lock_wait { txn = 4; name = "k1"; mode = "X" })));
+          Discipline.check (ev (Trace.Lock_wait { txn = 4; name = k1; mode = Lockmgr.X })));
       (* a different fiber holding no latch may wait freely *)
-      Discipline.check (ev ~fiber:2 (Trace.Lock_wait { txn = 5; name = "k1"; mode = "X" }));
+      Discipline.check (ev ~fiber:2 (Trace.Lock_wait { txn = 5; name = k1; mode = Lockmgr.X }));
       (* after release, the same fiber may wait too *)
       Discipline.check (ev (Trace.Latch_release { kind = Trace.Page_latch; name = "p7" }));
-      Discipline.check (ev (Trace.Lock_wait { txn = 4; name = "k1"; mode = "X" })))
+      Discipline.check (ev (Trace.Lock_wait { txn = 4; name = k1; mode = Lockmgr.X })))
 
 let test_rule_r2_depth () =
   clean (fun () ->
@@ -495,11 +682,11 @@ let test_deadlock_victim_trace () =
            evs);
       (* replay the lock events: every retained grant must be matched by a
          release (or the holder's release-all) by end of run *)
-      let held : (int * string, unit) Hashtbl.t = Hashtbl.create 16 in
+      let held : (int * Lockmgr.name, unit) Hashtbl.t = Hashtbl.create 16 in
       List.iter
         (fun e ->
           match e.Trace.ev_payload with
-          | Trace.Lock_grant { txn; name; duration; _ } when duration <> "instant" ->
+          | Trace.Lock_grant { txn; name; duration; _ } when duration <> Lockmgr.Instant ->
               Hashtbl.replace held (txn, name) ()
           | Trace.Lock_release { txn; name } -> Hashtbl.remove held (txn, name)
           | Trace.Lock_release_all { txn } ->
@@ -510,7 +697,9 @@ let test_deadlock_victim_trace () =
           | _ -> ())
         evs;
       let leftovers =
-        Hashtbl.fold (fun (t, n) () acc -> Printf.sprintf "T%d:%s" t n :: acc) held []
+        Hashtbl.fold
+          (fun (t, n) () acc -> Printf.sprintf "T%d:%s" t (Lockspec.name_to_string n) :: acc)
+          held []
       in
       Alcotest.(check (list string)) "trace shows all grants released" [] leftovers;
       (* and the lock manager agrees *)
@@ -565,9 +754,9 @@ let test_crash_mid_restart () =
                | _ -> false)
              (Trace.events ()))
       in
-      Alcotest.(check int) "two analysis passes" 2 (phases "analysis");
-      Alcotest.(check bool) "undo reached at least once" true (phases "undo" >= 1);
-      Alcotest.(check int) "one completed recovery" 1 (phases "done"))
+      Alcotest.(check int) "two analysis passes" 2 (phases Trace.Analysis);
+      Alcotest.(check bool) "undo reached at least once" true (phases Trace.Undo >= 1);
+      Alcotest.(check int) "one completed recovery" 1 (phases Trace.Done))
 
 (* ------------------------------------------------------------------ *)
 (* Overhead budget: a full simulation run with the checker on must cost
@@ -612,6 +801,7 @@ let () =
         [
           Alcotest.test_case "ring buffer mechanics" `Quick test_ring_buffer;
           Alcotest.test_case "record mode does not check" `Quick test_record_does_not_check;
+          Alcotest.test_case "golden rendering of every payload" `Quick test_golden_rendering;
         ] );
       ( "rules",
         [
