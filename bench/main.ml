@@ -22,8 +22,10 @@
                                           # --faults, --instant, --streams, --streams --instant,
                                           # --mvcc, --shards, --shards --instant
      dune exec bench/main.exe -- sim replay <workload> <seed> <mode>  # re-run a SIM-REPRO line
+     dune exec bench/main.exe -- sim faults               # one "meta-fault <name>" line each
      ARIES_SIM_FAULT=wal.skip-flush dune exec bench/main.exe -- sim
                                           # demo: injected bug -> SIM-REPRO lines
+                                          # (an unknown name exits 2)
 
    See DESIGN.md section 3 for the experiment index and EXPERIMENTS.md for
    the paper-vs-measured record. *)
@@ -34,6 +36,7 @@ module Sweep = Aries_sim.Sweep
 module Sim = Aries_sim.Sim
 module Shardsim = Aries_sim.Shardsim
 module Wl = Aries_sim.Workload
+module Crashpoint = Aries_util.Crashpoint
 
 type harness = Db of Wl.cfg | Shards of Shardsim.cfg
 
@@ -197,11 +200,23 @@ let run_row row =
 
 let run_sim args =
   (match Sys.getenv_opt "ARIES_SIM_FAULT" with
-  | Some name when name <> "" ->
-      Aries_util.Crashpoint.enable_fault name;
-      Format.fprintf ppf "fault %S injected — the sweep should now fail loudly@." name
+  | Some name when name <> "" -> (
+      match Crashpoint.of_string name with
+      | Some f ->
+          Crashpoint.enable f;
+          Format.fprintf ppf "fault %S injected — the sweep should now fail loudly@." name
+      | None ->
+          Format.fprintf ppf "unknown ARIES_SIM_FAULT %S; meta-faults:@." name;
+          List.iter
+            (fun f -> Format.fprintf ppf "  %s@." (Crashpoint.to_string f))
+            Crashpoint.meta_faults;
+          exit 2)
   | _ -> ());
   match args with
+  | [ "faults" ] ->
+      List.iter
+        (fun f -> Format.fprintf ppf "meta-fault %s@." (Crashpoint.to_string f))
+        Crashpoint.meta_faults
   | [ "smoke"; "all" ] ->
       let clean = List.fold_left (fun clean row -> run_row row && clean) true smoke_rows in
       if not clean then exit 1;

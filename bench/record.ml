@@ -182,7 +182,6 @@ let pairs n f g =
 let on_off n f =
   let module Crashpoint = Aries_util.Crashpoint in
   pairs n f (fun () ->
-      Crashpoint.enable_fault Crashpoint.fault_crc_check_disabled;
-      Fun.protect
-        ~finally:(fun () -> Crashpoint.disable_fault Crashpoint.fault_crc_check_disabled)
+      Crashpoint.enable Crashpoint.Crc_check_disabled;
+      Fun.protect ~finally:(fun () -> Crashpoint.disable Crashpoint.Crc_check_disabled)
         f)

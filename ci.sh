@@ -9,6 +9,9 @@
 # multi-stream WAL, MVCC snapshot reads, sharded 2PC), each with the
 # reason it is in the gate. `sim smoke all` runs every row and fails if
 # any row failed; the full-budget sweep is `dune exec bench/main.exe -- sim`.
+# Then the matrix runs once per meta-fault (`sim faults` lists them), with
+# ARIES_SIM_FAULT arming it: each must make the matrix fail, and an
+# unknown fault name must be refused.
 # The benchmark smoke runs each end-to-end workload for one second: its
 # numbers are not gated here, but its own checks are (determinism across
 # rounds, consistency and leak audits after the crash/restart, and
@@ -37,6 +40,24 @@ dune runtest
 if [ "${1:-}" != "fast" ]; then
   echo "== sim smoke matrix =="
   dune exec bench/main.exe -- sim smoke all
+
+  echo "== meta-faults: each must fail the smoke matrix =="
+  # every meta-fault breaks one rule the checks must catch: the matrix has
+  # to exit exactly 1 (a failed row), not 0 (uncaught) or 2 (a crash or an
+  # unknown name), and a misspelt name must be refused with exit 2
+  faults=$(dune exec bench/main.exe -- sim faults | sed -n 's/^meta-fault //p')
+  [ -n "$faults" ] || { echo "ci.sh: sim faults listed no meta-fault"; exit 1; }
+  for f in $faults bogus; do
+    want=1
+    [ "$f" = bogus ] && want=2
+    rc=0
+    ARIES_SIM_FAULT="$f" dune exec bench/main.exe -- sim smoke all > /dev/null || rc=$?
+    if [ "$rc" -ne "$want" ]; then
+      echo "ci.sh: ARIES_SIM_FAULT=$f: sim smoke all exited $rc, want $want"
+      exit 1
+    fi
+    echo "ARIES_SIM_FAULT=$f: exit $rc"
+  done
 
   echo "== benchmark smoke (perfbench, correctness checks only) =="
   for w in read-spill write-hot shard-2pc; do

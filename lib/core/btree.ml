@@ -67,10 +67,6 @@ and t = {
   bt_latch : Latch.t;  (* the tree latch *)
 }
 
-let env_pool e = e.e_pool
-
-let env_mgr e = e.e_mgr
-
 let env_config e = e.e_default_cfg
 
 let env_mvstore e = e.e_mvstore
@@ -441,11 +437,11 @@ let acquire_locks t ctx txn (reqs : Protocol.lock_req list) =
         then go rest
         else begin
           (* The unlatch before the unconditional request is the essence of
-             the §2.2 dance. The [fault_lock_uncond_under_latch] switch
+             the §2.2 dance. The [Lock_uncond_under_latch] fault
              deliberately skips it, waiting for the lock with the page
              latches still held — the undetectable-deadlock hazard the
              online discipline checker must flag as an R1 violation. *)
-          if not (Crashpoint.fault_active Crashpoint.fault_lock_uncond_under_latch) then
+          if not (Crashpoint.active Crashpoint.Lock_uncond_under_latch) then
             drop_all t ctx;
           Txnmgr.lock mgr txn r.Protocol.lk_name r.Protocol.lk_mode r.Protocol.lk_duration;
           `Retry
@@ -1329,7 +1325,7 @@ let mvcc_locate t txn ~probe ~from_value ~after_rid ~skip_value =
     ~finally:(fun () ->
       if Trace.enabled () then Trace.emit (Trace.Mvcc_read_end { txn = txid }))
     (fun () ->
-      if Crashpoint.fault_active Crashpoint.fault_mvcc_reader_key_lock then begin
+      if Crashpoint.active Crashpoint.Mvcc_reader_key_lock then begin
         (* meta-fault: the lock-manager interaction R9 exists to forbid *)
         let k = Key.make from_value { Ids.rid_page = 0; Ids.rid_slot = 0 } in
         ignore

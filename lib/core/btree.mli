@@ -70,10 +70,6 @@ val env : ?config:config -> Txnmgr.t -> Aries_buffer.Bufpool.t -> env
     the transaction manager. [config] is the default for trees opened
     implicitly during recovery. *)
 
-val env_pool : env -> Aries_buffer.Bufpool.t
-
-val env_mgr : env -> Txnmgr.t
-
 val env_config : env -> config
 (** The [config] the environment was made with ({!default_config} if none). *)
 

@@ -10,8 +10,6 @@ let csn_compare a b =
 
 let csn_le a b = csn_compare a b <= 0
 
-let csn_to_string c = Printf.sprintf "%d.%d" c.cs_epoch c.cs_gsn
-
 type version = {
   v_txn : Ids.txn_id;
   v_present : bool;  (* insert = true, delete = false *)
@@ -185,20 +183,6 @@ let abort_txn t ~txn =
   | None -> ());
   unpin t ~txn
 
-(* Restart rebuild: a committed (or in-doubt) historical operation replayed
-   in gsn order. [csn = None] marks an in-doubt prepared transaction's
-   operation, kept pending so a later commit_prepared stamps it. *)
-let record_history t ~ix ~value ~rid ~txn ~present ~csn =
-  record t ~ix ~value ~rid ~txn ~present;
-  match csn with
-  | Some c -> (
-      match Hashtbl.find_opt t.pending txn with
-      | Some l ->
-          List.iter (fun (_, _, v) -> if v.v_csn = None then v.v_csn <- Some c) !l;
-          Hashtbl.remove t.pending txn
-      | None -> ())
-  | None -> ()
-
 (* ------------------------------------------------------------------ *)
 (* Snapshot reads *)
 
@@ -290,8 +274,6 @@ let live_versions t =
     (fun _ m acc -> Smap.fold (fun _ ch acc -> acc + List.length ch.ch_versions) !m acc)
     t.tables 0
 
-let pending_versions t = Hashtbl.fold (fun _ l acc -> acc + List.length !l) t.pending 0
-
 let pending_txns t = Hashtbl.fold (fun id _ acc -> id :: acc) t.pending [] |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
@@ -306,22 +288,6 @@ type dump_chain = {
   dc_base : bool;
   dc_versions : dump_version list;
 }
-
-let dump t ~ix =
-  Smap.fold
-    (fun _ ch acc ->
-      {
-        dc_value = ch.ch_value;
-        dc_rid = ch.ch_rid;
-        dc_base = ch.ch_base;
-        dc_versions =
-          List.map
-            (fun v -> { dv_present = v.v_present; dv_csn = v.v_csn; dv_txn = v.v_txn })
-            ch.ch_versions;
-      }
-      :: acc)
-    !(table t ix) []
-  |> List.rev
 
 let encode_chains chains =
   let w = Bytebuf.W.create () in

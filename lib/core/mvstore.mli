@@ -19,12 +19,6 @@ open Aries_util
 
 type csn = { cs_epoch : int; cs_gsn : int }
 
-val csn_compare : csn -> csn -> int
-
-val csn_le : csn -> csn -> bool
-
-val csn_to_string : csn -> string
-
 type t
 
 val create : unit -> t
@@ -41,8 +35,6 @@ val pin : t -> txn:Ids.txn_id -> csn:csn -> unit
 (** Pin the transaction's snapshot; idempotent (the first pin wins). *)
 
 val pinned : t -> txn:Ids.txn_id -> csn option
-
-val unpin : t -> txn:Ids.txn_id -> unit
 
 val live_snapshots : t -> int
 
@@ -67,19 +59,6 @@ val commit_txn : t -> txn:Ids.txn_id -> csn:csn -> unit
 
 val abort_txn : t -> txn:Ids.txn_id -> unit
 (** Discard the txn's remaining pending versions and unpin its snapshot. *)
-
-val record_history :
-  t ->
-  ix:Ids.index_id ->
-  value:string ->
-  rid:Ids.rid ->
-  txn:Ids.txn_id ->
-  present:bool ->
-  csn:csn option ->
-  unit
-(** Restart rebuild: replay one historical operation in gsn order. [Some c]
-    stamps it committed at [c]; [None] leaves it pending (an in-doubt
-    prepared transaction — a later [commit_txn]/[abort_txn] settles it). *)
 
 (** {1 Snapshot reads} *)
 
@@ -118,8 +97,6 @@ val gc : t -> horizon:csn -> int
 
 val live_versions : t -> int
 
-val pending_versions : t -> int
-
 val pending_txns : t -> Ids.txn_id list
 
 val created_total : t -> int
@@ -143,9 +120,6 @@ type dump_chain = {
   dc_base : bool;
   dc_versions : dump_version list;
 }
-
-val dump : t -> ix:Ids.index_id -> dump_chain list
-(** Ordered snapshot of an index's chains (tests, debugging). *)
 
 val encode_chains : dump_chain list -> bytes
 

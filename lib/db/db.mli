@@ -59,7 +59,7 @@ val create :
     the MVCC version garbage collector ({!Aries_recovery.Vgcd}), which
     periodically reclaims chain versions below the oldest-active-snapshot
     horizon (only useful under {!Aries_btree.Protocol.Mvcc}). [segment_size] sets the WAL
-    segment size ({!Aries_wal.Logmgr.default_segment_size} by default) —
+    segment size (64 KiB by default) —
     reclamation is whole-segment, so small workloads want small segments.
     [streams] (default 1) is the number of parallel WAL streams
     ({!Aries_wal.Logset}): page records are routed by page-id hash, commits

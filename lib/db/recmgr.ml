@@ -15,8 +15,6 @@ type heap = {
   mutable h_pages : Ids.page_id list;  (* oldest first *)
 }
 
-let owner h = h.h_owner
-
 let page_ids h = h.h_pages
 
 (* ---------- page-oriented application (forward = redo = CLR) ---------- *)

@@ -29,8 +29,6 @@ val open_heaps : Txnmgr.t -> Aries_buffer.Bufpool.t -> (int * heap) list
 (** Rediscover every heap by owner id (post-restart), scanning
     {!known_pids}. *)
 
-val owner : heap -> int
-
 val insert : heap -> Txnmgr.txn -> bytes -> Ids.rid
 (** X-lock (commit) a fresh RID, then insert and log. *)
 

@@ -12,8 +12,6 @@ let compare a b =
   | 0 -> Ids.compare_rid a.rid b.rid
   | c -> c
 
-let compare_value k v = String.compare k.value v
-
 let equal a b = compare a b = 0
 
 let encode w k =

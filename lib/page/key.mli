@@ -17,9 +17,6 @@ val make : string -> Ids.rid -> t
 val compare : t -> t -> int
 (** Lexicographic on value, then RID — a total order. *)
 
-val compare_value : t -> string -> int
-(** Compare a key's value component with a search value. *)
-
 val equal : t -> t -> bool
 
 val encode : Bytebuf.W.t -> t -> unit

@@ -277,7 +277,7 @@ let decode ~psize b =
       "not a page image (%dB, want a %02x version byte and >= 22B)" n version_tag;
   let stored = Int32.to_int (Bytes.get_int32_le b (n - 4)) land 0xFFFFFFFF in
   if Faultdisk.crc_checks_enabled () then begin
-    let crc = Crc.bytes ~len:(n - 4) b in
+    let crc = Crc.update 0 (Bytes.unsafe_to_string b) 0 (n - 4) in
     if crc <> stored then begin
       (* sniff the claimed pid (offset 2: after version byte + kind tag)
          purely for diagnostics — it may itself be rotten *)

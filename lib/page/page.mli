@@ -96,8 +96,6 @@ val set_delete_bit : t -> bool -> unit
 
 (** {1 Space accounting} *)
 
-val used_bytes : t -> int
-
 val free_space : t -> int
 
 val header_bytes : int

@@ -63,10 +63,6 @@ val last_complete : Aries_wal.Logmgr.t -> (Lsn.t * Lsn.t * body) option
     is broken (the latter cannot happen with {!take}'s ordering, but
     recovery stays defensive). *)
 
-val redo_point : begin_lsn:Lsn.t -> body -> Lsn.t
-(** Control-stream redo point (trace/reporting): the minimum recLSN in the
-    checkpointed DPT, or [begin_lsn] if it was empty. *)
-
 val redo_points : Aries_wal.Logset.t -> body -> Lsn.t array
 (** Per stream: where restart redo and the log-reclamation safety point
     for this checkpoint start — the minimum recLSN among checkpointed DPT

@@ -80,7 +80,7 @@ let safety_point mgr pool =
 
 (* Truncate each stream's prefix below its safety point (whole sealed
    segments only — Logmgr picks the segment boundary). Under the
-   [fault_ckpt_premature_truncate] switch the daemon instead truncates
+   [Ckpt_premature_truncate] fault the daemon instead truncates
    every stream to its flushed boundary, ignoring the safety points —
    records restart still needs are destroyed, and rule R6 must catch the
    oversized Log_truncate the moment it is emitted. Returns total bytes
@@ -93,7 +93,7 @@ let reclaim mgr pool =
       let total = ref 0 in
       Logset.iteri logs (fun s wal ->
           let upto =
-            if Crashpoint.fault_active Crashpoint.fault_ckpt_premature_truncate then
+            if Crashpoint.active Crashpoint.Ckpt_premature_truncate then
               Logmgr.flushed_offset wal
             else safety.(s)
           in

@@ -46,7 +46,7 @@ val safety_point : Aries_txn.Txnmgr.t -> Aries_buffer.Bufpool.t -> Lsn.t option
 val reclaim : Aries_txn.Txnmgr.t -> Aries_buffer.Bufpool.t -> int
 (** Truncate each stream's sealed segments below its safety point; returns
     total bytes reclaimed (0 if blocked or nothing reclaimable). Under
-    [Crashpoint.fault_ckpt_premature_truncate] it deliberately overshoots
+    [Crashpoint.Ckpt_premature_truncate] it deliberately overshoots
     every stream to its flushed boundary so the R6 checker can be proven to
     catch a premature truncate. *)
 

@@ -163,9 +163,6 @@ let take_dump mgr pool =
     (Bufpool.dirty_page_table pool);
   { dmp_disk = Disk.image_copy (Bufpool.disk pool); dmp_redo = redo }
 
-let dump_redo_lsn ?(stream = 0) d =
-  if Array.length d.dmp_redo = 0 then Lsn.nil else d.dmp_redo.(stream)
-
 (* Bounded immediate retry for the direct disk I/O media recovery does
    itself (its page replays go through the buffer pool, which has its own
    retry-with-backoff). *)

@@ -60,9 +60,6 @@ val take_dump : Aries_txn.Txnmgr.t -> Aries_buffer.Bufpool.t -> dump
     first so the dump's per-stream redo points are well defined and
     recent. *)
 
-val dump_redo_lsn : ?stream:int -> dump -> Lsn.t
-(** The dump's redo point on the given stream (default 0). *)
-
 val redoable : Aries_wal.Logrec.t -> bool
 (** Does the record carry a change redo must repeat? Redoable updates and
     CLRs other than dummy CLRs. *)

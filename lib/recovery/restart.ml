@@ -440,7 +440,7 @@ let redo_page ?(on_demand = false) en pid =
          page pass the hook; [en_redoing] lets other fibers wait out a
          replay already in flight instead of seeing a half-replayed page *)
       Hashtbl.remove en.en_pending pid;
-      if Crashpoint.fault_active Crashpoint.fault_instant_skip_redo then
+      if Crashpoint.active Crashpoint.Instant_skip_redo then
         (* deliberately broken engine: drop the page from the pending set
            without repeating its history. No Restart_page_done is emitted,
            so the discipline checker's needs-redo table still lists the

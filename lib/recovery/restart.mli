@@ -90,10 +90,6 @@ val start :
 val redo_page : ?on_demand:bool -> engine -> Ids.page_id -> unit
 (** Repeat the page's history (no-op if the page is not pending). *)
 
-val undo_loser : ?preempted:bool -> engine -> Ids.txn_id -> unit
-(** Roll the loser all the way back and finish it (no-op if already done;
-    waits out an undo already in flight on another fiber). *)
-
 val drain_step : ?cfg:drain_cfg -> engine -> unit
 (** One background round: redo up to [dr_redo_pages] pending pages, undo
     up to [dr_undo_txns] losers; {!finish}es the engine when nothing

@@ -122,11 +122,6 @@ let instant t mode =
 
 let holds t = List.mem_assoc (Sched.current ()) t.holders
 
-let holds_mode t mode =
-  match List.assoc_opt (Sched.current ()) t.holders with
-  | Some m -> m = mode
-  | None -> false
-
 let holder_count t = List.length t.holders
 
 let waiter_count t = Vec.length t.waiters

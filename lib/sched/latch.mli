@@ -40,8 +40,6 @@ val instant : t -> mode -> unit
 val holds : t -> bool
 (** Does the calling fiber hold this latch (any mode)? *)
 
-val holds_mode : t -> mode -> bool
-
 val holder_count : t -> int
 
 val waiter_count : t -> int

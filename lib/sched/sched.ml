@@ -65,13 +65,7 @@ let in_fiber () = !active <> None
 
 let current () = (the_sched ()).cur
 
-let current_name () = (the_sched ()).cur_name
-
 let steps_now () = (the_sched ()).steps
-
-let suspended_now () =
-  let s = the_sched () in
-  Hashtbl.fold (fun id name acc -> (id, name) :: acc) s.suspended [] |> List.sort compare
 
 let run_counter = ref 0
 

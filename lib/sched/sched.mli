@@ -93,8 +93,6 @@ val suspend : (waker -> unit) -> unit
 val current : unit -> fiber_id
 (** Id of the running fiber. Raises if called outside the scheduler. *)
 
-val current_name : unit -> string
-
 val in_fiber : unit -> bool
 
 val steps_now : unit -> int
@@ -102,10 +100,6 @@ val steps_now : unit -> int
     harness stamps each workload operation with this value so a failing
     run's op trace pins events to scheduling steps. Raises if no scheduler
     is running. *)
-
-val suspended_now : unit -> (fiber_id * string) list
-(** The currently suspended fibers (id, name), sorted — diagnostic detail
-    for stall reports. Raises if no scheduler is running. *)
 
 val maybe_yield : unit -> unit
 (** Preemption point: yields with the probability configured by

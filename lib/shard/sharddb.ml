@@ -70,6 +70,7 @@ let detect_every = 16
 
 type shard = {
   sx_id : int;
+  sx_fault : Crashpoint.fault;  (** [Shard_down sx_id], built once *)
   mutable sx_db : Db.t;
   mutable sx_tree : Btree.t option;
   mutable sx_index : Ids.index_id;
@@ -106,6 +107,7 @@ let create ?(shards = 2) ?router:(_ : router option) ?page_size ?pool_capacity ?
   let mk k =
     {
       sx_id = k;
+      sx_fault = Crashpoint.Shard_down k;
       sx_db = Db.create ?page_size ?pool_capacity ?commit_mode ?segment_size ?streams ();
       sx_tree = None;
       sx_index = 0;
@@ -127,7 +129,7 @@ let n t = Array.length t.shards
 
 let db t k = t.shards.(k).sx_db
 
-let up s = (not s.sx_down) && not (Crashpoint.fault_active (Crashpoint.shard_down_fault s.sx_id))
+let up s = (not s.sx_down) && not (Crashpoint.active s.sx_fault)
 
 let is_up t k = up t.shards.(k)
 
@@ -288,7 +290,7 @@ let decide_commit t ~gid ~coord ~parts =
       (* R10's acknowledgement point: the decision force. The early-decide
          meta-fault skips it and acknowledges anyway — the discipline
          checker must flag the decide/ack. *)
-      if not (Crashpoint.fault_active Crashpoint.fault_twopc_early_decide) then
+      if not (Crashpoint.active Crashpoint.Twopc_early_decide) then
         Logmgr.flush_to wal lsn;
       if Trace.enabled () then begin
         Trace.emit

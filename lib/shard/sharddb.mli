@@ -47,7 +47,7 @@ module Restart = Aries_recovery.Restart
 
 exception Shard_down of int
 (** The operation routed to a shard that is down ({!kill}ed, or its
-    ["shard.down.<k>"] fault switch is active). Fail-fast by design. *)
+    [Crashpoint.Shard_down k] fault switch is active). Fail-fast by design. *)
 
 exception Global_abort of int * string
 (** [commit] aborted the global transaction by presumption (a branch
@@ -106,10 +106,6 @@ val run :
   Aries_sched.Sched.result
 (** Run a workload under the cooperative scheduler: starts every up
     shard's daemons plus the global service daemon, then the workload. *)
-
-val start_services : t -> unit
-(** What {!run} does before the workload — for callers driving
-    [Sched.run] themselves. *)
 
 (** {1 Global transactions} *)
 

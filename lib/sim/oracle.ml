@@ -20,8 +20,6 @@ let apply t ops = List.fold_left apply_op t ops
 
 let to_alist t = Smap.bindings t
 
-let cardinal t = Smap.cardinal t
-
 let op_to_string = function
   | Insert (v, rid) -> Printf.sprintf "+%s@%s" v (Ids.rid_to_string rid)
   | Delete (v, rid) -> Printf.sprintf "-%s@%s" v (Ids.rid_to_string rid)
@@ -41,13 +39,6 @@ let committed_txns db =
       if r.Logrec.kind = Logrec.Commit && Aries_wal.Logset.commit_valid logs r then
         Hashtbl.replace set r.Logrec.txn ());
   set
-
-(* Per-snapshot visible state (MVCC): fold only the committed transactions
-   whose commit sequence number is at or below the pin. The history is in
-   commit order, so the fold is exactly the serialization prefix the
-   snapshot is entitled to observe. *)
-let visible_at history ~at =
-  List.fold_left (fun acc (csn, ops) -> if csn <= at then apply acc ops else acc) empty history
 
 let diff_lines expected actual =
   let lines = ref [] in

@@ -33,8 +33,6 @@ val apply : t -> op list -> t
 val to_alist : t -> (string * Ids.rid) list
 (** Sorted by value — directly comparable with [Btree.to_list]. *)
 
-val cardinal : t -> int
-
 val op_to_string : op -> string
 
 val committed_txns : Aries_db.Db.t -> (Ids.txn_id, unit) Hashtbl.t
@@ -43,13 +41,6 @@ val committed_txns : Aries_db.Db.t -> (Ids.txn_id, unit) Hashtbl.t
     Called after [Db.crash], the history holds exactly the stable record
     sequence, so this is the ground truth for which transactions survived —
     even when the checkpoint daemon truncated the live prefix mid-run. *)
-
-val visible_at : (int * op list) list -> at:int -> t
-(** Per-snapshot visible state (MVCC): [visible_at history ~at] folds the
-    ops of every [(csn, ops)] pair with [csn <= at], in list (= commit)
-    order — the state a snapshot pinned at CSN [at] must see, regardless
-    of what later committers, in-flight writers or the version GC have
-    done since. *)
 
 val diff_lines : t -> (string * Ids.rid) list -> string list
 (** [diff_lines expected actual] describes every divergence (missing /

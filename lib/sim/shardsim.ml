@@ -23,7 +23,7 @@
      degrade-gracefully mode. The victim is revived mid-run, in-doubts
      resolve, parked deliveries drain, and the final state must match the
      oracle. [at = None] is the recording run (the killer never fires).
-   - [Down k]: shard [k] is failed ({!Aries_util.Crashpoint.shard_down_fault})
+   - [Down k]: shard [k] is failed ({!Aries_util.Crashpoint.Shard_down})
      for the whole workload: transactions confined to healthy shards must
      still commit (progress is asserted), transactions touching the downed
      shard abort by presumption, and nothing hangs. *)
@@ -329,12 +329,12 @@ let run cfg ~seed (mode : Sweep.mode) : Sweep.report =
     set_steal_hooks t cfg ~seed;
     if cfg.shuffle then Faultdisk.arm ~seed:(seed lxor 0xFA17) Faultdisk.shuffle_cfg;
     let down_fault =
-      match mode with Sweep.Down k -> Some (Crashpoint.shard_down_fault k) | _ -> None
+      match mode with Sweep.Down k -> Some (Crashpoint.Shard_down k) | _ -> None
     in
-    Option.iter Crashpoint.enable_fault down_fault;
+    Option.iter Crashpoint.enable down_fault;
     Fun.protect
       ~finally:(fun () ->
-        Option.iter Crashpoint.disable_fault down_fault;
+        Option.iter Crashpoint.disable down_fault;
         Faultdisk.disarm ())
     @@ fun () ->
     Crashpoint.reset ();
@@ -396,7 +396,7 @@ let run cfg ~seed (mode : Sweep.mode) : Sweep.report =
               fail "G%d was acked committed despite holding a branch on downed shard %d"
                 gt.gt_gid k)
           trace;
-        Option.iter Crashpoint.disable_fault down_fault;
+        Option.iter Crashpoint.disable down_fault;
         if !failures = [] then
           checked t failures ~what:"post-degrade" (fun () ->
               check_state t trace ~phase:"post-degrade" failures)

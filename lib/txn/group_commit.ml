@@ -129,7 +129,7 @@ let force_batch t =
   if n > 0 then begin
     let ws = Vec.to_list t.waiters in
     Vec.clear t.waiters;
-    let skip = Crashpoint.fault_active Crashpoint.fault_wal_stream_fence_skip in
+    let skip = Crashpoint.active Crashpoint.Wal_stream_fence_skip in
     let allowed =
       if not skip then fun _ -> true
       else

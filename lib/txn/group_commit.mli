@@ -75,11 +75,6 @@ val nudge : t -> unit
 (** Wake the daemon out of its idle wait (work arrival is signalled
     automatically; this is for shutdown/close). *)
 
-val force_batch : t -> unit
-(** Force each stream named by any enqueued committer through the batch
-    maximum, advance the commit epoch, and wake the batch. Exposed for the
-    daemon and for drain paths; a no-op when the queue is empty. *)
-
 val run_daemon : t -> stop:(unit -> bool) -> unit
 (** The daemon body (pass to [Sched.spawn_daemon]). Loops: sleep until work
     arrives, hold the batch open per [policy], force once per touched

@@ -1,13 +1,8 @@
 (** Binary codec for lock names and modes, used by Prepare record bodies
     (restart lock reacquisition for in-doubt transactions). *)
 
-open Aries_util
 module Lockmgr = Aries_lock.Lockmgr
 
 val encode_list : (Lockmgr.name * Lockmgr.mode) list -> bytes
 
 val decode_list : bytes -> (Lockmgr.name * Lockmgr.mode) list
-
-val encode_name : Bytebuf.W.t -> Lockmgr.name -> unit
-
-val decode_name : Bytebuf.R.t -> Lockmgr.name

@@ -306,21 +306,21 @@ let release_and_end t txn =
    and suspend — the daemon forces each touched stream once per batch and
    wakes every covered committer. Otherwise force synchronously.
 
-   The [fault_commit_early_ack] switch skips the force entirely and
+   The [Commit_early_ack] fault skips the force entirely and
    acknowledges anyway — a deliberate durability lie the online discipline
-   checker must flag as an R4 violation. The [fault_wal_stream_fence_skip]
-   switch forces only the commit record's own stream — the multi-stream
+   checker must flag as an R4 violation. The [Wal_stream_fence_skip]
+   fault forces only the commit record's own stream — the multi-stream
    variant of the same lie, flagged as R8 via the honest Commit_fence
    event. *)
 let make_durable t ~txn ~commit_stream ~lsn ~epoch ~targets =
-  (if Crashpoint.fault_active Crashpoint.fault_commit_early_ack then ()
+  (if Crashpoint.active Crashpoint.Commit_early_ack then ()
    else
      match t.group_commit with
      | Some gc when Group_commit.active gc ->
          if Trace.enabled () then Trace.emit (Trace.Commit_enqueue { txn; lsn });
          Group_commit.wait_durable gc ~commit_stream ~targets
      | Some _ | None ->
-         let skip = Crashpoint.fault_active Crashpoint.fault_wal_stream_fence_skip in
+         let skip = Crashpoint.active Crashpoint.Wal_stream_fence_skip in
          List.iter
            (fun (s, l) ->
              if (not skip) || s = commit_stream then Logmgr.flush_to (Logset.stream t.logs s) l)

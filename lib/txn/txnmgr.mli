@@ -109,8 +109,6 @@ val register_rm :
 
 val rm_redo : t -> Logrec.t -> unit
 
-val rm_undo : t -> txn -> Logrec.t -> unit
-
 val rm_locks : t -> Logrec.t -> (Lockmgr.name * Lockmgr.mode) list
 (** The registered [locks] derivation for the record's resource manager. *)
 
@@ -137,8 +135,6 @@ val begin_txn : t -> txn
 
 val current : t -> txn option
 (** The transaction bound to the calling fiber. *)
-
-val bind_fiber : t -> txn -> unit
 
 val commit : t -> txn -> unit
 (** Write Commit (its body naming, per touched stream, the txn's last LSN

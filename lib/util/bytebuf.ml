@@ -93,10 +93,9 @@ module W = struct
     if off < 0 || off + 4 > t.len then invalid_arg "Bytebuf.W.get_u32: out of range";
     Int32.to_int (Bytes.get_int32_le t.buf off) land 0xFFFFFFFF
 
-  let crc ?(off = 0) ?len t =
-    let len = match len with Some l -> l | None -> t.len - off in
-    if off < 0 || len < 0 || off + len > t.len then invalid_arg "Bytebuf.W.crc: out of range";
-    Crc.bytes ~off ~len t.buf
+  let crc ?(off = 0) t =
+    if off < 0 || off > t.len then invalid_arg "Bytebuf.W.crc: out of range";
+    Crc.update 0 (Bytes.unsafe_to_string t.buf) off (t.len - off)
 
   (* Append [src]'s contents to [dst] and return their CRC32, computed over
      the freshly written region — the frame-append path's single-pass
@@ -107,7 +106,7 @@ module W = struct
     Bytes.blit src.buf 0 dst.buf dst.len n;
     let off = dst.len in
     dst.len <- dst.len + n;
-    Crc.bytes ~off ~len:n dst.buf
+    Crc.update 0 (Bytes.unsafe_to_string dst.buf) off n
 end
 
 module R = struct

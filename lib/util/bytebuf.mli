@@ -76,9 +76,9 @@ module W : sig
   val get_u32 : t -> int -> int
   (** Little-endian u32 read at a byte offset within the contents. *)
 
-  val crc : ?off:int -> ?len:int -> t -> int
-  (** CRC32 of a slice of the contents, computed in place over the arena —
-      no copy (defaults: everything written). *)
+  val crc : ?off:int -> t -> int
+  (** CRC32 of the contents from [off] (default 0) to the end, computed in
+      place over the arena — no copy. *)
 
   val append_with_crc : t -> t -> int
   (** [append_with_crc dst src] appends [src]'s contents to [dst] and

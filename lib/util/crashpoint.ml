@@ -9,8 +9,6 @@ type state = {
 
 let st = { counter = 0; trip_at = None; trip_label = None; is_tripped = false }
 
-let faults : (string, unit) Hashtbl.t = Hashtbl.create 4
-
 let reset () =
   st.counter <- 0;
   st.trip_at <- None;
@@ -53,42 +51,54 @@ let count () = st.counter
 
 let tripped () = st.is_tripped
 
-let enable_fault name = Hashtbl.replace faults name ()
+type fault =
+  | Wal_skip_flush
+  | Lock_uncond_under_latch
+  | Commit_early_ack
+  | Ckpt_premature_truncate
+  | Wal_stream_fence_skip
+  | Mvcc_reader_key_lock
+  | Twopc_early_decide
+  | Crc_check_disabled
+  | Instant_skip_redo
+  | Shard_down of int
 
-let disable_fault name = Hashtbl.remove faults name
+let meta_faults =
+  [
+    Lock_uncond_under_latch;
+    Commit_early_ack;
+    Ckpt_premature_truncate;
+    Wal_stream_fence_skip;
+    Mvcc_reader_key_lock;
+    Twopc_early_decide;
+    Wal_skip_flush;
+    Crc_check_disabled;
+    Instant_skip_redo;
+  ]
 
-let fault_active name = Hashtbl.mem faults name
+let to_string = function
+  | Wal_skip_flush -> "wal.skip-flush"
+  | Lock_uncond_under_latch -> "lock.uncond-under-latch"
+  | Commit_early_ack -> "commit.early-ack"
+  | Ckpt_premature_truncate -> "ckpt.premature-truncate"
+  | Wal_stream_fence_skip -> "wal.stream-fence-skip"
+  | Mvcc_reader_key_lock -> "mvcc.reader-key-lock"
+  | Twopc_early_decide -> "2pc.early-decide"
+  | Crc_check_disabled -> "crc.check-disabled"
+  | Instant_skip_redo -> "instant.skip-redo"
+  | Shard_down k -> "shard.down." ^ string_of_int k
 
-let clear_faults () = Hashtbl.reset faults
+(* The names live in [to_string] alone. *)
+let of_string s = List.find_opt (fun f -> String.equal (to_string f) s) meta_faults
 
-let fault_wal_skip_flush = "wal.skip-flush"
+(* The active set: empty outside tests and sim demos, so a check is one
+   comparison against [[]]. *)
+let faults : fault list ref = ref []
 
-let fault_lock_uncond_under_latch = "lock.uncond-under-latch"
+let active f = match !faults with [] -> false | l -> List.mem f l
 
-let fault_commit_early_ack = "commit.early-ack"
+let enable f = if not (active f) then faults := f :: !faults
 
-let fault_ckpt_premature_truncate = "ckpt.premature-truncate"
+let disable f = faults := List.filter (fun g -> g <> f) !faults
 
-let fault_disk_torn_write = "disk.torn-write"
-
-let fault_disk_bit_flip = "disk.bit-flip"
-
-let fault_disk_transient_eio = "disk.transient-eio"
-
-let fault_log_torn_append = "log.torn-append"
-
-let fault_crc_check_disabled = "crc.check-disabled"
-
-let fault_instant_skip_redo = "instant.skip-redo"
-
-let fault_wal_stream_shuffle = "wal.stream-shuffle"
-
-let fault_wal_stream_fence_skip = "wal.stream-fence-skip"
-
-let fault_mvcc_reader_key_lock = "mvcc.reader-key-lock"
-
-let fault_twopc_early_decide = "2pc.early-decide"
-
-let fault_shard_down = "shard.down"
-
-let shard_down_fault k = Printf.sprintf "%s.%d" fault_shard_down k
+let clear () = faults := []

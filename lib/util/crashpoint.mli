@@ -10,10 +10,11 @@
     is frozen at the crash instant even though other fibers may still be
     scheduled; volatile work they do is discarded by [Db.crash] anyway.
 
-    The module also hosts named {e fault} switches, used to deliberately
-    break a durability rule (e.g. skip the commit log force) and prove the
-    harness catches the resulting corruption. Faults are for tests and the
-    bench demo only; production code paths merely consult them.
+    The module also hosts the typed {e fault} switches ({!fault}), used to
+    deliberately break a durability rule (e.g. skip the commit log force)
+    and prove the harness catches the resulting corruption. Faults are for
+    tests and the bench demo only; production code paths merely consult
+    them.
 
     All state is global (one simulation at a time — the system is
     single-threaded and cooperatively scheduled, like {!Stats}). *)
@@ -60,114 +61,83 @@ val count : unit -> int
 val tripped : unit -> bool
 (** Has an armed crash fired since the last {!reset}? *)
 
-(** {1 Fault switches} *)
+(** {1 Fault switches}
 
-val enable_fault : string -> unit
+    The typed set of switches that deliberately break one rule each.
+    [Crashpoint] owns them: the engine's check sites test a constructor
+    with {!active}, and tests, the bench and the sim arm them with
+    {!enable}. The storage faults (torn writes, bit-rot, transient EIO,
+    torn log appends, the multi-stream flush shuffle) are not here: they
+    belong to {!Faultdisk}, whose armed config alone decides them. *)
 
-val disable_fault : string -> unit
+type fault =
+  | Wal_skip_flush
+      (** ["wal.skip-flush"]: {!Aries_wal.Logmgr} silently skips log
+          forces, breaking the durability of commits and the WAL rule — the
+          canonical "deliberately injected bug" the simulation harness must
+          catch. *)
+  | Lock_uncond_under_latch
+      (** ["lock.uncond-under-latch"]: the B-tree key-locking path skips
+          the conditional-lock / unlatch / unconditional-lock dance and
+          issues an {e unconditional} lock request while still holding page
+          latches — exactly the undetectable-deadlock hazard of §2.2. The
+          online discipline checker must flag it as an R1 violation. *)
+  | Commit_early_ack
+      (** ["commit.early-ack"]: {!Aries_txn.Txnmgr} acknowledges a commit
+          {e before} forcing the log up to the commit record — a durability
+          lie the discipline checker must flag as an R4 violation. *)
+  | Ckpt_premature_truncate
+      (** ["ckpt.premature-truncate"]: the checkpoint daemon truncates the
+          log all the way to the flushed boundary, ignoring the reclamation
+          safety point — records that restart or media recovery may still
+          need are destroyed. The checker must flag the oversized truncate
+          as an R6 violation. *)
+  | Wal_stream_fence_skip
+      (** ["wal.stream-fence-skip"]: the commit path forces only the stream
+          holding the Commit record, skipping the epoch fence over the
+          other streams the transaction touched — an update can then be
+          lost while its commit survives. Flagged as an R8 violation. *)
+  | Mvcc_reader_key_lock
+      (** ["mvcc.reader-key-lock"]: an Mvcc snapshot fetch issues a real
+          conditional key-lock request inside its wait-free read window.
+          Flagged as an R9 violation. *)
+  | Twopc_early_decide
+      (** ["2pc.early-decide"]: the 2PC coordinator skips the force of its
+          Coord_commit decision record and acknowledges the global commit
+          anyway. Flagged as an R10 violation. *)
+  | Crc_check_disabled
+      (** ["crc.check-disabled"]: CRC verification is switched off (see
+          {!Faultdisk.crc_checks_enabled}), so corruption must be caught by
+          the sim oracle or escape as a decode failure instead of being
+          repaired. *)
+  | Instant_skip_redo
+      (** ["instant.skip-redo"]: the instant-restart on-demand redo hook
+          drops a page from the needs-redo set {e without} replaying its
+          history, so the next fix serves a stale image. Flagged as an R7
+          violation. *)
+  | Shard_down of int
+      (** ["shard.down.<k>"]: shard [k] is failed — the
+          {!Aries_shard.Sharddb} layer refuses every operation routed to it
+          with a typed [Shard_down]; healthy shards must keep committing.
+          A fail-stop injection the shard sweep arms itself, not a
+          meta-fault, so {!of_string} does not accept it. *)
 
-val fault_active : string -> bool
+val meta_faults : fault list
+(** The nine meta-faults, each of which a sweep must catch. *)
 
-val clear_faults : unit -> unit
+val to_string : fault -> string
+(** The fault's name, as [ARIES_SIM_FAULT] spells it. *)
 
-val fault_wal_skip_flush : string
-(** Well-known fault name: {!Aries_wal.Logmgr} silently skips log forces,
-    breaking the durability of commits and the WAL rule — the canonical
-    "deliberately injected bug" the simulation harness must catch. *)
+val of_string : string -> fault option
+(** Inverse of {!to_string} over {!meta_faults}; [None] for any other
+    name. *)
 
-val fault_lock_uncond_under_latch : string
-(** Well-known fault name: the B-tree key-locking path skips the
-    conditional-lock / unlatch / unconditional-lock dance and issues an
-    {e unconditional} lock request while still holding page latches —
-    exactly the undetectable-deadlock hazard of §2.2. The online
-    discipline checker must flag it as an R1 violation. *)
+val active : fault -> bool
+(** Is the switch on? One comparison while no switch is on. *)
 
-val fault_commit_early_ack : string
-(** Well-known fault name: {!Aries_txn.Txnmgr} acknowledges a commit
-    {e before} forcing the log up to the commit record — a durability lie
-    the discipline checker must flag as an R4 violation. *)
+val enable : fault -> unit
 
-val fault_ckpt_premature_truncate : string
-(** Well-known fault name: the checkpoint daemon truncates the log all the
-    way to the flushed boundary, ignoring the reclamation safety point —
-    records that restart or media recovery may still need are destroyed.
-    The discipline checker must flag the oversized truncate as an R6
-    violation. *)
+val disable : fault -> unit
 
-(** {2 Storage-fault switches}
-
-    The adversarial storage model (PR 5). These are {e armed} centrally by
-    {!Faultdisk.arm}, which also seeds the RNG driving the probabilistic
-    ones; production code consults them via {!Faultdisk}'s decision
-    functions rather than reading the raw switch. *)
-
-val fault_disk_torn_write : string
-(** A crash that lands on a page write leaves a {e torn} image on disk —
-    a prefix of the new bytes spliced onto the old tail — instead of
-    atomically keeping the old image. Detected by the page CRC on the
-    next read; repaired via media recovery. *)
-
-val fault_disk_bit_flip : string
-(** Silent bit-rot: stored page images occasionally get one bit flipped
-    at rest (probability and position drawn from the {!Faultdisk} RNG).
-    Detected by the page CRC; repaired via media recovery. *)
-
-val fault_disk_transient_eio : string
-(** Probabilistic, seeded transient I/O failures on page reads/writes and
-    log forces. Retryable: callers apply bounded retry with
-    scheduler-step backoff; exhaustion surfaces a typed
-    [Storage_error]. *)
-
-val fault_log_torn_append : string
-(** A crash leaves a {e partial} log record in the tail segment (the
-    medium kept some bytes past the flushed boundary). Restart's CRC
-    tail-scan must truncate it rather than crash decoding garbage. *)
-
-val fault_crc_check_disabled : string
-(** Meta-fault proving detection has teeth: with CRC verification
-    switched off, the bit-flip workload must be caught by the sim
-    oracle / escape as a decode failure instead of being repaired. *)
-
-val fault_instant_skip_redo : string
-(** Meta-fault proving rule R7 has teeth: the instant-restart on-demand
-    redo hook drops a page from the needs-redo set {e without} replaying
-    its history, so the next fix serves a stale image. The discipline
-    checker must flag the fix as an R7 violation. *)
-
-val fault_wal_stream_shuffle : string
-(** Multi-stream crash adversary: at crash time each log stream
-    independently keeps a random number of complete unflushed frames past
-    its stable boundary (drawn from the {!Faultdisk} RNG) — one stream may
-    persist its whole tail while another loses everything unforced. Armed
-    by {!Faultdisk.arm} when [cfg.stream_shuffle] is set. *)
-
-val fault_wal_stream_fence_skip : string
-(** Meta-fault proving rule R8 has teeth: the commit path forces only the
-    stream holding the Commit record, skipping the epoch fence over the
-    other streams the transaction touched — an update can then be lost
-    while its commit survives. The discipline checker must flag the ack
-    as an R8 violation. *)
-
-val fault_mvcc_reader_key_lock : string
-(** Meta-fault proving rule R9 has teeth: an Mvcc snapshot fetch issues a
-    real conditional key-lock request inside its wait-free read window —
-    exactly the lock-manager interaction snapshot readers exist to avoid.
-    The discipline checker must flag the request as an R9 violation. *)
-
-val fault_twopc_early_decide : string
-(** Meta-fault proving rule R10 has teeth: the 2PC coordinator skips the
-    force of its Coord_commit decision record and acknowledges the global
-    commit anyway — participants then release in-doubt locks on the
-    strength of a decision a crash can still lose. The discipline checker
-    must flag the decide/ack as an R10 violation. *)
-
-val fault_shard_down : string
-(** Prefix of the per-shard fail-stop switches ["shard.down.<k>"] (see
-    {!shard_down_fault}): while shard [k]'s switch is active the
-    {!Aries_shard.Sharddb} layer refuses every operation routed to it with
-    a typed [Shard_down] — healthy shards must keep committing, and
-    cross-shard transactions touching the downed shard park as in-doubt or
-    abort by presumption, never hang. *)
-
-val shard_down_fault : int -> string
-(** [shard_down_fault k] = ["shard.down.<k>"]. *)
+val clear : unit -> unit
+(** Turn every switch off. *)

@@ -106,11 +106,11 @@ let update crc s off len =
   done;
   !c lxor 0xFFFFFFFF
 
-let string ?(off = 0) ?len s =
-  let len = match len with Some l -> l | None -> String.length s - off in
-  update 0 s off len
+let string s = update 0 s 0 (String.length s)
 
-let bytes ?off ?len b = string ?off ?len (Bytes.unsafe_to_string b)
+let bytes ?(off = 0) ?len b =
+  let len = match len with Some l -> l | None -> Bytes.length b - off in
+  update 0 (Bytes.unsafe_to_string b) off len
 
 (* {2 CRC combination}
 

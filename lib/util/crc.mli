@@ -7,17 +7,20 @@
     the classic one-table loop, kept as the differential-testing reference
     and benchmark baseline.  Both compute the identical IEEE value. *)
 
-val string : ?off:int -> ?len:int -> string -> int
-(** CRC of [len] bytes of [s] starting at [off] (defaults: whole string). *)
+val string : string -> int
+(** CRC of the whole string. *)
 
 val bytes : ?off:int -> ?len:int -> bytes -> int
-(** Same over [bytes]. *)
+(** CRC of [len] bytes of [b] starting at [off] (defaults: all of [b]).
+    A caller passing [~off] or [~len] boxes the option (2 words each), so
+    the engine's slice checks call {!update} instead. *)
 
 val update : int -> string -> int -> int -> int
 (** [update crc s off len] extends a running CRC — [string s = update 0 s 0 n],
     and [update (update c a 0 la) b 0 lb = update c (a ^ b) 0 (la + lb)].
     This is the incremental path: CRC a dirty slice and fold it into the
-    checksum of what came before. *)
+    checksum of what came before. It is also the allocation-free slice
+    path: every engine CRC over part of a buffer comes through here. *)
 
 val update_bytewise : int -> string -> int -> int -> int
 (** The pre-pass byte-at-a-time loop.  Same value as {!update};

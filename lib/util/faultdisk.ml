@@ -6,11 +6,15 @@
    image, flipping a stored bit) happens at the call sites that own the
    bytes.
 
+   Faultdisk alone owns the storage faults: each is a field of the armed
+   [cfg], and no other module keeps a switch for them.
+
    Determinism: all probabilistic decisions draw from one seeded
-   splitmix64 stream, and the decision functions draw *only while their
-   switch is active* — so a run with no faults armed consumes zero
-   entropy and is bit-identical to a pre-PR-5 run, and an armed run is a
-   pure function of (workload seed, fault seed, cfg). *)
+   splitmix64 stream, and the decision functions draw *only while the
+   armed cfg gives their fault a probability above zero* — so a run with
+   no faults armed consumes zero entropy and is bit-identical to a
+   pre-PR-5 run, and an armed run is a pure function of (workload seed,
+   fault seed, cfg). *)
 
 type cfg = {
   eio_read_p : float;  (** P(transient EIO) per page read *)
@@ -48,7 +52,7 @@ let eio_only_cfg =
 
 (* The multi-stream crash adversary alone: no EIO, no bit-rot — every run
    must recover cleanly no matter which streams' tails the crash kept. The
-   torn-append switch stays on so the shuffled survivor boundary can also
+   torn-append fault stays on so the shuffled survivor boundary can also
    land mid-record. *)
 let shuffle_cfg =
   {
@@ -61,75 +65,46 @@ let shuffle_cfg =
     stream_shuffle = true;
   }
 
-type state = {
-  mutable cfg : cfg option;
-  mutable rng : Rng.t;
-  mutable owned : string list;  (** switches we enabled, to disable on disarm *)
-}
+type state = { mutable cfg : cfg option; mutable rng : Rng.t }
 
-let st = { cfg = None; rng = Rng.create 0; owned = [] }
-
-let own name =
-  if not (Crashpoint.fault_active name) then begin
-    Crashpoint.enable_fault name;
-    st.owned <- name :: st.owned
-  end
+let st = { cfg = None; rng = Rng.create 0 }
 
 let arm ~seed cfg =
   st.cfg <- Some cfg;
-  st.rng <- Rng.create (0x5D15C0 lxor seed);
-  st.owned <- [];
-  if cfg.eio_read_p > 0. || cfg.eio_write_p > 0. || cfg.eio_force_p > 0. then
-    own Crashpoint.fault_disk_transient_eio;
-  if cfg.bit_flip_p > 0. then own Crashpoint.fault_disk_bit_flip;
-  if cfg.torn_write then own Crashpoint.fault_disk_torn_write;
-  if cfg.torn_append then own Crashpoint.fault_log_torn_append;
-  if cfg.stream_shuffle then own Crashpoint.fault_wal_stream_shuffle
+  st.rng <- Rng.create (0x5D15C0 lxor seed)
 
-let disarm () =
-  List.iter Crashpoint.disable_fault st.owned;
-  st.owned <- [];
-  st.cfg <- None
+let disarm () = st.cfg <- None
 
-let armed () = st.cfg <> None
-
-(* Decision functions.  Each draws from the RNG only when its switch is
-   live, so the stream stays aligned with the armed op sequence. *)
+(* Decision functions: each reads only the armed cfg, and each draw needs
+   its probability > 0, so the stream stays aligned with the armed op
+   sequence and an unarmed run draws nothing. *)
 
 let draw p = p > 0. && Rng.float st.rng 1.0 < p
 
-let fail_read () =
-  Crashpoint.fault_active Crashpoint.fault_disk_transient_eio
-  && match st.cfg with Some c -> draw c.eio_read_p | None -> false
+let decide f = match st.cfg with Some c -> f c | None -> false
 
-let fail_write () =
-  Crashpoint.fault_active Crashpoint.fault_disk_transient_eio
-  && match st.cfg with Some c -> draw c.eio_write_p | None -> false
+let fail_read () = decide (fun c -> draw c.eio_read_p)
 
-let fail_force () =
-  Crashpoint.fault_active Crashpoint.fault_disk_transient_eio
-  && match st.cfg with Some c -> draw c.eio_force_p | None -> false
+let fail_write () = decide (fun c -> draw c.eio_write_p)
 
-let flip_now () =
-  Crashpoint.fault_active Crashpoint.fault_disk_bit_flip
-  && match st.cfg with Some c -> draw c.bit_flip_p | None -> false
+let fail_force () = decide (fun c -> draw c.eio_force_p)
 
-let torn_write_on () = Crashpoint.fault_active Crashpoint.fault_disk_torn_write
+let flip_now () = decide (fun c -> draw c.bit_flip_p)
 
-let torn_append_on () = Crashpoint.fault_active Crashpoint.fault_log_torn_append
+let torn_write_on () = decide (fun c -> c.torn_write)
 
-let stream_shuffle_on () = Crashpoint.fault_active Crashpoint.fault_wal_stream_shuffle
+let torn_append_on () = decide (fun c -> c.torn_append)
+
+let stream_shuffle_on () = decide (fun c -> c.stream_shuffle)
 
 (* How many of a stream's [avail] complete unflushed frames the crash
    keeps: uniform over [0, avail] (0 = classic lose-the-tail, avail =
    persist everything past the fence). Draws only while armed, keeping the
    stream aligned. *)
 let stream_retain ~avail =
-  if avail <= 0 || not (stream_shuffle_on ()) then 0
-  else match st.cfg with Some _ -> Rng.int st.rng (avail + 1) | None -> 0
+  if avail <= 0 || not (stream_shuffle_on ()) then 0 else Rng.int st.rng (avail + 1)
 
-let crc_checks_enabled () =
-  not (Crashpoint.fault_active Crashpoint.fault_crc_check_disabled)
+let crc_checks_enabled () = not (Crashpoint.active Crashpoint.Crc_check_disabled)
 
 (* Byte mangling helpers (deterministic given the stream position). *)
 

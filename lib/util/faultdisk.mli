@@ -1,11 +1,15 @@
 (** The adversarial storage model: a process-global fault engine consulted
     by the page store and the log manager.
 
-    {!arm} seeds one splitmix64 stream and enables the matching
-    {!Crashpoint} fault switches; the decision functions below draw from
-    the stream {e only while their switch is active}, so unarmed runs
-    consume zero entropy (bit-identical to fault-free runs) and armed runs
-    are a pure function of (workload seed, fault seed, cfg).
+    [Faultdisk] alone owns the storage faults — torn page writes, bit-rot,
+    transient EIO, torn log appends and the multi-stream flush shuffle.
+    Each is a field of {!cfg}; {!arm} installs a cfg and seeds one
+    splitmix64 stream, and the decision functions below read only the
+    armed cfg. A draw happens only while the armed cfg gives its fault a
+    probability above zero, so unarmed runs consume zero entropy
+    (bit-identical to fault-free runs) and armed runs are a pure function
+    of (workload seed, fault seed, cfg). The meta-fault switches,
+    [crc.check-disabled] among them, belong to {!Crashpoint}.
 
     The engine only {e decides}; the byte-mangling (splicing a torn image,
     flipping a stored bit) is done by the call sites that own the bytes,
@@ -37,16 +41,11 @@ val shuffle_cfg : cfg
     another loses its tail. *)
 
 val arm : seed:int -> cfg -> unit
-(** Install [cfg], seed the fault RNG, and enable the matching
-    {!Crashpoint} switches (remembering which ones {e this} call turned
-    on). *)
+(** Install [cfg] and seed the fault RNG. *)
 
 val disarm : unit -> unit
-(** Disable exactly the switches {!arm} enabled and drop the cfg.
-    Switches enabled independently (e.g. a test's [enable_fault]) are
-    left alone. *)
-
-val armed : unit -> bool
+(** Drop the cfg: every decision function returns false until the next
+    {!arm}. *)
 
 (** {2 Decision functions} — true means "inject the fault now". *)
 
@@ -61,11 +60,11 @@ val stream_shuffle_on : unit -> bool
 
 val stream_retain : avail:int -> int
 (** How many of a stream's [avail] complete unflushed frames survive the
-    crash: uniform over [0, avail] while the shuffle switch is armed, else
+    crash: uniform over [0, avail] while the armed cfg sets [stream_shuffle], else
     0. One RNG draw per armed call. *)
 
 val crc_checks_enabled : unit -> bool
-(** False iff the {!Crashpoint.fault_crc_check_disabled} meta-fault is
+(** False iff the {!Crashpoint.Crc_check_disabled} meta-fault is
     active — codecs then skip CRC verification, and the sim oracle must
     catch the resulting corruption itself. *)
 

@@ -16,7 +16,6 @@ type info = { cause : cause; pid : int option; lsn : int option; detail : string
 
 exception Error of info
 
-val cause_name : cause -> string
 val to_string : info -> string
 
 val raise_err :

@@ -198,13 +198,13 @@ let append t rec_ =
    the last record that offset covers. The per-segment stable boundary is
    derived: segment [s] is stable below [min (seg_end s) flushed].
 
-   The [fault_wal_skip_flush] switch silently drops log forces: commits and
+   The [Wal_skip_flush] fault silently drops log forces: commits and
    the WAL rule stop being durable. It exists so the simulation harness can
    prove it detects a broken implementation (see Aries_sim.Sim). *)
 let max_force_retries = 6
 
 let force t ~upto ~stable_lsn =
-  if upto > t.flushed && not (Crashpoint.fault_active Crashpoint.fault_wal_skip_flush) then begin
+  if upto > t.flushed && not (Crashpoint.active Crashpoint.Wal_skip_flush) then begin
     (* Bounded retry against injected transient I/O errors.  The retries
        are immediate and deterministic (the force is the synchronous
        choke point — there is nothing to yield to mid-force); exhaustion
@@ -246,7 +246,7 @@ let read t lsn =
      (* CRC the payload in place over the segment arena — the old path
         [Buffer.sub]-copied the payload (and the trailer) out first *)
      let stored = Bytebuf.W.get_u32 s.seg_data (rel + 4 + len) in
-     if Bytebuf.W.crc ~off:(rel + 4) ~len s.seg_data <> stored then
+     if Crc.update 0 (Bytebuf.W.unsafe_view s.seg_data) (rel + 4) len <> stored then
        Storage_error.raise_err ~lsn Storage_error.Checksum
          "log record frame CRC mismatch (%dB payload)" len
    end);
@@ -310,7 +310,8 @@ let frame_ok s off =
     let len = Bytebuf.W.get_u32 s.seg_data rel in
     if len < 1 || avail < Logrec.frame_overhead + len then false
     else if Faultdisk.crc_checks_enabled () then
-      Bytebuf.W.crc ~off:(rel + 4) ~len s.seg_data = Bytebuf.W.get_u32 s.seg_data (rel + 4 + len)
+      Crc.update 0 (Bytebuf.W.unsafe_view s.seg_data) (rel + 4) len
+      = Bytebuf.W.get_u32 s.seg_data (rel + 4 + len)
     else true
 
 (* CRC-guarded tail scan over the active (unsealed) segment: the log ends

@@ -39,8 +39,6 @@ val create : ?segment_size:int -> unit -> t
     threshold: a segment is sealed at the first record boundary at or past
     it, so segments can overshoot by up to one record. *)
 
-val default_segment_size : int
-
 val id : t -> int
 (** Id of this log instance, unique since the last {!reset_ids}, used by
     the protocol tracer to key durability events
@@ -123,7 +121,7 @@ val crash : ?retain:(int -> int) -> t -> unit
     Recovery then runs a CRC-guarded {e tail scan} over the active
     segment rather than trusting the recorded boundary: the log ends at
     the last record whose frame verifies. Under the
-    [Crashpoint.fault_log_torn_append] fault, the medium keeps a prefix
+    [Faultdisk] torn-append fault, the medium keeps a prefix
     of the in-flight tail — complete CRC-valid records beyond the
     recorded boundary survive (legal: written but never acked), the torn
     remainder is truncated with a traced [log.tail-truncated] event and

@@ -185,10 +185,8 @@ let frame payload =
   let out = Bytes.create (n + frame_overhead) in
   Bytes.set_int32_le out 0 (Int32.of_int n);
   Bytes.blit payload 0 out 4 n;
-  Bytes.set_int32_le out (n + 4) (Int32.of_int (Crc.bytes ~off:4 ~len:n out));
+  Bytes.set_int32_le out (n + 4) (Int32.of_int (Crc.update 0 (Bytes.unsafe_to_string out) 4 n));
   out
-
-let frame_crc_ok ~payload ~stored = Crc.string payload = stored
 
 let pp ppf t =
   Format.fprintf ppf "@[<h>[%a] %s txn=%d prev=%a" Lsn.pp t.lsn (kind_to_string t.kind) t.txn

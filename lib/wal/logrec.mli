@@ -128,6 +128,3 @@ val frame_overhead : int
 
 val frame : bytes -> bytes
 (** Wrap an encoded record payload in its frame. *)
-
-val frame_crc_ok : payload:string -> stored:int -> bool
-(** Does the stored CRC trailer match the payload? *)

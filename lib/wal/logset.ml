@@ -15,7 +15,7 @@ open Aries_util
      [(epoch, gsn)]; appends never yield mid-record, so that order equals
      plain gsn order. The counter is recoverable: the max gsn among the
      streams' surviving last records bounds every surviving record's gsn
-     (see {!recover_counters}).
+     (see [recover_counters]).
 
    Routing: records that touch a page go to [hash(page) mod N], so {e all}
    of a page's records live on one stream — pageLSN/recLSN comparisons, the

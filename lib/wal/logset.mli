@@ -69,8 +69,6 @@ val crash : t -> unit
     complete unflushed frames while {!Aries_util.Faultdisk.stream_shuffle_on}
     is armed), then re-derive the epoch/gsn counters from the survivors. *)
 
-val recover_counters : t -> unit
-
 (** {2 Commit-record stream vector} *)
 
 val encode_commit_targets : (int * Lsn.t) list -> bytes

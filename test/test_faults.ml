@@ -46,7 +46,7 @@ let clean f =
   Fun.protect
     ~finally:(fun () ->
       Faultdisk.disarm ();
-      Crashpoint.clear_faults ();
+      Crashpoint.clear ();
       Crashpoint.disarm ();
       Crashpoint.reset ();
       Trace.reset ();
@@ -111,7 +111,7 @@ let test_crc_disabled_meta_fault () =
       let l = Page.as_leaf page in
       Vec.push l.Page.lf_keys (Key.make "somebody" { Ids.rid_page = 1; rid_slot = 2 });
       Disk.write disk page;
-      Crashpoint.enable_fault Crashpoint.fault_crc_check_disabled;
+      Crashpoint.enable Crashpoint.Crc_check_disabled;
       (* with checks disabled the write-out has no CRC protection to
          violate, but a flipped stored image must still never raise a bare
          parser exception on read *)
@@ -124,7 +124,7 @@ let test_crc_disabled_meta_fault () =
         (* undo the flip (same seed flips the same bit back) *)
         Disk.corrupt_flip ~seed disk 4
       done;
-      Crashpoint.clear_faults ();
+      Crashpoint.clear ();
       (* with checks back on, an actually-rotten image is loud and typed *)
       Disk.corrupt_flip ~seed:3 disk 4;
       match Disk.read disk 4 with

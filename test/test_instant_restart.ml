@@ -374,10 +374,10 @@ let test_skip_redo_fault_trips_r7 () =
   Trace.set_mode Trace.Check;
   Trace.reset ();
   Discipline.reset ();
-  Crashpoint.enable_fault Crashpoint.fault_instant_skip_redo;
+  Crashpoint.enable Crashpoint.Instant_skip_redo;
   Fun.protect
     ~finally:(fun () ->
-      Crashpoint.clear_faults ();
+      Crashpoint.clear ();
       Trace.set_mode Trace.Off;
       Trace.reset ();
       Discipline.reset ())

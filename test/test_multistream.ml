@@ -34,13 +34,13 @@ let fresh ?(streams = 4) ?(page_size = 384) ?commit_mode ?segment_size () =
 
 let clean f =
   Crashpoint.disarm ();
-  Crashpoint.clear_faults ();
+  Crashpoint.clear ();
   Faultdisk.disarm ();
   Trace.reset ();
   Discipline.reset ();
   Fun.protect f ~finally:(fun () ->
       Crashpoint.disarm ();
-      Crashpoint.clear_faults ();
+      Crashpoint.clear ();
       Faultdisk.disarm ();
       Trace.set_mode Trace.Off;
       Trace.reset ();
@@ -199,7 +199,7 @@ let test_stream_fence_skip_trips_r8 () =
               for i = 0 to 39 do
                 Btree.insert tree txn ~value:(v i) ~rid:(rid i)
               done));
-      Crashpoint.enable_fault Crashpoint.fault_wal_stream_fence_skip;
+      Crashpoint.enable Crashpoint.Wal_stream_fence_skip;
       let tripped = ref false in
       (try
          Db.run_exn db (fun () ->

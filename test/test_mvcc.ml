@@ -39,12 +39,12 @@ let seed_keys db tree lo hi =
 
 let clean f =
   Crashpoint.disarm ();
-  Crashpoint.clear_faults ();
+  Crashpoint.clear ();
   Trace.reset ();
   Discipline.reset ();
   Fun.protect f ~finally:(fun () ->
       Crashpoint.disarm ();
-      Crashpoint.clear_faults ();
+      Crashpoint.clear ();
       Trace.set_mode Trace.Off;
       Trace.reset ();
       Discipline.reset ())
@@ -202,7 +202,7 @@ let test_r9_meta_fault () =
       Trace.set_mode Trace.Check;
       let db, tree = fresh () in
       seed_keys db tree 0 9;
-      Crashpoint.enable_fault Crashpoint.fault_mvcc_reader_key_lock;
+      Crashpoint.enable Crashpoint.Mvcc_reader_key_lock;
       let tripped = ref false in
       (try
          Db.run_exn db (fun () ->

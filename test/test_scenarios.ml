@@ -36,10 +36,10 @@ let test_window_tracer_off () =
 let test_window_keeps_checker () =
   with_mode Trace.Check (fun () ->
       Discipline.reset ();
-      Crashpoint.enable_fault Crashpoint.fault_lock_uncond_under_latch;
+      Crashpoint.enable Crashpoint.Lock_uncond_under_latch;
       let checks =
         Fun.protect Figures.e5 ~finally:(fun () ->
-            Crashpoint.disable_fault Crashpoint.fault_lock_uncond_under_latch)
+            Crashpoint.disable Crashpoint.Lock_uncond_under_latch)
       in
       Alcotest.(check bool) "the checker caught the wait under latch" true
         (Discipline.violations () > 0);

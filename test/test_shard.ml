@@ -2,8 +2,8 @@
    truncation rejection, 1000 seeded cases each), rule R10 end-to-end via
    the 2pc.early-decide meta-fault, presumed-abort in-doubt resolution
    after a crash, the coordinator decision scan, the cluster-wide
-   in-doubt leak audit, and the global deadlock detector breaking a
-   cycle that spans two shards. *)
+   in-doubt leak audit, the global deadlock detector breaking a cycle
+   that spans two shards, and an allocation-free shard-down check. *)
 
 open Aries_util
 module Twopc = Aries_shard.Twopc
@@ -190,7 +190,7 @@ let test_early_decide_caught () =
   Discipline.reset ();
   Fun.protect
     ~finally:(fun () ->
-      Crashpoint.disable_fault Crashpoint.fault_twopc_early_decide;
+      Crashpoint.disable Crashpoint.Twopc_early_decide;
       Trace.set_mode Trace.Off;
       Trace.reset ();
       Discipline.reset ())
@@ -198,7 +198,7 @@ let test_early_decide_caught () =
       let t = mk () in
       run_ok t (fun () -> Sharddb.setup t);
       let a, b = cross_pair t in
-      Crashpoint.enable_fault Crashpoint.fault_twopc_early_decide;
+      Crashpoint.enable Crashpoint.Twopc_early_decide;
       let r =
         Sharddb.run t ~policy:Sched.Fifo (fun () ->
             ignore
@@ -294,6 +294,27 @@ let test_global_deadlock_victim () =
       Alcotest.(check (list string)) "no leaks" [] (Sharddb.leak_report t);
       Sharddb.close t)
 
+(* Every shard operation asks [is_up], so the check must not allocate:
+   each shard builds its [Shard_down k] switch once, and the fault set is
+   a plain list. Measured with no switch on and with another shard's on. *)
+let test_is_up_allocates_nothing () =
+  let t = mk () in
+  let calls = 10_000 in
+  let words_per_call () =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (Sharddb.is_up t 0)
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int calls
+  in
+  Alcotest.(check (float 0.0)) "no switch on: words per is_up" 0.0 (words_per_call ());
+  Fun.protect ~finally:Crashpoint.clear (fun () ->
+      Crashpoint.enable (Crashpoint.Shard_down 1);
+      Alcotest.(check bool) "shard 1 is down" false (Sharddb.is_up t 1);
+      Alcotest.(check bool) "shard 0 is up" true (Sharddb.is_up t 0);
+      Alcotest.(check (float 0.0)) "shard 1 down: words per is_up" 0.0 (words_per_call ()));
+  Sharddb.close t
+
 let () =
   Alcotest.run "shard"
     [
@@ -320,4 +341,6 @@ let () =
           Alcotest.test_case "two-shard cycle broken by the global detector" `Quick
             test_global_deadlock_victim;
         ] );
+      ( "faults",
+        [ Alcotest.test_case "is_up allocates nothing" `Quick test_is_up_allocates_nothing ] );
     ]

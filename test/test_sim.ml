@@ -114,8 +114,8 @@ let test_unreachable_crash_index () =
    failing crash points, print a SIM-REPRO line, and the reproducer must
    replay to the identical failure set. *)
 let test_injected_fault_is_caught () =
-  Fun.protect ~finally:Crashpoint.clear_faults (fun () ->
-      Crashpoint.enable_fault Crashpoint.fault_wal_skip_flush;
+  Fun.protect ~finally:Crashpoint.clear (fun () ->
+      Crashpoint.enable Crashpoint.Wal_skip_flush;
       let s =
         Sweep.sweep ~workload:"default" (Sim.run cfg) ~seeds:[ 11; 12 ] ~crash_seeds:[ 11; 12 ]
           ~crash_budget:25
@@ -137,8 +137,8 @@ let test_injected_fault_is_caught () =
    that too (a group-commit bug that dropped forces must not hide from the
    sweep). *)
 let test_injected_fault_is_caught_group () =
-  Fun.protect ~finally:Crashpoint.clear_faults (fun () ->
-      Crashpoint.enable_fault Crashpoint.fault_wal_skip_flush;
+  Fun.protect ~finally:Crashpoint.clear (fun () ->
+      Crashpoint.enable Crashpoint.Wal_skip_flush;
       let s =
         Sweep.sweep ~workload:"group+cleaner" (Sim.run gcfg) ~seeds:[ 11; 12 ]
           ~crash_seeds:[ 11; 12 ] ~crash_budget:25
@@ -255,8 +255,8 @@ let test_fault_determinism () =
    not silently paper over each other. Crash sweeps drive it, because only
    a post-crash restart re-reads the rotten images from disk. *)
 let test_crc_disabled_meta_fault () =
-  Fun.protect ~finally:Crashpoint.clear_faults (fun () ->
-      Crashpoint.enable_fault Crashpoint.fault_crc_check_disabled;
+  Fun.protect ~finally:Crashpoint.clear (fun () ->
+      Crashpoint.enable Crashpoint.Crc_check_disabled;
       let bitrot =
         { Aries_util.Faultdisk.eio_read_p = 0.0; eio_write_p = 0.0; eio_force_p = 0.0;
           bit_flip_p = 0.25; torn_write = false; torn_append = false; stream_shuffle = false }
@@ -375,8 +375,8 @@ let check_ends_at_budget ~rule (r : Sweep.report) =
   | [] -> Alcotest.fail "meta-fault run passed"
 
 let test_mvcc_reader_lock_ends_at_budget () =
-  Fun.protect ~finally:Crashpoint.clear_faults (fun () ->
-      Crashpoint.enable_fault Crashpoint.fault_mvcc_reader_key_lock;
+  Fun.protect ~finally:Crashpoint.clear (fun () ->
+      Crashpoint.enable Crashpoint.Mvcc_reader_key_lock;
       check_ends_at_budget ~rule:"R9" (Sim.run Workload.mvcc_cfg ~seed:16 Sweep.Run))
 
 (* ------------------------------------------------------------------ *)
@@ -407,8 +407,8 @@ let test_shard_determinism () =
     Sweep.[ Run; Crash 40; Instant (30, None); Kill (1, Some 30); Down 2 ]
 
 let test_shard_early_decide_replays () =
-  Fun.protect ~finally:Crashpoint.clear_faults (fun () ->
-      Crashpoint.enable_fault Crashpoint.fault_twopc_early_decide;
+  Fun.protect ~finally:Crashpoint.clear (fun () ->
+      Crashpoint.enable Crashpoint.Twopc_early_decide;
       let s =
         Shardsim.sweep ~workload:"shards" scfg ~seeds:[ 1; 2 ] ~crash_seeds:[ 1001 ] ~crash_budget:6
       in
@@ -422,8 +422,8 @@ let test_shard_early_decide_replays () =
           Alcotest.(check bool) "replay reproduces the failure" true (Sweep.confirms rp rep))
 
 let test_shard_early_decide_ends_at_budget () =
-  Fun.protect ~finally:Crashpoint.clear_faults (fun () ->
-      Crashpoint.enable_fault Crashpoint.fault_twopc_early_decide;
+  Fun.protect ~finally:Crashpoint.clear (fun () ->
+      Crashpoint.enable Crashpoint.Twopc_early_decide;
       check_ends_at_budget ~rule:"R10" (Shardsim.run scfg ~seed:1 Sweep.Run))
 
 let () =

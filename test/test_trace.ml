@@ -41,7 +41,7 @@ let has_substring s sub =
 let clean f =
   Fun.protect
     ~finally:(fun () ->
-      Crashpoint.clear_faults ();
+      Crashpoint.clear ();
       Crashpoint.disarm ();
       Crashpoint.reset ();
       Trace.set_mode Trace.Check;
@@ -481,7 +481,7 @@ let test_meta_fault_uncond_lock_under_latch () =
   clean (fun () ->
       let config = { Btree.default_config with Btree.locking = Protocol.Index_specific } in
       let db, tree = fresh ~config () in
-      Crashpoint.enable_fault Crashpoint.fault_lock_uncond_under_latch;
+      Crashpoint.enable Crashpoint.Lock_uncond_under_latch;
       let caught = ref None in
       let r =
         Db.run db (fun () ->
@@ -517,7 +517,7 @@ let test_meta_fault_uncond_lock_under_latch () =
       Alcotest.(check bool) "dump has the latch acquire" true
         (List.exists (fun l -> has_substring l "latch-acquire") dump);
       (* with the fault cleared, the same contention resolves cleanly *)
-      Crashpoint.clear_faults ();
+      Crashpoint.clear ();
       Trace.reset ();
       Discipline.reset ();
       let db2, tree2 = fresh ~config () in
@@ -546,7 +546,7 @@ let test_meta_fault_uncond_lock_under_latch () =
 let test_meta_fault_commit_early_ack () =
   clean (fun () ->
       let db, tree = fresh () in
-      Crashpoint.enable_fault Crashpoint.fault_commit_early_ack;
+      Crashpoint.enable Crashpoint.Commit_early_ack;
       let caught = ref None in
       ignore
         (Db.run db (fun () ->
@@ -569,7 +569,7 @@ let test_meta_fault_commit_early_ack () =
       Alcotest.(check bool) "dump has the ack" true
         (List.exists (fun l -> has_substring l "commit-ack") dump);
       (* cleared fault: the same commit forces and passes *)
-      Crashpoint.clear_faults ();
+      Crashpoint.clear ();
       Trace.reset ();
       Discipline.reset ();
       let db2, tree2 = fresh () in
@@ -607,11 +607,11 @@ let test_meta_fault_premature_truncate () =
           (* the honest path respects the pin: no violation *)
           ignore (Db.trim_log db);
           Alcotest.(check int) "honest reclamation passes" 0 (Discipline.violations ());
-          Crashpoint.enable_fault Crashpoint.fault_ckpt_premature_truncate;
+          Crashpoint.enable Crashpoint.Ckpt_premature_truncate;
           (match Db.trim_log db with
           | _ -> ()
           | exception Discipline.Violation (rule, msg) -> caught := Some (rule, msg));
-          Crashpoint.clear_faults ();
+          Crashpoint.clear ();
           Txnmgr.commit db.Db.mgr pin);
       (match !caught with
       | Some (Discipline.R6, msg) ->

@@ -1,4 +1,5 @@
-(* Unit tests for the utility substrate: Vec, Rng, Bytebuf, Stats. *)
+(* Unit tests for the utility substrate: Vec, Rng, Bytebuf, Crc, the fault
+   switches (Crashpoint, Faultdisk), Stats. *)
 
 open Aries_util
 
@@ -335,6 +336,54 @@ let test_crc_bytes_slice () =
   let b = Bytes.of_string "__123456789__" in
   Alcotest.(check int) "bytes slice" 0xCBF43926 (Crc.bytes ~off:2 ~len:9 b)
 
+(* ---------- Crashpoint / Faultdisk ---------- *)
+
+(* The typed fault set: every meta-fault name round-trips, and a name
+   outside the set (a typo, a storage fault, a shard switch) is refused. *)
+let test_fault_names () =
+  let names = List.map Crashpoint.to_string Crashpoint.meta_faults in
+  Alcotest.(check int) "nine distinct meta-fault names" 9
+    (List.length (List.sort_uniq String.compare names));
+  List.iter
+    (fun f ->
+      let name = Crashpoint.to_string f in
+      Alcotest.(check bool) (name ^ " round-trips") true (Crashpoint.of_string name = Some f))
+    Crashpoint.meta_faults;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (Printf.sprintf "%S rejected" name) true
+        (Crashpoint.of_string name = None))
+    [ ""; "wal.skipflush"; "disk.torn-write"; "log.torn-append"; "shard.down.1" ]
+
+(* Storage faults belong to Faultdisk's armed cfg alone: with every fault
+   certain they all fire, and after [disarm] none does. *)
+let test_faultdisk_disarm () =
+  let decisions () =
+    [
+      ("fail_read", Faultdisk.fail_read ());
+      ("fail_write", Faultdisk.fail_write ());
+      ("fail_force", Faultdisk.fail_force ());
+      ("flip_now", Faultdisk.flip_now ());
+      ("torn_write_on", Faultdisk.torn_write_on ());
+      ("torn_append_on", Faultdisk.torn_append_on ());
+      ("stream_shuffle_on", Faultdisk.stream_shuffle_on ());
+    ]
+  in
+  Faultdisk.arm ~seed:1
+    {
+      Faultdisk.eio_read_p = 1.0;
+      eio_write_p = 1.0;
+      eio_force_p = 1.0;
+      bit_flip_p = 1.0;
+      torn_write = true;
+      torn_append = true;
+      stream_shuffle = true;
+    };
+  List.iter (fun (name, on) -> Alcotest.(check bool) (name ^ " while armed") true on) (decisions ());
+  Faultdisk.disarm ();
+  List.iter (fun (name, on) -> Alcotest.(check bool) (name ^ " after disarm") false on) (decisions ());
+  Alcotest.(check int) "stream_retain after disarm" 0 (Faultdisk.stream_retain ~avail:8)
+
 (* ---------- Stats ---------- *)
 
 let c_a = Stats.counter "test.a"
@@ -446,6 +495,11 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_crc_differential;
           QCheck_alcotest.to_alcotest qcheck_crc_incremental;
           QCheck_alcotest.to_alcotest qcheck_crc_combine;
+        ] );
+      ( "faults",
+        [
+          Alcotest.test_case "fault names round-trip" `Quick test_fault_names;
+          Alcotest.test_case "disarm turns every storage fault off" `Quick test_faultdisk_disarm;
         ] );
       ( "stats",
         [
