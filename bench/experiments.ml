@@ -546,7 +546,7 @@ let q9 ppf =
    Acceptance: checker-on <= 2x off (test/test_trace.ml enforces it too). *)
 let q10 ppf =
   let module Trace = Aries_trace.Trace in
-  let module Sim = Aries_sim.Sim in
+  let module Shardsim = Aries_sim.Shardsim in
   let r = Record.start ppf "q10" "Q10: protocol tracer overhead — off / ring-on / checker-on" in
   let cfg = Aries_sim.Workload.default_cfg in
   let seeds = List.init 8 (fun i -> 40 + i) in
@@ -565,7 +565,7 @@ let q10 ppf =
           events := 0;
           List.iter
             (fun seed ->
-              let rr = Sim.run cfg ~seed Aries_sim.Sweep.Run in
+              let rr = Shardsim.run cfg ~seed Aries_sim.Sweep.Run in
               if rr.Aries_sim.Sweep.rr_failures <> [] then
                 failwith
                   (Printf.sprintf "q10: seed %d failed with the tracer %s" seed (mode_label m));
@@ -724,7 +724,7 @@ let q11 ppf =
    acceptance gate: every seed recovers to the oracle or fails typed).
    The CRC hot-path overhead is Q16's measurement. *)
 let q12 ppf =
-  let module Sim = Aries_sim.Sim in
+  let module Shardsim = Aries_sim.Shardsim in
   let module Sweep = Aries_sim.Sweep in
   let module Swl = Aries_sim.Workload in
   let module Faultdisk = Aries_util.Faultdisk in
@@ -826,7 +826,7 @@ let q12 ppf =
   let sweep_seeds = 12 and sweep_crash_seeds = 2 and sweep_budget = 20 in
   let digest, dstats =
     measured (fun () ->
-        Sweep.sweep ~workload:"faults" (Sim.run Swl.fault_cfg)
+        Shardsim.sweep ~workload:"faults" Swl.fault_cfg
           ~seeds:(List.init sweep_seeds (fun i -> i + 1))
           ~crash_seeds:(List.init sweep_crash_seeds (fun i -> 1001 + i))
           ~crash_budget:sweep_budget)
@@ -1670,7 +1670,8 @@ let q17 ppf =
   Sharddb.close t2;
   (* -- zero-fatal sharded fault sweep (the sim smoke rig, small budget) -- *)
   let sweep =
-    Shardsim.sweep ~workload:"shards" Shardsim.default_cfg ~seeds:[ 1; 2 ] ~crash_seeds:[ 1001 ] ~crash_budget:9
+    Shardsim.sweep ~workload:"shards" Aries_sim.Workload.shards_cfg ~seeds:[ 1; 2 ]
+      ~crash_seeds:[ 1001 ] ~crash_budget:9
   in
   Record.line r "sharded fault sweep: runs / acked / in-doubt resolved / failures"
     [

@@ -33,12 +33,10 @@
 let ppf = Format.std_formatter
 
 module Sweep = Aries_sim.Sweep
-module Sim = Aries_sim.Sim
 module Shardsim = Aries_sim.Shardsim
 module Wl = Aries_sim.Workload
 module Crashpoint = Aries_util.Crashpoint
-
-type harness = Db of Wl.cfg | Shards of Shardsim.cfg
+module Faultdisk = Aries_util.Faultdisk
 
 (* One row of the `sim smoke` matrix. A row whose flags include
    "--instant" runs an instant sweep per seed; any other row runs plain
@@ -46,7 +44,7 @@ type harness = Db of Wl.cfg | Shards of Shardsim.cfg
    label is also the name [sim replay] looks up. *)
 type row = {
   flags : string list;
-  cfgs : (string * harness) list;
+  cfgs : (string * Wl.cfg) list;
   seeds : int list;
   crash_seeds : int list;
   budget : int;
@@ -59,12 +57,12 @@ let crash_row flags cfgs =
 
 let instant_row flags cfgs = { flags; cfgs; seeds = from 2001 2; crash_seeds = []; budget = 24 }
 
-let stock = [ ("default", Db Wl.default_cfg); ("group+cleaner", Db Wl.group_cfg) ]
+let stock = [ ("default", Wl.default_cfg); ("group+cleaner", Wl.group_cfg) ]
 
 let multistream =
-  [ ("multistream", Db Wl.multistream_cfg); ("multistream+group", Db Wl.multistream_group_cfg) ]
+  [ ("multistream", Wl.multistream_cfg); ("multistream+group", Wl.multistream_group_cfg) ]
 
-let shards = [ ("shards", Shards Shardsim.default_cfg) ]
+let shards = [ ("shards", Wl.shards_cfg) ]
 
 let smoke_rows =
   [
@@ -76,9 +74,9 @@ let smoke_rows =
        with a typed Storage_error, which is tolerated. *)
     crash_row [ "--faults" ]
       [
-        ("faults", Db Wl.fault_cfg);
-        ("faults+group+cleaner", Db Wl.fault_group_cfg);
-        ("eio-only+group", Db Wl.fault_eio_cfg);
+        ("faults", Wl.fault_cfg);
+        ("faults+group+cleaner", Wl.fault_group_cfg);
+        ("eio-only+group", Wl.fault_eio_cfg);
       ];
     (* Recovery during recovery: cut each run mid-flight, restart with
        ~instant:true, and crash again inside the drain; every second crash
@@ -94,7 +92,7 @@ let smoke_rows =
        the per-snapshot oracle, and the version-GC daemon racing both;
        every read obeys R9 and every crash restarts (version store rebuilt
        from the log) to the oracle. *)
-    crash_row [ "--mvcc" ] [ ("mvcc", Db Wl.mvcc_cfg); ("mvcc+group", Db Wl.mvcc_group_cfg) ];
+    crash_row [ "--mvcc" ] [ ("mvcc", Wl.mvcc_cfg); ("mvcc+group", Wl.mvcc_group_cfg) ];
     (* Presumed-abort 2PC across a Sharddb cluster with the flush shuffle
        armed: whole-cluster crashes, single-shard fail-stops (coordinators
        and participants alike) and whole workloads with a shard down must
@@ -108,7 +106,8 @@ let smoke_rows =
       budget = 18;
     };
     (* Every shard restarts mid-recovery and serves a second workload phase
-       while in-doubts resolve. *)
+       while in-doubts resolve, and the whole cluster crashes again inside
+       that phase; every second crash must classic-restart to the oracle. *)
     {
       flags = [ "--shards"; "--instant" ];
       cfgs = shards;
@@ -128,15 +127,18 @@ let print_failures = function
         (first.Sweep.rp_trace @ first.Sweep.rp_event_dump)
 
 (* Prints one summary line and its fatal reproducers; true iff none. Typed
-   storage failures are tolerated only where the cfg arms storage faults. *)
-let report_summary ~tolerate scope (s : Sweep.summary) =
+   storage failures are tolerated only where the cfg arms a storage fault
+   that can make a correct engine fail typed ([Faultdisk.damages_storage]). *)
+let report_summary (cfg : Wl.cfg) scope (s : Sweep.summary) =
+  let tolerate = match cfg.Wl.faults with Some f -> Faultdisk.damages_storage f | None -> false in
   let fatal = if tolerate then Sweep.fatal_failures s else s.Sweep.sm_failures in
   let tolerated = List.length s.Sweep.sm_failures - List.length fatal in
   Format.fprintf ppf
-    "  %s%d runs (%d unarmed, %d armed), %d acked, %d in-doubt resolved, %d fatal failure(s)%s@."
+    "  %s%d runs (%d unarmed, %d armed), %d events, %d acked, %d in-doubt resolved, %d fatal \
+     failure(s)%s@."
     scope s.Sweep.sm_runs
     (s.Sweep.sm_runs - s.Sweep.sm_armed)
-    s.Sweep.sm_armed s.Sweep.sm_acked s.Sweep.sm_resolved (List.length fatal)
+    s.Sweep.sm_armed s.Sweep.sm_events s.Sweep.sm_acked s.Sweep.sm_resolved (List.length fatal)
     (if tolerated > 0 then Printf.sprintf " (+%d tolerated typed)" tolerated else "");
   print_failures fatal;
   fatal = []
@@ -149,7 +151,7 @@ let run_row row =
   let clean =
     Stats.with_sink stats @@ fun () ->
     List.fold_left
-      (fun clean (workload, h) ->
+      (fun clean (workload, cfg) ->
         if instant then
           Format.fprintf ppf "%s [%s]: %d seeds x <=%d armed runs@." name workload
             (List.length row.seeds) row.budget
@@ -158,31 +160,23 @@ let run_row row =
             (List.length row.seeds) (List.length row.crash_seeds) row.budget;
         let budget = row.budget in
         let summaries =
-          match (h, instant) with
-          | Db cfg, true ->
-              List.map
-                (fun seed -> (seed, Sweep.instant_sweep ~workload (Sim.run cfg) ~seed ~budget))
-                row.seeds
-          | Shards cfg, true ->
-              List.map
-                (fun seed -> (seed, Shardsim.instant_sweep ~workload cfg ~seed ~budget))
-                row.seeds
-          | Db cfg, false ->
-              [ (0, Sweep.sweep ~workload (Sim.run cfg) ~seeds:row.seeds
-                   ~crash_seeds:row.crash_seeds ~crash_budget:budget) ]
-          | Shards cfg, false ->
-              [ (0, Shardsim.sweep ~workload cfg ~seeds:row.seeds ~crash_seeds:row.crash_seeds
-                   ~crash_budget:budget) ]
+          if instant then
+            List.map
+              (fun seed ->
+                (seed, Sweep.instant_sweep ~workload (Shardsim.run cfg) ~seed ~budget))
+              row.seeds
+          else
+            [ (0, Shardsim.sweep ~workload cfg ~seeds:row.seeds ~crash_seeds:row.crash_seeds
+                 ~crash_budget:budget) ]
         in
-        let tolerate = match h with Db cfg -> cfg.Wl.faults <> None | Shards _ -> false in
         List.fold_left
           (fun clean (seed, s) ->
             let scope = if instant then Printf.sprintf "seed %d: " seed else "" in
-            report_summary ~tolerate scope s && clean)
+            report_summary cfg scope s && clean)
           clean summaries)
       true row.cfgs
   in
-  if List.exists (function _, Shards _ -> true | _, Db _ -> false) row.cfgs then
+  if List.exists (fun (_, cfg) -> cfg.Wl.shards > 1) row.cfgs then
     Format.fprintf ppf "  2pc counters: %s@."
       (String.concat " "
          (List.map
@@ -234,15 +228,14 @@ let run_sim args =
             smoke_rows;
           exit 2)
   | [ "replay"; workload; seed; mode ] ->
-      let h =
+      let cfg =
         match List.find_map (fun r -> List.assoc_opt workload r.cfgs) smoke_rows with
-        | Some h -> h
+        | Some cfg -> cfg
         | None ->
             Format.fprintf ppf "unknown workload %S@." workload;
             exit 2
       in
-      let run = match h with Db cfg -> Sim.run cfg | Shards cfg -> Shardsim.run cfg in
-      let r = run ~seed:(int_of_string seed) (Sweep.mode_of_string mode) in
+      let r = Shardsim.run cfg ~seed:(int_of_string seed) (Sweep.mode_of_string mode) in
       Format.fprintf ppf "replay workload=%s seed=%s mode=%s: %d events, %d txns, %d acked@."
         workload seed mode r.Sweep.rr_events r.Sweep.rr_txns r.Sweep.rr_acked;
       List.iter (fun l -> Format.fprintf ppf "  %s@." l) (r.Sweep.rr_trace @ r.Sweep.rr_event_dump);
@@ -261,14 +254,14 @@ let run_sim args =
         ncrash budget;
       let t0 = Sys.time () in
       let s =
-        Sweep.sweep
+        Shardsim.sweep
           ~progress:(fun line -> Format.fprintf ppf "  %s@." line)
-          ~workload:"default" (Sim.run Wl.default_cfg) ~seeds:(from 1 nseeds)
+          ~workload:"default" Wl.default_cfg ~seeds:(from 1 nseeds)
           ~crash_seeds:(from 1001 ncrash) ~crash_budget:budget
       in
       Format.fprintf ppf "sim: %d durability events enumerated (%.2fs)@." s.Sweep.sm_events
         (Sys.time () -. t0);
-      if not (report_summary ~tolerate:false "" s) then exit 1
+      if not (report_summary Wl.default_cfg "" s) then exit 1
 
 let run_experiments ids =
   match List.filter (fun id -> not (List.mem_assoc id Experiments.all)) ids with

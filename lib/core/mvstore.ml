@@ -275,66 +275,3 @@ let live_versions t =
     t.tables 0
 
 let pending_txns t = Hashtbl.fold (fun id _ acc -> id :: acc) t.pending [] |> List.sort compare
-
-(* ------------------------------------------------------------------ *)
-(* Codec: the store's wire format (ordered chain dump per index). Shares
-   the Bytebuf discipline of the log-record and lock-list codecs. *)
-
-type dump_version = { dv_present : bool; dv_csn : csn option; dv_txn : Ids.txn_id }
-
-type dump_chain = {
-  dc_value : string;
-  dc_rid : Ids.rid;
-  dc_base : bool;
-  dc_versions : dump_version list;
-}
-
-let encode_chains chains =
-  let w = Bytebuf.W.create () in
-  Bytebuf.W.list w
-    (fun w dc ->
-      Bytebuf.W.string w dc.dc_value;
-      Bytebuf.W.i64 w dc.dc_rid.Ids.rid_page;
-      Bytebuf.W.u32 w dc.dc_rid.Ids.rid_slot;
-      Bytebuf.W.bool w dc.dc_base;
-      Bytebuf.W.list w
-        (fun w dv ->
-          Bytebuf.W.bool w dv.dv_present;
-          (match dv.dv_csn with
-          | None -> Bytebuf.W.u8 w 0
-          | Some c ->
-              Bytebuf.W.u8 w 1;
-              Bytebuf.W.i64 w c.cs_epoch;
-              Bytebuf.W.i64 w c.cs_gsn);
-          Bytebuf.W.i64 w dv.dv_txn)
-        dc.dc_versions)
-    chains;
-  Bytebuf.W.contents w
-
-let decode_chains b =
-  let r = Bytebuf.R.of_bytes b in
-  let chains =
-    Bytebuf.R.list r (fun r ->
-        let dc_value = Bytebuf.R.string r in
-        let rid_page = Bytebuf.R.i64 r in
-        let rid_slot = Bytebuf.R.u32 r in
-        let dc_base = Bytebuf.R.bool r in
-        let dc_versions =
-          Bytebuf.R.list r (fun r ->
-              let dv_present = Bytebuf.R.bool r in
-              let dv_csn =
-                match Bytebuf.R.u8 r with
-                | 0 -> None
-                | 1 ->
-                    let cs_epoch = Bytebuf.R.i64 r in
-                    let cs_gsn = Bytebuf.R.i64 r in
-                    Some { cs_epoch; cs_gsn }
-                | n -> raise (Bytebuf.Corrupt (Printf.sprintf "bad csn tag %d" n))
-              in
-              let dv_txn = Bytebuf.R.i64 r in
-              { dv_present; dv_csn; dv_txn })
-        in
-        { dc_value; dc_rid = { Ids.rid_page; rid_slot }; dc_base; dc_versions })
-  in
-  Bytebuf.R.expect_end r;
-  chains

@@ -108,19 +108,3 @@ val reclaimed_total : t -> int
 (** Versions ever removed from this store (GC, rollback discard, crash
     clear). [created_total - reclaimed_total] must equal {!live_versions}
     at all times — [Db.leak_report] audits exactly that. *)
-
-(** {1 Codec} (the store's wire format; property-tested like the v3 frame
-    and lock-list codecs) *)
-
-type dump_version = { dv_present : bool; dv_csn : csn option; dv_txn : Ids.txn_id }
-
-type dump_chain = {
-  dc_value : string;
-  dc_rid : Ids.rid;
-  dc_base : bool;
-  dc_versions : dump_version list;
-}
-
-val encode_chains : dump_chain list -> bytes
-
-val decode_chains : bytes -> dump_chain list

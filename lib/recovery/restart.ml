@@ -163,16 +163,17 @@ let analysis ?locks_of ~index logs =
                   reverse-gsn turn re-fences it *)
                tk.tk_undo_nxts.(s) <- lsn
              end
-             else begin
+             else
                (* the cursor jump lands on the *compensated* record's
                   stream, which a cross-stream logical undo makes distinct
-                  from the CLR's own; the CLR's own cursor then falls back
-                  to the CLR itself so that stream's walk stays sound
-                  (undo steps through non-undoable records harmlessly) *)
+                  from the CLR's own. The CLR's own stream keeps its
+                  cursor, as in the live driver ([Txnmgr.log_clr]):
+                  re-walking that stream from the CLR would reach records
+                  already compensated, or fenced by an NTA anchor whose
+                  turn a checkpoint taken mid-rollback has recorded as
+                  past *)
                tk.tk_undo_nxts.(r.Logrec.undo_nxt_stream) <-
-                 clamp tk.tk_undo_nxts.(r.Logrec.undo_nxt_stream) r.Logrec.undo_nxt_lsn;
-               if r.Logrec.undo_nxt_stream <> s then tk.tk_undo_nxts.(s) <- lsn
-             end
+                 clamp tk.tk_undo_nxts.(r.Logrec.undo_nxt_stream) r.Logrec.undo_nxt_lsn
          | Logrec.Prepare ->
              (* believe the prepare only if its fence vector survived: an
                 in-doubt txn with updates lost on another stream must be
@@ -217,6 +218,14 @@ let analysis ?locks_of ~index logs =
           List.iter
             (fun (ct : Checkpoint.ck_txn) ->
               match Hashtbl.find_opt txns ct.Checkpoint.ct_id with
+              | None when Lsn.compare lsn anchor_end <> 0 ->
+                  (* a transaction the scan has not met yet and the anchor
+                     does not name began after the anchor's horizon, so
+                     every surviving record of it is scanned; this End_ckpt
+                     is its only other source, and one that survived
+                     without its master can name records the crash lost
+                     (its cursors would then point past a stream's end) *)
+                  ()
               | None ->
                   let tk = fresh_track nn in
                   tk.tk_state <- ct.Checkpoint.ct_state;

@@ -101,14 +101,16 @@ type t = {
   parked : (int, parked) Hashtbl.t;
 }
 
-let create ?(shards = 2) ?router:(_ : router option) ?page_size ?pool_capacity ?commit_mode
-    ?segment_size ?streams () =
+let create ?(shards = 2) ?router:(_ : router option) ?page_size ?pool_capacity ?config
+    ?commit_mode ?cleaner ?checkpoint ?vgc ?segment_size ?streams () =
   if shards < 1 then invalid_arg "Sharddb.create: need at least one shard";
   let mk k =
     {
       sx_id = k;
       sx_fault = Crashpoint.Shard_down k;
-      sx_db = Db.create ?page_size ?pool_capacity ?commit_mode ?segment_size ?streams ();
+      sx_db =
+        Db.create ?page_size ?pool_capacity ?config ?commit_mode ?cleaner ?checkpoint ?vgc
+          ?segment_size ?streams ();
       sx_tree = None;
       sx_index = 0;
       sx_down = false;
@@ -538,10 +540,13 @@ let restart ?instant t =
    unwind with [Shard_down]/[Aborted]), then cut — the shard's volatile
    state is discarded exactly like a power failure, while every other
    shard keeps running. Requires daemon-less shards (Per_commit, no
-   cleaner/checkpointer): a daemon of the killed incarnation would keep
-   running against the dead handle. *)
+   cleaner, checkpointer or version GC): a daemon of the killed
+   incarnation would keep running against the dead handle. *)
 let kill t k =
   let s = t.shards.(k) in
+  let d = s.sx_db in
+  if d.Db.gc <> None || d.Db.cleaner <> None || d.Db.checkpoint_cfg <> None || d.Db.vgc_cfg <> None
+  then invalid_arg (Printf.sprintf "Sharddb.kill: shard %d runs daemons" k);
   if not s.sx_down then begin
     s.sx_down <- true;
     if Trace.enabled () then Trace.emit (Trace.Shard_event { shard = k; what = Trace.Killed });
@@ -636,12 +641,16 @@ let detect_once t =
       | None -> ())
     !victims
 
+(* Dies on a simulated power failure like every {!Sched.periodic} daemon:
+   busy-yielding against fibers the crash left suspended would keep the
+   run going until its step budget. *)
 let service t () =
-  while not (Sched.shutting_down ()) do
+  let stopping () = Sched.shutting_down () || Crashpoint.tripped () in
+  while not (stopping ()) do
     for _ = 1 to detect_every do
-      if not (Sched.shutting_down ()) then Sched.yield ()
+      if not (stopping ()) then Sched.yield ()
     done;
-    if not (Sched.shutting_down ()) then begin
+    if not (stopping ()) then begin
       detect_once t;
       drain_parked t
     end

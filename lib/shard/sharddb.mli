@@ -69,15 +69,20 @@ val create :
   ?router:router ->
   ?page_size:int ->
   ?pool_capacity:int ->
+  ?config:Btree.config ->
   ?commit_mode:Db.commit_mode ->
+  ?cleaner:Aries_buffer.Cleaner.cfg ->
+  ?checkpoint:Aries_recovery.Ckptd.cfg ->
+  ?vgc:Aries_recovery.Vgcd.cfg ->
   ?segment_size:int ->
   ?streams:int ->
   unit ->
   t
-(** [shards] (default 2) environments, each built like {!Db.create} with
-    the shared knobs and {!Db}'s default B-tree configuration. {!kill}
-    requires daemon-less shards (default [Per_commit], no
-    cleaner/checkpointer). *)
+(** [shards] (default 2) environments. Every other argument is passed to
+    each shard's {!Db.create} unchanged, with {!Db.create}'s defaults:
+    the default B-tree configuration, [Per_commit], and no cleaner,
+    checkpointer or version GC. Each shard's tree is unique
+    ({!setup}). {!kill} requires daemon-less shards. *)
 
 val setup : t -> unit
 (** Create each shard's tree (one committed local transaction per shard).
@@ -166,7 +171,9 @@ val restart : ?instant:bool -> t -> Restart.report array * int
 val kill : t -> int -> unit
 (** Targeted fail-stop of one shard: mark it down, break its lock waiters
     so in-flight fibers unwind, then discard its volatile state in place.
-    Healthy shards keep running throughout. *)
+    Healthy shards keep running throughout. Raises [Invalid_argument] if
+    the shard runs daemons (group commit, cleaner, checkpointer or
+    version GC): they would outlive the killed incarnation. *)
 
 val revive : ?instant:bool -> t -> int -> Restart.report option
 (** Restart a {!kill}ed shard, reopen its tree, mark it up, resolve

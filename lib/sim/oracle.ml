@@ -16,10 +16,6 @@ let apply_op t = function
   | Insert (v, rid) -> Smap.add v rid t
   | Delete (v, _) -> Smap.remove v t
 
-let apply t ops = List.fold_left apply_op t ops
-
-let to_alist t = Smap.bindings t
-
 let op_to_string = function
   | Insert (v, rid) -> Printf.sprintf "+%s@%s" v (Ids.rid_to_string rid)
   | Delete (v, rid) -> Printf.sprintf "-%s@%s" v (Ids.rid_to_string rid)

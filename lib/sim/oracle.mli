@@ -13,7 +13,9 @@
     "acked" flag (Txnmgr.commit returned) is then checked {e against} the
     log: every acked transaction must have a surviving Commit record —
     the durability half of the contract, and the check that catches a
-    skipped commit force. *)
+    skipped commit force. {!Shardsim} applies this per shard, reads a
+    multi-branch transaction's fate from its coordinator's decision, and
+    reads each transaction's fate right after the crash that cut it. *)
 
 open Aries_util
 
@@ -27,11 +29,6 @@ type t
 val empty : t
 
 val apply_op : t -> op -> t
-
-val apply : t -> op list -> t
-
-val to_alist : t -> (string * Ids.rid) list
-(** Sorted by value — directly comparable with [Btree.to_list]. *)
 
 val op_to_string : op -> string
 

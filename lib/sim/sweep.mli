@@ -1,7 +1,6 @@
-(** The crash-sweep engine shared by {!Sim} (one Db) and {!Shardsim} (a
-    Sharddb cluster).
+(** The crash-sweep engine behind {!Shardsim}.
 
-    A harness contributes one closure, [run : seed:int -> mode -> report]:
+    The harness contributes one closure, [run : seed:int -> mode -> report]:
     build a fresh simulated machine, run its workload in [mode], check the
     stable state against its committed-state oracle. Everything else lives
     here, defined once: the mode grammar, reports, reproducers, summaries,

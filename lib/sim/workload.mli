@@ -1,4 +1,11 @@
-(** Randomized multi-fiber workloads for the simulation harness.
+(** The randomized multi-fiber workload of the simulation harness, and
+    the named configurations the sweeps run it under.
+
+    The workload drives global transactions over an
+    {!Aries_shard.Sharddb} cluster. At [shards = 1] every transaction has
+    one branch and commits locally, with no 2PC record: that is the
+    single-Db harness. At [shards > 1] keys hash across shards, and a
+    multi-branch transaction runs presumed-abort 2PC.
 
     Every scheduling and data choice derives from the run's seed: per-fiber
     RNGs are seeded from (seed, fiber), so a run is a pure function of
@@ -6,7 +13,7 @@
     execution, which is what makes crash indices meaningful.
 
     Each fiber owns a private slice of the key space (fiber [f] writes only
-    values ["f<f>-k<i>"]), so a fiber always knows the exact state of its
+    values ["g<f>-k<i>"]), so a fiber always knows the exact state of its
     keys (its committed view plus its in-flight transaction's ops) and the
     oracle stays exact. Lock conflicts still occur across fibers — next-key
     locks and SMO latching cross the range boundaries — so deadlocks,
@@ -15,6 +22,7 @@
 open Aries_util
 
 type cfg = {
+  shards : int;  (** cluster size; 1 = the single-Db harness *)
   fibers : int;
   txns_per_fiber : int;
   max_ops_per_txn : int;
@@ -22,9 +30,10 @@ type cfg = {
   fetch_freq : int;  (** 1/n of ops are fetches (0 = never) *)
   rollback_freq : int;  (** 1/n of surviving txns explicitly roll back (0 = never) *)
   scan_freq : int;
-      (** 1/n of txns are full-tree scans (0 = never); each scan checks its
-          own fiber's slice against the committed view at scan start — the
-          per-snapshot oracle under {!Aries_btree.Protocol.Mvcc} *)
+      (** 1/n of txns are full-tree scans of every shard (0 = never); each
+          scan checks its own fiber's slice against the committed view at
+          scan start — the per-snapshot oracle under
+          {!Aries_btree.Protocol.Mvcc} *)
   yield_probability : float;  (** scheduler preemption at instrumented points *)
   steal_probability : float;  (** buffer-pool randomized steal (dirty-page writes) *)
   page_size : int;  (** small pages force SMOs *)
@@ -34,7 +43,7 @@ type cfg = {
   cleaner : Aries_buffer.Cleaner.cfg option;
       (** background page cleaner on/off *)
   checkpoint : Aries_recovery.Ckptd.cfg option;
-      (** fuzzy-checkpoint daemon on/off (on in both stock configs) *)
+      (** fuzzy-checkpoint daemon on/off *)
   locking : Aries_btree.Protocol.locking;
       (** the index locking protocol (Data_only in the stock configs;
           Mvcc in the snapshot-read configs) *)
@@ -42,19 +51,21 @@ type cfg = {
       (** MVCC version-GC daemon on/off (on in the Mvcc configs, so
           reclamation races live snapshots and crash points) *)
   segment_size : int;  (** WAL segment size — small, so truncation happens mid-run *)
-  streams : int;  (** number of parallel WAL streams (1 = the classic single log) *)
+  streams : int;  (** WAL streams per shard (1 = the classic single log) *)
   faults : Aries_util.Faultdisk.cfg option;
-      (** storage-fault injection: armed by {!Sim.run} for the
-          workload + crash/restart phases, seeded from the run seed *)
+      (** storage faults, armed by {!Shardsim.run} after setup for the
+          workload and crash/restart phases, seeded from the run seed *)
 }
+(** Every shard is built from the same fields; the daemons ([commit_mode]
+    [Group], [cleaner], [checkpoint], [vgc]) rule out {!Sweep.Kill}. *)
 
 val default_cfg : cfg
-(** 3 fibers x 6 txns, 320-byte pages, 12-frame pool, steals and yields on:
-    small enough that a crash sweep over every durability event is cheap,
-    adversarial enough to exercise SMOs, deadlocks and steals. Per-commit
-    forcing, no cleaner; the fuzzy-checkpoint daemon runs every 24 steps
-    over 1 KiB log segments, so checkpoints and log truncations interleave
-    with user work in every sim run. *)
+(** One shard, 3 fibers x 6 txns, 320-byte pages, 12-frame pool, steals
+    and yields on: small enough that a crash sweep over every durability
+    event is cheap, adversarial enough to exercise SMOs, deadlocks and
+    steals. Per-commit forcing, no cleaner; the fuzzy-checkpoint daemon
+    runs every 24 steps over 1 KiB log segments, so checkpoints and log
+    truncations interleave with user work in every sim run. *)
 
 val group_cfg : cfg
 (** [default_cfg] with the full commit pipeline on: group commit (batch 4,
@@ -105,28 +116,39 @@ val mvcc_group_cfg : cfg
     snapshots pinned while committers are parked on the queue must
     already see their updates. *)
 
-type txn_trace = {
-  tt_fiber : int;
-  tt_txn : Ids.txn_id;
-  tt_begin_step : int;  (** scheduler step at which the txn began *)
-  mutable tt_ops : Oracle.op list;  (** most recent first, updated as ops complete *)
-  mutable tt_acked : bool;  (** Txnmgr.commit returned to the workload *)
-  mutable tt_aborted : bool;  (** explicitly rolled back or deadlock victim *)
+val shards_cfg : cfg
+(** 3 shards x 3 fibers x 5 txns under the hash router: most 2-key
+    transactions cross shards, 2 WAL streams per shard with the flush
+    shuffle armed, small pages/pools for SMOs and steals, no daemons. *)
+
+type gtxn_trace = {
+  gt_fiber : int;
+  gt_gid : int;
+  mutable gt_branches : (int * Ids.txn_id) list;
+      (** [(shard, local txn id)], first-touch order; the head is the
+          coordinator of a multi-branch commit *)
+  mutable gt_ops : Oracle.op list;  (** most recent first, updated as ops complete *)
+  mutable gt_acked : bool;  (** [Sharddb.commit] returned to the workload *)
+  mutable gt_aborted : bool;  (** explicitly aborted, a deadlock victim, or a global abort *)
+  mutable gt_fate : bool option;
+      (** committed or not, as the stable state read it right after the
+          whole-cluster crash that cut the transaction; [None] while no
+          crash has *)
 }
 
-type trace = txn_trace Vec.t
+type trace = gtxn_trace Vec.t
 (** Appended in begin order; per-fiber subsequences are in program order. *)
 
 val spawn_fibers :
-  ?fiber_base:int -> Aries_db.Db.t -> Aries_btree.Btree.t -> cfg -> seed:int -> trace:trace -> unit
+  ?fiber_base:int -> Aries_shard.Sharddb.t -> cfg -> seed:int -> trace:trace -> unit
 (** Spawn the workload fibers (call inside a running scheduler).
     [fiber_base] (default 0) shifts the logical fiber ids — and with them
     the private key slices and RNG streams — so a second workload phase
     (e.g. transactions admitted during instant restart) can run on a
-    keyspace disjoint from the first. Fibers
-    record every completed operation in [trace] {e before} attempting
-    commit, so a transaction whose commit became durable but whose fiber
-    died before the ack still has its ops available to the oracle.
+    keyspace disjoint from the first. Fibers record every completed
+    operation and every branch in [trace] {e before} attempting commit,
+    so a transaction whose commit became durable but whose fiber died
+    before the ack still has its ops available to the oracle.
 
     Once an armed {!Aries_util.Crashpoint} has tripped, fibers treat the
     machine as dead: they stop at the next transaction boundary, and any
@@ -135,14 +157,5 @@ val spawn_fibers :
     interrupted by the power failure) is converted to the crash exception;
     only the stable state matters from that point on. *)
 
-val expected_state : trace -> (Ids.txn_id, unit) Hashtbl.t -> Oracle.t
-(** Fold the ops of every committed transaction (per {!Oracle.committed_txns})
-    over the empty map, in trace order. *)
-
-val consistency_failures : trace -> (Ids.txn_id, unit) Hashtbl.t -> string list
-(** The two log-vs-ack contract checks: an acked transaction must have a
-    surviving Commit record (durability); a rolled-back transaction must
-    not (atomicity of the rollback path). *)
-
 val trace_to_string : trace -> string list
-(** One line per transaction: id, fiber, begin step, outcome, ops. *)
+(** One line per transaction: gid, fiber, branches, outcome, ops. *)

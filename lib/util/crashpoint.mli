@@ -1,7 +1,7 @@
 (** Crash-point injection for deterministic simulation.
 
     Every {e durability event} — a log append, a log force, a page write —
-    calls {!hit}. The simulation harness ({!Aries_sim.Sim}) first runs a
+    calls {!hit}. The simulation harness ({!Aries_sim.Shardsim}) first runs a
     workload with the counter merely recording, learning the total number of
     events [N]; it then re-runs the same seed once per crash index
     [k = 1..N] with the hook {e armed}, so the [k]-th durability event

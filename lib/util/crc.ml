@@ -111,59 +111,3 @@ let string s = update 0 s 0 (String.length s)
 let bytes ?(off = 0) ?len b =
   let len = match len with Some l -> l | None -> Bytes.length b - off in
   update 0 (Bytes.unsafe_to_string b) off len
-
-(* {2 CRC combination}
-
-   [combine ca cb len_b] = CRC of the concatenation [a ^ b] given only
-   [ca = crc a], [cb = crc b] and [len_b] — zlib's crc32_combine.  Advancing
-   a CRC through [len_b] zero bytes is multiplication by a fixed 32x32
-   matrix over GF(2); square-and-multiply over the bit decomposition of
-   [len_b] makes it O(log len_b).  This is what makes slice-level
-   incrementality sound: a cached CRC of an unchanged prefix can be
-   combined with a re-CRC of only the changed suffix. *)
-
-let gf2_times m v =
-  let r = ref 0 and v = ref v and i = ref 0 in
-  while !v <> 0 do
-    if !v land 1 = 1 then r := !r lxor m.(!i);
-    v := !v lsr 1;
-    incr i
-  done;
-  !r
-
-let gf2_square dst m =
-  for i = 0 to 31 do
-    dst.(i) <- gf2_times m m.(i)
-  done
-
-let combine ca cb len_b =
-  if len_b < 0 then invalid_arg "Crc.combine: negative length";
-  if len_b = 0 then ca
-  else begin
-    let even = Array.make 32 0 and odd = Array.make 32 0 in
-    (* odd = the "advance one zero bit" operator: one step of the reflected
-       LFSR (row 0 is the polynomial; row k shifts bit k-1 in) *)
-    odd.(0) <- 0xEDB88320;
-    let row = ref 1 in
-    for i = 1 to 31 do
-      odd.(i) <- !row;
-      row := !row lsl 1
-    done;
-    gf2_square even odd;  (* even = advance 2 zero bits *)
-    gf2_square odd even;  (* odd  = advance 4 zero bits *)
-    let c = ref ca and n = ref len_b in
-    let continue_ = ref true in
-    while !continue_ do
-      gf2_square even odd;  (* advance by 8, 32, 128, ... zero *bytes* *)
-      if !n land 1 = 1 then c := gf2_times even !c;
-      n := !n lsr 1;
-      if !n = 0 then continue_ := false
-      else begin
-        gf2_square odd even;
-        if !n land 1 = 1 then c := gf2_times odd !c;
-        n := !n lsr 1;
-        if !n = 0 then continue_ := false
-      end
-    done;
-    !c lxor cb
-  end

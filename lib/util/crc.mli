@@ -25,9 +25,3 @@ val update : int -> string -> int -> int -> int
 val update_bytewise : int -> string -> int -> int -> int
 (** The pre-pass byte-at-a-time loop.  Same value as {!update};
     exists for differential tests and as the `bench -- q16` baseline. *)
-
-val combine : int -> int -> int -> int
-(** [combine ca cb len_b] is the CRC of [a ^ b] given [ca = crc a],
-    [cb = crc b] and [len_b = String.length b] (zlib's crc32_combine:
-    O(log len_b) GF(2) matrix exponentiation).  Lets a cached CRC of an
-    unchanged prefix absorb a re-CRC of only the changed suffix. *)

@@ -65,6 +65,10 @@ let shuffle_cfg =
     stream_shuffle = true;
   }
 
+let damages_storage c =
+  c.eio_read_p > 0.0 || c.eio_write_p > 0.0 || c.eio_force_p > 0.0 || c.bit_flip_p > 0.0
+  || c.torn_write
+
 type state = { mutable cfg : cfg option; mutable rng : Rng.t }
 
 let st = { cfg = None; rng = Rng.create 0 }

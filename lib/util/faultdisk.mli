@@ -40,6 +40,13 @@ val shuffle_cfg : cfg
     unflushed frames, so one stream can persist past the epoch fence while
     another loses its tail. *)
 
+val damages_storage : cfg -> bool
+(** Can a run under [cfg] end in a typed {!Storage_error} on a correct
+    engine? True iff it injects transient EIO (retries can run out),
+    bit-rot or torn page writes. A torn append or a flush shuffle only
+    shortens the unforced log tail, which restart's tail scan drops as an
+    ordinary crash, so {!shuffle_cfg} is false. *)
+
 val arm : seed:int -> cfg -> unit
 (** Install [cfg] and seed the fault RNG. *)
 

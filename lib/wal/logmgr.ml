@@ -200,7 +200,7 @@ let append t rec_ =
 
    The [Wal_skip_flush] fault silently drops log forces: commits and
    the WAL rule stop being durable. It exists so the simulation harness can
-   prove it detects a broken implementation (see Aries_sim.Sim). *)
+   prove it detects a broken implementation (see Aries_sim.Shardsim). *)
 let max_force_retries = 6
 
 let force t ~upto ~stable_lsn =

@@ -211,36 +211,6 @@ let test_r9_meta_fault () =
       Alcotest.(check bool) "R9 catches the reader's key lock" true !tripped;
       Alcotest.(check bool) "violation counted" true (Discipline.violations () > 0))
 
-(* ------------------------------------------------------------------ *)
-(* Version-chain / CSN codec: 1000 seeded random chain lists roundtrip
-   through encode_chains/decode_chains. *)
-
-let gen_chain : Mvstore.dump_chain QCheck.Gen.t =
- fun st ->
-  let int lo hi = QCheck.Gen.int_range lo hi st in
-  let n = int 1 6 in
-  let versions =
-    List.init n (fun _ ->
-        {
-          Mvstore.dv_present = int 0 1 = 1;
-          dv_csn =
-            (if int 0 3 = 0 then None
-             else Some { Mvstore.cs_epoch = int 0 1_000_000; cs_gsn = int 0 10_000_000 });
-          dv_txn = int 0 100_000;
-        })
-  in
-  {
-    Mvstore.dc_value = QCheck.Gen.(string_size (int_range 0 32)) st;
-    dc_rid = { Ids.rid_page = int 0 100_000; rid_slot = int 0 10_000 };
-    dc_base = int 0 1 = 1;
-    dc_versions = versions;
-  }
-
-let qcheck_chain_codec =
-  QCheck.Test.make ~name:"version-chain/CSN codec roundtrip x1000" ~count:1000
-    (QCheck.make QCheck.Gen.(list_size (int_range 0 8) gen_chain))
-    (fun chains -> Mvstore.decode_chains (Mvstore.encode_chains chains) = chains)
-
 let () =
   Alcotest.run "mvcc"
     [
@@ -258,5 +228,4 @@ let () =
             test_crash_mid_gc_converges;
         ] );
       ("r9", [ Alcotest.test_case "reader-key-lock meta-fault trips R9" `Quick test_r9_meta_fault ]);
-      ("codec", [ QCheck_alcotest.to_alcotest qcheck_chain_codec ]);
     ]

@@ -315,6 +315,20 @@ let test_is_up_allocates_nothing () =
       Alcotest.(check (float 0.0)) "shard 1 down: words per is_up" 0.0 (words_per_call ()));
   Sharddb.close t
 
+(* A kill cuts a shard in place, so a daemon of the dead incarnation would
+   outlive it: [kill] refuses a shard that runs any (here group commit)
+   and leaves it up, and still cuts a daemon-less one. *)
+let test_kill_requires_daemonless () =
+  let group = Aries_db.Db.Group { Aries_txn.Group_commit.max_batch = 4; max_delay_steps = 6 } in
+  let t = Sharddb.create ~shards:2 ~page_size:320 ~pool_capacity:12 ~commit_mode:group () in
+  Alcotest.check_raises "group-commit shard"
+    (Invalid_argument "Sharddb.kill: shard 1 runs daemons")
+    (fun () -> Sharddb.kill t 1);
+  Alcotest.(check bool) "refused shard stays up" true (Sharddb.is_up t 1);
+  let t' = mk () in
+  Sharddb.kill t' 1;
+  Alcotest.(check bool) "daemon-less shard is down" false (Sharddb.is_up t' 1)
+
 let () =
   Alcotest.run "shard"
     [
@@ -342,5 +356,9 @@ let () =
             test_global_deadlock_victim;
         ] );
       ( "faults",
-        [ Alcotest.test_case "is_up allocates nothing" `Quick test_is_up_allocates_nothing ] );
+        [
+          Alcotest.test_case "is_up allocates nothing" `Quick test_is_up_allocates_nothing;
+          Alcotest.test_case "kill refuses a shard with daemons" `Quick
+            test_kill_requires_daemonless;
+        ] );
     ]

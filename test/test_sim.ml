@@ -6,16 +6,16 @@
    overnight-scale sweep lives behind [bench/main.exe -- sim]. *)
 
 open Aries_util
-module Sim = Aries_sim.Sim
 module Sweep = Aries_sim.Sweep
 module Workload = Aries_sim.Workload
-
 module Shardsim = Aries_sim.Shardsim
+module Sharddb = Aries_shard.Sharddb
+module Twopc = Aries_shard.Twopc
 
 let cfg = Workload.default_cfg
 
 let seed_runs ~workload cfg seeds =
-  Sweep.runs ~workload (Sim.run cfg) (List.map (fun seed -> (seed, Sweep.Run)) seeds)
+  Sweep.runs ~workload (Shardsim.run cfg) (List.map (fun seed -> (seed, Sweep.Run)) seeds)
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -46,7 +46,7 @@ let test_crash_sweep () =
   let failures = ref [] in
   List.iter
     (fun seed ->
-      let s = Sweep.crash_sweep ~workload:"default" (Sim.run cfg) ~seed ~budget:60 in
+      let s = Sweep.crash_sweep ~workload:"default" (Shardsim.run cfg) ~seed ~budget:60 in
       points := !points + s.Sweep.sm_armed;
       failures := !failures @ s.Sweep.sm_failures)
     seeds;
@@ -74,7 +74,7 @@ let test_crash_sweep_group () =
   let failures = ref [] in
   List.iter
     (fun seed ->
-      let s = Sweep.crash_sweep ~workload:"group+cleaner" (Sim.run gcfg) ~seed ~budget:60 in
+      let s = Sweep.crash_sweep ~workload:"group+cleaner" (Shardsim.run gcfg) ~seed ~budget:60 in
       points := !points + s.Sweep.sm_armed;
       failures := !failures @ s.Sweep.sm_failures)
     seeds;
@@ -87,23 +87,23 @@ let test_crash_sweep_group () =
    reports on re-execution, for both completed and crash-cut runs, in both
    commit modes (the daemons derive every choice from the scheduler). *)
 let test_determinism () =
-  let a = Sim.run cfg ~seed:7 Sweep.Run in
-  let b = Sim.run cfg ~seed:7 Sweep.Run in
+  let a = Shardsim.run cfg ~seed:7 Sweep.Run in
+  let b = Shardsim.run cfg ~seed:7 Sweep.Run in
   Alcotest.(check bool) "completed runs identical" true (a = b);
-  let a = Sim.run cfg ~seed:7 (Sweep.Crash 41) in
-  let b = Sim.run cfg ~seed:7 (Sweep.Crash 41) in
+  let a = Shardsim.run cfg ~seed:7 (Sweep.Crash 41) in
+  let b = Shardsim.run cfg ~seed:7 (Sweep.Crash 41) in
   Alcotest.(check bool) "crash-cut runs identical" true (a = b);
-  let a = Sim.run gcfg ~seed:7 Sweep.Run in
-  let b = Sim.run gcfg ~seed:7 Sweep.Run in
+  let a = Shardsim.run gcfg ~seed:7 Sweep.Run in
+  let b = Shardsim.run gcfg ~seed:7 Sweep.Run in
   Alcotest.(check bool) "group-mode completed runs identical" true (a = b);
-  let a = Sim.run gcfg ~seed:7 (Sweep.Crash 41) in
-  let b = Sim.run gcfg ~seed:7 (Sweep.Crash 41) in
+  let a = Shardsim.run gcfg ~seed:7 (Sweep.Crash 41) in
+  let b = Shardsim.run gcfg ~seed:7 (Sweep.Crash 41) in
   Alcotest.(check bool) "group-mode crash-cut runs identical" true (a = b)
 
 (* Arming a crash index past the end of the run is reported, not silently
    ignored — replaying a stale reproducer against a changed tree stays loud. *)
 let test_unreachable_crash_index () =
-  let r = Sim.run cfg ~seed:3 (Sweep.Crash 1_000_000) in
+  let r = Shardsim.run cfg ~seed:3 (Sweep.Crash 1_000_000) in
   match r.Sweep.rr_failures with
   | [] -> Alcotest.fail "unreachable crash index not reported"
   | msg :: _ ->
@@ -117,7 +117,7 @@ let test_injected_fault_is_caught () =
   Fun.protect ~finally:Crashpoint.clear (fun () ->
       Crashpoint.enable Crashpoint.Wal_skip_flush;
       let s =
-        Sweep.sweep ~workload:"default" (Sim.run cfg) ~seeds:[ 11; 12 ] ~crash_seeds:[ 11; 12 ]
+        Sweep.sweep ~workload:"default" (Shardsim.run cfg) ~seeds:[ 11; 12 ] ~crash_seeds:[ 11; 12 ]
           ~crash_budget:25
       in
       match s.Sweep.sm_failures with
@@ -125,10 +125,10 @@ let test_injected_fault_is_caught () =
       | rp :: _ ->
           let line = Sweep.reproducer_line rp in
           Alcotest.(check string) "reproducer line prefix" "SIM-REPRO" (String.sub line 0 9);
-          let rep = Sim.run cfg ~seed:rp.Sweep.rp_seed rp.Sweep.rp_mode in
+          let rep = Shardsim.run cfg ~seed:rp.Sweep.rp_seed rp.Sweep.rp_mode in
           Alcotest.(check bool) "replay reproduces the failure" true (Sweep.confirms rp rep));
   (* and with the fault cleared, the very same seed passes again *)
-  let r = Sim.run cfg ~seed:11 Sweep.Run in
+  let r = Shardsim.run cfg ~seed:11 Sweep.Run in
   Alcotest.(check (list string)) "clean after fault removed" [] r.Sweep.rr_failures
 
 (* The same meta-test under group commit: the daemon's batched force goes
@@ -140,15 +140,15 @@ let test_injected_fault_is_caught_group () =
   Fun.protect ~finally:Crashpoint.clear (fun () ->
       Crashpoint.enable Crashpoint.Wal_skip_flush;
       let s =
-        Sweep.sweep ~workload:"group+cleaner" (Sim.run gcfg) ~seeds:[ 11; 12 ]
+        Sweep.sweep ~workload:"group+cleaner" (Shardsim.run gcfg) ~seeds:[ 11; 12 ]
           ~crash_seeds:[ 11; 12 ] ~crash_budget:25
       in
       match s.Sweep.sm_failures with
       | [] -> Alcotest.fail "skip-flush fault escaped the group-commit harness"
       | rp :: _ ->
-          let rep = Sim.run gcfg ~seed:rp.Sweep.rp_seed rp.Sweep.rp_mode in
+          let rep = Shardsim.run gcfg ~seed:rp.Sweep.rp_seed rp.Sweep.rp_mode in
           Alcotest.(check bool) "replay reproduces the failure" true (Sweep.confirms rp rep));
-  let r = Sim.run gcfg ~seed:11 Sweep.Run in
+  let r = Shardsim.run gcfg ~seed:11 Sweep.Run in
   Alcotest.(check (list string)) "clean after fault removed" [] r.Sweep.rr_failures
 
 (* ------------------------------------------------------------------ *)
@@ -181,7 +181,7 @@ let test_fault_crash_sweep () =
       List.iter
         (fun seed ->
           let s =
-            Sweep.crash_sweep ~workload:"faults" (Sim.run Workload.fault_cfg) ~seed ~budget:30
+            Sweep.crash_sweep ~workload:"faults" (Shardsim.run Workload.fault_cfg) ~seed ~budget:30
           in
           points := !points + s.Sweep.sm_armed;
           fatal := !fatal @ Sweep.fatal_failures s)
@@ -211,7 +211,7 @@ let test_fault_crash_sweep_group () =
   List.iter
     (fun seed ->
       let s =
-        Sweep.crash_sweep ~workload:"faults+group+cleaner" (Sim.run Workload.fault_group_cfg)
+        Sweep.crash_sweep ~workload:"faults+group+cleaner" (Shardsim.run Workload.fault_group_cfg)
           ~seed ~budget:30
       in
       points := !points + s.Sweep.sm_armed;
@@ -230,7 +230,7 @@ let test_fault_eio_storm () =
   let sink = Stats.create () in
   let s =
     Stats.with_sink sink (fun () ->
-        Sweep.sweep ~workload:"eio-only+group" (Sim.run Workload.fault_eio_cfg)
+        Sweep.sweep ~workload:"eio-only+group" (Shardsim.run Workload.fault_eio_cfg)
           ~seeds:(List.init 16 (fun i -> i + 21))
           ~crash_seeds:[ 21; 22 ] ~crash_budget:20)
   in
@@ -242,11 +242,11 @@ let test_fault_eio_storm () =
 (* Fault runs are as replayable as fault-free ones: the fault stream is a
    pure function of (run seed, cfg). *)
 let test_fault_determinism () =
-  let a = Sim.run Workload.fault_cfg ~seed:9 Sweep.Run in
-  let b = Sim.run Workload.fault_cfg ~seed:9 Sweep.Run in
+  let a = Shardsim.run Workload.fault_cfg ~seed:9 Sweep.Run in
+  let b = Shardsim.run Workload.fault_cfg ~seed:9 Sweep.Run in
   Alcotest.(check bool) "fault runs identical" true (a = b);
-  let a = Sim.run Workload.fault_cfg ~seed:9 (Sweep.Crash 23) in
-  let b = Sim.run Workload.fault_cfg ~seed:9 (Sweep.Crash 23) in
+  let a = Shardsim.run Workload.fault_cfg ~seed:9 (Sweep.Crash 23) in
+  let b = Shardsim.run Workload.fault_cfg ~seed:9 (Sweep.Crash 23) in
   Alcotest.(check bool) "fault crash-cut runs identical" true (a = b)
 
 (* The meta-fault: with CRC verification switched off, bit-rot flows
@@ -265,13 +265,13 @@ let test_crc_disabled_meta_fault () =
       let failures = ref [] in
       List.iter
         (fun seed ->
-          let s = Sweep.crash_sweep ~workload:"bitrot" (Sim.run cfg) ~seed ~budget:25 in
+          let s = Sweep.crash_sweep ~workload:"bitrot" (Shardsim.run cfg) ~seed ~budget:25 in
           failures := !failures @ s.Sweep.sm_failures)
         [ 31; 32; 33 ];
       match !failures with
       | [] -> Alcotest.fail "bit-rot with CRC checks disabled escaped the oracle"
       | rp :: _ ->
-          let rep = Sim.run cfg ~seed:rp.Sweep.rp_seed rp.Sweep.rp_mode in
+          let rep = Shardsim.run cfg ~seed:rp.Sweep.rp_seed rp.Sweep.rp_mode in
           Alcotest.(check bool) "replay reproduces the failure" true (Sweep.confirms rp rep))
 
 (* ------------------------------------------------------------------ *)
@@ -287,7 +287,7 @@ let test_instant_sweep () =
   let points = ref 0 and failures = ref [] in
   List.iter
     (fun seed ->
-      let s = Sweep.instant_sweep ~workload:"default" (Sim.run cfg) ~seed ~budget:40 in
+      let s = Sweep.instant_sweep ~workload:"default" (Shardsim.run cfg) ~seed ~budget:40 in
       points := !points + s.Sweep.sm_armed;
       failures := !failures @ s.Sweep.sm_failures)
     [ 61; 62; 63 ];
@@ -300,7 +300,7 @@ let test_instant_sweep_group () =
   let points = ref 0 and failures = ref [] in
   List.iter
     (fun seed ->
-      let s = Sweep.instant_sweep ~workload:"group+cleaner" (Sim.run gcfg) ~seed ~budget:30 in
+      let s = Sweep.instant_sweep ~workload:"group+cleaner" (Shardsim.run gcfg) ~seed ~budget:30 in
       points := !points + s.Sweep.sm_armed;
       failures := !failures @ s.Sweep.sm_failures)
     [ 71; 72 ];
@@ -312,20 +312,20 @@ let test_instant_sweep_group () =
 (* Two-phase instant runs are as deterministic as plain ones, and the
    mode round-trips through its reproducer string. *)
 let test_instant_determinism () =
-  let a = Sim.run cfg ~seed:7 (Sweep.Instant (5, None)) in
-  let b = Sim.run cfg ~seed:7 (Sweep.Instant (5, None)) in
+  let a = Shardsim.run cfg ~seed:7 (Sweep.Instant (5, None)) in
+  let b = Shardsim.run cfg ~seed:7 (Sweep.Instant (5, None)) in
   Alcotest.(check bool) "instant runs identical" true (a = b);
   let mode = Sweep.Instant (5, Some 3) in
-  let a = Sim.run cfg ~seed:7 mode in
-  let b = Sim.run cfg ~seed:7 mode in
+  let a = Shardsim.run cfg ~seed:7 mode in
+  let b = Shardsim.run cfg ~seed:7 mode in
   Alcotest.(check bool) "recovery-crash runs identical" true (a = b);
   Alcotest.(check string) "mode string" "instant=5/3" (Sweep.mode_to_string mode);
-  let rep = Sim.run cfg ~seed:7 (Sweep.mode_of_string (Sweep.mode_to_string mode)) in
+  let rep = Shardsim.run cfg ~seed:7 (Sweep.mode_of_string (Sweep.mode_to_string mode)) in
   Alcotest.(check bool) "replay matches" true (rep = a)
 
 (* Pinned reproducers: runs that once failed, replayed to a clean pass. *)
 let replay_clean cfg ~seed mode =
-  let rep = Sim.run cfg ~seed (Sweep.mode_of_string mode) in
+  let rep = Shardsim.run cfg ~seed (Sweep.mode_of_string mode) in
   Alcotest.(check (list string)) "no failures" [] rep.Sweep.rr_failures
 
 (* Four streams with the crash-time flush shuffle: a checkpoint that
@@ -333,13 +333,32 @@ let replay_clean cfg ~seed mode =
    restart must take per-page chains from the anchoring checkpoint only,
    or per-page redo reads past a stream's end and loses pages. *)
 let test_replay_nonanchor_chains () =
-  replay_clean Workload.multistream_group_cfg ~seed:1003 "instant=85"
+  replay_clean Workload.multistream_group_cfg ~seed:1008 "instant=90"
+
+(* The same shape for the transaction table: a transaction the scan never
+   met must not be restored from such a checkpoint, or its undo cursors
+   point past the end of a stream the crash cut short. *)
+let test_replay_nonanchor_txns () =
+  replay_clean Workload.multistream_cfg ~seed:2001 "instant=131/93"
+
+(* A checkpoint taken mid-rollback records an NTA anchor's turn as past;
+   a later cross-stream CLR must not send its own stream's cursor back
+   over the SMO bracket the anchor fenced, or restart undoes the split
+   physically and then cannot find the key it should undo logically. *)
+let test_replay_clr_keeps_own_cursor () =
+  replay_clean Workload.multistream_cfg ~seed:2018 "instant=145/133"
+
+(* The fate of a transaction is the stable state's at the crash that cut
+   it: a Commit whose fence target the crash lost is a loser, even after
+   later appends reuse the target's offset and truncation archives it. *)
+let test_replay_fate_fixed_at_crash () =
+  replay_clean Workload.multistream_group_cfg ~seed:2001 "instant=79"
 
 (* Bit-rot on the repair's own page write: the repairer healed the page in
    the pool, and the fix must serve that frame instead of re-reading the
    rotted image and failing with a checksum error. *)
 let test_replay_repair_serves_healed_page () =
-  replay_clean Workload.fault_group_cfg ~seed:1002 "crash=144"
+  replay_clean Workload.fault_group_cfg ~seed:1011 "crash=80"
 
 (* A harder cfg: more fibers and txns, tighter pool, hotter yields — the
    shape the bench entry scales up. One seed keeps CI fast. *)
@@ -356,7 +375,7 @@ let test_stress_cfg () =
     }
   in
   let s =
-    Sweep.sweep ~workload:"stress" (Sim.run cfg) ~seeds:[ 900 ] ~crash_seeds:[ 901 ]
+    Sweep.sweep ~workload:"stress" (Shardsim.run cfg) ~seeds:[ 900 ] ~crash_seeds:[ 901 ]
       ~crash_budget:40
   in
   if s.Sweep.sm_failures <> [] then fail_with s.Sweep.sm_failures
@@ -377,14 +396,14 @@ let check_ends_at_budget ~rule (r : Sweep.report) =
 let test_mvcc_reader_lock_ends_at_budget () =
   Fun.protect ~finally:Crashpoint.clear (fun () ->
       Crashpoint.enable Crashpoint.Mvcc_reader_key_lock;
-      check_ends_at_budget ~rule:"R9" (Sim.run Workload.mvcc_cfg ~seed:16 Sweep.Run))
+      check_ends_at_budget ~rule:"R9" (Shardsim.run Workload.mvcc_cfg ~seed:41 Sweep.Run))
 
 (* ------------------------------------------------------------------ *)
 (* The sharded harness under the same engine: a small sweep over every
    mode, determinism, and the presumed-abort meta-fault (a coordinator
    that acknowledges its commit decision before forcing it, rule R10). *)
 
-let scfg = Shardsim.default_cfg
+let scfg = Workload.shards_cfg
 
 let test_shard_sweep () =
   let s =
@@ -393,7 +412,7 @@ let test_shard_sweep () =
   if s.Sweep.sm_failures <> [] then fail_with s.Sweep.sm_failures;
   (* 2 seed runs, 1 crash recording, one kill recording per shard, one
      downed-shard run per shard *)
-  Alcotest.(check int) "unarmed runs" (3 + (2 * scfg.Shardsim.shards))
+  Alcotest.(check int) "unarmed runs" (3 + (2 * scfg.Workload.shards))
     (s.Sweep.sm_runs - s.Sweep.sm_armed);
   Alcotest.(check bool) "crash and kill points armed" true (s.Sweep.sm_armed >= 6);
   Alcotest.(check bool) "commits acknowledged" true (s.Sweep.sm_acked > 0)
@@ -420,6 +439,46 @@ let test_shard_early_decide_replays () =
               (Sweep.mode_of_string (Sweep.mode_to_string rp.Sweep.rp_mode))
           in
           Alcotest.(check bool) "replay reproduces the failure" true (Sweep.confirms rp rep))
+
+(* A cluster crashes again inside its own recovery phase — mid-drain or
+   mid-resolution — and a classic restart must converge; the run is as
+   deterministic as the others and replays from its mode string. *)
+let test_shard_double_crash () =
+  let mode = Sweep.Instant (30, Some 20) in
+  let a = Shardsim.run scfg ~seed:3 mode in
+  Alcotest.(check (list string)) "converges" [] a.Sweep.rr_failures;
+  Alcotest.(check bool) "runs identical" true (a = Shardsim.run scfg ~seed:3 mode);
+  Alcotest.(check string) "mode string" "instant=30/20" (Sweep.mode_to_string mode);
+  let rep = Shardsim.run scfg ~seed:3 (Sweep.mode_of_string (Sweep.mode_to_string mode)) in
+  Alcotest.(check bool) "replay matches" true (rep = a)
+
+(* One shard is the single-Db harness: every transaction has one branch
+   and commits locally, so no run appends a Prepare or a decision. *)
+let test_single_shard_no_2pc () =
+  let sink = Stats.create () in
+  let t =
+    Sharddb.create ~shards:1 ~page_size:cfg.Workload.page_size
+      ~pool_capacity:cfg.Workload.pool_capacity ~segment_size:cfg.Workload.segment_size ()
+  in
+  let trace = Vec.create () in
+  let acked =
+    Stats.with_sink sink (fun () ->
+        let r =
+          Sharddb.run t (fun () ->
+              Sharddb.setup t;
+              Workload.spawn_fibers t cfg ~seed:1 ~trace)
+        in
+        Alcotest.(check bool) "workload completed" true (r.Aries_sched.Sched.exns = []);
+        let s =
+          Sweep.sweep ~workload:"default" (Shardsim.run cfg) ~seeds:[ 1; 2; 3 ]
+            ~crash_seeds:[ 1001 ] ~crash_budget:10
+        in
+        if s.Sweep.sm_failures <> [] then fail_with s.Sweep.sm_failures;
+        s.Sweep.sm_acked)
+  in
+  Alcotest.(check bool) "commits acknowledged" true (acked > 0);
+  Alcotest.(check int) "txn.prepares" 0 (Stats.get sink Stats.txn_prepares);
+  Alcotest.(check int) "decisions" 0 (Hashtbl.length (Twopc.decisions (Sharddb.db t 0)))
 
 let test_shard_early_decide_ends_at_budget () =
   Fun.protect ~finally:Crashpoint.clear (fun () ->
@@ -455,6 +514,9 @@ let () =
             test_shard_early_decide_replays;
           Alcotest.test_case "2pc.early-decide run ends at the step budget" `Quick
             test_shard_early_decide_ends_at_budget;
+          Alcotest.test_case "second crash inside cluster recovery" `Quick
+            test_shard_double_crash;
+          Alcotest.test_case "one shard writes no 2PC record" `Quick test_single_shard_no_2pc;
         ] );
       ( "instant",
         [
@@ -465,6 +527,12 @@ let () =
           Alcotest.test_case "instant determinism + replay" `Quick test_instant_determinism;
           Alcotest.test_case "replay: chains from the anchoring checkpoint only" `Quick
             test_replay_nonanchor_chains;
+          Alcotest.test_case "replay: txns from the anchoring checkpoint only" `Quick
+            test_replay_nonanchor_txns;
+          Alcotest.test_case "replay: a cross-stream CLR keeps its own cursor" `Quick
+            test_replay_clr_keeps_own_cursor;
+          Alcotest.test_case "replay: a crash fixes the fate of what it cut" `Quick
+            test_replay_fate_fixed_at_crash;
         ] );
       ( "faults",
         [

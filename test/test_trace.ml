@@ -16,7 +16,7 @@ module Protocol = Aries_btree.Protocol
 module Txnmgr = Aries_txn.Txnmgr
 module Sched = Aries_sched.Sched
 module Db = Aries_db.Db
-module Sim = Aries_sim.Sim
+module Shardsim = Aries_sim.Shardsim
 module Workload = Aries_sim.Workload
 
 let rid i = { Ids.rid_page = 900 + (i / 100); rid_slot = i mod 100 }
@@ -771,7 +771,7 @@ let test_checker_overhead () =
         let best = ref infinity in
         for _ = 1 to 3 do
           let t0 = Sys.time () in
-          let r = Sim.run Workload.default_cfg ~seed:42 Aries_sim.Sweep.Run in
+          let r = Shardsim.run Workload.default_cfg ~seed:42 Aries_sim.Sweep.Run in
           let dt = Sys.time () -. t0 in
           Alcotest.(check (list string)) "seed 42 passes" [] r.Aries_sim.Sweep.rr_failures;
           if dt < !best then best := dt
@@ -789,7 +789,7 @@ let test_checker_overhead () =
    (the checker was live), so the dump stays an on-failure artifact. *)
 let test_sim_dump_only_on_failure () =
   clean (fun () ->
-      let r = Sim.run Workload.default_cfg ~seed:5 Aries_sim.Sweep.Run in
+      let r = Shardsim.run Workload.default_cfg ~seed:5 Aries_sim.Sweep.Run in
       Alcotest.(check (list string)) "run passes" [] r.Aries_sim.Sweep.rr_failures;
       Alcotest.(check (list string)) "no dump on a passing run" [] r.Aries_sim.Sweep.rr_event_dump;
       Alcotest.(check bool) "but the ring recorded the protocol" true (Trace.event_count () > 0))

@@ -323,15 +323,6 @@ let qcheck_crc_incremental =
     QCheck.(pair string string)
     crc_incremental_prop
 
-(* [combine]: concatenating two independently finalized CRCs. *)
-let crc_combine_prop (a, b) =
-  Crc.combine (Crc.string a) (Crc.string b) (String.length b) = Crc.string (a ^ b)
-
-let qcheck_crc_combine =
-  QCheck.Test.make ~name:"Crc.combine concatenates finalized CRCs" ~count:500
-    QCheck.(pair string string)
-    crc_combine_prop
-
 let test_crc_bytes_slice () =
   let b = Bytes.of_string "__123456789__" in
   Alcotest.(check int) "bytes slice" 0xCBF43926 (Crc.bytes ~off:2 ~len:9 b)
@@ -354,6 +345,39 @@ let test_fault_names () =
       Alcotest.(check bool) (Printf.sprintf "%S rejected" name) true
         (Crashpoint.of_string name = None))
     [ ""; "wal.skipflush"; "disk.torn-write"; "log.torn-append"; "shard.down.1" ]
+
+(* Typed storage failures are tolerated only under a cfg that can damage
+   storage: each of EIO, bit-rot and torn page writes alone can, while the
+   stock shuffle cfg (flush shuffle plus torn appends, which only shorten
+   the unforced log tail) cannot. *)
+let test_faultdisk_damages_storage () =
+  let none =
+    {
+      Faultdisk.eio_read_p = 0.0;
+      eio_write_p = 0.0;
+      eio_force_p = 0.0;
+      bit_flip_p = 0.0;
+      torn_write = false;
+      torn_append = false;
+      stream_shuffle = false;
+    }
+  in
+  List.iter
+    (fun (name, cfg, want) ->
+      Alcotest.(check bool) name want (Faultdisk.damages_storage cfg))
+    [
+      ("nothing armed", none, false);
+      ("read EIO", { none with eio_read_p = 0.01 }, true);
+      ("write EIO", { none with eio_write_p = 0.01 }, true);
+      ("force EIO", { none with eio_force_p = 0.01 }, true);
+      ("bit flip", { none with bit_flip_p = 0.01 }, true);
+      ("torn write", { none with torn_write = true }, true);
+      ("torn append", { none with torn_append = true }, false);
+      ("stream shuffle", { none with stream_shuffle = true }, false);
+      ("default_cfg", Faultdisk.default_cfg, true);
+      ("eio_only_cfg", Faultdisk.eio_only_cfg, true);
+      ("shuffle_cfg", Faultdisk.shuffle_cfg, false);
+    ]
 
 (* Storage faults belong to Faultdisk's armed cfg alone: with every fault
    certain they all fire, and after [disarm] none does. *)
@@ -494,12 +518,13 @@ let () =
           Alcotest.test_case "bytes slice" `Quick test_crc_bytes_slice;
           QCheck_alcotest.to_alcotest qcheck_crc_differential;
           QCheck_alcotest.to_alcotest qcheck_crc_incremental;
-          QCheck_alcotest.to_alcotest qcheck_crc_combine;
         ] );
       ( "faults",
         [
           Alcotest.test_case "fault names round-trip" `Quick test_fault_names;
           Alcotest.test_case "disarm turns every storage fault off" `Quick test_faultdisk_disarm;
+          Alcotest.test_case "which cfgs can damage storage" `Quick
+            test_faultdisk_damages_storage;
         ] );
       ( "stats",
         [
