@@ -24,120 +24,137 @@ let figure (id, title, run) =
 
 (* ------------------------------------------------------------------ *)
 (* Q1: locks acquired per operation, by protocol (through the Table layer,
-   so record-manager locks are included). *)
+   so record-manager locks are included). Acceptance (§1, §5): data-only
+   locking requests no more locks than any other locking protocol for
+   each operation. Mvcc is not a locking protocol for its readers. *)
 
 let q1 ppf =
-  section ppf "Q1: lock requests per operation (1 record, 2 indexes)";
+  let r = Record.start ppf "q1" "Q1: lock requests per operation (1 record, 2 indexes)" in
   let specs =
     [
       { Table.sp_name = "pk"; sp_unique = true; sp_key = (fun r -> r.(0)) };
       { Table.sp_name = "cat"; sp_unique = false; sp_key = (fun r -> r.(1)) };
     ]
   in
-  Format.fprintf ppf "  %-16s %8s %8s %8s %8s@." "protocol" "fetch" "insert" "delete" "scan25";
-  List.iter
-    (fun locking ->
-      let config = config_of locking in
-      let db = Db.create ~config () in
-      let tbl =
-        Db.run_exn db (fun () -> Db.with_txn db (fun txn -> Table.create db txn ~id:1 specs))
-      in
-      Db.run_exn db (fun () ->
-          Db.with_txn db (fun txn ->
-              for i = 0 to 199 do
-                ignore
-                  (Table.insert tbl txn
-                     [| Printf.sprintf "item%04d" i; Printf.sprintf "cat%d" (i mod 8) |])
-              done));
-      let count f =
-        let (), s = measured (fun () -> Db.run_exn db (fun () -> Db.with_txn db f)) in
-        Stats.get s Stats.lock_requests
-      in
-      let f = count (fun txn -> ignore (Table.fetch tbl txn ~index:"pk" "item0100")) in
-      let i = count (fun txn -> ignore (Table.insert tbl txn [| "item9000"; "cat1" |])) in
-      let d =
-        count (fun txn ->
-            match Table.fetch tbl txn ~index:"pk" "item0050" with
-            | Some (r, _) -> Table.delete tbl txn r
-            | None -> ())
-      in
-      let s =
-        count (fun txn -> ignore (Table.scan tbl txn ~index:"cat" "cat3" ~stop:("cat3", `Le) ()))
-      in
-      Format.fprintf ppf "  %-16s %8d %8d %8d %8d@." (Protocol.locking_to_string locking) f i d s)
-    protocols;
-  Format.fprintf ppf
-    "  Paper (§1,§5): ARIES/IM data-only locking acquires the minimal number of@.";
-  Format.fprintf ppf "  locks; System R-style locking acquires the most.@."
+  let rows =
+    List.map
+      (fun locking ->
+        let config = config_of locking in
+        let db = Db.create ~config () in
+        let tbl =
+          Db.run_exn db (fun () -> Db.with_txn db (fun txn -> Table.create db txn ~id:1 specs))
+        in
+        Db.run_exn db (fun () ->
+            Db.with_txn db (fun txn ->
+                for i = 0 to 199 do
+                  ignore
+                    (Table.insert tbl txn
+                       [| Printf.sprintf "item%04d" i; Printf.sprintf "cat%d" (i mod 8) |])
+                done));
+        let count f =
+          let (), s = measured (fun () -> Db.run_exn db (fun () -> Db.with_txn db f)) in
+          Stats.get s Stats.lock_requests
+        in
+        let f = count (fun txn -> ignore (Table.fetch tbl txn ~index:"pk" "item0100")) in
+        let i = count (fun txn -> ignore (Table.insert tbl txn [| "item9000"; "cat1" |])) in
+        let d =
+          count (fun txn ->
+              match Table.fetch tbl txn ~index:"pk" "item0050" with
+              | Some (r, _) -> Table.delete tbl txn r
+              | None -> ())
+        in
+        let s =
+          count (fun txn -> ignore (Table.scan tbl txn ~index:"cat" "cat3" ~stop:("cat3", `Le) ()))
+        in
+        (locking, [ ("fetch", f); ("insert", i); ("delete", d); ("scan25", s) ]))
+      protocols
+  in
+  Record.table r "protocols"
+    (List.map
+       (fun (locking, ops) ->
+         ("protocol", Record.Str (Protocol.locking_to_string locking))
+         :: List.map (fun (op, n) -> (op, Record.Int n)) ops)
+       rows);
+  let data_only = List.assoc Protocol.Data_only rows in
+  Record.gate r "data-only requests no more locks than any other locking protocol, per operation"
+    ~ok:
+      (List.for_all
+         (fun (locking, ops) ->
+           locking = Protocol.Mvcc
+           || List.for_all2 (fun (_, mine) (_, theirs) -> mine <= theirs) data_only ops)
+         rows);
+  Record.finish r
 
 (* Q2: lock waits under contention, by protocol *)
 
 let q2 ppf =
-  section ppf "Q2: concurrency — lock waits and deadlocks under contention";
-  Format.fprintf ppf "  %-16s %10s %10s %10s@." "protocol" "committed" "lock-waits" "deadlocks";
-  List.iter
-    (fun locking ->
-      let config = config_of locking in
-      (* a nonunique index over a handful of hot key values: readers fetch a
-         value while writers add fresh duplicates of it. Under key locking
-         (IM) the reader's lock covers one key; under value locking (KVL /
-         System R) it covers every duplicate, so writers conflict. *)
-      let db, tree = fresh ~page_size:512 ~unique:false ~config () in
-      let hot = 8 in
-      Db.run_exn db (fun () ->
-          Db.with_txn db (fun txn ->
-              for i = 0 to 79 do
-                Btree.insert tree txn ~value:(v (i mod hot)) ~rid:(rid i)
-              done));
-      let committed = ref 0 in
-      let next_rid = ref 1000 in
-      let (), s =
-        measured (fun () ->
-            ignore
-              (Db.run db ~policy:(Sched.Random 11) ~yield_probability:0.2 (fun () ->
-                   for f = 0 to 5 do
-                     let rng = Rng.create (100 + f) in
-                     ignore
-                       (Sched.spawn (fun () ->
-                            for _ = 1 to 25 do
-                              let t = Txnmgr.begin_txn db.Db.mgr in
-                              match
-                                for _ = 1 to 3 do
-                                  let value = v (Rng.int rng hot) in
-                                  if Rng.bool rng then
-                                    (* reader *)
-                                    ignore (Btree.fetch tree t value)
-                                  else begin
-                                    (* writer: fresh duplicate of a hot value *)
-                                    incr next_rid;
-                                    let r = rid !next_rid in
-                                    Txnmgr.lock db.Db.mgr t (Lockmgr.Rid r) Lockmgr.X
-                                      Lockmgr.Commit;
-                                    Btree.insert tree t ~value ~rid:r
-                                  end
-                                done
-                              with
-                              | () ->
-                                  Txnmgr.commit db.Db.mgr t;
-                                  incr committed
-                              | exception Txnmgr.Aborted _ -> ()
-                            done))
-                   done)))
-      in
-      Format.fprintf ppf "  %-16s %10d %10d %10d@."
-        (Protocol.locking_to_string locking)
-        !committed
-        (Stats.get s Stats.lock_waits)
-        (Stats.get s Stats.lock_deadlocks))
-    protocols;
-  Format.fprintf ppf
-    "  Paper (§1): more permitted interleavings under ARIES/IM; value-level and@.";
-  Format.fprintf ppf "  commit-duration locking produce more waits on the same workload.@."
+  let r = Record.start ppf "q2" "Q2: concurrency — lock waits and deadlocks under contention" in
+  let row locking =
+    let config = config_of locking in
+    (* a nonunique index over a handful of hot key values: readers fetch a
+       value while writers add fresh duplicates of it. Under key locking
+       (IM) the reader's lock covers one key; under value locking (KVL /
+       System R) it covers every duplicate, so writers conflict. *)
+    let db, tree = fresh ~page_size:512 ~unique:false ~config () in
+    let hot = 8 in
+    Db.run_exn db (fun () ->
+        Db.with_txn db (fun txn ->
+            for i = 0 to 79 do
+              Btree.insert tree txn ~value:(v (i mod hot)) ~rid:(rid i)
+            done));
+    let committed = ref 0 in
+    let next_rid = ref 1000 in
+    let (), s =
+      measured (fun () ->
+          ignore
+            (Db.run db ~policy:(Sched.Random 11) ~yield_probability:0.2 (fun () ->
+                 for f = 0 to 5 do
+                   let rng = Rng.create (100 + f) in
+                   ignore
+                     (Sched.spawn (fun () ->
+                          for _ = 1 to 25 do
+                            let t = Txnmgr.begin_txn db.Db.mgr in
+                            match
+                              for _ = 1 to 3 do
+                                let value = v (Rng.int rng hot) in
+                                if Rng.bool rng then
+                                  (* reader *)
+                                  ignore (Btree.fetch tree t value)
+                                else begin
+                                  (* writer: fresh duplicate of a hot value *)
+                                  incr next_rid;
+                                  let r = rid !next_rid in
+                                  Txnmgr.lock db.Db.mgr t (Lockmgr.Rid r) Lockmgr.X
+                                    Lockmgr.Commit;
+                                  Btree.insert tree t ~value ~rid:r
+                                end
+                              done
+                            with
+                            | () ->
+                                Txnmgr.commit db.Db.mgr t;
+                                incr committed
+                            | exception Txnmgr.Aborted _ -> ()
+                          done))
+                 done)))
+    in
+    [
+      ("protocol", Record.Str (Protocol.locking_to_string locking));
+      ("committed", Int !committed);
+      ("lock_waits", Int (Stats.get s Stats.lock_waits));
+      ("deadlocks", Int (Stats.get s Stats.lock_deadlocks));
+    ]
+  in
+  Record.table r "protocols" (List.map row protocols);
+  Record.finish r
 
-(* Q3: restart recovery is page-oriented *)
+(* Q3: restart recovery is page-oriented. Acceptance: redo traverses no
+   tree (§1) and every committed key comes back. *)
 
 let q3 ppf =
-  section ppf "Q3: restart recovery — page-oriented redo, page-oriented undo when possible";
+  let r =
+    Record.start ppf "q3"
+      "Q3: restart recovery — page-oriented redo, page-oriented undo when possible"
+  in
   let db, tree = fresh ~page_size:384 () in
   Bufpool.set_steal_hook db.Db.pool ~seed:3 ~probability:0.15;
   (* even keys committed; the loser scatters inserts (odd keys) and deletes
@@ -171,27 +188,41 @@ let q3 ppf =
          Logmgr.flush db.Db.wal));
   let db' = Db.crash db in
   let report, s = measured (fun () -> Db.run_exn db' (fun () -> Db.restart db')) in
-  kv ppf "log records analyzed" "%d" report.Restart.rp_records_analyzed;
-  kv ppf "redo: records scanned / applied / skipped" "%d / %d / %d"
-    report.Restart.rp_records_redo_scanned report.Restart.rp_redos_applied
-    report.Restart.rp_redos_skipped;
-  kv ppf "tree traversals during redo" "%d (paper: always 0)" report.Restart.rp_redo_traversals;
-  kv ppf "undo: records processed" "%d" report.Restart.rp_undo_records;
-  kv ppf "undo: page-oriented / logical" "%d / %d"
-    (Stats.get s Stats.page_oriented_undos)
-    (Stats.get s Stats.logical_undos);
+  Record.line r "log records analyzed"
+    [ ("records_analyzed", Int report.Restart.rp_records_analyzed) ];
+  Record.line r "redo: records scanned / applied / skipped"
+    [
+      ("redo_scanned", Int report.Restart.rp_records_redo_scanned);
+      ("redos_applied", Int report.Restart.rp_redos_applied);
+      ("redos_skipped", Int report.Restart.rp_redos_skipped);
+    ];
+  let traversals = report.Restart.rp_redo_traversals in
+  Record.line r "tree traversals during redo" [ ("redo_traversals", Int traversals) ];
+  Record.line r "undo: records processed" [ ("undo_records", Int report.Restart.rp_undo_records) ];
+  Record.line r "undo: page-oriented / logical"
+    [
+      ("page_oriented_undos", Int (Stats.get s Stats.page_oriented_undos));
+      ("logical_undos", Int (Stats.get s Stats.logical_undos));
+    ];
   let tree' = Btree.open_existing db'.Db.benv (Btree.index_id tree) in
   Btree.check_invariants tree';
-  kv ppf "recovered keys" "%d (expected 400)" (List.length (Btree.to_list tree'))
+  let recovered = List.length (Btree.to_list tree') in
+  Record.line r "recovered keys" [ ("recovered_keys", Int recovered) ];
+  Record.gate r "0 tree traversals during redo" ~ok:(traversals = 0);
+  Record.gate r "400 of 400 keys recovered" ~ok:(recovered = 400);
+  Record.finish r
 
-(* Q4: rolling-back transactions never deadlock *)
+(* Q4: rolling-back transactions never deadlock (§4): they request no
+   locks and are exempt from victim selection. Acceptance: no rollback is
+   cut short by a deadlock abort. *)
 
 let q4 ppf =
-  section ppf "Q4: rolling-back transactions never deadlock";
+  let r = Record.start ppf "q4" "Q4: rolling-back transactions never deadlock" in
   let db, tree = fresh ~page_size:384 () in
   seed_keys db tree 0 99;
   let rng = Rng.create 99 in
   let deadlocks = ref 0 and committed = ref 0 and rolled_back = ref 0 in
+  let rolling_victims = ref 0 in
   let (), s =
     measured (fun () ->
         ignore
@@ -215,8 +246,9 @@ let q4 ppf =
                           with
                           | () ->
                               if Rng.int rng 3 = 0 then begin
-                                Txnmgr.rollback db.Db.mgr t;
-                                incr rolled_back
+                                match Txnmgr.rollback db.Db.mgr t with
+                                | () -> incr rolled_back
+                                | exception Txnmgr.Aborted _ -> incr rolling_victims
                               end
                               else begin
                                 Txnmgr.commit db.Db.mgr t;
@@ -226,19 +258,26 @@ let q4 ppf =
                         done))
                done)))
   in
-  kv ppf "transactions committed / rolled back / deadlock-aborted" "%d / %d / %d" !committed
-    !rolled_back !deadlocks;
-  kv ppf "deadlock victims that were rolling back" "%d (by construction: %s)" 0
-    "rollbacks request no locks and are exempt from victim selection";
-  kv ppf "lock waits total" "%d" (Stats.get s Stats.lock_waits);
+  Record.line r "transactions committed / rolled back / deadlock-aborted"
+    [
+      ("committed", Int !committed);
+      ("rolled_back", Int !rolled_back);
+      ("deadlock_aborted", Int !deadlocks);
+    ];
+  Record.line r "deadlock victims that were rolling back"
+    [ ("rolling_back_victims", Int !rolling_victims) ];
+  Record.line r "lock waits total" [ ("lock_waits", Int (Stats.get s Stats.lock_waits)) ];
   Btree.check_invariants tree;
-  kv ppf "tree invariants after the storm" "%s" "hold"
+  Record.gate r "0 rolling-back victims" ~ok:(!rolling_victims = 0);
+  Record.finish r
 
 (* Q5: SMOs concurrent with other operations vs a serialize-everything
    strawman *)
 
 let q5 ppf =
-  section ppf "Q5: operations concurrent with SMOs vs tree-latch-everything strawman";
+  let r =
+    Record.start ppf "q5" "Q5: operations concurrent with SMOs vs tree-latch-everything strawman"
+  in
   let run ~strawman =
     let config = { Btree.default_config with Btree.serialize_smo_ops = strawman } in
     let db, tree = fresh ~page_size:384 ~config () in
@@ -276,15 +315,22 @@ let q5 ppf =
   in
   let normal = run ~strawman:false in
   let strawman = run ~strawman:true in
-  kv ppf "ops completed in a fixed step budget (ARIES/IM)" "%d" normal;
-  kv ppf "ops completed with every op serialized on the tree latch" "%d" strawman;
-  kv ppf "speedup from letting ops run during SMOs" "%.2fx"
-    (float_of_int normal /. float_of_int (max 1 strawman))
+  Record.line r "ops completed in a fixed step budget (ARIES/IM)" [ ("aries_im_ops", Int normal) ];
+  Record.line r "ops completed with every op serialized on the tree latch"
+    [ ("strawman_ops", Int strawman) ];
+  Record.line r "speedup from letting ops run during SMOs (x)"
+    [ ("speedup", Float (float_of_int normal /. float_of_int (max 1 strawman))) ];
+  Record.finish r
 
-(* Q7 (§5 extension): concurrent SMOs via the tree lock *)
+(* Q7 (§5 extension): concurrent SMOs via the tree lock — "Concurrent SMOs
+   can be easily permitted by changing the tree latch into a lock":
+   leaf-level SMOs take IX, nonleaf-level SMOs upgrade to X (upgrade
+   deadlocks abort the transaction, as the paper predicts) *)
 
 let q7 ppf =
-  section ppf "Q7 (§5): concurrent SMOs — tree lock (IX/X) vs serialized tree latch";
+  let r =
+    Record.start ppf "q7" "Q7 (§5): concurrent SMOs — tree lock (IX/X) vs serialized tree latch"
+  in
   let run ~concurrent =
     let config = { Btree.default_config with Btree.concurrent_smos = concurrent } in
     let db, tree = fresh ~page_size:512 ~config () in
@@ -316,19 +362,22 @@ let q7 ppf =
   in
   let serialized = run ~concurrent:false in
   let concurrent = run ~concurrent:true in
-  kv ppf "txns committed, SMOs serialized on the tree latch" "%d" serialized;
-  kv ppf "txns committed, concurrent SMOs (tree lock, IX leaf-level)" "%d" concurrent;
-  kv ppf "throughput ratio" "%.2fx" (float_of_int concurrent /. float_of_int (max 1 serialized));
-  Format.fprintf ppf
-    "  §5: \"Concurrent SMOs can be easily permitted by changing the tree latch@.";
-  Format.fprintf ppf
-    "  into a lock\" — leaf-level SMOs take IX; nonleaf-level SMOs upgrade to X@.";
-  Format.fprintf ppf "  (upgrade deadlocks abort the transaction, as the paper predicts).@."
+  Record.line r "txns committed, SMOs serialized on the tree latch"
+    [ ("serialized_txns", Int serialized) ];
+  Record.line r "txns committed, concurrent SMOs (tree lock, IX leaf-level)"
+    [ ("concurrent_txns", Int concurrent) ];
+  Record.line r "throughput ratio (x)"
+    [ ("throughput_ratio", Float (float_of_int concurrent /. float_of_int (max 1 serialized))) ];
+  Record.finish r
 
-(* Q8 (ablation, Figure 8's "optional" step): cost of not resetting SM bits *)
+(* Q8 (ablation, Figure 8's "optional" step): cost of not resetting SM
+   bits. Stale bits force traversers to touch the tree latch (and
+   re-descend) on every rightmost route through a once-split page: the
+   reset is optional for correctness but pays for itself immediately.
+   Acceptance: with the reset on, reads never touch the tree latch. *)
 
 let q8 ppf =
-  section ppf "Q8 (ablation): Figure 8's optional SM_Bit reset";
+  let r = Record.start ppf "q8" "Q8 (ablation): Figure 8's optional SM_Bit reset" in
   let run ~reset =
     let config = { Btree.default_config with Btree.reset_sm_bits = reset } in
     let db, tree = fresh ~page_size:384 ~config () in
@@ -346,20 +395,19 @@ let q8 ppf =
   in
   let latches_on, traversals_on = run ~reset:true in
   let latches_off, traversals_off = run ~reset:false in
-  kv ppf "[reset ON ] tree-latch acquisitions / traversals for 500 fetches" "%d / %d" latches_on
-    traversals_on;
-  kv ppf "[reset OFF] tree-latch acquisitions / traversals for 500 fetches" "%d / %d" latches_off
-    traversals_off;
-  Format.fprintf ppf
-    "  Stale bits force traversers to touch the tree latch (and re-descend) on@.";
-  Format.fprintf ppf
-    "  every rightmost route through a once-split page: the reset is optional@.";
-  Format.fprintf ppf "  for correctness but pays for itself immediately.@."
+  Record.line r "[reset ON ] tree-latch acquisitions / traversals for 500 fetches"
+    [ ("reset_on_tree_latches", Int latches_on); ("reset_on_traversals", Int traversals_on) ];
+  Record.line r "[reset OFF] tree-latch acquisitions / traversals for 500 fetches"
+    [ ("reset_off_tree_latches", Int latches_off); ("reset_off_traversals", Int traversals_off) ];
+  Record.gate r "reset on: 0 tree-latch acquisitions" ~ok:(latches_on = 0);
+  Record.finish r
 
-(* Q6: media recovery *)
+(* Q6: media recovery replays one page's log records onto its dump image.
+   Acceptance: the recovered page is byte-identical to the lost one, and
+   no tree is traversed. *)
 
 let q6 ppf =
-  section ppf "Q6: page-oriented media recovery for indexes";
+  let r = Record.start ppf "q6" "Q6: page-oriented media recovery for indexes" in
   let db, tree = fresh () in
   seed_keys db tree 0 149;
   let dump = Media.take_dump db.Db.mgr db.Db.pool in
@@ -369,15 +417,24 @@ let q6 ppf =
   let before = Disk.read db.Db.disk victim in
   Disk.corrupt_drop db.Db.disk victim;
   Bufpool.drop db.Db.pool victim;
-  let applied = Db.run_exn db (fun () -> Media.recover_page db.Db.mgr db.Db.pool dump victim) in
+  let applied, s =
+    measured (fun () ->
+        Db.run_exn db (fun () -> Media.recover_page db.Db.mgr db.Db.pool dump victim))
+  in
   let after = Disk.read db.Db.disk victim in
-  kv ppf "dump taken after" "%d keys; %d more committed afterwards" 150 150;
-  kv ppf "lost page" "%d" victim;
-  kv ppf "log records replayed onto the dump image" "%d" applied;
-  kv ppf "recovered page byte-identical to the lost one" "%b"
-    (match (before, after) with Some b, Some a -> Page.equal b a | _ -> false);
+  let identical = match (before, after) with Some b, Some a -> Page.equal b a | _ -> false in
+  Record.line r "keys in the dump / committed afterwards"
+    [ ("keys_in_dump", Int 150); ("keys_after_dump", Int 150) ];
+  Record.line r "lost page" [ ("lost_page", Int victim) ];
+  Record.line r "log records replayed onto the dump image" [ ("records_replayed", Int applied) ];
+  let traversals = Stats.get s Stats.tree_traversals in
+  Record.line r "tree traversals during recovery" [ ("tree_traversals", Int traversals) ];
+  Record.line r "recovered page byte-identical to the lost one"
+    [ ("byte_identical", Bool identical) ];
   Btree.check_invariants tree;
-  kv ppf "no tree traversals involved" "%s" "recovery replayed only that page's records"
+  Record.gate r "recovered page byte-identical" ~ok:identical;
+  Record.gate r "0 tree traversals during media recovery" ~ok:(traversals = 0);
+  Record.finish r
 
 (* ------------------------------------------------------------------ *)
 (* Q9: the commit path — batched group-commit forces vs per-commit
@@ -856,7 +913,7 @@ let q12 ppf =
       ("sweep_fatal_failures", Int (List.length fatal));
       ("sweep_tolerated_failures", Int (List.length digest.Sweep.sm_failures - List.length fatal));
     ];
-  List.iter (fun rp -> kv ppf "FATAL" "%s" (Sweep.reproducer_line rp)) fatal;
+  List.iter (fun rp -> Record.note r "FATAL" (Sweep.reproducer_line rp)) fatal;
   Record.gate r "zero fatal failures" ~ok:(fatal = []);
   Record.finish r
 
@@ -1681,7 +1738,7 @@ let q17 ppf =
       ("sweep_failures", Int (List.length sweep.Sweep.sm_failures));
     ];
   List.iter
-    (fun rp -> kv ppf "  FAILURE" "%s" (Sweep.reproducer_line rp))
+    (fun rp -> Record.note r "  FAILURE" (Sweep.reproducer_line rp))
     sweep.Sweep.sm_failures;
   Record.gate r "sharded fault sweep clean, commits acked"
     ~ok:(sweep.Sweep.sm_failures = [] && sweep.Sweep.sm_acked > 0);

@@ -7,7 +7,7 @@
      dune exec bench/main.exe -- timing  # only the Bechamel suites
 
    An unknown experiment id fails the run before anything runs. Each
-   Q-series entry from q9 on records its numbers and acceptance gates in
+   Q-series entry records its numbers and acceptance gates in
    _bench/<id>.json (bench/record.ml) and exits 1 after writing it if a
    gate failed; each E-series entry does the same with its figure's
    checks (test/figures/figures.ml).

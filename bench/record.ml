@@ -1,6 +1,6 @@
 (* The one record-and-gate helper of the Q series. An entry opens a record
    with [start], names each number once next to its value — [line] and
-   [table] print what they record, [add] records without printing —
+   [table] print what they record, [add] records without printing, [note] prints without recording —
    checks each acceptance gate with [gate], and ends with [finish], which
    writes _bench/<id>.json in the schema every entry shares:
 
@@ -77,6 +77,9 @@ let start ppf id title =
   Workload.section ppf title;
   { id; ppf; values = []; gates = [] }
 
+(* The one output line format: a padded label, then the text. *)
+let note t label text = Format.fprintf t.ppf "  %-46s %s@." label text
+
 let add t fields = t.values <- List.rev_append fields t.values
 
 let show = function
@@ -91,7 +94,7 @@ let show = function
 
 (* One output line: [label], then the values joined by " / ". *)
 let line t label fields =
-  Workload.kv t.ppf label "%s" (String.concat " / " (List.map (fun (_, v) -> show v) fields));
+  note t label (String.concat " / " (List.map (fun (_, v) -> show v) fields));
   add t fields
 
 (* Rows sharing one set of named columns: printed as a table under a
@@ -116,12 +119,12 @@ let table t name rows =
   add t [ (name, List (List.map (fun row -> Obj row) rows)) ]
 
 let gate t name ~ok =
-  Workload.kv t.ppf ("acceptance: " ^ name) "%s" (if ok then "PASS" else "FAIL");
+  note t ("acceptance: " ^ name) (if ok then "PASS" else "FAIL");
   t.gates <- (name, ok) :: t.gates
 
 (* A paper-figure check: a gate printed as the figure's verdict. *)
 let check t name ~ok =
-  Workload.kv t.ppf name "%s" (if ok then "CONFIRMED" else "VIOLATED");
+  note t name (if ok then "CONFIRMED" else "VIOLATED");
   t.gates <- (name, ok) :: t.gates
 
 let dir = "_bench"
@@ -146,7 +149,7 @@ let finish t =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path = Filename.concat dir (t.id ^ ".json") in
   Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc b);
-  Workload.kv t.ppf "wrote" "%s" path;
+  note t "wrote" path;
   if failed <> [] then begin
     Format.pp_print_flush t.ppf ();
     List.iter (fun name -> Printf.eprintf "%s: gate failed: %s\n" t.id name) failed;

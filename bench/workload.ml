@@ -24,11 +24,3 @@ let measured f =
 
 let section ppf title =
   Format.fprintf ppf "@.=== %s ===@." title
-
-let kv ppf k fmt = Format.fprintf ppf ("  %-46s " ^^ fmt ^^ "@.") k
-
-let table_row ppf cols widths =
-  List.iteri
-    (fun i c -> Format.fprintf ppf "%-*s " (try List.nth widths i with _ -> 12) c)
-    cols;
-  Format.fprintf ppf "@."

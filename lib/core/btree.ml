@@ -123,6 +123,8 @@ let drop t ctx page =
 
 let drop_all t ctx = List.iter (drop t ctx) ctx.held
 
+let drop_opt t ctx = function Some page -> drop t ctx page | None -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Tree synchronization. By default, SMOs serialize on the per-index X tree
    latch. With [concurrent_smos] (the §5 extension) the latch becomes a
@@ -228,15 +230,16 @@ let log_apply t txn page body ~undoable =
   Bufpool.mark_dirty t.bt_env.e_pool page lsn;
   Sched.maybe_yield ()
 
-let log_clr_apply t txn page body ~undo_stream ~undo_nxt =
+(* compensate log record [r] on [page]: log [body] as its CLR, apply it *)
+let log_clr_apply env txn (r : Logrec.t) page body =
   let op = Ixlog.op_of_body body in
   let lsn =
-    Txnmgr.log_clr t.bt_env.e_mgr txn ~page:page.Page.pid ~undo_stream ~rm_id:Ixlog.rm_id ~op
-      ~body:(Ixlog.encode body) ~undo_nxt ()
+    Txnmgr.log_clr env.e_mgr txn ~page:page.Page.pid ~undo_stream:r.Logrec.stream
+      ~rm_id:Ixlog.rm_id ~op ~body:(Ixlog.encode body) ~undo_nxt:r.Logrec.prev_lsn ()
   in
   Apply.apply page body;
   page.Page.page_lsn <- lsn;
-  Bufpool.mark_dirty t.bt_env.e_pool page lsn
+  Bufpool.mark_dirty env.e_pool page lsn
 
 (* MVCC (protocol #5): the pending version is appended BEFORE the page
    change is logged/applied — [log_apply] yields, so recording after it
@@ -280,6 +283,21 @@ let lower_bound keys probe =
   in
   bs 0 (Vec.length keys)
 
+(* Figure 4's separator search: the index of the child a search for
+   [probe] descends to — the first child whose high key is above the
+   probe (equality routes right), else the rightmost. High keys are
+   sorted and every probe is monotone, so the search is binary. *)
+let route nl probe =
+  let nk = Vec.length nl.Page.nl_high_keys in
+  let rec bs lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if probe (Vec.get nl.Page.nl_high_keys mid) > 0 then bs lo mid else bs (mid + 1) hi
+  in
+  let i = bs 0 nk in
+  if i < nk then i else Vec.length nl.Page.nl_children - 1
+
 (* ------------------------------------------------------------------ *)
 (* Anchor access *)
 
@@ -291,19 +309,78 @@ let read_anchor t ctx =
   (root, height)
 
 (* ------------------------------------------------------------------ *)
-(* Traversal (Figure 4).
+(* Unlatched reads — inspection for tests and benches, and the §5 split
+   estimate. No latch and no lock: each page is fixed only while [f]
+   reads it. *)
+
+let peek t pid f =
+  let pool = t.bt_env.e_pool in
+  let page = Bufpool.fix pool pid in
+  Fun.protect ~finally:(fun () -> Bufpool.unfix pool page) (fun () -> f page)
+
+(* the anchor's root and height *)
+let anchor t =
+  peek t t.bt_ix (fun page ->
+      let a = Page.as_anchor page in
+      (a.Page.an_root, a.Page.an_height))
+
+(* [f] folded over the pages a search for [probe] reads, from [root] down
+   to where the route ends: a leaf, an empty nonleaf or a non-index page *)
+let rec fold_route t ~probe f acc pid =
+  let acc, child =
+    peek t pid (fun page ->
+        ( f acc page,
+          match page.Page.content with
+          | Page.Nonleaf nl when Vec.length nl.Page.nl_children > 0 ->
+              Vec.get nl.Page.nl_children (route nl probe)
+          | Page.Nonleaf _ | Page.Leaf _ | Page.Data _ | Page.Anchor _ -> Ids.nil_page ))
+  in
+  if child = Ids.nil_page then acc else fold_route t ~probe f acc child
+
+(* the leaf an unlatched search for [probe] reaches from [root] *)
+let leaf_for t ~probe root =
+  fold_route t ~probe
+    (fun _ page ->
+      match page.Page.content with
+      | Page.Leaf _ | Page.Nonleaf _ -> page.Page.pid
+      | Page.Data _ | Page.Anchor _ -> raise (Structural_fault "non-index page in tree"))
+    Ids.nil_page root
+
+(* [f] on each leaf from the leftmost one along the chain, left to right *)
+let iter_leaves t ~root f =
+  let rec go pid =
+    if pid <> Ids.nil_page then
+      go
+        (peek t pid (fun page ->
+             f page;
+             (Page.as_leaf page).Page.lf_next))
+  in
+  go (leaf_for t ~probe:(fun _ -> 1) root)
+
+(* ------------------------------------------------------------------ *)
+(* Traversal (Figure 4): the one latch-coupled descent.
 
    Returns the leaf (held: fixed + latched, X for writers) and the ancestor
-   path as (pid, noted page LSN) pairs, root first. [ignore_sm] is set when
-   the caller holds the tree latch/lock exclusively: no SMO can then be in
-   progress, so SM_Bit ambiguity cannot arise and stale bits are ignored.
+   path as (pid, noted page LSN) pairs, root first. [sm] says how the
+   descent reads SM_Bit = 1 on a route past every high key of a nonleaf:
 
-   On ambiguity (rightmost route with SM_Bit = 1), waiting for the SMO is
-   not by itself enough to make progress when bits are left stale (resets
-   disabled, or the concurrent-SMO mode which must leave them): the retry
-   descends while HOLDING the tree sync in S — no SMO can be in flight, so
-   the stale bit is provably stale and the rightmost route is trustworthy. *)
-let traverse t ctx txn ~write ~ignore_sm ~probe =
+   - [`Check]: ambiguous (Figure 4) — an unposted split may hold the key
+     further right. Waiting for the SMO is not by itself enough to make
+     progress when bits are left stale (resets disabled, or the
+     concurrent-SMO mode, which must leave them), so the retry descends
+     while HOLDING the tree sync in S: no SMO can be in flight, the stale
+     bit is provably stale and the rightmost route is trustworthy.
+   - [`Stale]: the caller holds the tree latch/lock exclusively (or this
+     is that retry): no SMO is in progress, bits are ignored, and an
+     empty nonleaf is a structural fault.
+   - [`Snapshot]: an MVCC reader (protocol #5, rule R9). It ignores the
+     bits: it walks RIGHT along the leaf chain afterwards, and a split
+     links the new sibling into the chain before (and regardless of
+     whether) its separator is posted, so the rightmost route can only
+     land at-or-left of the target. A mid-SMO hiccup (empty nonleaf, page
+     changing identity) drops everything, yields and retries: the SMO
+     holds nothing the reader needs, and the reader requests no lock. *)
+let traverse t ctx txn ~write ~sm ~probe =
   Stats.incr c_tree_traversals;
   (* If the transaction already holds the tree lock (it is inside its own
      SMO), the S hold is a temporary conversion: remember the prior mode and
@@ -325,65 +402,64 @@ let traverse t ctx txn ~write ~ignore_sm ~probe =
        | None -> Lockmgr.release locks ~txn:txn.Txnmgr.txn_id (tree_lock_name t)
      else Latch.release t.bt_latch)
   in
-  let rec attempt n ~trusted =
+  let rec attempt n sm =
     if n > max_restarts then raise (Structural_fault (t.bt_name ^ ": traversal livelock"));
     let root, _height = read_anchor t ctx in
     let rec go parent path pid =
       let page = Bufpool.fix t.bt_env.e_pool pid in
       let was_leaf = Page.is_leaf page in
-      let mode = if was_leaf && write then Latch.X else Latch.S in
-      hold_fixed ctx page mode;
+      hold_fixed ctx page (if was_leaf && write then Latch.X else Latch.S);
       if Page.is_leaf page <> was_leaf then begin
         (* the page changed identity before we got the latch *)
         drop t ctx page;
-        (match parent with Some p -> drop t ctx p | None -> ());
+        drop_opt t ctx parent;
         raise Traverse_restart
       end;
       match page.Page.content with
       | Page.Leaf _ ->
-          (match parent with Some p -> drop t ctx p | None -> ());
+          drop_opt t ctx parent;
           (page, List.rev path)
       | Page.Nonleaf nl ->
-          let nc = Vec.length nl.Page.nl_children in
-          let nk = Vec.length nl.Page.nl_high_keys in
-          (* Figure 4's condition: trusting the rightmost-child route needs
-             SM_Bit = 0; routing under a separator is always safe *)
-          let past_all = nk = 0 || probe (Vec.get nl.Page.nl_high_keys (nk - 1)) < 0 in
+          (* Figure 4's condition: trusting a route past every high key
+             needs SM_Bit = 0; routing under a separator is always safe *)
           let ambiguous =
-            nc = 0 || (past_all && nl.Page.nl_sm_bit && (not ignore_sm) && not trusted)
+            Vec.length nl.Page.nl_children = 0
+            ||
+            match sm with
+            | `Check ->
+                nl.Page.nl_sm_bit
+                && lower_bound nl.Page.nl_high_keys probe = Vec.length nl.Page.nl_high_keys
+            | `Stale | `Snapshot -> false
           in
           if ambiguous then begin
             drop t ctx page;
-            (match parent with Some p -> drop t ctx p | None -> ());
-            if ignore_sm || trusted then
-              raise (Structural_fault (t.bt_name ^ ": empty nonleaf under tree latch"))
-            else raise Traverse_restart
-          end
-          else begin
-            let idx =
-              let rec find i =
-                if i >= nk then nc - 1
-                else if probe (Vec.get nl.Page.nl_high_keys i) > 0 then i
-                else find (i + 1)
-              in
-              find 0
-            in
-            let child = Vec.get nl.Page.nl_children idx in
-            (match parent with Some p -> drop t ctx p | None -> ());
-            go (Some page) ((pid, page.Page.page_lsn) :: path) child
-          end
+            drop_opt t ctx parent;
+            match sm with
+            | `Stale -> raise (Structural_fault (t.bt_name ^ ": empty nonleaf under tree latch"))
+            | `Check | `Snapshot -> raise Traverse_restart
+          end;
+          drop_opt t ctx parent;
+          go (Some page) ((pid, page.Page.page_lsn) :: path)
+            (Vec.get nl.Page.nl_children (route nl probe))
       | Page.Data _ | Page.Anchor _ ->
           raise (Structural_fault (Printf.sprintf "%s: non-index page %d in tree" t.bt_name pid))
     in
     match go None [] root with
     | result -> result
-    | exception Traverse_restart ->
-        (* Figure 4: wait for the unfinished SMO, then search again — the
-           retry holds S so a stale bit cannot re-trigger the ambiguity *)
-        hold_s ();
-        Fun.protect ~finally:release_s (fun () -> attempt (n + 1) ~trusted:true)
+    | exception Traverse_restart -> (
+        match sm with
+        | `Snapshot ->
+            drop_all t ctx;
+            Sched.yield ();
+            attempt (n + 1) sm
+        | `Check | `Stale ->
+            (* Figure 4: wait for the unfinished SMO, then search again —
+               the retry holds S so a stale bit cannot re-trigger the
+               ambiguity *)
+            hold_s ();
+            Fun.protect ~finally:release_s (fun () -> attempt (n + 1) `Stale))
   in
-  attempt 0 ~trusted:false
+  attempt 0 sm
 
 (* ------------------------------------------------------------------ *)
 (* Next-key location (§2.2/2.4: "the next key may be on the next page";
@@ -392,13 +468,12 @@ let traverse t ctx txn ~write ~ignore_sm ~probe =
    releasing intermediates as it couples. The landing page stays held. *)
 
 type next_loc =
-  | Nk_here of int  (* index within the starting leaf *)
-  | Nk_right of Page.t * int  (* on a later page, which is now held *)
+  | Nk_at of Page.t * int  (* the starting leaf, or a later page, now held *)
   | Nk_eof
 
 let next_key_loc t ctx leaf pos =
   let l = Page.as_leaf leaf in
-  if pos < Vec.length l.Page.lf_keys then Nk_here pos
+  if pos < Vec.length l.Page.lf_keys then Nk_at (leaf, pos)
   else begin
     let rec go cur =
       let cl = Page.as_leaf cur in
@@ -410,16 +485,14 @@ let next_key_loc t ctx leaf pos =
         let next = hold t ctx cl.Page.lf_next Latch.S in
         if cur != leaf then drop t ctx cur;
         let nl = Page.as_leaf next in
-        if Vec.length nl.Page.lf_keys > 0 then Nk_right (next, 0) else go next
+        if Vec.length nl.Page.lf_keys > 0 then Nk_at (next, 0) else go next
       end
     in
     go leaf
   end
 
-let loc_key leaf loc =
-  match loc with
-  | Nk_here i -> Protocol.At (Vec.get (Page.as_leaf leaf).Page.lf_keys i)
-  | Nk_right (p, i) -> Protocol.At (Vec.get (Page.as_leaf p).Page.lf_keys i)
+let loc_key = function
+  | Nk_at (page, i) -> Protocol.At (Vec.get (Page.as_leaf page).Page.lf_keys i)
   | Nk_eof -> Protocol.Eof
 
 (* ------------------------------------------------------------------ *)
@@ -670,8 +743,8 @@ let split_smo_held t txn ~probe ~needed ~exclusive =
     (fun () ->
       (* under the X tree latch/lock no other SMO runs, so stale bits can be
          ignored; under IX they cannot *)
-      let ignore_sm = exclusive || not t.bt_cfg.concurrent_smos in
-      let leaf, path = traverse t ctx txn ~write:true ~ignore_sm ~probe in
+      let sm = if exclusive || not t.bt_cfg.concurrent_smos then `Stale else `Check in
+      let leaf, path = traverse t ctx txn ~write:true ~sm ~probe in
       let l = Page.as_leaf leaf in
       if Page.free_space leaf >= needed || Vec.length l.Page.lf_keys < 2 then
         (* someone made room (or the page is too empty to split) *)
@@ -735,45 +808,25 @@ let split_smo_held t txn ~probe ~needed ~exclusive =
 
 (* unlatched estimate: will this split need to restructure nonleaf levels?
    Used to choose IX vs X up front in §5 mode; a wrong "no" is corrected by
-   the mid-SMO upgrade in post_to_parent. *)
+   the mid-SMO upgrade in post_to_parent. The fold carries the free space
+   of the page above (-1 at the root) and the verdict so far. *)
 let split_probably_nonleaf t ~probe =
-  let pool = t.bt_env.e_pool in
-  let anchor = Bufpool.fix pool t.bt_ix in
-  let a = Page.as_anchor anchor in
-  let root = a.Page.an_root in
-  Bufpool.unfix pool anchor;
-  let rec go parent pid =
-    let page = Bufpool.fix pool pid in
-    let r =
-      match page.Page.content with
-      | Page.Leaf l -> (
-          let max_key_cost =
-            Vec.fold (fun acc k -> max acc (Key.on_page_cost k)) 24 l.Page.lf_keys
-          in
-          match parent with
-          | None -> true (* root leaf: a split grows the tree *)
-          | Some free -> free < max_key_cost + 8)
-      | Page.Nonleaf nl ->
-          let nk = Vec.length nl.Page.nl_high_keys in
-          let idx =
-            let rec find i =
-              if i >= nk then Vec.length nl.Page.nl_children - 1
-              else if probe (Vec.get nl.Page.nl_high_keys i) > 0 then i
-              else find (i + 1)
+  let root, _height = anchor t in
+  let _free, nonleaf =
+    fold_route t ~probe
+      (fun (free, _) page ->
+        match page.Page.content with
+        | Page.Nonleaf nl -> (Page.free_space page, Vec.length nl.Page.nl_children = 0)
+        | Page.Leaf l ->
+            let max_key_cost =
+              Vec.fold (fun acc k -> max acc (Key.on_page_cost k)) 24 l.Page.lf_keys
             in
-            find 0
-          in
-          let child =
-            if Vec.length nl.Page.nl_children = 0 then Ids.nil_page
-            else Vec.get nl.Page.nl_children idx
-          in
-          if child = Ids.nil_page then true else go (Some (Page.free_space page)) child
-      | Page.Data _ | Page.Anchor _ -> true
-    in
-    Bufpool.unfix pool page;
-    r
+            (* a root leaf's split grows the tree *)
+            (free, free < 0 || free < max_key_cost + 8)
+        | Page.Data _ | Page.Anchor _ -> (free, true))
+      (-1, true) root
   in
-  go None root
+  nonleaf
 
 (* split entry point for forward processing: caller holds nothing *)
 let split_smo t txn ~probe ~needed =
@@ -955,7 +1008,7 @@ let insert t txn ~value ~rid =
   let probe = probe_exact t key in
   serialize_point t;
   with_retries t "insert" (fun ctx ->
-      let leaf, _path = traverse t ctx txn ~write:true ~ignore_sm:false ~probe in
+      let leaf, _path = traverse t ctx txn ~write:true ~sm:`Check ~probe in
       let l = Page.as_leaf leaf in
       (* Figure 6: the SM_Bit | Delete_Bit check comes FIRST — before any
          decision based on the leaf's contents, which an incomplete SMO may
@@ -1007,8 +1060,7 @@ let insert t txn ~value ~rid =
         raise (Op_restart "page split")
       end;
       (* next-key locking *)
-      let loc = next_key_loc t ctx leaf pos in
-      let next = loc_key leaf loc in
+      let next = loc_key (next_key_loc t ctx leaf pos) in
       let value_exists =
         (not t.bt_unique)
         && ((pos > 0 && String.equal (Vec.get l.Page.lf_keys (pos - 1)).Key.value value)
@@ -1045,7 +1097,7 @@ let delete_via_page_delete t txn ~probe =
       drop_all t ctx;
       smo_release t txn)
     (fun () ->
-      let leaf, path = traverse t ctx txn ~write:true ~ignore_sm:true ~probe in
+      let leaf, path = traverse t ctx txn ~write:true ~sm:`Stale ~probe in
       let l = Page.as_leaf leaf in
       let pos = lower_bound l.Page.lf_keys probe in
       let present = pos < Vec.length l.Page.lf_keys && probe (Vec.get l.Page.lf_keys pos) = 0 in
@@ -1056,8 +1108,7 @@ let delete_via_page_delete t txn ~probe =
       let stored_key = Vec.get l.Page.lf_keys pos in
       (* Figure 7 locking, conditional only: no lock waits under the tree
          latch (§4) *)
-      let loc = next_key_loc t ctx leaf (pos + 1) in
-      let next = loc_key leaf loc in
+      let next = loc_key (next_key_loc t ctx leaf (pos + 1)) in
       let reqs =
         Protocol.delete_locks t.bt_cfg.locking t.bt_ix ~unique:t.bt_unique ~key:stored_key ~next
           ~value_remains:false
@@ -1097,7 +1148,7 @@ let delete t txn ~value ~rid =
   serialize_point t;
   try
     with_retries t "delete" (fun ctx ->
-        let leaf, _path = traverse t ctx txn ~write:true ~ignore_sm:false ~probe in
+        let leaf, _path = traverse t ctx txn ~write:true ~sm:`Check ~probe in
         let l = Page.as_leaf leaf in
         (* Figure 7: the SM_Bit check comes FIRST — an incomplete SMO may
            have moved the key to an unposted sibling, so no content-based
@@ -1140,8 +1191,7 @@ let delete t txn ~value ~rid =
               raise (Op_restart "page-delete lock wait")
         end;
         (* next-key lock (commit-duration X: the tripping point, §2.6) *)
-        let loc = next_key_loc t ctx leaf (pos + 1) in
-        let next = loc_key leaf loc in
+        let next = loc_key (next_key_loc t ctx leaf (pos + 1)) in
         let value_remains =
           (not t.bt_unique)
           && ((pos > 0 && String.equal (Vec.get l.Page.lf_keys (pos - 1)).Key.value value)
@@ -1185,10 +1235,39 @@ let delete t txn ~value ~rid =
         drop_all t ctx)
   with Op_done -> ()
 
-(* --- Fetch (Figure 5) --- *)
+(* --- Fetch and Fetch Next (Figure 5, §2.3) ---
 
-let fetch_probe comparison value =
-  match comparison with `Eq | `Ge -> probe_ge value | `Gt -> probe_gt value
+   A fetch is a scan's first step: both find the first key after the
+   scan's last one (before the first step: at or after the bound, after it
+   when strict) and apply the scan's stop condition. A fetch [`Eq] is the
+   first step of a scan that stops past its own value. *)
+
+type cursor = {
+  cr_bound : string;
+  cr_strict : bool;
+  cr_isolation : [ `Rr | `Cs ];
+  mutable cr_locked : Protocol.lock_req list;  (* CS: locks to drop on move *)
+  mutable cr_last : Key.t option;
+  mutable cr_leaf : Ids.page_id;
+  mutable cr_lsn : Lsn.t;
+  mutable cr_pos : int;  (* position of the last returned key *)
+  mutable cr_done : bool;
+}
+
+let open_scan t txn ?(comparison = `Ge) ?(isolation = `Rr) value =
+  ignore t;
+  ignore txn;
+  {
+    cr_bound = value;
+    cr_strict = (comparison = `Gt);
+    cr_isolation = isolation;
+    cr_locked = [];
+    cr_last = None;
+    cr_leaf = Ids.nil_page;
+    cr_lsn = Lsn.nil;
+    cr_pos = -1;
+    cr_done = false;
+  }
 
 (* Cursor stability (degree 2): current-key locks are held only while the
    cursor is positioned on the key, not until commit. Implemented by taking
@@ -1217,65 +1296,7 @@ let cs_release t txn (reqs : Protocol.lock_req list) =
 
    Readers never touch the lock manager: the version store replaces both
    the current-key and the next-key lock. They also never park on the SMO
-   sync: the descent below ignores SM_Bit ambiguity entirely, which is
-   sound for a reader that afterwards walks RIGHT along the leaf chain —
-   a split links the new sibling into the chain before (and regardless of
-   whether) its separator is posted, so the rightmost route can only land
-   at-or-left of the target, never beyond it. A mid-SMO structural hiccup
-   (empty nonleaf, page changing identity) just drops everything, yields,
-   and retries: the SMO holds no lock the reader needs and completes in a
-   bounded number of steps. *)
-
-let mv_descend t ctx ~probe =
-  Stats.incr c_tree_traversals;
-  let rec attempt n =
-    if n > max_restarts then raise (Structural_fault (t.bt_name ^ ": mvcc reader livelock"));
-    let root, _height = read_anchor t ctx in
-    let rec go parent pid =
-      let page = Bufpool.fix t.bt_env.e_pool pid in
-      let was_leaf = Page.is_leaf page in
-      hold_fixed ctx page Latch.S;
-      if Page.is_leaf page <> was_leaf then begin
-        drop t ctx page;
-        (match parent with Some p -> drop t ctx p | None -> ());
-        raise Traverse_restart
-      end;
-      match page.Page.content with
-      | Page.Leaf _ ->
-          (match parent with Some p -> drop t ctx p | None -> ());
-          page
-      | Page.Nonleaf nl ->
-          let nc = Vec.length nl.Page.nl_children in
-          let nk = Vec.length nl.Page.nl_high_keys in
-          if nc = 0 then begin
-            drop t ctx page;
-            (match parent with Some p -> drop t ctx p | None -> ());
-            raise Traverse_restart
-          end
-          else begin
-            let idx =
-              let rec find i =
-                if i >= nk then nc - 1
-                else if probe (Vec.get nl.Page.nl_high_keys i) > 0 then i
-                else find (i + 1)
-              in
-              find 0
-            in
-            let child = Vec.get nl.Page.nl_children idx in
-            (match parent with Some p -> drop t ctx p | None -> ());
-            go (Some page) child
-          end
-      | Page.Data _ | Page.Anchor _ ->
-          raise (Structural_fault (Printf.sprintf "%s: non-index page %d in tree" t.bt_name pid))
-    in
-    match go None root with
-    | leaf -> leaf
-    | exception Traverse_restart ->
-        drop_all t ctx;
-        Sched.yield ();
-        attempt (n + 1)
-  in
-  attempt 0
+   sync: their descent is [traverse ~sm:`Snapshot]. *)
 
 (* pin the snapshot at the first Mvcc read: everything committed so far —
    CSN = current (epoch, gsn) — is visible, every later commit is not *)
@@ -1347,7 +1368,7 @@ let mvcc_locate t txn ~probe ~from_value ~after_rid ~skip_value =
         Fun.protect
           ~finally:(fun () -> drop_all t ctx)
           (fun () ->
-            let leaf = mv_descend t ctx ~probe in
+            let leaf, _ = traverse t ctx txn ~write:false ~sm:`Snapshot ~probe in
             let rec walk leaf pos =
               let l = Page.as_leaf leaf in
               if pos >= Vec.length l.Page.lf_keys then begin
@@ -1399,201 +1420,107 @@ let mvcc_locate t txn ~probe ~from_value ~after_rid ~skip_value =
           end
           else Some k)
 
-let mvcc_fetch t txn ~comparison value =
-  let probe = fetch_probe comparison value in
-  let skip_value = match comparison with `Gt -> Some value | `Eq | `Ge -> None in
-  match mvcc_locate t txn ~probe ~from_value:value ~after_rid:None ~skip_value with
-  | None -> None
-  | Some k -> (
-      match comparison with
-      | `Eq -> if String.equal k.Key.value value then Some k else None
-      | `Ge | `Gt -> Some k)
+(* the first key at or after [probe], from a fresh descent *)
+let first_from t ctx txn ~probe =
+  let leaf, _path = traverse t ctx txn ~write:false ~sm:`Check ~probe in
+  next_key_loc t ctx leaf (lower_bound (Page.as_leaf leaf).Page.lf_keys probe)
 
-let fetch t txn ?(comparison = `Eq) ?(isolation = `Rr) value =
-  if t.bt_cfg.locking = Protocol.Mvcc then begin
-    (* snapshot isolation supersedes the RR/CS lock-duration distinction *)
-    ignore isolation;
-    mvcc_fetch t txn ~comparison value
-  end
-  else begin
-  let probe = fetch_probe comparison value in
+(* Locked positioning: descend — or, for a cursor whose remembered leaf
+   did not change since its last step, resume there (§2.3) — to the first
+   key at or after [probe], possibly on a later page, and lock it (or EOF)
+   through the §2.2 dance. Under [`Cs] a cursor trades its previous
+   position's locks for the new ones; a standalone fetch releases them
+   at once. *)
+let locked_locate t txn ~isolation ~probe cursor =
   serialize_point t;
   with_retries t "fetch" (fun ctx ->
-      let leaf, _path = traverse t ctx txn ~write:false ~ignore_sm:false ~probe in
-      let l = Page.as_leaf leaf in
-      let pos = lower_bound l.Page.lf_keys probe in
-      let loc = next_key_loc t ctx leaf pos in
-      let found = loc_key leaf loc in
+      let loc =
+        match cursor with
+        | Some c when c.cr_leaf <> Ids.nil_page ->
+            let page = hold t ctx c.cr_leaf Latch.S in
+            if Page.is_leaf page && Lsn.compare page.Page.page_lsn c.cr_lsn = 0 then
+              next_key_loc t ctx page (c.cr_pos + 1)
+            else begin
+              drop t ctx page;
+              first_from t ctx txn ~probe
+            end
+        | Some _ | None -> first_from t ctx txn ~probe
+      in
+      let found = loc_key loc in
       let reqs =
         cs_adjust isolation (Protocol.fetch_locks t.bt_cfg.locking t.bt_ix ~current:found)
       in
       (match acquire_locks t ctx txn reqs with
       | `Ok -> ()
       | `Retry -> raise (Op_restart "fetch lock wait"));
+      (match cursor with
+      | Some c -> (
+          (* cursor stability: the cursor has moved — drop the previous
+             position's lock, keep the new one until the next move *)
+          if isolation = `Cs then begin
+            cs_release t txn c.cr_locked;
+            c.cr_locked <- reqs
+          end;
+          match loc with
+          | Nk_at (page, i) ->
+              c.cr_leaf <- page.Page.pid;
+              c.cr_lsn <- page.Page.page_lsn;
+              c.cr_pos <- i
+          | Nk_eof -> ())
+      | None -> ());
       drop_all t ctx;
       (* under CS the lock's job (seeing only committed state) is done once
          granted under the latch; a standalone fetch releases immediately *)
-      if isolation = `Cs then cs_release t txn reqs;
-      match found with
-      | Protocol.Eof -> None
-      | Protocol.At k -> (
-          match comparison with
-          | `Eq -> if String.equal k.Key.value value then Some k else None
-          | `Ge | `Gt -> Some k))
-  end
+      if isolation = `Cs && Option.is_none cursor then cs_release t txn reqs;
+      match found with Protocol.At k -> Some k | Protocol.Eof -> None)
 
-(* --- Scans (Fetch Next, §2.3) --- *)
+(* One scan step. [cursor] is the scan's state, which a standalone fetch,
+   a first step, does not have. *)
+let step t txn ~bound ~strict ~isolation ~stop cursor =
+  let last = match cursor with Some c -> c.cr_last | None -> None in
+  let probe =
+    match last with
+    | Some k -> probe_after t k
+    | None -> if strict then probe_gt bound else probe_ge bound
+  in
+  let found =
+    if t.bt_cfg.locking = Protocol.Mvcc then begin
+      (* snapshot isolation supersedes the RR/CS lock-duration distinction;
+         the store scan starts where the tree probe does — strictly after
+         the last key (by value only in a unique index, matching
+         [probe_after]) — and a scan never revalidates a page: the
+         snapshot cannot move *)
+      let from_value, after_rid, skip_value =
+        match last with
+        | Some k -> (k.Key.value, Some k.Key.rid, if t.bt_unique then Some k.Key.value else None)
+        | None -> (bound, None, if strict then Some bound else None)
+      in
+      mvcc_locate t txn ~probe ~from_value ~after_rid ~skip_value
+    end
+    else locked_locate t txn ~isolation ~probe cursor
+  in
+  match (found, stop) with
+  | Some k, Some (bound, `Le) when String.compare k.Key.value bound > 0 -> None
+  | Some k, Some (bound, `Lt) when String.compare k.Key.value bound >= 0 -> None
+  | _ -> found
 
-type cursor = {
-  cr_bound : string;
-  cr_strict : bool;
-  cr_isolation : [ `Rr | `Cs ];
-  mutable cr_locked : Protocol.lock_req list;  (* CS: locks to drop on move *)
-  mutable cr_last : Key.t option;
-  mutable cr_leaf : Ids.page_id;
-  mutable cr_lsn : Lsn.t;
-  mutable cr_pos : int;  (* position of the last returned key *)
-  mutable cr_done : bool;
-}
-
-let open_scan t txn ?(comparison = `Ge) ?(isolation = `Rr) value =
-  ignore t;
-  ignore txn;
-  {
-    cr_bound = value;
-    cr_strict = (comparison = `Gt);
-    cr_isolation = isolation;
-    cr_locked = [];
-    cr_last = None;
-    cr_leaf = Ids.nil_page;
-    cr_lsn = Lsn.nil;
-    cr_pos = -1;
-    cr_done = false;
-  }
+let fetch t txn ?(comparison = `Eq) ?(isolation = `Rr) value =
+  let stop = match comparison with `Eq -> Some (value, `Le) | `Ge | `Gt -> None in
+  step t txn ~bound:value ~strict:(comparison = `Gt) ~isolation ~stop None
 
 let fetch_next t txn cursor ?stop () =
   if cursor.cr_done then None
-  else if t.bt_cfg.locking = Protocol.Mvcc then begin
-    (* snapshot scan: reposition strictly after the last returned key (by
-       value only in a unique index, matching [probe_after]); no cursor
-       locks, no fast-path page revalidation — the snapshot cannot move *)
-    let probe, from_value, after_rid, skip_value =
-      match cursor.cr_last with
-      | Some k ->
-          ( probe_after t k,
-            k.Key.value,
-            Some k.Key.rid,
-            if t.bt_unique then Some k.Key.value else None )
-      | None ->
-          if cursor.cr_strict then
-            (probe_gt cursor.cr_bound, cursor.cr_bound, None, Some cursor.cr_bound)
-          else (probe_ge cursor.cr_bound, cursor.cr_bound, None, None)
-    in
-    match mvcc_locate t txn ~probe ~from_value ~after_rid ~skip_value with
+  else
+    match
+      step t txn ~bound:cursor.cr_bound ~strict:cursor.cr_strict ~isolation:cursor.cr_isolation
+        ~stop (Some cursor)
+    with
+    | Some _ as found ->
+        cursor.cr_last <- found;
+        found
     | None ->
         cursor.cr_done <- true;
         None
-    | Some k ->
-        let beyond =
-          match stop with
-          | None -> false
-          | Some (bound, `Le) -> String.compare k.Key.value bound > 0
-          | Some (bound, `Lt) -> String.compare k.Key.value bound >= 0
-        in
-        if beyond then begin
-          cursor.cr_done <- true;
-          None
-        end
-        else begin
-          cursor.cr_last <- Some k;
-          Some k
-        end
-  end
-  else begin
-    serialize_point t;
-    let probe =
-      match cursor.cr_last with
-      | Some k -> probe_after t k
-      | None -> if cursor.cr_strict then probe_gt cursor.cr_bound else probe_ge cursor.cr_bound
-    in
-    with_retries t "fetch_next" (fun ctx ->
-        (* fast path (§2.3): the remembered leaf did not change since the
-           last positioning *)
-        let leaf, pos =
-          let fast =
-            if cursor.cr_leaf = Ids.nil_page then None
-            else begin
-              let page = hold t ctx cursor.cr_leaf Latch.S in
-              if Page.is_leaf page && Lsn.compare page.Page.page_lsn cursor.cr_lsn = 0 then
-                Some (page, cursor.cr_pos + 1)
-              else begin
-                drop t ctx page;
-                None
-              end
-            end
-          in
-          match fast with
-          | Some (page, pos) -> (page, pos)
-          | None ->
-              let leaf, _ = traverse t ctx txn ~write:false ~ignore_sm:false ~probe in
-              (leaf, lower_bound (Page.as_leaf leaf).Page.lf_keys probe)
-        in
-        let loc = next_key_loc t ctx leaf pos in
-        let found = loc_key leaf loc in
-        let reqs =
-          cs_adjust cursor.cr_isolation
-            (Protocol.fetch_locks t.bt_cfg.locking t.bt_ix ~current:found)
-        in
-        (match acquire_locks t ctx txn reqs with
-        | `Ok -> ()
-        | `Retry -> raise (Op_restart "fetch_next lock wait"));
-        (* cursor stability: the cursor has moved — drop the previous
-           position's lock, keep the new one until the next move *)
-        if cursor.cr_isolation = `Cs then begin
-          cs_release t txn cursor.cr_locked;
-          cursor.cr_locked <- reqs
-        end;
-        let beyond_stop k =
-          match stop with
-          | None -> false
-          | Some (bound, `Le) -> String.compare k.Key.value bound > 0
-          | Some (bound, `Lt) -> String.compare k.Key.value bound >= 0
-        in
-        let result =
-          match loc with
-          | Nk_eof ->
-              cursor.cr_done <- true;
-              None
-          | Nk_here i ->
-              let k = Vec.get (Page.as_leaf leaf).Page.lf_keys i in
-              if beyond_stop k then begin
-                cursor.cr_done <- true;
-                None
-              end
-              else begin
-                cursor.cr_last <- Some k;
-                cursor.cr_leaf <- leaf.Page.pid;
-                cursor.cr_lsn <- leaf.Page.page_lsn;
-                cursor.cr_pos <- i;
-                Some k
-              end
-          | Nk_right (p, i) ->
-              let k = Vec.get (Page.as_leaf p).Page.lf_keys i in
-              if beyond_stop k then begin
-                cursor.cr_done <- true;
-                None
-              end
-              else begin
-                cursor.cr_last <- Some k;
-                cursor.cr_leaf <- p.Page.pid;
-                cursor.cr_lsn <- p.Page.page_lsn;
-                cursor.cr_pos <- i;
-                Some k
-              end
-        in
-        drop_all t ctx;
-        result)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Undo (§3): page-oriented whenever possible, logical otherwise. *)
@@ -1620,7 +1547,7 @@ let undo_insert t txn (r : Logrec.t) ~key =
       in
       if page_oriented_ok then begin
         Stats.incr c_page_oriented_undos;
-        log_clr_apply t txn page clr_body ~undo_stream:r.Logrec.stream ~undo_nxt:r.Logrec.prev_lsn
+        log_clr_apply t.bt_env txn r page clr_body
       end
       else begin
         (* logical undo: re-traverse under the X tree latch (§4) *)
@@ -1631,7 +1558,7 @@ let undo_insert t txn (r : Logrec.t) ~key =
           ~finally:(fun () -> smo_release t txn)
           (fun () ->
             let probe k = Key.compare k key in
-            let leaf, path = traverse t ctx txn ~write:true ~ignore_sm:true ~probe in
+            let leaf, path = traverse t ctx txn ~write:true ~sm:`Stale ~probe in
             let l = Page.as_leaf leaf in
             (match Vec.binary_search ~compare:Key.compare l.Page.lf_keys key with
             | Error _ ->
@@ -1643,10 +1570,9 @@ let undo_insert t txn (r : Logrec.t) ~key =
             let root, _ = read_anchor t ctx in
             let empties = Vec.length l.Page.lf_keys = 1 && leaf.Page.pid <> root in
             let leaf_pid = leaf.Page.pid in
-            log_clr_apply t txn leaf
+            log_clr_apply t.bt_env txn r leaf
               (Ixlog.Delete_key
-                 { ix = t.bt_ix; key; reset_sm = false; set_sm = empties; mark_delete_bit = false })
-              ~undo_stream:r.Logrec.stream ~undo_nxt:r.Logrec.prev_lsn;
+                 { ix = t.bt_ix; key; reset_sm = false; set_sm = empties; mark_delete_bit = false });
             drop_all t ctx;
             if empties then
               (* a page-delete SMO during undo: logged with regular records
@@ -1675,7 +1601,7 @@ let undo_delete t txn (r : Logrec.t) ~key =
       in
       if page_oriented_ok then begin
         Stats.incr c_page_oriented_undos;
-        log_clr_apply t txn page clr_body ~undo_stream:r.Logrec.stream ~undo_nxt:r.Logrec.prev_lsn
+        log_clr_apply t.bt_env txn r page clr_body
       end
       else begin
         drop t ctx page;
@@ -1687,7 +1613,7 @@ let undo_delete t txn (r : Logrec.t) ~key =
             let probe k = Key.compare k key in
             let rec attempt n =
               if n > 4 then raise (Structural_fault (t.bt_name ^ ": undo-delete split loop"));
-              let leaf, _path = traverse t ctx txn ~write:true ~ignore_sm:true ~probe in
+              let leaf, _path = traverse t ctx txn ~write:true ~sm:`Stale ~probe in
               if Page.free_space leaf < Key.on_page_cost key then begin
                 (* a split SMO during undo: regular records, own NTA (§3);
                    we already hold the tree latch *)
@@ -1695,7 +1621,7 @@ let undo_delete t txn (r : Logrec.t) ~key =
                 split_smo_held t txn ~probe ~needed:(Key.on_page_cost key) ~exclusive:true;
                 attempt (n + 1)
               end
-              else log_clr_apply t txn leaf clr_body ~undo_stream:r.Logrec.stream ~undo_nxt:r.Logrec.prev_lsn
+              else log_clr_apply t.bt_env txn r leaf clr_body
             in
             attempt 0)
       end)
@@ -1747,16 +1673,7 @@ let rm_undo env txn (r : Logrec.t) =
             ~finally:(fun () ->
               Latch.release page.Page.latch;
               Bufpool.unfix pool page)
-            (fun () ->
-              let op = Ixlog.op_of_body comp in
-              let lsn =
-                Txnmgr.log_clr env.e_mgr txn ~page:page.Page.pid ~undo_stream:r.Logrec.stream
-                  ~rm_id:Ixlog.rm_id ~op ~body:(Ixlog.encode comp)
-                  ~undo_nxt:r.Logrec.prev_lsn ()
-              in
-              Apply.apply page comp;
-              page.Page.page_lsn <- lsn;
-              Bufpool.mark_dirty pool page lsn))
+            (fun () -> log_clr_apply env txn r page comp))
 
 let env ?config mgr pool =
   let e =
@@ -1858,123 +1775,71 @@ let rebuild_versions env =
 (* ------------------------------------------------------------------ *)
 (* Unlocked inspection for tests and benches *)
 
-let leftmost_leaf t =
-  let pool = t.bt_env.e_pool in
-  let anchor = Bufpool.fix pool t.bt_ix in
-  let a = Page.as_anchor anchor in
-  let root = a.Page.an_root in
-  Bufpool.unfix pool anchor;
-  let rec go pid =
-    let page = Bufpool.fix pool pid in
-    match page.Page.content with
-    | Page.Leaf _ -> page
-    | Page.Nonleaf nl ->
-        let child = Vec.get nl.Page.nl_children 0 in
-        Bufpool.unfix pool page;
-        go child
-    | Page.Data _ | Page.Anchor _ ->
-        Bufpool.unfix pool page;
-        raise (Structural_fault "non-index page in tree")
-  in
-  go root
-
 let to_list t =
-  let pool = t.bt_env.e_pool in
   let acc = ref [] in
-  let rec walk page =
-    let l = Page.as_leaf page in
-    Vec.iter (fun k -> acc := (k.Key.value, k.Key.rid) :: !acc) l.Page.lf_keys;
-    let next = l.Page.lf_next in
-    Bufpool.unfix pool page;
-    if next <> Ids.nil_page then walk (Bufpool.fix pool next)
-  in
-  walk (leftmost_leaf t);
+  iter_leaves t ~root:(fst (anchor t)) (fun page ->
+      Vec.iter (fun k -> acc := (k.Key.value, k.Key.rid) :: !acc) (Page.as_leaf page).Page.lf_keys);
   List.rev !acc
 
-let root_pid t =
-  let pool = t.bt_env.e_pool in
-  let anchor = Bufpool.fix pool t.bt_ix in
-  let a = Page.as_anchor anchor in
-  let r = a.Page.an_root in
-  Bufpool.unfix pool anchor;
-  r
+let root_pid t = fst (anchor t)
 
-let height t =
-  let pool = t.bt_env.e_pool in
-  let anchor = Bufpool.fix pool t.bt_ix in
-  let a = Page.as_anchor anchor in
-  let h = a.Page.an_height in
-  Bufpool.unfix pool anchor;
-  h
+let height t = snd (anchor t)
 
 let check_invariants t =
-  let pool = t.bt_env.e_pool in
   let fail fmt = Printf.ksprintf (fun m -> failwith (t.bt_name ^ ": invariant: " ^ m)) fmt in
-  let anchor = Bufpool.fix pool t.bt_ix in
-  let a = Page.as_anchor anchor in
-  let root = a.Page.an_root and h = a.Page.an_height in
-  Bufpool.unfix pool anchor;
+  let root, h = anchor t in
   let leaves = ref [] in
   let rec walk pid expected_level (lo : Key.t option) (hi : Key.t option) =
-    let page = Bufpool.fix pool pid in
-    (match page.Page.content with
-    | Page.Leaf l ->
-        if expected_level <> 0 then fail "leaf %d at level %d" pid expected_level;
-        let n = Vec.length l.Page.lf_keys in
-        if n = 0 && pid <> root && not l.Page.lf_sm_bit then
-          fail "reachable empty leaf %d with SM_Bit=0" pid;
-        for i = 0 to n - 2 do
-          if Key.compare (Vec.get l.Page.lf_keys i) (Vec.get l.Page.lf_keys (i + 1)) >= 0 then
-            fail "leaf %d keys out of order" pid
-        done;
-        (match lo with
-        | Some b when n > 0 && Key.compare (Vec.get l.Page.lf_keys 0) b < 0 ->
-            fail "leaf %d violates lower separator" pid
-        | Some _ | None -> ());
-        (match hi with
-        | Some b when n > 0 && Key.compare (Vec.get l.Page.lf_keys (n - 1)) b >= 0 ->
-            fail "leaf %d violates high key (%s >= %s)" pid
-              (Key.to_string (Vec.get l.Page.lf_keys (n - 1)))
-              (Key.to_string b)
-        | Some _ | None -> ());
-        leaves := pid :: !leaves
-    | Page.Nonleaf nl ->
-        if nl.Page.nl_level <> expected_level then
-          fail "nonleaf %d level %d expected %d" pid nl.Page.nl_level expected_level;
-        let nc = Vec.length nl.Page.nl_children in
-        let nk = Vec.length nl.Page.nl_high_keys in
-        if nc = 0 then fail "reachable empty nonleaf %d" pid;
-        if nk <> nc - 1 then fail "nonleaf %d arity: %d children, %d high keys" pid nc nk;
-        for i = 0 to nk - 2 do
-          if Key.compare (Vec.get nl.Page.nl_high_keys i) (Vec.get nl.Page.nl_high_keys (i + 1)) >= 0
-          then fail "nonleaf %d high keys out of order" pid
-        done;
-        for i = 0 to nc - 1 do
-          let child_lo = if i = 0 then lo else Some (Vec.get nl.Page.nl_high_keys (i - 1)) in
-          let child_hi = if i = nc - 1 then hi else Some (Vec.get nl.Page.nl_high_keys i) in
-          walk (Vec.get nl.Page.nl_children i) (expected_level - 1) child_lo child_hi
-        done
-    | Page.Data _ | Page.Anchor _ -> fail "non-index page %d reachable" pid);
-    Bufpool.unfix pool page
+    peek t pid (fun page ->
+        match page.Page.content with
+        | Page.Leaf l ->
+            if expected_level <> 0 then fail "leaf %d at level %d" pid expected_level;
+            let n = Vec.length l.Page.lf_keys in
+            if n = 0 && pid <> root && not l.Page.lf_sm_bit then
+              fail "reachable empty leaf %d with SM_Bit=0" pid;
+            for i = 0 to n - 2 do
+              if Key.compare (Vec.get l.Page.lf_keys i) (Vec.get l.Page.lf_keys (i + 1)) >= 0 then
+                fail "leaf %d keys out of order" pid
+            done;
+            (match lo with
+            | Some b when n > 0 && Key.compare (Vec.get l.Page.lf_keys 0) b < 0 ->
+                fail "leaf %d violates lower separator" pid
+            | Some _ | None -> ());
+            (match hi with
+            | Some b when n > 0 && Key.compare (Vec.get l.Page.lf_keys (n - 1)) b >= 0 ->
+                fail "leaf %d violates high key (%s >= %s)" pid
+                  (Key.to_string (Vec.get l.Page.lf_keys (n - 1)))
+                  (Key.to_string b)
+            | Some _ | None -> ());
+            leaves := pid :: !leaves
+        | Page.Nonleaf nl ->
+            if nl.Page.nl_level <> expected_level then
+              fail "nonleaf %d level %d expected %d" pid nl.Page.nl_level expected_level;
+            let nc = Vec.length nl.Page.nl_children in
+            let nk = Vec.length nl.Page.nl_high_keys in
+            if nc = 0 then fail "reachable empty nonleaf %d" pid;
+            if nk <> nc - 1 then fail "nonleaf %d arity: %d children, %d high keys" pid nc nk;
+            for i = 0 to nk - 2 do
+              if
+                Key.compare (Vec.get nl.Page.nl_high_keys i) (Vec.get nl.Page.nl_high_keys (i + 1))
+                >= 0
+              then fail "nonleaf %d high keys out of order" pid
+            done;
+            for i = 0 to nc - 1 do
+              let child_lo = if i = 0 then lo else Some (Vec.get nl.Page.nl_high_keys (i - 1)) in
+              let child_hi = if i = nc - 1 then hi else Some (Vec.get nl.Page.nl_high_keys i) in
+              walk (Vec.get nl.Page.nl_children i) (expected_level - 1) child_lo child_hi
+            done
+        | Page.Data _ | Page.Anchor _ -> fail "non-index page %d reachable" pid)
   in
   walk root h None None;
   (* leaf chain must visit exactly the reachable leaves, in order *)
   let chain = ref [] in
-  let rec follow pid prev =
-    if pid <> Ids.nil_page then begin
-      let page = Bufpool.fix pool pid in
-      let l = Page.as_leaf page in
-      if l.Page.lf_prev <> prev then fail "leaf %d prev pointer mismatch" pid;
-      chain := pid :: !chain;
-      let next = l.Page.lf_next in
-      Bufpool.unfix pool page;
-      follow next pid
-    end
-  in
-  let lm = leftmost_leaf t in
-  let lm_pid = lm.Page.pid in
-  Bufpool.unfix pool lm;
-  follow lm_pid Ids.nil_page;
+  iter_leaves t ~root (fun page ->
+      let prev = match !chain with p :: _ -> p | [] -> Ids.nil_page in
+      if (Page.as_leaf page).Page.lf_prev <> prev then
+        fail "leaf %d prev pointer mismatch" page.Page.pid;
+      chain := page.Page.pid :: !chain);
   let reach = List.sort compare !leaves in
   let chained = List.sort compare !chain in
   if reach <> chained then
@@ -1990,63 +1855,20 @@ let check_invariants t =
   in
   sorted keys
 
+(* same separator convention as a real search: equality routes right *)
 let locate_leaf t value =
-  let pool = t.bt_env.e_pool in
-  (* same separator convention as a real search: equality routes right *)
-  let probe k = String.compare k.Key.value value in
-  let rec go pid =
-    let page = Bufpool.fix pool pid in
-    match page.Page.content with
-    | Page.Leaf _ ->
-        Bufpool.unfix pool page;
-        pid
-    | Page.Nonleaf nl ->
-        let nk = Vec.length nl.Page.nl_high_keys in
-        let idx =
-          let rec find i =
-            if i >= nk then Vec.length nl.Page.nl_children - 1
-            else if probe (Vec.get nl.Page.nl_high_keys i) > 0 then i
-            else find (i + 1)
-          in
-          find 0
-        in
-        let child = Vec.get nl.Page.nl_children idx in
-        Bufpool.unfix pool page;
-        go child
-    | Page.Data _ | Page.Anchor _ ->
-        Bufpool.unfix pool page;
-        raise (Structural_fault "non-index page in tree")
-  in
-  go (root_pid t)
+  leaf_for t ~probe:(fun k -> String.compare k.Key.value value) (root_pid t)
 
 let leaf_pids t =
-  let pool = t.bt_env.e_pool in
   let acc = ref [] in
-  let rec walk pid =
-    if pid <> Ids.nil_page then begin
-      acc := pid :: !acc;
-      let page = Bufpool.fix pool pid in
-      let next = (Page.as_leaf page).Page.lf_next in
-      Bufpool.unfix pool page;
-      walk next
-    end
-  in
-  let lm = leftmost_leaf t in
-  let lm_pid = lm.Page.pid in
-  Bufpool.unfix pool lm;
-  walk lm_pid;
+  iter_leaves t ~root:(root_pid t) (fun page -> acc := page.Page.pid :: !acc);
   List.rev !acc
 
 let page_count t =
-  let pool = t.bt_env.e_pool in
-  let count = ref 0 in
-  let rec walk pid =
-    incr count;
-    let page = Bufpool.fix pool pid in
-    (match page.Page.content with
-    | Page.Nonleaf nl -> Vec.iter walk nl.Page.nl_children
-    | Page.Leaf _ | Page.Data _ | Page.Anchor _ -> ());
-    Bufpool.unfix pool page
+  let rec count pid =
+    peek t pid (fun page ->
+        match page.Page.content with
+        | Page.Nonleaf nl -> Vec.fold (fun n child -> n + count child) 1 nl.Page.nl_children
+        | Page.Leaf _ | Page.Data _ | Page.Anchor _ -> 1)
   in
-  walk (root_pid t);
-  !count
+  count (root_pid t)

@@ -3,10 +3,11 @@
     Implements the full protocol of the paper on top of the ARIES substrate:
 
     - tree traversal with latch coupling, at most two page latches held,
-      restart-from-root on SM_Bit ambiguity (Figure 4);
+      restart-from-root on SM_Bit ambiguity (Figure 4) — one descent,
+      which the MVCC snapshot reader shares;
     - Fetch / Fetch Next with next-key locking of the not-found case and
       the conditional-lock / unlatch / unconditional-lock / revalidate dance
-      (Figure 5, §2.2-2.3);
+      (Figure 5, §2.2-2.3); a fetch is a scan's first step;
     - Insert with instant-duration next-key locking and unique-index
       checking (Figure 6, §2.4);
     - Delete with commit-duration next-key locking, Delete_Bit maintenance
@@ -17,7 +18,7 @@
     - page-oriented undo whenever possible, logical undo (re-traversal,
       possibly with SMOs logged as regular records) otherwise (§3);
     - pluggable locking protocols (data-only / index-specific / KVL /
-      System R) — see {!Protocol}.
+      System R / MVCC snapshot reads) — see {!Protocol}.
 
     One {!env} exists per (transaction manager, buffer pool) pair; it owns
     the resource-manager registration and the registry mapping index ids
@@ -126,12 +127,19 @@ val fetch :
     in the not-found case the next key (or the EOF name) has been S-locked,
     guaranteeing repeatable read.
 
+    A fetch is the first step of a scan (Figure 5 and §2.3 share one
+    positioning: descend, find the next key — possibly on a later page —
+    and lock it through the conditional-lock / unlatch / revalidate dance).
+    [`Ge] and [`Gt] are a scan's first step from [v]; [`Eq] is the first
+    step of a scan that stops past [v]. A fetch keeps no cursor.
+
     [~isolation:`Cs] selects cursor stability (degree 2, §1.2): the
-    current-key lock is held only while positioned, so re-reads are not
-    repeatable, but only committed data is ever seen.
+    current-key lock is taken for manual duration and released as soon as
+    the fetch returns, so re-reads are not repeatable, but only committed
+    data is ever seen.
 
     Under {!Protocol.Mvcc} the fetch is a {e snapshot read} instead: the
-    transaction's first fetch pins a snapshot CSN, every fetch resolves
+    transaction's first read pins a snapshot CSN, every read resolves
     keys against the version store merged with the physical tree, no key
     lock is ever requested and no SMO is ever waited on (rule R9), and
     [isolation] is ignored — snapshot isolation supersedes it. *)
@@ -140,14 +148,18 @@ type cursor
 
 val open_scan :
   t -> Txnmgr.txn -> ?comparison:[ `Ge | `Gt ] -> ?isolation:[ `Rr | `Cs ] -> string -> cursor
-(** Position a range scan at the first key satisfying the condition. Under
-    [`Cs] each position's lock is released when the cursor moves on. *)
+(** A range scan from the first key satisfying the condition. Opening it
+    reads nothing; the first {!fetch_next} positions it. Under [`Cs] each
+    position's lock is held while the cursor stays on it and released
+    when the cursor moves on. *)
 
 val fetch_next :
   t -> Txnmgr.txn -> cursor -> ?stop:string * [ `Le | `Lt ] -> unit -> Key.t option
-(** Next key in the range, [None] past the stop condition or at EOF.
-    Repositions via a fresh traversal when the remembered leaf changed
-    (§2.3). *)
+(** Next key in the range, [None] past the stop condition or at EOF (and
+    from then on). Resumes on the remembered leaf when its page LSN did
+    not change since the last step; otherwise repositions through a fresh
+    traversal (§2.3). Under {!Protocol.Mvcc} each step is a snapshot read,
+    as for {!fetch}. *)
 
 (** {1 Inspection and checking} (test/bench support; no locking) *)
 
@@ -159,7 +171,7 @@ val check_invariants : t -> unit
     high-key bounds, leaf chain consistency (prev/next symmetric, ordered),
     uniform leaf depth, no reachable empty page with SM_Bit = 0 (except an
     empty root), children/high-key arity. Raises [Failure] with a
-    description on the first violation. *)
+    description on the first violation, leaving no page fixed. *)
 
 val height : t -> int
 

@@ -179,6 +179,13 @@ let log_clr t txn ?(page = Ids.nil_page) ?stream ?undo_stream ?(rm_id = 0) ?(op 
   in
   let lsn = append t txn ~stream r in
   txn.undo_nxts.(undo_stream) <- undo_nxt;
+  (* A CLR on another stream than the record it compensates has no order
+     against this transaction's later CLRs on [undo_stream]: a crash could
+     keep one of those (whose UndoNxtLSN steps past the compensated
+     record) and lose this one, and restart would then neither redo nor
+     repeat the compensation. Forcing it before rollback goes on makes
+     every later CLR imply it. *)
+  if undo_stream <> stream then Logmgr.flush_to (Logset.stream t.logs stream) lsn;
   lsn
 
 type nta = { nta_lasts : Lsn.t array; nta_cursors : Lsn.t array }

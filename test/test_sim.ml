@@ -354,6 +354,13 @@ let test_replay_clr_keeps_own_cursor () =
 let test_replay_fate_fixed_at_crash () =
   replay_clean Workload.multistream_group_cfg ~seed:2001 "instant=79"
 
+(* A logical undo whose CLR lands on another stream (the key moved) must
+   be durable before rollback goes on: otherwise a crash can keep a later
+   CLR on the compensated record's stream and lose this one, and restart
+   leaves the loser's insert in the tree. *)
+let test_replay_cross_stream_clr_forced () =
+  replay_clean Workload.multistream_cfg ~seed:2010 "instant=31/116"
+
 (* Bit-rot on the repair's own page write: the repairer healed the page in
    the pool, and the fix must serve that frame instead of re-reading the
    rotted image and failing with a checksum error. *)
@@ -533,6 +540,8 @@ let () =
             test_replay_clr_keeps_own_cursor;
           Alcotest.test_case "replay: a crash fixes the fate of what it cut" `Quick
             test_replay_fate_fixed_at_crash;
+          Alcotest.test_case "replay: a cross-stream CLR is forced before rollback goes on"
+            `Quick test_replay_cross_stream_clr_forced;
         ] );
       ( "faults",
         [
