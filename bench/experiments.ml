@@ -772,6 +772,44 @@ let q11 ppf =
     [ ("no_daemon_recovered_keys", Int n_off); ("daemon_recovered_keys", Int n_on) ];
   if n_off <> committed || n_on <> committed then
     failwith "q11: truncation or recovery lost committed work";
+  (* The restart path's own cost, counted exactly: save the daemon
+     database (its archive holds every reclaimed segment), load it back and
+     restart. A loaded database re-saves byte for byte, and [Db.load]
+     allocates about the file it reads: the archive is parsed in place. *)
+  let path = Filename.temp_file "q11" ".adb" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let save db =
+    Db.save db path;
+    In_channel.with_open_bin path In_channel.input_all
+  in
+  let img = save db_on' in
+  (* every allocated byte: [Gc.minor_words] is exact, and major words less
+     promoted ones are the direct major allocations *)
+  let allocated () =
+    let _, promoted, major = Gc.counters () in
+    (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+  in
+  let a0 = allocated () in
+  let db_l = Db.load path in
+  let load_alloc = allocated () -. a0 in
+  let img' = save db_l in
+  let img'' = save (Db.load path) in
+  ignore (Db.run_exn db_l (fun () -> Db.restart db_l));
+  let n_load = count db_l tree_on in
+  let per_byte = load_alloc /. float_of_int (String.length img) in
+  Record.line r "[daemon   ] snapshot B / archived B / Db.load allocated B per snapshot B"
+    [
+      ("snapshot_bytes", Int (String.length img));
+      ("snapshot_archive_bytes", Int (Archive.bytes db_l.Db.archive));
+      ("load_alloc_per_byte", Float per_byte);
+    ];
+  Record.line r (Printf.sprintf "[daemon   ] keys recovered by load + restart (of %d)" committed)
+    [ ("load_recovered_keys", Int n_load) ];
+  Record.gate r "a loaded database re-saves byte for byte" ~ok:(String.equal img' img'');
+  Record.gate r "the re-save keeps the snapshot's size" ~ok:(String.length img' = String.length img);
+  Record.gate r "load + restart recovers every committed key" ~ok:(n_load = committed);
+  Record.gate r "Db.load allocates <= 1.445 B per snapshot B (3.426 before in-place parsing)"
+    ~ok:(per_byte <= 1.445);
   Record.finish r
 
 (* Q12: the storage fault layer's coverage — automatic media repair

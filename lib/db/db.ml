@@ -179,25 +179,35 @@ let with_txn t f =
    global counters), so v3 snapshots no longer decode. *)
 let snapshot_magic = "ARIESIM4"
 
+(* The image is four u32-length-prefixed parts — the magic, the disk, the
+   live log set and the archive — written by each part's own writer into
+   one writer sized from the parts' byte counts, and parsed back in place
+   through sub-readers of the loaded file. *)
 let save t path =
-  let disk_img = Disk.serialize t.disk in
-  let logs_img = Logset.serialize t.logs in
-  let arch_img = Media.Archive.serialize t.archive in
-  let total =
-    24 + String.length snapshot_magic + Bytes.length disk_img + Bytes.length logs_img
-    + Bytes.length arch_img
+  let module W = Aries_util.Bytebuf.W in
+  let parts =
+    [
+      (Disk.serialized_bytes t.disk, fun w -> Disk.serialize_into w t.disk);
+      (Logset.serialized_bytes t.logs, fun w -> Logset.serialize_into w t.logs);
+      (Media.Archive.serialized_bytes t.archive, fun w -> Media.Archive.serialize_into w t.archive);
+    ]
   in
-  let w = Aries_util.Bytebuf.W.create ~size:total () in
-  Aries_util.Bytebuf.W.string w snapshot_magic;
-  Aries_util.Bytebuf.W.bytes w disk_img;
-  Aries_util.Bytebuf.W.bytes w logs_img;
-  Aries_util.Bytebuf.W.bytes w arch_img;
+  let total = List.fold_left (fun acc (n, _) -> acc + 4 + n) (4 + String.length snapshot_magic) parts in
+  let w = W.create ~size:total () in
+  W.string w snapshot_magic;
+  List.iter
+    (fun (n, write) ->
+      W.u32 w n;
+      let at = W.length w in
+      write w;
+      (* the length prefix must be what the part's writer wrote *)
+      assert (W.length w - at = n))
+    parts;
   let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_bytes oc (Aries_util.Bytebuf.W.contents w))
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> W.output oc w)
 
 let load ?pool_capacity ?config ?commit_mode ?cleaner ?checkpoint ?vgc path =
+  let module R = Aries_util.Bytebuf.R in
   let ic = open_in_bin path in
   let b =
     Fun.protect
@@ -206,16 +216,17 @@ let load ?pool_capacity ?config ?commit_mode ?cleaner ?checkpoint ?vgc path =
   in
   let disk, logs, archive =
     try
-      let r = Aries_util.Bytebuf.R.of_string b in
-      let magic = Aries_util.Bytebuf.R.string r in
+      let r = R.of_string b in
+      let magic = R.string r in
       if not (String.equal magic snapshot_magic) then
         invalid_arg
           (Printf.sprintf "Db.load: %s is not an ariesim %s snapshot (magic %S)" path
              snapshot_magic magic);
-      let disk = Disk.deserialize (Aries_util.Bytebuf.R.bytes r) in
-      let logs = Logset.deserialize (Aries_util.Bytebuf.R.bytes r) in
-      let archive = Media.Archive.deserialize (Aries_util.Bytebuf.R.bytes r) in
-      Aries_util.Bytebuf.R.expect_end r;
+      let disk = Disk.deserialize_from (R.sub r) in
+      let logs = Logset.deserialize_from (R.sub r) in
+      (* the archive stays a view of [b]: its segments are never copied *)
+      let archive = Media.Archive.deserialize_from logs (R.sub r) in
+      R.expect_end r;
       (disk, logs, archive)
     with Aries_util.Bytebuf.Corrupt msg ->
       (* a snapshot that does not even frame is a typed storage error, not a

@@ -126,9 +126,11 @@ let corrupt_flip ~seed t pid =
 
 let page_count t = Hashtbl.length t.store
 
-let serialize t =
-  let total = Hashtbl.fold (fun _ im acc -> acc + 12 + Bytes.length im) t.store 16 in
-  let w = Bytebuf.W.create ~size:total () in
+(* header: u32 page size, i64 next pid, u32 page count; per page: i64 pid
+   and the u32-prefixed image *)
+let serialized_bytes t = Hashtbl.fold (fun _ im acc -> acc + 12 + Bytes.length im) t.store 16
+
+let serialize_into w t =
   Bytebuf.W.u32 w t.psize;
   Bytebuf.W.i64 w t.next_pid;
   Bytebuf.W.u32 w (Hashtbl.length t.store);
@@ -136,13 +138,16 @@ let serialize t =
     (fun pid ->
       Bytebuf.W.i64 w pid;
       Bytebuf.W.bytes w (Hashtbl.find t.store pid))
-    (pids t);
+    (pids t)
+
+let serialize t =
+  let w = Bytebuf.W.create ~size:(serialized_bytes t) () in
+  serialize_into w t;
   Bytebuf.W.contents w
 
-let deserialize b =
+let deserialize_from r =
   let last_pid = ref None in
   try
-    let r = Bytebuf.R.of_bytes b in
     let psize = Bytebuf.R.u32 r in
     let next_pid = Bytebuf.R.i64 r in
     let n = Bytebuf.R.u32 r in
@@ -162,3 +167,5 @@ let deserialize b =
     (* a short or mangled container must surface as a typed storage error
        naming the page being decoded, not a bare Corrupt *)
     raise (Storage_error.of_corrupt ?pid:!last_pid ("disk image: " ^ msg))
+
+let deserialize b = deserialize_from (Bytebuf.R.of_bytes b)

@@ -84,7 +84,18 @@ val corrupt_flip : seed:int -> t -> Ids.page_id -> unit
 
 val page_count : t -> int
 
+val serialized_bytes : t -> int
+(** The exact length {!serialize_into} writes. *)
+
+val serialize_into : Aries_util.Bytebuf.W.t -> t -> unit
+(** The full stable state (page images + allocator), for
+    {!deserialize_from}. *)
+
 val serialize : t -> bytes
-(** The full stable state (page images + allocator), for {!deserialize}. *)
+(** {!serialize_into} a fresh, exactly sized writer. *)
+
+val deserialize_from : Aries_util.Bytebuf.R.t -> t
+(** Parse a {!serialize_into} image, to the reader's end. Each page image
+    is copied into the store (stored images are owned bytes). *)
 
 val deserialize : bytes -> t

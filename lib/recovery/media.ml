@@ -19,23 +19,32 @@ let c_media_page_recoveries = Stats.counter "media.page_recoveries"
    recovery can roll a fuzzy dump forward across a truncation. In a real
    system this is the tape/object-store the archiving daemon ships sealed
    segments to; here it is an in-memory table: per log stream (keyed by
-   [Logmgr.id]), a list of segments ordered oldest first. *)
+   [Logmgr.id]), a list of segments ordered oldest first. Each segment is
+   a view ([Logmgr.archived]): of the arena truncation handed over, or of
+   the snapshot the archive was loaded from. *)
 module Archive = struct
+  (* [label] is the log id the entry is saved under: the id of the log
+     that first archived into it, kept across save and load, so a
+     reloaded archive re-saves byte for byte. A load binds each saved entry
+     to its stream by the stream stamp its records carry. *)
+  type entry = { label : int; segs : Logmgr.archived list (* oldest first *) }
 
-  type t = { tbl : (int, Logmgr.archived list) Hashtbl.t (* log id -> oldest first *) }
+  type t = { tbl : (int, entry) Hashtbl.t (* live log id -> its archive *) }
 
   let create () = { tbl = Hashtbl.create 4 }
 
   let segments t log =
-    match Hashtbl.find_opt t.tbl log with Some l -> l | None -> []
+    match Hashtbl.find_opt t.tbl log with Some e -> e.segs | None -> []
 
   let attach t wal =
     let id = Logmgr.id wal in
-    Logmgr.set_archive_sink wal (fun a -> Hashtbl.replace t.tbl id (segments t id @ [ a ]))
+    Logmgr.set_archive_sink wal (fun a ->
+        let label = match Hashtbl.find_opt t.tbl id with Some e -> e.label | None -> id in
+        Hashtbl.replace t.tbl id { label; segs = segments t id @ [ a ] })
 
   let attach_set t logs = Logset.iteri logs (fun _ wal -> attach t wal)
 
-  let all t = Hashtbl.fold (fun _ l acc -> acc @ l) t.tbl []
+  let all t = Hashtbl.fold (fun _ e acc -> acc @ e.segs) t.tbl []
 
   let segment_count t = List.length (all t)
 
@@ -49,37 +58,14 @@ module Archive = struct
     | [] -> 0
 
   (* Decode the framed records of one log's archived segments with
-     LSN >= [from] ([Lsn.nil] = all), in LSN order. Frames are exactly as
-     they were in the live log: [u32 len][payload][u32 crc] at absolute
-     offset = LSN. *)
+     LSN >= [from] ([Lsn.nil] = all), in LSN order, in place. Frames are
+     exactly as they were in the live log: [u32 len][payload][u32 crc] at
+     absolute offset = LSN. *)
   let iter_records t ~log ~from f =
     List.iter
       (fun (a : Logmgr.archived) ->
-        if Lsn.is_nil from || a.Logmgr.arch_base + a.Logmgr.arch_len > from then begin
-          (* verify the sealed-segment footer before walking its frames:
-             a rotted archive segment must fail loudly and typed *)
-          if
-            Faultdisk.crc_checks_enabled ()
-            && Crc.string a.Logmgr.arch_data <> a.Logmgr.arch_crc
-          then
-            Storage_error.raise_err ~lsn:a.Logmgr.arch_base Storage_error.Checksum
-              "archived log segment CRC mismatch (base %d, %dB)" a.Logmgr.arch_base
-              a.Logmgr.arch_len;
-          let off = ref 0 in
-          while !off < a.Logmgr.arch_len do
-            let lsn = a.Logmgr.arch_base + !off in
-            let hdr = Bytebuf.R.of_string (String.sub a.Logmgr.arch_data !off 4) in
-            let len = Bytebuf.R.u32 hdr in
-            let payload = String.sub a.Logmgr.arch_data (!off + 4) len in
-            if Lsn.is_nil from || lsn >= from then begin
-              match Logrec.decode ~lsn payload with
-              | r -> f r
-              | exception Bytebuf.Corrupt msg ->
-                  raise (Storage_error.of_corrupt ~lsn ("archived record: " ^ msg))
-            end;
-            off := !off + Logrec.frame_overhead + len
-          done
-        end)
+        if Lsn.is_nil from || a.Logmgr.arch_base + a.Logmgr.arch_len > from then
+          Logmgr.iter_archived a ~from f)
       (segments t log)
 
   (* One stream's full history from [from]: its archived segments first
@@ -88,49 +74,80 @@ module Archive = struct
     iter_records t ~log:(Logmgr.id wal) ~from f;
     Logmgr.iter_from wal (if Lsn.is_nil from then Lsn.nil else from) f
 
-  let serialize t =
-    let logs = Hashtbl.fold (fun id _ acc -> id :: acc) t.tbl [] |> List.sort compare in
-    let w = Bytebuf.W.create () in
+  (* in label order; per entry: i64 label, u32 segment count; per segment:
+     i64 base, u32 records, u32-prefixed bytes, u32 CRC *)
+  let entries t =
+    Hashtbl.fold (fun id e acc -> (e.label, id, e.segs) :: acc) t.tbl [] |> List.sort compare
+
+  let serialized_bytes t =
+    Hashtbl.fold
+      (fun _ e acc -> List.fold_left (fun acc a -> acc + 20 + a.Logmgr.arch_len) (acc + 12) e.segs)
+      t.tbl 4
+
+  let serialize_into w t =
     Bytebuf.W.list w
-      (fun w id ->
-        Bytebuf.W.i64 w id;
+      (fun w (label, _, segs) ->
+        Bytebuf.W.i64 w label;
         Bytebuf.W.list w
           (fun w (a : Logmgr.archived) ->
             Bytebuf.W.i64 w a.Logmgr.arch_base;
             Bytebuf.W.u32 w a.Logmgr.arch_records;
-            Bytebuf.W.string w a.Logmgr.arch_data;
+            Bytebuf.W.u32 w a.Logmgr.arch_len;
+            Bytebuf.W.raw_substring w a.Logmgr.arch_src a.Logmgr.arch_off a.Logmgr.arch_len;
             Bytebuf.W.u32 w a.Logmgr.arch_crc)
-          (segments t id))
-      logs;
-    Bytebuf.W.contents w
+          segs)
+      (entries t)
 
-  let deserialize b =
+  (* The stream whose records an archived segment holds. *)
+  let stream_of logs (a : Logmgr.archived) =
+    if Logset.n logs = 1 then 0
+    else
+      let exception First of int in
+      match Logmgr.iter_archived a ~from:Lsn.nil (fun r -> raise (First r.Logrec.stream)) with
+      | () ->
+          Storage_error.raise_err ~lsn:a.Logmgr.arch_base Storage_error.Decode
+            "archived log segment holds no record (base %d)" a.Logmgr.arch_base
+      | exception First s when s >= 0 && s < Logset.n logs -> s
+      | exception First s ->
+          Storage_error.raise_err ~lsn:a.Logmgr.arch_base Storage_error.Decode
+            "archived record names stream %d of %d" s (Logset.n logs)
+
+  let by_base (a : Logmgr.archived) (b : Logmgr.archived) = compare a.Logmgr.arch_base b.Logmgr.arch_base
+
+  let deserialize_from logs r =
     let last_base = ref None in
     try
-      let r = Bytebuf.R.of_bytes b in
       let t = create () in
       let _ =
         Bytebuf.R.list r (fun r ->
-            let id = Bytebuf.R.i64 r in
+            let label = Bytebuf.R.i64 r in
             let segs =
               Bytebuf.R.list r (fun r ->
                   let arch_base = Bytebuf.R.i64 r in
                   last_base := Some arch_base;
                   let arch_records = Bytebuf.R.u32 r in
-                  let arch_data = Bytebuf.R.string r in
+                  let arch_src, arch_off, arch_len = Bytebuf.R.view r in
                   let arch_crc = Bytebuf.R.u32 r in
-                  if Faultdisk.crc_checks_enabled () && Crc.string arch_data <> arch_crc then
+                  if
+                    Faultdisk.crc_checks_enabled ()
+                    && Crc.update 0 arch_src arch_off arch_len <> arch_crc
+                  then
                     Storage_error.raise_err ~lsn:arch_base Storage_error.Checksum
                       "archived log segment footer CRC mismatch on load (base %d)" arch_base;
-                  {
-                    Logmgr.arch_base;
-                    arch_len = String.length arch_data;
-                    arch_data;
-                    arch_records;
-                    arch_crc;
-                  })
+                  { Logmgr.arch_base; arch_len; arch_src; arch_off; arch_records; arch_crc })
             in
-            Hashtbl.replace t.tbl id segs)
+            match segs with
+            | [] -> ()
+            | a :: _ ->
+                let id = Logmgr.id (Logset.stream logs (stream_of logs a)) in
+                (* two saved entries of one stream (an image re-saved by an
+                   older build after a load) merge in LSN order *)
+                let label, segs =
+                  match Hashtbl.find_opt t.tbl id with
+                  | Some e -> (min e.label label, List.merge by_base e.segs segs)
+                  | None -> (label, segs)
+                in
+                Hashtbl.replace t.tbl id { label; segs })
       in
       Bytebuf.R.expect_end r;
       t

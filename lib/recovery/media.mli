@@ -42,15 +42,26 @@ module Archive : sig
 
   val iter_records : t -> log:int -> from:Lsn.t -> (Aries_wal.Logrec.t -> unit) -> unit
   (** Decode one log's archived records with LSN >= [from] in LSN order
-      ([Lsn.nil] = all). *)
+      ([Lsn.nil] = all), in place ({!Aries_wal.Logmgr.iter_archived}:
+      each segment's footer CRC first). *)
 
   val iter_history : t -> Aries_wal.Logmgr.t -> from:Lsn.t -> (Aries_wal.Logrec.t -> unit) -> unit
   (** One stream's full record history from [from]: its archived segments
       (strictly below the live start) followed by the live log. *)
 
-  val serialize : t -> bytes
+  val serialized_bytes : t -> int
+  (** The exact length {!serialize_into} writes. *)
 
-  val deserialize : bytes -> t
+  val serialize_into : Aries_util.Bytebuf.W.t -> t -> unit
+  (** Every log's segments, written straight from their views into the
+      caller's writer. *)
+
+  val deserialize_from : Aries_wal.Logset.t -> Aries_util.Bytebuf.R.t -> t
+  (** Parse a {!serialize_into} image in place, to the reader's end: each
+      segment stays a view of the reader's source string, its footer CRC
+      verified there. Each saved log's segments are bound to the stream of
+      [logs] their records name, so the loaded streams see their history
+      whatever ids this process gave them. *)
 end
 
 type dump

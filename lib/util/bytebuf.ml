@@ -24,6 +24,11 @@ module W = struct
     if n < 0 || n > t.len then invalid_arg "Bytebuf.W.truncate: out of range";
     t.len <- n
 
+  let grow t cap =
+    let nb = Bytes.create cap in
+    Bytes.blit t.buf 0 nb 0 t.len;
+    t.buf <- nb
+
   let ensure t n =
     let need = t.len + n in
     if need > Bytes.length t.buf then begin
@@ -31,10 +36,10 @@ module W = struct
       while !cap < need do
         cap := !cap * 2
       done;
-      let nb = Bytes.create !cap in
-      Bytes.blit t.buf 0 nb 0 t.len;
-      t.buf <- nb
+      grow t !cap
     end
+
+  let reserve t cap = if cap > Bytes.length t.buf then grow t cap
 
   let u8 t v =
     assert (v >= 0 && v < 0x100);
@@ -61,11 +66,12 @@ module W = struct
 
   let bool t v = u8 t (if v then 1 else 0)
 
-  let raw_string t s =
-    let n = String.length s in
+  let raw_substring t s off n =
     ensure t n;
-    Bytes.blit_string s 0 t.buf t.len n;
+    Bytes.blit_string s off t.buf t.len n;
     t.len <- t.len + n
+
+  let raw_string t s = raw_substring t s 0 (String.length s)
 
   let string t s =
     u32 t (String.length s);
@@ -78,6 +84,8 @@ module W = struct
     List.iter (fun x -> f t x) xs
 
   let contents t = Bytes.sub t.buf 0 t.len
+
+  let output oc t = output oc t.buf 0 t.len
 
   (* Zero-copy view of the arena: bytes [0, length) are the written
      contents. Valid only until the next write/reset — callers must not
@@ -174,6 +182,17 @@ module R = struct
     s
 
   let bytes t = Bytes.unsafe_of_string (string t)
+
+  let view t =
+    let n = u32 t in
+    need t n;
+    let off = t.pos in
+    t.pos <- t.pos + n;
+    (t.src, off, n)
+
+  let sub t =
+    let src, off, len = view t in
+    { src; pos = off; lim = off + len }
 
   let skip t n =
     need t n;

@@ -31,6 +31,11 @@ module W : sig
       across {!reset}, grows only when a write outruns it. The WAL uses it
       to count encode-arena reuses vs regrowths. *)
 
+  val reserve : t -> int -> unit
+  (** [reserve t cap] grows the arena to exactly [cap] bytes if it is
+      smaller (no doubling), keeping the contents. A writer that knows its
+      final size grows once, to that size. *)
+
   val reset : t -> unit
   (** Forget the contents, keep the arena — the reuse path. *)
 
@@ -55,6 +60,10 @@ module W : sig
   (** Append the bytes of [s] with no length prefix (segment storage,
       pre-framed data). *)
 
+  val raw_substring : t -> string -> int -> int -> unit
+  (** [raw_substring t s off n] appends [n] bytes of [s] from [off] with no
+      length prefix: one blit from a slice, no intermediate string. *)
+
   val bytes : t -> bytes -> unit
 
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
@@ -65,10 +74,15 @@ module W : sig
   val contents : t -> bytes
   (** A fresh copy of the written bytes. *)
 
+  val output : out_channel -> t -> unit
+  (** Write the contents to a channel straight from the arena, no copy. *)
+
   val unsafe_view : t -> string
   (** Zero-copy view of the backing arena; bytes [0, {!length}) are the
       written contents (anything beyond is garbage). Valid only until the
-      next write/reset — do not retain, do not mutate. *)
+      next write/reset — do not retain, do not mutate. A writer that is
+      never written again may hand its arena over this way for good: the
+      WAL gives a reclaimed segment's arena to the archive. *)
 
   val sub_string : t -> int -> int -> string
   (** [sub_string t off len] copies a slice of the contents out. *)
@@ -116,6 +130,16 @@ module R : sig
   val string : t -> string
 
   val bytes : t -> bytes
+
+  val view : t -> string * int * int
+  (** Read a u32-length-prefixed slice in place: [(src, off, len)], the
+      slice's bytes are [src.[off .. off + len - 1]]. Nothing is copied,
+      so the slice shares the reader's source string. Raises {!Corrupt} on
+      truncation, like {!string}. *)
+
+  val sub : t -> t
+  (** {!view} as a reader confined to the slice: a length-prefixed part of
+      a container parsed in place, where {!bytes} would copy it out. *)
 
   val skip : t -> int -> unit
   (** [skip t n] steps over [n] bytes with the same bounds check a read of

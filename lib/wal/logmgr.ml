@@ -54,12 +54,16 @@ type segment = {
   mutable seg_records : int;
 }
 
+(* An archived segment is a view: its bytes are
+   [arch_src.[arch_off, arch_off + arch_len)] — the arena truncation
+   handed over, or the slice of a loaded snapshot — never a copy. *)
 type archived = {
   arch_base : int;
   arch_len : int;
-  arch_data : string;
+  arch_src : string;
+  arch_off : int;
   arch_records : int;
-  arch_crc : int;  (* sealed-segment footer: CRC32 of [arch_data] *)
+  arch_crc : int;  (* sealed-segment footer: CRC32 of the segment's bytes *)
 }
 
 type t = {
@@ -82,8 +86,16 @@ let next_id = ref 0
 
 let reset_ids () = next_id := 0
 
-let fresh_segment base =
-  { seg_base = base; seg_data = Bytebuf.W.create ~size:1024 (); seg_sealed = false; seg_records = 0 }
+(* A segment's arena starts small and doubles as appends need, but never
+   past the segment size, except for the record that crosses the seal
+   boundary: the arena then grows exactly to that record's end (see
+   [append]). So a sealed arena holds the segment's bytes and nothing
+   beyond them. *)
+let segment_of_arena base arena =
+  { seg_base = base; seg_data = arena; seg_sealed = false; seg_records = 0 }
+
+let fresh_segment ~segment_size base =
+  segment_of_arena base (Bytebuf.W.create ~size:(min 1024 segment_size) ())
 
 let create ?(segment_size = default_segment_size) () =
   if segment_size < 64 then invalid_arg "Logmgr.create: segment_size must be >= 64";
@@ -93,7 +105,7 @@ let create ?(segment_size = default_segment_size) () =
       id = !next_id;
       segment_size;
       sealed = [];
-      active = fresh_segment first_offset;
+      active = fresh_segment ~segment_size first_offset;
       flushed = first_offset;
       last = Lsn.nil;
       last_stable = Lsn.nil;
@@ -161,6 +173,9 @@ let append t rec_ =
   if Bytebuf.W.capacity t.enc = cap0 then Stats.incr c_wal_encode_arena_reuses;
   let n = Bytebuf.W.length t.enc in
   let seg = t.active.seg_data in
+  let need = Bytebuf.W.length seg + Logrec.frame_overhead + n in
+  if need > Bytebuf.W.capacity seg then
+    Bytebuf.W.reserve seg (max need (min t.segment_size (2 * Bytebuf.W.capacity seg)));
   Bytebuf.W.u32 seg n;
   let crc = Bytebuf.W.append_with_crc seg t.enc in
   Bytebuf.W.u32 seg crc;
@@ -185,7 +200,7 @@ let append t rec_ =
     let s = t.active in
     s.seg_sealed <- true;
     t.sealed <- t.sealed @ [ s ];
-    t.active <- fresh_segment (seg_end s);
+    t.active <- fresh_segment ~segment_size:t.segment_size (seg_end s);
     Stats.incr c_log_seals;
     if Trace.enabled () then
       Trace.emit (Trace.Log_seal { log = t.id; base = s.seg_base; len = seg_len s })
@@ -234,25 +249,58 @@ let frame_len t off =
   let s = find_segment t off in
   Bytebuf.W.get_u32 s.seg_data (off - s.seg_base)
 
+let get_u32 src off = Int32.to_int (String.get_int32_le src off) land 0xFFFFFFFF
+
+(* The one frame reader, for the live log and the archive alike, in place
+   over segment bytes [src] that end at [lim]: [frame_payload] is the
+   payload length of the frame at [off] (the record at [lsn]), checked to
+   fit the segment; [decode_frame] decodes that payload. [verify] checks
+   the frame's CRC trailer (the live log does; an archived segment's
+   footer CRC covers all of its frames). *)
+let frame_payload src ~off ~lim ~lsn =
+  let len = if off + 4 <= lim then get_u32 src off else -1 in
+  if len < 0 || len > lim - off - Logrec.frame_overhead then
+    Storage_error.raise_err ~lsn Storage_error.Decode "log frame overruns its segment (%d of %dB)"
+      len (lim - off);
+  len
+
+let decode_frame ~verify src ~off ~len ~lsn =
+  if verify && Crc.update 0 src (off + 4) len <> get_u32 src (off + 4 + len) then
+    Storage_error.raise_err ~lsn Storage_error.Checksum "log record frame CRC mismatch (%dB payload)"
+      len;
+  try Logrec.decode_from ~lsn (Bytebuf.R.of_substring src ~off:(off + 4) ~len)
+  with Bytebuf.Corrupt msg -> raise (Storage_error.of_corrupt ~lsn ("log record: " ^ msg))
+
 let read t lsn =
   if lsn < start t || lsn >= end_offset t then
     invalid_arg
       (Printf.sprintf "Logmgr.read: LSN %d out of range [%d,%d) (truncated or unwritten)" lsn
          (start t) (end_offset t));
   let s = find_segment t lsn in
-  let len = frame_len t lsn in
-  let rel = lsn - s.seg_base in
-  (if Faultdisk.crc_checks_enabled () then begin
-     (* CRC the payload in place over the segment arena — the old path
-        [Buffer.sub]-copied the payload (and the trailer) out first *)
-     let stored = Bytebuf.W.get_u32 s.seg_data (rel + 4 + len) in
-     if Crc.update 0 (Bytebuf.W.unsafe_view s.seg_data) (rel + 4) len <> stored then
-       Storage_error.raise_err ~lsn Storage_error.Checksum
-         "log record frame CRC mismatch (%dB payload)" len
-   end);
-  let r = Bytebuf.R.of_substring (Bytebuf.W.unsafe_view s.seg_data) ~off:(rel + 4) ~len in
-  try Logrec.decode_from ~lsn r
-  with Bytebuf.Corrupt msg -> raise (Storage_error.of_corrupt ~lsn ("log record: " ^ msg))
+  let src = Bytebuf.W.unsafe_view s.seg_data and off = lsn - s.seg_base in
+  let len = frame_payload src ~off ~lim:(seg_len s) ~lsn in
+  decode_frame ~verify:(Faultdisk.crc_checks_enabled ()) src ~off ~len ~lsn
+
+(* Decode an archived segment's records with LSN >= [from] ([Lsn.nil] =
+   all) in place. The footer CRC is verified first, so a rotted archived
+   segment fails loudly and typed before any frame is read. *)
+let iter_archived a ~from f =
+  if
+    Faultdisk.crc_checks_enabled ()
+    && Crc.update 0 a.arch_src a.arch_off a.arch_len <> a.arch_crc
+  then
+    Storage_error.raise_err ~lsn:a.arch_base Storage_error.Checksum
+      "archived log segment CRC mismatch (base %d, %dB)" a.arch_base a.arch_len;
+  let lim = a.arch_off + a.arch_len in
+  let rec walk off =
+    if off < lim then begin
+      let lsn = a.arch_base + (off - a.arch_off) in
+      let len = frame_payload a.arch_src ~off ~lim ~lsn in
+      if Lsn.is_nil from || lsn >= from then f (decode_frame ~verify:false a.arch_src ~off ~len ~lsn);
+      walk (off + Logrec.frame_overhead + len)
+    end
+  in
+  walk a.arch_off
 
 let record_end t lsn =
   (* A record below the log start was reclaimed by truncation, and
@@ -417,7 +465,7 @@ let crash ?(retain = fun _ -> 0) t =
   let kept = List.filter (fun s -> s.seg_base < t.flushed) (all_segments t) in
   let kept =
     match kept with
-    | [] -> [ fresh_segment t.flushed ]  (* flushed = start: nothing stable *)
+    | [] -> [ fresh_segment ~segment_size:t.segment_size t.flushed ]  (* flushed = start: nothing stable *)
     | _ ->
         List.iter
           (fun s ->
@@ -438,7 +486,7 @@ let crash ?(retain = fun _ -> 0) t =
   let sealed, tail = split [] kept in
   if tail.seg_sealed then begin
     t.sealed <- sealed @ [ tail ];
-    t.active <- fresh_segment (seg_end tail)
+    t.active <- fresh_segment ~segment_size:t.segment_size (seg_end tail)
   end
   else begin
     t.sealed <- sealed;
@@ -484,14 +532,19 @@ let truncate_prefix t ~upto =
   let dropped_bytes = ref 0 and dropped_segs = ref 0 in
   let rec go = function
     | s :: rest when s.seg_sealed && seg_end s <= upto && seg_end s <= t.flushed ->
-        let data = Bytebuf.W.sub_string s.seg_data 0 (seg_len s) in
+        (* The segment's arena goes to the archive as is: the segment
+           leaves [t.sealed] here, so nothing writes that arena again, and
+           a sealed arena holds the segment's bytes and nothing beyond
+           (see [fresh_segment]). *)
+        let src = Bytebuf.W.unsafe_view s.seg_data in
         let arch =
           {
             arch_base = s.seg_base;
             arch_len = seg_len s;
-            arch_data = data;
+            arch_src = src;
+            arch_off = 0;
             arch_records = s.seg_records;
-            arch_crc = Crc.string data;
+            arch_crc = Crc.update 0 src 0 (seg_len s);
           }
         in
         (match t.archive_sink with Some f -> f arch | None -> ());
@@ -517,78 +570,86 @@ let truncate_prefix t ~upto =
   end;
   !dropped_bytes
 
-let serialize t =
-  (* size hint: header + per-segment overhead + the stable bytes *)
-  let w = Bytebuf.W.create ~size:(64 + size_bytes t + (32 * segment_count t)) () in
+(* The image holds the stable state only: each segment's stable prefix,
+   recorded as sealed only if its full extent is stable (a
+   sealed-in-memory tail whose seal never reached disk re-opens on
+   recovery). *)
+let stable_segments t = List.filter (fun s -> s.seg_base < t.flushed) (all_segments t)
+
+let stable_len t s = min (seg_len s) (t.flushed - s.seg_base)
+
+(* header: four i64 and the u32 segment count; per segment: i64 base,
+   bool sealed, u32-prefixed bytes, u32 CRC *)
+let serialized_bytes t =
+  List.fold_left (fun acc s -> acc + 17 + stable_len t s) 36 (stable_segments t)
+
+let serialize_into w t =
   Bytebuf.W.i64 w t.master_lsn;
   Bytebuf.W.i64 w t.last_stable;
   Bytebuf.W.i64 w t.segment_size;
   Bytebuf.W.i64 w (start t);
-  (* stable state only: each segment's stable prefix; a segment is recorded
-     as sealed only if its full extent is stable (a sealed-in-memory tail
-     whose seal never reached disk re-opens on recovery) *)
-  let stable_segs = List.filter (fun s -> s.seg_base < t.flushed) (all_segments t) in
   Bytebuf.W.list w
     (fun w s ->
+      let src = Bytebuf.W.unsafe_view s.seg_data and len = stable_len t s in
       Bytebuf.W.i64 w s.seg_base;
       Bytebuf.W.bool w (s.seg_sealed && seg_end s <= t.flushed);
-      let data = Bytebuf.W.sub_string s.seg_data 0 (min (seg_len s) (t.flushed - s.seg_base)) in
-      Bytebuf.W.string w data;
+      Bytebuf.W.u32 w len;
+      Bytebuf.W.raw_substring w src 0 len;
       (* per-segment footer: CRC32 of the stable prefix, so a rotted or
          short save file is detected on load instead of mis-decoding *)
-      Bytebuf.W.u32 w (Crc.string data))
-    stable_segs;
+      Bytebuf.W.u32 w (Crc.update 0 src 0 len))
+    (stable_segments t)
+
+let serialize t =
+  let w = Bytebuf.W.create ~size:(serialized_bytes t) () in
+  serialize_into w t;
   Bytebuf.W.contents w
 
-let deserialize b =
+let deserialize_from r =
   let last_base = ref None in
-  let master_lsn, last_stable, segment_size, log_start, segs =
+  let master_lsn, segment_size, log_start, segs =
     try
-      let r = Bytebuf.R.of_bytes b in
       let master_lsn = Bytebuf.R.i64 r in
-      let last_stable = Bytebuf.R.i64 r in
+      let _last_stable = Bytebuf.R.i64 r in
       let segment_size = Bytebuf.R.i64 r in
+      if segment_size < 64 then
+        raise (Bytebuf.Corrupt (Printf.sprintf "segment size %d below 64" segment_size));
       let log_start = Bytebuf.R.i64 r in
       let segs =
         Bytebuf.R.list r (fun r ->
             let base = Bytebuf.R.i64 r in
             last_base := Some base;
             let sealed = Bytebuf.R.bool r in
-            let data = Bytebuf.R.string r in
+            let src, off, len = Bytebuf.R.view r in
             let stored = Bytebuf.R.u32 r in
-            if Faultdisk.crc_checks_enabled () && Crc.string data <> stored then
+            if Faultdisk.crc_checks_enabled () && Crc.update 0 src off len <> stored then
               Storage_error.raise_err ~lsn:base Storage_error.Checksum
-                "log segment footer CRC mismatch (base %d, %dB)" base (String.length data);
-            (base, sealed, data))
+                "log segment footer CRC mismatch (base %d, %dB)" base len;
+            (* copied into the segment's own arena, sized to its bytes:
+               the live log appends to it *)
+            let s = segment_of_arena base (Bytebuf.W.create ~size:len ()) in
+            Bytebuf.W.raw_substring s.seg_data src off len;
+            s.seg_sealed <- sealed;
+            s)
       in
       Bytebuf.R.expect_end r;
-      (master_lsn, last_stable, segment_size, log_start, segs)
+      (master_lsn, segment_size, log_start, segs)
     with Bytebuf.Corrupt msg ->
       raise (Storage_error.of_corrupt ?lsn:!last_base ("log image: " ^ msg))
   in
-  ignore last_stable;
   let t = create ~segment_size () in
   (match segs with
-  | [] -> t.active <- fresh_segment log_start
+  | [] -> t.active <- fresh_segment ~segment_size log_start
   | _ ->
-      let rebuilt =
-        List.map
-          (fun (base, sealed, data) ->
-            let s = fresh_segment base in
-            Bytebuf.W.raw_string s.seg_data data;
-            s.seg_sealed <- sealed;
-            s)
-          segs
-      in
       let rec split acc = function
         | [ last ] -> (List.rev acc, last)
         | x :: rest -> split (x :: acc) rest
         | [] -> assert false
       in
-      let sealed, tail = split [] rebuilt in
+      let sealed, tail = split [] segs in
       if tail.seg_sealed then begin
         t.sealed <- sealed @ [ tail ];
-        t.active <- fresh_segment (seg_end tail)
+        t.active <- fresh_segment ~segment_size (seg_end tail)
       end
       else begin
         t.sealed <- sealed;
@@ -613,6 +674,8 @@ let deserialize b =
      the surviving stable prefix is the tracer's flushed boundary. *)
   if Trace.enabled () then Trace.emit (Trace.Log_open { log = t.id; flushed = t.flushed });
   t
+
+let deserialize b = deserialize_from (Bytebuf.R.of_bytes b)
 
 let records_between t lo hi =
   let acc = ref [] in

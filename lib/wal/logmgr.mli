@@ -28,11 +28,16 @@ type t
 type archived = {
   arch_base : int;  (** absolute offset of the segment's first byte *)
   arch_len : int;
-  arch_data : string;  (** the raw framed records, [arch_len] bytes *)
+  arch_src : string;
+  arch_off : int;
+      (** the raw framed records are [arch_src.[arch_off, arch_off + arch_len)] *)
   arch_records : int;
-  arch_crc : int;  (** sealed-segment footer: CRC32 of [arch_data] *)
+  arch_crc : int;  (** sealed-segment footer: CRC32 of the segment's bytes *)
 }
-(** A reclaimed segment as handed to the archive sink. *)
+(** A reclaimed segment as handed to the archive sink: a view, never a
+    copy. Truncation hands over the segment's own arena (nothing writes it
+    again, and it holds the segment's bytes and nothing beyond them); a
+    loaded archive views the snapshot it was parsed from. *)
 
 val create : ?segment_size:int -> unit -> t
 (** [segment_size] (default 64 KiB, minimum 64 bytes) is the seal
@@ -91,6 +96,13 @@ val read : t -> Lsn.t -> Logrec.t
     [Invalid_argument] if the LSN is not a record boundary or lies in a
     reclaimed segment; raises [Storage_error.Error] ([Checksum]/[Decode],
     with the LSN) if the frame fails its CRC or is unparseable. *)
+
+val iter_archived : archived -> from:Lsn.t -> (Logrec.t -> unit) -> unit
+(** Decode an archived segment's records with LSN >= [from] ([Lsn.nil] =
+    all) in place, through the frame reader {!read} uses. The footer CRC
+    is verified first (unless the [Crc_check_disabled] fault is armed):
+    [Storage_error.Error] [Checksum] on rot, [Decode] on a frame that does
+    not parse or overruns the segment. *)
 
 val next_lsn : t -> Lsn.t -> Lsn.t option
 (** LSN of the record following the given one, if any. *)
@@ -173,9 +185,20 @@ val records_between : t -> Lsn.t -> Lsn.t -> Logrec.t list
 (** [records_between t lo hi] returns records with [lo <= lsn <= hi],
     in LSN order; [Lsn.nil] bounds mean "from start" / "to end". *)
 
-val serialize : t -> bytes
+val serialized_bytes : t -> int
+(** The exact length {!serialize_into} writes. *)
+
+val serialize_into : Aries_util.Bytebuf.W.t -> t -> unit
 (** The stable state only: each segment's stable prefix plus the master
     record. The volatile tail (and volatile seals) are, by definition, not
     part of what survives. *)
+
+val serialize : t -> bytes
+(** {!serialize_into} a fresh, exactly sized writer. *)
+
+val deserialize_from : Aries_util.Bytebuf.R.t -> t
+(** Parse a {!serialize_into} image in place, to the reader's end. Each
+    segment's footer CRC is checked over the reader's bytes before the
+    segment is copied into its own arena. *)
 
 val deserialize : bytes -> t

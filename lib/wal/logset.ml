@@ -227,24 +227,29 @@ let iter_merged t ~starts f =
 
 (* {2 Snapshot} *)
 
-let serialize t =
-  (* serialize the streams first so the container writer can be sized
-     exactly — no growth-doubling copies of megabyte-scale log images *)
-  let imgs = Array.map Logmgr.serialize t.streams in
-  let total = Array.fold_left (fun acc b -> acc + 4 + Bytes.length b) 18 imgs in
-  let w = Bytebuf.W.create ~size:total () in
+let serialized_bytes t =
+  Array.fold_left (fun acc m -> acc + 4 + Logmgr.serialized_bytes m) 18 t.streams
+
+let serialize_into w t =
   Bytebuf.W.u16 w (Array.length t.streams);
   Bytebuf.W.i64 w t.epoch;
   Bytebuf.W.i64 w t.gsn;
-  Array.iter (Bytebuf.W.bytes w) imgs;
+  Array.iter
+    (fun m ->
+      Bytebuf.W.u32 w (Logmgr.serialized_bytes m);
+      Logmgr.serialize_into w m)
+    t.streams
+
+let serialize t =
+  let w = Bytebuf.W.create ~size:(serialized_bytes t) () in
+  serialize_into w t;
   Bytebuf.W.contents w
 
-let deserialize b =
-  let r = Bytebuf.R.of_bytes b in
+let deserialize_from r =
   let nn = Bytebuf.R.u16 r in
   let epoch = Bytebuf.R.i64 r in
   let gsn = Bytebuf.R.i64 r in
-  let streams = Array.init nn (fun _ -> Logmgr.deserialize (Bytebuf.R.bytes r)) in
+  let streams = Array.init nn (fun _ -> Logmgr.deserialize_from (Bytebuf.R.sub r)) in
   Bytebuf.R.expect_end r;
   let t = { streams; epoch; gsn } in
   (* the saved counters cover the stable prefix; recover_counters can only

@@ -100,6 +100,16 @@ val iter_merged : t -> starts:Lsn.t array -> (Logrec.t -> unit) -> unit
 
 (** {2 Snapshot} *)
 
-val serialize : t -> bytes
+val serialized_bytes : t -> int
+(** The exact length {!serialize_into} writes. *)
 
-val deserialize : bytes -> t
+val serialize_into : Aries_util.Bytebuf.W.t -> t -> unit
+(** The stream count, the global counters, then each stream's
+    u32-length-prefixed {!Logmgr.serialize_into} image. *)
+
+val serialize : t -> bytes
+(** {!serialize_into} a fresh, exactly sized writer. *)
+
+val deserialize_from : Aries_util.Bytebuf.R.t -> t
+(** Parse a {!serialize_into} image in place, to the reader's end; each
+    stream's part is read through a sub-reader, not copied out. *)

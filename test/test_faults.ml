@@ -252,9 +252,64 @@ let test_garbage_deserialize_is_typed () =
   (match Logmgr.deserialize garbage with
   | _ -> Alcotest.fail "Logmgr.deserialize accepted garbage"
   | exception Storage_error.Error { cause = Storage_error.Decode; _ } -> ());
-  match Media.Archive.deserialize garbage with
-  | _ -> Alcotest.fail "Archive.deserialize accepted garbage"
+  (* a log image that frames but names an impossible segment size *)
+  let bad_size = Logmgr.serialize (Logmgr.create ()) in
+  Bytes.set_int64_le bad_size 16 8L;
+  (match Logmgr.deserialize bad_size with
+  | _ -> Alcotest.fail "Logmgr.deserialize accepted an 8-byte segment size"
+  | exception Storage_error.Error { cause = Storage_error.Decode; _ } -> ());
+  match Media.Archive.deserialize_from (Aries_wal.Logset.create ()) (Bytebuf.R.of_bytes garbage) with
+  | _ -> Alcotest.fail "Archive.deserialize_from accepted garbage"
   | exception Storage_error.Error { cause = Storage_error.Decode; _ } -> ()
+
+(* A saved snapshot whose archive holds reclaimed segments, as the file's
+   bytes, and the offset of its archive part: the image is four
+   u32-length-prefixed parts (magic, disk, live log, archive). *)
+let snapshot_with_archive () =
+  let db, tree = fresh ~segment_size:512 () in
+  insert_range db tree 0 99;
+  Bufpool.flush_all db.Db.pool;
+  Db.checkpoint db;
+  Alcotest.(check bool) "log prefix reclaimed" true (Db.trim_log db > 0);
+  insert_range db tree 100 119;
+  let path = Filename.temp_file "ariesim" ".adb" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Db.save db path;
+      let img = In_channel.with_open_bin path In_channel.input_all in
+      let u32 off = Int32.to_int (String.get_int32_le img off) land 0xFFFFFFFF in
+      let rec part off k = if k = 0 then off else part (off + 4 + u32 off) (k - 1) in
+      let arch = part 0 3 + 4 in
+      Alcotest.(check int) "archive part runs to the end" (String.length img) (arch + u32 (arch - 4));
+      (Bytes.of_string img, arch))
+
+let load_bytes img =
+  let path = Filename.temp_file "ariesim" ".adb" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc img);
+      Db.load path)
+
+(* Archive part: [u32 streams][i64 log id][u32 segments], then per segment
+   [i64 base][u32 records][u32 len][bytes][u32 crc]. *)
+let test_snapshot_archive_rot_is_typed () =
+  clean (fun () ->
+      let img, arch = snapshot_with_archive () in
+      let first_data = arch + 4 + 8 + 4 + 8 + 4 + 4 in
+      let i = first_data + 10 in
+      Bytes.set img i (Char.chr (Char.code (Bytes.get img i) lxor 0x40));
+      match load_bytes img with
+      | _ -> Alcotest.fail "rotten archived segment loaded silently"
+      | exception Storage_error.Error { cause = Storage_error.Checksum; _ } -> ())
+
+let test_snapshot_cut_in_archive_is_typed () =
+  clean (fun () ->
+      let img, arch = snapshot_with_archive () in
+      match load_bytes (Bytes.sub img 0 (arch + 40)) with
+      | _ -> Alcotest.fail "short snapshot loaded silently"
+      | exception Storage_error.Error { cause = Storage_error.Decode; _ } -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Bounded retry and typed exhaustion                                 *)
@@ -411,6 +466,10 @@ let () =
             test_log_image_rot_is_typed;
           Alcotest.test_case "garbage deserialize is typed everywhere" `Quick
             test_garbage_deserialize_is_typed;
+          Alcotest.test_case "rotten archived segment in a snapshot" `Quick
+            test_snapshot_archive_rot_is_typed;
+          Alcotest.test_case "snapshot cut inside its archive" `Quick
+            test_snapshot_cut_in_archive_is_typed;
         ] );
       ( "retry",
         [

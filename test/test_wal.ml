@@ -204,6 +204,30 @@ let test_sealing () =
     (fun i lsn -> Alcotest.(check int) "read across seals" i (Logmgr.read log lsn).Logrec.txn)
     lsns
 
+(* Truncation hands each dropped segment's arena to the archive as is,
+   and a sealed arena holds the segment's bytes and nothing beyond them:
+   the view is the whole arena. A segment size that is no power of two
+   exercises the arena's growth cap; bodies of varying size make records
+   cross the seal boundary by different amounts. *)
+let test_truncate_hands_arena_over () =
+  let log = Logmgr.create ~segment_size:1000 () in
+  for i = 1 to 300 do
+    ignore (Logmgr.append log (update ~txn:i ~body:(Bytes.make (i mod 97) 'b') ()))
+  done;
+  Logmgr.flush log;
+  let archived = ref [] in
+  Logmgr.set_archive_sink log (fun a -> archived := a :: !archived);
+  ignore (Logmgr.truncate_prefix log ~upto:(Logmgr.flushed_offset log));
+  Alcotest.(check bool) "segments archived" true (List.length !archived > 10);
+  List.iter
+    (fun (a : Logmgr.archived) ->
+      Alcotest.(check (pair int int)) "the view is the whole arena" (0, a.Logmgr.arch_len)
+        (a.Logmgr.arch_off, String.length a.Logmgr.arch_src);
+      let n = ref 0 in
+      Logmgr.iter_archived a ~from:Lsn.nil (fun _ -> incr n);
+      Alcotest.(check int) "records decode in place" a.Logmgr.arch_records !n)
+    !archived
+
 let test_truncate_prefix () =
   let log = Logmgr.create ~segment_size:64 () in
   let lsns = List.init 10 (fun i -> Logmgr.append log (update ~txn:i ())) in
@@ -409,6 +433,7 @@ let () =
         [
           Alcotest.test_case "sealing and tiling" `Quick test_sealing;
           Alcotest.test_case "truncate_prefix + archive sink" `Quick test_truncate_prefix;
+          Alcotest.test_case "truncation hands the arena over" `Quick test_truncate_hands_arena_over;
           Alcotest.test_case "partial segment kept" `Quick test_truncate_partial_segment_kept;
           Alcotest.test_case "truncate volatile rejected" `Quick test_truncate_volatile_rejected;
           Alcotest.test_case "truncation survives crash+codec" `Quick
