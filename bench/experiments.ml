@@ -701,6 +701,29 @@ let q11 ppf =
   let db_on, tree_on, samples_on, stats_on = run_workload ~checkpoint:ck_cfg in
   (* taken before the crash: restart appends to the same logs *)
   let live_off = Logmgr.size_bytes db_off.Db.wal and live_on = Logmgr.size_bytes db_on.Db.wal in
+  (* Log volume: the mean framed bytes (frame + encoded record) of each
+     record kind over the daemon run's whole history, archive and live
+     log, counted before the crash (restart appends more). *)
+  let volume = Hashtbl.create 8 in
+  Db.iter_log_history db_on ~from:Lsn.nil (fun rc ->
+      let k = rc.Logrec.kind in
+      let n, b = Option.value (Hashtbl.find_opt volume k) ~default:(0, 0) in
+      Hashtbl.replace volume k (n + 1, b + Logrec.frame_overhead + Logrec.encoded_size rc));
+  let volume_of k = Option.value (Hashtbl.find_opt volume k) ~default:(0, 0) in
+  let mean_bytes k =
+    let n, b = volume_of k in
+    float_of_int b /. float_of_int (max 1 n)
+  in
+  (* kind, its name, its gated mean (the varint encoding's) and the
+     fixed-width encoding's mean before it *)
+  let kinds =
+    [
+      (Logrec.Update, "update", 77.97, 126.5);
+      (Logrec.Commit, "commit", 27.22, 85.);
+      (Logrec.End_txn, "end", 27.22, 85.);
+      (Logrec.End_ckpt, "end_ckpt", 40.74, 195.1);
+    ]
+  in
   let committed = batches * txns_per_batch * inserts_per_txn in
   Record.line r "workload: batches / txns each / inserts each / segment B"
     [
@@ -743,6 +766,17 @@ let q11 ppf =
       ("no_daemon_live_bytes_per_batch", ints samples_off);
       ("daemon_live_bytes_per_batch", ints samples_on);
     ];
+  Record.line r "[daemon   ] records: Update / Commit / End / End_ckpt"
+    (List.map (fun (k, name, _, _) -> (name ^ "_records", Record.Int (fst (volume_of k)))) kinds);
+  Record.line r "[daemon   ] mean framed B: Update / Commit / End / End_ckpt"
+    (List.map (fun (k, name, _, _) -> ("mean_" ^ name ^ "_bytes", Record.Float (mean_bytes k))) kinds);
+  (* a regrown record header, fence vector or checkpoint body fails here *)
+  List.iter
+    (fun (k, name, bound, fixed) ->
+      Record.gate r
+        (Printf.sprintf "mean framed %s record <= %.2f B (%.1f fixed-width)" name bound fixed)
+        ~ok:(mean_bytes k <= bound))
+    kinds;
   Record.gate r "daemon footprint under half of unbounded" ~ok:(2 * live_on < live_off);
   (* post-crash analysis bound: records since the last complete checkpoint *)
   let since_ckpt = ref 0 in

@@ -159,7 +159,7 @@ let vgc_once t =
   reclaimed
 
 let iter_log_history t ~from f =
-  Logset.iteri t.logs (fun _ wal -> Media.Archive.iter_history t.archive wal ~from f)
+  Logset.iteri t.logs (fun stream wal -> Media.Archive.iter_history t.archive ~stream wal ~from f)
 
 let with_txn t f =
   let txn = Txnmgr.begin_txn t.mgr in
@@ -174,10 +174,11 @@ let with_txn t f =
       | Txnmgr.Committing | Txnmgr.Rolling_back -> ());
       raise e
 
-(* Snapshot format v4: the WAL became a multi-stream set (records carry
-   stream/epoch/gsn stamps and the image serializes every stream plus the
-   global counters), so v3 snapshots no longer decode. *)
-let snapshot_magic = "ARIESIM4"
+(* Snapshot format v5: log records carry varint headers, fence vectors and
+   checkpoint bodies (Logrec, Logset, Checkpoint), and the archive writes
+   its entries in stream order with no per-process log id, so v4
+   snapshots no longer decode. *)
+let snapshot_magic = "ARIESIM5"
 
 (* The image is four u32-length-prefixed parts — the magic, the disk, the
    live log set and the archive — written by each part's own writer into

@@ -187,7 +187,7 @@ val save : t -> string -> unit
 (** Persist the {e stable} state (disk images, stable log prefix + master
     record, log archive) to a file — exactly what a powered-off machine
     retains. The volatile tail and buffer pool are not saved; run
-    {!restart} after {!load}. Format magic: ["ARIESIM4"] (v4: multi-stream WAL image with stream/epoch/gsn record stamps). *)
+    {!restart} after {!load}. Format magic: ["ARIESIM5"] (v5: varint log-record headers, fence vectors and checkpoint bodies; the archive in stream order). *)
 
 val load :
   ?pool_capacity:int ->

@@ -38,65 +38,86 @@ type body = {
   ck_next_txn : Ids.txn_id;
 }
 
+(* Body layout: every integer an unsigned LEB128 varint
+   ({!Bytebuf.W.uvar}), every list and vector count-prefixed by one. A
+   page's chain is delta-coded: each LSN is written as its distance from
+   the previous one (the first from 0), so a chain must be strictly
+   ascending, which the encoder checks and the decoder re-checks (a zero
+   delta is corrupt). *)
 let encode_vec w v =
-  Bytebuf.W.u16 w (Array.length v);
-  Array.iter (Bytebuf.W.i64 w) v
+  Bytebuf.W.uvar w (Array.length v);
+  Array.iter (Bytebuf.W.uvar w) v
 
-let decode_vec r =
-  let n = Bytebuf.R.u16 r in
-  Array.init n (fun _ -> Bytebuf.R.i64 r)
+let decode_vec r = Array.of_list (Bytebuf.R.uvar_list r Bytebuf.R.uvar)
+
+let encode_chain w (pid, chain) =
+  Bytebuf.W.uvar w pid;
+  Bytebuf.W.uvar w (List.length chain);
+  ignore
+    (List.fold_left
+       (fun prev l ->
+         if l <= prev then
+           invalid_arg
+             (Printf.sprintf "Checkpoint.encode_body: page %d chain not ascending (%d after %d)" pid
+                l prev);
+         Bytebuf.W.uvar w (l - prev);
+         l)
+       0 chain)
+
+let decode_chain r =
+  let pid = Bytebuf.R.uvar r in
+  let prev = ref 0 in
+  let chain =
+    Bytebuf.R.uvar_list r (fun r ->
+        let d = Bytebuf.R.uvar r in
+        if d = 0 then raise (Bytebuf.Corrupt (Printf.sprintf "page %d chain not ascending" pid));
+        prev := !prev + d;
+        !prev)
+  in
+  (pid, chain)
 
 let encode_body b =
   let w = Bytebuf.W.create () in
-  Bytebuf.W.i64 w b.ck_next_txn;
+  Bytebuf.W.uvar w b.ck_next_txn;
   encode_vec w b.ck_scan;
-  Bytebuf.W.list w
+  Bytebuf.W.uvar_list w
     (fun w ct ->
-      Bytebuf.W.i64 w ct.ct_id;
+      Bytebuf.W.uvar w ct.ct_id;
       Bytebuf.W.u8 w (Txnmgr.state_to_int ct.ct_state);
       encode_vec w ct.ct_firsts;
       encode_vec w ct.ct_lasts;
       encode_vec w ct.ct_undo_nxts;
-      Bytebuf.W.bytes w ct.ct_locks)
+      Bytebuf.W.uvar_bytes w ct.ct_locks)
     b.ck_txns;
-  Bytebuf.W.list w
+  Bytebuf.W.uvar_list w
     (fun w (pid, rec_lsn) ->
-      Bytebuf.W.i64 w pid;
-      Bytebuf.W.i64 w rec_lsn)
+      Bytebuf.W.uvar w pid;
+      Bytebuf.W.uvar w rec_lsn)
     b.ck_dpt;
-  Bytebuf.W.list w
-    (fun w (pid, chain) ->
-      Bytebuf.W.i64 w pid;
-      Bytebuf.W.list w Bytebuf.W.i64 chain)
-    b.ck_chains;
+  Bytebuf.W.uvar_list w encode_chain b.ck_chains;
   Bytebuf.W.contents w
 
 let decode_body bytes =
   let r = Bytebuf.R.of_bytes bytes in
-  let ck_next_txn = Bytebuf.R.i64 r in
+  let ck_next_txn = Bytebuf.R.uvar r in
   let ck_scan = decode_vec r in
   let ck_txns =
-    Bytebuf.R.list r (fun r ->
-        let ct_id = Bytebuf.R.i64 r in
+    Bytebuf.R.uvar_list r (fun r ->
+        let ct_id = Bytebuf.R.uvar r in
         let ct_state = Txnmgr.state_of_int (Bytebuf.R.u8 r) in
         let ct_firsts = decode_vec r in
         let ct_lasts = decode_vec r in
         let ct_undo_nxts = decode_vec r in
-        let ct_locks = Bytebuf.R.bytes r in
+        let ct_locks = Bytebuf.R.uvar_bytes r in
         { ct_id; ct_state; ct_firsts; ct_lasts; ct_undo_nxts; ct_locks })
   in
   let ck_dpt =
-    Bytebuf.R.list r (fun r ->
-        let pid = Bytebuf.R.i64 r in
-        let rec_lsn = Bytebuf.R.i64 r in
+    Bytebuf.R.uvar_list r (fun r ->
+        let pid = Bytebuf.R.uvar r in
+        let rec_lsn = Bytebuf.R.uvar r in
         (pid, rec_lsn))
   in
-  let ck_chains =
-    Bytebuf.R.list r (fun r ->
-        let pid = Bytebuf.R.i64 r in
-        let chain = Bytebuf.R.list r Bytebuf.R.i64 in
-        (pid, chain))
-  in
+  let ck_chains = Bytebuf.R.uvar_list r decode_chain in
   Bytebuf.R.expect_end r;
   { ck_scan; ck_txns; ck_dpt; ck_chains; ck_next_txn }
 

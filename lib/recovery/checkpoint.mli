@@ -71,5 +71,10 @@ val redo_points : Aries_wal.Logset.t -> body -> Lsn.t array
     meaningless. *)
 
 val encode_body : body -> bytes
+(** Every integer a varint, every list count-prefixed by one, and each
+    page's chain delta-coded. Raises [Invalid_argument] on a chain that is
+    not strictly ascending, or on a negative field. *)
 
 val decode_body : bytes -> body
+(** Raises [Bytebuf.Corrupt] on a body that does not decode, a chain
+    delta of zero included. *)

@@ -19,32 +19,23 @@ let c_media_page_recoveries = Stats.counter "media.page_recoveries"
    recovery can roll a fuzzy dump forward across a truncation. In a real
    system this is the tape/object-store the archiving daemon ships sealed
    segments to; here it is an in-memory table: per log stream (keyed by
-   [Logmgr.id]), a list of segments ordered oldest first. Each segment is
-   a view ([Logmgr.archived]): of the arena truncation handed over, or of
-   the snapshot the archive was loaded from. *)
+   its index in the {!Logset}), a list of segments ordered oldest first.
+   Each segment is a view ([Logmgr.archived]): of the arena truncation
+   handed over, or of the snapshot the archive was loaded from. *)
 module Archive = struct
-  (* [label] is the log id the entry is saved under: the id of the log
-     that first archived into it, kept across save and load, so a
-     reloaded archive re-saves byte for byte. A load binds each saved entry
-     to its stream by the stream stamp its records carry. *)
-  type entry = { label : int; segs : Logmgr.archived list (* oldest first *) }
-
-  type t = { tbl : (int, entry) Hashtbl.t (* live log id -> its archive *) }
+  type t = { tbl : (int, Logmgr.archived list) Hashtbl.t (* stream -> oldest first *) }
 
   let create () = { tbl = Hashtbl.create 4 }
 
-  let segments t log =
-    match Hashtbl.find_opt t.tbl log with Some e -> e.segs | None -> []
+  let segments t ~stream = Option.value (Hashtbl.find_opt t.tbl stream) ~default:[]
 
-  let attach t wal =
-    let id = Logmgr.id wal in
+  let attach t ~stream wal =
     Logmgr.set_archive_sink wal (fun a ->
-        let label = match Hashtbl.find_opt t.tbl id with Some e -> e.label | None -> id in
-        Hashtbl.replace t.tbl id { label; segs = segments t id @ [ a ] })
+        Hashtbl.replace t.tbl stream (segments t ~stream @ [ a ]))
 
-  let attach_set t logs = Logset.iteri logs (fun _ wal -> attach t wal)
+  let attach_set t logs = Logset.iteri logs (fun stream wal -> attach t ~stream wal)
 
-  let all t = Hashtbl.fold (fun _ e acc -> acc @ e.segs) t.tbl []
+  let all t = Hashtbl.fold (fun _ segs acc -> acc @ segs) t.tbl []
 
   let segment_count t = List.length (all t)
 
@@ -52,42 +43,45 @@ module Archive = struct
 
   let record_count t = List.fold_left (fun acc a -> acc + a.Logmgr.arch_records) 0 (all t)
 
-  let end_offset ?(log = 0) t =
-    match List.rev (segments t log) with
+  let end_offset ?(stream = 0) t =
+    match List.rev (segments t ~stream) with
     | a :: _ -> a.Logmgr.arch_base + a.Logmgr.arch_len
     | [] -> 0
 
-  (* Decode the framed records of one log's archived segments with
+  (* Decode the framed records of one stream's archived segments with
      LSN >= [from] ([Lsn.nil] = all), in LSN order, in place. Frames are
      exactly as they were in the live log: [u32 len][payload][u32 crc] at
      absolute offset = LSN. *)
-  let iter_records t ~log ~from f =
+  let iter_records t ~stream ~from f =
     List.iter
       (fun (a : Logmgr.archived) ->
         if Lsn.is_nil from || a.Logmgr.arch_base + a.Logmgr.arch_len > from then
           Logmgr.iter_archived a ~from f)
-      (segments t log)
+      (segments t ~stream)
 
   (* One stream's full history from [from]: its archived segments first
      (they are strictly below the live log's start), then the live log. *)
-  let iter_history t wal ~from f =
-    iter_records t ~log:(Logmgr.id wal) ~from f;
+  let iter_history t ~stream wal ~from f =
+    iter_records t ~stream ~from f;
     Logmgr.iter_from wal (if Lsn.is_nil from then Lsn.nil else from) f
 
-  (* in label order; per entry: i64 label, u32 segment count; per segment:
-     i64 base, u32 records, u32-prefixed bytes, u32 CRC *)
+  (* One entry per stream index below the highest archived one, in index
+     order, so the bytes depend on the archived state alone. Per entry:
+     u32 segment count; per segment: i64 base, u32 records, u32-prefixed
+     bytes, u32 CRC. *)
   let entries t =
-    Hashtbl.fold (fun id e acc -> (e.label, id, e.segs) :: acc) t.tbl [] |> List.sort compare
+    let n = Hashtbl.fold (fun stream _ acc -> max acc (stream + 1)) t.tbl 0 in
+    List.init n (fun stream -> segments t ~stream)
 
   let serialized_bytes t =
     Hashtbl.fold
-      (fun _ e acc -> List.fold_left (fun acc a -> acc + 20 + a.Logmgr.arch_len) (acc + 12) e.segs)
-      t.tbl 4
+      (fun _ segs acc -> List.fold_left (fun acc a -> acc + 20 + a.Logmgr.arch_len) acc segs)
+      t.tbl
+      (4 + (4 * List.length (entries t)))
 
   let serialize_into w t =
     Bytebuf.W.list w
-      (fun w (label, _, segs) ->
-        Bytebuf.W.i64 w label;
+      (fun w segs ->
         Bytebuf.W.list w
           (fun w (a : Logmgr.archived) ->
             Bytebuf.W.i64 w a.Logmgr.arch_base;
@@ -98,61 +92,38 @@ module Archive = struct
           segs)
       (entries t)
 
-  (* The stream whose records an archived segment holds. *)
-  let stream_of logs (a : Logmgr.archived) =
-    if Logset.n logs = 1 then 0
-    else
-      let exception First of int in
-      match Logmgr.iter_archived a ~from:Lsn.nil (fun r -> raise (First r.Logrec.stream)) with
-      | () ->
-          Storage_error.raise_err ~lsn:a.Logmgr.arch_base Storage_error.Decode
-            "archived log segment holds no record (base %d)" a.Logmgr.arch_base
-      | exception First s when s >= 0 && s < Logset.n logs -> s
-      | exception First s ->
-          Storage_error.raise_err ~lsn:a.Logmgr.arch_base Storage_error.Decode
-            "archived record names stream %d of %d" s (Logset.n logs)
-
-  let by_base (a : Logmgr.archived) (b : Logmgr.archived) = compare a.Logmgr.arch_base b.Logmgr.arch_base
-
   let deserialize_from logs r =
-    let last_base = ref None in
+    (* the base of the segment being parsed, [-1] before the first *)
+    let last_base = ref (-1) in
     try
       let t = create () in
-      let _ =
+      let entries =
         Bytebuf.R.list r (fun r ->
-            let label = Bytebuf.R.i64 r in
-            let segs =
-              Bytebuf.R.list r (fun r ->
-                  let arch_base = Bytebuf.R.i64 r in
-                  last_base := Some arch_base;
-                  let arch_records = Bytebuf.R.u32 r in
-                  let arch_src, arch_off, arch_len = Bytebuf.R.view r in
-                  let arch_crc = Bytebuf.R.u32 r in
-                  if
-                    Faultdisk.crc_checks_enabled ()
-                    && Crc.update 0 arch_src arch_off arch_len <> arch_crc
-                  then
-                    Storage_error.raise_err ~lsn:arch_base Storage_error.Checksum
-                      "archived log segment footer CRC mismatch on load (base %d)" arch_base;
-                  { Logmgr.arch_base; arch_len; arch_src; arch_off; arch_records; arch_crc })
-            in
-            match segs with
-            | [] -> ()
-            | a :: _ ->
-                let id = Logmgr.id (Logset.stream logs (stream_of logs a)) in
-                (* two saved entries of one stream (an image re-saved by an
-                   older build after a load) merge in LSN order *)
-                let label, segs =
-                  match Hashtbl.find_opt t.tbl id with
-                  | Some e -> (min e.label label, List.merge by_base e.segs segs)
-                  | None -> (label, segs)
-                in
-                Hashtbl.replace t.tbl id { label; segs })
+            Bytebuf.R.list r (fun r ->
+                let arch_base = Bytebuf.R.i64 r in
+                last_base := arch_base;
+                let arch_records = Bytebuf.R.u32 r in
+                let arch_src, arch_off, arch_len = Bytebuf.R.view r in
+                let arch_crc = Bytebuf.R.u32 r in
+                if
+                  Faultdisk.crc_checks_enabled ()
+                  && Crc.update 0 arch_src arch_off arch_len <> arch_crc
+                then
+                  Storage_error.raise_err ~lsn:arch_base Storage_error.Checksum
+                    "archived log segment footer CRC mismatch on load (base %d)" arch_base;
+                { Logmgr.arch_base; arch_len; arch_src; arch_off; arch_records; arch_crc }))
       in
       Bytebuf.R.expect_end r;
+      if List.length entries > Logset.n logs then
+        raise
+          (Bytebuf.Corrupt
+             (Printf.sprintf "%d archived streams for %d log streams" (List.length entries)
+                (Logset.n logs)));
+      List.iteri (fun stream segs -> if segs <> [] then Hashtbl.replace t.tbl stream segs) entries;
       t
     with Bytebuf.Corrupt msg ->
-      raise (Storage_error.of_corrupt ?lsn:!last_base ("archive image: " ^ msg))
+      let lsn = if !last_base < 0 then None else Some !last_base in
+      raise (Storage_error.of_corrupt ?lsn ("archive image: " ^ msg))
 end
 
 type dump = {
@@ -206,11 +177,11 @@ let redoable (r : Logrec.t) =
   | Logrec.End_ckpt | Logrec.Coord_commit | Logrec.Coord_abort | Logrec.Coord_end ->
       false
 
-let page_history ?archive wal ~from pid =
+let page_history ?archive ~stream wal ~from pid =
   let acc = ref [] in
   let note (r : Logrec.t) = if r.Logrec.page = pid && redoable r then acc := r :: !acc in
   (match archive with
-  | Some a -> Archive.iter_history a wal ~from note
+  | Some a -> Archive.iter_history a ~stream wal ~from note
   | None -> Logmgr.iter_from wal from note);
   List.rev !acc
 
@@ -272,7 +243,7 @@ let recover_page ?archive mgr pool dump pid =
      the dump was taken, the archive supplies them (the archive sink
      received every dropped segment before it vanished). *)
   let applied, _ =
-    replay mgr pool pid (page_history ?archive (Logset.stream logs s) ~from pid)
+    replay mgr pool pid (page_history ?archive ~stream:s (Logset.stream logs s) ~from pid)
   in
   (* the roll-forward dirtied the page in the pool; force it out so the
      repaired image is durable *)

@@ -20,10 +20,10 @@ module Archive : sig
 
   val create : unit -> t
 
-  val attach : t -> Aries_wal.Logmgr.t -> unit
+  val attach : t -> stream:int -> Aries_wal.Logmgr.t -> unit
   (** Install this archive as the log's archive sink: every segment
       reclaimed by [Logmgr.truncate_prefix] is appended here first, keyed
-      by the log's id (streams archive independently). *)
+      by the log's stream index (streams archive independently). *)
 
   val attach_set : t -> Aries_wal.Logset.t -> unit
   (** {!attach} every stream of the set. *)
@@ -35,33 +35,36 @@ module Archive : sig
 
   val record_count : t -> int
 
-  val end_offset : ?log:int -> t -> int
-  (** One past the last archived byte of the given log (default 0 — the
+  val end_offset : ?stream:int -> t -> int
+  (** One past the last archived byte of the given stream (default 0 — the
     control stream); 0 when empty. Equals that live log's start offset
     when every truncation went through this sink. *)
 
-  val iter_records : t -> log:int -> from:Lsn.t -> (Aries_wal.Logrec.t -> unit) -> unit
-  (** Decode one log's archived records with LSN >= [from] in LSN order
+  val iter_records : t -> stream:int -> from:Lsn.t -> (Aries_wal.Logrec.t -> unit) -> unit
+  (** Decode one stream's archived records with LSN >= [from] in LSN order
       ([Lsn.nil] = all), in place ({!Aries_wal.Logmgr.iter_archived}:
       each segment's footer CRC first). *)
 
-  val iter_history : t -> Aries_wal.Logmgr.t -> from:Lsn.t -> (Aries_wal.Logrec.t -> unit) -> unit
+  val iter_history :
+    t -> stream:int -> Aries_wal.Logmgr.t -> from:Lsn.t -> (Aries_wal.Logrec.t -> unit) -> unit
   (** One stream's full record history from [from]: its archived segments
-      (strictly below the live start) followed by the live log. *)
+      (strictly below the live start) followed by the live log [wal] of
+      that stream. *)
 
   val serialized_bytes : t -> int
   (** The exact length {!serialize_into} writes. *)
 
   val serialize_into : Aries_util.Bytebuf.W.t -> t -> unit
-  (** Every log's segments, written straight from their views into the
-      caller's writer. *)
+  (** Every stream's segments in stream order, written straight from
+      their views into the caller's writer. The bytes depend on the
+      archived segments alone, not on the process that saves them. *)
 
   val deserialize_from : Aries_wal.Logset.t -> Aries_util.Bytebuf.R.t -> t
   (** Parse a {!serialize_into} image in place, to the reader's end: each
       segment stays a view of the reader's source string, its footer CRC
-      verified there. Each saved log's segments are bound to the stream of
-      [logs] their records name, so the loaded streams see their history
-      whatever ids this process gave them. *)
+      verified there. The [k]th saved entry is stream [k]'s archive; an
+      image with more entries than [logs] has streams is a typed
+      [Decode] error. *)
 end
 
 type dump
@@ -76,9 +79,15 @@ val redoable : Aries_wal.Logrec.t -> bool
     CLRs other than dummy CLRs. *)
 
 val page_history :
-  ?archive:Archive.t -> Aries_wal.Logmgr.t -> from:Lsn.t -> Ids.page_id -> Aries_wal.Logrec.t list
-(** The page's redoable records on its stream with LSN >= [from], oldest
-    first, read from [archive] (when given) and then the live log. *)
+  ?archive:Archive.t ->
+  stream:int ->
+  Aries_wal.Logmgr.t ->
+  from:Lsn.t ->
+  Ids.page_id ->
+  Aries_wal.Logrec.t list
+(** The page's redoable records on its stream (index [stream], live log
+    [wal]) with LSN >= [from], oldest first, read from [archive] (when
+    given) and then the live log. *)
 
 val replay :
   Aries_txn.Txnmgr.t -> Aries_buffer.Bufpool.t -> Ids.page_id -> Aries_wal.Logrec.t list -> int * int

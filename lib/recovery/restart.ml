@@ -432,14 +432,16 @@ let current_fiber () = if Sched.in_fiber () then Sched.current () else -1
    and the log must not be iterated across a yield that can append to
    it. *)
 let page_history en ~from pid =
-  let wal = Logset.page_stream (Txnmgr.logs en.en_mgr) pid in
+  let logs = Txnmgr.logs en.en_mgr in
+  let stream = Logset.route_page logs pid in
+  let wal = Logset.stream logs stream in
   match Hashtbl.find_opt en.en_history pid with
   | Some lsns ->
       (* direct reads: everything a pending page owes sits above its
          stream's reclamation safety point (which floors at the last
          checkpoint's redo point), so the live log still holds it *)
       List.map (Logmgr.read wal) lsns
-  | None -> Media.page_history ?archive:en.en_archive wal ~from pid
+  | None -> Media.page_history ?archive:en.en_archive ~stream wal ~from pid
 
 let redo_page ?(on_demand = false) en pid =
   match Hashtbl.find_opt en.en_pending pid with

@@ -55,7 +55,7 @@ type decision = { dc_commit : bool; dc_lsn : Lsn.t; dc_end : int }
    instead of [Logmgr.record_end] because a decision may live in an
    archived (reclaimed) segment the live log can no longer address. *)
 let record_end (r : Logrec.t) =
-  r.Logrec.lsn + Logrec.header_bytes + Bytes.length r.Logrec.body + Logrec.frame_overhead
+  r.Logrec.lsn + Logrec.frame_overhead + Logrec.encoded_size r
 
 let decisions db =
   let tbl = Hashtbl.create 16 in

@@ -45,7 +45,7 @@ type decision = {
 }
 
 val record_end : Aries_wal.Logrec.t -> int
-(** Exact framed end offset of a record ([lsn] + header + body + frame),
+(** Exact framed end offset of a record ([lsn] + frame + {!Aries_wal.Logrec.encoded_size}),
     computable even for records living in archived segments. *)
 
 val decisions : Aries_db.Db.t -> (int, decision) Hashtbl.t

@@ -229,14 +229,14 @@ let nta_begin txn =
    N=1 the log stays byte-for-byte the single-log format. *)
 let encode_nta_body ~jumps ~fences =
   let w = Bytebuf.W.create () in
-  Bytebuf.W.bytes w (Logset.encode_commit_targets jumps);
-  Bytebuf.W.bytes w (Logset.encode_commit_targets fences);
+  Bytebuf.W.uvar_bytes w (Logset.encode_commit_targets jumps);
+  Bytebuf.W.uvar_bytes w (Logset.encode_commit_targets fences);
   Bytebuf.W.contents w
 
 let decode_nta_body b =
   let r = Bytebuf.R.of_bytes b in
-  let jumps = Logset.decode_commit_targets (Bytebuf.R.bytes r) in
-  let fences = Logset.decode_commit_targets (Bytebuf.R.bytes r) in
+  let jumps = Logset.decode_commit_targets (Bytebuf.R.uvar_bytes r) in
+  let fences = Logset.decode_commit_targets (Bytebuf.R.uvar_bytes r) in
   Bytebuf.R.expect_end r;
   (jumps, fences)
 
@@ -392,18 +392,18 @@ let encode_locks lockmgr txn_id = Lockcodec.encode_list (Lockmgr.held_locks lock
 
 let encode_prepare_body ?(meta = Bytes.empty) ~targets ~locks () =
   let w = Bytebuf.W.create () in
-  Bytebuf.W.bytes w (Logset.encode_commit_targets targets);
-  Bytebuf.W.bytes w locks;
+  Bytebuf.W.uvar_bytes w (Logset.encode_commit_targets targets);
+  Bytebuf.W.uvar_bytes w locks;
   (* 2PC routing meta (gid + coordinator shard, [Aries_shard.Twopc]); empty
      for a bare single-node prepare *)
-  Bytebuf.W.bytes w meta;
+  Bytebuf.W.uvar_bytes w meta;
   Bytebuf.W.contents w
 
 let decode_prepare_body b =
   let r = Bytebuf.R.of_bytes b in
-  let targets = Logset.decode_commit_targets (Bytebuf.R.bytes r) in
-  let locks = Bytebuf.R.bytes r in
-  let meta = Bytebuf.R.bytes r in
+  let targets = Logset.decode_commit_targets (Bytebuf.R.uvar_bytes r) in
+  let locks = Bytebuf.R.uvar_bytes r in
+  let meta = Bytebuf.R.uvar_bytes r in
   Bytebuf.R.expect_end r;
   (targets, locks, meta)
 

@@ -1,5 +1,15 @@
 exception Corrupt of string
 
+(* Unsigned LEB128: seven value bits per byte, low group first, the high
+   bit set on every byte but the last. An OCaml [int] has 62 value bits
+   above zero, so a varint is at most 9 bytes. *)
+let uvar_max_bytes = 9
+
+let uvar_size v =
+  if v < 0 then invalid_arg "Bytebuf.uvar_size: negative";
+  let rec go n v = if v < 0x80 then n else go (n + 1) (v lsr 7) in
+  go 1 v
+
 (* The writer is a reset-in-place arena over a growable [bytes] (not a
    [Buffer.t]): hot encoders — log-record append, page-image encode — keep
    one writer alive and [reset] it per record instead of allocating a fresh
@@ -66,6 +76,29 @@ module W = struct
 
   let bool t v = u8 t (if v then 1 else 0)
 
+  (* A loop over local refs, not a local recursive function: the refs
+     live in registers, so a varint write allocates nothing. *)
+  let uvar_long t v =
+    if v < 0 then invalid_arg (Printf.sprintf "Bytebuf.W.uvar: negative value %d" v);
+    ensure t uvar_max_bytes;
+    let buf = t.buf and v = ref v and pos = ref t.len in
+    while !v >= 0x80 do
+      Bytes.unsafe_set buf !pos (Char.unsafe_chr (!v land 0x7f lor 0x80));
+      v := !v lsr 7;
+      incr pos
+    done;
+    Bytes.unsafe_set buf !pos (Char.unsafe_chr !v);
+    t.len <- !pos + 1
+
+  (* Most of the log's integers fit one byte: that case is small enough
+     to inline at every call site. *)
+  let[@inline] uvar t v =
+    if v >= 0 && v < 0x80 && t.len < Bytes.length t.buf then begin
+      Bytes.unsafe_set t.buf t.len (Char.unsafe_chr v);
+      t.len <- t.len + 1
+    end
+    else uvar_long t v
+
   let raw_substring t s off n =
     ensure t n;
     Bytes.blit_string s off t.buf t.len n;
@@ -79,8 +112,16 @@ module W = struct
 
   let bytes t b = string t (Bytes.unsafe_to_string b)
 
+  let uvar_bytes t b =
+    uvar t (Bytes.length b);
+    raw_string t (Bytes.unsafe_to_string b)
+
   let list t f xs =
     u32 t (List.length xs);
+    List.iter (fun x -> f t x) xs
+
+  let uvar_list t f xs =
+    uvar t (List.length xs);
     List.iter (fun x -> f t x) xs
 
   let contents t = Bytes.sub t.buf 0 t.len
@@ -168,6 +209,39 @@ module R = struct
     t.pos <- t.pos + 8;
     v
 
+  let uvar_corrupt t what = raise (Corrupt (Printf.sprintf "%s varint at offset %d" what t.pos))
+
+  (* At most [uvar_max_bytes]; the last byte may not be zero unless it is
+     the only one (one encoding per value), and the ninth may not reach
+     past bit 61 (the value must fit a non-negative [int]). One-byte
+     values take [uvar]'s inlined branch; neither path allocates. *)
+  let uvar_long t =
+    let v = ref 0 and shift = ref 0 and i = ref t.pos and fin = ref false in
+    while not !fin do
+      if !i >= t.lim then uvar_corrupt t "truncated";
+      let b = Char.code (String.unsafe_get t.src !i) in
+      let n = !i - t.pos + 1 in
+      if b < 0x80 then begin
+        if b = 0 then uvar_corrupt t "over-long";
+        if n = uvar_max_bytes && b > 0x3f then uvar_corrupt t "int-overflowing";
+        fin := true
+      end
+      else if n = uvar_max_bytes then uvar_corrupt t "over-9-byte";
+      v := !v lor ((b land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      incr i
+    done;
+    t.pos <- !i;
+    !v
+
+  let[@inline] uvar t =
+    if t.pos < t.lim && Char.code (String.unsafe_get t.src t.pos) < 0x80 then begin
+      let b = Char.code (String.unsafe_get t.src t.pos) in
+      t.pos <- t.pos + 1;
+      b
+    end
+    else uvar_long t
+
   let bool t =
     match u8 t with
     | 0 -> false
@@ -182,6 +256,14 @@ module R = struct
     s
 
   let bytes t = Bytes.unsafe_of_string (string t)
+
+  let uvar_bytes t =
+    let n = uvar t in
+    need t n;
+    let b = Bytes.create n in
+    Bytes.blit_string t.src t.pos b 0 n;
+    t.pos <- t.pos + n;
+    b
 
   let view t =
     let n = u32 t in
@@ -204,6 +286,13 @@ module R = struct
 
   let list t f =
     let n = u32 t in
+    List.init n (fun _ -> f t)
+
+  let uvar_list t f =
+    let n = uvar t in
+    if n > remaining t then
+      raise
+        (Corrupt (Printf.sprintf "count %d exceeds the %d bytes left at offset %d" n (remaining t) t.pos));
     List.init n (fun _ -> f t)
 
   let expect_end t =

@@ -1,7 +1,9 @@
 (** Binary encoding helpers shared by the log-record and page codecs.
 
-    All integers are little-endian fixed width; strings are u32
-    length-prefixed. The reader raises [Corrupt] (rather than
+    Fixed-width integers are little-endian; strings are u32
+    length-prefixed. The log's own integers are unsigned LEB128 varints
+    ({!W.uvar}): seven value bits per byte, low group first, at most 9
+    bytes (for [max_int]). The reader raises [Corrupt] (rather than
     [Invalid_argument]) on truncated input so that callers can distinguish
     codec bugs from genuinely damaged media in media-recovery tests.
 
@@ -14,6 +16,10 @@
     an intermediate copy. *)
 
 exception Corrupt of string
+
+val uvar_size : int -> int
+(** Bytes {!W.uvar} writes for a value. Raises [Invalid_argument] on a
+    negative one. *)
 
 module W : sig
   type t
@@ -54,6 +60,10 @@ module W : sig
 
   val bool : t -> bool -> unit
 
+  val uvar : t -> int -> unit
+  (** Unsigned LEB128, {!uvar_size} bytes. Raises [Invalid_argument] on a
+      negative value, before writing anything. *)
+
   val string : t -> string -> unit
 
   val raw_string : t -> string -> unit
@@ -66,10 +76,16 @@ module W : sig
 
   val bytes : t -> bytes -> unit
 
+  val uvar_bytes : t -> bytes -> unit
+  (** {!uvar} length, then the bytes. *)
+
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   (** u32 count followed by each element written with the given encoder —
-      the one length-prefixed list framing, shared by the checkpoint body
-      and reacquired-lock codecs (previously hand-rolled in both). *)
+      the fixed-width list framing of the snapshot and lock codecs. *)
+
+  val uvar_list : t -> (t -> 'a -> unit) -> 'a list -> unit
+  (** {!uvar} count, then each element: the log's own list framing
+      (checkpoint bodies, commit fence vectors). *)
 
   val contents : t -> bytes
   (** A fresh copy of the written bytes. *)
@@ -127,9 +143,17 @@ module R : sig
 
   val bool : t -> bool
 
+  val uvar : t -> int
+  (** Inverse of {!W.uvar}. Raises {!Corrupt} on a varint that is cut
+      short, runs past 9 bytes, ends in a zero byte after its first (the
+      one-encoding rule) or does not fit a non-negative [int]. *)
+
   val string : t -> string
 
   val bytes : t -> bytes
+
+  val uvar_bytes : t -> bytes
+  (** Inverse of {!W.uvar_bytes}; a fresh copy. *)
 
   val view : t -> string * int * int
   (** Read a u32-length-prefixed slice in place: [(src, off, len)], the
@@ -154,6 +178,11 @@ module R : sig
   (** Inverse of {!W.list}: u32 count, then that many elements decoded in
       order. Raises {!Corrupt} (via the element decoder / [need]) on
       truncation. *)
+
+  val uvar_list : t -> (t -> 'a) -> 'a list
+  (** Inverse of {!W.uvar_list}. A count larger than the bytes left (every
+      element takes at least one) raises {!Corrupt} before any element is
+      read. *)
 
   val expect_end : t -> unit
   (** Raises [Corrupt] if input remains. *)

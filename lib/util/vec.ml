@@ -124,6 +124,12 @@ let remove t i =
   t.len <- t.len - 1;
   x
 
+let drop_front t n =
+  if n < 0 || n > t.len then invalid_arg "Vec.drop_front: count out of bounds";
+  force t;
+  Array.blit t.data n t.data 0 (t.len - n);
+  t.len <- t.len - n
+
 let swap_remove t i =
   check t i;
   force t;

@@ -37,6 +37,10 @@ val insert : 'a t -> int -> 'a -> unit
 val remove : 'a t -> int -> 'a
 (** [remove t i] removes and returns element [i], shifting the tail left. *)
 
+val drop_front : 'a t -> int -> unit
+(** [drop_front t n] removes the first [n] elements, keeping the order of
+    the rest. Raises [Invalid_argument] unless [0 <= n <= length t]. *)
+
 val swap_remove : 'a t -> int -> 'a
 (** O(1) removal that does not preserve order. *)
 

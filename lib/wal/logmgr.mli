@@ -97,6 +97,10 @@ val read : t -> Lsn.t -> Logrec.t
     reclaimed segment; raises [Storage_error.Error] ([Checksum]/[Decode],
     with the LSN) if the frame fails its CRC or is unparseable. *)
 
+val read_stamps : t -> Lsn.t -> int * int
+(** [(epoch, gsn)] of the record at this LSN ({!Logrec.decode_stamps}),
+    with {!read}'s checks but no record built. *)
+
 val iter_archived : archived -> from:Lsn.t -> (Logrec.t -> unit) -> unit
 (** Decode an archived segment's records with LSN >= [from] ([Lsn.nil] =
     all) in place, through the frame reader {!read} uses. The footer CRC

@@ -112,48 +112,64 @@ let kind_to_string = function
   | Coord_abort -> "COORD_ABORT"
   | Coord_end -> "COORD_END"
 
-(* Fixed header bytes ahead of the length-prefixed body: kind u8, four i64
-   (prev/txn/page/undo_nxt), four u16, two bools, two i64 (epoch/gsn), u32
-   body length. Size hint for encode arenas. *)
-let header_bytes = (4 * 8) + (4 * 2) + 2 + (2 * 8) + 4 + 1
+(* Record layout: one byte holding the kind (low four bits) and the
+   undoable (bit 4) and redoable (bit 5) flags, then unsigned LEB128
+   varints for prev_lsn, txn, page, undo_nxt_lsn, undo_nxt_stream (an
+   unstamped -1 written as the record's own stream), rm_id, op, stream,
+   epoch, gsn and the body length, then the body. A negative field has no
+   encoding: the writer raises [Invalid_argument] before the record is
+   framed. *)
+let undoable_bit = 0x10
+let redoable_bit = 0x20
+
+let undo_nxt_stream_of t = if t.undo_nxt_stream < 0 then t.stream else t.undo_nxt_stream
+
+let encoded_size t =
+  let u = Bytebuf.uvar_size in
+  let n = Bytes.length t.body in
+  1 + u t.prev_lsn + u t.txn + u t.page + u t.undo_nxt_lsn
+  + u (undo_nxt_stream_of t)
+  + u t.rm_id + u t.op + u t.stream + u t.epoch + u t.gsn + u n + n
 
 let encode_into w t =
   Bytebuf.W.reset w;
-  Bytebuf.W.u8 w (kind_to_int t.kind);
-  Bytebuf.W.i64 w t.prev_lsn;
-  Bytebuf.W.i64 w t.txn;
-  Bytebuf.W.i64 w t.page;
-  Bytebuf.W.i64 w t.undo_nxt_lsn;
-  Bytebuf.W.u16 w (if t.undo_nxt_stream < 0 then t.stream else t.undo_nxt_stream);
-  Bytebuf.W.u16 w t.rm_id;
-  Bytebuf.W.u16 w t.op;
-  Bytebuf.W.bool w t.undoable;
-  Bytebuf.W.bool w t.redoable;
-  Bytebuf.W.u16 w t.stream;
-  Bytebuf.W.i64 w t.epoch;
-  Bytebuf.W.i64 w t.gsn;
-  Bytebuf.W.bytes w t.body
+  Bytebuf.W.u8 w
+    (kind_to_int t.kind
+    lor (if t.undoable then undoable_bit else 0)
+    lor if t.redoable then redoable_bit else 0);
+  Bytebuf.W.uvar w t.prev_lsn;
+  Bytebuf.W.uvar w t.txn;
+  Bytebuf.W.uvar w t.page;
+  Bytebuf.W.uvar w t.undo_nxt_lsn;
+  Bytebuf.W.uvar w (undo_nxt_stream_of t);
+  Bytebuf.W.uvar w t.rm_id;
+  Bytebuf.W.uvar w t.op;
+  Bytebuf.W.uvar w t.stream;
+  Bytebuf.W.uvar w t.epoch;
+  Bytebuf.W.uvar w t.gsn;
+  Bytebuf.W.uvar_bytes w t.body
 
 let encode t =
-  let w = Bytebuf.W.create ~size:(header_bytes + Bytes.length t.body) () in
+  let w = Bytebuf.W.create ~size:(encoded_size t) () in
   encode_into w t;
   Bytebuf.W.contents w
 
 let decode_from ~lsn r =
-  let kind = kind_of_int (Bytebuf.R.u8 r) in
-  let prev_lsn = Bytebuf.R.i64 r in
-  let txn = Bytebuf.R.i64 r in
-  let page = Bytebuf.R.i64 r in
-  let undo_nxt_lsn = Bytebuf.R.i64 r in
-  let undo_nxt_stream = Bytebuf.R.u16 r in
-  let rm_id = Bytebuf.R.u16 r in
-  let op = Bytebuf.R.u16 r in
-  let undoable = Bytebuf.R.bool r in
-  let redoable = Bytebuf.R.bool r in
-  let stream = Bytebuf.R.u16 r in
-  let epoch = Bytebuf.R.i64 r in
-  let gsn = Bytebuf.R.i64 r in
-  let body = Bytebuf.R.bytes r in
+  let flags = Bytebuf.R.u8 r in
+  if flags land lnot (0xf lor undoable_bit lor redoable_bit) <> 0 then
+    raise (Bytebuf.Corrupt (Printf.sprintf "bad log record flags 0x%02x" flags));
+  let kind = kind_of_int (flags land 0xf) in
+  let prev_lsn = Bytebuf.R.uvar r in
+  let txn = Bytebuf.R.uvar r in
+  let page = Bytebuf.R.uvar r in
+  let undo_nxt_lsn = Bytebuf.R.uvar r in
+  let undo_nxt_stream = Bytebuf.R.uvar r in
+  let rm_id = Bytebuf.R.uvar r in
+  let op = Bytebuf.R.uvar r in
+  let stream = Bytebuf.R.uvar r in
+  let epoch = Bytebuf.R.uvar r in
+  let gsn = Bytebuf.R.uvar r in
+  let body = Bytebuf.R.uvar_bytes r in
   Bytebuf.R.expect_end r;
   {
     lsn;
@@ -165,13 +181,26 @@ let decode_from ~lsn r =
     undo_nxt_stream;
     rm_id;
     op;
-    undoable;
-    redoable;
+    undoable = flags land undoable_bit <> 0;
+    redoable = flags land redoable_bit <> 0;
     stream;
     epoch;
     gsn;
     body;
   }
+
+(* The header fields ahead of [epoch]: prev_lsn, txn, page, undo_nxt_lsn,
+   undo_nxt_stream, rm_id, op and stream. *)
+let varints_before_epoch = 8
+
+let decode_stamps ~lsn:_ r =
+  ignore (Bytebuf.R.u8 r);
+  for _ = 1 to varints_before_epoch do
+    ignore (Bytebuf.R.uvar r)
+  done;
+  let epoch = Bytebuf.R.uvar r in
+  let gsn = Bytebuf.R.uvar r in
+  (epoch, gsn)
 
 let decode ~lsn s = decode_from ~lsn (Bytebuf.R.of_string s)
 

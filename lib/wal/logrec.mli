@@ -92,25 +92,34 @@ val make :
     neither. Stream/epoch/gsn are stamped by {!Logset.append}; records
     appended through a bare {!Logmgr} keep the caller's values. *)
 
+val encoded_size : t -> int
+(** The exact length {!encode} produces. *)
+
 val encode : t -> bytes
-(** Without the length prefix (the log manager frames records). The writer
-    is size-hinted from the body, so no growth-doubling copies. *)
+(** Without the frame (the log manager frames records). Layout: one byte
+    with the kind in its low four bits, undoable in bit 4 and redoable in
+    bit 5; then unsigned LEB128 varints ({!Aries_util.Bytebuf.W.uvar}) for
+    [prev_lsn], [txn], [page], [undo_nxt_lsn], [undo_nxt_stream] (an
+    unstamped [-1] written as [stream]), [rm_id], [op], [stream], [epoch],
+    [gsn] and the body length; then the body. Raises [Invalid_argument]
+    if a field is negative. *)
 
 val encode_into : Bytebuf.W.t -> t -> unit
 (** Encode into a caller-owned arena (reset first, contents left in the
     writer) — the log managers keep one arena per log so the append hot
     path allocates nothing per record. *)
 
-val header_bytes : int
-(** Encoded size of everything except the body bytes — [header_bytes +
-    length body] is the exact payload size, usable as an arena hint. *)
-
 val decode : lsn:Lsn.t -> string -> t
 
 val decode_from : lsn:Lsn.t -> Bytebuf.R.t -> t
 (** Decode from a reader positioned at the record payload (consumes
     exactly the payload, checks the slice is exhausted) — the zero-copy
-    read path over the segment arena. *)
+    read path over the segment arena. Raises [Bytebuf.Corrupt] on a bad
+    kind or flag bit, a malformed varint or a length mismatch. *)
+
+val decode_stamps : lsn:Lsn.t -> Bytebuf.R.t -> int * int
+(** [(epoch, gsn)] of the record whose payload the reader is at, read from
+    the header alone: no body is copied and no record built. *)
 
 val kind_to_string : kind -> string
 

@@ -100,9 +100,9 @@ let recover_counters t =
     (fun m ->
       let l = Logmgr.last_lsn m in
       if not (Lsn.is_nil l) then begin
-        let r = Logmgr.read m l in
-        if r.Logrec.epoch > !e then e := r.Logrec.epoch;
-        if r.Logrec.gsn > !g then g := r.Logrec.gsn
+        let epoch, gsn = Logmgr.read_stamps m l in
+        if epoch > !e then e := epoch;
+        if gsn > !g then g := gsn
       end)
     t.streams;
   t.epoch <- max 1 (!e + 1);
@@ -131,22 +131,25 @@ let crash t =
    an {e acknowledged} commit always validates. *)
 
 let encode_commit_targets targets =
-  let w = Bytebuf.W.create ~size:(4 + (10 * List.length targets)) () in
-  Bytebuf.W.list w
-    (fun w (s, l) ->
-      Bytebuf.W.u16 w s;
-      Bytebuf.W.i64 w l)
-    targets;
-  Bytebuf.W.contents w
+  if targets = [] then Bytes.empty
+  else begin
+    let w = Bytebuf.W.create ~size:(1 + (6 * List.length targets)) () in
+    Bytebuf.W.uvar_list w
+      (fun w (s, l) ->
+        Bytebuf.W.uvar w s;
+        Bytebuf.W.uvar w l)
+      targets;
+    Bytebuf.W.contents w
+  end
 
 let decode_commit_targets body =
   if Bytes.length body = 0 then []
   else
     let r = Bytebuf.R.of_bytes body in
     let ts =
-      Bytebuf.R.list r (fun r ->
-          let s = Bytebuf.R.u16 r in
-          let l = Bytebuf.R.i64 r in
+      Bytebuf.R.uvar_list r (fun r ->
+          let s = Bytebuf.R.uvar r in
+          let l = Bytebuf.R.uvar r in
           (s, l))
     in
     Bytebuf.R.expect_end r;
@@ -163,14 +166,15 @@ let decode_commit_targets body =
    {e another} transaction's records, the global SMO fence.) *)
 let target_survived t c (s, l) =
   Lsn.is_nil l
-  ||
-  let m = t.streams.(s) in
-  l < Logmgr.start_offset m
-  || l < Logmgr.end_offset m
+  || s < Array.length t.streams
      &&
-     match Logmgr.read m l with
-     | r -> r.Logrec.gsn < c.Logrec.gsn
-     | exception (Bytebuf.Corrupt _ | Storage_error.Error _ | Invalid_argument _) -> false
+     let m = t.streams.(s) in
+     l < Logmgr.start_offset m
+     || l < Logmgr.end_offset m
+        &&
+        match Logmgr.read m l with
+        | r -> r.Logrec.gsn < c.Logrec.gsn
+        | exception (Bytebuf.Corrupt _ | Storage_error.Error _ | Invalid_argument _) -> false
 
 let targets_valid t (c : Logrec.t) targets = List.for_all (target_survived t c) targets
 

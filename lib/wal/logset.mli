@@ -73,9 +73,12 @@ val crash : t -> unit
 
 val encode_commit_targets : (int * Lsn.t) list -> bytes
 (** Body of a Commit record: for each touched stream, the txn's last LSN
-    there at commit time. *)
+    there at commit time. A varint count, then a varint stream and a
+    varint LSN per entry ({!Aries_util.Bytebuf.W.uvar_list}); the empty
+    vector is the empty body. *)
 
 val decode_commit_targets : bytes -> (int * Lsn.t) list
+(** Raises [Bytebuf.Corrupt] on a body that does not decode. *)
 
 val targets_valid : t -> Logrec.t -> (int * Lsn.t) list -> bool
 (** Did every record the vector names survive, judged for the record [r]

@@ -314,6 +314,39 @@ let test_save_load_with_losers () =
    log history is the source's, record for record, archived part
    included; and media recovery on the loaded Db, which replays every page
    from the archive, rebuilds each page exactly as it stands. *)
+(* The snapshot's bytes depend on the database's state alone: the archive
+   is written in stream order, with nothing of the process that saves it
+   (the ids it gave its logs), so two runs of one workload save the same
+   image even when the second process created more logs first. *)
+let test_save_is_process_independent () =
+  let image () =
+    let db, tbl = setup ~segment_size:512 () in
+    let insert lo hi =
+      Db.run_exn db (fun () ->
+          Db.with_txn db (fun txn ->
+              for i = lo to hi do
+                ignore (Table.insert tbl txn (row (Printf.sprintf "user%02d" i) "sf" "1"))
+              done))
+    in
+    insert 0 59;
+    Aries_buffer.Bufpool.flush_all db.Db.pool;
+    Db.checkpoint db;
+    Alcotest.(check bool) "log prefix archived" true (Db.trim_log db > 0);
+    insert 60 79;
+    Aries_wal.Logset.flush_all db.Db.logs;
+    let path = Filename.temp_file "ariesim" ".adb" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Db.save db path;
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  let first = image () in
+  for _ = 1 to 3 do
+    ignore (Aries_wal.Logmgr.create ())
+  done;
+  Alcotest.(check bool) "byte-identical saves" true (String.equal first (image ()))
+
 let test_archive_roundtrip_exact () =
   let db, tbl = setup ~segment_size:512 () in
   let insert lo hi =
@@ -554,6 +587,7 @@ let () =
           Alcotest.test_case "volatile tail excluded" `Quick test_save_excludes_volatile_tail;
           Alcotest.test_case "losers in the snapshot" `Quick test_save_load_with_losers;
           Alcotest.test_case "archive round-trip is exact" `Quick test_archive_roundtrip_exact;
+          Alcotest.test_case "save is process-independent" `Quick test_save_is_process_independent;
           Alcotest.test_case "garbage rejected" `Quick test_load_rejects_garbage;
           Alcotest.test_case "oversized record rejected" `Quick test_oversized_record_rejected;
         ] );

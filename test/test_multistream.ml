@@ -268,6 +268,46 @@ let test_cross_stream_restart_undo () =
       Alcotest.(check int) "restart undid the cross-stream loser" 60
         (List.length (Btree.to_list tree')))
 
+(* An End record whose fence vector does not decode, or names a stream
+   the set does not have, proves nothing: analysis keeps its transaction a
+   loser and undo rolls it back. *)
+let test_undecodable_end_is_invalid () =
+  List.iter
+    (fun (what, body) ->
+      let db, tree = fresh () in
+      let ix = Btree.index_id tree in
+      Db.run_exn db (fun () ->
+          Db.with_txn db (fun txn ->
+              for i = 0 to 29 do
+                Btree.insert tree txn ~value:(v i) ~rid:(rid i)
+              done));
+      Db.run_exn db (fun () ->
+          let txn = Txnmgr.begin_txn db.Db.mgr in
+          for i = 30 to 59 do
+            Btree.insert tree txn ~value:(v i) ~rid:(rid i)
+          done;
+          let id = txn.Txnmgr.txn_id in
+          let s = Logset.route_txn db.Db.logs id in
+          ignore
+            (Logset.append db.Db.logs ~stream:s
+               (Logrec.make ~body:(Bytes.of_string body) ~txn:id ~prev_lsn:txn.Txnmgr.lasts.(s)
+                  Logrec.End_txn));
+          Logset.flush_all db.Db.logs);
+      let db' = Db.crash db in
+      let report = Db.run_exn db' (fun () -> Db.restart db') in
+      Alcotest.(check int) (what ^ ": the transaction is a loser") 1
+        (List.length report.Restart.rp_losers);
+      let tree' = Btree.open_existing db'.Db.benv ix in
+      Db.run_exn db' (fun () ->
+          Btree.check_invariants tree';
+          Alcotest.(check int) (what ^ ": its inserts are undone") 30
+            (List.length (Btree.to_list tree'))))
+    [
+      ("count past the body", "\x05\x00");
+      ("varint cut short", "\x01\x00\x88");
+      ("stream out of range", "\x01\x07\x08");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Torn tail on one stream only: each stream's survivors are a hole-free
    prefix, but a crash can truncate one stream's tail while another —
@@ -535,6 +575,7 @@ let () =
           Alcotest.test_case "total rollback spans streams" `Quick test_cross_stream_rollback;
           Alcotest.test_case "restart undoes a cross-stream loser" `Quick
             test_cross_stream_restart_undo;
+          Alcotest.test_case "undecodable End keeps a loser" `Quick test_undecodable_end_is_invalid;
         ] );
       ( "crash-shapes",
         [ Alcotest.test_case "torn tail on one stream only" `Quick test_torn_tail_one_stream ]

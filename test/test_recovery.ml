@@ -7,6 +7,7 @@ module Logmgr = Aries_wal.Logmgr
 module Btree = Aries_btree.Btree
 module Txnmgr = Aries_txn.Txnmgr
 module Restart = Aries_recovery.Restart
+module Checkpoint = Aries_recovery.Checkpoint
 module Media = Aries_recovery.Media
 module Bufpool = Aries_buffer.Bufpool
 module Disk = Aries_page.Disk
@@ -654,6 +655,61 @@ let test_media_recovery_whole_tree () =
   Btree.check_invariants tree';
   Alcotest.(check int) "all keys back" 200 (List.length (Btree.to_list tree'))
 
+(* ---------- checkpoint body codec ---------- *)
+
+(* Varint fields at their size boundaries, delta-coded chains: a round
+   trip is exact, every proper prefix is [Corrupt], a chain that does not
+   ascend is refused by the encoder and a zero delta by the decoder. *)
+let test_checkpoint_body_codec () =
+  let body =
+    {
+      Checkpoint.ck_scan = [| 8; 16384; max_int |];
+      ck_txns =
+        [
+          {
+            Checkpoint.ct_id = 1 lsl 31;
+            ct_state = Txnmgr.Committing;
+            ct_firsts = [| 8; 0; 127 |];
+            ct_lasts = [| 128; 0; 16383 |];
+            ct_undo_nxts = [| 0; 0; max_int |];
+            ct_locks = Bytes.make 130 'l';
+          };
+          {
+            Checkpoint.ct_id = 0;
+            ct_state = Txnmgr.Active;
+            ct_firsts = [||];
+            ct_lasts = [||];
+            ct_undo_nxts = [||];
+            ct_locks = Bytes.empty;
+          };
+        ];
+      ck_dpt = [ (1, 8); (max_int, 16384) ];
+      ck_chains = [ (1, [ 8; 135; 136; 16520; 1 lsl 31; max_int ]); (2, [ 127 ]); (3, []) ];
+      ck_next_txn = 16384;
+    }
+  in
+  let enc = Checkpoint.encode_body body in
+  Alcotest.(check bool) "round trip" true (Checkpoint.decode_body enc = body);
+  for n = 1 to Bytes.length enc - 1 do
+    Alcotest.(check bool) (Printf.sprintf "%d-byte prefix is Corrupt" n) true
+      (match Checkpoint.decode_body (Bytes.sub enc 0 n) with
+      | _ -> false
+      | exception Bytebuf.Corrupt _ -> true)
+  done;
+  List.iter
+    (fun chain ->
+      Alcotest.(check bool) "a chain that does not ascend is refused" true
+        (match Checkpoint.encode_body { body with Checkpoint.ck_chains = [ (4, chain) ] } with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ [ 8; 8 ]; [ 200; 100 ]; [ 0 ]; [ -8 ] ];
+  (* next_txn 1, no scan, txns or DPT; one chain of page 3 whose second
+     delta is zero *)
+  Alcotest.(check bool) "a zero chain delta is Corrupt" true
+    (match Checkpoint.decode_body (Bytes.of_string "\x01\x00\x00\x00\x01\x03\x02\x05\x00") with
+    | _ -> false
+    | exception Bytebuf.Corrupt _ -> true)
+
 (* ---------- byte-identity fingerprint ---------- *)
 
 (* Classic restart must leave exactly the same stable state — log and disk,
@@ -670,8 +726,8 @@ let test_media_recovery_whole_tree () =
    digests, not CRC32s: both images end every log segment and every page
    in the CRC32 of its own bytes, and a CRC32 over such an image cancels
    out any same-length change to those bytes. *)
-let fingerprint_log = "297b7880f289295acff23c0815f0a1e7"
-let fingerprint_disk = "d4ab3aaadd6d50482a3d44bc99b34a08"
+let fingerprint_log = "75df4c178eb2d25daf7f19aa0ca542bd"
+let fingerprint_disk = "4582688866feeeb6f26c931f7712260e"
 
 let test_fingerprint () =
   let db = Db.create ~page_size:384 ~pool_capacity:4096 ~streams:2 () in
@@ -752,7 +808,7 @@ let test_fingerprint () =
    constant is the MD5 of the rendered [Stats.to_alist]; a counter that is
    lost, renamed or double-counted by a producer changes it. The trace
    checker is pinned on, since [trace.events] counts its events. *)
-let counter_digest = "5e9938ed382b0030691a0bb3df647e86"
+let counter_digest = "18ba14ffc982b0fb1f5da2b51a1c3898"
 
 let test_counter_fidelity () =
   let s = Stats.create () in
@@ -787,6 +843,7 @@ let () =
           Alcotest.test_case "2PC: commit after restart" `Quick test_prepared_commit_after_restart;
           Alcotest.test_case "2PC: abort after restart" `Quick test_prepared_abort_after_restart;
           Alcotest.test_case "classic restart fingerprint" `Quick test_fingerprint;
+          Alcotest.test_case "checkpoint body codec" `Quick test_checkpoint_body_codec;
           Alcotest.test_case "restart counter fidelity" `Quick test_counter_fidelity;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest qcheck_crash ]);

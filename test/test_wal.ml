@@ -228,6 +228,41 @@ let test_truncate_hands_arena_over () =
       Alcotest.(check int) "records decode in place" a.Logmgr.arch_records !n)
     !archived
 
+(* Hundreds of sealed segments: every lookup is a binary search over them,
+   every scan steps frame by frame inside each. Reads, scans from many
+   starting points, the next_lsn chain, a crash and a save/load all see
+   exactly the records appended. *)
+let test_many_segments () =
+  let log = Logmgr.create ~segment_size:64 () in
+  let lsns =
+    Array.init 1200 (fun i -> Logmgr.append log (update ~txn:i ~body:(Bytes.make (i mod 41) 'q') ()))
+  in
+  Alcotest.(check bool) "over 300 sealed segments" true (Logmgr.segment_count log > 301);
+  let check_log what log =
+    Array.iteri
+      (fun i lsn -> Alcotest.(check int) (what ^ ": read") i (Logmgr.read log lsn).Logrec.txn)
+      lsns;
+    List.iter
+      (fun from ->
+        let seen = ref [] in
+        Logmgr.iter_from log lsns.(from) (fun r -> seen := r.Logrec.txn :: !seen);
+        Alcotest.(check (list int)) (what ^ ": scan from a record")
+          (List.init (Array.length lsns - from) (fun i -> from + i))
+          (List.rev !seen))
+      [ 0; 1; 2; 57; 300; 599; 1000; 1199 ];
+    let rec chain lsn acc =
+      match Logmgr.next_lsn log lsn with None -> List.rev (lsn :: acc) | Some n -> chain n (lsn :: acc)
+    in
+    Alcotest.(check (list int)) (what ^ ": next_lsn chain") (Array.to_list lsns) (chain lsns.(0) []);
+    Alcotest.(check int) (what ^ ": record count") (Array.length lsns) (Logmgr.record_count log);
+    Alcotest.(check int) (what ^ ": last") lsns.(Array.length lsns - 1) (Logmgr.last_lsn log)
+  in
+  check_log "live" log;
+  Logmgr.flush log;
+  check_log "loaded" (Logmgr.deserialize (Logmgr.serialize log));
+  Logmgr.crash log;
+  check_log "crashed" log
+
 let test_truncate_prefix () =
   let log = Logmgr.create ~segment_size:64 () in
   let lsns = List.init 10 (fun i -> Logmgr.append log (update ~txn:i ())) in
@@ -336,9 +371,12 @@ let test_crash_unseals_straddler () =
 
 (* ---------- PR 9: arena encode byte-identity + reuse accounting ---------- *)
 
-(* The arena-based [encode_into] must produce exactly the bytes the old
-   fresh-Buffer encoder did. Reference encoder hand-rolled here against
-   the documented record layout. *)
+(* The arena-based [encode_into] must produce exactly the bytes of the
+   documented record layout. Reference encoder hand-rolled here against
+   that layout: one byte with the kind in bits 0-3, undoable in bit 4 and
+   redoable in bit 5, then unsigned LEB128 varints for prev_lsn, txn,
+   page, undo_nxt_lsn, undo_nxt_stream (-1 written as the stream), rm_id,
+   op, stream, epoch, gsn and the body length, then the body. *)
 let reference_encode (r : Logrec.t) =
   let kind_to_int = function
     | Logrec.Update -> 0
@@ -354,21 +392,29 @@ let reference_encode (r : Logrec.t) =
     | Logrec.Coord_end -> 10
   in
   let b = Buffer.create 64 in
-  Buffer.add_char b (Char.chr (kind_to_int r.Logrec.kind));
-  Buffer.add_int64_le b (Int64.of_int r.Logrec.prev_lsn);
-  Buffer.add_int64_le b (Int64.of_int r.Logrec.txn);
-  Buffer.add_int64_le b (Int64.of_int r.Logrec.page);
-  Buffer.add_int64_le b (Int64.of_int r.Logrec.undo_nxt_lsn);
-  Buffer.add_uint16_le b
-    (if r.Logrec.undo_nxt_stream < 0 then r.Logrec.stream else r.Logrec.undo_nxt_stream);
-  Buffer.add_uint16_le b r.Logrec.rm_id;
-  Buffer.add_uint16_le b r.Logrec.op;
-  Buffer.add_char b (if r.Logrec.undoable then '\x01' else '\x00');
-  Buffer.add_char b (if r.Logrec.redoable then '\x01' else '\x00');
-  Buffer.add_uint16_le b r.Logrec.stream;
-  Buffer.add_int64_le b (Int64.of_int r.Logrec.epoch);
-  Buffer.add_int64_le b (Int64.of_int r.Logrec.gsn);
-  Buffer.add_int32_le b (Int32.of_int (Bytes.length r.Logrec.body));
+  let rec leb v =
+    if v < 0x80 then Buffer.add_char b (Char.chr v)
+    else begin
+      Buffer.add_char b (Char.chr (v land 0x7f lor 0x80));
+      leb (v lsr 7)
+    end
+  in
+  Buffer.add_char b
+    (Char.chr
+       (kind_to_int r.Logrec.kind
+       lor (if r.Logrec.undoable then 0x10 else 0)
+       lor if r.Logrec.redoable then 0x20 else 0));
+  leb r.Logrec.prev_lsn;
+  leb r.Logrec.txn;
+  leb r.Logrec.page;
+  leb r.Logrec.undo_nxt_lsn;
+  leb (if r.Logrec.undo_nxt_stream < 0 then r.Logrec.stream else r.Logrec.undo_nxt_stream);
+  leb r.Logrec.rm_id;
+  leb r.Logrec.op;
+  leb r.Logrec.stream;
+  leb r.Logrec.epoch;
+  leb r.Logrec.gsn;
+  leb (Bytes.length r.Logrec.body);
   Buffer.add_bytes b r.Logrec.body;
   Buffer.contents b
 
@@ -381,6 +427,8 @@ let test_encode_matches_reference () =
         ~body:(Bytes.of_string "payload\x00bytes") ~stream:1 ~epoch:4 ~gsn:77 ~txn:42
         ~prev_lsn:17 Logrec.Clr;
       Logrec.make ~txn:7 ~prev_lsn:Lsn.nil Logrec.Commit;
+      Logrec.make ~page:max_int ~undo_nxt_lsn:16384 ~rm_id:128 ~op:127 ~stream:200 ~epoch:(1 lsl 31)
+        ~gsn:16383 ~body:(Bytes.make 300 'z') ~txn:max_int ~prev_lsn:(1 lsl 40) Logrec.Update;
     ]
   in
   List.iter
@@ -388,10 +436,192 @@ let test_encode_matches_reference () =
       Alcotest.(check string) "encode = reference"
         (reference_encode r)
         (Bytes.to_string (Logrec.encode r));
-      Alcotest.(check int) "header_bytes + body = encoded size"
-        (Logrec.header_bytes + Bytes.length r.Logrec.body)
-        (Bytes.length (Logrec.encode r)))
+      Alcotest.(check int) "encoded_size = encoded length"
+        (Bytes.length (Logrec.encode r))
+        (Logrec.encoded_size r))
     records
+
+(* ---------- varint codec: boundaries, malformed input, negative fields ---------- *)
+
+let boundaries = [| 0; 127; 128; 16383; 16384; 1 lsl 31; max_int |]
+
+let test_uvar_boundaries () =
+  List.iter
+    (fun (v, size) ->
+      let w = Bytebuf.W.create () in
+      Bytebuf.W.uvar w v;
+      Alcotest.(check int) (Printf.sprintf "size of %d" v) size (Bytebuf.W.length w);
+      Alcotest.(check int) "uvar_size" size (Bytebuf.uvar_size v);
+      let r = Bytebuf.R.of_bytes (Bytebuf.W.contents w) in
+      Alcotest.(check int) "round trip" v (Bytebuf.R.uvar r);
+      Bytebuf.R.expect_end r)
+    [ (0, 1); (127, 1); (128, 2); (16383, 2); (16384, 3); (1 lsl 31, 5); (max_int, 9) ];
+  Alcotest.(check bool) "negative value refused before writing" true
+    (let w = Bytebuf.W.create () in
+     match Bytebuf.W.uvar w (-1) with
+     | () -> false
+     | exception Invalid_argument _ -> Bytebuf.W.length w = 0);
+  List.iter
+    (fun (what, s) ->
+      Alcotest.(check bool) what true
+        (match Bytebuf.R.uvar (Bytebuf.R.of_string s) with
+        | _ -> false
+        | exception Bytebuf.Corrupt _ -> true))
+    [
+      ("empty", "");
+      ("cut short", "\x80\x80");
+      ("ten bytes", String.make 9 '\x80' ^ "\x01");
+      ("ninth byte past bit 61", String.make 8 '\xff' ^ "\x40");
+      ("zero last byte after the first", "\x80\x00");
+    ]
+
+(* Every header field drawn from the varint size boundaries, every kind,
+   random flags and bodies of 0-300 bytes: the codec, the reference
+   layout, [encoded_size] and a log append/read all agree. Seeded. *)
+let test_boundary_roundtrip () =
+  let st = Random.State.make [| 0xB0DA |] in
+  let pick () = boundaries.(Random.State.int st (Array.length boundaries)) in
+  let kinds = Array.append all_kinds [| Logrec.Coord_commit; Logrec.Coord_abort; Logrec.Coord_end |] in
+  let log = Logmgr.create () in
+  for _ = 1 to 500 do
+    let stream = pick () in
+    let r =
+      Logrec.make ~page:(pick ()) ~undo_nxt_lsn:(pick ())
+        ~undo_nxt_stream:(if Random.State.bool st then -1 else pick ())
+        ~rm_id:(pick ()) ~op:(pick ()) ~undoable:(Random.State.bool st)
+        ~redoable:(Random.State.bool st) ~stream ~epoch:(pick ()) ~gsn:(pick ())
+        ~body:(Bytes.make [| 0; 127; 128; 300 |].(Random.State.int st 4) 'b')
+        ~txn:(pick ()) ~prev_lsn:(pick ())
+        kinds.(Random.State.int st (Array.length kinds))
+    in
+    let enc = Logrec.encode r in
+    Alcotest.(check string) "encode = reference" (reference_encode r) (Bytes.to_string enc);
+    Alcotest.(check int) "encoded_size" (Bytes.length enc) (Logrec.encoded_size r);
+    let expect lsn =
+      {
+        r with
+        Logrec.lsn;
+        undo_nxt_stream =
+          (if r.Logrec.undo_nxt_stream < 0 then r.Logrec.stream else r.Logrec.undo_nxt_stream);
+      }
+    in
+    Alcotest.(check bool) "decode . encode = id" true
+      (Logrec.decode ~lsn:77 (Bytes.to_string enc) = expect 77);
+    let lsn = Logmgr.append log r in
+    Alcotest.(check bool) "append . read = id" true (Logmgr.read log lsn = expect lsn);
+    Alcotest.(check int) "framed size" (lsn + Logrec.frame_overhead + Bytes.length enc)
+      (Logmgr.end_offset log)
+  done
+
+(* A one-segment log image around the framed [payloads], as
+   [Logmgr.serialize_into] writes it: a frame whose CRC verifies but
+   whose payload does not decode survives the tail scan, so [read] is
+   what meets it. *)
+let log_image payloads =
+  let seg = Bytebuf.W.create () in
+  List.iter (fun p -> Bytebuf.W.raw_string seg (Bytes.to_string (Logrec.frame p))) payloads;
+  let bytes = Bytes.to_string (Bytebuf.W.contents seg) in
+  let w = Bytebuf.W.create () in
+  List.iter (Bytebuf.W.i64 w) [ 0; 0; 65536; 8 ];
+  Bytebuf.W.list w
+    (fun w b ->
+      Bytebuf.W.i64 w 8;
+      Bytebuf.W.bool w false;
+      Bytebuf.W.string w b;
+      Bytebuf.W.u32 w (Crc.string b))
+    [ bytes ];
+  (Bytebuf.W.contents w, bytes)
+
+let is_decode_error f =
+  match f () with
+  | _ -> false
+  | exception Storage_error.Error { cause = Storage_error.Decode; lsn = Some 8; _ } -> true
+
+let test_bad_header_varint_is_typed () =
+  let good = Logrec.encode (update ()) in
+  List.iter
+    (fun (what, payload) ->
+      let image, bytes = log_image [ Bytes.of_string payload ] in
+      let log = Logmgr.deserialize image in
+      Alcotest.(check int) (what ^ ": the frame survives the tail scan") 1 (Logmgr.record_count log);
+      Alcotest.(check bool) (what ^ ": read is a typed Decode") true
+        (is_decode_error (fun () -> Logmgr.read log 8));
+      Alcotest.(check bool) (what ^ ": iter_from is a typed Decode") true
+        (is_decode_error (fun () -> Logmgr.iter_from log Lsn.nil ignore));
+      let a =
+        {
+          Logmgr.arch_base = 8;
+          arch_len = String.length bytes;
+          arch_src = bytes;
+          arch_off = 0;
+          arch_records = 1;
+          arch_crc = Crc.string bytes;
+        }
+      in
+      Alcotest.(check bool) (what ^ ": iter_archived is a typed Decode") true
+        (is_decode_error (fun () -> Logmgr.iter_archived a ~from:Lsn.nil ignore)))
+    [
+      ("varint cut short", "\x00\x80");
+      ("header cut after txn", Bytes.sub_string good 0 3);
+      ("varint past 9 bytes", "\x00" ^ String.make 9 '\x80' ^ "\x01");
+      ("unknown flag bit", "\x40" ^ Bytes.sub_string good 1 (Bytes.length good - 1));
+      ("body longer than the frame", Bytes.sub_string good 0 (Bytes.length good - 1));
+    ]
+
+let test_negative_field_raises_at_append () =
+  let log = Logmgr.create () in
+  let a = Logmgr.append log (update ()) in
+  let end0 = Logmgr.end_offset log in
+  List.iter
+    (fun (what, r) ->
+      Alcotest.(check bool) (what ^ " raises") true
+        (match Logmgr.append log r with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
+      Alcotest.(check int) (what ^ ": nothing appended") end0 (Logmgr.end_offset log))
+    [
+      ("txn -1", Logrec.make ~txn:(-1) ~prev_lsn:Lsn.nil Logrec.Commit);
+      ("page -5", update ~page:(-5) ());
+      ("prev_lsn min_int", update ~prev:min_int ());
+      ("gsn -1", Logrec.make ~gsn:(-1) ~txn:1 ~prev_lsn:a Logrec.End_txn);
+    ];
+  Alcotest.(check int) "one record" 1 (Logmgr.record_count log);
+  let b = Logmgr.append log (update ~txn:3 ()) in
+  Alcotest.(check int) "the next append lands where the refused one would have" end0 b;
+  Alcotest.(check int) "and reads back" 3 (Logmgr.read log b).Logrec.txn
+
+(* Every proper non-empty prefix of an encoding fails as [Corrupt]. *)
+let check_prefixes_corrupt what decode enc =
+  for n = 1 to Bytes.length enc - 1 do
+    Alcotest.(check bool) (Printf.sprintf "%s: %d-byte prefix is Corrupt" what n) true
+      (match decode (Bytes.sub enc 0 n) with
+      | _ -> false
+      | exception Bytebuf.Corrupt _ -> true)
+  done
+
+let test_commit_targets_codec () =
+  let module Logset = Aries_wal.Logset in
+  Alcotest.(check int) "the empty vector is the empty body" 0
+    (Bytes.length (Logset.encode_commit_targets []));
+  Alcotest.(check (list (pair int int))) "empty body" [] (Logset.decode_commit_targets Bytes.empty);
+  List.iter
+    (fun ts ->
+      let enc = Logset.encode_commit_targets ts in
+      Alcotest.(check (list (pair int int))) "round trip" ts (Logset.decode_commit_targets enc);
+      check_prefixes_corrupt "targets" Logset.decode_commit_targets enc)
+    [
+      [ (0, 8) ];
+      [ (0, 127); (1, 128); (2, 16383); (3, 16384) ];
+      [ (255, 1 lsl 31); (0, max_int); (7, 0) ];
+    ];
+  Alcotest.(check bool) "a count past the body is Corrupt" true
+    (match Logset.decode_commit_targets (Bytes.of_string "\x7f\x00\x08") with
+    | _ -> false
+    | exception Bytebuf.Corrupt _ -> true);
+  Alcotest.(check bool) "a negative LSN is refused" true
+    (match Logset.encode_commit_targets [ (0, -8) ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 (* After a warm-up append sizes the per-log arena, every further append of
    same-or-smaller records reuses it — the counter tracks log.records. *)
@@ -416,6 +646,13 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_codec;
           Alcotest.test_case "random records x1000 (seeded)" `Quick test_logrec_codec_property;
           Alcotest.test_case "encode = reference bytes" `Quick test_encode_matches_reference;
+          Alcotest.test_case "varint boundaries and malformed varints" `Quick test_uvar_boundaries;
+          Alcotest.test_case "boundary fields round-trip (seeded)" `Quick test_boundary_roundtrip;
+          Alcotest.test_case "bad header varint is a typed Decode" `Quick
+            test_bad_header_varint_is_typed;
+          Alcotest.test_case "negative field raises at append" `Quick
+            test_negative_field_raises_at_append;
+          Alcotest.test_case "commit target vector codec" `Quick test_commit_targets_codec;
           Alcotest.test_case "append reuses encode arena" `Quick test_encode_arena_reuse;
         ] );
       ( "logmgr",
@@ -432,6 +669,7 @@ let () =
       ( "segments",
         [
           Alcotest.test_case "sealing and tiling" `Quick test_sealing;
+          Alcotest.test_case "hundreds of segments" `Quick test_many_segments;
           Alcotest.test_case "truncate_prefix + archive sink" `Quick test_truncate_prefix;
           Alcotest.test_case "truncation hands the arena over" `Quick test_truncate_hands_arena_over;
           Alcotest.test_case "partial segment kept" `Quick test_truncate_partial_segment_kept;
