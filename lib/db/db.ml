@@ -178,7 +178,7 @@ let with_txn t f =
    checkpoint bodies (Logrec, Logset, Checkpoint), and the archive writes
    its entries in stream order with no per-process log id, so v4
    snapshots no longer decode. *)
-let snapshot_magic = "ARIESIM5"
+let snapshot_magic = "ARIESIM6"
 
 (* The image is four u32-length-prefixed parts — the magic, the disk, the
    live log set and the archive — written by each part's own writer into
@@ -219,10 +219,12 @@ let load ?pool_capacity ?config ?commit_mode ?cleaner ?checkpoint ?vgc path =
     try
       let r = R.of_string b in
       let magic = R.string r in
+      (* another format version (or no snapshot at all) is as unreadable
+         as a damaged image: a typed [Decode] error below *)
       if not (String.equal magic snapshot_magic) then
-        invalid_arg
-          (Printf.sprintf "Db.load: %s is not an ariesim %s snapshot (magic %S)" path
-             snapshot_magic magic);
+        raise
+          (Aries_util.Bytebuf.Corrupt
+             (Printf.sprintf "not an ariesim %s snapshot (magic %S)" snapshot_magic magic));
       let disk = Disk.deserialize_from (R.sub r) in
       let logs = Logset.deserialize_from (R.sub r) in
       (* the archive stays a view of [b]: its segments are never copied *)

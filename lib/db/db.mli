@@ -89,8 +89,9 @@ val restart :
     returning: every pending page is redone, every loser goes through one
     reverse-gsn undo sweep, and the post-recovery checkpoint is taken.
 
-    [~instant:true] returns as soon as Analysis, lock reacquisition and the
-    undo of any loser no reacquired lock fences are done: the Db is open —
+    [~instant:true] returns as soon as Analysis, lock reacquisition and one
+    reverse-gsn undo sweep over every loser, down to the oldest owed record
+    no reacquired lock fences, are done: the Db is open —
     new transactions run immediately, any fix of a page in the needs-redo
     set triggers single-page redo on demand, and a lock request
     conflicting with a restored loser preempts exactly that loser's
@@ -187,7 +188,10 @@ val save : t -> string -> unit
 (** Persist the {e stable} state (disk images, stable log prefix + master
     record, log archive) to a file — exactly what a powered-off machine
     retains. The volatile tail and buffer pool are not saved; run
-    {!restart} after {!load}. Format magic: ["ARIESIM5"] (v5: varint log-record headers, fence vectors and checkpoint bodies; the archive in stream order). *)
+    {!restart} after {!load}. Format magic: ["ARIESIM6"] (v6: as v5 —
+    varint log-record headers, fence vectors and checkpoint bodies, the
+    archive in stream order — with checkpoint bodies that carry no lock
+    lists). *)
 
 val load :
   ?pool_capacity:int ->
@@ -199,4 +203,7 @@ val load :
   string ->
   t
 (** Rebuild an environment from a {!save}d file. The caller must run
-    {!restart} (inside the scheduler) before using it. *)
+    {!restart} (inside the scheduler) before using it. A file that does
+    not frame, or whose magic is not {!save}'s (an older format version
+    included), raises [Aries_util.Storage_error.Error] with cause
+    [Decode]. *)

@@ -4,8 +4,6 @@ module Logrec = Aries_wal.Logrec
 module Logmgr = Aries_wal.Logmgr
 module Logset = Aries_wal.Logset
 module Txnmgr = Aries_txn.Txnmgr
-module Lockcodec = Aries_txn.Lockcodec
-module Lockmgr = Aries_lock.Lockmgr
 module Bufpool = Aries_buffer.Bufpool
 module Trace = Aries_trace.Trace
 
@@ -18,7 +16,6 @@ type ck_txn = {
   ct_firsts : Lsn.t array;
   ct_lasts : Lsn.t array;
   ct_undo_nxts : Lsn.t array;
-  ct_locks : bytes;
 }
 
 type body = {
@@ -86,8 +83,7 @@ let encode_body b =
       Bytebuf.W.u8 w (Txnmgr.state_to_int ct.ct_state);
       encode_vec w ct.ct_firsts;
       encode_vec w ct.ct_lasts;
-      encode_vec w ct.ct_undo_nxts;
-      Bytebuf.W.uvar_bytes w ct.ct_locks)
+      encode_vec w ct.ct_undo_nxts)
     b.ck_txns;
   Bytebuf.W.uvar_list w
     (fun w (pid, rec_lsn) ->
@@ -108,8 +104,7 @@ let decode_body bytes =
         let ct_firsts = decode_vec r in
         let ct_lasts = decode_vec r in
         let ct_undo_nxts = decode_vec r in
-        let ct_locks = Bytebuf.R.uvar_bytes r in
-        { ct_id; ct_state; ct_firsts; ct_lasts; ct_undo_nxts; ct_locks })
+        { ct_id; ct_state; ct_firsts; ct_lasts; ct_undo_nxts })
   in
   let ck_dpt =
     Bytebuf.R.uvar_list r (fun r ->
@@ -156,7 +151,6 @@ let take mgr pool =
   let begin_rec = Logrec.make ~txn:Ids.nil_txn ~prev_lsn:Lsn.nil Logrec.Begin_ckpt in
   let begin_lsn = Logset.append logs ~stream:0 begin_rec in
   assert (Lsn.compare ck_scan.(0) begin_lsn = 0);
-  let lockmgr = Txnmgr.locks mgr in
   let body =
     {
       ck_scan;
@@ -169,12 +163,6 @@ let take mgr pool =
               ct_firsts = Array.copy t.Txnmgr.firsts;
               ct_lasts = Array.copy t.Txnmgr.lasts;
               ct_undo_nxts = Array.copy t.Txnmgr.undo_nxts;
-              (* the txn's commit-duration lock names: instant restart
-                 re-locks a loser's names from here for updates that
-                 predate the analysis scan window *)
-              ct_locks =
-                Lockcodec.encode_list
-                  (Lockmgr.held_locks lockmgr ~txn:t.Txnmgr.txn_id);
             })
           (Txnmgr.active_txns mgr);
       ck_dpt = Bufpool.dirty_page_table pool;

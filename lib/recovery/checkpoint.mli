@@ -6,7 +6,10 @@
     back undo, and hence log truncation, may need to reach on each stream),
     the dirty-page table (page id → recLSN, an LSN on the page's routed
     stream), and [ck_scan]: each stream's append horizon captured just
-    before the Begin — where restart analysis starts its merged scan.
+    before the Begin — where restart analysis starts its merged scan. It
+    carries no lock lists: instant restart derives a loser's locks from
+    its undo chain, and an in-doubt transaction's are in its Prepare
+    body.
     Nothing is forced at snapshot time and no activity is quiesced — the
     analysis pass reconciles whatever happened concurrently, which is what
     makes the checkpoint "fuzzy". The master record points at the most
@@ -24,12 +27,6 @@ type ck_txn = {
   ct_firsts : Lsn.t array;
   ct_lasts : Lsn.t array;
   ct_undo_nxts : Lsn.t array;
-  ct_locks : bytes;
-      (** the txn's held lock names+modes, [Lockcodec.encode_list]-encoded
-          — instant restart reacquires a loser's locks from here so new
-          transactions conflict with its uncommitted state instead of
-          reading it (locks taken after Begin_ckpt are re-derived from the
-          analysis scan instead) *)
 }
 
 type body = {

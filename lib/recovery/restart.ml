@@ -37,10 +37,6 @@ type txn_track = {
   tk_undo_nxts : Lsn.t array;
   mutable tk_prepare_body : bytes option;
   mutable tk_ended : bool;  (** saw a *valid* Commit or End: not a loser *)
-  mutable tk_locks : (Lockmgr.name * Lockmgr.mode) list;
-      (** locks derived from the scanned records (instant restart only) *)
-  mutable tk_ck_locks : bytes option;
-      (** checkpointed lock list: covers updates before the scan window *)
 }
 
 let fresh_track nn =
@@ -51,8 +47,6 @@ let fresh_track nn =
     tk_undo_nxts = Array.make nn Lsn.nil;
     tk_prepare_body = None;
     tk_ended = false;
-    tk_locks = [];
-    tk_ck_locks = None;
   }
 
 (* ---------- Analysis pass ---------- *)
@@ -90,7 +84,7 @@ let index_record ix (r : Logrec.t) =
    those records therefore carries its fence-target vector, and analysis
    believes it only if every named record actually survived
    ({!Logset.targets_valid}); otherwise the transaction stays a loser. *)
-let analysis ?locks_of ~index logs =
+let analysis ~index logs =
   let nn = Logset.n logs in
   let vec v = if Array.length v = nn then Array.copy v else Array.make nn Lsn.nil in
   let anchor = Checkpoint.last_complete (Logset.control logs) in
@@ -124,17 +118,6 @@ let analysis ?locks_of ~index logs =
          let tk = track r.Logrec.txn in
          if Lsn.is_nil tk.tk_firsts.(s) then tk.tk_firsts.(s) <- lsn;
          tk.tk_lasts.(s) <- lsn;
-         (* instant restart: derive the lock names this record's change is
-            protected by, so a loser's locks can be reacquired before the
-            Db reopens. Over-approximation is safe (a lock the loser did
-            not hold merely delays a new transaction until undo drops it);
-            under-approximation is the hazard. *)
-         (match locks_of with
-         | Some f when r.Logrec.rm_id <> 0 -> (
-             match r.Logrec.kind with
-             | Logrec.Update | Logrec.Clr -> tk.tk_locks <- f r @ tk.tk_locks
-             | _ -> ())
-         | Some _ | None -> ());
          (* jump-target clamp: mirror the live driver's rule that a fence
             jump never rewinds a cursor upward — except that an analysis
             cursor still [nil] may mean "unknown yet" (the txn's cursor
@@ -232,7 +215,6 @@ let analysis ?locks_of ~index logs =
                   Array.blit (vec ct.Checkpoint.ct_firsts) 0 tk.tk_firsts 0 nn;
                   Array.blit (vec ct.Checkpoint.ct_lasts) 0 tk.tk_lasts 0 nn;
                   Array.blit (vec ct.Checkpoint.ct_undo_nxts) 0 tk.tk_undo_nxts 0 nn;
-                  tk.tk_ck_locks <- Some ct.Checkpoint.ct_locks;
                   (* a checkpointed Committing txn had appended its Commit
                      record before End_ckpt was written; Checkpoint.take
                      forces every stream before publishing the master, so
@@ -260,10 +242,6 @@ let analysis ?locks_of ~index logs =
                         && (Lsn.is_nil tk.tk_firsts.(i) || Lsn.( < ) f tk.tk_firsts.(i))
                       then tk.tk_firsts.(i) <- f)
                     (vec ct.Checkpoint.ct_firsts);
-                  (* the checkpointed lock list covers updates from before
-                     the scan window; the latest checkpoint's is the most
-                     complete *)
-                  tk.tk_ck_locks <- Some ct.Checkpoint.ct_locks;
                   if
                     ct.Checkpoint.ct_state = Txnmgr.Committing
                     && Lsn.compare lsn anchor_end = 0
@@ -515,10 +493,21 @@ let finish_loser en (txn : Txnmgr.txn) =
    the later physical rollback of the half-open split to restore the
    pre-move source page — key included — resurrecting the undone insert.
    Reverse-gsn order undoes the structure change before any record that
-   predates it. Deferred (lock-fenced, purely logical) undo — a sweep over
-   one loser — is immune: it runs after the eager sweep has restored
-   structural consistency, and logical undos under locks commute. *)
-let undo_sweep ?(preempted = false) en txns =
+   predates it.
+
+   [floor] stops the sweep at the first record below that gsn: instant
+   restart sets it to its losers' oldest unfenced record, so everything
+   above it — on every loser, fenced or not — is undone in the one order,
+   and what remains is lock-fenced logical work, undone later one loser at
+   a time. Losers whose newest owed record is below the floor are left
+   untouched. *)
+let undo_sweep ?(preempted = false) ?(floor = min_int) en txns =
+  let reaches txn =
+    match Txnmgr.undo_candidate en.en_mgr txn with
+    | None -> true
+    | Some (_, r) -> r.Logrec.gsn >= floor
+  in
+  let txns = List.filter reaches txns in
   List.iter
     (fun (txn : Txnmgr.txn) ->
       Hashtbl.replace en.en_undoing txn.Txnmgr.txn_id (current_fiber ());
@@ -548,7 +537,7 @@ let undo_sweep ?(preempted = false) en txns =
             None !live
         in
         match next with
-        | Some (txn, c) ->
+        | Some (txn, ((_, r) as c)) when r.Logrec.gsn >= floor ->
             en.en_undo_records <- en.en_undo_records + 1;
             Txnmgr.undo_one en.en_mgr txn c;
             if not (owes txn) then begin
@@ -556,7 +545,7 @@ let undo_sweep ?(preempted = false) en txns =
               live := List.filter (fun t -> t != txn) !live
             end;
             loop ()
-        | None -> ()
+        | Some _ | None -> ()
       in
       loop ())
 
@@ -594,67 +583,90 @@ let on_lock en name =
   in
   loop ()
 
-(* May this loser's undo be deferred until the drain daemon (or a lock
-   conflict) gets to it? Only if {e every} record it still owes — on every
-   stream — is fenced by a lock this engine actually reacquired: otherwise
-   a new transaction could observe the loser's uncommitted change (a
-   deleted key's real protection, for instance, is the commit-duration X
-   on the {e next} key, which no Delete_key record body can name). Each
-   stream's walk follows the undo chain exactly as lazy undo will:
-   prev-LSN links, with CLR undoNxtLSN jumps skipping completed nested top
-   actions (their structure records are never owed, so they never force
-   eagerness). The walks run the {e whole} chains, including records older
-   than the analysis scan start: the checkpoint lock list restores a
-   loser's runtime {e locks}, but a half-open SMO's structure updates were
-   protected by latches, which die with the crash — no lock in any blob
-   fences them, so a loser cut mid-SMO must be compensated eagerly no
-   matter where its records fall (its record reads stay cheap: log
-   reclamation never truncates past an active transaction's first LSN on
-   any stream). *)
-let undo_deferrable en (txn : Txnmgr.txn) =
+(* Reacquire the locks that fence a loser's owed records, and return the
+   gsn of its oldest unfenced one ([None]: every owed record is fenced).
+   A record is fenced when its resource manager names locks for it and
+   this loser holds every one of them after the walk's conditional
+   requests: otherwise a new transaction could observe the loser's
+   uncommitted change (a deleted key's real protection, for instance, is
+   the commit-duration X on the {e next} key, which no Delete_key record
+   body can name). Each stream's walk follows the undo chain exactly as
+   undo will: prev-LSN links, with CLR undoNxtLSN jumps skipping completed
+   nested top actions (their structure records are never owed). The walks
+   run the {e whole} chains, including records older than the analysis
+   scan start, and do not stop at an unfenced record: what lies below the
+   restart floor is undone lazily under exactly these locks. A half-open
+   SMO's structure updates were protected by latches, which die with the
+   crash, so they are unfenced wherever they fall (the record reads stay
+   cheap: log reclamation never truncates past an active transaction's
+   first LSN on any stream). *)
+let reacquire_loser_locks en (txn : Txnmgr.txn) =
   let logs = Txnmgr.logs en.en_mgr in
   let locks = Txnmgr.locks en.en_mgr in
-  let holds name =
-    List.exists (fun (id, _) -> id = txn.Txnmgr.txn_id) (Lockmgr.holders locks name)
+  let id = txn.Txnmgr.txn_id in
+  let fence (name, mode) =
+    Lockmgr.holds locks ~txn:id name <> None
+    ||
+    match Lockmgr.lock locks ~txn:id ~cond:true name mode Lockmgr.Commit with
+    | Lockmgr.Granted ->
+        Stats.incr c_instant_locks_reacquired;
+        en.en_locks_reacquired <- en.en_locks_reacquired + 1;
+        (* R7 bookkeeping is X-only and post-grant: two losers may
+           legitimately share an S name (duplicate-check locks) *)
+        if mode = Lockmgr.X && Trace.enabled () then
+          Trace.emit (Trace.Restart_lock { txn = id; name; mode });
+        true
+    | Lockmgr.Denied | Lockmgr.Deadlock ->
+        (* [start] is single-threaded: a denial only means another
+           restored txn already holds the name *)
+        Stats.incr c_instant_locks_skipped;
+        false
   in
-  let check_stream s cursor =
+  let fenced (r : Logrec.t) =
+    r.Logrec.rm_id <> 0
+    &&
+    match Txnmgr.rm_locks en.en_mgr r with
+    | [] -> false
+    | names -> List.fold_left (fun ok name -> fence name && ok) true names
+  in
+  let oldest = ref None in
+  let walk s cursor =
     let wal = Logset.stream logs s in
-    let rec check lsn =
-      Lsn.is_nil lsn
-      ||
-      let r = Logmgr.read wal lsn in
-      match r.Logrec.kind with
-      | Logrec.Update when r.Logrec.undoable ->
-          r.Logrec.rm_id <> 0
-          && (match Txnmgr.rm_locks en.en_mgr r with
-             | [] -> false
-             | names -> List.for_all (fun (name, _) -> holds name) names)
-          && check r.Logrec.prev_lsn
-      | Logrec.Clr ->
-          if Txnmgr.nta_anchor r then
-            (* a valid anchor fences this stream's bracket records only if
-               its jump vector names this stream. The *other* moved
-               streams' walks never meet the anchor (it lives on the
-               control stream alone), so they see the bracket's structure
-               records as unfenced and force eagerness — conservative but
-               safe: eager undo still honors the anchor's fence when it
-               reaches it in reverse-gsn order. *)
-            match Option.bind (Txnmgr.nta_jumps logs r) (List.assoc_opt s) with
-            | Some jump -> check jump
-            | None -> check r.Logrec.prev_lsn
-          else if r.Logrec.undo_nxt_stream = s then check r.Logrec.undo_nxt_lsn
-          else
-            (* a cross-stream logical CLR's jump belongs to the compensated
-               record's stream — here just step to the previous record (the
-               compensated record is walked by its own stream's check) *)
-            check r.Logrec.prev_lsn
-      | _ -> check r.Logrec.prev_lsn
+    let rec step lsn =
+      if not (Lsn.is_nil lsn) then begin
+        let r = Logmgr.read wal lsn in
+        match r.Logrec.kind with
+        | Logrec.Update when r.Logrec.undoable ->
+            if not (fenced r) then
+              oldest :=
+                Some (match !oldest with Some g -> min g r.Logrec.gsn | None -> r.Logrec.gsn);
+            step r.Logrec.prev_lsn
+        | Logrec.Clr ->
+            if Txnmgr.nta_anchor r then
+              (* a valid anchor fences this stream's bracket records only
+                 if its jump vector names this stream. The *other* moved
+                 streams' walks never meet the anchor (it lives on the
+                 control stream alone), so they see the bracket's
+                 structure records as unfenced and lower the floor —
+                 conservative but safe: the sweep still honors the
+                 anchor's fence when it reaches it in reverse-gsn order. *)
+              match Option.bind (Txnmgr.nta_jumps logs r) (List.assoc_opt s) with
+              | Some jump -> step jump
+              | None -> step r.Logrec.prev_lsn
+            else if r.Logrec.undo_nxt_stream = s then step r.Logrec.undo_nxt_lsn
+            else
+              (* a cross-stream logical CLR's jump belongs to the
+                 compensated record's stream — here just step to the
+                 previous record (the compensated record is walked by its
+                 own stream's walk) *)
+              step r.Logrec.prev_lsn
+        | _ -> step r.Logrec.prev_lsn
+      end
     in
-    check cursor
+    step cursor
   in
-  let ok = ref true in
-  Array.iteri (fun s cursor -> if not (check_stream s cursor) then ok := false) txn.Txnmgr.undo_nxts;
-  !ok
+  Array.iteri walk txn.Txnmgr.undo_nxts;
+  !oldest
 
 let complete en =
   Hashtbl.length en.en_pending = 0
@@ -700,10 +712,7 @@ let open_engine ~instant ?archive mgr pool =
   let logs = Txnmgr.logs mgr in
   trace_phase Trace.Analysis;
   let index : (Ids.page_id, Lsn.t list ref) Hashtbl.t = Hashtbl.create 64 in
-  (* only a deferred undo needs the losers' locks back: it runs while new
-     transactions do *)
-  let locks_of = if instant then Some (Txnmgr.rm_locks mgr) else None in
-  let an = analysis ?locks_of ~index logs in
+  let an = analysis ~index logs in
   (* Each pending page's history: the checkpoint-carried chain (records
      that predate the analysis window) merged with the window's own
      per-page index. The two can overlap — the chain runs to its
@@ -783,10 +792,9 @@ let open_engine ~instant ?archive mgr pool =
   en.en_locks_reacquired <- locks_reacquired;
   en.en_indoubt <- indoubt;
   (* restore losers: Rolling_back, deadlock-immune, and (instant) holding
-     their locks again so new transactions conflict with their uncommitted
-     state instead of reading it *)
+     the locks of their owed records again so new transactions conflict
+     with their uncommitted state instead of reading it *)
   let locks = Txnmgr.locks mgr in
-  let loser_ids = ref [] in
   Hashtbl.iter
     (fun id tk ->
       if (not tk.tk_ended) && tk.tk_state <> Txnmgr.Prepared then begin
@@ -796,48 +804,22 @@ let open_engine ~instant ?archive mgr pool =
         in
         Lockmgr.set_no_victim locks id;
         if Trace.enabled () then Trace.emit (Trace.Restart_loser { txn = id });
-        Hashtbl.replace en.en_losers id txn;
-        loser_ids := id :: !loser_ids;
-        (* scan-derived names first (all X, the strongest), then the
-           checkpointed list for updates predating the scan window *)
-        let seen : (Lockmgr.name, unit) Hashtbl.t = Hashtbl.create 8 in
-        let reacquire (name, mode) =
-          if not (Hashtbl.mem seen name) then begin
-            Hashtbl.replace seen name ();
-            match Lockmgr.lock locks ~txn:id ~cond:true name mode Lockmgr.Commit with
-            | Lockmgr.Granted ->
-                Stats.incr c_instant_locks_reacquired;
-                en.en_locks_reacquired <- en.en_locks_reacquired + 1;
-                (* R7 bookkeeping is X-only and post-grant: two losers may
-                   legitimately share an S name (duplicate-check locks) *)
-                if mode = Lockmgr.X && Trace.enabled () then
-                  Trace.emit (Trace.Restart_lock { txn = id; name; mode })
-            | Lockmgr.Denied | Lockmgr.Deadlock ->
-                (* [start] is single-threaded: a denial only means another
-                   restored txn already covers the name *)
-                Stats.incr c_instant_locks_skipped
-          end
-        in
-        if instant then begin
-          List.iter reacquire tk.tk_locks;
-          match tk.tk_ck_locks with
-          | Some b -> List.iter reacquire (Lockcodec.decode_list b)
-          | None -> ()
-        end
+        Hashtbl.replace en.en_losers id txn
       end)
     an.an_txns;
-  en.en_losers_all <- List.sort compare !loser_ids;
+  en.en_losers_all <- losers_remaining en;
   let losers = List.map (Hashtbl.find en.en_losers) en.en_losers_all in
   if instant then
-    (* triage the losers while still single-threaded: nothing owed -> End
-       it now; every owed record fenced by a reacquired lock -> leave it
-       for lazy, lock-driven undo; anything unfenced -> the eager sweep,
-       which interleaves all such losers in global reverse-gsn order
-       before the Db opens *)
-    undo_sweep en
-      (List.filter
-         (fun txn -> Array.for_all Lsn.is_nil txn.Txnmgr.undo_nxts || not (undo_deferrable en txn))
-         losers)
+    (* still single-threaded: one walk per loser reacquires its locks, and
+       one sweep undoes every loser's owed records down to the oldest one
+       no lock fences; the rest is left to lock-driven lazy undo *)
+    let floor =
+      List.fold_left
+        (fun floor txn ->
+          match reacquire_loser_locks en txn with Some g -> min floor g | None -> floor)
+        max_int losers
+    in
+    undo_sweep ~floor en losers
   else begin
     trace_phase Trace.Redo;
     List.iter (redo_page en) (pending_redo en);

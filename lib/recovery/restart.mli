@@ -77,11 +77,13 @@ val default_drain : drain_cfg
 val start :
   ?archive:Media.Archive.t -> Aries_txn.Txnmgr.t -> Aries_buffer.Bufpool.t -> engine
 (** Analysis, lock reacquisition (in-doubt txns from their Prepare bodies;
-    losers from the checkpointed lock lists unioned with locks re-derived
-    from the scanned records), restoration of losers as deadlock-immune
-    [Rolling_back] txns, and one eager undo sweep over every loser whose
-    owed records are not all fenced by a reacquired lock (half-open nested
-    top actions, for instance). Installs the Bufpool
+    each loser from one walk of its undo chain, which reacquires the locks
+    its resource manager names for every record the loser still owes),
+    restoration of losers as deadlock-immune [Rolling_back] txns, and one
+    reverse-gsn undo sweep over {e all} losers down to the oldest owed
+    record no reacquired lock fences (a half-open nested top action, for
+    instance). What the sweep leaves is lock-fenced logical undo. Installs
+    the Bufpool
     on-demand-redo hook and the Txnmgr preemption hook, then returns: the
     Db is open. Redo and undo happen afterwards — on demand, or through
     {!drain_step}/{!run_daemon}. Pass [archive] so per-page redo can reach

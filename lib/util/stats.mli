@@ -175,13 +175,14 @@ val instant_preemptions : string
     reacquired lock and preempted that loser's undo to completion. *)
 
 val instant_locks_reacquired : string
-(** Loser locks re-acquired during instant-restart Analysis (from the
-    checkpoint lock lists plus locks derived from scanned log records). *)
+(** Loser locks re-acquired by instant restart's walk of each loser's
+    undo chain: the names its resource manager derives for each record
+    the loser still owes, counted once per loser and name. *)
 
 val instant_locks_skipped : string
-(** Derived loser locks whose conditional reacquisition was denied (the
-    name was already held, e.g. by an in-doubt prepared txn) and were
-    skipped. *)
+(** Conditional loser-lock requests of that walk that were denied (the
+    name was already held, e.g. by an in-doubt prepared txn); the record
+    that needed the name counts as unfenced. *)
 
 val mvcc_versions_created : string
 (** Versions appended to MVCC chains (pending at append; stamped with the

@@ -428,9 +428,32 @@ let test_load_rejects_garbage () =
         | _ -> false
         (* unframeable bytes surface as a typed storage error, never a bare
            parser exception (PR 5) *)
-        | exception
-            ( Invalid_argument _
-            | Aries_util.Storage_error.Error { cause = Aries_util.Storage_error.Decode; _ } )
+        | exception Aries_util.Storage_error.Error { cause = Aries_util.Storage_error.Decode; _ }
+          ->
+            true))
+
+(* A snapshot of an older format version is refused up front with the
+   same typed error: a v5 image frames like a v6 one, but its checkpoint
+   bodies carry lock lists that a v6 decoder would misread. *)
+let test_load_rejects_old_version () =
+  let db, tbl = setup () in
+  Db.run_exn db (fun () ->
+      Db.with_txn db (fun txn -> ignore (Table.insert tbl txn (row "keep" "sf" "1"))));
+  let path = Filename.temp_file "ariesim" ".adb" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Db.save db path;
+      let img = In_channel.with_open_bin path In_channel.input_all in
+      (* the magic follows its u32 length *)
+      Alcotest.(check string) "current magic" "ARIESIM6" (String.sub img 4 8);
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (String.sub img 0 4 ^ "ARIESIM5");
+          Out_channel.output_string oc (String.sub img 12 (String.length img - 12)));
+      Alcotest.(check bool) "a v5 image is a typed Decode error" true
+        (match Db.load path with
+        | _ -> false
+        | exception Aries_util.Storage_error.Error { cause = Aries_util.Storage_error.Decode; _ }
           ->
             true))
 
@@ -589,6 +612,8 @@ let () =
           Alcotest.test_case "archive round-trip is exact" `Quick test_archive_roundtrip_exact;
           Alcotest.test_case "save is process-independent" `Quick test_save_is_process_independent;
           Alcotest.test_case "garbage rejected" `Quick test_load_rejects_garbage;
+          Alcotest.test_case "an older snapshot version is rejected" `Quick
+            test_load_rejects_old_version;
           Alcotest.test_case "oversized record rejected" `Quick test_oversized_record_rejected;
         ] );
     ]

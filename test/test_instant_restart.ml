@@ -137,6 +137,61 @@ let test_loser_lock_preempts_undo () =
   Btree.check_invariants tree';
   Alcotest.(check int) "loser's inserts are gone" 20 (List.length (Btree.to_list tree'))
 
+(* A loser whose every record predates the checkpoint the restart scans
+   from: the analysis window never meets its inserts, and the checkpoint
+   body carries no lock list, so the walk of its undo chain is what must
+   fence them. *)
+let test_pre_checkpoint_loser_fenced () =
+  let db, tree = fresh () in
+  let ix = Btree.index_id tree in
+  commit_range db tree 0 19;
+  let keys = [ 100; 101; 102; 103; 104 ] in
+  let lasts = ref [||] in
+  in_flight db (fun txn ->
+      (* the commit-duration X record lock the Table layer takes: the
+         key lock under data-only locking *)
+      List.iter
+        (fun i ->
+          Txnmgr.lock db.Db.mgr txn (Lockmgr.Rid (rid i)) Lockmgr.X Lockmgr.Commit;
+          Btree.insert tree txn ~value:(v i) ~rid:(rid i))
+        keys;
+      lasts := Array.copy txn.Txnmgr.lasts;
+      Db.checkpoint db);
+  let db' = Db.crash db in
+  (match Aries_recovery.Checkpoint.last_complete (Aries_wal.Logset.control db'.Db.logs) with
+  | Some (_, _, body) ->
+      Array.iteri
+        (fun s l ->
+          Alcotest.(check bool) "the loser's records lie before the scan window" true
+            (Aries_wal.Lsn.( < ) l body.Aries_recovery.Checkpoint.ck_scan.(s)))
+        !lasts
+  | None -> Alcotest.fail "no complete checkpoint");
+  Db.run_exn db' (fun () ->
+      let en = start_engine db' in
+      let lid =
+        match Restart.losers_remaining en with
+        | [ id ] -> id
+        | l -> Alcotest.failf "expected one deferred loser, got %d" (List.length l)
+      in
+      Alcotest.(check int) "nothing undone before the Db opens" 0
+        (Restart.report en).Restart.rp_undo_records;
+      List.iter
+        (fun i ->
+          Alcotest.(check bool)
+            (Printf.sprintf "the loser holds X on key %d" i)
+            true
+            (Lockmgr.holds db'.Db.locks ~txn:lid (Lockmgr.Rid (rid i)) = Some Lockmgr.X))
+        keys;
+      let pre0 = stat Stats.instant_preemptions in
+      Db.with_txn db' (fun txn ->
+          Txnmgr.lock db'.Db.mgr txn (Lockmgr.Rid (rid 102)) Lockmgr.X Lockmgr.Commit);
+      Alcotest.(check int) "one preemption" 1 (stat Stats.instant_preemptions - pre0);
+      Alcotest.(check (list int)) "the loser is fully undone" [] (Restart.losers_remaining en);
+      Restart.drain en);
+  let tree' = reopen db' ix in
+  Btree.check_invariants tree';
+  Alcotest.(check int) "loser's inserts are gone" 20 (List.length (Btree.to_list tree'))
+
 (* ---------- recovery during recovery ---------- *)
 
 let test_crash_mid_drain_reenters_instant () =
@@ -401,7 +456,7 @@ let test_skip_redo_fault_trips_r7 () =
       Alcotest.(check bool) "R7 catches the skipped redo" true tripped;
       Alcotest.(check bool) "violation counted" true (Discipline.violations () > 0))
 
-(* ---------- checkpoint lock-list codec ---------- *)
+(* ---------- Prepare-body lock-list codec ---------- *)
 
 let lockcodec_roundtrip =
   (* 1000 seeded random lock lists through encode_list/decode_list *)
@@ -448,6 +503,8 @@ let () =
             test_ondemand_redo_exact_page;
           Alcotest.test_case "loser lock preempts exactly that undo" `Quick
             test_loser_lock_preempts_undo;
+          Alcotest.test_case "pre-checkpoint loser fenced by its undo chain" `Quick
+            test_pre_checkpoint_loser_fenced;
         ] );
       ( "recovery-during-recovery",
         [

@@ -659,7 +659,9 @@ let test_media_recovery_whole_tree () =
 
 (* Varint fields at their size boundaries, delta-coded chains: a round
    trip is exact, every proper prefix is [Corrupt], a chain that does not
-   ascend is refused by the encoder and a zero delta by the decoder. *)
+   ascend is refused by the encoder and a zero delta by the decoder. A
+   transaction entry ends at its undo-next vector: it carries no lock
+   list. *)
 let test_checkpoint_body_codec () =
   let body =
     {
@@ -672,15 +674,14 @@ let test_checkpoint_body_codec () =
             ct_firsts = [| 8; 0; 127 |];
             ct_lasts = [| 128; 0; 16383 |];
             ct_undo_nxts = [| 0; 0; max_int |];
-            ct_locks = Bytes.make 130 'l';
           };
           {
             Checkpoint.ct_id = 0;
             ct_state = Txnmgr.Active;
             ct_firsts = [||];
-            ct_lasts = [||];
+            (* a 130-entry vector: its count takes a two-byte varint *)
+            ct_lasts = Array.init 130 (fun i -> i * 127);
             ct_undo_nxts = [||];
-            ct_locks = Bytes.empty;
           };
         ];
       ck_dpt = [ (1, 8); (max_int, 16384) ];
@@ -708,7 +709,27 @@ let test_checkpoint_body_codec () =
   Alcotest.(check bool) "a zero chain delta is Corrupt" true
     (match Checkpoint.decode_body (Bytes.of_string "\x01\x00\x00\x00\x01\x03\x02\x05\x00") with
     | _ -> false
-    | exception Bytebuf.Corrupt _ -> true)
+    | exception Bytebuf.Corrupt _ -> true);
+  (* next_txn 8, no scan; one Rolling_back txn 7 with three empty
+     vectors and nothing after them; no DPT, no chains *)
+  Alcotest.(check bool) "a txn entry ends at its undo-next vector" true
+    (Checkpoint.decode_body (Bytes.of_string "\x08\x00\x01\x07\x02\x00\x00\x00\x00\x00")
+    = {
+        Checkpoint.ck_scan = [||];
+        ck_txns =
+          [
+            {
+              Checkpoint.ct_id = 7;
+              ct_state = Txnmgr.Rolling_back;
+              ct_firsts = [||];
+              ct_lasts = [||];
+              ct_undo_nxts = [||];
+            };
+          ];
+        ck_dpt = [];
+        ck_chains = [];
+        ck_next_txn = 8;
+      })
 
 (* ---------- byte-identity fingerprint ---------- *)
 
@@ -726,8 +747,8 @@ let test_checkpoint_body_codec () =
    digests, not CRC32s: both images end every log segment and every page
    in the CRC32 of its own bytes, and a CRC32 over such an image cancels
    out any same-length change to those bytes. *)
-let fingerprint_log = "75df4c178eb2d25daf7f19aa0ca542bd"
-let fingerprint_disk = "4582688866feeeb6f26c931f7712260e"
+let fingerprint_log = "7e714a7811a0aac98e96c1594782b191"
+let fingerprint_disk = "bc79f92f637c28331ba3ec6d09ed16e1"
 
 let test_fingerprint () =
   let db = Db.create ~page_size:384 ~pool_capacity:4096 ~streams:2 () in
@@ -808,7 +829,7 @@ let test_fingerprint () =
    constant is the MD5 of the rendered [Stats.to_alist]; a counter that is
    lost, renamed or double-counted by a producer changes it. The trace
    checker is pinned on, since [trace.events] counts its events. *)
-let counter_digest = "18ba14ffc982b0fb1f5da2b51a1c3898"
+let counter_digest = "f077ad2f8fa24bd66e751df4bd5218e5"
 
 let test_counter_fidelity () =
   let s = Stats.create () in

@@ -361,6 +361,13 @@ let test_replay_fate_fixed_at_crash () =
 let test_replay_cross_stream_clr_forced () =
   replay_clean Workload.multistream_cfg ~seed:2010 "instant=31/116"
 
+(* Instant restart undoes in one reverse-gsn order: a loser whose records
+   are all lock-fenced must still be compensated before another loser's
+   half-open SMO beneath them is rolled back physically. Undone later, its
+   logical undo cannot find the key the physical rollback moved. *)
+let test_replay_one_undo_order () =
+  replay_clean Workload.multistream_group_cfg ~seed:2019 "instant=88"
+
 (* Bit-rot on the repair's own page write: the repairer healed the page in
    the pool, and the fix must serve that frame instead of re-reading the
    rotted image and failing with a checksum error. *)
@@ -542,6 +549,9 @@ let () =
             test_replay_fate_fixed_at_crash;
           Alcotest.test_case "replay: a cross-stream CLR is forced before rollback goes on"
             `Quick test_replay_cross_stream_clr_forced;
+          Alcotest.test_case
+            "replay: a deferred loser is undone before an eager SMO rollback beneath it" `Quick
+            test_replay_one_undo_order;
         ] );
       ( "faults",
         [

@@ -217,17 +217,16 @@ let test_prepare_body_roundtrip () =
   Alcotest.(check bool) "lock list roundtrip" true (Lockcodec.decode_list b = locks)
 
 let test_checkpoint_body_roundtrip () =
-  let ck ct_id ct_state ct_firsts ct_lasts ct_undo_nxts ct_locks =
-    { Checkpoint.ct_id; ct_state; ct_firsts; ct_lasts; ct_undo_nxts; ct_locks }
+  let ck ct_id ct_state ct_firsts ct_lasts ct_undo_nxts =
+    { Checkpoint.ct_id; ct_state; ct_firsts; ct_lasts; ct_undo_nxts }
   in
   let body =
     {
       Checkpoint.ck_scan = [| 300; 250 |];
       ck_txns =
         [
-          ck 3 Txnmgr.Active [| 10; 15 |] [| 100; 90 |] [| 90; 15 |] Bytes.empty;
-          ck 5 Txnmgr.Prepared [| 20; 0 |] [| 200; 0 |] [| 180; 0 |]
-            (Lockcodec.encode_list [ (L.Key_value (1, "k"), L.X) ]);
+          ck 3 Txnmgr.Active [| 10; 15 |] [| 100; 90 |] [| 90; 15 |];
+          ck 5 Txnmgr.Prepared [| 20; 0 |] [| 200; 0 |] [| 180; 0 |];
         ];
       ck_dpt = [ (7, 50); (9, 120) ];
       ck_chains = [ (7, [ 50; 61; 77 ]); (9, [ 120 ]) ];
