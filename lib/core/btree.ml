@@ -223,7 +223,7 @@ let log_apply t txn page body ~undoable =
   let op = Ixlog.op_of_body body in
   let lsn =
     Txnmgr.log_update t.bt_env.e_mgr txn ~page:page.Page.pid ~undoable ~rm_id:Ixlog.rm_id ~op
-      ~body:(Ixlog.encode body) ()
+      ~enc:Ixlog.enc ~body ()
   in
   Apply.apply page body;
   page.Page.page_lsn <- lsn;
@@ -235,7 +235,7 @@ let log_clr_apply env txn (r : Logrec.t) page body =
   let op = Ixlog.op_of_body body in
   let lsn =
     Txnmgr.log_clr env.e_mgr txn ~page:page.Page.pid ~undo_stream:r.Logrec.stream
-      ~rm_id:Ixlog.rm_id ~op ~body:(Ixlog.encode body) ~undo_nxt:r.Logrec.prev_lsn ()
+      ~rm_id:Ixlog.rm_id ~op ~enc:Ixlog.enc ~body ~undo_nxt:r.Logrec.prev_lsn ()
   in
   Apply.apply page body;
   page.Page.page_lsn <- lsn;

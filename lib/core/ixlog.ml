@@ -90,194 +90,210 @@ let op_name = function
   | 15 -> "nl_restore"
   | n -> Printf.sprintf "op-%d" n
 
-let write_keys w keys =
-  Bytebuf.W.u32 w (List.length keys);
-  List.iter (Key.encode w) keys
+(* Body layout: every integer (index id, page id, slot, count, index,
+   level, height, length) is an unsigned LEB128 varint, and a body's
+   booleans (and which options are present) are packed into one flags
+   byte, which comes first. A key is written by this codec, not the page
+   codec's [Key.encode]: a varint value length and the value's bytes, a
+   varint rid page and a varint rid slot. A key or page-id list is a
+   varint count and its elements.
 
-let read_keys r =
-  let n = Bytebuf.R.u32 r in
-  List.init n (fun _ -> Key.decode r)
+   The emitter below is the one description of these bytes: applied to
+   [Bytebuf.Count] it gives a body's exact size, applied to [Bytebuf.W]
+   it writes it, so [enc] cannot write other than it sizes. [decode] is
+   its mirror, checked by the codec properties of test_ixlog. *)
+let bit i b = if b then 1 lsl i else 0
 
-let write_pid_opt w = function
-  | None -> Bytebuf.W.bool w false
-  | Some pid ->
-      Bytebuf.W.bool w true;
-      Bytebuf.W.i64 w pid
+let has i f = f land (1 lsl i) <> 0
 
-let read_pid_opt r = if Bytebuf.R.bool r then Some (Bytebuf.R.i64 r) else None
+module Emit (S : Bytebuf.SINK) = struct
+  let key s (k : Key.t) =
+    S.uvar_string s k.Key.value;
+    S.uvar s k.Key.rid.Ids.rid_page;
+    S.uvar s k.Key.rid.Ids.rid_slot
 
-let encode body =
-  let w = Bytebuf.W.create () in
-  (match body with
-  | Insert_key { ix; key; reset_sm; reset_delete } ->
-      Bytebuf.W.i64 w ix;
-      Key.encode w key;
-      Bytebuf.W.bool w reset_sm;
-      Bytebuf.W.bool w reset_delete
-  | Delete_key { ix; key; reset_sm; set_sm; mark_delete_bit } ->
-      Bytebuf.W.i64 w ix;
-      Key.encode w key;
-      Bytebuf.W.bool w reset_sm;
-      Bytebuf.W.bool w set_sm;
-      Bytebuf.W.bool w mark_delete_bit
-  | Format_leaf { keys; prev; next; sm_bit } ->
-      write_keys w keys;
-      Bytebuf.W.i64 w prev;
-      Bytebuf.W.i64 w next;
-      Bytebuf.W.bool w sm_bit
-  | Leaf_truncate { removed; old_next; new_next } ->
-      write_keys w removed;
-      Bytebuf.W.i64 w old_next;
-      Bytebuf.W.i64 w new_next
-  | Leaf_restore { add_keys; set_prev; set_next } ->
-      write_keys w add_keys;
-      write_pid_opt w set_prev;
-      write_pid_opt w set_next
-  | Leaf_relink { old_prev; new_prev; old_next; new_next } ->
-      Bytebuf.W.i64 w old_prev;
-      Bytebuf.W.i64 w new_prev;
-      Bytebuf.W.i64 w old_next;
-      Bytebuf.W.i64 w new_next
-  | Leaf_unlink { old_prev; old_next } ->
-      Bytebuf.W.i64 w old_prev;
-      Bytebuf.W.i64 w old_next
-  | Format_nonleaf { level; children; high_keys; sm_bit } ->
-      Bytebuf.W.u16 w level;
-      Bytebuf.W.u32 w (List.length children);
-      List.iter (Bytebuf.W.i64 w) children;
-      write_keys w high_keys;
-      Bytebuf.W.bool w sm_bit
-  | Nl_insert_child { child_idx; sep_idx; sep; child } ->
-      Bytebuf.W.u32 w child_idx;
-      Bytebuf.W.u32 w sep_idx;
-      Key.encode w sep;
-      Bytebuf.W.i64 w child
-  | Nl_remove_child { child_idx; child; sep_idx; sep; level } ->
-      Bytebuf.W.u32 w child_idx;
-      Bytebuf.W.i64 w child;
-      Bytebuf.W.u32 w sep_idx;
-      Bytebuf.W.u16 w level;
-      (match sep with
-      | None -> Bytebuf.W.bool w false
-      | Some k ->
-          Bytebuf.W.bool w true;
-          Key.encode w k)
-  | Anchor_set { old_root; new_root; old_height; new_height } ->
-      Bytebuf.W.i64 w old_root;
-      Bytebuf.W.i64 w new_root;
-      Bytebuf.W.u16 w old_height;
-      Bytebuf.W.u16 w new_height
-  | Format_anchor { name; unique; root; height } ->
-      Bytebuf.W.string w name;
-      Bytebuf.W.bool w unique;
-      Bytebuf.W.i64 w root;
-      Bytebuf.W.u16 w height
-  | Reset_bits { sm; delete } ->
-      Bytebuf.W.bool w sm;
-      Bytebuf.W.bool w delete
-  | Nl_truncate { keep_children; removed_children; removed_high_keys } ->
-      Bytebuf.W.u32 w keep_children;
-      Bytebuf.W.u32 w (List.length removed_children);
-      List.iter (Bytebuf.W.i64 w) removed_children;
-      write_keys w removed_high_keys
-  | Nl_restore { add_children; add_high_keys } ->
-      Bytebuf.W.u32 w (List.length add_children);
-      List.iter (Bytebuf.W.i64 w) add_children;
-      write_keys w add_high_keys);
-  Bytebuf.W.contents w
+  let keys s ks = S.uvar_list s key ks
+
+  let pids s ps = S.uvar_list s S.uvar ps
+
+  let pid_opt s = function Some p -> S.uvar s p | None -> ()
+
+  let body s = function
+    | Insert_key { ix; key = k; reset_sm; reset_delete } ->
+        S.u8 s (bit 0 reset_sm lor bit 1 reset_delete);
+        S.uvar s ix;
+        key s k
+    | Delete_key { ix; key = k; reset_sm; set_sm; mark_delete_bit } ->
+        S.u8 s (bit 0 reset_sm lor bit 1 set_sm lor bit 2 mark_delete_bit);
+        S.uvar s ix;
+        key s k
+    | Format_leaf { keys = ks; prev; next; sm_bit } ->
+        S.u8 s (bit 0 sm_bit);
+        keys s ks;
+        S.uvar s prev;
+        S.uvar s next
+    | Leaf_truncate { removed; old_next; new_next } ->
+        keys s removed;
+        S.uvar s old_next;
+        S.uvar s new_next
+    | Leaf_restore { add_keys; set_prev; set_next } ->
+        S.u8 s (bit 0 (Option.is_some set_prev) lor bit 1 (Option.is_some set_next));
+        keys s add_keys;
+        pid_opt s set_prev;
+        pid_opt s set_next
+    | Leaf_relink { old_prev; new_prev; old_next; new_next } ->
+        S.uvar s old_prev;
+        S.uvar s new_prev;
+        S.uvar s old_next;
+        S.uvar s new_next
+    | Leaf_unlink { old_prev; old_next } ->
+        S.uvar s old_prev;
+        S.uvar s old_next
+    | Format_nonleaf { level; children; high_keys; sm_bit } ->
+        S.u8 s (bit 0 sm_bit);
+        S.uvar s level;
+        pids s children;
+        keys s high_keys
+    | Nl_insert_child { child_idx; sep_idx; sep; child } ->
+        S.uvar s child_idx;
+        S.uvar s sep_idx;
+        key s sep;
+        S.uvar s child
+    | Nl_remove_child { child_idx; child; sep_idx; sep; level } ->
+        S.u8 s (bit 0 (Option.is_some sep));
+        S.uvar s child_idx;
+        S.uvar s child;
+        S.uvar s sep_idx;
+        S.uvar s level;
+        Option.iter (key s) sep
+    | Anchor_set { old_root; new_root; old_height; new_height } ->
+        S.uvar s old_root;
+        S.uvar s new_root;
+        S.uvar s old_height;
+        S.uvar s new_height
+    | Format_anchor { name; unique; root; height } ->
+        S.u8 s (bit 0 unique);
+        S.uvar_string s name;
+        S.uvar s root;
+        S.uvar s height
+    | Reset_bits { sm; delete } -> S.u8 s (bit 0 sm lor bit 1 delete)
+    | Nl_truncate { keep_children; removed_children; removed_high_keys } ->
+        S.uvar s keep_children;
+        pids s removed_children;
+        keys s removed_high_keys
+    | Nl_restore { add_children; add_high_keys } ->
+        pids s add_children;
+        keys s add_high_keys
+end
+
+module Count_body = Emit (Bytebuf.Count)
+module Write_body = Emit (Bytebuf.W)
+
+let enc = Bytebuf.enc Count_body.body Write_body.body
+
+let encode body = Bytebuf.encode enc body
+
+let read_key r =
+  let value = Bytebuf.R.uvar_string r in
+  let rid_page = Bytebuf.R.uvar r in
+  let rid_slot = Bytebuf.R.uvar r in
+  Key.make value { Ids.rid_page; rid_slot }
+
+let read_keys r = Bytebuf.R.uvar_list r read_key
+
+let read_pids r = Bytebuf.R.uvar_list r Bytebuf.R.uvar
+
+let read_pid_if present r = if present then Some (Bytebuf.R.uvar r) else None
+
+let decode_from ~op r =
+  let module R = Bytebuf.R in
+  match op with
+  | 1 ->
+      let f = R.flags r ~bits:2 in
+      let ix = R.uvar r in
+      let key = read_key r in
+      Insert_key { ix; key; reset_sm = has 0 f; reset_delete = has 1 f }
+  | 2 ->
+      let f = R.flags r ~bits:3 in
+      let ix = R.uvar r in
+      let key = read_key r in
+      Delete_key { ix; key; reset_sm = has 0 f; set_sm = has 1 f; mark_delete_bit = has 2 f }
+  | 3 ->
+      let f = R.flags r ~bits:1 in
+      let keys = read_keys r in
+      let prev = R.uvar r in
+      let next = R.uvar r in
+      Format_leaf { keys; prev; next; sm_bit = has 0 f }
+  | 4 ->
+      let removed = read_keys r in
+      let old_next = R.uvar r in
+      let new_next = R.uvar r in
+      Leaf_truncate { removed; old_next; new_next }
+  | 5 ->
+      let f = R.flags r ~bits:2 in
+      let add_keys = read_keys r in
+      let set_prev = read_pid_if (has 0 f) r in
+      let set_next = read_pid_if (has 1 f) r in
+      Leaf_restore { add_keys; set_prev; set_next }
+  | 6 ->
+      let old_prev = R.uvar r in
+      let new_prev = R.uvar r in
+      let old_next = R.uvar r in
+      let new_next = R.uvar r in
+      Leaf_relink { old_prev; new_prev; old_next; new_next }
+  | 7 ->
+      let old_prev = R.uvar r in
+      let old_next = R.uvar r in
+      Leaf_unlink { old_prev; old_next }
+  | 8 ->
+      let f = R.flags r ~bits:1 in
+      let level = R.uvar r in
+      let children = read_pids r in
+      let high_keys = read_keys r in
+      Format_nonleaf { level; children; high_keys; sm_bit = has 0 f }
+  | 9 ->
+      let child_idx = R.uvar r in
+      let sep_idx = R.uvar r in
+      let sep = read_key r in
+      let child = R.uvar r in
+      Nl_insert_child { child_idx; sep_idx; sep; child }
+  | 10 ->
+      let f = R.flags r ~bits:1 in
+      let child_idx = R.uvar r in
+      let child = R.uvar r in
+      let sep_idx = R.uvar r in
+      let level = R.uvar r in
+      let sep = if has 0 f then Some (read_key r) else None in
+      Nl_remove_child { child_idx; child; sep_idx; sep; level }
+  | 11 ->
+      let old_root = R.uvar r in
+      let new_root = R.uvar r in
+      let old_height = R.uvar r in
+      let new_height = R.uvar r in
+      Anchor_set { old_root; new_root; old_height; new_height }
+  | 12 ->
+      let f = R.flags r ~bits:1 in
+      let name = R.uvar_string r in
+      let root = R.uvar r in
+      let height = R.uvar r in
+      Format_anchor { name; unique = has 0 f; root; height }
+  | 13 ->
+      let f = R.flags r ~bits:2 in
+      Reset_bits { sm = has 0 f; delete = has 1 f }
+  | 14 ->
+      let keep_children = R.uvar r in
+      let removed_children = read_pids r in
+      let removed_high_keys = read_keys r in
+      Nl_truncate { keep_children; removed_children; removed_high_keys }
+  | 15 ->
+      let add_children = read_pids r in
+      let add_high_keys = read_keys r in
+      Nl_restore { add_children; add_high_keys }
+  | n -> raise (Bytebuf.Corrupt (Printf.sprintf "bad index op %d" n))
 
 let decode ~op bytes =
   let r = Bytebuf.R.of_bytes bytes in
-  let body =
-    match op with
-    | 1 ->
-        let ix = Bytebuf.R.i64 r in
-        let key = Key.decode r in
-        let reset_sm = Bytebuf.R.bool r in
-        let reset_delete = Bytebuf.R.bool r in
-        Insert_key { ix; key; reset_sm; reset_delete }
-    | 2 ->
-        let ix = Bytebuf.R.i64 r in
-        let key = Key.decode r in
-        let reset_sm = Bytebuf.R.bool r in
-        let set_sm = Bytebuf.R.bool r in
-        let mark_delete_bit = Bytebuf.R.bool r in
-        Delete_key { ix; key; reset_sm; set_sm; mark_delete_bit }
-    | 3 ->
-        let keys = read_keys r in
-        let prev = Bytebuf.R.i64 r in
-        let next = Bytebuf.R.i64 r in
-        let sm_bit = Bytebuf.R.bool r in
-        Format_leaf { keys; prev; next; sm_bit }
-    | 4 ->
-        let removed = read_keys r in
-        let old_next = Bytebuf.R.i64 r in
-        let new_next = Bytebuf.R.i64 r in
-        Leaf_truncate { removed; old_next; new_next }
-    | 5 ->
-        let add_keys = read_keys r in
-        let set_prev = read_pid_opt r in
-        let set_next = read_pid_opt r in
-        Leaf_restore { add_keys; set_prev; set_next }
-    | 6 ->
-        let old_prev = Bytebuf.R.i64 r in
-        let new_prev = Bytebuf.R.i64 r in
-        let old_next = Bytebuf.R.i64 r in
-        let new_next = Bytebuf.R.i64 r in
-        Leaf_relink { old_prev; new_prev; old_next; new_next }
-    | 7 ->
-        let old_prev = Bytebuf.R.i64 r in
-        let old_next = Bytebuf.R.i64 r in
-        Leaf_unlink { old_prev; old_next }
-    | 8 ->
-        let level = Bytebuf.R.u16 r in
-        let nc = Bytebuf.R.u32 r in
-        let children = List.init nc (fun _ -> Bytebuf.R.i64 r) in
-        let high_keys = read_keys r in
-        let sm_bit = Bytebuf.R.bool r in
-        Format_nonleaf { level; children; high_keys; sm_bit }
-    | 9 ->
-        let child_idx = Bytebuf.R.u32 r in
-        let sep_idx = Bytebuf.R.u32 r in
-        let sep = Key.decode r in
-        let child = Bytebuf.R.i64 r in
-        Nl_insert_child { child_idx; sep_idx; sep; child }
-    | 10 ->
-        let child_idx = Bytebuf.R.u32 r in
-        let child = Bytebuf.R.i64 r in
-        let sep_idx = Bytebuf.R.u32 r in
-        let level = Bytebuf.R.u16 r in
-        let sep = if Bytebuf.R.bool r then Some (Key.decode r) else None in
-        Nl_remove_child { child_idx; child; sep_idx; sep; level }
-    | 11 ->
-        let old_root = Bytebuf.R.i64 r in
-        let new_root = Bytebuf.R.i64 r in
-        let old_height = Bytebuf.R.u16 r in
-        let new_height = Bytebuf.R.u16 r in
-        Anchor_set { old_root; new_root; old_height; new_height }
-    | 12 ->
-        let name = Bytebuf.R.string r in
-        let unique = Bytebuf.R.bool r in
-        let root = Bytebuf.R.i64 r in
-        let height = Bytebuf.R.u16 r in
-        Format_anchor { name; unique; root; height }
-    | 13 ->
-        let sm = Bytebuf.R.bool r in
-        let delete = Bytebuf.R.bool r in
-        Reset_bits { sm; delete }
-    | 14 ->
-        let keep_children = Bytebuf.R.u32 r in
-        let nc = Bytebuf.R.u32 r in
-        let removed_children = List.init nc (fun _ -> Bytebuf.R.i64 r) in
-        let removed_high_keys = read_keys r in
-        Nl_truncate { keep_children; removed_children; removed_high_keys }
-    | 15 ->
-        let nc = Bytebuf.R.u32 r in
-        let add_children = List.init nc (fun _ -> Bytebuf.R.i64 r) in
-        let add_high_keys = read_keys r in
-        Nl_restore { add_children; add_high_keys }
-    | n -> raise (Bytebuf.Corrupt (Printf.sprintf "bad index op %d" n))
-  in
+  let body = decode_from ~op r in
   Bytebuf.R.expect_end r;
   body
 

@@ -104,9 +104,19 @@ type body =
 
 val op_of_body : body -> int
 
+val enc : body Bytebuf.enc
+(** The body's exact size and its writer, from one emitter: every integer
+    a varint, the booleans in one leading flags byte, keys as a varint
+    length, the value, a varint rid page and a varint rid slot. A negative
+    field raises [Invalid_argument] when sized. {!Txnmgr.log_update} writes
+    the body with it straight into the log. *)
+
 val encode : body -> bytes
+(** [enc]'s bytes, in one exactly-sized buffer. *)
 
 val decode : op:int -> bytes -> body
+(** Raises [Bytebuf.Corrupt] on a body that is cut short, runs too long,
+    has an unknown flag bit or a malformed varint. *)
 
 val op_name : int -> string
 

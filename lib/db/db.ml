@@ -174,11 +174,12 @@ let with_txn t f =
       | Txnmgr.Committing | Txnmgr.Rolling_back -> ());
       raise e
 
-(* Snapshot format v5: log records carry varint headers, fence vectors and
-   checkpoint bodies (Logrec, Logset, Checkpoint), and the archive writes
-   its entries in stream order with no per-process log id, so v4
+(* Snapshot format v7: log records carry varint headers, fence vectors,
+   checkpoint bodies and resource-manager bodies (Logrec, Logset,
+   Checkpoint, Ixlog, Reclog, Lockcodec, Twopc), and the archive writes
+   its entries in stream order with no per-process log id, so older
    snapshots no longer decode. *)
-let snapshot_magic = "ARIESIM6"
+let snapshot_magic = "ARIESIM7"
 
 (* The image is four u32-length-prefixed parts — the magic, the disk, the
    live log set and the archive — written by each part's own writer into
@@ -225,9 +226,9 @@ let load ?pool_capacity ?config ?commit_mode ?cleaner ?checkpoint ?vgc path =
         raise
           (Aries_util.Bytebuf.Corrupt
              (Printf.sprintf "not an ariesim %s snapshot (magic %S)" snapshot_magic magic));
+      (* page images and the archive stay views of [b]: never copied *)
       let disk = Disk.deserialize_from (R.sub r) in
       let logs = Logset.deserialize_from (R.sub r) in
-      (* the archive stays a view of [b]: its segments are never copied *)
       let archive = Media.Archive.deserialize_from logs (R.sub r) in
       R.expect_end r;
       (disk, logs, archive)

@@ -188,10 +188,13 @@ val save : t -> string -> unit
 (** Persist the {e stable} state (disk images, stable log prefix + master
     record, log archive) to a file — exactly what a powered-off machine
     retains. The volatile tail and buffer pool are not saved; run
-    {!restart} after {!load}. Format magic: ["ARIESIM6"] (v6: as v5 —
+    {!restart} after {!load}. Format magic: ["ARIESIM7"] (v7: as v6 —
     varint log-record headers, fence vectors and checkpoint bodies, the
-    archive in stream order — with checkpoint bodies that carry no lock
-    lists). *)
+    archive in stream order, no lock lists in checkpoints — with varint
+    resource-manager bodies, updates that log only their changed bytes,
+    record headers without a body length, and one checkpoint entry per
+    dirty page). {!load} keeps page images and archived segments as views
+    of the file it read. *)
 
 val load :
   ?pool_capacity:int ->

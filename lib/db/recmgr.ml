@@ -36,10 +36,13 @@ let apply_data page (body : Reclog.body) =
       | Some _ -> Vec.set d.Page.dt_slots rid.Ids.rid_slot None
       | None ->
           invalid_arg (Printf.sprintf "Recmgr: delete of empty slot %s" (Ids.rid_to_string rid)))
-  | Reclog.Rec_update { rid; new_data; _ } -> (
+  | Reclog.Rec_update { rid; pre; suf; new_mid; _ } -> (
+      (* the page-LSN test lets redo see only the image this record was
+         logged against, so keeping its shared ends rebuilds the new one *)
       let d = Page.as_data page in
       match Vec.get d.Page.dt_slots rid.Ids.rid_slot with
-      | Some _ -> Vec.set d.Page.dt_slots rid.Ids.rid_slot (Some new_data)
+      | Some cur ->
+          Vec.set d.Page.dt_slots rid.Ids.rid_slot (Some (Reclog.patch rid cur ~pre ~suf ~mid:new_mid))
       | None ->
           invalid_arg (Printf.sprintf "Recmgr: update of empty slot %s" (Ids.rid_to_string rid)))
   | Reclog.Format_data { owner } ->
@@ -50,7 +53,7 @@ let apply_data page (body : Reclog.body) =
 let log_apply mgr pool txn page body ~undoable =
   let lsn =
     Txnmgr.log_update mgr txn ~page:page.Page.pid ~undoable ~rm_id:Reclog.rm_id
-      ~op:(Reclog.op_of_body body) ~body:(Reclog.encode body) ()
+      ~op:(Reclog.op_of_body body) ~enc:Reclog.enc ~body ()
   in
   apply_data page body;
   page.Page.page_lsn <- lsn;
@@ -59,7 +62,7 @@ let log_apply mgr pool txn page body ~undoable =
 let log_clr_apply mgr pool txn page body ~undo_stream ~undo_nxt =
   let lsn =
     Txnmgr.log_clr mgr txn ~page:page.Page.pid ~undo_stream ~rm_id:Reclog.rm_id
-      ~op:(Reclog.op_of_body body) ~body:(Reclog.encode body) ~undo_nxt ()
+      ~op:(Reclog.op_of_body body) ~enc:Reclog.enc ~body ~undo_nxt ()
   in
   apply_data page body;
   page.Page.page_lsn <- lsn;
@@ -90,12 +93,14 @@ let rm_redo pool (r : Logrec.t) =
 
 let rm_undo mgr pool txn (r : Logrec.t) =
   let body = Reclog.decode ~op:r.Logrec.op r.Logrec.body in
+  (* a CLR is never undone, so it carries only what its redo needs: no
+     row for a delete, no mid to put back for an update *)
   let comp =
     match body with
-    | Reclog.Rec_insert { rid; data } -> Reclog.Rec_delete { rid; data }
+    | Reclog.Rec_insert { rid; _ } -> Reclog.Rec_delete { rid; data = Bytes.empty }
     | Reclog.Rec_delete { rid; data } -> Reclog.Rec_insert { rid; data }
-    | Reclog.Rec_update { rid; old_data; new_data } ->
-        Reclog.Rec_update { rid; old_data = new_data; new_data = old_data }
+    | Reclog.Rec_update { rid; pre; suf; old_mid; _ } ->
+        Reclog.Rec_update { rid; pre; suf; old_mid = Bytes.empty; new_mid = old_mid }
     | Reclog.Format_data _ -> invalid_arg "Recmgr.undo: format records are redo-only"
   in
   let page = Bufpool.fix pool r.Logrec.page in
@@ -258,8 +263,7 @@ let update h txn rid new_data =
       | Some old_data ->
           if Bytes.length new_data > Bytes.length old_data && not (record_fits page new_data) then
             invalid_arg "Recmgr.update: new image does not fit (records do not move)";
-          log_apply h.h_mgr h.h_pool txn page
-            (Reclog.Rec_update { rid; old_data; new_data })
+          log_apply h.h_mgr h.h_pool txn page (Reclog.update rid ~old_data ~new_data)
             ~undoable:true;
           old_data)
 

@@ -7,11 +7,28 @@ let c_page_writes = Stats.counter Stats.page_writes
 let c_disk_bit_flips = Stats.counter Stats.disk_bit_flips
 let cp_disk_write = Crashpoint.point "disk.write"
 
+(* A stored image is a view [src.[off, off + len)]: a written image is
+   the whole of its own bytes, a loaded one a slice of the snapshot it
+   was parsed from, never a copy. *)
+type image = {
+  src : string;
+  off : int;
+  len : int;
+}
+
 type t = {
   psize : int;
-  store : (Ids.page_id, bytes) Hashtbl.t;
+  store : (Ids.page_id, image) Hashtbl.t;
   mutable next_pid : Ids.page_id;
 }
+
+let whole b = { src = Bytes.unsafe_to_string b; off = 0; len = Bytes.length b }
+
+(* The image as bytes: itself when it is a whole buffer, a copy of the
+   slice when it views a snapshot. *)
+let image_bytes im =
+  if im.off = 0 && im.len = String.length im.src then Bytes.unsafe_of_string im.src
+  else Bytes.of_string (String.sub im.src im.off im.len)
 
 let create ?(page_size = 4096) () = { psize = page_size; store = Hashtbl.create 64; next_pid = 1 }
 
@@ -26,17 +43,18 @@ let note_pid t pid = if pid >= t.next_pid then t.next_pid <- pid + 1
 
 (* Stored images are treated as immutable bytes: every mutation path
    (rewrite, [corrupt_flip], the torn-write fault) replaces the binding
-   with a fresh object. That is what lets [read_with_image] hand the
-   stored bytes out zero-copy, [write_image] store an image without
-   copying, and the decoded page build its entries from the stored bytes
-   on demand (see [Page.decode]). *)
+   with a fresh object. That is what lets [read_with_image] hand a
+   written image out zero-copy, [write_image] store an image without
+   copying, a load keep images as views of the snapshot, and the decoded
+   page build its entries from the stored bytes on demand (see
+   [Page.decode]). *)
 let decode_stored t pid image =
   if Faultdisk.fail_read () then begin
     Stats.incr c_disk_eio_injected;
     Storage_error.raise_err ~pid Storage_error.Io_transient "injected read EIO"
   end;
   Stats.incr c_page_reads;
-  try Page.decode ~psize:t.psize image with
+  try Page.decode_slice ~psize:t.psize image.src ~off:image.off ~len:image.len with
   | Bytebuf.Corrupt msg ->
       (* a structurally unparseable stored image (rot with CRC checks
          disabled, say) — typed, with the true pid *)
@@ -55,7 +73,7 @@ let read t pid =
 let read_with_image t pid =
   match Hashtbl.find_opt t.store pid with
   | None -> None
-  | Some image -> Some (decode_stored t pid image, image)
+  | Some image -> Some (decode_stored t pid image, image_bytes image)
 
 let store_image t pid image =
   let already = Crashpoint.tripped () in
@@ -66,9 +84,11 @@ let store_image t pid image =
         preserving the old one — only on the *tripping* event (post-trip
         hits model the frozen stable state, not more I/O). *)
      if (not already) && Faultdisk.torn_write_on () then begin
-       let old_image = Option.map Bytes.to_string (Hashtbl.find_opt t.store pid) in
+       let old_image =
+         Option.map (fun im -> String.sub im.src im.off im.len) (Hashtbl.find_opt t.store pid)
+       in
        let torn = Faultdisk.tear ~old_image ~new_image:(Bytes.to_string image) in
-       Hashtbl.replace t.store pid (Bytes.of_string torn);
+       Hashtbl.replace t.store pid (whole (Bytes.of_string torn));
        Stats.incr c_disk_torn_writes
      end;
      raise e);
@@ -81,7 +101,7 @@ let store_image t pid image =
     end
     else image
   in
-  Hashtbl.replace t.store pid image
+  Hashtbl.replace t.store pid (whole image)
 
 let fail_write_maybe pid =
   if Faultdisk.fail_write () then begin
@@ -116,19 +136,19 @@ let corrupt_drop t pid = Hashtbl.remove t.store pid
 let corrupt_flip ~seed t pid =
   match Hashtbl.find_opt t.store pid with
   | None -> ()
-  | Some image when Bytes.length image > 0 ->
+  | Some image when image.len > 0 ->
       let rng = Rng.create (0xB17F11B lxor seed) in
-      let b = Bytes.copy image in
+      let b = Bytes.of_string (String.sub image.src image.off image.len) in
       let i = Rng.int rng (Bytes.length b) and bit = Rng.int rng 8 in
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
-      Hashtbl.replace t.store pid b
+      Hashtbl.replace t.store pid (whole b)
   | Some _ -> ()
 
 let page_count t = Hashtbl.length t.store
 
 (* header: u32 page size, i64 next pid, u32 page count; per page: i64 pid
    and the u32-prefixed image *)
-let serialized_bytes t = Hashtbl.fold (fun _ im acc -> acc + 12 + Bytes.length im) t.store 16
+let serialized_bytes t = Hashtbl.fold (fun _ im acc -> acc + 12 + im.len) t.store 16
 
 let serialize_into w t =
   Bytebuf.W.u32 w t.psize;
@@ -136,8 +156,10 @@ let serialize_into w t =
   Bytebuf.W.u32 w (Hashtbl.length t.store);
   List.iter
     (fun pid ->
+      let im = Hashtbl.find t.store pid in
       Bytebuf.W.i64 w pid;
-      Bytebuf.W.bytes w (Hashtbl.find t.store pid))
+      Bytebuf.W.u32 w im.len;
+      Bytebuf.W.raw_substring w im.src im.off im.len)
     (pids t)
 
 let serialize t =
@@ -158,8 +180,9 @@ let deserialize_from r =
     for _ = 1 to n do
       let pid = Bytebuf.R.i64 r in
       last_pid := Some pid;
-      let image = Bytebuf.R.bytes r in
-      Hashtbl.replace t.store pid image
+      (* the image stays a view of the snapshot: never copied *)
+      let src, off, len = Bytebuf.R.view r in
+      Hashtbl.replace t.store pid { src; off; len }
     done;
     Bytebuf.R.expect_end r;
     t

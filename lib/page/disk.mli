@@ -38,6 +38,7 @@ val read : t -> Ids.page_id -> Page.t option
 
 val read_with_image : t -> Ids.page_id -> (Page.t * bytes) option
 (** [read] plus the raw stored image the page was decoded from, zero-copy
+    for a written image and a copy for one that views a loaded snapshot
     (stored images are immutable: every mutation replaces the binding;
     the page itself builds its entries from these bytes on demand, see
     {!Page.decode}). The caller must not mutate the image.
@@ -96,6 +97,7 @@ val serialize : t -> bytes
 
 val deserialize_from : Aries_util.Bytebuf.R.t -> t
 (** Parse a {!serialize_into} image, to the reader's end. Each page image
-    is copied into the store (stored images are owned bytes). *)
+    stays a view of the reader's source string, never copied: the source
+    must not be mutated. {!read_with_image} copies a viewed image out. *)
 
 val deserialize : bytes -> t

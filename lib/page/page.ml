@@ -270,24 +270,25 @@ let decode_body ~psize r =
    image must surface as a typed checksum error (which the buffer manager
    turns into quarantine + repair), never as a garbage structural decode.
    An image without the version byte is not a page image. *)
-let decode ~psize b =
-  let n = Bytes.length b in
-  if n < 1 + 17 + 4 || Char.code (Bytes.get b 0) <> version_tag then
+let decode_slice ~psize src ~off ~len:n =
+  if n < 1 + 17 + 4 || Char.code src.[off] <> version_tag then
     Storage_error.raise_err Storage_error.Decode
       "not a page image (%dB, want a %02x version byte and >= 22B)" n version_tag;
-  let stored = Int32.to_int (Bytes.get_int32_le b (n - 4)) land 0xFFFFFFFF in
+  let stored = Int32.to_int (String.get_int32_le src (off + n - 4)) land 0xFFFFFFFF in
   if Faultdisk.crc_checks_enabled () then begin
-    let crc = Crc.update 0 (Bytes.unsafe_to_string b) 0 (n - 4) in
+    let crc = Crc.update 0 src off (n - 4) in
     if crc <> stored then begin
       (* sniff the claimed pid (offset 2: after version byte + kind tag)
          purely for diagnostics — it may itself be rotten *)
-      let pid = Int64.to_int (Bytes.get_int64_le b 2) in
+      let pid = Int64.to_int (String.get_int64_le src (off + 2)) in
       Storage_error.raise_err ~pid Storage_error.Checksum
         "page image CRC mismatch (stored %08x, computed %08x, %dB)" stored crc n
     end
   end;
   (* zero-copy: parse the body straight out of the image slice *)
-  decode_body ~psize (Bytebuf.R.of_substring (Bytes.unsafe_to_string b) ~off:1 ~len:(n - 5))
+  decode_body ~psize (Bytebuf.R.of_substring src ~off:(off + 1) ~len:(n - 5))
+
+let decode ~psize b = decode_slice ~psize (Bytes.unsafe_to_string b) ~off:0 ~len:(Bytes.length b)
 
 let equal a b = a.pid = b.pid && a.page_lsn = b.page_lsn && Bytes.equal (encode a) (encode b)
 

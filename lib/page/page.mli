@@ -129,6 +129,10 @@ val decode : psize:int -> bytes -> t
     byte, or are too short to hold a header and CRC, raise
     [Storage_error.Error] with cause [Decode]. *)
 
+val decode_slice : psize:int -> string -> off:int -> len:int -> t
+(** {!decode} of the image [src.[off, off + len)], read in place: a page
+    image viewed inside a loaded snapshot. *)
+
 val equal : t -> t -> bool
 (** Structural equality of pid, LSN and content (latch excluded); used by
     media-recovery tests to compare a recovered page with the live one. *)

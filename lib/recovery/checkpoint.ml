@@ -23,7 +23,8 @@ type body = {
       (* per stream, the append horizon captured immediately before the
          Begin_ckpt was appended: where analysis starts its scan of that
          stream. ck_scan.(0) = begin_lsn by construction (Begin lands at
-         the captured horizon of the control stream). Records appended
+         the captured horizon of the control stream), so the body leaves
+         it out and the decoder takes it back. Records appended
          between the capture and the body snapshot are covered twice —
          by the scan and by the body — which fuzzy reconciliation absorbs. *)
   ck_txns : ck_txn list;
@@ -36,47 +37,121 @@ type body = {
 }
 
 (* Body layout: every integer an unsigned LEB128 varint
-   ({!Bytebuf.W.uvar}), every list and vector count-prefixed by one. A
-   page's chain is delta-coded: each LSN is written as its distance from
-   the previous one (the first from 0), so a chain must be strictly
-   ascending, which the encoder checks and the decoder re-checks (a zero
-   delta is corrupt). *)
+   ({!Bytebuf.W.uvar}), every list and vector count-prefixed by one.
+
+   - the txn-id high-water mark;
+   - the stream count and ck_scan without its stream-0 entry, which is
+     the Begin_ckpt's LSN by construction (the End_ckpt's prev_lsn) and
+     comes back from the decoder's [begin_lsn];
+   - the transaction entries;
+   - one entry per dirty page, in ascending page order: the page id as
+     its distance from the previous entry's (the first from 0); the
+     recLSN as its signed distance back from the Begin_ckpt, zigzag-coded
+     (a page on another stream has its own offsets); and the page's
+     chain. The chain starts with a tag, twice its length plus one if its
+     first LSN is the recLSN itself, which is then not written; each LSN
+     written is its distance from the one before (the first from the
+     recLSN). Tag 0 means no known chain. Every page distance and every
+     chain distance written must be positive, which the encoder checks
+     and the decoder re-checks.
+
+   So the in-memory DPT and chain lists are one list on the log: every
+   chained page must be in the DPT, with a non-empty chain that starts at
+   or after its recLSN. *)
 let encode_vec w v =
   Bytebuf.W.uvar w (Array.length v);
   Array.iter (Bytebuf.W.uvar w) v
 
 let decode_vec r = Array.of_list (Bytebuf.R.uvar_list r Bytebuf.R.uvar)
 
-let encode_chain w (pid, chain) =
-  Bytebuf.W.uvar w pid;
-  Bytebuf.W.uvar w (List.length chain);
+let corrupt fmt = Printf.ksprintf (fun m -> raise (Bytebuf.Corrupt m)) fmt
+
+let refuse fmt = Printf.ksprintf (fun m -> invalid_arg ("Checkpoint.encode_body: " ^ m)) fmt
+
+let zigzag d = if d >= 0 then 2 * d else (-2 * d) - 1
+
+let unzigzag z = if z land 1 = 0 then z lsr 1 else -((z + 1) lsr 1)
+
+let encode_chain w pid rec_lsn chain =
+  let starts_at_rec = match chain with l :: _ -> l = rec_lsn | [] -> false in
+  Bytebuf.W.uvar w ((2 * List.length chain) + if starts_at_rec then 1 else 0);
+  let written = if starts_at_rec then List.tl chain else chain in
   ignore
     (List.fold_left
        (fun prev l ->
-         if l <= prev then
-           invalid_arg
-             (Printf.sprintf "Checkpoint.encode_body: page %d chain not ascending (%d after %d)" pid
-                l prev);
+         if l <= prev then refuse "page %d chain not ascending (%d after %d)" pid l prev;
          Bytebuf.W.uvar w (l - prev);
          l)
-       0 chain)
+       rec_lsn written)
 
-let decode_chain r =
-  let pid = Bytebuf.R.uvar r in
+let decode_chain r pid rec_lsn =
+  let tag = Bytebuf.R.uvar r in
+  if tag = 1 then corrupt "page %d chain tag 1" pid;
+  let n = tag lsr 1 in
+  let starts_at_rec = tag land 1 = 1 in
+  if n > Bytebuf.R.remaining r + 1 then corrupt "page %d chain of %d exceeds the body" pid n;
+  let prev = ref rec_lsn in
+  let next i =
+    if i = 0 && starts_at_rec then rec_lsn
+    else begin
+      let d = Bytebuf.R.uvar r in
+      if d = 0 then corrupt "page %d chain not ascending" pid;
+      prev := !prev + d;
+      !prev
+    end
+  in
+  List.init n next
+
+let encode_pages w ~begin_lsn dpt chains =
+  Bytebuf.W.uvar w (List.length dpt);
+  let _, rest =
+    List.fold_left
+      (fun (prev, chains) (pid, rec_lsn) ->
+        if pid <= prev then refuse "dirty page table not ascending (%d after %d)" pid prev;
+        let back = begin_lsn - rec_lsn in
+        if rec_lsn < 0 || back > max_int / 2 || back < -(max_int / 2) then
+          refuse "page %d recLSN %d out of range of the Begin_ckpt at %d" pid rec_lsn begin_lsn;
+        Bytebuf.W.uvar w (pid - prev);
+        Bytebuf.W.uvar w (zigzag back);
+        match chains with
+        | (cpid, chain) :: chains when cpid = pid ->
+            if chain = [] then refuse "page %d has an empty chain" pid;
+            encode_chain w pid rec_lsn chain;
+            (pid, chains)
+        | _ ->
+            Bytebuf.W.uvar w 0;
+            (pid, chains))
+      (0, chains) dpt
+  in
+  match rest with
+  | [] -> ()
+  | (pid, _) :: _ -> refuse "chain of page %d, not in the dirty page table" pid
+
+let decode_pages r ~begin_lsn =
   let prev = ref 0 in
-  let chain =
+  let pages =
     Bytebuf.R.uvar_list r (fun r ->
         let d = Bytebuf.R.uvar r in
-        if d = 0 then raise (Bytebuf.Corrupt (Printf.sprintf "page %d chain not ascending" pid));
-        prev := !prev + d;
-        !prev)
+        if d = 0 then corrupt "dirty page table not ascending";
+        let pid = !prev + d in
+        prev := pid;
+        let rec_lsn = begin_lsn - unzigzag (Bytebuf.R.uvar r) in
+        if rec_lsn < 0 then corrupt "page %d recLSN below 0" pid;
+        (pid, rec_lsn, decode_chain r pid rec_lsn))
   in
-  (pid, chain)
+  ( List.map (fun (pid, rec_lsn, _) -> (pid, rec_lsn)) pages,
+    List.filter_map (fun (pid, _, chain) -> if chain = [] then None else Some (pid, chain)) pages )
 
-let encode_body b =
+let encode_body ~begin_lsn b =
+  let n = Array.length b.ck_scan in
+  if n > 0 && b.ck_scan.(0) <> begin_lsn then
+    refuse "stream 0 scans from %d, not the Begin_ckpt at %d" b.ck_scan.(0) begin_lsn;
   let w = Bytebuf.W.create () in
   Bytebuf.W.uvar w b.ck_next_txn;
-  encode_vec w b.ck_scan;
+  Bytebuf.W.uvar w n;
+  for i = 1 to n - 1 do
+    Bytebuf.W.uvar w b.ck_scan.(i)
+  done;
   Bytebuf.W.uvar_list w
     (fun w ct ->
       Bytebuf.W.uvar w ct.ct_id;
@@ -85,18 +160,18 @@ let encode_body b =
       encode_vec w ct.ct_lasts;
       encode_vec w ct.ct_undo_nxts)
     b.ck_txns;
-  Bytebuf.W.uvar_list w
-    (fun w (pid, rec_lsn) ->
-      Bytebuf.W.uvar w pid;
-      Bytebuf.W.uvar w rec_lsn)
-    b.ck_dpt;
-  Bytebuf.W.uvar_list w encode_chain b.ck_chains;
+  encode_pages w ~begin_lsn b.ck_dpt b.ck_chains;
   Bytebuf.W.contents w
 
-let decode_body bytes =
+let decode_body ~begin_lsn bytes =
   let r = Bytebuf.R.of_bytes bytes in
   let ck_next_txn = Bytebuf.R.uvar r in
-  let ck_scan = decode_vec r in
+  let n = Bytebuf.R.uvar r in
+  if n > Bytebuf.R.remaining r + 1 then corrupt "%d streams exceed the body" n;
+  let ck_scan = Array.make n begin_lsn in
+  for i = 1 to n - 1 do
+    ck_scan.(i) <- Bytebuf.R.uvar r
+  done;
   let ck_txns =
     Bytebuf.R.uvar_list r (fun r ->
         let ct_id = Bytebuf.R.uvar r in
@@ -106,13 +181,7 @@ let decode_body bytes =
         let ct_undo_nxts = decode_vec r in
         { ct_id; ct_state; ct_firsts; ct_lasts; ct_undo_nxts })
   in
-  let ck_dpt =
-    Bytebuf.R.uvar_list r (fun r ->
-        let pid = Bytebuf.R.uvar r in
-        let rec_lsn = Bytebuf.R.uvar r in
-        (pid, rec_lsn))
-  in
-  let ck_chains = Bytebuf.R.uvar_list r decode_chain in
+  let ck_dpt, ck_chains = decode_pages r ~begin_lsn in
   Bytebuf.R.expect_end r;
   { ck_scan; ck_txns; ck_dpt; ck_chains; ck_next_txn }
 
@@ -176,7 +245,8 @@ let take mgr pool =
     }
   in
   let end_rec =
-    Logrec.make ~body:(encode_body body) ~txn:Ids.nil_txn ~prev_lsn:begin_lsn Logrec.End_ckpt
+    Logrec.make ~body:(encode_body ~begin_lsn body) ~txn:Ids.nil_txn ~prev_lsn:begin_lsn
+      Logrec.End_ckpt
   in
   let end_lsn = Logset.append logs ~stream:0 end_rec in
   (* Crash-ordering: *every* stream must be forced before the master record
@@ -222,6 +292,6 @@ let last_complete wal =
            end)
      with Exit -> ());
     match !found with
-    | Some r -> Some (m, r.Logrec.lsn, decode_body r.Logrec.body)
+    | Some r -> Some (m, r.Logrec.lsn, decode_body ~begin_lsn:m r.Logrec.body)
     | None -> None
   end

@@ -67,11 +67,17 @@ val redo_points : Aries_wal.Logset.t -> body -> Lsn.t array
     RecLSNs are per-stream byte offsets; cross-stream minima are
     meaningless. *)
 
-val encode_body : body -> bytes
-(** Every integer a varint, every list count-prefixed by one, and each
-    page's chain delta-coded. Raises [Invalid_argument] on a chain that is
-    not strictly ascending, or on a negative field. *)
+val encode_body : begin_lsn:Lsn.t -> body -> bytes
+(** Every integer a varint, every list count-prefixed by one. [ck_scan]'s
+    stream-0 entry is left out: it must be [begin_lsn]. The DPT and the
+    chains are written as one entry per dirty page — a page-id delta, the
+    recLSN and the chain as deltas from the recLSN, count 0 for a
+    chainless page. Raises [Invalid_argument] on a negative field, a DPT
+    or chain that is not strictly ascending (a chain may start at its
+    recLSN), an empty chain, a chain whose page is not in the DPT, or a
+    stream-0 scan point other than [begin_lsn]. *)
 
-val decode_body : bytes -> body
-(** Raises [Bytebuf.Corrupt] on a body that does not decode, a chain
-    delta of zero included. *)
+val decode_body : begin_lsn:Lsn.t -> bytes -> body
+(** [begin_lsn] is the Begin_ckpt's LSN (the End_ckpt's [prev_lsn]).
+    Raises [Bytebuf.Corrupt] on a body that does not decode, a zero page
+    or later chain delta included. *)

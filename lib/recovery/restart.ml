@@ -195,7 +195,7 @@ let analysis ~index logs =
       (match r.Logrec.kind with
       | Logrec.End_ckpt ->
           (* merge checkpointed state: scan-derived knowledge wins *)
-          let body = Checkpoint.decode_body r.Logrec.body in
+          let body = Checkpoint.decode_body ~begin_lsn:r.Logrec.prev_lsn r.Logrec.body in
           if body.Checkpoint.ck_next_txn > !next_txn then
             next_txn := body.Checkpoint.ck_next_txn;
           List.iter

@@ -4,50 +4,59 @@
    shard, appended to the participant's Prepare body by
    [Txnmgr.encode_prepare_body]), the coordinator decision body
    (Coord_commit / Coord_abort: gid + participant shard list), and the
-   Coord_end body (gid only). All fixed-width little-endian via [Bytebuf],
-   with [expect_end] so truncated input is rejected as [Corrupt] — the
+   Coord_end body (gid only). Every integer is a varint and a list is a
+   varint count and its elements; each body is sized and written by one
+   emitter, and [expect_end] rejects trailing input as [Corrupt] — the
    property tests drive both directions. *)
 
 open Aries_util
 module Logrec = Aries_wal.Logrec
 module Lsn = Aries_wal.Lsn
 
-let encode_prepare_meta ~gid ~coord =
-  let w = Bytebuf.W.create ~size:10 () in
-  Bytebuf.W.i64 w gid;
-  Bytebuf.W.u16 w coord;
-  Bytebuf.W.contents w
+module Emit (S : Bytebuf.SINK) = struct
+  let prepare_meta s (gid, coord) =
+    S.uvar s gid;
+    S.uvar s coord
+
+  let decision s (gid, parts) =
+    S.uvar s gid;
+    S.uvar_list s S.uvar parts
+end
+
+module Count_body = Emit (Bytebuf.Count)
+module Write_body = Emit (Bytebuf.W)
+
+let meta_enc = Bytebuf.enc Count_body.prepare_meta Write_body.prepare_meta
+
+let decision_enc = Bytebuf.enc Count_body.decision Write_body.decision
+
+let end_enc = Bytebuf.enc Bytebuf.Count.uvar Bytebuf.W.uvar
+
+let decode b f =
+  let r = Bytebuf.R.of_bytes b in
+  let v = f r in
+  Bytebuf.R.expect_end r;
+  v
+
+let encode_prepare_meta ~gid ~coord = Bytebuf.encode meta_enc (gid, coord)
 
 let decode_prepare_meta b =
-  let r = Bytebuf.R.of_bytes b in
-  let gid = Bytebuf.R.i64 r in
-  let coord = Bytebuf.R.u16 r in
-  Bytebuf.R.expect_end r;
-  (gid, coord)
+  decode b (fun r ->
+      let gid = Bytebuf.R.uvar r in
+      let coord = Bytebuf.R.uvar r in
+      (gid, coord))
 
-let encode_decision ~gid ~parts =
-  let w = Bytebuf.W.create ~size:(12 + (2 * List.length parts)) () in
-  Bytebuf.W.i64 w gid;
-  Bytebuf.W.list w Bytebuf.W.u16 parts;
-  Bytebuf.W.contents w
+let encode_decision ~gid ~parts = Bytebuf.encode decision_enc (gid, parts)
 
 let decode_decision b =
-  let r = Bytebuf.R.of_bytes b in
-  let gid = Bytebuf.R.i64 r in
-  let parts = Bytebuf.R.list r Bytebuf.R.u16 in
-  Bytebuf.R.expect_end r;
-  (gid, parts)
+  decode b (fun r ->
+      let gid = Bytebuf.R.uvar r in
+      let parts = Bytebuf.R.uvar_list r Bytebuf.R.uvar in
+      (gid, parts))
 
-let encode_end ~gid =
-  let w = Bytebuf.W.create ~size:8 () in
-  Bytebuf.W.i64 w gid;
-  Bytebuf.W.contents w
+let encode_end ~gid = Bytebuf.encode end_enc gid
 
-let decode_end b =
-  let r = Bytebuf.R.of_bytes b in
-  let gid = Bytebuf.R.i64 r in
-  Bytebuf.R.expect_end r;
-  gid
+let decode_end b = decode b Bytebuf.R.uvar
 
 type decision = { dc_commit : bool; dc_lsn : Lsn.t; dc_end : int }
 

@@ -139,11 +139,13 @@ let begin_txn t =
   bind_fiber t txn;
   txn
 
-let append t txn ~stream rec_ =
-  let lsn = Logset.append t.logs ~stream rec_ in
+let append_body t txn ~stream rec_ enc body =
+  let lsn = Logset.append_body t.logs ~stream rec_ enc body in
   if Lsn.is_nil txn.firsts.(stream) then txn.firsts.(stream) <- lsn;
   txn.lasts.(stream) <- lsn;
   lsn
+
+let append t txn ~stream rec_ = append_body t txn ~stream rec_ Bytebuf.raw_bytes rec_.Logrec.body
 
 (* Routing: page records go to the page's stream (all of a page's records
    share one stream, preserving pageLSN/recLSN semantics); pageless records
@@ -152,19 +154,19 @@ let route t txn page =
   if page <> Ids.nil_page then Logset.route_page t.logs page
   else Logset.route_txn t.logs txn.txn_id
 
-let log_update t txn ?(page = Ids.nil_page) ?undoable ?redoable ~rm_id ~op ~body () =
+let log_update t txn ?(page = Ids.nil_page) ?undoable ?redoable ~rm_id ~op ~enc ~body () =
   let stream = route t txn page in
   let r =
-    Logrec.make ~page ?undoable ?redoable ~rm_id ~op ~body ~txn:txn.txn_id
-      ~prev_lsn:txn.lasts.(stream) Logrec.Update
+    Logrec.make ~page ?undoable ?redoable ~rm_id ~op ~txn:txn.txn_id ~prev_lsn:txn.lasts.(stream)
+      Logrec.Update
   in
-  let lsn = append t txn ~stream r in
+  let lsn = append_body t txn ~stream r enc body in
   if (match undoable with Some false -> false | Some true | None -> true) then
     txn.undo_nxts.(stream) <- lsn;
   lsn
 
-let log_clr t txn ?(page = Ids.nil_page) ?stream ?undo_stream ?(rm_id = 0) ?(op = 0)
-    ?(body = Bytes.empty) ~undo_nxt () =
+let log_clr t txn ?(page = Ids.nil_page) ?stream ?undo_stream ?(rm_id = 0) ?(op = 0) ~enc ~body
+    ~undo_nxt () =
   let stream = match stream with Some s -> s | None -> route t txn page in
   (* [undo_stream] is the stream of the record being compensated — where
      the cursor jump applies. A logical undo's CLR can land on a different
@@ -174,10 +176,10 @@ let log_clr t txn ?(page = Ids.nil_page) ?stream ?undo_stream ?(rm_id = 0) ?(op 
      (page-oriented compensation, dummy CLRs). *)
   let undo_stream = match undo_stream with Some s -> s | None -> stream in
   let r =
-    Logrec.make ~page ~undo_nxt_lsn:undo_nxt ~undo_nxt_stream:undo_stream ~rm_id ~op ~body
+    Logrec.make ~page ~undo_nxt_lsn:undo_nxt ~undo_nxt_stream:undo_stream ~rm_id ~op
       ~txn:txn.txn_id ~prev_lsn:txn.lasts.(stream) Logrec.Clr
   in
-  let lsn = append t txn ~stream r in
+  let lsn = append_body t txn ~stream r enc body in
   txn.undo_nxts.(undo_stream) <- undo_nxt;
   (* A CLR on another stream than the record it compensates has no order
      against this transaction's later CLRs on [undo_stream]: a crash could
@@ -258,7 +260,9 @@ let nta_end t txn mark =
     mark.nta_lasts;
   match List.rev !moved with
   | [] -> Lsn.nil
-  | [ s ] -> log_clr t txn ~stream:s ~undo_nxt:mark.nta_cursors.(s) ()
+  | [ s ] ->
+      log_clr t txn ~stream:s ~enc:Bytebuf.raw_bytes ~body:Bytes.empty
+        ~undo_nxt:mark.nta_cursors.(s) ()
   | moved ->
       let ctl = txn_stream t txn.txn_id in
       let jumps = List.map (fun s -> (s, mark.nta_cursors.(s))) moved in

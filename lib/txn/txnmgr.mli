@@ -186,11 +186,14 @@ val log_update :
   ?redoable:bool ->
   rm_id:int ->
   op:int ->
-  body:bytes ->
+  enc:'a Bytebuf.enc ->
+  body:'a ->
   unit ->
   Lsn.t
 (** Routed by page ([hash(page) mod N]; pageless records by txn id), so all
-    of a page's records share one stream. *)
+    of a page's records share one stream. [enc] writes [body] straight
+    into the log ({!Logmgr.append_body}); [Bytebuf.raw_bytes] logs bytes
+    as they are. *)
 
 val log_clr :
   t ->
@@ -200,7 +203,8 @@ val log_clr :
   ?undo_stream:int ->
   ?rm_id:int ->
   ?op:int ->
-  ?body:bytes ->
+  enc:'a Bytebuf.enc ->
+  body:'a ->
   undo_nxt:Lsn.t ->
   unit ->
   Lsn.t

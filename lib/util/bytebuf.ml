@@ -80,7 +80,9 @@ module W = struct
      live in registers, so a varint write allocates nothing. *)
   let uvar_long t v =
     if v < 0 then invalid_arg (Printf.sprintf "Bytebuf.W.uvar: negative value %d" v);
-    ensure t uvar_max_bytes;
+    (* exactly the varint's bytes: a writer sized to its output (see
+       {!encode}, the WAL's segment arena) must not grow near its end *)
+    ensure t (uvar_size v);
     let buf = t.buf and v = ref v and pos = ref t.len in
     while !v >= 0x80 do
       Bytes.unsafe_set buf !pos (Char.unsafe_chr (!v land 0x7f lor 0x80));
@@ -112,9 +114,11 @@ module W = struct
 
   let bytes t b = string t (Bytes.unsafe_to_string b)
 
-  let uvar_bytes t b =
-    uvar t (Bytes.length b);
-    raw_string t (Bytes.unsafe_to_string b)
+  let uvar_string t s =
+    uvar t (String.length s);
+    raw_string t s
+
+  let uvar_bytes t b = uvar_string t (Bytes.unsafe_to_string b)
 
   let list t f xs =
     u32 t (List.length xs);
@@ -142,9 +146,11 @@ module W = struct
     if off < 0 || off + 4 > t.len then invalid_arg "Bytebuf.W.get_u32: out of range";
     Int32.to_int (Bytes.get_int32_le t.buf off) land 0xFFFFFFFF
 
-  let crc ?(off = 0) t =
+  let crc_from t off =
     if off < 0 || off > t.len then invalid_arg "Bytebuf.W.crc: out of range";
     Crc.update 0 (Bytes.unsafe_to_string t.buf) off (t.len - off)
+
+  let crc ?(off = 0) t = crc_from t off
 
   (* Append [src]'s contents to [dst] and return their CRC32, computed over
      the freshly written region — the frame-append path's single-pass
@@ -157,6 +163,61 @@ module W = struct
     dst.len <- dst.len + n;
     Crc.update 0 (Bytes.unsafe_to_string dst.buf) off n
 end
+
+module type SINK = sig
+  type t
+
+  val u8 : t -> int -> unit
+  val uvar : t -> int -> unit
+  val uvar_string : t -> string -> unit
+  val uvar_list : t -> (t -> 'a -> unit) -> 'a list -> unit
+end
+
+module Count = struct
+  type t = { mutable n : int }
+
+  let create () = { n = 0 }
+
+  let length t = t.n
+
+  let u8 t v =
+    if v < 0 || v > 0xff then invalid_arg (Printf.sprintf "Bytebuf.Count.u8: %d out of range" v);
+    t.n <- t.n + 1
+
+  let uvar t v = t.n <- t.n + uvar_size v
+
+  let uvar_string t s = t.n <- t.n + uvar_size (String.length s) + String.length s
+
+  let uvar_list t f xs =
+    uvar t (List.length xs);
+    List.iter (fun x -> f t x) xs
+end
+
+type 'a enc = {
+  size : 'a -> int;
+  write : W.t -> 'a -> unit;
+}
+
+let enc count write =
+  {
+    size =
+      (fun v ->
+        let c = Count.create () in
+        count c v;
+        Count.length c);
+    write;
+  }
+
+let raw_bytes =
+  { size = Bytes.length; write = (fun w b -> W.raw_string w (Bytes.unsafe_to_string b)) }
+
+let encode e v =
+  let n = e.size v in
+  let w = { W.buf = Bytes.create n; len = 0 } in
+  e.write w v;
+  if w.W.len <> n then
+    invalid_arg (Printf.sprintf "Bytebuf.encode: wrote %d bytes, sized %d" w.W.len n);
+  w.W.buf
 
 module R = struct
   type t = {
@@ -257,13 +318,24 @@ module R = struct
 
   let bytes t = Bytes.unsafe_of_string (string t)
 
-  let uvar_bytes t =
-    let n = uvar t in
+  let raw_bytes t n =
     need t n;
     let b = Bytes.create n in
     Bytes.blit_string t.src t.pos b 0 n;
     t.pos <- t.pos + n;
     b
+
+  let uvar_bytes t = raw_bytes t (uvar t)
+
+  let uvar_string t = Bytes.unsafe_to_string (uvar_bytes t)
+
+  let rest_bytes t = raw_bytes t (remaining t)
+
+  let flags t ~bits =
+    let f = u8 t in
+    if f lsr bits <> 0 then
+      raise (Corrupt (Printf.sprintf "bad flags byte 0x%02x at offset %d" f (t.pos - 1)));
+    f
 
   let view t =
     let n = u32 t in

@@ -76,8 +76,11 @@ module W : sig
 
   val bytes : t -> bytes -> unit
 
-  val uvar_bytes : t -> bytes -> unit
+  val uvar_string : t -> string -> unit
   (** {!uvar} length, then the bytes. *)
+
+  val uvar_bytes : t -> bytes -> unit
+  (** {!uvar_string} of the bytes. *)
 
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   (** u32 count followed by each element written with the given encoder —
@@ -110,11 +113,58 @@ module W : sig
   (** CRC32 of the contents from [off] (default 0) to the end, computed in
       place over the arena — no copy. *)
 
+  val crc_from : t -> int -> int
+  (** {!crc} with a required offset: the call allocates nothing. *)
+
   val append_with_crc : t -> t -> int
   (** [append_with_crc dst src] appends [src]'s contents to [dst] and
       returns their CRC32, computed over the freshly written region — the
       frame-append path's copy+checksum with no intermediate buffer. *)
 end
+
+(** {2 Sized body encoders}
+
+    A log body is written straight into the WAL's segment arena, so the
+    arena must know its exact size first. A body kind describes its bytes
+    once, as an emitter over a {!SINK}; applied to {!Count} the emitter
+    yields the size, applied to {!W} the bytes, so the two cannot
+    disagree. *)
+
+module type SINK = sig
+  type t
+
+  val u8 : t -> int -> unit
+
+  val uvar : t -> int -> unit
+  (** Raises [Invalid_argument] on a negative value. *)
+
+  val uvar_string : t -> string -> unit
+
+  val uvar_list : t -> (t -> 'a -> unit) -> 'a list -> unit
+end
+
+module Count : sig
+  include SINK
+
+  val create : unit -> t
+
+  val length : t -> int
+  (** The bytes a {!W} would have been given. *)
+end
+
+type 'a enc = {
+  size : 'a -> int;  (** exact encoded length; raises [Invalid_argument] on a negative field *)
+  write : W.t -> 'a -> unit;  (** writes exactly [size] bytes *)
+}
+
+val enc : (Count.t -> 'a -> unit) -> (W.t -> 'a -> unit) -> 'a enc
+(** [enc count write]: the two instances of one emitter. *)
+
+val raw_bytes : bytes enc
+(** The bytes themselves, no length prefix. *)
+
+val encode : 'a enc -> 'a -> bytes
+(** One exactly-sized buffer, written once; no copy out of a writer. *)
 
 module R : sig
   type t
@@ -154,6 +204,19 @@ module R : sig
 
   val uvar_bytes : t -> bytes
   (** Inverse of {!W.uvar_bytes}; a fresh copy. *)
+
+  val uvar_string : t -> string
+  (** Inverse of {!W.uvar_string}. *)
+
+  val raw_bytes : t -> int -> bytes
+  (** The next [n] bytes, copied; {!Corrupt} if fewer remain. *)
+
+  val rest_bytes : t -> bytes
+  (** Every byte left in the slice, copied. *)
+
+  val flags : t -> bits:int -> int
+  (** A flags byte with only its low [bits] bits in use; {!Corrupt} if a
+      higher bit is set. *)
 
   val view : t -> string * int * int
   (** Read a u32-length-prefixed slice in place: [(src, off, len)], the

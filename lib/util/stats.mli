@@ -152,11 +152,6 @@ val bufpool_image_hits : string
 val bufpool_image_misses : string
 (** No producer, like {!bufpool_image_hits}. *)
 
-val wal_encode_arena_reuses : string
-(** Log-record appends whose encode arena was reused without regrowth —
-    with a steady record-size profile this tracks [log.records] and the
-    append path allocates no per-record buffers. *)
-
 val log_tail_truncated_bytes : string
 (** Bytes of torn/garbage log tail discarded by the restart tail-scan. *)
 

@@ -1,7 +1,6 @@
 open Aries_util
 module Trace = Aries_trace.Trace
 
-let c_wal_encode_arena_reuses = Stats.counter Stats.wal_encode_arena_reuses
 let c_log_records = Stats.counter Stats.log_records
 let c_log_bytes = Stats.counter Stats.log_bytes
 let c_log_seals = Stats.counter Stats.log_seals
@@ -77,9 +76,6 @@ type t = {
   mutable master_lsn : Lsn.t;
   mutable count : int;
   mutable archive_sink : (archived -> unit) option;
-  enc : Bytebuf.W.t;
-      (* per-log record-encode arena, reused across appends — the append
-         hot path allocates nothing per record *)
 }
 
 let next_id = ref 0
@@ -112,7 +108,6 @@ let make ~segment_size ~sealed ~active =
     master_lsn = Lsn.nil;
     count = 0;
     archive_sink = None;
-    enc = Bytebuf.W.create ~size:256 ();
   }
 
 let create ?(segment_size = default_segment_size) () =
@@ -172,27 +167,30 @@ let find_segment t off =
           (Printf.sprintf "Logmgr: offset %d out of range [%d,%d) (truncated or unwritten)" off
              (start t) (end_offset t))
 
-let append t rec_ =
+let append_body t rec_ ~stream ~epoch ~gsn (enc : 'a Bytebuf.enc) (body : 'a) =
   Crashpoint.hit cp_wal_append;
   let lsn = end_offset t in
-  (* Encode into the per-log arena (reused across appends; reuse without
-     regrowth is counted), then frame straight into the segment arena:
-     the length prefix, one blit of the payload with its CRC computed
-     over the freshly written bytes in the same region, and the CRC
-     trailer — no intermediate payload or frame buffer. A record with a
-     negative field raises in the encoder, before the segment is touched.
-     Byte layout: [u32 len][payload][u32 crc32(payload)]. *)
-  let cap0 = Bytebuf.W.capacity t.enc in
-  Logrec.encode_into t.enc { rec_ with lsn };
-  if Bytebuf.W.capacity t.enc = cap0 then Stats.incr c_wal_encode_arena_reuses;
-  let n = Bytebuf.W.length t.enc in
+  (* Size the record first, then frame it straight into the segment
+     arena: the length prefix, the header with its stamps, the body from
+     its own writer, and the CRC trailer computed over the region just
+     written. The record is not copied, nor its body built anywhere
+     else. A negative field raises while sizing, before the segment is
+     touched. Byte layout: [u32 len][payload][u32 crc32(payload)]. *)
+  let n = Logrec.header_size rec_ ~stream ~epoch ~gsn + enc.Bytebuf.size body in
   let seg = t.active.seg_data in
   let need = Bytebuf.W.length seg + Logrec.frame_overhead + n in
   if need > Bytebuf.W.capacity seg then
     Bytebuf.W.reserve seg (max need (min t.segment_size (2 * Bytebuf.W.capacity seg)));
+  let frame = Bytebuf.W.length seg in
   Bytebuf.W.u32 seg n;
-  let crc = Bytebuf.W.append_with_crc seg t.enc in
-  Bytebuf.W.u32 seg crc;
+  Logrec.write_header seg rec_ ~stream ~epoch ~gsn;
+  enc.Bytebuf.write seg body;
+  if Bytebuf.W.length seg <> frame + 4 + n then begin
+    let wrote = Bytebuf.W.length seg - frame - 4 in
+    Bytebuf.W.truncate seg frame;
+    invalid_arg (Printf.sprintf "Logmgr.append: body wrote %d of %d payload bytes" wrote n)
+  end;
+  Bytebuf.W.u32 seg (Bytebuf.W.crc_from seg (frame + 4));
   t.active.seg_records <- t.active.seg_records + 1;
   t.last <- lsn;
   t.count <- t.count + 1;
@@ -220,6 +218,10 @@ let append t rec_ =
       Trace.emit (Trace.Log_seal { log = t.id; base = s.seg_base; len = seg_len s })
   end;
   lsn
+
+let append t r =
+  append_body t r ~stream:r.Logrec.stream ~epoch:r.Logrec.epoch ~gsn:r.Logrec.gsn Bytebuf.raw_bytes
+    r.Logrec.body
 
 (* The single instrumented choke point every log force goes through —
    [flush], [flush_to], and hence the group-commit daemon and the WAL rule.

@@ -61,6 +61,14 @@ val append : t -> Logrec.t -> Lsn.t
     the active segment, sealing it if the size budget is reached. The
     returned LSN is strictly greater than all previously returned. *)
 
+val append_body :
+  t -> Logrec.t -> stream:int -> epoch:int -> gsn:int -> 'a Aries_util.Bytebuf.enc -> 'a -> Lsn.t
+(** {!append} with these stamps in place of the record's own and [body]
+    written by [enc] in place of [Logrec.body]: the header and then the
+    body are written straight into the segment arena, once, with the CRC
+    computed over the written region. Raises [Invalid_argument] on a
+    negative field before anything is written. *)
+
 val flush : t -> unit
 (** Force the whole log to stable storage. *)
 

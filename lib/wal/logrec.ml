@@ -112,65 +112,111 @@ let kind_to_string = function
   | Coord_abort -> "COORD_ABORT"
   | Coord_end -> "COORD_END"
 
-(* Record layout: one byte holding the kind (low four bits) and the
-   undoable (bit 4) and redoable (bit 5) flags, then unsigned LEB128
-   varints for prev_lsn, txn, page, undo_nxt_lsn, undo_nxt_stream (an
-   unstamped -1 written as the record's own stream), rm_id, op, stream,
-   epoch, gsn and the body length, then the body. A negative field has no
-   encoding: the writer raises [Invalid_argument] before the record is
-   framed. *)
+(* Record layout: one byte holding the kind (low four bits), the
+   undoable (bit 4) and redoable (bit 5) flags and two presence bits,
+   then unsigned LEB128 varints: prev_lsn and txn; page, rm_id and op
+   only if bit 6 is set (a record with no page and no resource manager
+   has them all 0); undo_nxt_lsn and undo_nxt_stream only if bit 7 is
+   set (otherwise the undo-next LSN is nil and its stream the record's
+   own; an unstamped -1 is the record's own stream too); stream, epoch
+   and gsn. Then the body: the rest of the payload, whose length the
+   frame already gives. A presence bit is set exactly when a field it
+   covers differs from its default, so every record has one encoding. A
+   negative field has no encoding: sizing the header raises
+   [Invalid_argument] before the record is framed.
+
+   The header is written with [stream], [epoch] and [gsn] passed apart
+   from the record: the WAL stamps a record as it frames it, without
+   copying it. *)
 let undoable_bit = 0x10
 let redoable_bit = 0x20
+let rm_bit = 0x40
+let undo_nxt_bit = 0x80
 
-let undo_nxt_stream_of t = if t.undo_nxt_stream < 0 then t.stream else t.undo_nxt_stream
+let undo_nxt_stream_in t ~stream = if t.undo_nxt_stream < 0 then stream else t.undo_nxt_stream
 
-let encoded_size t =
+let has_rm t = t.page <> Ids.nil_page || t.rm_id <> 0 || t.op <> 0
+
+let has_undo_nxt t ~stream =
+  (not (Lsn.is_nil t.undo_nxt_lsn)) || undo_nxt_stream_in t ~stream <> stream
+
+let header_size t ~stream ~epoch ~gsn =
   let u = Bytebuf.uvar_size in
-  let n = Bytes.length t.body in
-  1 + u t.prev_lsn + u t.txn + u t.page + u t.undo_nxt_lsn
-  + u (undo_nxt_stream_of t)
-  + u t.rm_id + u t.op + u t.stream + u t.epoch + u t.gsn + u n + n
+  1 + u t.prev_lsn + u t.txn
+  + (if has_rm t then u t.page + u t.rm_id + u t.op else 0)
+  + (if has_undo_nxt t ~stream then u t.undo_nxt_lsn + u (undo_nxt_stream_in t ~stream) else 0)
+  + u stream + u epoch + u gsn
 
-let encode_into w t =
-  Bytebuf.W.reset w;
+let write_header w t ~stream ~epoch ~gsn =
+  let rm = has_rm t and undo_nxt = has_undo_nxt t ~stream in
   Bytebuf.W.u8 w
     (kind_to_int t.kind
     lor (if t.undoable then undoable_bit else 0)
-    lor if t.redoable then redoable_bit else 0);
+    lor (if t.redoable then redoable_bit else 0)
+    lor (if rm then rm_bit else 0)
+    lor if undo_nxt then undo_nxt_bit else 0);
   Bytebuf.W.uvar w t.prev_lsn;
   Bytebuf.W.uvar w t.txn;
-  Bytebuf.W.uvar w t.page;
-  Bytebuf.W.uvar w t.undo_nxt_lsn;
-  Bytebuf.W.uvar w (undo_nxt_stream_of t);
-  Bytebuf.W.uvar w t.rm_id;
-  Bytebuf.W.uvar w t.op;
-  Bytebuf.W.uvar w t.stream;
-  Bytebuf.W.uvar w t.epoch;
-  Bytebuf.W.uvar w t.gsn;
-  Bytebuf.W.uvar_bytes w t.body
+  if rm then begin
+    Bytebuf.W.uvar w t.page;
+    Bytebuf.W.uvar w t.rm_id;
+    Bytebuf.W.uvar w t.op
+  end;
+  if undo_nxt then begin
+    Bytebuf.W.uvar w t.undo_nxt_lsn;
+    Bytebuf.W.uvar w (undo_nxt_stream_in t ~stream)
+  end;
+  Bytebuf.W.uvar w stream;
+  Bytebuf.W.uvar w epoch;
+  Bytebuf.W.uvar w gsn
 
-let encode t =
-  let w = Bytebuf.W.create ~size:(encoded_size t) () in
-  encode_into w t;
-  Bytebuf.W.contents w
+let encoded_size t =
+  header_size t ~stream:t.stream ~epoch:t.epoch ~gsn:t.gsn + Bytes.length t.body
+
+let encode =
+  Bytebuf.encode
+    {
+      Bytebuf.size = encoded_size;
+      write =
+        (fun w t ->
+          write_header w t ~stream:t.stream ~epoch:t.epoch ~gsn:t.gsn;
+          Bytebuf.W.raw_string w (Bytes.unsafe_to_string t.body));
+    }
 
 let decode_from ~lsn r =
   let flags = Bytebuf.R.u8 r in
-  if flags land lnot (0xf lor undoable_bit lor redoable_bit) <> 0 then
-    raise (Bytebuf.Corrupt (Printf.sprintf "bad log record flags 0x%02x" flags));
   let kind = kind_of_int (flags land 0xf) in
   let prev_lsn = Bytebuf.R.uvar r in
   let txn = Bytebuf.R.uvar r in
-  let page = Bytebuf.R.uvar r in
-  let undo_nxt_lsn = Bytebuf.R.uvar r in
-  let undo_nxt_stream = Bytebuf.R.uvar r in
-  let rm_id = Bytebuf.R.uvar r in
-  let op = Bytebuf.R.uvar r in
+  let page, rm_id, op =
+    if flags land rm_bit = 0 then (Ids.nil_page, 0, 0)
+    else
+      let page = Bytebuf.R.uvar r in
+      let rm_id = Bytebuf.R.uvar r in
+      let op = Bytebuf.R.uvar r in
+      if page = Ids.nil_page && rm_id = 0 && op = 0 then
+        raise (Bytebuf.Corrupt "log record flags a page or resource manager it has not");
+      (page, rm_id, op)
+  in
+  let undo_nxt =
+    if flags land undo_nxt_bit = 0 then None
+    else
+      let undo_nxt_lsn = Bytebuf.R.uvar r in
+      let undo_nxt_stream = Bytebuf.R.uvar r in
+      Some (undo_nxt_lsn, undo_nxt_stream)
+  in
   let stream = Bytebuf.R.uvar r in
+  let undo_nxt_lsn, undo_nxt_stream =
+    match undo_nxt with
+    | None -> (Lsn.nil, stream)
+    | Some (l, s) ->
+        if Lsn.is_nil l && s = stream then
+          raise (Bytebuf.Corrupt "log record flags an undo-next it has not");
+        (l, s)
+  in
   let epoch = Bytebuf.R.uvar r in
   let gsn = Bytebuf.R.uvar r in
-  let body = Bytebuf.R.uvar_bytes r in
-  Bytebuf.R.expect_end r;
+  let body = Bytebuf.R.rest_bytes r in
   {
     lsn;
     prev_lsn;
@@ -189,13 +235,11 @@ let decode_from ~lsn r =
     body;
   }
 
-(* The header fields ahead of [epoch]: prev_lsn, txn, page, undo_nxt_lsn,
-   undo_nxt_stream, rm_id, op and stream. *)
-let varints_before_epoch = 8
-
+(* [epoch] and [gsn] end the header: skip what comes before them. *)
 let decode_stamps ~lsn:_ r =
-  ignore (Bytebuf.R.u8 r);
-  for _ = 1 to varints_before_epoch do
+  let flags = Bytebuf.R.u8 r in
+  let skip = 3 + (if flags land rm_bit <> 0 then 3 else 0) + if flags land undo_nxt_bit <> 0 then 2 else 0 in
+  for _ = 1 to skip do
     ignore (Bytebuf.R.uvar r)
   done;
   let epoch = Bytebuf.R.uvar r in

@@ -100,22 +100,25 @@ val encode : t -> bytes
     with the kind in its low four bits, undoable in bit 4 and redoable in
     bit 5; then unsigned LEB128 varints ({!Aries_util.Bytebuf.W.uvar}) for
     [prev_lsn], [txn], [page], [undo_nxt_lsn], [undo_nxt_stream] (an
-    unstamped [-1] written as [stream]), [rm_id], [op], [stream], [epoch],
-    [gsn] and the body length; then the body. Raises [Invalid_argument]
-    if a field is negative. *)
+    unstamped [-1] written as [stream]), [rm_id], [op], [stream], [epoch]
+    and [gsn]; then the body, which runs to the end of the payload.
+    Raises [Invalid_argument] if a field is negative. *)
 
-val encode_into : Bytebuf.W.t -> t -> unit
-(** Encode into a caller-owned arena (reset first, contents left in the
-    writer) — the log managers keep one arena per log so the append hot
-    path allocates nothing per record. *)
+val header_size : t -> stream:int -> epoch:int -> gsn:int -> int
+(** The header's length with these stamps in place of the record's own.
+    Raises [Invalid_argument] if a field is negative. *)
+
+val write_header : Bytebuf.W.t -> t -> stream:int -> epoch:int -> gsn:int -> unit
+(** Write the header ({!header_size} bytes) with these stamps. The log
+    manager writes it, then the body, straight into its segment arena. *)
 
 val decode : lsn:Lsn.t -> string -> t
 
 val decode_from : lsn:Lsn.t -> Bytebuf.R.t -> t
-(** Decode from a reader positioned at the record payload (consumes
-    exactly the payload, checks the slice is exhausted) — the zero-copy
+(** Decode from a reader confined to the record payload (the body is
+    whatever follows the header in the slice) — the zero-copy
     read path over the segment arena. Raises [Bytebuf.Corrupt] on a bad
-    kind or flag bit, a malformed varint or a length mismatch. *)
+    kind or flag bit or a malformed varint. *)
 
 val decode_stamps : lsn:Lsn.t -> Bytebuf.R.t -> int * int
 (** [(epoch, gsn)] of the record whose payload the reader is at, read from

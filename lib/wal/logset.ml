@@ -71,19 +71,14 @@ let advance_epoch t =
 
 let current_gsn t = t.gsn
 
-let append t ~stream:i r =
+(* Unstamped undo_nxt_stream means "my own stream" — the common case
+   (page-oriented CLRs, dummy CLRs); cross-stream logical-undo CLRs arrive
+   pre-stamped by {!Txnmgr.log_clr}. The header writer resolves it. *)
+let append_body t ~stream:i r enc body =
   t.gsn <- t.gsn + 1;
-  Logmgr.append t.streams.(i)
-    {
-      r with
-      Logrec.stream = i;
-      epoch = t.epoch;
-      gsn = t.gsn;
-      (* unstamped undo_nxt_stream means "my own stream" — the common case
-         (page-oriented CLRs, dummy CLRs); cross-stream logical-undo CLRs
-         arrive pre-stamped by {!Txnmgr.log_clr} *)
-      undo_nxt_stream = (if r.Logrec.undo_nxt_stream < 0 then i else r.Logrec.undo_nxt_stream);
-    }
+  Logmgr.append_body t.streams.(i) r ~stream:i ~epoch:t.epoch ~gsn:t.gsn enc body
+
+let append t ~stream r = append_body t ~stream r Aries_util.Bytebuf.raw_bytes r.Logrec.body
 
 let flush_all t = Array.iter Logmgr.flush t.streams
 

@@ -62,6 +62,10 @@ val append : t -> stream:int -> Logrec.t -> Lsn.t
 (** Stamp the record with [stream], the current epoch and the next gsn,
     then append it to that stream. Returns the stream-local LSN. *)
 
+val append_body : t -> stream:int -> Logrec.t -> 'a Aries_util.Bytebuf.enc -> 'a -> Lsn.t
+(** {!append} with [body] written by [enc] in place of [Logrec.body]
+    ({!Logmgr.append_body}). *)
+
 val flush_all : t -> unit
 
 val crash : t -> unit

@@ -446,11 +446,11 @@ let test_load_rejects_old_version () =
       Db.save db path;
       let img = In_channel.with_open_bin path In_channel.input_all in
       (* the magic follows its u32 length *)
-      Alcotest.(check string) "current magic" "ARIESIM6" (String.sub img 4 8);
+      Alcotest.(check string) "current magic" "ARIESIM7" (String.sub img 4 8);
       Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc (String.sub img 0 4 ^ "ARIESIM5");
+          Out_channel.output_string oc (String.sub img 0 4 ^ "ARIESIM6");
           Out_channel.output_string oc (String.sub img 12 (String.length img - 12)));
-      Alcotest.(check bool) "a v5 image is a typed Decode error" true
+      Alcotest.(check bool) "a v6 image is a typed Decode error" true
         (match Db.load path with
         | _ -> false
         | exception Aries_util.Storage_error.Error { cause = Aries_util.Storage_error.Decode; _ }
@@ -574,6 +574,79 @@ let test_lock_table_drains () =
   Alcotest.(check int) "nothing held" 0 (Lockmgr.total_held db.Db.locks);
   Alcotest.(check int) "no name left in the table" 0 (Lockmgr.table_size db.Db.locks)
 
+(* Updates log only their changed bytes: an update that grows, shrinks,
+   changes nothing, or changes only the first or the last byte of a row.
+   Redo after a crash rebuilds each new image on the old one the disk
+   holds; rollback and classic and instant restart each put every old
+   image back. *)
+let trimmed_cases =
+  [
+    ("grows", "row-abcdef", "row-abcdefXYZ");
+    ("shrinks", "row-abcdef", "row-ab");
+    ("changes nothing", "row-abcdef", "row-abcdef");
+    ("first byte", "row-abcdef", "Xow-abcdef");
+    ("last byte", "row-abcdef", "row-abcdeX");
+  ]
+
+let test_trimmed_updates () =
+  let setup_rows () =
+    let db, tbl = setup () in
+    let heap = Table.heap tbl in
+    let rids =
+      Db.run_exn db (fun () ->
+          Db.with_txn db (fun txn ->
+              List.map (fun (_, old_s, _) -> Recmgr.insert heap txn (Bytes.of_string old_s)) trimmed_cases))
+    in
+    (* the disk holds every old image *)
+    Aries_buffer.Bufpool.flush_all db.Db.pool;
+    (db, rids)
+  in
+  let update_all db rids txn =
+    let heap = Table.heap (Table.open_existing db ~id:1 specs) in
+    List.iter2
+      (fun rid (_, _, new_s) -> ignore (Recmgr.update heap txn rid (Bytes.of_string new_s)))
+      rids trimmed_cases
+  in
+  let check db rids what pick =
+    let heap = Table.heap (Table.open_existing db ~id:1 specs) in
+    List.iter2
+      (fun rid ((name, _, _) as case) ->
+        Alcotest.(check (option string))
+          (Printf.sprintf "%s: %s" what name)
+          (Some (pick case))
+          (Db.run_exn db (fun () -> Option.map Bytes.to_string (Recmgr.read heap rid))))
+      rids trimmed_cases
+  in
+  let new_image (_, _, n) = n and old_image (_, o, _) = o in
+  (* redo after a crash *)
+  let db, rids = setup_rows () in
+  Db.run_exn db (fun () -> Db.with_txn db (fun txn -> update_all db rids txn));
+  let db' = Db.crash db in
+  ignore (Db.run_exn db' (fun () -> Db.restart db'));
+  check db' rids "redo after a crash" new_image;
+  (* undo by rollback *)
+  let db, rids = setup_rows () in
+  Db.run_exn db (fun () ->
+      let txn = Txnmgr.begin_txn db.Db.mgr in
+      update_all db rids txn;
+      Txnmgr.rollback db.Db.mgr txn);
+  check db rids "undo by rollback" old_image;
+  (* undo of a loser by classic and by instant restart, with the new
+     images on disk *)
+  List.iter
+    (fun instant ->
+      let db, rids = setup_rows () in
+      ignore
+        (Db.run db (fun () ->
+             let txn = Txnmgr.begin_txn db.Db.mgr in
+             update_all db rids txn;
+             Aries_buffer.Bufpool.flush_all db.Db.pool));
+      let db' = Db.crash db in
+      ignore (Db.run_exn db' (fun () -> Db.restart ~instant db'));
+      check db' rids (if instant then "undo by instant restart" else "undo by classic restart") old_image;
+      Alcotest.(check (list string)) "no leaks" [] (Db.leak_report db'))
+    [ false; true ]
+
 let () =
   Alcotest.run "db"
     [
@@ -587,6 +660,7 @@ let () =
           Alcotest.test_case "rollback whole row" `Quick test_rollback_whole_row;
           Alcotest.test_case "crash recovery" `Quick test_table_crash_recovery;
           Alcotest.test_case "reopen during instant drain" `Quick test_open_during_instant_drain;
+          Alcotest.test_case "trimmed updates redo and undo" `Quick test_trimmed_updates;
           Alcotest.test_case "crash keeps pool capacity" `Quick test_crash_keeps_pool_capacity;
           Alcotest.test_case "read direct" `Quick test_read_direct;
           Alcotest.test_case "records span pages" `Quick test_large_records_span_pages;

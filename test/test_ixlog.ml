@@ -205,6 +205,227 @@ let test_lock_names_by_protocol () =
   Alcotest.(check bool) "EOF name" true
     (Protocol.target_name Protocol.Kvl 5 Protocol.Eof = Lockmgr.Eof 5)
 
+(* ---------- body codecs at the varint boundaries ---------- *)
+
+module Reclog = Aries_db.Reclog
+module Lockcodec = Aries_txn.Lockcodec
+module Twopc = Aries_shard.Twopc
+
+let boundaries = [| 0; 127; 128; 16383; 16384; max_int |]
+
+(* Values of 0, 127 and 128 bytes put the length varint at its own
+   boundary; the empty one is the empty key value or mid. *)
+let strings = [| ""; String.make 127 'v'; String.make 128 'w' |]
+
+(* A body codec's contract: the encoding is exactly [size] bytes, decodes
+   back to the value, every proper prefix and one trailing byte more are
+   [Corrupt]. *)
+let check_codec what ~size ~encode ~decode v =
+  let b = encode v in
+  Alcotest.(check int) (what ^ ": size is the encoded length") (Bytes.length b) (size v);
+  Alcotest.(check bool) (what ^ ": round trip") true (decode b = v);
+  let corrupt b =
+    match decode b with
+    | _ -> false
+    | exception Bytebuf.Corrupt _ -> true
+  in
+  for n = 0 to Bytes.length b - 1 do
+    if not (corrupt (Bytes.sub b 0 n)) then
+      Alcotest.failf "%s: the %d-byte prefix of %d decodes" what n (Bytes.length b)
+  done;
+  Alcotest.(check bool) (what ^ ": a trailing byte is Corrupt") true (corrupt (Bytes.cat b (Bytes.make 1 '\x00')))
+
+let seeded_bodies gen =
+  let st = Random.State.make [| 0xB0D1E5 |] in
+  let int () = boundaries.(Random.State.int st (Array.length boundaries)) in
+  let str () = strings.(Random.State.int st (Array.length strings)) in
+  let bool () = Random.State.bool st in
+  List.init 300 (fun _ -> gen ~int ~str ~bool)
+
+let gen_ixlog ~int ~str ~bool =
+  let key () = k (str ()) (int ()) (int ()) in
+  let keys () = List.init (Random.State.int (Random.State.make [| int () |]) 3) (fun _ -> key ()) in
+  let pid_opt () = if bool () then Some (int ()) else None in
+  match 1 + (int () mod 15) with
+  | 1 -> Ixlog.Insert_key { ix = int (); key = key (); reset_sm = bool (); reset_delete = bool () }
+  | 2 ->
+      Ixlog.Delete_key
+        { ix = int (); key = key (); reset_sm = bool (); set_sm = bool (); mark_delete_bit = bool () }
+  | 3 -> Ixlog.Format_leaf { keys = keys (); prev = int (); next = int (); sm_bit = bool () }
+  | 4 -> Ixlog.Leaf_truncate { removed = keys (); old_next = int (); new_next = int () }
+  | 5 -> Ixlog.Leaf_restore { add_keys = keys (); set_prev = pid_opt (); set_next = pid_opt () }
+  | 6 -> Ixlog.Leaf_relink { old_prev = int (); new_prev = int (); old_next = int (); new_next = int () }
+  | 7 -> Ixlog.Leaf_unlink { old_prev = int (); old_next = int () }
+  | 8 ->
+      Ixlog.Format_nonleaf
+        { level = int (); children = [ int (); int () ]; high_keys = keys (); sm_bit = bool () }
+  | 9 -> Ixlog.Nl_insert_child { child_idx = int (); sep_idx = int (); sep = key (); child = int () }
+  | 10 ->
+      Ixlog.Nl_remove_child
+        {
+          child_idx = int ();
+          child = int ();
+          sep_idx = int ();
+          sep = (if bool () then Some (key ()) else None);
+          level = int ();
+        }
+  | 11 -> Ixlog.Anchor_set { old_root = int (); new_root = int (); old_height = int (); new_height = int () }
+  | 12 -> Ixlog.Format_anchor { name = str (); unique = bool (); root = int (); height = int () }
+  | 13 -> Ixlog.Reset_bits { sm = bool (); delete = bool () }
+  | 14 ->
+      Ixlog.Nl_truncate
+        { keep_children = int (); removed_children = [ int () ]; removed_high_keys = keys () }
+  | _ -> Ixlog.Nl_restore { add_children = [ int (); int (); int () ]; add_high_keys = keys () }
+
+let test_ixlog_boundaries () =
+  let bodies = bodies @ seeded_bodies gen_ixlog in
+  List.iter
+    (fun body ->
+      let op = Ixlog.op_of_body body in
+      check_codec (Ixlog.op_name op) ~size:Ixlog.enc.Bytebuf.size ~encode:Ixlog.encode
+        ~decode:(Ixlog.decode ~op) body)
+    bodies;
+  Alcotest.(check (list int)) "every opcode drawn" (List.init 15 (fun i -> i + 1))
+    (List.sort_uniq compare (List.map Ixlog.op_of_body bodies));
+  List.iter
+    (fun (what, body) ->
+      Alcotest.(check bool) (what ^ " is refused before anything is written") true
+        (match Ixlog.enc.Bytebuf.size body with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [
+      ("a negative index id", Ixlog.Insert_key { ix = -1; key = k "a" 1 1; reset_sm = false; reset_delete = false });
+      ("a negative rid slot", Ixlog.Insert_key { ix = 1; key = k "a" 1 (-1); reset_sm = false; reset_delete = false });
+      ("a negative page", Ixlog.Leaf_unlink { old_prev = -5; old_next = 1 });
+    ];
+  List.iter
+    (fun (what, op, b) ->
+      Alcotest.(check bool) (what ^ " is Corrupt") true
+        (match Ixlog.decode ~op (Bytes.of_string b) with
+        | _ -> false
+        | exception Bytebuf.Corrupt _ -> true))
+    [
+      ("an unknown flag bit", 13, "\x04");
+      ("an over-long varint", 7, "\x81\x00\x01");
+      ("an unknown op", 16, "");
+    ]
+
+let gen_reclog ~int ~str ~bool =
+  let rid () = { Ids.rid_page = int (); rid_slot = int () } in
+  let data () = Bytes.of_string (str ()) in
+  match int () mod 4 with
+  | 0 -> Reclog.Rec_insert { rid = rid (); data = data () }
+  | 1 -> Reclog.Rec_delete { rid = rid (); data = (if bool () then Bytes.empty else data ()) }
+  | 2 -> Reclog.Rec_update { rid = rid (); pre = int (); suf = int (); old_mid = data (); new_mid = data () }
+  | _ -> Reclog.Format_data { owner = int () }
+
+let test_reclog_boundaries () =
+  let rid = { Ids.rid_page = 3; rid_slot = 4 } in
+  let bodies =
+    [
+      Reclog.Rec_update { rid; pre = 0; suf = 0; old_mid = Bytes.empty; new_mid = Bytes.empty };
+      Reclog.Rec_delete { rid; data = Bytes.empty };
+    ]
+    @ seeded_bodies gen_reclog
+  in
+  List.iter
+    (fun body ->
+      let op = Reclog.op_of_body body in
+      check_codec (Reclog.op_name op) ~size:Reclog.enc.Bytebuf.size ~encode:Reclog.encode
+        ~decode:(Reclog.decode ~op) body)
+    bodies;
+  Alcotest.(check (list int)) "every opcode drawn" [ 1; 2; 3; 4 ]
+    (List.sort_uniq compare (List.map Reclog.op_of_body bodies));
+  Alcotest.(check bool) "a negative pre is refused" true
+    (match
+       Reclog.enc.Bytebuf.size
+         (Reclog.Rec_update { rid; pre = -1; suf = 0; old_mid = Bytes.empty; new_mid = Bytes.empty })
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* The trimmed update: the shared ends are kept, the mids swapped, and a
+   slot too short for the kept ends is refused. *)
+let test_reclog_trim () =
+  let rid = { Ids.rid_page = 3; rid_slot = 4 } in
+  List.iter
+    (fun (old_s, new_s, pre, suf) ->
+      let old_data = Bytes.of_string old_s and new_data = Bytes.of_string new_s in
+      match Reclog.update rid ~old_data ~new_data with
+      | Reclog.Rec_update { pre = p; suf = q; old_mid; new_mid; _ } ->
+          Alcotest.(check (pair int int)) (Printf.sprintf "%S -> %S" old_s new_s) (pre, suf) (p, q);
+          Alcotest.(check string) "redo rebuilds the new image" new_s
+            (Bytes.to_string (Reclog.patch rid old_data ~pre:p ~suf:q ~mid:new_mid));
+          Alcotest.(check string) "undo rebuilds the old image" old_s
+            (Bytes.to_string (Reclog.patch rid new_data ~pre:p ~suf:q ~mid:old_mid))
+      | _ -> Alcotest.fail "not an update")
+    [
+      ("abcdef", "abcdef", 6, 0);
+      ("abcdef", "abXdef", 2, 3);
+      ("abcdef", "abcdefgh", 6, 0);
+      ("abcdefgh", "abcdef", 6, 0);
+      ("xbcdef", "ybcdef", 0, 5);
+      ("abcdex", "abcdey", 5, 0);
+      ("aaaa", "aa", 2, 0);
+      ("", "abc", 0, 0);
+      ("abc", "", 0, 0);
+    ];
+  Alcotest.(check bool) "a slot shorter than pre + suf is refused" true
+    (match Reclog.patch rid (Bytes.of_string "abc") ~pre:2 ~suf:2 ~mid:Bytes.empty with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let test_lockcodec_boundaries () =
+  let st = Random.State.make [| 0x10C5 |] in
+  let int () = boundaries.(Random.State.int st (Array.length boundaries)) in
+  let modes = [| Lockmgr.IS; Lockmgr.IX; Lockmgr.S; Lockmgr.SIX; Lockmgr.X |] in
+  let lock () =
+    let name : Lockmgr.name =
+      match Random.State.int st 6 with
+      | 0 -> Lockmgr.Rid { Ids.rid_page = int (); rid_slot = int () }
+      | 1 -> Lockmgr.Key_value (int (), strings.(Random.State.int st 3))
+      | 2 -> Lockmgr.Eof (int ())
+      | 3 -> Lockmgr.Table (int ())
+      | 4 -> Lockmgr.Page_lock (int ())
+      | _ -> Lockmgr.Tree_lock (int ())
+    in
+    (name, modes.(Random.State.int st 5))
+  in
+  List.iter
+    (fun n ->
+      let locks = List.init n (fun _ -> lock ()) in
+      check_codec "lock list" ~size:(fun l -> Bytes.length (Lockcodec.encode_list l))
+        ~encode:Lockcodec.encode_list ~decode:Lockcodec.decode_list locks)
+    (List.init 60 (fun i -> i mod 7) @ [ 130 ]);
+  Alcotest.(check bool) "a bad mode is Corrupt" true
+    (match Lockcodec.decode_list (Bytes.of_string "\x01\x1f\x05") with
+    | _ -> false
+    | exception Bytebuf.Corrupt _ -> true)
+
+let test_twopc_boundaries () =
+  Array.iter
+    (fun gid ->
+      Array.iter
+        (fun coord ->
+          check_codec "prepare meta"
+            ~size:(fun (gid, coord) -> Bytes.length (Twopc.encode_prepare_meta ~gid ~coord))
+            ~encode:(fun (gid, coord) -> Twopc.encode_prepare_meta ~gid ~coord)
+            ~decode:Twopc.decode_prepare_meta (gid, coord);
+          check_codec "decision"
+            ~size:(fun (gid, parts) -> Bytes.length (Twopc.encode_decision ~gid ~parts))
+            ~encode:(fun (gid, parts) -> Twopc.encode_decision ~gid ~parts)
+            ~decode:Twopc.decode_decision
+            (gid, [ coord; 0; coord ]))
+        boundaries;
+      check_codec "end" ~size:(fun gid -> Bytes.length (Twopc.encode_end ~gid))
+        ~encode:(fun gid -> Twopc.encode_end ~gid)
+        ~decode:Twopc.decode_end gid)
+    boundaries;
+  Alcotest.(check bool) "a negative gid is refused" true
+    (match Twopc.encode_end ~gid:(-1) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "ixlog"
     [
@@ -213,6 +434,14 @@ let () =
           Alcotest.test_case "all opcodes roundtrip" `Quick test_codec_roundtrip;
           Alcotest.test_case "opcodes distinct" `Quick test_op_names_distinct;
           QCheck_alcotest.to_alcotest qcheck_codec;
+        ] );
+      ( "bodies",
+        [
+          Alcotest.test_case "index bodies at varint boundaries" `Quick test_ixlog_boundaries;
+          Alcotest.test_case "record bodies at varint boundaries" `Quick test_reclog_boundaries;
+          Alcotest.test_case "trimmed update keeps the shared ends" `Quick test_reclog_trim;
+          Alcotest.test_case "lock lists at varint boundaries" `Quick test_lockcodec_boundaries;
+          Alcotest.test_case "2PC bodies at varint boundaries" `Quick test_twopc_boundaries;
         ] );
       ( "apply",
         [

@@ -467,12 +467,13 @@ let test_nta_anchor_atomicity () =
     ~undo:(fun txn r ->
       undone := r.Logrec.op :: !undone;
       ignore
-        (Txnmgr.log_clr mgr txn ~page:r.Logrec.page ~rm_id:42
+        (Txnmgr.log_clr mgr txn ~page:r.Logrec.page ~rm_id:42 ~enc:Bytebuf.raw_bytes ~body:Bytes.empty
            ~undo_nxt:r.Logrec.prev_lsn ()))
     ();
   let p0 = pid_on logs 0 and p1 = pid_on logs 1 and p2 = pid_on logs 2 in
   let upd txn page op =
-    Txnmgr.log_update mgr txn ~page ~redoable:false ~rm_id:42 ~op ~body:Bytes.empty ()
+    Txnmgr.log_update mgr txn ~page ~redoable:false ~rm_id:42 ~op ~enc:Bytebuf.raw_bytes
+      ~body:Bytes.empty ()
   in
   Db.run_exn db (fun () ->
       let txn = Txnmgr.begin_txn mgr in
@@ -535,7 +536,8 @@ let test_nta_anchor_torn_bracket () =
   in
   let pa = pid_on logs sa and pb = pid_on logs sb in
   let upd page op =
-    Txnmgr.log_update mgr txn ~page ~redoable:false ~rm_id:42 ~op ~body:Bytes.empty ()
+    Txnmgr.log_update mgr txn ~page ~redoable:false ~rm_id:42 ~op ~enc:Bytebuf.raw_bytes
+      ~body:Bytes.empty ()
   in
   let remembered = Txnmgr.nta_begin txn in
   ignore (upd pa 10);

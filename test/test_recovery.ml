@@ -262,7 +262,7 @@ let test_truncated_anchor_tolerated () =
              let s = Txnmgr.txn_stream mgr txn.Txnmgr.txn_id in
              (* a jump vector cut off inside its first length field *)
              ignore
-               (Txnmgr.log_clr mgr txn ~stream:s ~body:(Bytes.of_string "\x07\x00")
+               (Txnmgr.log_clr mgr txn ~stream:s ~enc:Bytebuf.raw_bytes ~body:(Bytes.of_string "\x07\x00")
                   ~undo_nxt:txn.Txnmgr.undo_nxts.(s) ());
              Logmgr.flush db.Db.wal));
       let db' = Db.crash db in
@@ -657,11 +657,12 @@ let test_media_recovery_whole_tree () =
 
 (* ---------- checkpoint body codec ---------- *)
 
-(* Varint fields at their size boundaries, delta-coded chains: a round
-   trip is exact, every proper prefix is [Corrupt], a chain that does not
-   ascend is refused by the encoder and a zero delta by the decoder. A
-   transaction entry ends at its undo-next vector: it carries no lock
-   list. *)
+(* Varint fields at their size boundaries, one delta-coded entry per
+   dirty page: a round trip is exact, every proper prefix is [Corrupt], a
+   DPT or chain that does not ascend is refused by the encoder and a zero
+   delta by the decoder. Stream 0's scan point is the Begin_ckpt's LSN,
+   which the body leaves out. A transaction entry ends at its undo-next
+   vector: it carries no lock list. *)
 let test_checkpoint_body_codec () =
   let body =
     {
@@ -684,36 +685,55 @@ let test_checkpoint_body_codec () =
             ct_undo_nxts = [||];
           };
         ];
-      ck_dpt = [ (1, 8); (max_int, 16384) ];
-      ck_chains = [ (1, [ 8; 135; 136; 16520; 1 lsl 31; max_int ]); (2, [ 127 ]); (3, []) ];
+      ck_dpt = [ (1, 8); (2, 127); (3, 200); (max_int, 16384) ];
+      (* page 3 is chainless: count 0 on the log *)
+      ck_chains = [ (1, [ 8; 135; 136; 16520; 1 lsl 31; max_int ]); (2, [ 127 ]); (max_int, [ 16390 ]) ];
       ck_next_txn = 16384;
     }
   in
-  let enc = Checkpoint.encode_body body in
-  Alcotest.(check bool) "round trip" true (Checkpoint.decode_body enc = body);
+  let begin_lsn = 8 in
+  let enc = Checkpoint.encode_body ~begin_lsn body in
+  Alcotest.(check bool) "round trip" true (Checkpoint.decode_body ~begin_lsn enc = body);
   for n = 1 to Bytes.length enc - 1 do
     Alcotest.(check bool) (Printf.sprintf "%d-byte prefix is Corrupt" n) true
-      (match Checkpoint.decode_body (Bytes.sub enc 0 n) with
+      (match Checkpoint.decode_body ~begin_lsn (Bytes.sub enc 0 n) with
       | _ -> false
       | exception Bytebuf.Corrupt _ -> true)
   done;
+  let refused what b =
+    Alcotest.(check bool) what true
+      (match Checkpoint.encode_body ~begin_lsn b with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
   List.iter
     (fun chain ->
-      Alcotest.(check bool) "a chain that does not ascend is refused" true
-        (match Checkpoint.encode_body { body with Checkpoint.ck_chains = [ (4, chain) ] } with
-        | _ -> false
-        | exception Invalid_argument _ -> true))
+      refused "a chain that does not ascend from its recLSN is refused"
+        { body with Checkpoint.ck_dpt = [ (4, 8) ]; ck_chains = [ (4, chain) ] })
     [ [ 8; 8 ]; [ 200; 100 ]; [ 0 ]; [ -8 ] ];
-  (* next_txn 1, no scan, txns or DPT; one chain of page 3 whose second
-     delta is zero *)
-  Alcotest.(check bool) "a zero chain delta is Corrupt" true
-    (match Checkpoint.decode_body (Bytes.of_string "\x01\x00\x00\x00\x01\x03\x02\x05\x00") with
-    | _ -> false
-    | exception Bytebuf.Corrupt _ -> true);
+  refused "an empty chain is refused" { body with Checkpoint.ck_dpt = [ (4, 8) ]; ck_chains = [ (4, []) ] };
+  refused "a chain outside the DPT is refused" { body with Checkpoint.ck_chains = [ (4, [ 8 ]) ] };
+  refused "a DPT that does not ascend is refused" { body with Checkpoint.ck_dpt = [ (2, 8); (2, 9) ]; ck_chains = [] };
+  refused "a stream-0 scan point other than the Begin_ckpt is refused"
+    { body with Checkpoint.ck_scan = [| 9; 16384; max_int |] };
+  (* next_txn 1, no scan, no txns; one page 3 (recLSN 11: zigzag 5 is 3
+     past the Begin_ckpt) whose one-LSN chain has a zero delta; then two
+     chainless pages with a zero page delta; then a chain tag of 1 *)
+  List.iter
+    (fun (what, b) ->
+      Alcotest.(check bool) what true
+        (match Checkpoint.decode_body ~begin_lsn (Bytes.of_string b) with
+        | _ -> false
+        | exception Bytebuf.Corrupt _ -> true))
+    [
+      ("a zero chain delta is Corrupt", "\x01\x00\x00\x01\x03\x05\x02\x00\x00");
+      ("a zero page delta is Corrupt", "\x01\x00\x00\x02\x03\x05\x00\x00\x05\x00");
+      ("chain tag 1 is Corrupt", "\x01\x00\x00\x01\x03\x05\x01");
+    ];
   (* next_txn 8, no scan; one Rolling_back txn 7 with three empty
-     vectors and nothing after them; no DPT, no chains *)
+     vectors and nothing after them; no dirty pages *)
   Alcotest.(check bool) "a txn entry ends at its undo-next vector" true
-    (Checkpoint.decode_body (Bytes.of_string "\x08\x00\x01\x07\x02\x00\x00\x00\x00\x00")
+    (Checkpoint.decode_body ~begin_lsn (Bytes.of_string "\x08\x00\x01\x07\x02\x00\x00\x00\x00")
     = {
         Checkpoint.ck_scan = [||];
         ck_txns =
@@ -747,8 +767,8 @@ let test_checkpoint_body_codec () =
    digests, not CRC32s: both images end every log segment and every page
    in the CRC32 of its own bytes, and a CRC32 over such an image cancels
    out any same-length change to those bytes. *)
-let fingerprint_log = "7e714a7811a0aac98e96c1594782b191"
-let fingerprint_disk = "bc79f92f637c28331ba3ec6d09ed16e1"
+let fingerprint_log = "93a19f8242327b5c4ca0958884f74a0f"
+let fingerprint_disk = "a9b8c1fb94458275e0d051d1f4023396"
 
 let test_fingerprint () =
   let db = Db.create ~page_size:384 ~pool_capacity:4096 ~streams:2 () in
@@ -829,7 +849,7 @@ let test_fingerprint () =
    constant is the MD5 of the rendered [Stats.to_alist]; a counter that is
    lost, renamed or double-counted by a producer changes it. The trace
    checker is pinned on, since [trace.events] counts its events. *)
-let counter_digest = "f077ad2f8fa24bd66e751df4bd5218e5"
+let counter_digest = "96104bc90b0243140dcb2c31aabcb503"
 
 let test_counter_fidelity () =
   let s = Stats.create () in

@@ -42,7 +42,7 @@ let install_mock mgr =
     ~undo:(fun txn r ->
       let reg, old_v, new_v = mock_decode r.Logrec.body in
       ignore
-        (Txnmgr.log_clr mgr txn ~rm_id:mock_rm_id ~op:1
+        (Txnmgr.log_clr mgr txn ~rm_id:mock_rm_id ~op:1 ~enc:Bytebuf.raw_bytes
            ~body:(mock_body reg ~old_v:new_v ~new_v:old_v)
            ~undo_nxt:r.Logrec.prev_lsn ());
       Hashtbl.replace m.regs reg old_v)
@@ -51,7 +51,9 @@ let install_mock mgr =
 
 let set mgr m txn reg v =
   let old_v = match Hashtbl.find_opt m.regs reg with Some x -> x | None -> 0 in
-  ignore (Txnmgr.log_update mgr txn ~rm_id:mock_rm_id ~op:1 ~body:(mock_body reg ~old_v ~new_v:v) ());
+  ignore
+    (Txnmgr.log_update mgr txn ~rm_id:mock_rm_id ~op:1 ~enc:Bytebuf.raw_bytes
+       ~body:(mock_body reg ~old_v ~new_v:v) ());
   Hashtbl.replace m.regs reg v
 
 let setup () =
@@ -233,8 +235,8 @@ let test_checkpoint_body_roundtrip () =
       ck_next_txn = 6;
     }
   in
-  let b = Checkpoint.encode_body body in
-  let body' = Checkpoint.decode_body b in
+  let b = Checkpoint.encode_body ~begin_lsn:300 body in
+  let body' = Checkpoint.decode_body ~begin_lsn:300 b in
   Alcotest.(check bool) "checkpoint body roundtrip" true (body = body')
 
 let test_fiber_binding () =

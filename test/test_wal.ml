@@ -369,14 +369,15 @@ let test_crash_unseals_straddler () =
   let e = Logmgr.append log (update ~txn:42 ()) in
   Alcotest.(check int) "resume at flushed boundary" (Logmgr.record_end log a) e
 
-(* ---------- PR 9: arena encode byte-identity + reuse accounting ---------- *)
+(* ---------- record encode byte-identity ---------- *)
 
-(* The arena-based [encode_into] must produce exactly the bytes of the
-   documented record layout. Reference encoder hand-rolled here against
-   that layout: one byte with the kind in bits 0-3, undoable in bit 4 and
-   redoable in bit 5, then unsigned LEB128 varints for prev_lsn, txn,
-   page, undo_nxt_lsn, undo_nxt_stream (-1 written as the stream), rm_id,
-   op, stream, epoch, gsn and the body length, then the body. *)
+(* [encode] must produce exactly the bytes of the documented record
+   layout. Reference encoder hand-rolled here against that layout: one
+   byte with the kind in bits 0-3, undoable in bit 4, redoable in bit 5,
+   "has page/rm/op" in bit 6 and "has undo-next" in bit 7, then unsigned
+   LEB128 varints for prev_lsn and txn, page, rm_id and op if bit 6,
+   undo_nxt_lsn and undo_nxt_stream (-1 written as the stream) if bit 7,
+   then stream, epoch and gsn, then the body. *)
 let reference_encode (r : Logrec.t) =
   let kind_to_int = function
     | Logrec.Update -> 0
@@ -399,22 +400,32 @@ let reference_encode (r : Logrec.t) =
       leb (v lsr 7)
     end
   in
+  let undo_nxt_stream =
+    if r.Logrec.undo_nxt_stream < 0 then r.Logrec.stream else r.Logrec.undo_nxt_stream
+  in
+  let rm = r.Logrec.page <> 0 || r.Logrec.rm_id <> 0 || r.Logrec.op <> 0 in
+  let undo_nxt = r.Logrec.undo_nxt_lsn <> 0 || undo_nxt_stream <> r.Logrec.stream in
   Buffer.add_char b
     (Char.chr
        (kind_to_int r.Logrec.kind
        lor (if r.Logrec.undoable then 0x10 else 0)
-       lor if r.Logrec.redoable then 0x20 else 0));
+       lor (if r.Logrec.redoable then 0x20 else 0)
+       lor (if rm then 0x40 else 0)
+       lor if undo_nxt then 0x80 else 0));
   leb r.Logrec.prev_lsn;
   leb r.Logrec.txn;
-  leb r.Logrec.page;
-  leb r.Logrec.undo_nxt_lsn;
-  leb (if r.Logrec.undo_nxt_stream < 0 then r.Logrec.stream else r.Logrec.undo_nxt_stream);
-  leb r.Logrec.rm_id;
-  leb r.Logrec.op;
+  if rm then begin
+    leb r.Logrec.page;
+    leb r.Logrec.rm_id;
+    leb r.Logrec.op
+  end;
+  if undo_nxt then begin
+    leb r.Logrec.undo_nxt_lsn;
+    leb undo_nxt_stream
+  end;
   leb r.Logrec.stream;
   leb r.Logrec.epoch;
   leb r.Logrec.gsn;
-  leb (Bytes.length r.Logrec.body);
   Buffer.add_bytes b r.Logrec.body;
   Buffer.contents b
 
@@ -564,8 +575,10 @@ let test_bad_header_varint_is_typed () =
       ("varint cut short", "\x00\x80");
       ("header cut after txn", Bytes.sub_string good 0 3);
       ("varint past 9 bytes", "\x00" ^ String.make 9 '\x80' ^ "\x01");
-      ("unknown flag bit", "\x40" ^ Bytes.sub_string good 1 (Bytes.length good - 1));
-      ("body longer than the frame", Bytes.sub_string good 0 (Bytes.length good - 1));
+      ("unknown kind", "\x0f" ^ Bytes.sub_string good 1 (Bytes.length good - 1));
+      ("page flagged but absent", "\x40\x00\x00\x00\x00\x00\x00\x00\x00");
+      ("undo-next flagged but absent", "\x80\x00\x00\x00\x00\x00\x00\x00");
+      ("header cut before its gsn", Bytes.sub_string good 0 (Bytes.length good - 2));
     ]
 
 let test_negative_field_raises_at_append () =
@@ -623,19 +636,33 @@ let test_commit_targets_codec () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
-(* After a warm-up append sizes the per-log arena, every further append of
-   same-or-smaller records reuses it — the counter tracks log.records. *)
-let test_encode_arena_reuse () =
+(* An append writes the header and the body straight into the segment
+   arena: once the arena has grown past the minor heap's object size, an
+   untraced append allocates no minor-heap words at all — no encode
+   buffer, no copy of the record to stamp it. *)
+let test_append_in_place () =
+  let module Trace = Aries_trace.Trace in
   let log = Logmgr.create () in
-  ignore (Logmgr.append log (update ~body:(Bytes.create 64) ()));
+  let r = update ~body:(Bytes.create 64) () in
+  for _ = 1 to 100 do
+    ignore (Logmgr.append log r)
+  done;
   let s = Stats.create () in
-  Stats.with_sink s (fun () ->
-      for _ = 1 to 50 do
-        ignore (Logmgr.append log (update ~body:(Bytes.create 64) ()))
-      done);
-  Alcotest.(check int) "every append reused the arena" 50
-    (Stats.get s Stats.wal_encode_arena_reuses);
-  Alcotest.(check int) "and appended a record" 50 (Stats.get s Stats.log_records)
+  let mode = Trace.mode () in
+  Trace.set_mode Trace.Off;
+  let words =
+    Fun.protect
+      ~finally:(fun () -> Trace.set_mode mode)
+      (fun () ->
+        Stats.with_sink s (fun () ->
+            let w0 = Gc.minor_words () in
+            for _ = 1 to 50 do
+              ignore (Logmgr.append log r)
+            done;
+            Gc.minor_words () -. w0))
+  in
+  Alcotest.(check (float 0.)) "no minor words for 50 appends" 0. words;
+  Alcotest.(check int) "and appended a record each" 50 (Stats.get s Stats.log_records)
 
 let () =
   Alcotest.run "wal"
@@ -653,7 +680,7 @@ let () =
           Alcotest.test_case "negative field raises at append" `Quick
             test_negative_field_raises_at_append;
           Alcotest.test_case "commit target vector codec" `Quick test_commit_targets_codec;
-          Alcotest.test_case "append reuses encode arena" `Quick test_encode_arena_reuse;
+          Alcotest.test_case "append writes the record in place" `Quick test_append_in_place;
         ] );
       ( "logmgr",
         [
