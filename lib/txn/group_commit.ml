@@ -76,40 +76,32 @@ let attach t =
 
 let nudge t = Sched.Condvar.broadcast t.cv
 
-(* Run the batch's per-stream forces. Without an I/O model they run inline,
-   back to back — with one stream this is byte-for-byte the old single
-   [flush_to]. With an I/O model, each stream's force runs in its own fiber
-   and then busy-waits until [t0 + cost bytes] scheduler steps have elapsed
-   (an absolute deadline from a shared start, so concurrent forces overlap:
-   the batch completes in ~max of the per-stream costs, not their sum —
-   the disk-parallelism a multi-stream log exists to buy). *)
+(* Run the batch's per-stream forces, back to back: [Logmgr.flush_to]
+   never yields, so with one stream this is byte-for-byte the old single
+   [flush_to]. With an I/O model, stream [s]'s force of [b] bytes occupies
+   its device until [t0 + cost b] scheduler steps from the batch's shared
+   start, and the devices run concurrently, so the daemon waits once, until
+   the latest of those deadlines: the batch costs ~max of the per-stream
+   costs, not their sum — the disk parallelism a multi-stream log exists to
+   buy. The wait is the daemon's alone; no fiber is spawned per force. *)
 let run_forces t forces =
+  let force (s, target) = Logmgr.flush_to (Logset.stream t.logs s) target in
   match t.io_model with
   | Some cost when Sched.in_fiber () ->
       let t0 = Sched.steps_now () in
-      let remaining = ref (List.length forces) in
-      let failed = ref None in
-      List.iter
-        (fun (s, target) ->
-          let m = Logset.stream t.logs s in
-          let bytes = max 0 (Logmgr.record_end m target - Logmgr.flushed_offset m) in
-          ignore
-            (Sched.spawn ~name:(Printf.sprintf "gc-force-%d" s) (fun () ->
-                 (try
-                    Logmgr.flush_to m target;
-                    let deadline = t0 + cost bytes in
-                    while Sched.steps_now () < deadline do
-                      Sched.yield ()
-                    done
-                  with e -> if !failed = None then failed := Some e);
-                 decr remaining)))
-        forces;
-      while !remaining > 0 do
+      let deadline =
+        List.fold_left
+          (fun d (s, target) ->
+            let m = Logset.stream t.logs s in
+            let bytes = max 0 (Logmgr.record_end m target - Logmgr.flushed_offset m) in
+            force (s, target);
+            max d (t0 + cost bytes))
+          t0 forces
+      in
+      while Sched.steps_now () < deadline do
         Sched.yield ()
-      done;
-      Option.iter raise !failed
-  | Some _ | None ->
-      List.iter (fun (s, target) -> Logmgr.flush_to (Logset.stream t.logs s) target) forces
+      done
+  | Some _ | None -> List.iter force forces
 
 (* One batch = one force per touched stream: fold every enqueued committer's
    fence vector into per-stream maxima, force each covered stream through
@@ -183,7 +175,15 @@ let run_daemon t ~stop =
     ~finally:(fun () -> t.daemon_live <- false)
     (fun () ->
       let stopping () = stop () || Sched.shutting_down () || Crashpoint.tripped () in
-      let rec loop () =
+      (* [opened] is the step at which the pending batch's accumulation
+         window opened, if it already has. A batch's window opens when the
+         previous force starts: committers that queue while that force is
+         on the device (under an I/O model) have been piling on since then,
+         so the next force goes out as soon as the device is free
+         (pipelined group commit). A force that takes no steps leaves the
+         queue empty, so without an I/O model the window opens when the
+         daemon wakes, as it always did. *)
+      let rec loop opened =
         if stopping () then begin
           (* drain: force whatever is pending immediately (no delay window),
              wake the covered committers, and exit. After a simulated power
@@ -193,12 +193,12 @@ let run_daemon t ~stop =
         end
         else if Vec.is_empty t.waiters then begin
           Sched.Condvar.wait t.cv;
-          loop ()
+          loop None
         end
         else begin
           (* accumulation window: let more committers pile on until the
              batch is full or the step deadline passes *)
-          let t0 = Sched.steps_now () in
+          let t0 = match opened with Some t0 -> t0 | None -> Sched.steps_now () in
           while
             Vec.length t.waiters < t.policy.max_batch
             && Sched.steps_now () - t0 < t.policy.max_delay_steps
@@ -206,15 +206,18 @@ let run_daemon t ~stop =
           do
             Sched.yield ()
           done;
-          (if not (Crashpoint.tripped ()) then
-             try force_batch t
-             with Storage_error.Error _ ->
-               (* typed storage failure out of the force: the batch was
-                  re-enqueued by [force_batch]; back off one step and retry
-                  on the next round (the transient-EIO storm passes in
-                  simulated time) *)
-               Sched.yield ());
-          loop ()
+          let f0 = Sched.steps_now () in
+          if Crashpoint.tripped () then loop None
+          else
+            match force_batch t with
+            | () -> loop (Some f0)
+            | exception Storage_error.Error _ ->
+                (* typed storage failure out of the force: the batch was
+                   re-enqueued by [force_batch]; back off one step and retry
+                   on the next round (the transient-EIO storm passes in
+                   simulated time) *)
+                Sched.yield ();
+                loop None
         end
       in
-      loop ())
+      loop None)

@@ -48,12 +48,13 @@ val pending : t -> int
 val set_io_model : t -> (int -> int) option -> unit
 (** Install a synthetic log-device model for benchmarking: [cost bytes] is
     the number of scheduler steps one stream's force of [bytes] unflushed
-    bytes occupies the (per-stream) log device. With a model installed,
-    [force_batch] runs each stream's force in its own fiber against an
-    absolute shared deadline, so a batch costs ~max (not sum) of the
-    per-stream costs — the device parallelism N log streams exist to buy.
-    [None] (the default) forces inline and back to back, byte-for-byte
-    identical to a single-stream group commit when N = 1. *)
+    bytes occupies the (per-stream) log device. The forces are issued
+    back to back either way; with a model installed, the daemon then waits
+    until the latest per-stream deadline from the batch's shared start, so
+    a batch costs ~max (not sum) of the per-stream costs — the device
+    parallelism N log streams exist to buy. [None] (the default) does not
+    wait, byte-for-byte identical to a single-stream group commit when
+    N = 1. *)
 
 val active : t -> bool
 (** True iff called inside the scheduler run the daemon was attached to:
@@ -78,5 +79,7 @@ val nudge : t -> unit
 val run_daemon : t -> stop:(unit -> bool) -> unit
 (** The daemon body (pass to [Sched.spawn_daemon]). Loops: sleep until work
     arrives, hold the batch open per [policy], force once per touched
-    stream, wake the batch. Exits — after draining any pending batch
+    stream, wake the batch. The next batch's window opens when a force
+    starts, so committers that queued during a modelled device wait are
+    forced as soon as the device is free. Exits — after draining any pending batch
     without further delay — when [stop ()] or [Sched.shutting_down ()]. *)
